@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from wavelab import (BumpSpec, InitialData, ScenarioConfig, free_field,
-                     init_state)
-from wavelab.profile import _interp_cart
+from wavelab import (BumpSpec, InitialData, ScenarioConfig, field_value,
+                     free_field, run_simulation)
 
 data = InitialData(
     f1=(BumpSpec((0.0, 0.0), 1.8, 1.0),),
@@ -37,15 +36,15 @@ for i, h in enumerate((1 / 16, 1 / 32, 1 / 64)):
                          T=T, h=h)
     n0 = math.ceil(0.25 / (0.45 / 16))
     dt = 0.25 / (n0 * 2 ** i)
-    state = init_state(cfg, data, nonlinear=False, dt=dt)
-    snaps = {}
-    for n in range(1, round(T / dt) + 1):
-        state.step()
-        tv = n * dt
-        if abs(tv / 0.5 - round(tv / 0.5)) < 1e-9:
-            snaps[round(tv, 4)] = state.u_curr[0].copy()
-    err = max(abs(_interp_cart(snaps[round(t, 4)], x, y, state.xs[0], h)
-                  - oracle[(t, x, y)]) for (t, x, y) in points)
+    errs = []
+
+    def check(state):
+        errs.extend(abs(field_value(state, (x, y))[0] - oracle[(t, x, y)])
+                    for (t, x, y) in points if abs(t - state.t) < 1e-9)
+
+    run_simulation(cfg, data, nonlinear=False, dt=dt,
+                   samplers=[((0.5, 1.0), check)])
+    err = max(errs)
     print(f"  h = 1/{round(1/h)}: max error {err:.3e}   error/h^2 = {err / h / h:.2f}")
 
 print("\nthe error/h^2 ratio is flat: clean second-order convergence")

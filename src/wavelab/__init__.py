@@ -17,14 +17,13 @@ from .config import (ConfigParseError, ConfigValidationError, ScenarioConfig,
 from .fitting import PowerLawFit, fit_power_law
 from .free_wave import FreeFieldPoint, free_field
 from .profile import (MEstimate, ProfileTrace, RayTraceCollector,
-                      closed_form_profile, corrected_invariant,
+                      closed_form_profile, corrected_invariant, field_value,
                       leading_invariant, outgoing_amplitude, profile_invariant,
                       remainder_term, sample_profile, solve_reduced_ode)
 from .radiation import (RadiationTable, fit_sigma_decay, half_order_integral,
                         radiation_pair, radiation_table, radon_line_integral)
-from .solver import (EnergyTrace, InstabilityError, WaveState,
-                     energies_and_dissipation, init_state, run_simulation,
-                     step)
+from .solver import (EnergyTrace, InstabilityError, WaveState, init_state,
+                     run_simulation)
 
 __version__ = "0.1.0"
 
@@ -36,10 +35,10 @@ __all__ = [
     "FreeFieldPoint", "free_field",
     "RadiationTable", "radiation_table", "radiation_pair",
     "radon_line_integral", "half_order_integral", "fit_sigma_decay",
-    "WaveState", "EnergyTrace", "InstabilityError", "init_state", "step",
-    "energies_and_dissipation", "run_simulation",
+    "WaveState", "EnergyTrace", "InstabilityError", "init_state",
+    "run_simulation",
     "ProfileTrace", "RayTraceCollector", "MEstimate",
-    "outgoing_amplitude", "sample_profile", "remainder_term",
+    "field_value", "outgoing_amplitude", "sample_profile", "remainder_term",
     "solve_reduced_ode", "closed_form_profile", "profile_invariant",
     "corrected_invariant", "leading_invariant",
     "__version__",

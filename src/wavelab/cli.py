@@ -1,30 +1,20 @@
 """Command line entry points.
 
-    wavelab run --config FILE --out DIR [--threads N]
-    wavelab scenario NAME --out DIR [--threads N] [--h H] [--cfl C]
-                          [--T T] [--eps LIST]
+    wavelab run --config FILE --out DIR
+    wavelab scenario NAME --out DIR [--h H] [--cfl C] [--T T] [--eps LIST]
 
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
-2 on usage errors (unknown scenario, malformed configuration).  --threads
-falls back to the WAVELAB_THREADS environment variable, then to 1.
+2 on usage errors (unknown scenario, malformed configuration or option).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 from .config import ConfigParseError, ConfigValidationError, load_scenario
 from .scenarios import SCENARIOS, UsageError, default_config, run_scenario
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("WAVELAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,12 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the scenario described by a config file")
     p_run.add_argument("--config", required=True, help="configuration file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=None)
 
     p_sc = sub.add_parser("scenario", help="run a named scenario with its defaults")
     p_sc.add_argument("name", help=f"one of {', '.join(sorted(SCENARIOS))}")
     p_sc.add_argument("--out", default=None, help="output directory")
-    p_sc.add_argument("--threads", type=int, default=None)
     p_sc.add_argument("--h", type=float, default=None, help="grid spacing override")
     p_sc.add_argument("--cfl", type=float, default=None)
     p_sc.add_argument("--T", type=float, default=None, help="final time override")
@@ -49,9 +37,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_eps(text: str) -> tuple[float, ...]:
+    try:
+        eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise UsageError(f"--eps: cannot parse {text!r} as a number list") from None
+    if not eps:
+        raise UsageError(f"--eps: empty epsilon list {text!r}")
+    if not all(e > 0 for e in eps):
+        raise UsageError(f"--eps: every epsilon must be positive, got {text!r}")
+    return eps
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads if args.threads else _default_threads()
 
     try:
         if args.command == "run":
@@ -66,7 +65,7 @@ def main(argv=None) -> int:
             if args.T is not None:
                 overrides["T"] = args.T
             if args.eps is not None:
-                eps = tuple(float(tok) for tok in args.eps.split(",") if tok.strip())
+                eps = _parse_eps(args.eps)
                 overrides["eps_list"] = eps
                 overrides["data"] = config.data.with_epsilon(eps[0])
             if overrides:
@@ -76,7 +75,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        summary = run_scenario(config, out_dir=args.out, threads=threads)
+        summary = run_scenario(config, out_dir=args.out)
     except UsageError as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2

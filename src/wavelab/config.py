@@ -32,7 +32,7 @@ offending line number; validation errors name the offending field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,9 @@ class ScenarioConfig:
     name: str
     data: InitialData
     mode: str = "radial"
-    h: float = 0.0               # 0 means "derive from support radius"
+    h: float | None = None       # None means "derive from support radius"
     cfl: float = DEFAULT_CFL
-    T: float = 0.0               # 0 means "derive as 4 / min(eps)"
+    T: float | None = None       # None means "derive as 4 / min(eps)"
     sigma_samples: tuple[float, ...] = DEFAULT_SIGMA_SAMPLES
     theta_samples: tuple[float, ...] = (0.0,)
     eps_list: tuple[float, ...] = ()
@@ -95,11 +95,11 @@ class ScenarioConfig:
         for e in eps_list:
             if not e > 0:
                 raise ConfigValidationError("epsilon", f"must be positive, got {e}")
-        if not self.h:
+        if self.h is None:
             object.__setattr__(self, "h", self.data.support_radius / DEFAULT_POINTS_PER_RADIUS)
         if not self.h > 0:
             raise ConfigValidationError("h", f"must be positive, got {self.h}")
-        if not self.T:
+        if self.T is None:
             object.__setattr__(self, "T", 4.0 / min(eps_list))
         if not self.T > 0:
             raise ConfigValidationError("T", f"must be positive, got {self.T}")
@@ -113,9 +113,6 @@ class ScenarioConfig:
                 "mode", "radial mode requires every bump center at the origin")
         object.__setattr__(self, "sigma_samples", tuple(float(s) for s in self.sigma_samples))
         object.__setattr__(self, "theta_samples", tuple(float(s) for s in self.theta_samples))
-
-    def with_epsilon(self, eps: float) -> "ScenarioConfig":
-        return replace(self, data=self.data.with_epsilon(eps), eps_list=(eps,))
 
 
 def _parse_floats(text: str, key: str, line: int) -> list[float]:
@@ -183,9 +180,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     name = take("scenario.name", required=True)
     mode = take("scenario.mode", default="radial")
-    T = take("scenario.T", _parse_float, default=0.0)
+    T = take("scenario.T", _parse_float)
     out_dir = take("scenario.out")
-    h = take("grid.h", _parse_float, default=0.0)
+    h = take("grid.h", _parse_float)
     cfl = take("grid.cfl", _parse_float, default=DEFAULT_CFL)
     eps_list = take("data.epsilon", _parse_floats, required=True)
     if not eps_list:

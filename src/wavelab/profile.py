@@ -38,6 +38,7 @@ from .radiation import RadiationTable
 from .solver import WaveState
 
 __all__ = [
+    "field_value",
     "outgoing_amplitude",
     "sample_profile",
     "remainder_term",
@@ -161,6 +162,17 @@ class _LevelFields:
             out[j] = 0.5 * (sq * ut[k] ** 2 * ut[j] + U[k] ** 2 * U[j] / t) \
                 - (4.0 * ang[j] + uval[j]) / (8.0 * r * sq)
         return out
+
+
+def field_value(state: WaveState, x) -> tuple[float, float]:
+    """u_1, u_2 of the diagnosed level at the point x, by cubic interpolation."""
+    u = state.u_curr
+    if state.mode == "radial":
+        r = float(np.hypot(x[0], x[1]))
+        return _interp_radial(u[0], r, state.h), _interp_radial(u[1], r, state.h)
+    x0 = state.xs[0]
+    return (_interp_cart(u[0], x[0], x[1], x0, state.h),
+            _interp_cart(u[1], x[0], x[1], x0, state.h))
 
 
 def outgoing_amplitude(state: WaveState, x) -> tuple[float, float]:

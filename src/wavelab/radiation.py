@@ -131,6 +131,27 @@ def radon_line_integral(specs: Iterable[BumpSpec], s: float, omega,
     return float(vals[deriv_order][0])
 
 
+def _half_order_nodes(sigma: float, r0: float, inner_radius: float | None,
+                      feature: float | None):
+    """s = sigma + tau^2 nodes and tau weights for the window [sigma, r0].
+
+    inner_radius (None: no cut) and feature act as inner_radius and
+    feature_scale of half_order_integral.
+    """
+    tau_hi = np.sqrt(r0 - sigma)
+    tau_lo = 0.0
+    if inner_radius is not None and -inner_radius > sigma:
+        tau_lo = np.sqrt(-inner_radius - sigma)
+    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL)))
+    if feature is not None and feature > 0:
+        s_span = tau_hi**2 - tau_lo**2
+        panels = max(panels, int(np.ceil(6.0 * s_span / feature)))
+    xi, wi = _panel_rule(panels, _TAU_NODES)
+    tau = tau_lo + 0.5 * (tau_hi - tau_lo) * (xi + 1.0)
+    wts = 0.5 * (tau_hi - tau_lo) * wi
+    return sigma + tau * tau, wts
+
+
 def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
                         sigma: float, support_radius: float,
                         inner_radius: float | None = None,
@@ -150,38 +171,15 @@ def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
     """
     if sigma >= support_radius:
         return 0.0
-    tau_hi = np.sqrt(support_radius - sigma)
-    tau_lo = 0.0
-    if inner_radius is not None and -inner_radius > sigma:
-        tau_lo = np.sqrt(-inner_radius - sigma)
-    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL)))
-    if feature_scale is not None and feature_scale > 0:
-        s_span = tau_hi**2 - tau_lo**2
-        panels = max(panels, int(np.ceil(6.0 * s_span / feature_scale)))
-    xi, wi = _panel_rule(panels, _TAU_NODES)
-    tau = tau_lo + 0.5 * (tau_hi - tau_lo) * (xi + 1.0)
-    wts = 0.5 * (tau_hi - tau_lo) * wi
-    vals = np.asarray(line_values(sigma + tau * tau), dtype=float)
+    s_nodes, wts = _half_order_nodes(sigma, support_radius, inner_radius,
+                                     feature_scale)
+    vals = np.asarray(line_values(s_nodes), dtype=float)
     total = 2.0 * np.sum(vals * wts)
     return float(HALF_ORDER_NORM * total)
 
 
 def _component_pair(data: InitialData, component: int):
     return data.position_data(component), data.velocity_data(component)
-
-
-def _half_order_nodes(sigma: float, r0: float, feature: float | None):
-    """tau-substituted nodes and weights for the window [sigma, r0]."""
-    tau_hi = np.sqrt(r0 - sigma)
-    tau_lo = np.sqrt(-r0 - sigma) if -r0 > sigma else 0.0
-    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL)))
-    if feature is not None and feature > 0:
-        s_span = tau_hi**2 - tau_lo**2
-        panels = max(panels, int(np.ceil(6.0 * s_span / feature)))
-    xi, wi = _panel_rule(panels, _TAU_NODES)
-    tau = tau_lo + 0.5 * (tau_hi - tau_lo) * (xi + 1.0)
-    wts = 0.5 * (tau_hi - tau_lo) * wi
-    return sigma + tau * tau, wts
 
 
 def radiation_pair(data: InitialData, sigma: float, omega, component: int
@@ -200,7 +198,7 @@ def radiation_pair(data: InitialData, sigma: float, omega, component: int
         return 0.0, 0.0
     bumps = data.all_bumps()
     feature = min(b.radius for b in bumps) if bumps else None
-    s_nodes, wts = _half_order_nodes(sigma, r0, feature)
+    s_nodes, wts = _half_order_nodes(sigma, r0, r0, feature)
     rf = _radon_many(f, s_nodes, omega, (1, 2))
     rg = _radon_many(g, s_nodes, omega, (0, 1))
     scale = 2.0 * HALF_ORDER_NORM
@@ -267,31 +265,21 @@ class RadiationTable:
         write_csv(path, ("sigma", "theta", "F1", "dF1", "F2", "dF2"), rows)
 
 
-def radiation_table(data: InitialData, sigma_grid, theta_grid,
-                    threads: int = 1) -> RadiationTable:
+def radiation_table(data: InitialData, sigma_grid, theta_grid) -> RadiationTable:
     """Tabulate (F_j, d_sigma F_j) per unit amplitude on the given grids."""
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     r0 = data.support_radius
     F = np.zeros((2, len(sigma_grid), len(theta_grid)))
     dF = np.zeros_like(F)
-
-    def fill_theta(j):
-        omega = np.array([np.cos(theta_grid[j]), np.sin(theta_grid[j])])
+    for j, theta in enumerate(theta_grid):
+        omega = np.array([np.cos(theta), np.sin(theta)])
         for i, sigma in enumerate(sigma_grid):
             if sigma >= r0:
                 continue
             for comp in (1, 2):
                 F[comp - 1, i, j], dF[comp - 1, i, j] = radiation_pair(
                     data, sigma, omega, comp)
-
-    if threads > 1 and len(theta_grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_theta, range(len(theta_grid))))
-    else:
-        for j in range(len(theta_grid)):
-            fill_theta(j)
     if not np.all(np.isfinite(F)) or not np.all(np.isfinite(dF)):
         raise FloatingPointError("non-finite value in radiation table quadrature")
     return RadiationTable(sigma_grid=sigma_grid, theta_grid=theta_grid,

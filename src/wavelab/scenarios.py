@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -35,37 +36,18 @@ from .config import ScenarioConfig
 from .fitting import fit_power_law
 from .free_wave import free_field
 from .profile import (RayTraceCollector, closed_form_profile,
-                      corrected_invariant, leading_invariant, profile_invariant,
-                      solve_reduced_ode, write_mestimates, MEstimate,
-                      _interp_cart)
+                      corrected_invariant, field_value, leading_invariant,
+                      profile_invariant, solve_reduced_ode, write_mestimates,
+                      MEstimate)
 from .radiation import fit_sigma_decay, radiation_pair, radiation_table
 from .reporting import Assertion, write_csv, write_summary
-from .solver import init_state, run_simulation
+from .solver import run_simulation
 
-__all__ = ["SCENARIOS", "ScalingReport", "UsageError", "default_config",
-           "run_scenario"]
+__all__ = ["SCENARIOS", "UsageError", "default_config", "run_scenario"]
 
 
 class UsageError(ValueError):
     """Unknown scenario or unusable invocation (CLI exit code 2)."""
-
-
-@dataclass
-class ScalingReport:
-    """Per-epsilon invariant residuals and the fitted scaling exponent."""
-
-    eps_list: tuple
-    rows: list                   # (eps, sigma, theta, m_direct, m_corrected, m_leading)
-    slope: float
-    intercept: float
-    r_squared: float
-    runtimes: dict
-
-    def max_residuals(self):
-        out = {}
-        for eps, sigma, _theta, md, _mc, ml in self.rows:
-            out[eps] = max(out.get(eps, 0.0), abs(md - ml))
-        return out
 
 
 def _b(radius, amplitude, center=(0.0, 0.0)):
@@ -115,7 +97,7 @@ def _trace_times(T: float, dt: float, stride: int = 4):
     return np.append(np.arange(0.0, T, stride * dt), T)
 
 
-def _scenario_conservation(config, out_dir, threads):
+def _scenario_conservation(config, out_dir):
     runtimes = {}
     results = {}
     for label, cfg in (("base", config), ("half", replace(config, h=config.h / 2))):
@@ -159,7 +141,7 @@ def _free_validation_points(data, T, count=20, seed=7):
     return pts
 
 
-def _scenario_free_validation(config, out_dir, threads):
+def _scenario_free_validation(config, out_dir):
     if config.mode != "cartesian-2d":
         raise UsageError("free-validation runs in cartesian-2d mode")
     data = config.data
@@ -171,32 +153,29 @@ def _scenario_free_validation(config, out_dir, threads):
     oracle = {p: free_field(data, p[0], np.array([p[1], p[2]])).u for p in pts}
     runtimes["oracle"] = time.perf_counter() - t0
 
-    # dt divides the snapshot cadence and halves exactly across refinements
+    by_time = {}
+    for p in pts:
+        by_time.setdefault(p[0], []).append(p)
+
+    def sample(grid, points, state):
+        for p in points:
+            grid[p] = field_value(state, p[1:])
+
+    # dt divides the check cadence and halves exactly across refinements
     levels = [config.h / (2 ** i) for i in range(3)]
     n0 = math.ceil(0.25 / (0.45 * levels[0]))
     errs = []
-    rows = []
     t0 = time.perf_counter()
     for i, h in enumerate(levels):
-        cfg = replace(config, h=h)
-        dt = 0.25 / (n0 * 2 ** i)
-        state = init_state(cfg, data, nonlinear=False, dt=dt)
-        snaps = {}
-        for n in range(1, round(T / dt) + 1):
-            state.step()
-            tv = n * dt
-            if abs(tv / 0.25 - round(tv / 0.25)) < 1e-9:
-                snaps[round(tv, 6)] = state.u_curr.copy()
-        emax = 0.0
-        for (tv, x, y) in pts:
-            for comp in (0, 1):
-                ug = _interp_cart(snaps[round(tv, 6)][comp], x, y, state.xs[0], h)
-                err = abs(ug - oracle[(tv, x, y)][comp])
-                emax = max(emax, err)
-                if i == len(levels) - 1 and comp == 0:
-                    rows.append((tv, x, y, ug, oracle[(tv, x, y)][0], err))
-        errs.append(emax)
+        grid = {}
+        samplers = [((tv,), partial(sample, grid, points))
+                    for tv, points in by_time.items()]
+        run_simulation(replace(config, h=h), data, nonlinear=False,
+                       dt=0.25 / (n0 * 2 ** i), samplers=samplers)
+        errs.append(max(abs(grid[p][c] - oracle[p][c]) for p in pts for c in (0, 1)))
     runtimes["refinement_runs"] = time.perf_counter() - t0
+    rows = [(*p, grid[p][0], oracle[p][0], abs(grid[p][0] - oracle[p][0]))
+            for p in pts]
     write_csv(os.path.join(out_dir, "free_validation_points.csv"),
               ("t", "x", "y", "u_grid", "u_oracle", "abs_err"), rows)
 
@@ -252,13 +231,13 @@ def _scenario_free_validation(config, out_dir, threads):
     return assertions, values, runtimes
 
 
-def _scenario_radiation_decay(config, out_dir, threads):
+def _scenario_radiation_decay(config, out_dir):
     data = config.data
     r0 = data.support_radius
     runtimes = {}
     sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
     t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, config.theta_samples, threads=threads)
+    table = radiation_table(data, sigma_grid, config.theta_samples)
     runtimes["table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
@@ -274,7 +253,7 @@ def _scenario_radiation_decay(config, out_dir, threads):
     return assertions, values, runtimes
 
 
-def _scenario_profile_oracle(config, out_dir, threads):
+def _scenario_profile_oracle(config, out_dir):
     runtimes = {}
     t_start, t_end = 2.0, 2.0e6
     t_eval = np.geomspace(t_start, t_end, 40)
@@ -340,10 +319,10 @@ def _run_scaling_case(config, eps, sigmas, with_remainder=True, h=None):
                                   with_remainder=with_remainder)
     times = _trace_times(T, cfg.cfl * cfg.h)
     run_simulation(cfg, data, nonlinear=True, samplers=[(times, collector)])
-    return cfg, collector.traces()
+    return collector.traces()
 
 
-def _scenario_epsilon_scaling(config, out_dir, threads):
+def _scenario_epsilon_scaling(config, out_dir):
     if len(config.eps_list) < 3:
         raise UsageError("epsilon-scaling needs at least 3 epsilon values")
     eps_list = tuple(sorted(config.eps_list, reverse=True))
@@ -355,38 +334,24 @@ def _scenario_epsilon_scaling(config, out_dir, threads):
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
     sigma_grid = np.arange(lo, r0 + 0.2 + 1e-9, 0.02)
     t0 = time.perf_counter()
-    table = radiation_table(config.data, sigma_grid, config.theta_samples,
-                            threads=threads)
+    table = radiation_table(config.data, sigma_grid, config.theta_samples)
     runtimes["radiation_table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
-    def case(eps):
-        t_start = time.perf_counter()
-        cfg, traces = _run_scaling_case(config, eps, sigmas)
-        elapsed = time.perf_counter() - t_start
-        out = []
+    estimates = []
+    t0 = time.perf_counter()
+    for eps in eps_list:
+        t_case = time.perf_counter()
+        traces = _run_scaling_case(config, eps, sigmas)
+        runtimes[f"eps={eps:.4g}"] = time.perf_counter() - t_case
+        T = 4.0 / eps
         for tr in traces:
-            T = 4.0 / eps
             md = tr.invariant_at(T)
             mc, _tail = corrected_invariant(tr, T)
             ml = leading_invariant(table, eps, tr.sigma, theta)
-            out.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
-                                 m_direct=md, m_corrected=mc, m_leading=ml))
-        return eps, out, elapsed
-
-    t0 = time.perf_counter()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            case_results = list(pool.map(case, eps_list))
-    else:
-        case_results = [case(e) for e in eps_list]
+            estimates.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
+                                       m_direct=md, m_corrected=mc, m_leading=ml))
     runtimes["eps_runs"] = time.perf_counter() - t0
-
-    estimates = []
-    for eps, ests, elapsed in case_results:
-        estimates.extend(ests)
-        runtimes[f"eps={eps:.4g}"] = elapsed
     write_mestimates(os.path.join(out_dir, "m_estimates.csv"), estimates)
 
     max_resid = {}
@@ -397,8 +362,8 @@ def _scenario_epsilon_scaling(config, out_dir, threads):
     # discretization floor at the smallest eps from one h-halved rerun
     eps_min = eps_list[-1]
     t0 = time.perf_counter()
-    _, traces_half = _run_scaling_case(config, eps_min, sigmas,
-                                       with_remainder=False, h=config.h / 2)
+    traces_half = _run_scaling_case(config, eps_min, sigmas,
+                                    with_remainder=False, h=config.h / 2)
     runtimes["floor_run"] = time.perf_counter() - t0
     floor = {}
     base = {e.sigma: e for e in estimates if e.eps == eps_min}
@@ -418,11 +383,6 @@ def _scenario_epsilon_scaling(config, out_dir, threads):
         else:
             pointwise[sigma] = None
 
-    report = ScalingReport(eps_list=eps_list,
-                           rows=[(e.eps, e.sigma, e.theta, e.m_direct,
-                                  e.m_corrected, e.m_leading) for e in estimates],
-                           slope=fit.slope, intercept=fit.intercept,
-                           r_squared=fit.r_squared, runtimes=dict(runtimes))
     write_csv(os.path.join(out_dir, "scaling_report.csv"),
               ("eps", "max_abs_residual"),
               sorted(max_resid.items(), reverse=True))
@@ -433,13 +393,13 @@ def _scenario_epsilon_scaling(config, out_dir, threads):
     return assertions, values, runtimes
 
 
-def _scenario_nondecay(config, out_dir, threads):
+def _scenario_nondecay(config, out_dir):
     data = config.data
     runtimes = {}
     r0 = data.support_radius
     sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
     t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, config.theta_samples, threads=threads)
+    table = radiation_table(data, sigma_grid, config.theta_samples)
     runtimes["table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
@@ -470,7 +430,7 @@ def _scenario_nondecay(config, out_dir, threads):
     return assertions, values, runtimes
 
 
-def _scenario_symmetric_decay(config, out_dir, threads):
+def _scenario_symmetric_decay(config, out_dir):
     data = config.data
     if data.f1 != data.f2 or data.g1 != data.g2:
         raise UsageError("symmetric-decay requires identical component data")
@@ -524,7 +484,7 @@ SCENARIOS = {
 }
 
 
-def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> dict:
+def run_scenario(config: ScenarioConfig, out_dir=None) -> dict:
     """Run the scenario named in the config; returns the summary dict.
 
     Writes summary.json plus scenario CSVs into out_dir.  Raises UsageError
@@ -536,7 +496,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1) -> dict
     out_dir = out_dir or config.out_dir or f"out/{config.name}"
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    assertions, values, runtimes = SCENARIOS[config.name](config, out_dir, threads)
+    assertions, values, runtimes = SCENARIOS[config.name](config, out_dir)
     runtimes["total"] = time.perf_counter() - t0
     return write_summary(os.path.join(out_dir, "summary.json"),
                          config.name, assertions, values, runtimes)

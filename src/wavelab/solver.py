@@ -22,8 +22,7 @@ from the data, which makes the cached derivative equal eps*g exactly.
 Boundaries are homogeneous Dirichlet on a domain large enough that the
 support never reaches them (finite propagation speed), so no boundary error
 enters any measurement.  All integrals use numpy's pairwise summation over
-arrays in fixed index order, so results are reproducible run to run and do
-not depend on any thread count.
+arrays in fixed index order, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -41,10 +40,12 @@ __all__ = [
     "EnergyTrace",
     "InstabilityError",
     "init_state",
-    "step",
-    "energies_and_dissipation",
     "run_simulation",
+    "TRACE_DT",
 ]
+
+# spacing in time units of the EnergyTrace records of run_simulation
+TRACE_DT = 0.25
 
 
 class InstabilityError(RuntimeError):
@@ -234,9 +235,6 @@ class WaveState:
         self._last_D = D
         return self
 
-    def interior_max(self) -> float:
-        return float(np.max(np.abs(self.u_curr)))
-
 
 def _cartesian_axes(r0: float, T: float, h: float):
     m = int(math.ceil((r0 + T) / h)) + 3
@@ -304,11 +302,6 @@ def init_state(config: ScenarioConfig, data: InitialData, nonlinear: bool,
     return state
 
 
-def step(state: WaveState) -> WaveState:
-    """Advance the state by one time step (module-level alias)."""
-    return state.step()
-
-
 def save_snapshot(state: WaveState, basepath) -> None:
     """Dump the diagnosed level as flat binary plus a JSON geometry sidecar.
 
@@ -334,25 +327,23 @@ def save_snapshot(state: WaveState, basepath) -> None:
         fh.write("\n")
 
 
-def energies_and_dissipation(state: WaveState) -> tuple[float, float, float]:
-    """(E1^2, E2^2, D) of the diagnosed level."""
-    e1, e2 = state.energies()
-    return e1, e2, state.dissipation()
-
-
 def run_simulation(config: ScenarioConfig, data: InitialData, nonlinear: bool,
-                   samplers=(), trace_dt: float = 0.25,
-                   dt: float | None = None, T: float | None = None) -> EnergyTrace:
+                   samplers=(), dt: float | None = None,
+                   T: float | None = None) -> EnergyTrace:
     """Advance to T (default config.T), sampling at the nearest grid times.
 
     samplers is a sequence of (times, callback) pairs; each callback receives
     the read-only state whenever the diagnosed time passes one of its
     requested times (mapped to the nearest step).  The returned EnergyTrace
-    is sampled every trace_dt time units plus the initial and final levels;
-    T = 0 returns the single initial record.
+    is sampled every TRACE_DT time units plus the initial and final levels;
+    T = 0 returns the single initial record.  T may not exceed config.T,
+    the horizon the domain is sized for.
     """
-    state = init_state(config, data, nonlinear, dt=dt)
     horizon = config.T if T is None else T
+    if horizon > config.T:
+        raise ValueError(f"T={horizon} exceeds config.T={config.T}, the horizon "
+                         "the domain is sized for")
+    state = init_state(config, data, nonlinear, dt=dt)
     n_steps = max(0, int(math.ceil(horizon / state.dt - 1e-9)))
 
     requests: dict[int, list] = {}
@@ -363,7 +354,7 @@ def run_simulation(config: ScenarioConfig, data: InitialData, nonlinear: bool,
             idx = min(n_steps, max(0, int(round(t_req / state.dt))))
             requests.setdefault(idx, []).append(callback)
 
-    stride = max(1, int(round(trace_dt / state.dt)))
+    stride = max(1, int(round(TRACE_DT / state.dt)))
     rows = []
 
     def record():

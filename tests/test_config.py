@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from wavelab import ConfigParseError, ConfigValidationError, parse_scenario
@@ -50,6 +52,16 @@ mode = radial
     assert cfg.eps_list == (0.4, 0.2, 0.1)
     assert cfg.data.epsilon == 0.4
     assert cfg.h == 0.02 and cfg.cfl == 0.5 and cfg.T == 12.5
+
+
+@pytest.mark.parametrize("section, key", [("scenario", "T"), ("grid", "h")])
+def test_explicit_zero_is_not_a_default(section, key):
+    text = MINIMAL + f"\n[{section}]\n{key} = 0\n"
+    with pytest.raises(ConfigValidationError) as err:
+        parse_scenario(text)
+    assert err.value.field == key
+    with pytest.raises(ConfigValidationError, match="must be positive"):
+        replace(parse_scenario(MINIMAL), **{key: 0.0})
 
 
 def test_negative_radius_names_field():

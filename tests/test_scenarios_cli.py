@@ -114,23 +114,27 @@ def test_reports_deterministic(tmp_path):
     assert ja == jb
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("WAVELAB_THREADS", "2")
-    code = main(["scenario", "profile-oracle", "--out", str(tmp_path)])
-    assert code == 0
+@pytest.mark.parametrize("eps", ["abc", ",", "-1"])
+def test_malformed_eps_exit_code(tmp_path, capsys, eps):
+    code = main(["scenario", "profile-oracle", "--out", str(tmp_path), "--eps", eps])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wavelab: --eps") and err.count("\n") == 1
 
 
-def test_table_identical_across_thread_counts():
-    import numpy as np
-    from wavelab import BumpSpec, InitialData, radiation_table
-    data = InitialData(g1=(BumpSpec((0.3, 0.0), 0.8, 1.0),),
-                       g2=(BumpSpec((0.0, 0.2), 0.6, -0.4),), epsilon=0.1)
-    grid = np.linspace(-2.0, 1.3, 12)
-    thetas = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)
-    t1 = radiation_table(data, grid, thetas, threads=1)
-    t3 = radiation_table(data, grid, thetas, threads=3)
-    np.testing.assert_array_equal(t1.F, t3.F)
-    np.testing.assert_array_equal(t1.dF, t3.dF)
+def test_zero_spacing_exit_code(tmp_path, capsys):
+    # 0 is an explicit value, not a request for the default spacing
+    code = main(["scenario", "conservation", "--out", str(tmp_path), "--h", "0"])
+    assert code == 2
+    assert "h: must be positive" in capsys.readouterr().err
+
+
+def test_zero_horizon_config_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace("T = 6", "T = 0"))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "T: must be positive" in capsys.readouterr().err
 
 
 def test_exit_one_on_assertion_failure(tmp_path, capsys):

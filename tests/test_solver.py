@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
-                     energies_and_dissipation, free_field, init_state,
-                     run_simulation, step)
-from wavelab.profile import _interp_cart, _interp_radial
+                     field_value, free_field, init_state, run_simulation)
 from wavelab.solver import save_snapshot
 
 
@@ -24,9 +22,9 @@ def test_zero_data_stays_zero(unit_bump):
     state = init_state(cfg, data, nonlinear=True)
     for _ in range(10):
         state.step()
-    assert state.interior_max() == 0.0
-    e1, e2, d = energies_and_dissipation(state)
-    assert (e1, e2, d) == (0.0, 0.0, 0.0)
+    assert float(np.max(np.abs(state.u_curr))) == 0.0
+    assert state.energies() == (0.0, 0.0)
+    assert state.dissipation() == 0.0
 
 
 def test_radial_rejects_offcenter(offset_data):
@@ -71,9 +69,9 @@ def test_radial_and_cartesian_agree_at_t0(radial_data):
     sr = init_state(cfg_r, radial_data, nonlinear=False)
     sc = init_state(cfg_c, radial_data, nonlinear=False)
     for r in (0.3, 0.55, 0.92):
-        vr = _interp_radial(sr.u_curr[0], r, h)
-        vc = _interp_cart(sc.u_curr[0], r, 0.0, sc.xs[0], h)
-        assert abs(vr - vc) <= 1e-8
+        vr = field_value(sr, (r, 0.0))
+        vc = field_value(sc, (r, 0.0))
+        assert max(abs(vr[0] - vc[0]), abs(vr[1] - vc[1])) <= 1e-8
 
 
 def test_symmetric_data_identical_components(unit_bump):
@@ -82,7 +80,7 @@ def test_symmetric_data_identical_components(unit_bump):
     cfg = small_config(data, T=3.0)
     state = init_state(cfg, data, nonlinear=True)
     for _ in range(200):
-        step(state)
+        state.step()
     assert float(np.max(np.abs(state.u_curr[0] - state.u_curr[1]))) <= 1e-12
 
 
@@ -126,8 +124,8 @@ def test_energy_swap_symmetry(radial_data):
     for _ in range(50):
         sa.step()
         sb.step()
-    ea = energies_and_dissipation(sa)
-    eb = energies_and_dissipation(sb)
+    ea = (*sa.energies(), sa.dissipation())
+    eb = (*sb.energies(), sb.dissipation())
     assert ea[0] == pytest.approx(eb[1], rel=1e-14)
     assert ea[1] == pytest.approx(eb[0], rel=1e-14)
     assert ea[2] == pytest.approx(eb[2], rel=1e-14)
@@ -156,6 +154,13 @@ def test_run_simulation_zero_horizon(radial_data):
     trace = run_simulation(cfg, radial_data, nonlinear=False, T=0.0)
     assert len(trace.t) == 1 and trace.t[0] == 0.0
     assert trace.cum_D[0] == 0.0
+
+
+def test_run_simulation_rejects_horizon_beyond_domain(radial_data):
+    # the domain is sized for config.T; a longer run would hit the wall
+    cfg = small_config(radial_data, T=1.0)
+    with pytest.raises(ValueError, match="exceeds config.T"):
+        run_simulation(cfg, radial_data, nonlinear=False, T=1.5)
 
 
 def test_run_simulation_rejects_late_samples(radial_data):
@@ -187,16 +192,16 @@ def test_scheme_order_against_oracle(unit_bump):
     for i, h in enumerate(levels):
         cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
                              T=T, h=h)
-        dt = 0.25 / (n0 * 2**i)
-        state = init_state(cfg, data, nonlinear=False, dt=dt)
-        snaps = {}
-        for n in range(1, round(T / dt) + 1):
-            state.step()
-            tv = n * dt
-            if abs(tv / 0.25 - round(tv / 0.25)) < 1e-9:
-                snaps[round(tv, 6)] = state.u_curr[0].copy()
-        errs.append(max(abs(_interp_cart(snaps[round(tv, 6)], x, y, state.xs[0], h)
-                            - oracle[(tv, x, y)]) for tv, x, y in pts))
+        errs_h = []
+
+        def check(state):
+            errs_h.extend(abs(field_value(state, (x, y))[0] - oracle[(tv, x, y)])
+                          for tv, x, y in pts if abs(tv - state.t) < 1e-9)
+
+        run_simulation(cfg, data, nonlinear=False, dt=0.25 / (n0 * 2**i),
+                       samplers=[((0.25, 0.5), check)])
+        assert len(errs_h) == len(pts)
+        errs.append(max(errs_h))
     from wavelab import fit_power_law
     assert fit_power_law(levels, errs).slope >= 1.9
 
@@ -215,8 +220,7 @@ def test_radial_cartesian_cross_check(unit_bump):
     for _ in range(round(T / sr.dt)):
         sr.step()
         sc.step()
-    dmax = max(abs(_interp_radial(sr.u_curr[0], r, h)
-                   - _interp_cart(sc.u_curr[0], r, 0.0, sc.xs[0], h))
+    dmax = max(abs(field_value(sr, (r, 0.0))[0] - field_value(sc, (r, 0.0))[0])
                for r in np.linspace(0.2, sr.t + 1.0, 25))
     assert dmax <= 5.0 * h * h
 
