@@ -76,7 +76,7 @@ def main(argv=None) -> int:
 
     try:
         summary = run_scenario(config, out_dir=args.out)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,9 @@ invariant V_1^2 - V_2^2 is exactly conserved; with K kept,
 d/dt (V_1^2 - V_2^2) = 2 rho with rho = V_1 K_1 - V_2 K_2, which is the
 basis of the corrected invariant estimate.
 
-Grid sampling uses 4-point Lagrange (cubic) interpolation in space and
-linear interpolation in time between stored samples.
+Point values come from WaveState.sample, which builds one 4-point Lagrange
+(cubic) stencil per point and applies it to every sampled field; traces
+interpolate linearly in time between stored samples.
 """
 
 from __future__ import annotations
@@ -58,127 +59,75 @@ class IntegrationError(RuntimeError):
     pass
 
 
-# -- cubic interpolation on uniform grids -------------------------------------
+# -- point sampling -----------------------------------------------------------
 
-def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
-    """4-node Lagrange stencil for fractional index p on a grid of size n."""
-    k0 = int(math.floor(p)) - 1
-    k0 = min(max(k0, 0), n - 4)
-    x = p - k0
-    nodes = np.arange(4.0)
-    w = np.ones(4)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                w[i] *= (x - nodes[j]) / (nodes[i] - nodes[j])
-    return k0, w
+def _level_fields(state: WaveState, with_rotation: bool = False) -> list[np.ndarray]:
+    """The (2, *grid) arrays a ray sample reads from the diagnosed level.
 
-
-def _interp_radial(arr: np.ndarray, r: float, h: float) -> float:
-    p = r / h - 0.5
-    k0, w = _stencil(p, arr.shape[-1])
-    return float(arr[..., k0:k0 + 4] @ w)
-
-
-def _interp_cart(arr: np.ndarray, x: float, y: float, x0: float, h: float) -> float:
-    px = (x - x0) / h
-    py = (y - x0) / h
-    i0, wx = _stencil(px, arr.shape[0])
-    j0, wy = _stencil(py, arr.shape[1])
-    return float(wx @ arr[i0:i0 + 4, j0:j0 + 4] @ wy)
-
-
-class _LevelFields:
-    """Interpolatable view of one diagnosed level (u, grad u, d_t u).
-
-    Gradients use the solver's fourth-order stencils: the ray amplitude
-    multiplies d_r u by r^{1/2}, so at large foot-point radii a second-order
-    gradient error would dominate every profile measurement.
+    [u, d_t u, d_r u] in radial mode; [u, d_t u, d_1 u, d_2 u] in Cartesian
+    mode, plus Omega^2 u when with_rotation.  Gradients use the solver's
+    fourth-order stencils: the ray amplitude multiplies d_r u by r^{1/2}, so
+    at large foot-point radii a second-order gradient error would dominate
+    every profile measurement.
     """
+    u = state.u_curr
+    grads = [state._gradient4(u[j]) for j in range(2)]
+    if state.mode == "radial":
+        return [u, state.dt_u, np.stack(grads)]
+    fields = [u, state.dt_u, np.stack([g[0] for g in grads]),
+              np.stack([g[1] for g in grads])]
+    if with_rotation:
+        fields.append(np.stack([state.rotation(state._gradient4(state.rotation(g)))
+                                for g in grads]))
+    return fields
 
-    def __init__(self, state: WaveState, with_rotation: bool = False):
-        self.state = state
-        self.h = state.h
-        self.radial = state.mode == "radial"
-        self.u = state.u_curr
-        self.dt = state.dt_u
-        if self.radial:
-            self.gr = np.stack([state._gradient4(self.u[j]) for j in range(2)])
-        else:
-            self.x0 = state.xs[0]
-            gs = [state._gradient4(self.u[j]) for j in range(2)]
-            self.gx = np.stack([g[0] for g in gs])
-            self.gy = np.stack([g[1] for g in gs])
-            if with_rotation:
-                X, Y = np.meshgrid(state.xs, state.xs, indexing="ij")
-                self.om2 = np.empty_like(self.u)
-                for j in range(2):
-                    om1 = X * self.gy[j] - Y * self.gx[j]
-                    o1x, o1y = state._gradient4(om1)
-                    self.om2[j] = X * o1y - Y * o1x
 
-    def at(self, x: np.ndarray, name: str, j: int) -> float:
-        arr = getattr(self, name)[j]
-        if self.radial:
-            return _interp_radial(arr, float(np.hypot(x[0], x[1])), self.h)
-        return _interp_cart(arr, x[0], x[1], self.x0, self.h)
+def _ray_values(state: WaveState, fields, x):
+    """|x| and the 2-vectors u, d_t u, d_r u, Omega^2 u at x (|x| >= h).
 
-    def amplitude(self, x: np.ndarray) -> np.ndarray:
-        """U_1, U_2 at the point x (|x| >= h required)."""
-        r = float(np.hypot(x[0], x[1]))
-        if r < self.h:
-            raise ValueError(f"point with |x|={r:.3g} < h={self.h:.3g} is too close "
-                             "to the origin for the ray amplitude")
-        sq = math.sqrt(r)
-        out = np.empty(2)
-        for j in range(2):
-            u = self.at(x, "u", j)
-            ut = self.at(x, "dt", j)
-            if self.radial:
-                ur = self.at(x, "gr", j)
-            else:
-                ur = (x[0] * self.at(x, "gx", j) + x[1] * self.at(x, "gy", j)) / r
-            out[j] = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)
-        return out
+    Omega^2 u is zero in radial mode and None when fields lack it.
+    """
+    r = float(np.hypot(x[0], x[1]))
+    if r < state.h:
+        raise ValueError(f"point with |x|={r:.3g} < h={state.h:.3g} is too close "
+                         "to the origin for the ray amplitude")
+    v = state.sample(fields, x)
+    if state.mode == "radial":
+        return r, v[0], v[1], v[2], np.zeros(2)
+    ur = (x[0] * v[2] + x[1] * v[3]) / r
+    return r, v[0], v[1], ur, (v[4] if len(v) > 4 else None)
 
-    def remainder(self, x: np.ndarray, t: float) -> np.ndarray:
-        """H_1, H_2 at the point x for diagnosed time t."""
-        r = float(np.hypot(x[0], x[1]))
-        if r < self.h:
-            raise ValueError(f"|x|={r:.3g} < h; remainder term undefined this close in")
-        if t <= 0:
-            raise ValueError("remainder term needs t > 0")
-        sq = math.sqrt(r)
-        U = self.amplitude(x)
-        ut = np.array([self.at(x, "dt", 0), self.at(x, "dt", 1)])
-        uval = np.array([self.at(x, "u", 0), self.at(x, "u", 1)])
-        if self.radial:
-            ang = np.zeros(2)
-        else:
-            ang = np.array([self.at(x, "om2", 0), self.at(x, "om2", 1)])
-        out = np.empty(2)
-        for j in range(2):
-            k = 1 - j
-            out[j] = 0.5 * (sq * ut[k] ** 2 * ut[j] + U[k] ** 2 * U[j] / t) \
-                - (4.0 * ang[j] + uval[j]) / (8.0 * r * sq)
-        return out
+
+def _amplitude(r: float, u, ut, ur) -> np.ndarray:
+    """U_1, U_2 from the values sampled at a point of radius r."""
+    sq = math.sqrt(r)
+    return 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)
+
+
+def _remainder(r: float, t: float, u, ut, ang, U) -> np.ndarray:
+    """H_1, H_2 from the values sampled at radius r and the amplitudes U there."""
+    sq = math.sqrt(r)
+    out = np.empty(2)
+    # scalar ** 2 on purpose: numpy squares arrays by multiplication but
+    # scalars by pow(), and the two differ in the last bit for some values
+    for j in range(2):
+        k = 1 - j
+        out[j] = 0.5 * (sq * ut[k] ** 2 * ut[j] + U[k] ** 2 * U[j] / t) \
+            - (4.0 * ang[j] + u[j]) / (8.0 * r * sq)
+    return out
 
 
 def field_value(state: WaveState, x) -> tuple[float, float]:
     """u_1, u_2 of the diagnosed level at the point x, by cubic interpolation."""
-    u = state.u_curr
-    if state.mode == "radial":
-        r = float(np.hypot(x[0], x[1]))
-        return _interp_radial(u[0], r, state.h), _interp_radial(u[1], r, state.h)
-    x0 = state.xs[0]
-    return (_interp_cart(u[0], x[0], x[1], x0, state.h),
-            _interp_cart(u[1], x[0], x[1], x0, state.h))
+    u = state.sample([state.u_curr], x)[0]
+    return float(u[0]), float(u[1])
 
 
 def outgoing_amplitude(state: WaveState, x) -> tuple[float, float]:
     """U_1, U_2 of the diagnosed level at a point x with |x| >= h."""
-    u = _LevelFields(state).amplitude(np.asarray(x, dtype=float))
-    return float(u[0]), float(u[1])
+    r, u, ut, ur, _ = _ray_values(state, _level_fields(state), x)
+    U = _amplitude(r, u, ut, ur)
+    return float(U[0]), float(U[1])
 
 
 def sample_profile(state: WaveState, sigma: float, omega) -> tuple[float, float]:
@@ -192,8 +141,10 @@ def sample_profile(state: WaveState, sigma: float, omega) -> tuple[float, float]
 
 def remainder_term(state: WaveState, x) -> tuple[float, float]:
     """H_1, H_2 of the diagnosed level at x (rotational stencils in 2D mode)."""
-    fields = _LevelFields(state, with_rotation=state.mode != "radial")
-    h = fields.remainder(np.asarray(x, dtype=float), state.t)
+    if state.t <= 0:
+        raise ValueError("remainder term needs t > 0")
+    r, u, ut, ur, ang = _ray_values(state, _level_fields(state, with_rotation=True), x)
+    h = _remainder(r, state.t, u, ut, ang, _amplitude(r, u, ut, ur))
     return float(h[0]), float(h[1])
 
 
@@ -213,9 +164,14 @@ class ProfileTrace:
     K1: np.ndarray
     K2: np.ndarray
 
+    @staticmethod
+    def reference_time(sigma: float) -> float:
+        """t0 of a trace at this sigma: max(2, -2 sigma)."""
+        return max(2.0, -2.0 * sigma)
+
     @property
     def t0(self) -> float:
-        return max(2.0, -2.0 * self.sigma)
+        return self.reference_time(self.sigma)
 
     @property
     def t1(self) -> float:
@@ -248,8 +204,9 @@ class RayTraceCollector:
     """run_simulation sampler that builds ProfileTraces for several sigmas.
 
     Sampling starts once the foot point clears the origin (t + sigma >= h)
-    and skips nothing afterwards; shared field views are computed once per
-    sampled level.
+    and skips nothing afterwards.  The sampled arrays are built once per
+    level, and each (t, sigma) sample reads them through one stencil and
+    evaluates the amplitude once.
     """
 
     def __init__(self, sigmas, theta: float, eps: float,
@@ -266,16 +223,15 @@ class RayTraceCollector:
         self._dt = state.dt
         if state.t <= 0.0:
             return
-        needs_rot = self.with_remainder and state.mode != "radial"
-        fields = _LevelFields(state, with_rotation=needs_rot)
+        fields = _level_fields(state, with_rotation=self.with_remainder)
         for s in self.sigmas:
             r = state.t + s
             if r < state.h:
                 continue
-            x = r * self.omega
-            v = fields.amplitude(x)
+            r, u, ut, ur, ang = _ray_values(state, fields, r * self.omega)
+            v = _amplitude(r, u, ut, ur)
             if self.with_remainder:
-                k = fields.remainder(x, state.t)
+                k = _remainder(r, state.t, u, ut, ang, v)
             else:
                 k = (0.0, 0.0)
             self._rows[s].append((state.t, v[0], v[1], k[0], k[1]))

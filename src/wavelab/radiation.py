@@ -131,36 +131,17 @@ def radon_line_integral(specs: Iterable[BumpSpec], s: float, omega,
     return float(vals[deriv_order][0])
 
 
-def _half_order_nodes(sigma: float, r0: float, inner_radius: float | None,
-                      feature: float | None):
-    """s = sigma + tau^2 nodes and tau weights for the window [sigma, r0].
-
-    inner_radius (None: no cut) and feature act as inner_radius and
-    feature_scale of half_order_integral.
-    """
-    tau_hi = np.sqrt(r0 - sigma)
-    tau_lo = 0.0
-    if inner_radius is not None and -inner_radius > sigma:
-        tau_lo = np.sqrt(-inner_radius - sigma)
-    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL)))
-    if feature is not None and feature > 0:
-        s_span = tau_hi**2 - tau_lo**2
-        panels = max(panels, int(np.ceil(6.0 * s_span / feature)))
-    xi, wi = _panel_rule(panels, _TAU_NODES)
-    tau = tau_lo + 0.5 * (tau_hi - tau_lo) * (xi + 1.0)
-    wts = 0.5 * (tau_hi - tau_lo) * wi
-    return sigma + tau * tau, wts
-
-
 def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
                         sigma: float, support_radius: float,
                         inner_radius: float | None = None,
-                        feature_scale: float | None = None) -> float:
+                        feature_scale: float | None = None):
     """(1/(2 sqrt2 pi)) int_sigma^inf line_values(s) / sqrt(s - sigma) ds.
 
     line_values must vanish for s > support_radius; the substitution
     s = sigma + tau^2 turns the integral into a regular one over
-    tau in [0, sqrt(support_radius - sigma)].
+    tau in [0, sqrt(support_radius - sigma)].  It may return stacked
+    integrands of shape (k, len(s)); the result is then an array of the k
+    integrals, otherwise a float.
 
     When line_values also vanishes for s < -inner_radius (always true for
     Radon transforms of data supported in |y| <= inner_radius), the dead part
@@ -171,11 +152,20 @@ def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
     """
     if sigma >= support_radius:
         return 0.0
-    s_nodes, wts = _half_order_nodes(sigma, support_radius, inner_radius,
-                                     feature_scale)
-    vals = np.asarray(line_values(s_nodes), dtype=float)
-    total = 2.0 * np.sum(vals * wts)
-    return float(HALF_ORDER_NORM * total)
+    tau_hi = np.sqrt(support_radius - sigma)
+    tau_lo = 0.0
+    if inner_radius is not None and -inner_radius > sigma:
+        tau_lo = np.sqrt(-inner_radius - sigma)
+    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL)))
+    if feature_scale is not None and feature_scale > 0:
+        s_span = tau_hi**2 - tau_lo**2
+        panels = max(panels, int(np.ceil(6.0 * s_span / feature_scale)))
+    xi, wi = _panel_rule(panels, _TAU_NODES)
+    tau = tau_lo + 0.5 * (tau_hi - tau_lo) * (xi + 1.0)
+    wts = 0.5 * (tau_hi - tau_lo) * wi
+    vals = np.asarray(line_values(sigma + tau * tau), dtype=float)
+    total = HALF_ORDER_NORM * (2.0 * np.sum(vals * wts, axis=-1))
+    return float(total) if total.ndim == 0 else total
 
 
 def _component_pair(data: InitialData, component: int):
@@ -198,13 +188,15 @@ def radiation_pair(data: InitialData, sigma: float, omega, component: int
         return 0.0, 0.0
     bumps = data.all_bumps()
     feature = min(b.radius for b in bumps) if bumps else None
-    s_nodes, wts = _half_order_nodes(sigma, r0, r0, feature)
-    rf = _radon_many(f, s_nodes, omega, (1, 2))
-    rg = _radon_many(g, s_nodes, omega, (0, 1))
-    scale = 2.0 * HALF_ORDER_NORM
-    f_val = scale * float(np.sum((-rf[1] + rg[0]) * wts))
-    df_val = scale * float(np.sum((-rf[2] + rg[1]) * wts))
-    return f_val, df_val
+
+    def integrands(s):
+        rf = _radon_many(f, s, omega, (1, 2))
+        rg = _radon_many(g, s, omega, (0, 1))
+        return np.stack([-rf[1] + rg[0], -rf[2] + rg[1]])
+
+    f_val, df_val = half_order_integral(integrands, sigma, r0, inner_radius=r0,
+                                        feature_scale=feature)
+    return float(f_val), float(df_val)
 
 
 @dataclass(frozen=True)

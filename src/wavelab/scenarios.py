@@ -35,7 +35,7 @@ from .bumps import BumpSpec, InitialData
 from .config import ScenarioConfig
 from .fitting import fit_power_law
 from .free_wave import free_field
-from .profile import (RayTraceCollector, closed_form_profile,
+from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
                       corrected_invariant, field_value, leading_invariant,
                       profile_invariant, solve_reduced_ode, write_mestimates,
                       MEstimate)
@@ -130,7 +130,7 @@ def _scenario_conservation(config, out_dir):
 def _free_validation_points(data, T, count=20, seed=7):
     rng = np.random.default_rng(seed)
     pts = []
-    times = np.linspace(0.25, T, 4)
+    times = np.linspace(0.25 * T, T, 4)
     per = count // len(times)
     r0 = data.support_radius
     for tv in times:
@@ -161,9 +161,10 @@ def _scenario_free_validation(config, out_dir):
         for p in points:
             grid[p] = field_value(state, p[1:])
 
-    # dt divides the check cadence and halves exactly across refinements
+    # dt divides the check cadence T/4 and halves exactly across refinements
     levels = [config.h / (2 ** i) for i in range(3)]
-    n0 = math.ceil(0.25 / (0.45 * levels[0]))
+    cadence = 0.25 * T
+    n0 = math.ceil(cadence / (0.45 * levels[0]))
     errs = []
     t0 = time.perf_counter()
     for i, h in enumerate(levels):
@@ -171,7 +172,7 @@ def _scenario_free_validation(config, out_dir):
         samplers = [((tv,), partial(sample, grid, points))
                     for tv, points in by_time.items()]
         run_simulation(replace(config, h=h), data, nonlinear=False,
-                       dt=0.25 / (n0 * 2 ** i), samplers=samplers)
+                       dt=cadence / (n0 * 2 ** i), samplers=samplers)
         errs.append(max(abs(grid[p][c] - oracle[p][c]) for p in pts for c in (0, 1)))
     runtimes["refinement_runs"] = time.perf_counter() - t0
     rows = [(*p, grid[p][0], oracle[p][0], abs(grid[p][0] - oracle[p][0]))
@@ -436,6 +437,10 @@ def _scenario_symmetric_decay(config, out_dir):
         raise UsageError("symmetric-decay requires identical component data")
     runtimes = {}
     sigma = config.sigma_samples[0]
+    t_ref = ProfileTrace.reference_time(sigma)
+    if config.T < t_ref:
+        raise UsageError(f"symmetric-decay needs T >= {t_ref:g}, the profile "
+                         f"reference time for sigma={sigma:g}; got T={config.T:g}")
     collector = RayTraceCollector([sigma], config.theta_samples[0],
                                   data.epsilon, with_remainder=False)
     sym_gap = [0.0]
@@ -456,7 +461,6 @@ def _scenario_symmetric_decay(config, out_dir):
 
     tr = collector.traces()[0]
     tr.to_csv(os.path.join(out_dir, "profile_trace.csv"))
-    t_ref = tr.t0
     v0 = tr.values_at(t_ref)[0]
     mask = tr.t >= t_ref
     cf1, _ = closed_form_profile(v0, v0, t_ref, tr.t[mask])

@@ -19,6 +19,10 @@ diagnostic (energies, profile sampling) is second-order accurate.  The
 previous-level start at t = 0 is the exact second-order Taylor expansion
 from the data, which makes the cached derivative equal eps*g exactly.
 
+Point values of level fields come from WaveState.sample, the only code that
+knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
+point and axis and applies it to every field it is given.
+
 Boundaries are homogeneous Dirichlet on a domain large enough that the
 support never reaches them (finite propagation speed), so no boundary error
 enters any measurement.  All integrals use numpy's pairwise summation over
@@ -137,23 +141,8 @@ class WaveState:
                            + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h2
         return lap
 
-    def spatial_gradient(self, u: np.ndarray):
-        """Centered gradient; radial mode returns d_r u only."""
-        h2 = 2.0 * self.h
-        if self.mode == "radial":
-            g = np.zeros_like(u)
-            g[1:-1] = (u[2:] - u[:-2]) / h2
-            g[0] = (u[1] - u[0]) / h2          # even ghost at the axis
-            g[-1] = -u[-2] / h2                # Dirichlet outside
-            return g
-        gx = np.zeros_like(u)
-        gy = np.zeros_like(u)
-        gx[1:-1, :] = (u[2:, :] - u[:-2, :]) / h2
-        gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / h2
-        return gx, gy
-
     def _gradient4(self, u: np.ndarray):
-        """Fourth-order gradient, used only inside the energy functional.
+        """Fourth-order gradient, for the energy functional and the ray amplitude.
 
         The higher order shrinks the slowly varying O(h^2) offset of the
         discrete energy, keeping conservation drift well inside tolerance at
@@ -170,6 +159,11 @@ class WaveState:
         gx[2:-2, :] = (u[:-4, :] - 8.0 * u[1:-3, :] + 8.0 * u[3:-1, :] - u[4:, :]) / h12
         gy[:, 2:-2] = (u[:, :-4] - 8.0 * u[:, 1:-3] + 8.0 * u[:, 3:-1] - u[:, 4:]) / h12
         return gx, gy
+
+    def rotation(self, grad) -> np.ndarray:
+        """Omega u = x1 d2 u - x2 d1 u of a Cartesian field u from its gradient."""
+        X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
+        return X * grad[1] - Y * grad[0]
 
     def cell_measure(self) -> np.ndarray | float:
         if self.mode == "radial":
@@ -195,6 +189,32 @@ class WaveState:
         meas = self.cell_measure()
         prod = self.dt_u[0] * self.dt_u[1]
         return float(np.sum(prod * prod * meas))
+
+    # -- point sampling --------------------------------------------------------
+
+    def sample(self, fields, x) -> np.ndarray:
+        """Both components of each (2, *grid) array in fields at the point x.
+
+        Returns shape (len(fields), 2).  One 4-node Lagrange stencil per axis
+        serves every field: cubic interpolation in |x| over the cell centres
+        r_i = (i + 1/2) h (radial), or in x1 and x2 over the nodes xs
+        (Cartesian).
+        """
+        out = np.empty((len(fields), 2))
+        n = len(self.xs)
+        if self.mode == "radial":
+            k0, w = _stencil(float(np.hypot(x[0], x[1])) / self.h - 0.5, n)
+            for i, a in enumerate(fields):
+                for j in range(2):
+                    out[i, j] = a[j, k0:k0 + 4] @ w
+            return out
+        x0 = self.xs[0]
+        i0, wx = _stencil((x[0] - x0) / self.h, n)
+        j0, wy = _stencil((x[1] - x0) / self.h, n)
+        for i, a in enumerate(fields):
+            for j in range(2):
+                out[i, j] = wx @ a[j, i0:i0 + 4, j0:j0 + 4] @ wy
+        return out
 
     # -- time stepping -------------------------------------------------------
 
@@ -234,6 +254,15 @@ class WaveState:
         self.cum_dissipation += 0.5 * dt * (self._last_D + D)
         self._last_D = D
         return self
+
+
+def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
+    """4-node Lagrange stencil for fractional index p on a grid of size n."""
+    k0 = min(max(int(math.floor(p)) - 1, 0), n - 4)
+    x = p - k0
+    w = np.array([math.prod((x - j) / (i - j) for j in range(4) if j != i)
+                  for i in range(4)])
+    return k0, w
 
 
 def _cartesian_axes(r0: float, T: float, h: float):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wavelab import (BumpSpec, InitialData, ScenarioConfig, closed_form_profile,
-                     corrected_invariant, leading_invariant, outgoing_amplitude,
+                     corrected_invariant, field_value, leading_invariant,
+                     outgoing_amplitude,
                      profile_invariant, radiation_table, run_simulation,
                      sample_profile, solve_reduced_ode)
 from wavelab.profile import RayTraceCollector, ProfileTrace, remainder_term
@@ -172,14 +173,14 @@ def test_remainder_radial_formula():
     r = 2.3
     x = (r, 0.0)
     h1, h2 = remainder_term(st, x)
-    from wavelab.profile import _LevelFields
-    fields = _LevelFields(st)
-    uu = [fields.at(np.array(x), "u", j) for j in range(2)]
-    ut = [fields.at(np.array(x), "dt", j) for j in range(2)]
-    U = fields.amplitude(np.array(x))
+    uu = field_value(st, x)
+    ut = st.sample([st.dt_u], x)[0]
+    U = outgoing_amplitude(st, x)
     sq = math.sqrt(r)
     expect1 = 0.5 * (sq * ut[1]**2 * ut[0] + U[1]**2 * U[0] / t0) - uu[0] / (8 * r * sq)
+    expect2 = 0.5 * (sq * ut[0]**2 * ut[1] + U[0]**2 * U[1] / t0) - uu[1] / (8 * r * sq)
     assert h1 == pytest.approx(expect1, rel=1e-12)
+    assert h2 == pytest.approx(expect2, rel=1e-12)
 
 
 def test_remainder_angular_term_cartesian():
@@ -198,16 +199,35 @@ def test_remainder_angular_term_cartesian():
                    np.stack([u, zeros]), np.stack([zeros, zeros]),
                    nonlinear=True, support_radius=1.0)
     st.t = 3.0
-    from wavelab.profile import _LevelFields
-    fields = _LevelFields(st, with_rotation=True)
     for (x, y) in ((0.35, 0.1), (0.2, -0.4), (-0.5, 0.3)):
         r = math.hypot(x, y)
         s2 = r * r
         uval = math.exp(1.0 - 1.0 / (1.0 - s2)) * (x / r)
-        H = fields.remainder(np.array([x, y]), st.t)
-        U = fields.amplitude(np.array([x, y]))
+        H = remainder_term(st, (x, y))
+        U = outgoing_amplitude(st, (x, y))
         expect = 0.5 * (U[1]**2 * U[0] / st.t) + 3.0 * uval / (8.0 * r**1.5)
         assert H[0] == pytest.approx(expect, abs=5e-4)
+
+
+@pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
+def test_collector_rows_equal_point_api(mode, request):
+    """One collector level gives exactly sample_profile and remainder_term."""
+    data = request.getfixturevalue("radial_data" if mode == "radial" else "offset_data")
+    cfg = ScenarioConfig(name="conservation", data=data, mode=mode,
+                         T=1.0, h=1.0 / 16.0)
+    st = init_state(cfg, data, nonlinear=True)
+    for _ in range(round(0.5 / st.dt)):
+        st.step()
+    theta = 0.7
+    omega = np.array([np.cos(theta), np.sin(theta)])
+    sigmas = [-0.3, 0.0, 0.6]
+    collector = RayTraceCollector(sigmas, theta, 0.3, with_remainder=True)
+    collector(st)
+    for tr in collector.traces():
+        x = (st.t + tr.sigma) * omega
+        assert (tr.t[0], tr.V1[0], tr.V2[0]) == (st.t, *sample_profile(st, tr.sigma, omega))
+        assert (tr.K1[0], tr.K2[0]) == remainder_term(st, x)
+        assert tr.K1[0] != 0.0
 
 
 # -- traces and invariant estimators ------------------------------------------------

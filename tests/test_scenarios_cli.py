@@ -146,3 +146,21 @@ def test_exit_one_on_assertion_failure(tmp_path, capsys):
     assert "FAIL" in out
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["passed"] is False
+
+
+@pytest.mark.parametrize("args,out,codes", [
+    # check times and cadence follow T, so a short horizon still samples on-grid
+    ("free-validation --T 0.1", "o", {0, 1}),
+    # the profile reference time max(2, -2 sigma) lies beyond T
+    ("symmetric-decay --T 1", "o", {2}),
+    # --out names an existing file
+    ("profile-oracle", "afile", {2}),
+])
+def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
+    (tmp_path / "afile").write_text("")
+    assert main(["scenario", *args.split(), "--out", str(tmp_path / out)]) in codes
+    captured = capsys.readouterr()
+    if codes == {2}:
+        assert captured.err.startswith("wavelab: ") and captured.err.count("\n") == 1
+    else:
+        assert "scenario free-validation:" in captured.out

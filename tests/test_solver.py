@@ -6,7 +6,7 @@ import pytest
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
                      field_value, free_field, init_state, run_simulation)
-from wavelab.solver import save_snapshot
+from wavelab.solver import _stencil, save_snapshot
 
 
 def small_config(data, mode="radial", T=2.0, h=1.0 / 32.0, **kw):
@@ -72,6 +72,43 @@ def test_radial_and_cartesian_agree_at_t0(radial_data):
         vr = field_value(sr, (r, 0.0))
         vc = field_value(sc, (r, 0.0))
         assert max(abs(vr[0] - vc[0]), abs(vr[1] - vc[1])) <= 1e-8
+
+
+def _reference_stencil(p, n):
+    """The Lagrange weights as a plain double loop over the four nodes."""
+    k0 = min(max(int(math.floor(p)) - 1, 0), n - 4)
+    w = np.ones(4)
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                w[i] *= (p - k0 - j) / (i - j)
+    return k0, w
+
+
+def test_stencil_matches_reference_loop(rng):
+    for p in np.concatenate([rng.uniform(-1.0, 60.0, 500), [0.0, 0.5, 57.0]]):
+        k0, w = _stencil(p, 60)
+        k_ref, w_ref = _reference_stencil(p, 60)
+        assert k0 == k_ref and w.tobytes() == w_ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
+def test_sample_exact_on_cubics(radial_data, mode):
+    """Every field and component of one sample reproduces a cubic exactly."""
+    st = init_state(small_config(radial_data, mode=mode, T=0.5, h=1.0 / 16.0),
+                    radial_data, nonlinear=False)
+
+    def cubic(a, b):
+        return a ** 3 - 2.0 * a * b ** 2 + b
+
+    x = np.array([0.61, -0.37])
+    if mode == "radial":
+        c, exact = cubic(st.xs, 0.5), cubic(math.hypot(*x), 0.5)
+    else:
+        X, Y = np.meshgrid(st.xs, st.xs, indexing="ij")
+        c, exact = cubic(X, Y), cubic(*x)
+    got = st.sample([np.stack([c, -c]), np.stack([2.0 * c, c])], x)
+    np.testing.assert_allclose(got, [[exact, -exact], [2.0 * exact, exact]], rtol=1e-12)
 
 
 def test_symmetric_data_identical_components(unit_bump):
