@@ -42,7 +42,7 @@ for i, h in enumerate((1 / 16, 1 / 32, 1 / 64)):
         errs.extend(abs(field_value(state, (x, y))[0] - oracle[(t, x, y)])
                     for (t, x, y) in points if abs(t - state.t) < 1e-9)
 
-    run_simulation(cfg, data, nonlinear=False, dt=dt,
+    run_simulation(cfg, nonlinear=False, dt=dt,
                    samplers=[((0.5, 1.0), check)])
     err = max(errs)
     print(f"  h = 1/{round(1/h)}: max error {err:.3e}   error/h^2 = {err / h / h:.2f}")

@@ -22,7 +22,7 @@ data = InitialData(
 config = ScenarioConfig(name="conservation", data=data, mode="radial", T=40.0)
 print(f"radial nonlinear run: eps={data.epsilon}, T={config.T}, h={config.h:.5f}")
 
-trace = run_simulation(config, data, nonlinear=True)
+trace = run_simulation(config, nonlinear=True)
 
 print("\n   t      E1^2       E2^2       diff        total      cum 2*D")
 for i in range(0, len(trace.t), len(trace.t) // 10):

@@ -36,7 +36,7 @@ sigmas = [-2.0, -1.0, 0.0, 0.5]
 collector = RayTraceCollector(sigmas, 0.0, eps)
 times = np.append(np.arange(0.0, T, 4 * config.cfl * config.h), T)
 print(f"\nnonlinear radial run to T = 4/eps = {T} ...")
-run_simulation(config, data, nonlinear=True, samplers=[(times, collector)])
+run_simulation(config, nonlinear=True, samplers=[(times, collector)])
 
 grid = np.arange(-2.6, data.support_radius + 0.2, 0.02)
 table = radiation_table(data, grid, [0.0])

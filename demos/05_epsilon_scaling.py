@@ -30,7 +30,7 @@ for eps in eps_ladder:
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
     col = RayTraceCollector(sigmas, 0.0, eps, with_remainder=False)
     times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
-    run_simulation(cfg, data, nonlinear=True, samplers=[(times, col)])
+    run_simulation(cfg, nonlinear=True, samplers=[(times, col)])
     worst = max(abs(tr.invariant_at(T) - leading_invariant(table, eps, tr.sigma, 0.0))
                 for tr in col.traces())
     residuals.append(worst)

@@ -30,7 +30,7 @@ print(f"  |dF1| - |dF2| = {gap[i_lo]:+.4f} at sigma = {grid[i_lo]:.2f}  (compone
 T = 4.0 / data.epsilon
 config = ScenarioConfig(name="nondecay-demo", data=data, mode="radial", T=T)
 print(f"\nnonlinear run to T = {T} ...")
-trace = run_simulation(config, data, nonlinear=True)
+trace = run_simulation(config, nonlinear=True)
 
 late = trace.t >= T / 2
 print(f"E1^2: initial {trace.E1sq[0]:.5f}, floor on [T/2, T]: "

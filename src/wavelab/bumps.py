@@ -33,6 +33,7 @@ __all__ = [
     "eval_sum",
     "sum_value_grad_hess",
     "directional_derivative",
+    "along_direction",
     "initial_values",
 ]
 
@@ -153,7 +154,12 @@ def directional_derivative(specs: Iterable[BumpSpec], pts: np.ndarray,
     """(omega . grad)^k applied to a bump sum, for k in {0, 1, 2}."""
     if k not in (0, 1, 2):
         raise ValueError(f"directional derivative order must be 0, 1 or 2, got {k}")
-    val, grad, hess = sum_value_grad_hess(specs, pts)
+    return along_direction(sum_value_grad_hess(specs, pts), omega, k)
+
+
+def along_direction(fields, omega: np.ndarray, k: int):
+    """(omega . grad)^k of a field from its (value, gradient, packed Hessian)."""
+    val, grad, hess = fields
     if k == 0:
         return val
     w1, w2 = float(omega[0]), float(omega[1])

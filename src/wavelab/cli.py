@@ -4,7 +4,8 @@
     wavelab scenario NAME --out DIR [--h H] [--cfl C] [--T T] [--eps LIST]
 
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
-2 on usage errors (unknown scenario, malformed configuration or option).
+2 on usage errors (unknown scenario, malformed configuration or option, or
+an override the scenario never reads; see scenarios.IGNORED_OVERRIDES).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigParseError, ConfigValidationError, load_scenario
-from .scenarios import SCENARIOS, UsageError, default_config, run_scenario
+from .scenarios import (EPS_LIST, IGNORED_OVERRIDES, SCENARIOS, UsageError,
+                        default_config, run_scenario)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,17 +59,18 @@ def main(argv=None) -> int:
             config = load_scenario(args.config)
         else:
             config = default_config(args.name)
-            overrides = {}
-            if args.h is not None:
-                overrides["h"] = args.h
-            if args.cfl is not None:
-                overrides["cfl"] = args.cfl
-            if args.T is not None:
-                overrides["T"] = args.T
+            overrides = {key: getattr(args, key) for key in ("h", "cfl", "T")
+                         if getattr(args, key) is not None}
+            given = {f"--{key}" for key in overrides}
             if args.eps is not None:
                 eps = _parse_eps(args.eps)
                 overrides["eps_list"] = eps
                 overrides["data"] = config.data.with_epsilon(eps[0])
+                given |= {"--eps", EPS_LIST} if len(eps) > 1 else {"--eps"}
+            ignored = given & IGNORED_OVERRIDES[args.name]
+            if ignored:
+                raise UsageError(f"scenario {args.name} does not read "
+                                 f"{', '.join(sorted(ignored))}")
             if overrides:
                 config = replace(config, **overrides)
     except (ConfigParseError, ConfigValidationError, UsageError, OSError) as exc:

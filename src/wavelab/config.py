@@ -53,7 +53,8 @@ DEFAULT_CFL = 0.45
 DEFAULT_POINTS_PER_RADIUS = 128
 DEFAULT_SIGMA_SAMPLES = (-2.0, -1.0, 0.0, 0.5)
 
-MODES = ("radial", "cartesian-2d")
+# largest stable CFL number dt/h of each grid mode
+CFL_LIMITS = {"radial": 0.9, "cartesian-2d": 0.45}
 
 
 class ConfigParseError(ValueError):
@@ -88,8 +89,9 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigValidationError("mode", f"must be one of {MODES}, got {self.mode!r}")
+        if self.mode not in CFL_LIMITS:
+            raise ConfigValidationError(
+                "mode", f"must be one of {tuple(CFL_LIMITS)}, got {self.mode!r}")
         eps_list = tuple(self.eps_list) or (self.data.epsilon,)
         object.__setattr__(self, "eps_list", eps_list)
         for e in eps_list:
@@ -103,7 +105,7 @@ class ScenarioConfig:
             object.__setattr__(self, "T", 4.0 / min(eps_list))
         if not self.T > 0:
             raise ConfigValidationError("T", f"must be positive, got {self.T}")
-        if not 0 < self.cfl <= (0.45 if self.mode == "cartesian-2d" else 0.9):
+        if not 0 < self.cfl <= CFL_LIMITS[self.mode]:
             raise ConfigValidationError("cfl", f"out of stable range for {self.mode}: {self.cfl}")
         for s in self.sigma_samples:
             if not math.isfinite(s):

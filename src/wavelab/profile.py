@@ -352,8 +352,8 @@ def corrected_invariant(trace: ProfileTrace, t_cut: float
 def leading_invariant(table: RadiationTable, eps: float, sigma: float,
                       theta: float) -> float:
     """eps^2 ((d_sigma F1)^2 - (d_sigma F2)^2) from a per-unit-amplitude table."""
-    d1 = table.value_at(sigma, theta, 1, derivative=True)
-    d2 = table.value_at(sigma, theta, 2, derivative=True)
+    d1 = table.value_at(sigma, theta, 1)
+    d2 = table.value_at(sigma, theta, 2)
     return eps * eps * (d1 * d1 - d2 * d2)
 
 

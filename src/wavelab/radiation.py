@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bumps import BumpSpec, InitialData, sum_value_grad_hess
+from .bumps import BumpSpec, InitialData, along_direction, sum_value_grad_hess
 
 __all__ = [
     "radon_line_integral",
@@ -100,21 +100,11 @@ def _radon_many(specs: Sequence[BumpSpec], s: np.ndarray, omega: np.ndarray,
     """
     s = np.asarray(s, dtype=float)
     out = {k: np.zeros_like(s) for k in orders}
-    if not specs:
-        return out
-    w1, w2 = float(omega[0]), float(omega[1])
     for spec in specs:
         pts, wts = _chord_nodes_weights(s, spec, omega)
-        val, grad, hess = sum_value_grad_hess([spec], pts)
+        fields = sum_value_grad_hess([spec], pts)
         for k in orders:
-            if k == 0:
-                integrand = val
-            elif k == 1:
-                integrand = w1 * grad[..., 0] + w2 * grad[..., 1]
-            else:
-                integrand = (w1 * w1 * hess[..., 0] + 2 * w1 * w2 * hess[..., 1]
-                             + w2 * w2 * hess[..., 2])
-            out[k] += np.sum(integrand * wts, axis=-1)
+            out[k] += np.sum(along_direction(fields, omega, k) * wts, axis=-1)
     return out
 
 
@@ -220,9 +210,8 @@ class RadiationTable:
                 raise ValueError(f"{name} must be non-empty and strictly increasing")
             object.__setattr__(self, name, g)
 
-    def value_at(self, sigma: float, theta: float, component: int,
-                 derivative: bool = True) -> float:
-        """Bilinear interpolation of dF (or F) at (sigma, theta).
+    def value_at(self, sigma: float, theta: float, component: int) -> float:
+        """Bilinear interpolation of dF at (sigma, theta).
 
         sigma above the support radius returns 0 exactly; sigma below the
         grid raises (no extrapolation on the decaying tail).
@@ -232,7 +221,7 @@ class RadiationTable:
         sg, tg = self.sigma_grid, self.theta_grid
         if sigma < sg[0] - 1e-12:
             raise ValueError(f"sigma={sigma} below the table grid (starts at {sg[0]})")
-        table = (self.dF if derivative else self.F)[component - 1]
+        table = self.dF[component - 1]
         i = int(np.clip(np.searchsorted(sg, sigma) - 1, 0, len(sg) - 2))
         ws = (sigma - sg[i]) / (sg[i + 1] - sg[i])
         ws = min(max(ws, 0.0), 1.0)

@@ -23,10 +23,13 @@ Point values of level fields come from WaveState.sample, the only code that
 knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
 point and axis and applies it to every field it is given.
 
-Boundaries are homogeneous Dirichlet on a domain large enough that the
-support never reaches them (finite propagation speed), so no boundary error
-enters any measurement.  All integrals use numpy's pairwise summation over
-arrays in fixed index order, so results are reproducible run to run.
+A ScenarioConfig is the whole description of a run: init_state and
+run_simulation take the data, spacing, CFL number and horizon T from it and
+nowhere else.  Boundaries are homogeneous Dirichlet on a domain sized for
+that T, large enough that the support never reaches them (finite
+propagation speed), so no boundary error enters any measurement.  All
+integrals use numpy's pairwise summation over arrays in fixed index order,
+so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import InitialData, eval_sum, sum_value_grad_hess
-from .config import ScenarioConfig
+from .bumps import eval_sum, sum_value_grad_hess
+from .config import CFL_LIMITS, ScenarioConfig
 
 __all__ = [
     "WaveState",
@@ -101,10 +104,11 @@ class WaveState:
       u_prev/u_curr/u_next   arrays (2, ...) at t-dt, t, t+dt
       dt_u        centered time derivative at the diagnosed level, (2, ...)
       xs          1D node coordinates (Cartesian axes) or cell centers r_i
+      measure     cell measure of every integral: 2 pi r_i h (radial), h^2
+      D           dissipation integrand at the diagnosed level
     """
 
-    def __init__(self, mode, h, dt, xs, u_prev, u_curr, u_next, dt_u,
-                 nonlinear, support_radius):
+    def __init__(self, mode, h, dt, xs, u_prev, u_curr, u_next, dt_u, nonlinear):
         self.mode = mode
         self.h = float(h)
         self.dt = float(dt)
@@ -115,12 +119,14 @@ class WaveState:
         self.u_next = u_next
         self.dt_u = dt_u
         self.nonlinear = bool(nonlinear)
-        self.support_radius = float(support_radius)
         self.cum_dissipation = 0.0
         self.initial_energies = None        # set by init_state from exact data
-        self._last_D = self.dissipation()
         if self.mode == "radial":
+            self.measure = 2.0 * np.pi * self.xs * self.h
             self._rinv = 1.0 / self.xs
+        else:
+            self.measure = self.h * self.h
+        self.D = self.dissipation()
 
     # -- spatial operators -------------------------------------------------
 
@@ -165,15 +171,9 @@ class WaveState:
         X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
         return X * grad[1] - Y * grad[0]
 
-    def cell_measure(self) -> np.ndarray | float:
-        if self.mode == "radial":
-            return 2.0 * np.pi * self.xs * self.h
-        return self.h * self.h
-
     # -- diagnostics ---------------------------------------------------------
 
     def energies(self) -> tuple[float, float]:
-        meas = self.cell_measure()
         out = []
         for j in range(2):
             dsq = self.dt_u[j] ** 2
@@ -182,13 +182,12 @@ class WaveState:
             else:
                 gx, gy = self._gradient4(self.u_curr[j])
                 dsq = dsq + gx * gx + gy * gy
-            out.append(0.5 * float(np.sum(dsq * meas)))
+            out.append(0.5 * float(np.sum(dsq * self.measure)))
         return out[0], out[1]
 
     def dissipation(self) -> float:
-        meas = self.cell_measure()
         prod = self.dt_u[0] * self.dt_u[1]
-        return float(np.sum(prod * prod * meas))
+        return float(np.sum(prod * prod * self.measure))
 
     # -- point sampling --------------------------------------------------------
 
@@ -251,8 +250,8 @@ class WaveState:
         self.dt_u = dt_new
         self.t += dt
         D = self.dissipation()
-        self.cum_dissipation += 0.5 * dt * (self._last_D + D)
-        self._last_D = D
+        self.cum_dissipation += 0.5 * dt * (self.D + D)
+        self.D = D
         return self
 
 
@@ -265,38 +264,31 @@ def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
     return k0, w
 
 
-def _cartesian_axes(r0: float, T: float, h: float):
-    m = int(math.ceil((r0 + T) / h)) + 3
-    return (np.arange(2 * m + 1) - m) * h
-
-
-def init_state(config: ScenarioConfig, data: InitialData, nonlinear: bool,
+def init_state(config: ScenarioConfig, nonlinear: bool, *,
                dt: float | None = None) -> WaveState:
-    """Build the t = 0 state for a run of length config.T.
+    """Build the t = 0 state of config.data for a run of length config.T.
 
-    The domain is sized so that the support, expanding at unit speed, stays
-    at least 2h away from the boundary for all t <= T.
+    The domain reaches n = ceil((R0 + T) / h) + 3 cells out from the origin,
+    so the support, expanding at unit speed, stays at least 2h away from the
+    boundary for all t <= T.  dt defaults to config.cfl * h.
     """
     h = config.h
-    r0 = data.support_radius
-    if config.mode == "radial" and not data.is_centered():
-        raise ValueError("radial mode requires all bump centers at the origin")
+    data = config.data
     if dt is None:
         dt = config.cfl * h
-    limit = (0.45 if config.mode == "cartesian-2d" else 0.9) * h
+    limit = CFL_LIMITS[config.mode] * h
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"dt={dt} violates the stability bound {limit}")
 
     eps = data.epsilon
+    n = int(math.ceil((data.support_radius + config.T) / h)) + 3
     if config.mode == "radial":
-        n = int(math.ceil((r0 + config.T) / h)) + 3
-        rs = (np.arange(n) + 0.5) * h
-        pts = np.stack([rs, np.zeros_like(rs)], axis=-1)
+        xs = (np.arange(n) + 0.5) * h
+        pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
     else:
-        xs = _cartesian_axes(r0, config.T, h)
+        xs = (np.arange(2 * n + 1) - n) * h
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         pts = np.stack([X, Y], axis=-1)
-        rs = xs
 
     shape = pts.shape[:-1]
     u0 = np.zeros((2,) + shape)
@@ -308,16 +300,14 @@ def init_state(config: ScenarioConfig, data: InitialData, nonlinear: bool,
         g0[j - 1] = eps * eval_sum(data.velocity_data(j), pts)
         e_init.append((j, fgrad))
 
-    state = WaveState(config.mode, h, dt, rs,
+    state = WaveState(config.mode, h, dt, xs,
                       u_prev=np.zeros_like(u0), u_curr=u0,
-                      u_next=np.zeros_like(u0), dt_u=g0,
-                      nonlinear=nonlinear, support_radius=r0)
+                      u_next=np.zeros_like(u0), dt_u=g0, nonlinear=nonlinear)
     # initial energies from exact nodal derivatives: cell sums of smooth
     # compactly supported integrands converge superalgebraically
-    meas = state.cell_measure()
     state.initial_energies = tuple(
         0.5 * float(np.sum((g0[j - 1] ** 2
-                            + eps * eps * np.sum(fgrad * fgrad, axis=-1)) * meas))
+                            + eps * eps * np.sum(fgrad * fgrad, axis=-1)) * state.measure))
         for j, fgrad in e_init)
     lap0 = np.stack([state.laplacian(u0[0]), state.laplacian(u0[1])])
     if nonlinear:
@@ -327,7 +317,6 @@ def init_state(config: ScenarioConfig, data: InitialData, nonlinear: bool,
     half = 0.5 * dt * dt
     state.u_prev = u0 - dt * g0 + half * lap0
     state.u_next = u0 + dt * g0 + half * lap0
-    state._last_D = state.dissipation()
     return state
 
 
@@ -356,30 +345,23 @@ def save_snapshot(state: WaveState, basepath) -> None:
         fh.write("\n")
 
 
-def run_simulation(config: ScenarioConfig, data: InitialData, nonlinear: bool,
-                   samplers=(), dt: float | None = None,
-                   T: float | None = None) -> EnergyTrace:
-    """Advance to T (default config.T), sampling at the nearest grid times.
+def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
+                   samplers=(), dt: float | None = None) -> EnergyTrace:
+    """Advance config.data to config.T, sampling at the nearest grid times.
 
     samplers is a sequence of (times, callback) pairs; each callback receives
     the read-only state whenever the diagnosed time passes one of its
     requested times (mapped to the nearest step).  The returned EnergyTrace
-    is sampled every TRACE_DT time units plus the initial and final levels;
-    T = 0 returns the single initial record.  T may not exceed config.T,
-    the horizon the domain is sized for.
+    is sampled every TRACE_DT time units plus the initial and final levels.
     """
-    horizon = config.T if T is None else T
-    if horizon > config.T:
-        raise ValueError(f"T={horizon} exceeds config.T={config.T}, the horizon "
-                         "the domain is sized for")
-    state = init_state(config, data, nonlinear, dt=dt)
-    n_steps = max(0, int(math.ceil(horizon / state.dt - 1e-9)))
+    state = init_state(config, nonlinear, dt=dt)
+    n_steps = int(math.ceil(config.T / state.dt - 1e-9))
 
     requests: dict[int, list] = {}
     for times, callback in samplers:
         for t_req in times:
-            if t_req > horizon + state.dt:
-                raise ValueError(f"requested sample time {t_req} exceeds T={horizon}")
+            if t_req > config.T + state.dt:
+                raise ValueError(f"requested sample time {t_req} exceeds T={config.T}")
             idx = min(n_steps, max(0, int(round(t_req / state.dt))))
             requests.setdefault(idx, []).append(callback)
 
@@ -388,7 +370,7 @@ def run_simulation(config: ScenarioConfig, data: InitialData, nonlinear: bool,
 
     def record():
         e1, e2 = state.energies()
-        rows.append((state.t, e1, e2, state.dissipation(), state.cum_dissipation))
+        rows.append((state.t, e1, e2, state.D, state.cum_dissipation))
 
     for cb in requests.get(0, ()):
         cb(state)

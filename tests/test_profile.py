@@ -20,7 +20,7 @@ def synthetic_radial_state(u, dt_u, h, t):
     st = WaveState("radial", h, 0.45 * h, rs,
                    u_prev=np.stack([u, zeros]), u_curr=np.stack([u, zeros]),
                    u_next=np.stack([u, zeros]), dt_u=np.stack([dt_u, zeros]),
-                   nonlinear=False, support_radius=1.0)
+                   nonlinear=False)
     st.t = t
     return st
 
@@ -72,7 +72,7 @@ def test_amplitude_origin_rejected():
 def test_sample_profile_domain(radial_data):
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=1.0, h=1.0 / 32.0)
-    st = init_state(cfg, radial_data, nonlinear=False)
+    st = init_state(cfg, nonlinear=False)
     st.t = 1.0
     with pytest.raises(ValueError, match="foot point"):
         sample_profile(st, -1.0 + 0.1 * st.h, (1.0, 0.0))
@@ -85,7 +85,7 @@ def test_symmetric_data_equal_profiles(unit_bump):
     data = InitialData(g1=(unit_bump,), g2=(unit_bump,), epsilon=0.3)
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial",
                          T=4.0, h=1.0 / 64.0)
-    st = init_state(cfg, data, nonlinear=True)
+    st = init_state(cfg, nonlinear=True)
     for _ in range(round(3.0 / st.dt)):
         st.step()
     v1, v2 = sample_profile(st, 0.0, (1.0, 0.0))
@@ -197,7 +197,7 @@ def test_remainder_angular_term_cartesian():
     st = WaveState("cartesian-2d", h, 0.45 * h, xs,
                    np.stack([u, zeros]), np.stack([u, zeros]),
                    np.stack([u, zeros]), np.stack([zeros, zeros]),
-                   nonlinear=True, support_radius=1.0)
+                   nonlinear=True)
     st.t = 3.0
     for (x, y) in ((0.35, 0.1), (0.2, -0.4), (-0.5, 0.3)):
         r = math.hypot(x, y)
@@ -215,7 +215,7 @@ def test_collector_rows_equal_point_api(mode, request):
     data = request.getfixturevalue("radial_data" if mode == "radial" else "offset_data")
     cfg = ScenarioConfig(name="conservation", data=data, mode=mode,
                          T=1.0, h=1.0 / 16.0)
-    st = init_state(cfg, data, nonlinear=True)
+    st = init_state(cfg, nonlinear=True)
     for _ in range(round(0.5 / st.dt)):
         st.step()
     theta = 0.7
@@ -240,7 +240,7 @@ def nonlinear_run():
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
     collector = RayTraceCollector([-1.0, 0.0], 0.0, eps)
     times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
-    run_simulation(cfg, data, nonlinear=True, samplers=[(times, collector)])
+    run_simulation(cfg, nonlinear=True, samplers=[(times, collector)])
     return data, eps, T, collector.traces()
 
 

@@ -164,3 +164,26 @@ def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
         assert captured.err.startswith("wavelab: ") and captured.err.count("\n") == 1
     else:
         assert "scenario free-validation:" in captured.out
+
+
+def test_free_validation_reads_cfl(tmp_path, capsys):
+    values = []
+    for extra in ([], ["--cfl", "0.3"]):
+        out = tmp_path / f"o{len(extra)}"
+        main(["scenario", "free-validation", "--out", str(out), "--h", "0.125", *extra])
+        values.append(json.loads((out / "summary.json").read_text())["values"])
+    assert values[0] != values[1]
+
+
+@pytest.mark.parametrize("args", [
+    "epsilon-scaling --T 5",
+    *(f"{name} {opt}" for name in ("radiation-decay", "profile-oracle")
+      for opt in ("--h 0.1", "--cfl 0.3", "--T 5", "--eps 0.1")),
+    "free-validation --eps 1,0.5",
+    "symmetric-decay --eps 0.4,0.2",
+])
+def test_ignored_override_exit_code(tmp_path, capsys, args):
+    # each of these overrides would run and change no report
+    assert main(["scenario", *args.split(), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wavelab: scenario ") and err.count("\n") == 1

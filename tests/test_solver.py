@@ -13,13 +13,10 @@ def small_config(data, mode="radial", T=2.0, h=1.0 / 32.0, **kw):
     return ScenarioConfig(name="conservation", data=data, mode=mode, T=T, h=h, **kw)
 
 
-def test_zero_data_stays_zero(unit_bump):
-    data = InitialData(f1=(unit_bump,), epsilon=1.0).with_epsilon(0.0)
+def test_zero_data_stays_zero():
     # zero amplitude: a valid degenerate state that must remain zero
-    cfg = ScenarioConfig(name="conservation",
-                         data=InitialData(f1=(unit_bump,), epsilon=1.0),
-                         mode="radial", T=2.0, h=1.0 / 32.0)
-    state = init_state(cfg, data, nonlinear=True)
+    data = InitialData(f1=(BumpSpec((0.0, 0.0), 1.0, 0.0),), epsilon=1.0)
+    state = init_state(small_config(data), nonlinear=True)
     for _ in range(10):
         state.step()
     assert float(np.max(np.abs(state.u_curr))) == 0.0
@@ -31,13 +28,13 @@ def test_radial_rejects_offcenter(offset_data):
     cfg = ScenarioConfig(name="conservation", data=offset_data,
                          mode="cartesian-2d", T=1.0, h=1.0 / 16.0)
     with pytest.raises(ValueError, match="origin"):
-        init_state(replace(cfg, mode="radial"), offset_data, nonlinear=False)
+        replace(cfg, mode="radial")
 
 
 def test_timestep_bound_enforced(radial_data):
     cfg = small_config(radial_data)
     with pytest.raises(ValueError, match="stability"):
-        init_state(cfg, radial_data, nonlinear=False, dt=cfg.h)
+        init_state(cfg, nonlinear=False, dt=cfg.h)
 
 
 def test_initial_energy_matches_quadrature_oracle(unit_bump):
@@ -49,7 +46,7 @@ def test_initial_energy_matches_quadrature_oracle(unit_bump):
     data = InitialData(f1=(unit_bump,), epsilon=0.3)
     cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
                          T=0.5, h=1.0 / 128.0)
-    state = init_state(cfg, data, nonlinear=False)
+    state = init_state(cfg, nonlinear=False)
 
     x, w = np.polynomial.legendre.leggauss(160)
     X = x[:, None] * np.ones_like(x)[None, :]
@@ -66,8 +63,8 @@ def test_radial_and_cartesian_agree_at_t0(radial_data):
     h = 1.0 / 128.0
     cfg_r = small_config(radial_data, T=1.0, h=h)
     cfg_c = small_config(radial_data, mode="cartesian-2d", T=1.0, h=h)
-    sr = init_state(cfg_r, radial_data, nonlinear=False)
-    sc = init_state(cfg_c, radial_data, nonlinear=False)
+    sr = init_state(cfg_r, nonlinear=False)
+    sc = init_state(cfg_c, nonlinear=False)
     for r in (0.3, 0.55, 0.92):
         vr = field_value(sr, (r, 0.0))
         vc = field_value(sc, (r, 0.0))
@@ -96,7 +93,7 @@ def test_stencil_matches_reference_loop(rng):
 def test_sample_exact_on_cubics(radial_data, mode):
     """Every field and component of one sample reproduces a cubic exactly."""
     st = init_state(small_config(radial_data, mode=mode, T=0.5, h=1.0 / 16.0),
-                    radial_data, nonlinear=False)
+                    nonlinear=False)
 
     def cubic(a, b):
         return a ** 3 - 2.0 * a * b ** 2 + b
@@ -115,7 +112,7 @@ def test_symmetric_data_identical_components(unit_bump):
     data = InitialData(f1=(unit_bump,), g1=(unit_bump,),
                        f2=(unit_bump,), g2=(unit_bump,), epsilon=0.3)
     cfg = small_config(data, T=3.0)
-    state = init_state(cfg, data, nonlinear=True)
+    state = init_state(cfg, nonlinear=True)
     for _ in range(200):
         state.step()
     assert float(np.max(np.abs(state.u_curr[0] - state.u_curr[1]))) <= 1e-12
@@ -129,7 +126,7 @@ def test_finite_speed_of_propagation(radial_data):
     that the leakage is dynamically irrelevant and decays fast in distance.
     """
     cfg = small_config(radial_data, T=2.0, h=1.0 / 32.0)
-    state = init_state(cfg, radial_data, nonlinear=True)
+    state = init_state(cfg, nonlinear=True)
     n = round(1.5 / state.dt)
     for _ in range(n):
         state.step()
@@ -142,7 +139,7 @@ def test_finite_speed_of_propagation(radial_data):
 
 def test_instability_reports_time_and_location(radial_data):
     cfg = small_config(radial_data)
-    state = init_state(cfg, radial_data, nonlinear=False)
+    state = init_state(cfg, nonlinear=False)
     state.u_next[0, 5] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(InstabilityError) as err:
@@ -156,8 +153,8 @@ def test_energy_swap_symmetry(radial_data):
     swapped = InitialData(f1=radial_data.f2, g1=radial_data.g2,
                           f2=radial_data.f1, g2=radial_data.g1,
                           epsilon=radial_data.epsilon)
-    sa = init_state(cfg, radial_data, nonlinear=True)
-    sb = init_state(small_config(swapped, T=1.0), swapped, nonlinear=True)
+    sa = init_state(cfg, nonlinear=True)
+    sb = init_state(small_config(swapped, T=1.0), nonlinear=True)
     for _ in range(50):
         sa.step()
         sb.step()
@@ -181,36 +178,22 @@ def test_free_energy_conservation(radial_data):
     sharp = InitialData(f1=(BumpSpec((0.0, 0.0), 1.0, 1.0),), epsilon=0.3)
     for data, bound in ((gentle, 1e-4), (sharp, 2e-4)):
         cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=20.0)
-        trace = run_simulation(cfg, data, nonlinear=False)
+        trace = run_simulation(cfg, nonlinear=False)
         drift = float(np.max(np.abs(trace.E1sq - trace.E1sq[0])) / trace.E1sq[0])
         assert drift <= bound
-
-
-def test_run_simulation_zero_horizon(radial_data):
-    cfg = small_config(radial_data)
-    trace = run_simulation(cfg, radial_data, nonlinear=False, T=0.0)
-    assert len(trace.t) == 1 and trace.t[0] == 0.0
-    assert trace.cum_D[0] == 0.0
-
-
-def test_run_simulation_rejects_horizon_beyond_domain(radial_data):
-    # the domain is sized for config.T; a longer run would hit the wall
-    cfg = small_config(radial_data, T=1.0)
-    with pytest.raises(ValueError, match="exceeds config.T"):
-        run_simulation(cfg, radial_data, nonlinear=False, T=1.5)
 
 
 def test_run_simulation_rejects_late_samples(radial_data):
     cfg = small_config(radial_data, T=1.0)
     with pytest.raises(ValueError, match="exceeds"):
-        run_simulation(cfg, radial_data, nonlinear=False,
+        run_simulation(cfg, nonlinear=False,
                        samplers=[((5.0,), lambda s: None)])
 
 
 def test_sampler_times_hit_nearest_steps(radial_data):
     cfg = small_config(radial_data, T=1.0)
     seen = []
-    run_simulation(cfg, radial_data, nonlinear=False,
+    run_simulation(cfg, nonlinear=False,
                    samplers=[((0.0, 0.5, 1.0), lambda s: seen.append(s.t))])
     assert len(seen) == 3
     assert abs(seen[1] - 0.5) <= cfg.cfl * cfg.h
@@ -235,7 +218,7 @@ def test_scheme_order_against_oracle(unit_bump):
             errs_h.extend(abs(field_value(state, (x, y))[0] - oracle[(tv, x, y)])
                           for tv, x, y in pts if abs(tv - state.t) < 1e-9)
 
-        run_simulation(cfg, data, nonlinear=False, dt=0.25 / (n0 * 2**i),
+        run_simulation(cfg, nonlinear=False, dt=0.25 / (n0 * 2**i),
                        samplers=[((0.25, 0.5), check)])
         assert len(errs_h) == len(pts)
         errs.append(max(errs_h))
@@ -252,8 +235,8 @@ def test_radial_cartesian_cross_check(unit_bump):
     T, h = 6.0, 1.0 / 24.0
     cfg_r = ScenarioConfig(name="conservation", data=data, mode="radial", T=T, h=h)
     cfg_c = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d", T=T, h=h)
-    sr = init_state(cfg_r, data, nonlinear=True)
-    sc = init_state(cfg_c, data, nonlinear=True)
+    sr = init_state(cfg_r, nonlinear=True)
+    sc = init_state(cfg_c, nonlinear=True)
     for _ in range(round(T / sr.dt)):
         sr.step()
         sc.step()
@@ -264,7 +247,7 @@ def test_radial_cartesian_cross_check(unit_bump):
 
 def test_energy_trace_csv(tmp_path, radial_data):
     cfg = small_config(radial_data, T=1.0)
-    trace = run_simulation(cfg, radial_data, nonlinear=True)
+    trace = run_simulation(cfg, nonlinear=True)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -274,7 +257,7 @@ def test_energy_trace_csv(tmp_path, radial_data):
 
 def test_snapshot_dump(tmp_path, radial_data):
     cfg = small_config(radial_data, T=1.0)
-    state = init_state(cfg, radial_data, nonlinear=False)
+    state = init_state(cfg, nonlinear=False)
     base = tmp_path / "snap"
     save_snapshot(state, base)
     import json
