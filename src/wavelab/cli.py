@@ -5,7 +5,10 @@
 
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
 2 on usage errors (unknown scenario, malformed configuration or option, or
-an override the scenario never reads; see scenarios.IGNORED_OVERRIDES).
+an override the scenario never reads; see scenarios.IGNORED_OVERRIDES).  A
+config file key counts as the override it stands for: scenario.T as --T,
+grid.h as --h, grid.cfl as --cfl, and a multi-valued data.epsilon as an
+--eps list.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigParseError, ConfigValidationError, load_scenario
+from .config import ConfigParseError, ConfigValidationError, parse_scenario, set_keys
 from .scenarios import (EPS_LIST, IGNORED_OVERRIDES, SCENARIOS, UsageError,
                         default_config, run_scenario)
 
@@ -39,6 +42,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# config file keys that stand for a `wavelab scenario` override
+_FILE_OVERRIDES = {"scenario.T": "--T", "grid.h": "--h", "grid.cfl": "--cfl"}
+
+
+def _reject_ignored(name: str, given: dict) -> None:
+    """given maps each override the user gave to the words that name it."""
+    ignored = sorted(label for flag, label in given.items()
+                     if flag in IGNORED_OVERRIDES.get(name, ()))
+    if ignored:
+        raise UsageError(f"scenario {name} does not read {', '.join(ignored)}")
+
+
 def _parse_eps(text: str) -> tuple[float, ...]:
     try:
         eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -56,7 +71,14 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            config = load_scenario(args.config)
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+            config = parse_scenario(text)
+            keys = set_keys(text)
+            given = {flag: key for key, flag in _FILE_OVERRIDES.items() if key in keys}
+            if len(config.eps_list) > 1:
+                given[EPS_LIST] = "data.epsilon with more than one value"
+            _reject_ignored(config.name, given)
         else:
             config = default_config(args.name)
             overrides = {key: getattr(args, key) for key in ("h", "cfl", "T")
@@ -67,10 +89,7 @@ def main(argv=None) -> int:
                 overrides["eps_list"] = eps
                 overrides["data"] = config.data.with_epsilon(eps[0])
                 given |= {"--eps", EPS_LIST} if len(eps) > 1 else {"--eps"}
-            ignored = given & IGNORED_OVERRIDES[args.name]
-            if ignored:
-                raise UsageError(f"scenario {args.name} does not read "
-                                 f"{', '.join(sorted(ignored))}")
+            _reject_ignored(args.name, {flag: flag for flag in given})
             if overrides:
                 config = replace(config, **overrides)
     except (ConfigParseError, ConfigValidationError, UsageError, OSError) as exc:

@@ -44,6 +44,7 @@ __all__ = [
     "ConfigValidationError",
     "parse_scenario",
     "load_scenario",
+    "set_keys",
     "DEFAULT_CFL",
     "DEFAULT_POINTS_PER_RADIUS",
 ]
@@ -139,9 +140,10 @@ _SECTION_KEYS = {
 }
 
 
-def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a configuration document."""
-    scalars: dict[str, object] = {}
+def _read_document(text: str):
+    """The scalar keys ({"section.key": (value, line)}), bump tables and their
+    header lines of a configuration document, before any validation."""
+    scalars: dict[str, tuple[str, int]] = {}
     bumps: list[dict] = []
     bump_lines: list[int] = []
     section = None
@@ -171,6 +173,21 @@ def parse_scenario(text: str) -> ScenarioConfig:
             bumps[-1][key] = (value, lineno)
         else:
             scalars[f"{section}.{key}"] = (value, lineno)
+    return scalars, bumps, bump_lines
+
+
+def set_keys(text: str) -> frozenset[str]:
+    """The "section.key" names a configuration document sets (bumps aside).
+
+    A parsed ScenarioConfig cannot tell a value set in the file from a
+    default; this can.
+    """
+    return frozenset(_read_document(text)[0])
+
+
+def parse_scenario(text: str) -> ScenarioConfig:
+    """Parse and validate a configuration document."""
+    scalars, bumps, bump_lines = _read_document(text)
 
     def take(name, parser=None, default=None, required=False):
         if name not in scalars:

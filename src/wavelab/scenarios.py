@@ -79,7 +79,7 @@ def default_config(name: str) -> ScenarioConfig:
     if name == "epsilon-scaling":
         data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 0.6),), epsilon=0.4)
         return ScenarioConfig(name=name, data=data, mode="radial",
-                              T=10.0, eps_list=_eps_ladder(),
+                              eps_list=_eps_ladder(),
                               sigma_samples=(-2.0, -1.0, 0.0, 0.5))
     if name == "nondecay-demo":
         data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(0.5, 1.6),), epsilon=0.2)
@@ -319,7 +319,8 @@ def _run_scaling_case(config, eps, sigmas, with_remainder=True, h=None):
     collector = RayTraceCollector(sigmas, config.theta_samples[0], eps,
                                   with_remainder=with_remainder)
     times = _trace_times(T, cfg.cfl * cfg.h)
-    run_simulation(cfg, nonlinear=True, samplers=[(times, collector)])
+    run_simulation(cfg, nonlinear=True, samplers=[(times, collector)],
+                   cone=min(sigmas))
     return collector.traces()
 
 
@@ -488,11 +489,12 @@ SCENARIOS = {
 }
 
 # `wavelab scenario` overrides that a scenario never reads, so the command
-# rejects them: epsilon-scaling runs each rung to 4/eps, radiation-decay
+# rejects them, and `wavelab run` rejects the config keys that stand for
+# them (cli._FILE_OVERRIDES): epsilon-scaling runs each rung to 4/eps, radiation-decay
 # tabulates per unit amplitude without a solve, profile-oracle reads no
 # config field, and only epsilon-scaling runs more than the first epsilon.
 EPS_LIST = "--eps with more than one value"
-_EVERY_OVERRIDE = frozenset({"--h", "--cfl", "--T", "--eps"})
+_EVERY_OVERRIDE = frozenset({"--h", "--cfl", "--T", "--eps", EPS_LIST})
 IGNORED_OVERRIDES = {**dict.fromkeys(SCENARIOS, frozenset({EPS_LIST})),
                      "epsilon-scaling": frozenset({"--T"}),
                      "radiation-decay": _EVERY_OVERRIDE,

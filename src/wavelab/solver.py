@@ -21,7 +21,32 @@ from the data, which makes the cached derivative equal eps*g exactly.
 
 Point values of level fields come from WaveState.sample, the only code that
 knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
-point and axis and applies it to every field it is given.
+point and axis and applies it to every field it is given, either over the
+whole held grid or over a patch of it (WaveState.cells_near).
+
+Light-cone windows.  A ray profile at sigma >= cone depends only on the
+cells with r >= t + cone (finite propagation speed), so a radial run given a
+cone holds and advances only the window [lo, hi) of global cells that such a
+ray can see:
+
+* the inner edge follows t + cone - max(CONE_MARGIN, CONE_MARGIN_CELLS h)
+  and reads a zero left neighbour.  The error this cut makes spreads
+  outward as numerical dust that decays about e-fold per cell, but reaches
+  further the longer a run lasts; at the epsilon-scaling grids (h = 1/128
+  and 1/256, T up to 40) one unit keeps every sample at sigma >= cone
+  bit-identical to the whole-disk run.  On a grid of h = 1/32 one unit
+  (32 cells) is not enough: rays at sigma = cone moved by 7e-18 at T = 6.7
+  and by 2e-7 at T = 40, while 96 cells kept them exact; hence the floor
+  in cells;
+* the outer edge follows the numerical support, not the physical front:
+  hi grows by one cell whenever the last held cell is nonzero at the top or
+  middle level.  The stencil reaches one cell per step, so every cell past
+  hi is exactly 0.0 in the whole-disk run too, and the edge is exact by
+  construction.
+
+Energies and dissipation over a window mean nothing, so a windowed state
+raises on energies() and dissipation(), and a windowed run_simulation
+returns no EnergyTrace.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
@@ -49,10 +74,17 @@ __all__ = [
     "init_state",
     "run_simulation",
     "TRACE_DT",
+    "CONE_MARGIN",
+    "CONE_MARGIN_CELLS",
 ]
 
 # spacing in time units of the EnergyTrace records of run_simulation
 TRACE_DT = 0.25
+
+# a light-cone window's inner edge trails t + cone by CONE_MARGIN length
+# units, and by no fewer than CONE_MARGIN_CELLS cells on coarse grids
+CONE_MARGIN = 1.0
+CONE_MARGIN_CELLS = 128
 
 
 class InstabilityError(RuntimeError):
@@ -106,6 +138,9 @@ class WaveState:
       xs          1D node coordinates (Cartesian axes) or cell centers r_i
       measure     cell measure of every integral: 2 pi r_i h (radial), h^2
       D           dissipation integrand at the diagnosed level
+      cone        None for the whole disk, else the smallest ray sigma of a
+                  light-cone window (radial only; see the module docstring)
+      lo          global index of the first held cell (0 unless windowed)
     """
 
     def __init__(self, mode, h, dt, xs, u_prev, u_curr, u_next, dt_u, nonlinear):
@@ -121,6 +156,8 @@ class WaveState:
         self.nonlinear = bool(nonlinear)
         self.cum_dissipation = 0.0
         self.initial_energies = None        # set by init_state from exact data
+        self.cone = None
+        self.lo = 0
         if self.mode == "radial":
             self.measure = 2.0 * np.pi * self.xs * self.h
             self._rinv = 1.0 / self.xs
@@ -137,8 +174,12 @@ class WaveState:
             lap = np.zeros_like(u)
             lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 \
                 + (u[2:] - u[:-2]) * (self._rinv[1:-1] / (2.0 * self.h))
-            # even ghost across r=0: u[-1 cell] = u[0] makes both terms equal
-            lap[0] = 2.0 * (u[1] - u[0]) / h2
+            if self.lo == 0:
+                # even ghost across r=0: u[-1 cell] = u[0] makes both terms equal
+                lap[0] = 2.0 * (u[1] - u[0]) / h2
+            else:
+                # inner edge of a light-cone window: zero left neighbour
+                lap[0] = (u[1] - 2.0 * u[0]) / h2 + u[1] * (self._rinv[0] / (2.0 * self.h))
             lap[-1] = (-2.0 * u[-1] + u[-2]) / h2 \
                 + (-u[-2]) * (self._rinv[-1] / (2.0 * self.h))
             return lap
@@ -147,18 +188,24 @@ class WaveState:
                            + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h2
         return lap
 
-    def _gradient4(self, u: np.ndarray):
+    def _gradient4(self, u: np.ndarray, cells=None):
         """Fourth-order gradient, for the energy functional and the ray amplitude.
 
         The higher order shrinks the slowly varying O(h^2) offset of the
         discrete energy, keeping conservation drift well inside tolerance at
         the default resolution.  Fields vanish identically near the outer
         boundary, so simple zero padding is exact there; the radial axis
-        uses even-ghost values.
+        uses even-ghost values.  u may be cut to the patch cells of the held
+        grid (one slice per axis); the two cells next to a patch or window
+        edge inside the domain then read zeros and are wrong.
         """
         h12 = 12.0 * self.h
         if self.mode == "radial":
-            ext = np.concatenate([u[1::-1], u, [0.0, 0.0]])   # even ghosts + Dirichlet
+            start = cells[0].start if cells else None
+            if self.lo + (start or 0) == 0:
+                ext = np.concatenate([u[1::-1], u, [0.0, 0.0]])   # even ghosts + Dirichlet
+            else:
+                ext = np.concatenate([[0.0, 0.0], u, [0.0, 0.0]])
             return (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / h12
         gx = np.zeros_like(u)
         gy = np.zeros_like(u)
@@ -166,14 +213,24 @@ class WaveState:
         gy[:, 2:-2] = (u[:, :-4] - 8.0 * u[:, 1:-3] + 8.0 * u[:, 3:-1] - u[:, 4:]) / h12
         return gx, gy
 
-    def rotation(self, grad) -> np.ndarray:
-        """Omega u = x1 d2 u - x2 d1 u of a Cartesian field u from its gradient."""
-        X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
+    def rotation(self, grad, cells=None) -> np.ndarray:
+        """Omega u = x1 d2 u - x2 d1 u of a Cartesian field u from its gradient.
+
+        cells, one slice per axis, says which patch of the grid grad covers.
+        """
+        c1, c2 = cells or (slice(None), slice(None))
+        X, Y = np.meshgrid(self.xs[c1], self.xs[c2], indexing="ij")
         return X * grad[1] - Y * grad[0]
 
     # -- diagnostics ---------------------------------------------------------
 
+    def _require_whole_disk(self, what: str) -> None:
+        if self.cone is not None:
+            raise ValueError(f"{what} over a light-cone window mean nothing; "
+                             "run without cone")
+
     def energies(self) -> tuple[float, float]:
+        self._require_whole_disk("energies")
         out = []
         for j in range(2):
             dsq = self.dt_u[j] ** 2
@@ -186,30 +243,60 @@ class WaveState:
         return out[0], out[1]
 
     def dissipation(self) -> float:
+        self._require_whole_disk("dissipation integrals")
         prod = self.dt_u[0] * self.dt_u[1]
         return float(np.sum(prod * prod * self.measure))
 
     # -- point sampling --------------------------------------------------------
 
-    def sample(self, fields, x) -> np.ndarray:
+    def _positions(self, x) -> list[float]:
+        """Fractional index of the point x along each axis of the held grid.
+
+        The radial index is the global one, r/h - 1/2, less the integer
+        window offset.  That subtraction is exact, so a window reads the
+        same stencil weights as the whole disk.
+        """
+        if self.mode == "radial":
+            return [float(np.hypot(x[0], x[1])) / self.h - 0.5 - self.lo]
+        x0 = self.xs[0]
+        return [(x[0] - x0) / self.h, (x[1] - x0) / self.h]
+
+    def cells_near(self, x, margin: int) -> tuple[slice, ...]:
+        """One slice per axis: the stencil cells of x plus margin on each side."""
+        n = len(self.xs)
+        return tuple(slice(max(k0 - margin, 0), min(k0 + 4 + margin, n))
+                     for k0 in (_stencil(p, n)[0] for p in self._positions(x)))
+
+    def sample(self, fields, x, cells=None) -> np.ndarray:
         """Both components of each (2, *grid) array in fields at the point x.
 
         Returns shape (len(fields), 2).  One 4-node Lagrange stencil per axis
         serves every field: cubic interpolation in |x| over the cell centres
         r_i = (i + 1/2) h (radial), or in x1 and x2 over the nodes xs
-        (Cartesian).
+        (Cartesian).  When the fields are cut to a patch, cells holds its
+        slices (WaveState.cells_near).  A windowed state refuses a point
+        whose stencil would cross a window edge inside the domain.
         """
-        out = np.empty((len(fields), 2))
         n = len(self.xs)
+        cells = cells or (slice(None),) * (self.u_curr.ndim - 1)
+        stencils = []
+        for p, c in zip(self._positions(x), cells):
+            if self.cone is not None:
+                cut_below = self.lo > 0 and p < 1.0
+                cut_above = self.lo + n < len(self._xs_all) and p >= n - 2
+                if cut_below or cut_above:
+                        raise ValueError(f"point |x|={float(np.hypot(x[0], x[1])):.6g} lies "
+                                     f"outside the light-cone window at t={self.t:.6g}")
+            start, stop, _ = c.indices(n)
+            stencils.append(_stencil(p - start, stop - start))
+        out = np.empty((len(fields), 2))
         if self.mode == "radial":
-            k0, w = _stencil(float(np.hypot(x[0], x[1])) / self.h - 0.5, n)
+            k0, w = stencils[0]
             for i, a in enumerate(fields):
                 for j in range(2):
                     out[i, j] = a[j, k0:k0 + 4] @ w
             return out
-        x0 = self.xs[0]
-        i0, wx = _stencil((x[0] - x0) / self.h, n)
-        j0, wy = _stencil((x[1] - x0) / self.h, n)
+        (i0, wx), (j0, wy) = stencils
         for i, a in enumerate(fields):
             for j in range(2):
                 out[i, j] = wx @ a[j, i0:i0 + 4, j0:j0 + 4] @ wy
@@ -249,10 +336,55 @@ class WaveState:
         self.u_next = new
         self.dt_u = dt_new
         self.t += dt
+        if self.cone is not None:
+            self._move_window()
+            return self
         D = self.dissipation()
         self.cum_dissipation += 0.5 * dt * (self.D + D)
         self.D = D
         return self
+
+    # -- light-cone window ---------------------------------------------------
+
+    def _open_window(self, cone: float) -> None:
+        """Hold only the cells a ray at sigma >= cone can depend on (radial)."""
+        self.cone = float(cone)
+        self._xs_all, self._rinv_all = self.xs, self._rinv
+        self.measure = self.D = self.cum_dissipation = None
+        held = np.zeros(len(self.xs), dtype=bool)
+        for a in (self.u_prev, self.u_curr, self.u_next, self.dt_u):
+            held |= a.any(axis=0)
+        nonzero = np.flatnonzero(held)
+        last = int(nonzero[-1]) if len(nonzero) else 0
+        self._set_window(0, min(max(last + 2, 4), len(self._xs_all)))
+        self._move_window()
+
+    def _move_window(self) -> None:
+        """Grow hi past a nonzero last cell; move lo up behind t + cone."""
+        hi = self.lo + len(self.xs)
+        if hi < len(self._xs_all) and (self.u_next[:, -1].any()
+                                       or self.u_curr[:, -1].any()):
+            hi += 1
+        margin = max(CONE_MARGIN, CONE_MARGIN_CELLS * self.h)
+        lo = self.lo + int(np.searchsorted(self.xs, self.t + self.cone - margin))
+        self._set_window(min(lo, hi - 4), hi)     # a stencil's worth at least
+
+    def _set_window(self, lo: int, hi: int) -> None:
+        """Hold the global cells [lo, hi); cells appended at the top are zero."""
+        old_lo, old_hi = self.lo, self.lo + len(self.xs)
+        if (lo, hi) == (old_lo, old_hi):
+            return
+
+        def fit(a):
+            if hi > old_hi:
+                a = np.concatenate([a, np.zeros((2, hi - old_hi))], axis=1)
+            return a[:, lo - old_lo:hi - old_lo]
+
+        self.u_prev, self.u_curr, self.u_next, self.dt_u = (
+            fit(a) for a in (self.u_prev, self.u_curr, self.u_next, self.dt_u))
+        self.lo = lo
+        self.xs = self._xs_all[lo:hi]
+        self._rinv = self._rinv_all[lo:hi]
 
 
 def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
@@ -265,13 +397,16 @@ def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
 
 
 def init_state(config: ScenarioConfig, nonlinear: bool, *,
-               dt: float | None = None) -> WaveState:
+               dt: float | None = None, cone: float | None = None) -> WaveState:
     """Build the t = 0 state of config.data for a run of length config.T.
 
     The domain reaches n = ceil((R0 + T) / h) + 3 cells out from the origin,
     so the support, expanding at unit speed, stays at least 2h away from the
-    boundary for all t <= T.  dt defaults to config.cfl * h.
+    boundary for all t <= T.  dt defaults to config.cfl * h.  A cone (radial
+    mode only) makes the state a light-cone window for rays at sigma >= cone.
     """
+    if cone is not None and config.mode != "radial":
+        raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
     h = config.h
     data = config.data
     if dt is None:
@@ -317,6 +452,8 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     half = 0.5 * dt * dt
     state.u_prev = u0 - dt * g0 + half * lap0
     state.u_next = u0 + dt * g0 + half * lap0
+    if cone is not None:
+        state._open_window(cone)
     return state
 
 
@@ -346,15 +483,21 @@ def save_snapshot(state: WaveState, basepath) -> None:
 
 
 def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
-                   samplers=(), dt: float | None = None) -> EnergyTrace:
+                   samplers=(), dt: float | None = None,
+                   cone: float | None = None) -> EnergyTrace | None:
     """Advance config.data to config.T, sampling at the nearest grid times.
 
     samplers is a sequence of (times, callback) pairs; each callback receives
     the read-only state whenever the diagnosed time passes one of its
     requested times (mapped to the nearest step).  The returned EnergyTrace
     is sampled every TRACE_DT time units plus the initial and final levels.
+
+    cone, the smallest sigma any sampler reads, runs a radial light-cone
+    window instead of the whole disk (see the module docstring).  Samples at
+    sigma >= cone are bit-identical to the whole-disk run's, and the run
+    returns None: a window has no energy trace.
     """
-    state = init_state(config, nonlinear, dt=dt)
+    state = init_state(config, nonlinear, dt=dt, cone=cone)
     n_steps = int(math.ceil(config.T / state.dt - 1e-9))
 
     requests: dict[int, list] = {}
@@ -367,20 +510,16 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
 
     stride = max(1, int(round(TRACE_DT / state.dt)))
     rows = []
-
-    def record():
-        e1, e2 = state.energies()
-        rows.append((state.t, e1, e2, state.D, state.cum_dissipation))
-
-    for cb in requests.get(0, ()):
-        cb(state)
-    record()
-    for n in range(1, n_steps + 1):
-        state.step()
+    for n in range(n_steps + 1):
+        if n:
+            state.step()
         for cb in requests.get(n, ()):
             cb(state)
-        if n % stride == 0 or n == n_steps:
-            record()
+        if cone is None and (n % stride == 0 or n == n_steps):
+            e1, e2 = state.energies()
+            rows.append((state.t, e1, e2, state.D, state.cum_dissipation))
+    if cone is not None:
+        return None
     cols = list(zip(*rows))
     return EnergyTrace(t=np.array(cols[0]), E1sq=np.array(cols[1]),
                        E2sq=np.array(cols[2]), D=np.array(cols[3]),

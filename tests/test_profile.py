@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelab import (BumpSpec, InitialData, ScenarioConfig, closed_form_profile,
                      corrected_invariant, field_value, leading_invariant,
                      outgoing_amplitude,
                      profile_invariant, radiation_table, run_simulation,
                      sample_profile, solve_reduced_ode)
-from wavelab.profile import RayTraceCollector, ProfileTrace, remainder_term
+from wavelab.profile import (PATCH_MARGIN, RayTraceCollector, ProfileTrace,
+                             _level_fields, remainder_term)
 from wavelab.solver import WaveState, init_state
 
 
@@ -112,6 +114,31 @@ def test_reduced_ode_symmetric_closed_form():
 @pytest.mark.parametrize("v10,v20", [(0.3, 0.1), (0.1, 0.45), (0.5, 0.5)])
 def test_reduced_ode_matches_closed_form(v10, v20):
     tev = np.geomspace(2.0, 2e6, 30)
+    _, v1, v2 = solve_reduced_ode(v10, v20, 2.0, 2e6, t_eval=tev)
+    c1, c2 = closed_form_profile(v10, v20, 2.0, tev)
+    np.testing.assert_allclose(v1, c1, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(v2, c2, rtol=1e-8, atol=1e-12)
+
+
+_magnitudes = st.floats(0.02, 0.6)
+_signs = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _initial_profiles(draw):
+    """(V10, V20) of either sign; half of them with |m| below 1e-6."""
+    v10 = draw(_signs) * draw(_magnitudes)
+    if draw(st.booleans()):
+        m = draw(st.floats(-1e-6, 1e-6))
+        return v10, draw(_signs) * math.sqrt(v10 * v10 - m)
+    return v10, draw(_signs) * draw(_magnitudes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_initial_profiles())
+def test_closed_form_matches_ode_random(v0):
+    v10, v20 = v0
+    tev = np.geomspace(2.0, 2e6, 20)
     _, v1, v2 = solve_reduced_ode(v10, v20, 2.0, 2e6, t_eval=tev)
     c1, c2 = closed_form_profile(v10, v20, 2.0, tev)
     np.testing.assert_allclose(v1, c1, rtol=1e-8, atol=1e-12)
@@ -228,6 +255,26 @@ def test_collector_rows_equal_point_api(mode, request):
         assert (tr.t[0], tr.V1[0], tr.V2[0]) == (st.t, *sample_profile(st, tr.sigma, omega))
         assert (tr.K1[0], tr.K2[0]) == remainder_term(st, x)
         assert tr.K1[0] != 0.0
+
+
+@pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
+def test_patch_fields_equal_whole_level(mode, request, rng):
+    """Fields built on a point's patch sample bit-identically to whole-level ones."""
+    data = request.getfixturevalue("radial_data" if mode == "radial" else "offset_data")
+    cfg = ScenarioConfig(name="conservation", data=data, mode=mode,
+                         T=1.0, h=1.0 / 16.0)
+    st_ = init_state(cfg, nonlinear=True)
+    for _ in range(round(0.5 / st_.dt)):
+        st_.step()
+    whole = _level_fields(st_, with_rotation=True)
+    edge = float(st_.xs[-1])
+    pts = [rng.uniform(-edge, edge, 2) for _ in range(200)]
+    pts += [(edge - 0.01, 0.0), (0.0, 0.7 * st_.h), (-edge + 0.01, edge - 0.01)]
+    for x in pts:
+        cells = st_.cells_near(x, PATCH_MARGIN)
+        patch = _level_fields(st_, with_rotation=True, cells=cells)
+        got = st_.sample(patch, x, cells)
+        assert got.tobytes() == st_.sample(whole, x).tobytes(), x
 
 
 # -- traces and invariant estimators ------------------------------------------------

@@ -187,3 +187,46 @@ def test_ignored_override_exit_code(tmp_path, capsys, args):
     assert main(["scenario", *args.split(), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("wavelab: scenario ") and err.count("\n") == 1
+
+
+PROFILE_ORACLE_CONFIG = """
+[scenario]
+name = profile-oracle
+
+[data]
+epsilon = 0.2
+
+[bump]
+component = 1
+kind = g
+radius = 1.0
+amplitude = 1.0
+"""
+
+
+@pytest.mark.parametrize("extra,rejected", [
+    ("[scenario]\nT = 5\n[grid]\nh = 0.1\n", "grid.h, scenario.T"),
+    ("[grid]\ncfl = 0.3\n", "grid.cfl"),
+    ("[data]\nepsilon = 0.2, 0.1\n", "data.epsilon with more than one value"),
+])
+def test_run_config_rejects_unread_keys(tmp_path, capsys, extra, rejected):
+    cfg_path = tmp_path / "oracle.cfg"
+    cfg_path.write_text(PROFILE_ORACLE_CONFIG + extra)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"wavelab: scenario profile-oracle does not read {rejected}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_config_accepts_read_keys(tmp_path, capsys):
+    cfg_path = tmp_path / "oracle.cfg"
+    cfg_path.write_text(PROFILE_ORACLE_CONFIG)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "all assertions passed" in capsys.readouterr().out
+
+
+def test_epsilon_scaling_default_derives_its_horizon():
+    cfg = default_config("epsilon-scaling")
+    assert cfg.T == 4.0 / min(cfg.eps_list)
