@@ -24,10 +24,7 @@ basis of the corrected invariant estimate.
 
 Point values come from WaveState.sample, which builds one 4-point Lagrange
 (cubic) stencil per point and applies it to every sampled field; traces
-interpolate linearly in time between stored samples.  A collector builds
-the sampled arrays over the whole held grid once per level; the point API
-builds them on a small patch around its point, with the same per-cell
-arithmetic, so both give bit-identical values.
+interpolate linearly in time between stored samples.
 """
 
 from __future__ import annotations
@@ -64,63 +61,41 @@ class IntegrationError(RuntimeError):
 
 # -- point sampling -----------------------------------------------------------
 
-# cells a point patch keeps beyond the stencil on each side: the fourth-order
-# gradient reads two cells, and Omega^2 u applies it twice, so zero padding
-# at a patch edge inside the grid spoils at most four cells
-PATCH_MARGIN = 4
-
-
-def _level_fields(state: WaveState, with_rotation: bool = False,
-                  cells=None) -> list[np.ndarray]:
+def _level_fields(state: WaveState, with_rotation: bool = False) -> list[np.ndarray]:
     """The (2, *grid) arrays a ray sample reads from the diagnosed level.
 
     [u, d_t u, d_r u] in radial mode; [u, d_t u, d_1 u, d_2 u] in Cartesian
     mode, plus Omega^2 u when with_rotation.  Gradients use the solver's
     fourth-order stencils: the ray amplitude multiplies d_r u by r^{1/2}, so
     at large foot-point radii a second-order gradient error would dominate
-    every profile measurement.  cells (one slice per axis, from
-    WaveState.cells_near) restricts the arrays to a patch of the held grid.
+    every profile measurement.
     """
-    cut = (slice(None), *cells) if cells else ()
-    u = state.u_curr[cut]
-    grads = [state._gradient4(u[j], cells) for j in range(2)]
+    u = state.u_curr
+    grads = [state._gradient4(u[j]) for j in range(2)]
     if state.mode == "radial":
-        return [u, state.dt_u[cut], np.stack(grads)]
-    fields = [u, state.dt_u[cut], np.stack([g[0] for g in grads]),
+        return [u, state.dt_u, np.stack(grads)]
+    fields = [u, state.dt_u, np.stack([g[0] for g in grads]),
               np.stack([g[1] for g in grads])]
     if with_rotation:
-        fields.append(np.stack([
-            state.rotation(state._gradient4(state.rotation(g, cells), cells), cells)
-            for g in grads]))
+        fields.append(np.stack([state.rotation(state._gradient4(state.rotation(g)))
+                                for g in grads]))
     return fields
 
 
-def _ray_values(state: WaveState, x, fields=None, with_rotation=False):
+def _ray_values(state: WaveState, fields, x):
     """|x| and the 2-vectors u, d_t u, d_r u, Omega^2 u at x (|x| >= h).
 
-    fields are the level's arrays (_level_fields); without them they are
-    built on a patch around x.  Omega^2 u is zero in radial mode and None
-    when fields lack it.
+    Omega^2 u is zero in radial mode and None when fields lack it.
     """
     r = float(np.hypot(x[0], x[1]))
     if r < state.h:
         raise ValueError(f"point with |x|={r:.3g} < h={state.h:.3g} is too close "
                          "to the origin for the ray amplitude")
-    cells = None
-    if fields is None:
-        cells = state.cells_near(x, PATCH_MARGIN)
-        fields = _level_fields(state, with_rotation, cells)
-    v = state.sample(fields, x, cells)
+    v = state.sample(fields, x)
     if state.mode == "radial":
         return r, v[0], v[1], v[2], np.zeros(2)
     ur = (x[0] * v[2] + x[1] * v[3]) / r
     return r, v[0], v[1], ur, (v[4] if len(v) > 4 else None)
-
-
-def _check_cone(state: WaveState, sigma: float) -> None:
-    if state.cone is not None and sigma < state.cone:
-        raise ValueError(f"sigma={sigma:g} lies below the cone={state.cone:g} "
-                         "of the state's light-cone window")
 
 
 def _amplitude(r: float, u, ut, ur) -> np.ndarray:
@@ -150,14 +125,13 @@ def field_value(state: WaveState, x) -> tuple[float, float]:
 
 def outgoing_amplitude(state: WaveState, x) -> tuple[float, float]:
     """U_1, U_2 of the diagnosed level at a point x with |x| >= h."""
-    r, u, ut, ur, _ = _ray_values(state, x)
+    r, u, ut, ur, _ = _ray_values(state, _level_fields(state), x)
     U = _amplitude(r, u, ut, ur)
     return float(U[0]), float(U[1])
 
 
 def sample_profile(state: WaveState, sigma: float, omega) -> tuple[float, float]:
     """V_1, V_2 at (sigma, omega): the amplitude at the foot point (t+sigma) omega."""
-    _check_cone(state, sigma)
     omega = np.asarray(omega, dtype=float)
     r = state.t + sigma
     if r < state.h:
@@ -169,7 +143,7 @@ def remainder_term(state: WaveState, x) -> tuple[float, float]:
     """H_1, H_2 of the diagnosed level at x (rotational stencils in 2D mode)."""
     if state.t <= 0:
         raise ValueError("remainder term needs t > 0")
-    r, u, ut, ur, ang = _ray_values(state, x, with_rotation=True)
+    r, u, ut, ur, ang = _ray_values(state, _level_fields(state, with_rotation=True), x)
     h = _remainder(r, state.t, u, ut, ang, _amplitude(r, u, ut, ur))
     return float(h[0]), float(h[1])
 
@@ -246,7 +220,6 @@ class RayTraceCollector:
         self._dt = None
 
     def __call__(self, state: WaveState) -> None:
-        _check_cone(state, min(self.sigmas))
         self._dt = state.dt
         if state.t <= 0.0:
             return
@@ -255,7 +228,7 @@ class RayTraceCollector:
             r = state.t + s
             if r < state.h:
                 continue
-            r, u, ut, ur, ang = _ray_values(state, r * self.omega, fields)
+            r, u, ut, ur, ang = _ray_values(state, fields, r * self.omega)
             v = _amplitude(r, u, ut, ur)
             if self.with_remainder:
                 k = _remainder(r, state.t, u, ut, ang, v)

@@ -21,28 +21,34 @@ from the data, which makes the cached derivative equal eps*g exactly.
 
 Point values of level fields come from WaveState.sample, the only code that
 knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
-point and axis and applies it to every field it is given, either over the
-whole held grid or over a patch of it (WaveState.cells_near).
+point and axis and applies it to every field it is given.
 
 Light-cone windows.  A ray profile at sigma >= cone depends only on the
 cells with r >= t + cone (finite propagation speed), so a radial run given a
 cone holds and advances only the window [lo, hi) of global cells that such a
 ray can see:
 
-* the inner edge follows t + cone - max(CONE_MARGIN, CONE_MARGIN_CELLS h)
-  and reads a zero left neighbour.  The error this cut makes spreads
-  outward as numerical dust that decays about e-fold per cell, but reaches
-  further the longer a run lasts; at the epsilon-scaling grids (h = 1/128
-  and 1/256, T up to 40) one unit keeps every sample at sigma >= cone
-  bit-identical to the whole-disk run.  On a grid of h = 1/32 one unit
-  (32 cells) is not enough: rays at sigma = cone moved by 7e-18 at T = 6.7
-  and by 2e-7 at T = 40, while 96 cells kept them exact; hence the floor
-  in cells;
+* the inner edge lo reads a zero left neighbour.  The error this cut makes
+  travels at most one cell per step (the stencil's reach), while a ray
+  moves only dt/h cells per step, so lo is set by the numerical domain of
+  dependence rather than the physical one: it moves up exactly one cell per
+  step and reaches CONE_REACH cells below the last sample's stencil at the
+  final step.  No cell any sample reads is ever touched by the cut, for any
+  CFL number and horizon.  The cost is a margin of (1 - dt/h) cells per
+  step still to run, (h/dt - 1)(T - t) length units: 1.2 (T - t) at the
+  default CFL of 0.45, so the first half of a long run holds every cell
+  out from the origin;
 * the outer edge follows the numerical support, not the physical front:
-  hi grows by one cell whenever the last held cell is nonzero at the top or
-  middle level.  The stencil reaches one cell per step, so every cell past
-  hi is exactly 0.0 in the whole-disk run too, and the edge is exact by
-  construction.
+  hi grows by one cell whenever either of the last two held cells is
+  nonzero at the top or middle level.  The stencil reaches one cell per
+  step, so every cell past hi - 2 is exactly 0.0 in the whole-disk run too,
+  and so is every sampled field (u, d_t u and the fourth-order d_r u) past
+  hi; WaveState.sample reads zeros there.
+
+Both edges are exact by construction: samples at sigma >= cone are
+bit-identical to the whole-disk run's, and WaveState.sample refuses a
+point with |x| < t + cone.  A window is sized for the run's step count, so
+stepping past its horizon raises.
 
 Energies and dissipation over a window mean nothing, so a windowed state
 raises on energies() and dissipation(), and a windowed run_simulation
@@ -74,17 +80,17 @@ __all__ = [
     "init_state",
     "run_simulation",
     "TRACE_DT",
-    "CONE_MARGIN",
-    "CONE_MARGIN_CELLS",
+    "CONE_REACH",
 ]
 
 # spacing in time units of the EnergyTrace records of run_simulation
 TRACE_DT = 0.25
 
-# a light-cone window's inner edge trails t + cone by CONE_MARGIN length
-# units, and by no fewer than CONE_MARGIN_CELLS cells on coarse grids
-CONE_MARGIN = 1.0
-CONE_MARGIN_CELLS = 128
+# cells a light-cone window keeps below the last sample's stencil at the
+# final step: a sample reads two cells below its stencil (the gradient) and
+# one level ahead (d_t u); floor and rounding of the foot point take up to
+# three more
+CONE_REACH = 8
 
 
 class InstabilityError(RuntimeError):
@@ -161,6 +167,7 @@ class WaveState:
         if self.mode == "radial":
             self.measure = 2.0 * np.pi * self.xs * self.h
             self._rinv = 1.0 / self.xs
+            self._xs_all, self._rinv_all = self.xs, self._rinv
         else:
             self.measure = self.h * self.h
         self.D = self.dissipation()
@@ -188,21 +195,19 @@ class WaveState:
                            + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h2
         return lap
 
-    def _gradient4(self, u: np.ndarray, cells=None):
+    def _gradient4(self, u: np.ndarray):
         """Fourth-order gradient, for the energy functional and the ray amplitude.
 
         The higher order shrinks the slowly varying O(h^2) offset of the
         discrete energy, keeping conservation drift well inside tolerance at
         the default resolution.  Fields vanish identically near the outer
         boundary, so simple zero padding is exact there; the radial axis
-        uses even-ghost values.  u may be cut to the patch cells of the held
-        grid (one slice per axis); the two cells next to a patch or window
-        edge inside the domain then read zeros and are wrong.
+        uses even-ghost values, and the inner edge of a light-cone window
+        zeros (wrong there, but no sample reads those cells).
         """
         h12 = 12.0 * self.h
         if self.mode == "radial":
-            start = cells[0].start if cells else None
-            if self.lo + (start or 0) == 0:
+            if self.lo == 0:
                 ext = np.concatenate([u[1::-1], u, [0.0, 0.0]])   # even ghosts + Dirichlet
             else:
                 ext = np.concatenate([[0.0, 0.0], u, [0.0, 0.0]])
@@ -213,13 +218,9 @@ class WaveState:
         gy[:, 2:-2] = (u[:, :-4] - 8.0 * u[:, 1:-3] + 8.0 * u[:, 3:-1] - u[:, 4:]) / h12
         return gx, gy
 
-    def rotation(self, grad, cells=None) -> np.ndarray:
-        """Omega u = x1 d2 u - x2 d1 u of a Cartesian field u from its gradient.
-
-        cells, one slice per axis, says which patch of the grid grad covers.
-        """
-        c1, c2 = cells or (slice(None), slice(None))
-        X, Y = np.meshgrid(self.xs[c1], self.xs[c2], indexing="ij")
+    def rotation(self, grad) -> np.ndarray:
+        """Omega u = x1 d2 u - x2 d1 u of a Cartesian field u from its gradient."""
+        X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
         return X * grad[1] - Y * grad[0]
 
     # -- diagnostics ---------------------------------------------------------
@@ -249,54 +250,35 @@ class WaveState:
 
     # -- point sampling --------------------------------------------------------
 
-    def _positions(self, x) -> list[float]:
-        """Fractional index of the point x along each axis of the held grid.
-
-        The radial index is the global one, r/h - 1/2, less the integer
-        window offset.  That subtraction is exact, so a window reads the
-        same stencil weights as the whole disk.
-        """
-        if self.mode == "radial":
-            return [float(np.hypot(x[0], x[1])) / self.h - 0.5 - self.lo]
-        x0 = self.xs[0]
-        return [(x[0] - x0) / self.h, (x[1] - x0) / self.h]
-
-    def cells_near(self, x, margin: int) -> tuple[slice, ...]:
-        """One slice per axis: the stencil cells of x plus margin on each side."""
-        n = len(self.xs)
-        return tuple(slice(max(k0 - margin, 0), min(k0 + 4 + margin, n))
-                     for k0 in (_stencil(p, n)[0] for p in self._positions(x)))
-
-    def sample(self, fields, x, cells=None) -> np.ndarray:
+    def sample(self, fields, x) -> np.ndarray:
         """Both components of each (2, *grid) array in fields at the point x.
 
         Returns shape (len(fields), 2).  One 4-node Lagrange stencil per axis
         serves every field: cubic interpolation in |x| over the cell centres
         r_i = (i + 1/2) h (radial), or in x1 and x2 over the nodes xs
-        (Cartesian).  When the fields are cut to a patch, cells holds its
-        slices (WaveState.cells_near).  A windowed state refuses a point
-        whose stencil would cross a window edge inside the domain.
+        (Cartesian).  A light-cone window builds the stencil on the global
+        grid, so its weights are the whole disk's; it reads zeros past its
+        outer edge and refuses a point with |x| < t + cone.
         """
-        n = len(self.xs)
-        cells = cells or (slice(None),) * (self.u_curr.ndim - 1)
-        stencils = []
-        for p, c in zip(self._positions(x), cells):
-            if self.cone is not None:
-                cut_below = self.lo > 0 and p < 1.0
-                cut_above = self.lo + n < len(self._xs_all) and p >= n - 2
-                if cut_below or cut_above:
-                        raise ValueError(f"point |x|={float(np.hypot(x[0], x[1])):.6g} lies "
-                                     f"outside the light-cone window at t={self.t:.6g}")
-            start, stop, _ = c.indices(n)
-            stencils.append(_stencil(p - start, stop - start))
         out = np.empty((len(fields), 2))
+        n = len(self.xs)
         if self.mode == "radial":
-            k0, w = stencils[0]
+            r = float(np.hypot(x[0], x[1]))
+            if self.cone is not None and r < self.t + self.cone - 1e-6 * self.h:
+                raise ValueError(f"point |x|={r:.6g} lies inside the light-cone window's "
+                                 f"t + cone = {self.t + self.cone:.6g}")
+            k0, w = _stencil(r / self.h - 0.5, len(self._xs_all))
+            k0 -= self.lo
             for i, a in enumerate(fields):
+                seg = a[:, k0:k0 + 4]
+                if seg.shape[1] < 4:        # past a window's outer edge: all 0.0
+                    seg = np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1)
                 for j in range(2):
-                    out[i, j] = a[j, k0:k0 + 4] @ w
+                    out[i, j] = seg[j] @ w
             return out
-        (i0, wx), (j0, wy) = stencils
+        x0 = self.xs[0]
+        i0, wx = _stencil((x[0] - x0) / self.h, n)
+        j0, wy = _stencil((x[1] - x0) / self.h, n)
         for i, a in enumerate(fields):
             for j in range(2):
                 out[i, j] = wx @ a[j, i0:i0 + 4, j0:j0 + 4] @ wy
@@ -306,6 +288,9 @@ class WaveState:
 
     def step(self) -> "WaveState":
         """Advance the diagnosed level by one dt (in place)."""
+        if self.cone is not None and self._steps_left == 0:
+            raise ValueError("a light-cone window ends at the step count it was "
+                             "opened for")
         dt, dt2 = self.dt, self.dt * self.dt
         top, mid = self.u_next, self.u_curr
         lin = np.empty_like(top)
@@ -337,6 +322,7 @@ class WaveState:
         self.dt_u = dt_new
         self.t += dt
         if self.cone is not None:
+            self._steps_left -= 1
             self._move_window()
             return self
         D = self.dissipation()
@@ -346,27 +332,33 @@ class WaveState:
 
     # -- light-cone window ---------------------------------------------------
 
-    def _open_window(self, cone: float) -> None:
-        """Hold only the cells a ray at sigma >= cone can depend on (radial)."""
+    def _open_window(self, cone: float, n_steps: int) -> None:
+        """Hold only the cells a ray at sigma >= cone can depend on (radial).
+
+        The window serves samples up to n_steps steps from now.  Its inner
+        edge lo moves up one cell per step and, at the last step, stands
+        CONE_REACH cells below the stencil of a sample at |x| = t + cone.
+        """
         self.cone = float(cone)
-        self._xs_all, self._rinv_all = self.xs, self._rinv
         self.measure = self.D = self.cum_dissipation = None
+        self._steps_left = n_steps
+        foot = (n_steps * self.dt + self.cone) / self.h - 0.5
+        self._lo_last = _stencil(foot, len(self._xs_all))[0] - CONE_REACH
         held = np.zeros(len(self.xs), dtype=bool)
         for a in (self.u_prev, self.u_curr, self.u_next, self.dt_u):
             held |= a.any(axis=0)
         nonzero = np.flatnonzero(held)
         last = int(nonzero[-1]) if len(nonzero) else 0
-        self._set_window(0, min(max(last + 2, 4), len(self._xs_all)))
+        self._set_window(0, min(max(last + 3, 4), len(self._xs_all)))
         self._move_window()
 
     def _move_window(self) -> None:
-        """Grow hi past a nonzero last cell; move lo up behind t + cone."""
+        """Grow hi past a nonzero edge cell; move lo up one cell per step."""
         hi = self.lo + len(self.xs)
-        if hi < len(self._xs_all) and (self.u_next[:, -1].any()
-                                       or self.u_curr[:, -1].any()):
+        if hi < len(self._xs_all) and (self.u_next[:, -2:].any()
+                                       or self.u_curr[:, -2:].any()):
             hi += 1
-        margin = max(CONE_MARGIN, CONE_MARGIN_CELLS * self.h)
-        lo = self.lo + int(np.searchsorted(self.xs, self.t + self.cone - margin))
+        lo = max(self._lo_last - self._steps_left, 0)
         self._set_window(min(lo, hi - 4), hi)     # a stencil's worth at least
 
     def _set_window(self, lo: int, hi: int) -> None:
@@ -403,7 +395,8 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     The domain reaches n = ceil((R0 + T) / h) + 3 cells out from the origin,
     so the support, expanding at unit speed, stays at least 2h away from the
     boundary for all t <= T.  dt defaults to config.cfl * h.  A cone (radial
-    mode only) makes the state a light-cone window for rays at sigma >= cone.
+    mode only) makes the state a light-cone window for rays at sigma >= cone,
+    sized for the run_simulation steps to config.T.
     """
     if cone is not None and config.mode != "radial":
         raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
@@ -453,8 +446,13 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     state.u_prev = u0 - dt * g0 + half * lap0
     state.u_next = u0 + dt * g0 + half * lap0
     if cone is not None:
-        state._open_window(cone)
+        state._open_window(cone, _step_count(config.T, dt))
     return state
+
+
+def _step_count(T: float, dt: float) -> int:
+    """Steps of a run to the horizon T: the last diagnosed time is >= T."""
+    return int(math.ceil(T / dt - 1e-9))
 
 
 def save_snapshot(state: WaveState, basepath) -> None:
@@ -494,11 +492,12 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
 
     cone, the smallest sigma any sampler reads, runs a radial light-cone
     window instead of the whole disk (see the module docstring).  Samples at
-    sigma >= cone are bit-identical to the whole-disk run's, and the run
-    returns None: a window has no energy trace.
+    sigma >= cone are bit-identical to the whole-disk run's for any CFL
+    number and horizon, and the run returns None: a window has no energy
+    trace.
     """
     state = init_state(config, nonlinear, dt=dt, cone=cone)
-    n_steps = int(math.ceil(config.T / state.dt - 1e-9))
+    n_steps = _step_count(config.T, state.dt)
 
     requests: dict[int, list] = {}
     for times, callback in samplers:

@@ -9,8 +9,7 @@ from wavelab import (BumpSpec, InitialData, ScenarioConfig, closed_form_profile,
                      outgoing_amplitude,
                      profile_invariant, radiation_table, run_simulation,
                      sample_profile, solve_reduced_ode)
-from wavelab.profile import (PATCH_MARGIN, RayTraceCollector, ProfileTrace,
-                             _level_fields, remainder_term)
+from wavelab.profile import RayTraceCollector, ProfileTrace, remainder_term
 from wavelab.solver import WaveState, init_state
 
 
@@ -255,26 +254,6 @@ def test_collector_rows_equal_point_api(mode, request):
         assert (tr.t[0], tr.V1[0], tr.V2[0]) == (st.t, *sample_profile(st, tr.sigma, omega))
         assert (tr.K1[0], tr.K2[0]) == remainder_term(st, x)
         assert tr.K1[0] != 0.0
-
-
-@pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
-def test_patch_fields_equal_whole_level(mode, request, rng):
-    """Fields built on a point's patch sample bit-identically to whole-level ones."""
-    data = request.getfixturevalue("radial_data" if mode == "radial" else "offset_data")
-    cfg = ScenarioConfig(name="conservation", data=data, mode=mode,
-                         T=1.0, h=1.0 / 16.0)
-    st_ = init_state(cfg, nonlinear=True)
-    for _ in range(round(0.5 / st_.dt)):
-        st_.step()
-    whole = _level_fields(st_, with_rotation=True)
-    edge = float(st_.xs[-1])
-    pts = [rng.uniform(-edge, edge, 2) for _ in range(200)]
-    pts += [(edge - 0.01, 0.0), (0.0, 0.7 * st_.h), (-edge + 0.01, edge - 0.01)]
-    for x in pts:
-        cells = st_.cells_near(x, PATCH_MARGIN)
-        patch = _level_fields(st_, with_rotation=True, cells=cells)
-        got = st_.sample(patch, x, cells)
-        assert got.tobytes() == st_.sample(whole, x).tobytes(), x
 
 
 # -- traces and invariant estimators ------------------------------------------------
