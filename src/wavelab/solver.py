@@ -23,44 +23,43 @@ Point values of level fields come from WaveState.sample, the only code that
 knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
 point and axis and applies it to every field it is given.
 
-Light-cone windows.  A ray profile at sigma >= cone depends only on the
-cells with r >= t + cone (finite propagation speed), so a radial run given a
-cone holds and advances only the window [lo, hi) of global cells that such a
-ray can see:
+Radial windows.  Every radial state keeps its levels in buffers allocated
+once for the whole domain and advances only the global cells [lo, hi);
+u_prev, u_curr, u_next, dt_u, xs and measure are views of them, and each
+step writes its new level over the oldest one.
 
-* the inner edge lo reads a zero left neighbour.  The error this cut makes
-  travels at most one cell per step (the stencil's reach), while a ray
-  moves only dt/h cells per step, so lo is set by the numerical domain of
-  dependence rather than the physical one: it moves up exactly one cell per
-  step and reaches CONE_REACH cells below the last sample's stencil at the
-  final step.  No cell any sample reads is ever touched by the cut, for any
-  CFL number and horizon.  The cost is a margin of (1 - dt/h) cells per
-  step still to run, (h/dt - 1)(T - t) length units: 1.2 (T - t) at the
-  default CFL of 0.45, so the first half of a long run holds every cell
-  out from the origin;
-* the outer edge follows the numerical support, not the physical front:
-  hi grows by one cell whenever either of the last two held cells is
-  nonzero at the top or middle level.  The stencil reaches one cell per
-  step, so every cell past hi - 2 is exactly 0.0 in the whole-disk run too,
-  and so is every sampled field (u, d_t u and the fourth-order d_r u) past
-  hi; WaveState.sample reads zeros there.
+* the outer edge follows the numerical support: hi grows by one cell, up
+  to the domain's n, whenever either of the last two held cells is nonzero
+  at the top or middle level.  The stencil reaches one cell per step, so
+  every cell past hi - 2 is exactly 0.0 when every cell is stepped too, and
+  so is every sampled field (u, d_t u and the fourth-order d_r u) past hi;
+  WaveState.sample reads zeros there;
+* the inner edge lo stays at the origin unless the run is given a cone.
+  A ray profile at sigma >= cone depends only on the cells with
+  r >= t + cone, so a light-cone window reads a zero left neighbour at lo.
+  The error of that cut travels one cell per step, a ray only dt/h cells,
+  so lo follows the numerical domain of dependence: it moves up one cell
+  per step and ends CONE_REACH cells below the last sample's stencil, for
+  any CFL number and horizon.  The margin, (h/dt - 1)(T - t) length units,
+  is 1.2 (T - t) at the default CFL of 0.45, so the first half of a long
+  run holds every cell out from the origin.
 
-Both edges are exact by construction: samples at sigma >= cone are
-bit-identical to the whole-disk run's, and WaveState.sample refuses a
-point with |x| < t + cone.  A window is sized for the run's step count, so
-stepping past its horizon raises.
-
-Energies and dissipation over a window mean nothing, so a windowed state
-raises on energies() and dissipation(), and a windowed run_simulation
-returns no EnergyTrace.
+Both edges are exact by construction: a whole-disk window steps
+bit-identically to stepping every cell, and samples at sigma >= cone equal
+the whole-disk run's.  WaveState.sample refuses a point with |x| < t + cone,
+and a light-cone window raises when stepped past the step count it was
+sized for.  Energies and dissipation sum over the whole domain, zeros past
+hi, so numpy's pairwise sum groups them as if every cell were stepped; over
+a light-cone window they mean nothing, so such a state raises on them and
+its run_simulation returns no EnergyTrace.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
 nowhere else.  Boundaries are homogeneous Dirichlet on a domain sized for
-that T, large enough that the support never reaches them (finite
-propagation speed), so no boundary error enters any measurement.  All
-integrals use numpy's pairwise summation over arrays in fixed index order,
-so results are reproducible run to run.
+that T: the physical support never reaches them, but the scheme's numerical
+precursor, which runs ahead of the front, does (see README).  All integrals
+use numpy's pairwise summation over arrays in fixed index order, so results
+are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -146,7 +145,9 @@ class WaveState:
       D           dissipation integrand at the diagnosed level
       cone        None for the whole disk, else the smallest ray sigma of a
                   light-cone window (radial only; see the module docstring)
-      lo          global index of the first held cell (0 unless windowed)
+      lo, hi      the global cells [lo, hi) held; the arrays above are views
+                  of them in buffers sized for the whole domain (a Cartesian
+                  state holds every cell)
     """
 
     def __init__(self, mode, h, dt, xs, u_prev, u_curr, u_next, dt_u, nonlinear):
@@ -154,22 +155,20 @@ class WaveState:
         self.h = float(h)
         self.dt = float(dt)
         self.t = 0.0
-        self.xs = xs
-        self.u_prev = u_prev
-        self.u_curr = u_curr
-        self.u_next = u_next
-        self.dt_u = dt_u
         self.nonlinear = bool(nonlinear)
         self.cum_dissipation = 0.0
         self.initial_energies = None        # set by init_state from exact data
         self.cone = None
-        self.lo = 0
+        self._levels, self._dt_u = [u_prev, u_curr, u_next], dt_u
+        self._n = len(xs)
         if self.mode == "radial":
-            self.measure = 2.0 * np.pi * self.xs * self.h
-            self._rinv = 1.0 / self.xs
-            self._xs_all, self._rinv_all = self.xs, self._rinv
+            self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h, 1.0 / xs])
+            self._padded = np.zeros(self._n)
         else:
-            self.measure = self.h * self.h
+            self.xs, self.measure = xs, self.h * self.h
+        self._lo_last, self._steps_left = 0, math.inf   # a whole-disk window never closes
+        self.lo = self.hi = None
+        self._set_window(0, self._n)
         self.D = self.dissipation()
 
     # -- spatial operators -------------------------------------------------
@@ -200,10 +199,10 @@ class WaveState:
 
         The higher order shrinks the slowly varying O(h^2) offset of the
         discrete energy, keeping conservation drift well inside tolerance at
-        the default resolution.  Fields vanish identically near the outer
-        boundary, so simple zero padding is exact there; the radial axis
-        uses even-ghost values, and the inner edge of a light-cone window
-        zeros (wrong there, but no sample reads those cells).
+        the default resolution.  Fields are 0.0 past a window's outer edge
+        and the wall is Dirichlet, so zero padding is exact there; the radial
+        axis uses even-ghost values, and the inner edge of a light-cone
+        window zeros (wrong there, but no sample reads those cells).
         """
         h12 = 12.0 * self.h
         if self.mode == "radial":
@@ -240,13 +239,21 @@ class WaveState:
             else:
                 gx, gy = self._gradient4(self.u_curr[j])
                 dsq = dsq + gx * gx + gy * gy
-            out.append(0.5 * float(np.sum(dsq * self.measure)))
+            out.append(0.5 * self._domain_sum(dsq * self.measure))
         return out[0], out[1]
 
     def dissipation(self) -> float:
         self._require_whole_disk("dissipation integrals")
         prod = self.dt_u[0] * self.dt_u[1]
-        return float(np.sum(prod * prod * self.measure))
+        return self._domain_sum(prod * prod * self.measure)
+
+    def _domain_sum(self, held: np.ndarray) -> float:
+        """Sum over all n cells, zeros past hi: numpy's pairwise grouping
+        depends on the length, so this groups as stepping every cell does."""
+        if self.hi < self._n:
+            self._padded[:self.hi] = held      # hi never shrinks: zeros past it
+            held = self._padded
+        return float(np.sum(held))
 
     # -- point sampling --------------------------------------------------------
 
@@ -256,29 +263,28 @@ class WaveState:
         Returns shape (len(fields), 2).  One 4-node Lagrange stencil per axis
         serves every field: cubic interpolation in |x| over the cell centres
         r_i = (i + 1/2) h (radial), or in x1 and x2 over the nodes xs
-        (Cartesian).  A light-cone window builds the stencil on the global
-        grid, so its weights are the whole disk's; it reads zeros past its
-        outer edge and refuses a point with |x| < t + cone.
+        (Cartesian).  A radial window builds the stencil on the global grid,
+        so its weights are the whole disk's; it reads zeros past its outer
+        edge and, with a cone, refuses a point with |x| < t + cone.
         """
         out = np.empty((len(fields), 2))
-        n = len(self.xs)
         if self.mode == "radial":
             r = float(np.hypot(x[0], x[1]))
             if self.cone is not None and r < self.t + self.cone - 1e-6 * self.h:
                 raise ValueError(f"point |x|={r:.6g} lies inside the light-cone window's "
                                  f"t + cone = {self.t + self.cone:.6g}")
-            k0, w = _stencil(r / self.h - 0.5, len(self._xs_all))
+            k0, w = _stencil(r / self.h - 0.5, self._n)
             k0 -= self.lo
             for i, a in enumerate(fields):
                 seg = a[:, k0:k0 + 4]
-                if seg.shape[1] < 4:        # past a window's outer edge: all 0.0
+                if seg.shape[1] < 4:        # past the window's outer edge: all 0.0
                     seg = np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1)
                 for j in range(2):
                     out[i, j] = seg[j] @ w
             return out
         x0 = self.xs[0]
-        i0, wx = _stencil((x[0] - x0) / self.h, n)
-        j0, wy = _stencil((x[1] - x0) / self.h, n)
+        i0, wx = _stencil((x[0] - x0) / self.h, self._n)
+        j0, wy = _stencil((x[1] - x0) / self.h, self._n)
         for i, a in enumerate(fields):
             for j in range(2):
                 out[i, j] = wx @ a[j, i0:i0 + 4, j0:j0 + 4] @ wy
@@ -288,95 +294,86 @@ class WaveState:
 
     def step(self) -> "WaveState":
         """Advance the diagnosed level by one dt (in place)."""
-        if self.cone is not None and self._steps_left == 0:
+        if self._steps_left == 0:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
         dt, dt2 = self.dt, self.dt * self.dt
         top, mid = self.u_next, self.u_curr
-        lin = np.empty_like(top)
+        # the new level overwrites the oldest one, which no step reads
+        new = self._levels[0][:, self.lo:self.hi]
+        lin = np.empty_like(top) if self.nonlinear else new
         for j in range(2):
             lin[j] = 2.0 * top[j] - mid[j] + dt2 * self.laplacian(top[j])
         if self.nonlinear:
             # predictor: lagged one-sided derivative at the top level
             v = (top - mid) / dt
-            new = np.empty_like(top)
             for _ in range(3):           # predictor + two corrector passes
                 new[0] = lin[0] - dt2 * (v[1] * v[1]) * v[0]
                 new[1] = lin[1] - dt2 * (v[0] * v[0]) * v[1]
-                v = (new - mid) / (2.0 * dt)
-            dt_new = v
+                v = np.divide(new - mid, 2.0 * dt, out=self.dt_u)
         else:
-            new = lin
-            dt_new = (new - mid) / (2.0 * dt)
+            np.divide(new - mid, 2.0 * dt, out=self.dt_u)
 
         for j in range(2):
             s = float(np.sum(new[j]))
             if not math.isfinite(s):
                 bad = np.argwhere(~np.isfinite(new[j]))
+                bad[:, 0] += self.lo            # a global index, also in a window
                 loc = tuple(bad[0]) if len(bad) else ()
                 raise InstabilityError(self.t + dt, loc)
 
-        self.u_prev = mid
-        self.u_curr = top
-        self.u_next = new
-        self.dt_u = dt_new
+        self._levels.append(self._levels.pop(0))
+        self.u_prev, self.u_curr, self.u_next = mid, top, new
         self.t += dt
-        if self.cone is not None:
-            self._steps_left -= 1
-            self._move_window()
-            return self
-        D = self.dissipation()
-        self.cum_dissipation += 0.5 * dt * (self.D + D)
-        self.D = D
+        self._steps_left -= 1
+        self._move_window()
+        if self.cone is None:
+            D = self.dissipation()
+            self.cum_dissipation += 0.5 * dt * (self.D + D)
+            self.D = D
         return self
 
-    # -- light-cone window ---------------------------------------------------
+    # -- radial window -------------------------------------------------------
 
-    def _open_window(self, cone: float, n_steps: int) -> None:
-        """Hold only the cells a ray at sigma >= cone can depend on (radial).
-
-        The window serves samples up to n_steps steps from now.  Its inner
-        edge lo moves up one cell per step and, at the last step, stands
-        CONE_REACH cells below the stencil of a sample at |x| = t + cone.
-        """
-        self.cone = float(cone)
-        self.measure = self.D = self.cum_dissipation = None
-        self._steps_left = n_steps
-        foot = (n_steps * self.dt + self.cone) / self.h - 0.5
-        self._lo_last = _stencil(foot, len(self._xs_all))[0] - CONE_REACH
-        held = np.zeros(len(self.xs), dtype=bool)
-        for a in (self.u_prev, self.u_curr, self.u_next, self.dt_u):
+    def _open_window(self, cone: float | None, n_steps: int) -> None:
+        """Hold the cells up to the support's edge (radial).  With a cone, lo
+        moves up one cell per step and, n_steps steps from now, stands
+        CONE_REACH cells below the stencil of a sample at |x| = t + cone."""
+        if cone is not None:
+            self.cone = float(cone)
+            self.D = self.cum_dissipation = None
+            self._steps_left = n_steps
+            foot = (n_steps * self.dt + self.cone) / self.h - 0.5
+            self._lo_last = _stencil(foot, self._n)[0] - CONE_REACH
+        held = np.zeros(self._n, dtype=bool)
+        for a in (*self._levels, self._dt_u):
             held |= a.any(axis=0)
         nonzero = np.flatnonzero(held)
         last = int(nonzero[-1]) if len(nonzero) else 0
-        self._set_window(0, min(max(last + 3, 4), len(self._xs_all)))
+        self._set_window(0, min(max(last + 3, 4), self._n))
         self._move_window()
 
     def _move_window(self) -> None:
-        """Grow hi past a nonzero edge cell; move lo up one cell per step."""
-        hi = self.lo + len(self.xs)
-        if hi < len(self._xs_all) and (self.u_next[:, -2:].any()
-                                       or self.u_curr[:, -2:].any()):
+        """Grow hi past a nonzero edge cell; move a cone's lo up one cell per step."""
+        hi = self.hi
+        if hi < self._n and (self.u_next[:, -2:].any() or self.u_curr[:, -2:].any()):
             hi += 1
         lo = max(self._lo_last - self._steps_left, 0)
         self._set_window(min(lo, hi - 4), hi)     # a stencil's worth at least
 
     def _set_window(self, lo: int, hi: int) -> None:
-        """Hold the global cells [lo, hi); cells appended at the top are zero."""
-        old_lo, old_hi = self.lo, self.lo + len(self.xs)
-        if (lo, hi) == (old_lo, old_hi):
+        """Hold the global cells [lo, hi): point the views into the buffers.
+
+        Steps write only held cells and hi never falls, so the buffers are
+        0.0 past hi; lo never falls either, so no cell below it is read.
+        """
+        if (lo, hi) == (self.lo, self.hi):
             return
-
-        def fit(a):
-            if hi > old_hi:
-                a = np.concatenate([a, np.zeros((2, hi - old_hi))], axis=1)
-            return a[:, lo - old_lo:hi - old_lo]
-
+        self.lo, self.hi = lo, hi
         self.u_prev, self.u_curr, self.u_next, self.dt_u = (
-            fit(a) for a in (self.u_prev, self.u_curr, self.u_next, self.dt_u))
-        self.lo = lo
-        self.xs = self._xs_all[lo:hi]
-        self._rinv = self._rinv_all[lo:hi]
+            a[:, lo:hi] for a in (*self._levels, self._dt_u))
+        if self.mode == "radial":
+            self.xs, self.measure, self._rinv = self._geometry[:, lo:hi]
 
 
 def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
@@ -393,10 +390,11 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     """Build the t = 0 state of config.data for a run of length config.T.
 
     The domain reaches n = ceil((R0 + T) / h) + 3 cells out from the origin,
-    so the support, expanding at unit speed, stays at least 2h away from the
-    boundary for all t <= T.  dt defaults to config.cfl * h.  A cone (radial
-    mode only) makes the state a light-cone window for rays at sigma >= cone,
-    sized for the run_simulation steps to config.T.
+    so the physical support, expanding at unit speed, stays at least 2h away
+    from the boundary for all t <= T.  dt defaults to config.cfl * h.  A
+    radial state holds the window up to its numerical support; a cone (radial
+    mode only) makes it a light-cone window for rays at sigma >= cone, sized
+    for the run_simulation steps to config.T.
     """
     if cone is not None and config.mode != "radial":
         raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
@@ -443,9 +441,9 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
         n0 = np.stack([-(g0[1] ** 2) * g0[0], -(g0[0] ** 2) * g0[1]])
         lap0 = lap0 + n0
     half = 0.5 * dt * dt
-    state.u_prev = u0 - dt * g0 + half * lap0
-    state.u_next = u0 + dt * g0 + half * lap0
-    if cone is not None:
+    state.u_prev[:] = u0 - dt * g0 + half * lap0
+    state.u_next[:] = u0 + dt * g0 + half * lap0
+    if config.mode == "radial":
         state._open_window(cone, _step_count(config.T, dt))
     return state
 
@@ -455,31 +453,6 @@ def _step_count(T: float, dt: float) -> int:
     return int(math.ceil(T / dt - 1e-9))
 
 
-def save_snapshot(state: WaveState, basepath) -> None:
-    """Dump the diagnosed level as flat binary plus a JSON geometry sidecar.
-
-    Writes basepath.bin (float64, C order: u1, u2, dt_u1, dt_u2 concatenated)
-    and basepath.json describing mode, h, t and grid shape.
-    """
-    import json
-    arr = np.concatenate([state.u_curr.ravel(), state.dt_u.ravel()])
-    with open(f"{basepath}.bin", "wb") as fh:
-        fh.write(arr.astype("<f8").tobytes())
-    sidecar = {
-        "mode": state.mode,
-        "h": state.h,
-        "dt": state.dt,
-        "t": state.t,
-        "shape": list(state.u_curr.shape[1:]),
-        "origin": float(state.xs[0]),
-        "fields": ["u1", "u2", "dt_u1", "dt_u2"],
-        "dtype": "<f8",
-    }
-    with open(f"{basepath}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
                    samplers=(), dt: float | None = None,
                    cone: float | None = None) -> EnergyTrace | None:
@@ -487,14 +460,14 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
 
     samplers is a sequence of (times, callback) pairs; each callback receives
     the read-only state whenever the diagnosed time passes one of its
-    requested times (mapped to the nearest step).  The returned EnergyTrace
-    is sampled every TRACE_DT time units plus the initial and final levels.
+    requested times (mapped to the nearest step), and must copy what it
+    keeps: later steps overwrite the state's arrays.  The returned
+    EnergyTrace is sampled every TRACE_DT time units plus the initial and
+    final levels.
 
-    cone, the smallest sigma any sampler reads, runs a radial light-cone
-    window instead of the whole disk (see the module docstring).  Samples at
-    sigma >= cone are bit-identical to the whole-disk run's for any CFL
-    number and horizon, and the run returns None: a window has no energy
-    trace.
+    cone, the smallest sigma any sampler reads, makes the radial window a
+    light-cone window (see the module docstring): samples at sigma >= cone
+    stay bit-identical, and the run returns None, having no energy trace.
     """
     state = init_state(config, nonlinear, dt=dt, cone=cone)
     n_steps = _step_count(config.T, state.dt)

@@ -6,7 +6,7 @@ import pytest
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
                      field_value, free_field, init_state, run_simulation)
-from wavelab.solver import _stencil, save_snapshot
+from wavelab.solver import _stencil
 
 
 def small_config(data, mode="radial", T=2.0, h=1.0 / 32.0, **kw):
@@ -253,16 +253,3 @@ def test_energy_trace_csv(tmp_path, radial_data):
     header = path.read_text().splitlines()[0]
     assert header == "t,E1sq,E2sq,diff,sum,dissipation,cum_dissipation"
     assert np.all(trace.E1sq >= 0.0) and np.all(np.isfinite(trace.E1sq))
-
-
-def test_snapshot_dump(tmp_path, radial_data):
-    cfg = small_config(radial_data, T=1.0)
-    state = init_state(cfg, nonlinear=False)
-    base = tmp_path / "snap"
-    save_snapshot(state, base)
-    import json
-    sidecar = json.loads((tmp_path / "snap.json").read_text())
-    raw = np.frombuffer((tmp_path / "snap.bin").read_bytes(), dtype="<f8")
-    assert sidecar["mode"] == "radial"
-    assert len(raw) == 4 * sidecar["shape"][0]
-    np.testing.assert_array_equal(raw[:sidecar["shape"][0]], state.u_curr[0])

@@ -1,11 +1,14 @@
-"""Light-cone windows: a radial run that holds only the cells its rays see."""
+"""Radial windows: a run steps only its numerical support, a light-cone run
+only the cells its rays see."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelab import (BumpSpec, InitialData, ScenarioConfig, field_value, init_state,
-                     run_simulation)
+from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig, field_value,
+                     init_state, run_simulation)
 from wavelab.profile import RayTraceCollector
 from wavelab.solver import CONE_REACH
 
@@ -61,31 +64,105 @@ def test_windowed_equals_full_for_random_sigmas(sigmas, eps, cfl):
     assert_equal_traces(full, windowed)
 
 
-def test_window_invariant_every_step():
+@pytest.mark.parametrize("cone", [0.5, None])
+def test_window_invariant_every_step(cone):
     """The last two held cells are 0.0 at the levels a step reads, or hi is the
-    domain; lo moves up one cell per step once it leaves the origin."""
+    domain; hi grows by at most one cell per step.  A light-cone window's lo
+    moves up one cell per step once it leaves the origin; a whole-disk
+    window's lo stays there."""
     cfg = scaling_rung(0.6)
-    cone = 0.5
-    n_domain = len(init_state(cfg, nonlinear=True).xs)
+    n_domain = math.ceil((cfg.data.support_radius + cfg.T) / H) + 3
     seen = []
 
     def check(state):
-        hi = state.lo + len(state.xs)
         edge_zero = not (state.u_next[:, -2:].any() or state.u_curr[:, -2:].any())
-        assert edge_zero or hi == n_domain
+        assert edge_zero or state.hi == n_domain
+        assert state.hi - state.lo == len(state.xs)
         assert state.xs[0] == (state.lo + 0.5) * H
         assert state.u_curr.shape == state.dt_u.shape == (2, len(state.xs))
-        seen.append((state.lo, hi))
+        seen.append((state.lo, state.hi))
 
     steps = np.arange(0.0, cfg.T, cfg.cfl * cfg.h)
     run_simulation(cfg, nonlinear=True, cone=cone, samplers=[(steps, check)])
     assert len(seen) == len(steps)
-    assert seen[-1][0] > 0 and seen[-1][1] <= n_domain
+    assert seen[0][1] < n_domain and seen[-1][1] <= n_domain
+    assert all(0 <= b[1] - a[1] <= 1 for a, b in zip(seen, seen[1:]))
+    if cone is None:
+        assert all(lo == 0 for lo, _ in seen)
+        return
     # at the last step lo stands CONE_REACH cells below the stencil at t + cone
     assert (cfg.T + cone) / H - 1.5 - CONE_REACH - 1 <= seen[-1][0] \
         <= (cfg.T + cone) / H - 1.5 - CONE_REACH + 1
-    assert all(b[0] - a[0] == (a[0] > 0 or b[0] > 0) and 0 <= b[1] - a[1] <= 1
-               for a, b in zip(seen, seen[1:]))
+    assert all(b[0] - a[0] == (a[0] > 0 or b[0] > 0) for a, b in zip(seen, seen[1:]))
+
+
+def _reference_laplacian(u, rinv, h):
+    """The radial Laplacian over every cell of the domain, Dirichlet at the wall."""
+    h2 = h * h
+    lap = np.zeros_like(u)
+    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 \
+        + (u[2:] - u[:-2]) * (rinv[1:-1] / (2.0 * h))
+    lap[0] = 2.0 * (u[1] - u[0]) / h2
+    lap[-1] = (-2.0 * u[-1] + u[-2]) / h2 + (-u[-2]) * (rinv[-1] / (2.0 * h))
+    return lap
+
+
+def _reference_energies(u, dt_u, measure, h):
+    out = []
+    for j in range(2):
+        ext = np.concatenate([u[j, 1::-1], u[j], [0.0, 0.0]])
+        grad = (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / (12.0 * h)
+        out.append(0.5 * float(np.sum((dt_u[j] ** 2 + grad ** 2) * measure)))
+    return tuple(out)
+
+
+def test_whole_disk_window_steps_like_every_cell(radial_data):
+    """A nonlinear whole-disk run equals, at every step, a reference loop that
+    steps every cell of the domain, until and after its support reaches the
+    wall."""
+    cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
+                         T=3.0, h=1.0 / 16.0)
+    state = init_state(cfg, nonlinear=True)
+    h, dt, dt2 = state.h, state.dt, state.dt * state.dt
+    n = math.ceil((radial_data.support_radius + cfg.T) / h) + 3
+    xs = (np.arange(n) + 0.5) * h
+    rinv, measure = 1.0 / xs, 2.0 * np.pi * xs * h
+
+    def padded(a):
+        full = np.zeros((2, n))
+        full[:, :state.hi] = a
+        return full
+
+    mid, top, dt_u = padded(state.u_curr), padded(state.u_next), padded(state.dt_u)
+    prod = dt_u[0] * dt_u[1]
+    D = float(np.sum(prod * prod * measure))
+    cum = 0.0
+    his = []
+    for _ in range(math.ceil(cfg.T / dt)):
+        lin = np.empty_like(top)
+        for j in range(2):
+            lin[j] = 2.0 * top[j] - mid[j] + dt2 * _reference_laplacian(top[j], rinv, h)
+        v = (top - mid) / dt
+        new = np.empty_like(top)
+        for _ in range(3):
+            new[0] = lin[0] - dt2 * (v[1] * v[1]) * v[0]
+            new[1] = lin[1] - dt2 * (v[0] * v[0]) * v[1]
+            v = (new - mid) / (2.0 * dt)
+        mid, top, dt_u = top, new, v
+        prod = dt_u[0] * dt_u[1]
+        D_new = float(np.sum(prod * prod * measure))
+        cum += 0.5 * dt * (D + D_new)
+        D = D_new
+
+        state.step()
+        his.append(state.hi)
+        assert state.lo == 0
+        assert np.array_equal(padded(state.u_curr), mid)
+        assert np.array_equal(padded(state.u_next), top)
+        assert np.array_equal(padded(state.dt_u), dt_u)
+        assert state.D == D and state.cum_dissipation == cum
+        assert state.energies() == _reference_energies(mid, dt_u, measure, h)
+    assert his[0] < n and his[-1] == n          # the support reached the wall
 
 
 def test_window_ends_at_its_horizon():
@@ -95,6 +172,17 @@ def test_window_ends_at_its_horizon():
         state.step()
     with pytest.raises(ValueError, match="step count"):
         state.step()
+
+
+def test_instability_location_is_global():
+    state = init_state(scaling_rung(1.0), nonlinear=False, cone=0.5)
+    while state.lo < 10:
+        state.step()
+    state.u_next[0, 5] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InstabilityError) as err:
+            state.step()
+    assert state.lo + 4 <= err.value.location[0] <= state.lo + 6
 
 
 def test_windowed_state_has_no_energies():
