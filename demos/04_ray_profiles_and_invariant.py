@@ -33,7 +33,7 @@ eps = data.epsilon
 T = 4.0 / eps
 config = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
 sigmas = [-2.0, -1.0, 0.0, 0.5]
-collector = RayTraceCollector(sigmas, 0.0, eps)
+collector = RayTraceCollector(sigmas, 0.0)
 times = np.append(np.arange(0.0, T, 4 * config.cfl * config.h), T)
 print(f"\nnonlinear radial run to T = 4/eps = {T} ...")
 run_simulation(config, nonlinear=True, samplers=[(times, collector)])
@@ -44,7 +44,7 @@ table = radiation_table(data, grid, [0.0])
 print("\n sigma   m_direct      m_corrected   eps^2(dF1^2-dF2^2)   resid/leading")
 for tr in collector.traces():
     m_direct = tr.invariant_at(T)
-    m_corr, tail = corrected_invariant(tr, T)
+    m_corr = corrected_invariant(tr, T)
     m_lead = leading_invariant(table, eps, tr.sigma, 0.0)
     rel = (m_direct - m_lead) / m_lead if m_lead else float("nan")
     print(f"{tr.sigma:6.2f}  {m_direct: .6e}  {m_corr: .6e}  {m_lead: .6e}   {rel:+.2%}")

@@ -28,7 +28,7 @@ for eps in eps_ladder:
     data = data0.with_epsilon(eps)
     T = 4.0 / eps
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
-    col = RayTraceCollector(sigmas, 0.0, eps, with_remainder=False)
+    col = RayTraceCollector(sigmas, 0.0, with_remainder=False)
     times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
     # a light-cone window: advance only the cells rays at sigma >= -2 can see
     run_simulation(cfg, nonlinear=True, samplers=[(times, col)], cone=min(sigmas))

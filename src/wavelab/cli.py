@@ -4,11 +4,12 @@
     wavelab scenario NAME --out DIR [--h H] [--cfl C] [--T T] [--eps LIST]
 
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
-2 on usage errors (unknown scenario, malformed configuration or option, or
-an override the scenario never reads; see scenarios.IGNORED_OVERRIDES).  A
-config file key counts as the override it stands for: scenario.T as --T,
-grid.h as --h, grid.cfl as --cfl, and a multi-valued data.epsilon as an
---eps list.
+2 on usage errors (unknown scenario, malformed configuration or option, or a
+setting the scenario never reads).  Both commands check what they are given
+against scenarios.READS, the optional config keys each scenario reads:
+`run` the keys the file sets (config.set_keys) and `scenario` the key each
+option sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps
+data.epsilon.  A multi-valued epsilon also sets scenarios.EPS_LIST.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigParseError, ConfigValidationError, parse_scenario, set_keys
-from .scenarios import (EPS_LIST, IGNORED_OVERRIDES, SCENARIOS, UsageError,
-                        default_config, run_scenario)
+from .scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
+                        run_scenario)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,16 +43,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# config file keys that stand for a `wavelab scenario` override
-_FILE_OVERRIDES = {"scenario.T": "--T", "grid.h": "--h", "grid.cfl": "--cfl"}
+# the config key each `wavelab scenario` option sets
+_OPTION_KEYS = {"h": "grid.h", "cfl": "grid.cfl", "T": "scenario.T", "eps": "data.epsilon"}
+# the required keys, and the output directory every scenario writes to
+_UNCHECKED_KEYS = {"scenario.name", "data.epsilon", "scenario.out"}
 
 
-def _reject_ignored(name: str, given: dict) -> None:
-    """given maps each override the user gave to the words that name it."""
-    ignored = sorted(label for flag, label in given.items()
-                     if flag in IGNORED_OVERRIDES.get(name, ()))
-    if ignored:
-        raise UsageError(f"scenario {name} does not read {', '.join(ignored)}")
+def _reject_unread(name: str, given: dict) -> None:
+    """given maps each config key the user set to the words that name it."""
+    if name not in READS:
+        return                  # run_scenario reports the unknown name
+    unread = sorted(label for key, label in given.items() if key not in READS[name])
+    if unread:
+        raise UsageError(f"scenario {name} does not read {', '.join(unread)}")
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:
@@ -74,22 +78,23 @@ def main(argv=None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
             config = parse_scenario(text)
-            keys = set_keys(text)
-            given = {flag: key for key, flag in _FILE_OVERRIDES.items() if key in keys}
+            given = {key: key for key in set_keys(text) - _UNCHECKED_KEYS}
             if len(config.eps_list) > 1:
-                given[EPS_LIST] = "data.epsilon with more than one value"
-            _reject_ignored(config.name, given)
+                given[EPS_LIST] = EPS_LIST
+            _reject_unread(config.name, given)
         else:
             config = default_config(args.name)
+            given = {key: f"--{option}" for option, key in _OPTION_KEYS.items()
+                     if getattr(args, option) is not None}
             overrides = {key: getattr(args, key) for key in ("h", "cfl", "T")
                          if getattr(args, key) is not None}
-            given = {f"--{key}" for key in overrides}
             if args.eps is not None:
                 eps = _parse_eps(args.eps)
                 overrides["eps_list"] = eps
                 overrides["data"] = config.data.with_epsilon(eps[0])
-                given |= {"--eps", EPS_LIST} if len(eps) > 1 else {"--eps"}
-            _reject_ignored(args.name, {flag: flag for flag in given})
+                if len(eps) > 1:
+                    given[EPS_LIST] = "--eps with more than one value"
+            _reject_unread(args.name, given)
             if overrides:
                 config = replace(config, **overrides)
     except (ConfigParseError, ConfigValidationError, UsageError, OSError) as exc:

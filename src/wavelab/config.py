@@ -25,8 +25,10 @@ Documents look like::
     amplitude = 1.0
 
 Required: scenario.name, data.epsilon and at least one bump.  Everything
-else has a documented default (see DEFAULTS below).  Parse errors carry the
-offending line number; validation errors name the offending field.
+else has a documented default (the DEFAULT_* constants); scenarios.READS lists
+the optional keys each scenario reads, and the CLI rejects the rest.  Parse
+errors carry the offending line number; validation errors name the
+offending field.
 """
 
 from __future__ import annotations

@@ -156,7 +156,6 @@ class ProfileTrace:
 
     sigma: float
     theta: float
-    eps: float
     dt: float                     # solver step underlying the samples
     t: np.ndarray
     V1: np.ndarray
@@ -172,10 +171,6 @@ class ProfileTrace:
     @property
     def t0(self) -> float:
         return self.reference_time(self.sigma)
-
-    @property
-    def t1(self) -> float:
-        return max(1.0 / self.eps, -2.0 * self.sigma)
 
     @property
     def rho(self) -> np.ndarray:
@@ -209,12 +204,10 @@ class RayTraceCollector:
     evaluates the amplitude once.
     """
 
-    def __init__(self, sigmas, theta: float, eps: float,
-                 with_remainder: bool = True):
+    def __init__(self, sigmas, theta: float, with_remainder: bool = True):
         self.sigmas = [float(s) for s in sigmas]
         self.theta = float(theta)
         self.omega = np.array([np.cos(theta), np.sin(theta)])
-        self.eps = eps
         self.with_remainder = with_remainder
         self._rows: dict[float, list] = {s: [] for s in self.sigmas}
         self._dt = None
@@ -243,9 +236,9 @@ class RayTraceCollector:
             if not rows:
                 raise ValueError(f"no samples collected for sigma={s}")
             cols = [np.array(c) for c in zip(*rows)]
-            out.append(ProfileTrace(sigma=s, theta=self.theta, eps=self.eps,
-                                    dt=self._dt, t=cols[0], V1=cols[1],
-                                    V2=cols[2], K1=cols[3], K2=cols[4]))
+            out.append(ProfileTrace(sigma=s, theta=self.theta, dt=self._dt,
+                                    t=cols[0], V1=cols[1], V2=cols[2],
+                                    K1=cols[3], K2=cols[4]))
         return out
 
 
@@ -312,13 +305,11 @@ def profile_invariant(v1, v2):
 
 # -- invariant estimators -------------------------------------------------------
 
-def corrected_invariant(trace: ProfileTrace, t_cut: float
-                        ) -> tuple[float, dict]:
+def corrected_invariant(trace: ProfileTrace, t_cut: float) -> float:
     """Invariant estimate V(t0)^2 difference plus the correction integral.
 
     Computes  V1(t0)^2 - V2(t0)^2 + 2 int_{t0}^{t_cut} rho dt  by trapezoid
-    on the sampled trace.  The tail beyond t_cut is not added; a power-law
-    extrapolation bound for it is returned alongside.
+    on the sampled trace.  The tail beyond t_cut is not added.
     """
     t0 = trace.t0
     if trace.t[0] > t0 + 2 * trace.dt or trace.t[-1] < t_cut - 2 * trace.dt:
@@ -331,22 +322,7 @@ def corrected_invariant(trace: ProfileTrace, t_cut: float
     ts = np.concatenate([[t0], trace.t[(trace.t > t0) & (trace.t < t_cut)], [t_cut]])
     rho = np.interp(ts, trace.t, trace.rho)
     integral = float(np.trapezoid(rho, ts))
-    m0 = trace.invariant_at(t0)
-    m_val = m0 + 2.0 * integral
-
-    # crude tail bound: fit |rho| ~ t^p over the top half of the window and
-    # extrapolate; only meaningful when the fitted decay is integrable
-    sel = trace.t >= max(t0, 0.5 * t_cut)
-    tail: dict = {"tail_exponent": float("nan"), "tail_bound": float("inf")}
-    vals = np.abs(trace.rho[sel])
-    if np.count_nonzero(vals > 0) >= 4:
-        good = vals > 0
-        p = np.polyfit(np.log(trace.t[sel][good]), np.log(vals[good]), 1)[0]
-        tail["tail_exponent"] = float(p)
-        if p < -1.1:
-            rho_end = abs(float(np.interp(t_cut, trace.t, trace.rho)))
-            tail["tail_bound"] = float(2.0 * rho_end * t_cut / (-1.0 - p))
-    return m_val, tail
+    return trace.invariant_at(t0) + 2.0 * integral
 
 
 def leading_invariant(table: RadiationTable, eps: float, sigma: float,

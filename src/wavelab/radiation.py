@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bumps import BumpSpec, InitialData, along_direction, sum_value_grad_hess
+from .fitting import fit_power_law
 
 __all__ = [
     "radon_line_integral",
@@ -288,7 +289,5 @@ def fit_sigma_decay(table: RadiationTable, window: tuple[float, float]) -> np.nd
                 raise ValueError(
                     f"degenerate decay fit: fewer than 8 nonzero samples "
                     f"(component {comp + 1}, theta index {j})")
-            x = np.log(np.hypot(1.0, sig[good]))
-            y = np.log(vals[good])
-            slopes[comp, j] = np.polyfit(x, y, 1)[0]
+            slopes[comp, j] = fit_power_law(np.hypot(1.0, sig[good]), vals[good]).slope
     return slopes

@@ -22,7 +22,7 @@ class Assertion:
     name: str
     value: float
     threshold: float
-    op: str                       # "<=", ">=" or "in" (threshold = half-width)
+    op: str                       # "<=" or ">="
     passed: bool
     detail: str = ""
 

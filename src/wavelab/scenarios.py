@@ -43,7 +43,7 @@ from .radiation import fit_sigma_decay, radiation_pair, radiation_table
 from .reporting import Assertion, write_csv, write_summary
 from .solver import run_simulation
 
-__all__ = ["SCENARIOS", "IGNORED_OVERRIDES", "EPS_LIST", "UsageError",
+__all__ = ["SCENARIOS", "READS", "EPS_LIST", "UsageError",
            "default_config", "run_scenario"]
 
 
@@ -162,18 +162,21 @@ def _scenario_free_validation(config, out_dir):
         for p in points:
             grid[p] = field_value(state, p[1:])
 
-    # dt divides the check cadence T/4 and halves exactly across refinements
+    # dt = cfl * h divides the check cadence T/4 and, for a power-of-two h,
+    # halves exactly across refinements; min() keeps a quotient that rounds
+    # up past config.cfl (cadence / (cfl h) a whole number) inside its bound
     levels = [config.h / (2 ** i) for i in range(3)]
     cadence = 0.25 * T
     n0 = math.ceil(cadence / (config.cfl * levels[0]))
+    cfl = min(cadence / (n0 * levels[0]), config.cfl)
     errs = []
     t0 = time.perf_counter()
-    for i, h in enumerate(levels):
+    for h in levels:
         grid = {}
         samplers = [((tv,), partial(sample, grid, points))
                     for tv, points in by_time.items()]
-        run_simulation(replace(config, h=h), nonlinear=False,
-                       dt=cadence / (n0 * 2 ** i), samplers=samplers)
+        run_simulation(replace(config, h=h, cfl=cfl), nonlinear=False,
+                       samplers=samplers)
         errs.append(max(abs(grid[p][c] - oracle[p][c]) for p in pts for c in (0, 1)))
     runtimes["refinement_runs"] = time.perf_counter() - t0
     rows = [(*p, grid[p][0], oracle[p][0], abs(grid[p][0] - oracle[p][0]))
@@ -316,8 +319,7 @@ def _run_scaling_case(config, eps, sigmas, with_remainder=True, h=None):
     T = 4.0 / eps
     cfg = replace(config, data=config.data.with_epsilon(eps), eps_list=(eps,), T=T,
                   h=(h if h is not None else config.h))
-    collector = RayTraceCollector(sigmas, config.theta_samples[0], eps,
-                                  with_remainder=with_remainder)
+    collector = RayTraceCollector(sigmas, config.theta_samples[0], with_remainder)
     times = _trace_times(T, cfg.cfl * cfg.h)
     run_simulation(cfg, nonlinear=True, samplers=[(times, collector)],
                    cone=min(sigmas))
@@ -327,6 +329,8 @@ def _run_scaling_case(config, eps, sigmas, with_remainder=True, h=None):
 def _scenario_epsilon_scaling(config, out_dir):
     if len(config.eps_list) < 3:
         raise UsageError("epsilon-scaling needs at least 3 epsilon values")
+    if config.mode != "radial":
+        raise UsageError("epsilon-scaling runs in radial mode")
     eps_list = tuple(sorted(config.eps_list, reverse=True))
     sigmas = list(config.sigma_samples)
     theta = config.theta_samples[0]
@@ -349,7 +353,7 @@ def _scenario_epsilon_scaling(config, out_dir):
         T = 4.0 / eps
         for tr in traces:
             md = tr.invariant_at(T)
-            mc, _tail = corrected_invariant(tr, T)
+            mc = corrected_invariant(tr, T)
             ml = leading_invariant(table, eps, tr.sigma, theta)
             estimates.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
                                        m_direct=md, m_corrected=mc, m_leading=ml))
@@ -442,8 +446,7 @@ def _scenario_symmetric_decay(config, out_dir):
     if config.T < t_ref:
         raise UsageError(f"symmetric-decay needs T >= {t_ref:g}, the profile "
                          f"reference time for sigma={sigma:g}; got T={config.T:g}")
-    collector = RayTraceCollector([sigma], config.theta_samples[0],
-                                  data.epsilon, with_remainder=False)
+    collector = RayTraceCollector([sigma], config.theta_samples[0], with_remainder=False)
     sym_gap = [0.0]
 
     def check_symmetry(state):
@@ -488,17 +491,25 @@ SCENARIOS = {
     "symmetric-decay": _scenario_symmetric_decay,
 }
 
-# `wavelab scenario` overrides that a scenario never reads, so the command
-# rejects them, and `wavelab run` rejects the config keys that stand for
-# them (cli._FILE_OVERRIDES): epsilon-scaling runs each rung to 4/eps, radiation-decay
-# tabulates per unit amplitude without a solve, profile-oracle reads no
-# config field, and only epsilon-scaling runs more than the first epsilon.
-EPS_LIST = "--eps with more than one value"
-_EVERY_OVERRIDE = frozenset({"--h", "--cfl", "--T", "--eps", EPS_LIST})
-IGNORED_OVERRIDES = {**dict.fromkeys(SCENARIOS, frozenset({EPS_LIST})),
-                     "epsilon-scaling": frozenset({"--T"}),
-                     "radiation-decay": _EVERY_OVERRIDE,
-                     "profile-oracle": _EVERY_OVERRIDE}
+# The optional config keys each scenario reads; the CLI rejects any other key
+# a file sets and the key behind any other `wavelab scenario` option.
+# "data.epsilon" is the first epsilon (required in a file, so only --eps is
+# checked) and EPS_LIST more than one.  epsilon-scaling runs each rung to
+# 4/eps, radiation-decay tabulates per unit amplitude without a solve (its
+# mode picks the default theta_samples and which bump centres validate),
+# and profile-oracle reads no config field.
+EPS_LIST = "data.epsilon with more than one value"
+_SOLVE = frozenset({"scenario.mode", "scenario.T", "grid.h", "grid.cfl", "data.epsilon"})
+READS = {
+    "conservation": _SOLVE,
+    "free-validation": _SOLVE,
+    "radiation-decay": frozenset({"scenario.mode", "data.theta_samples"}),
+    "profile-oracle": frozenset(),
+    "epsilon-scaling": (_SOLVE - {"scenario.T"}) | {EPS_LIST, "data.sigma_samples",
+                                                    "data.theta_samples"},
+    "nondecay-demo": _SOLVE | {"data.theta_samples"},
+    "symmetric-decay": _SOLVE | {"data.sigma_samples", "data.theta_samples"},
+}
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None) -> dict:

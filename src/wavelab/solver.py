@@ -55,11 +55,12 @@ its run_simulation returns no EnergyTrace.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
-nowhere else.  Boundaries are homogeneous Dirichlet on a domain sized for
-that T: the physical support never reaches them, but the scheme's numerical
-precursor, which runs ahead of the front, does (see README).  All integrals
-use numpy's pairwise summation over arrays in fixed index order, so results
-are reproducible run to run.
+nowhere else.  There is no dt override: the step is always cfl * h, and a
+caller that needs another step sets cfl.  Boundaries are homogeneous
+Dirichlet on a domain sized for that T: the physical support never reaches
+them, but the scheme's numerical precursor, which runs ahead of the front,
+does (see README).  All integrals use numpy's pairwise summation over arrays
+in fixed index order, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import eval_sum, sum_value_grad_hess
-from .config import CFL_LIMITS, ScenarioConfig
+from .config import ScenarioConfig
 
 __all__ = [
     "WaveState",
@@ -386,25 +387,22 @@ def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
 
 
 def init_state(config: ScenarioConfig, nonlinear: bool, *,
-               dt: float | None = None, cone: float | None = None) -> WaveState:
+               cone: float | None = None) -> WaveState:
     """Build the t = 0 state of config.data for a run of length config.T.
 
     The domain reaches n = ceil((R0 + T) / h) + 3 cells out from the origin,
     so the physical support, expanding at unit speed, stays at least 2h away
-    from the boundary for all t <= T.  dt defaults to config.cfl * h.  A
-    radial state holds the window up to its numerical support; a cone (radial
-    mode only) makes it a light-cone window for rays at sigma >= cone, sized
-    for the run_simulation steps to config.T.
+    from the boundary for all t <= T.  The step is dt = config.cfl * h, which
+    ScenarioConfig keeps inside the stability bound.  A radial state holds
+    the window up to its numerical support; a cone (radial mode only) makes
+    it a light-cone window for rays at sigma >= cone, sized for the
+    run_simulation steps to config.T.
     """
     if cone is not None and config.mode != "radial":
         raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
     h = config.h
     data = config.data
-    if dt is None:
-        dt = config.cfl * h
-    limit = CFL_LIMITS[config.mode] * h
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt={dt} violates the stability bound {limit}")
+    dt = config.cfl * h
 
     eps = data.epsilon
     n = int(math.ceil((data.support_radius + config.T) / h)) + 3
@@ -454,8 +452,7 @@ def _step_count(T: float, dt: float) -> int:
 
 
 def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
-                   samplers=(), dt: float | None = None,
-                   cone: float | None = None) -> EnergyTrace | None:
+                   samplers=(), cone: float | None = None) -> EnergyTrace | None:
     """Advance config.data to config.T, sampling at the nearest grid times.
 
     samplers is a sequence of (times, callback) pairs; each callback receives
@@ -469,7 +466,7 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
     light-cone window (see the module docstring): samples at sigma >= cone
     stay bit-identical, and the run returns None, having no energy trace.
     """
-    state = init_state(config, nonlinear, dt=dt, cone=cone)
+    state = init_state(config, nonlinear, cone=cone)
     n_steps = _step_count(config.T, state.dt)
 
     requests: dict[int, list] = {}

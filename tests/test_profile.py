@@ -247,7 +247,7 @@ def test_collector_rows_equal_point_api(mode, request):
     theta = 0.7
     omega = np.array([np.cos(theta), np.sin(theta)])
     sigmas = [-0.3, 0.0, 0.6]
-    collector = RayTraceCollector(sigmas, theta, 0.3, with_remainder=True)
+    collector = RayTraceCollector(sigmas, theta, with_remainder=True)
     collector(st)
     for tr in collector.traces():
         x = (st.t + tr.sigma) * omega
@@ -264,22 +264,20 @@ def nonlinear_run():
                        g2=(BumpSpec((0.0, 0.0), 0.8, 0.6),), epsilon=0.2)
     eps, T = 0.2, 20.0
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
-    collector = RayTraceCollector([-1.0, 0.0], 0.0, eps)
+    collector = RayTraceCollector([-1.0, 0.0], 0.0)
     times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
     run_simulation(cfg, nonlinear=True, samplers=[(times, collector)])
     return data, eps, T, collector.traces()
 
 
 def test_trace_window_and_formulas(nonlinear_run):
-    _, eps, T, traces = nonlinear_run
+    _, _, _, traces = nonlinear_run
     tr = traces[0]
     assert tr.sigma == -1.0
     assert tr.t0 == 2.0                       # max(2, -2 sigma) with sigma >= -1
-    assert tr.t1 == pytest.approx(1.0 / eps)
-    deeper = ProfileTrace(sigma=-3.0, theta=0.0, eps=eps, dt=tr.dt,
+    deeper = ProfileTrace(sigma=-3.0, theta=0.0, dt=tr.dt,
                           t=tr.t, V1=tr.V1, V2=tr.V2, K1=tr.K1, K2=tr.K2)
     assert deeper.t0 == 6.0
-    assert deeper.t1 == 6.0                   # -2 sigma dominates 1/eps
 
 
 def test_direct_vs_corrected_invariant(nonlinear_run):
@@ -287,9 +285,8 @@ def test_direct_vs_corrected_invariant(nonlinear_run):
     _, eps, T, traces = nonlinear_run
     for tr in traces:
         m_direct = tr.invariant_at(T)
-        m_corr, tail = corrected_invariant(tr, T)
+        m_corr = corrected_invariant(tr, T)
         assert abs(m_corr - m_direct) <= 5e-3 * eps**2
-        assert math.isfinite(tail["tail_exponent"])
 
 
 def test_trace_derivative_matches_coupling(nonlinear_run):
@@ -305,12 +302,12 @@ def test_trace_derivative_matches_coupling(nonlinear_run):
 
 
 def test_corrected_invariant_coverage_checks(nonlinear_run):
-    _, eps, T, traces = nonlinear_run
+    _, _, T, traces = nonlinear_run
     tr = traces[0]
     with pytest.raises(ValueError, match="cover"):
         corrected_invariant(tr, 2.0 * T)
     idx = np.append(np.arange(0, len(tr.t) - 1, 4), len(tr.t) - 1)
-    sparse = ProfileTrace(sigma=tr.sigma, theta=0.0, eps=eps, dt=tr.dt,
+    sparse = ProfileTrace(sigma=tr.sigma, theta=0.0, dt=tr.dt,
                           t=tr.t[idx], V1=tr.V1[idx], V2=tr.V2[idx],
                           K1=tr.K1[idx], K2=tr.K2[idx])
     with pytest.raises(ValueError, match="spacing"):
@@ -327,11 +324,9 @@ def test_trace_csv(tmp_path, nonlinear_run):
 def test_corrected_invariant_zero_trace():
     t = np.linspace(2.0, 10.0, 81)
     z = np.zeros_like(t)
-    tr = ProfileTrace(sigma=0.0, theta=0.0, eps=0.2, dt=0.025,
+    tr = ProfileTrace(sigma=0.0, theta=0.0, dt=0.025,
                       t=t, V1=z, V2=z, K1=z, K2=z)
-    m, tail = corrected_invariant(tr, 10.0)
-    assert m == 0.0
-    assert tail["tail_bound"] == math.inf      # nothing to extrapolate from
+    assert corrected_invariant(tr, 10.0) == 0.0
 
 
 def test_leading_invariant_properties(unit_bump):

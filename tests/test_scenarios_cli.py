@@ -4,7 +4,9 @@ from dataclasses import replace
 import pytest
 
 from wavelab.cli import main
-from wavelab.scenarios import UsageError, default_config, run_scenario
+from wavelab.config import _SECTION_KEYS
+from wavelab.scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
+                               run_scenario)
 
 TINY_CONFIG = """
 [scenario]
@@ -151,6 +153,9 @@ def test_exit_one_on_assertion_failure(tmp_path, capsys):
 @pytest.mark.parametrize("args,out,codes", [
     # check times and cadence follow T, so a short horizon still samples on-grid
     ("free-validation --T 0.1", "o", {0, 1}),
+    # T/4 is a whole number of default-CFL steps, so cadence / (n0 h) rounds up
+    # to 0.45000000000000007, past the Cartesian bound
+    ("free-validation --h 0.15 --T 0.27", "o", {0, 1}),
     # the profile reference time max(2, -2 sigma) lies beyond T
     ("symmetric-decay --T 1", "o", {2}),
     # --out names an existing file
@@ -230,3 +235,37 @@ def test_run_config_accepts_read_keys(tmp_path, capsys):
 def test_epsilon_scaling_default_derives_its_horizon():
     cfg = default_config("epsilon-scaling")
     assert cfg.T == 4.0 / min(cfg.eps_list)
+
+
+@pytest.mark.parametrize("config,extra,rejected", [
+    (TINY_CONFIG, "[data]\nsigma_samples = 7, 9\n", "conservation does not read data.sigma_samples"),
+    (TINY_CONFIG, "[data]\ntheta_samples = 1, 2\n", "conservation does not read data.theta_samples"),
+    (PROFILE_ORACLE_CONFIG, "[scenario]\nmode = cartesian-2d\n",
+     "profile-oracle does not read scenario.mode"),
+])
+def test_run_config_rejects_unread_sampling_and_mode(tmp_path, capsys, config, extra, rejected):
+    cfg_path = tmp_path / "unread.cfg"
+    cfg_path.write_text(config + extra)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"wavelab: scenario {rejected}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_reads_names_config_keys():
+    keys = {f"{section}.{key}" for section, names in _SECTION_KEYS.items()
+            if section != "bump" for key in names}
+    assert set(READS) == set(SCENARIOS)
+    for reads in READS.values():
+        assert reads <= keys | {EPS_LIST}
+
+
+def test_epsilon_scaling_rejects_cartesian_mode(tmp_path, capsys):
+    cfg_path = tmp_path / "scaling.cfg"
+    cfg_path.write_text(PROFILE_ORACLE_CONFIG.replace("profile-oracle", "epsilon-scaling")
+                        .replace("epsilon = 0.2", "epsilon = 0.4, 0.2, 0.1")
+                        + "[scenario]\nmode = cartesian-2d\n")
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "wavelab: epsilon-scaling runs in radial mode\n"
+    assert not (tmp_path / "o" / "radiation_table.csv").exists()

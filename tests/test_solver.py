@@ -6,6 +6,7 @@ import pytest
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
                      field_value, free_field, init_state, run_simulation)
+from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.solver import _stencil
 
 
@@ -32,9 +33,12 @@ def test_radial_rejects_offcenter(offset_data):
 
 
 def test_timestep_bound_enforced(radial_data):
-    cfg = small_config(radial_data)
-    with pytest.raises(ValueError, match="stability"):
-        init_state(cfg, nonlinear=False, dt=cfg.h)
+    # the solver steps by cfl * h, so the config is where the bound holds
+    for mode, limit in CFL_LIMITS.items():
+        small_config(radial_data, mode=mode, cfl=limit)
+        with pytest.raises(ConfigValidationError, match="cfl") as err:
+            small_config(radial_data, mode=mode, cfl=math.nextafter(limit, 1.0))
+        assert err.value.field == "cfl"
 
 
 def test_initial_energy_matches_quadrature_oracle(unit_bump):
@@ -208,18 +212,18 @@ def test_scheme_order_against_oracle(unit_bump):
     oracle = {p: free_field(data, p[0], np.array([p[1], p[2]])).u[0] for p in pts}
     errs = []
     levels = [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]
+    # dt = cfl * h divides the check times and halves exactly with h
     n0 = math.ceil(0.25 / (0.45 * levels[0]))
-    for i, h in enumerate(levels):
+    for h in levels:
         cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
-                             T=T, h=h)
+                             T=T, h=h, cfl=0.25 / (n0 * levels[0]))
         errs_h = []
 
         def check(state):
             errs_h.extend(abs(field_value(state, (x, y))[0] - oracle[(tv, x, y)])
                           for tv, x, y in pts if abs(tv - state.t) < 1e-9)
 
-        run_simulation(cfg, nonlinear=False, dt=0.25 / (n0 * 2**i),
-                       samplers=[((0.25, 0.5), check)])
+        run_simulation(cfg, nonlinear=False, samplers=[((0.25, 0.5), check)])
         assert len(errs_h) == len(pts)
         errs.append(max(errs_h))
     from wavelab import fit_power_law

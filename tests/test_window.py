@@ -24,8 +24,7 @@ def scaling_rung(eps, cfl=0.9):
 
 
 def ray_traces(cfg, sigmas, cone, with_remainder=True, extra=()):
-    collector = RayTraceCollector(sigmas, 0.7, cfg.data.epsilon,
-                                  with_remainder=with_remainder)
+    collector = RayTraceCollector(sigmas, 0.7, with_remainder=with_remainder)
     times = np.append(np.arange(0.0, cfg.T, 4 * cfg.cfl * cfg.h), cfg.T)
     result = run_simulation(cfg, nonlinear=True, cone=cone,
                             samplers=[(times, collector), *extra])
