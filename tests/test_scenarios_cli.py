@@ -153,13 +153,13 @@ def test_exit_one_on_assertion_failure(tmp_path, capsys):
 @pytest.mark.parametrize("args,out,codes", [
     # check times and cadence follow T, so a short horizon still samples on-grid
     ("free-validation --T 0.1", "o", {0, 1}),
-    # T/4 is a whole number of default-CFL steps, so cadence / (n0 h) rounds up
-    # to 0.45000000000000007, past the Cartesian bound
-    ("free-validation --h 0.15 --T 0.27", "o", {0, 1}),
     # the profile reference time max(2, -2 sigma) lies beyond T
     ("symmetric-decay --T 1", "o", {2}),
     # --out names an existing file
     ("profile-oracle", "afile", {2}),
+    # T/4 is a whole number of default-CFL steps, so cadence / (n0 h) rounds up
+    # to 0.45000000000000007, past the Cartesian bound
+    ("free-validation --h 0.15 --T 0.27", "o", {0, 1}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
