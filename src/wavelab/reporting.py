@@ -1,7 +1,8 @@
 """Deterministic CSV / JSON report writing.
 
-Floats are rendered with repr (shortest round-trip form), so identical
-numerical results produce byte-identical files.  The one intentionally
+Floats, numpy scalars included, are rendered as the repr of a Python float
+(shortest round-trip form), so identical numerical results produce
+byte-identical files whatever the numpy version.  The one intentionally
 non-deterministic part of a summary is the "runtimes" block; everything
 else is covered by the reproducibility contract.
 """
@@ -39,7 +40,7 @@ class Assertion:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

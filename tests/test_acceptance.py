@@ -7,7 +7,7 @@ costs one execution of each of the seven scenarios.
 
 import pytest
 
-from wavelab.scenarios import default_config, run_scenario
+from wavelab.scenarios import SCENARIOS, default_config, run_scenario
 
 
 def _get(summary, name):
@@ -139,3 +139,22 @@ def test_criterion_10_symmetric_single_equation(symmetric):
              _get(symmetric, "total_energy_monotone_decay"),
              _get(symmetric, "profile_shape_rel_dev")]
     assert _report(10, "u1 = u2 to 1e-12, monotone decay, log-shape within 20%", items)
+
+
+def test_every_csv_cell_parses_as_float(outroot, conservation, free_validation,
+                                        radiation_decay, profile_oracle,
+                                        epsilon_scaling, nondecay, symmetric):
+    """Every cell below the header of every scenario CSV reads back with float().
+
+    numpy scalars must not leak their repr (np.float64(...)) into a report.
+    """
+    paths = sorted(outroot.rglob("*.csv"))
+    assert {p.parent.name for p in paths} == set(SCENARIOS)
+    for path in paths:
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert rows, path
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(",")), path
+            for cell in cells:
+                float(cell)
