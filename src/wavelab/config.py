@@ -76,6 +76,10 @@ class ConfigValidationError(ValueError):
         self.field = field_name
 
 
+class _DerivedAngles(tuple):
+    """theta_samples derived from the mode; dataclasses.replace derives it anew."""
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated description of one experiment."""
@@ -87,7 +91,7 @@ class ScenarioConfig:
     cfl: float = DEFAULT_CFL
     T: float | None = None       # None means "derive as 4 / min(eps)"
     sigma_samples: tuple[float, ...] = DEFAULT_SIGMA_SAMPLES
-    theta_samples: tuple[float, ...] = (0.0,)
+    theta_samples: tuple[float, ...] | None = None   # None: (0,) radial, 16 angles 2-D
     eps_list: tuple[float, ...] = ()
     out_dir: str | None = None
 
@@ -117,7 +121,11 @@ class ScenarioConfig:
             raise ConfigValidationError(
                 "mode", "radial mode requires every bump center at the origin")
         object.__setattr__(self, "sigma_samples", tuple(float(s) for s in self.sigma_samples))
-        object.__setattr__(self, "theta_samples", tuple(float(s) for s in self.theta_samples))
+        derived = self.theta_samples is None or isinstance(self.theta_samples, _DerivedAngles)
+        angles = self.theta_samples if not derived else (
+            [0.0] if self.mode == "radial" else np.linspace(0, 2 * np.pi, 16, endpoint=False))
+        object.__setattr__(self, "theta_samples",
+                           (_DerivedAngles if derived else tuple)(float(s) for s in angles))
 
 
 def _parse_floats(text: str, key: str, line: int) -> list[float]:
@@ -212,7 +220,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if not e > 0:
             raise ConfigValidationError("epsilon", f"must be positive, got {e}")
     sigma = take("data.sigma_samples", _parse_floats, default=list(DEFAULT_SIGMA_SAMPLES))
-    theta = take("data.theta_samples", _parse_floats, default=None)
+    theta = take("data.theta_samples", _parse_floats)
 
     if not bumps:
         raise ConfigValidationError("bump", "at least one [bump] table is required")
@@ -246,11 +254,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     data = InitialData(f1=tuple(fields["f1"]), g1=tuple(fields["g1"]),
                        f2=tuple(fields["f2"]), g2=tuple(fields["g2"]),
                        epsilon=eps_list[0])
-    if theta is None:
-        theta = [0.0] if mode == "radial" else list(np.linspace(0, 2 * np.pi, 16, endpoint=False))
     return ScenarioConfig(
         name=name, data=data, mode=mode, h=h, cfl=cfl, T=T,
-        sigma_samples=tuple(sigma), theta_samples=tuple(theta),
+        sigma_samples=tuple(sigma), theta_samples=theta,
         eps_list=tuple(eps_list), out_dir=out_dir)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from wavelab import ConfigParseError, ConfigValidationError, parse_scenario
 from wavelab.config import DEFAULT_CFL
+from wavelab.scenarios import default_config
 
 MINIMAL = """
 [scenario]
@@ -138,3 +139,38 @@ def test_sigma_and_theta_lists():
     cfg = parse_scenario(text)
     assert cfg.sigma_samples == (-3.0, 0.0, 0.25)
     assert cfg.theta_samples == (0.0, 1.57)
+
+
+RADIATION_DECAY_2D = """
+[scenario]
+name = radiation-decay
+mode = cartesian-2d
+T = 1
+
+[data]
+epsilon = 0.2
+
+[bump]
+component = 1
+kind = g
+radius = 1.0
+amplitude = 1.0
+
+[bump]
+component = 2
+kind = g
+radius = 1.0
+amplitude = 1.0
+"""
+
+
+def test_theta_default_follows_mode_in_code_and_file():
+    """The mode picks the default angles, for a run built in code or parsed."""
+    in_code = replace(default_config("radiation-decay"), mode="cartesian-2d")
+    from_file = parse_scenario(RADIATION_DECAY_2D)
+    assert in_code == from_file
+    assert in_code.theta_samples == from_file.theta_samples
+    assert len(in_code.theta_samples) == 16
+    assert replace(in_code, mode="radial").theta_samples == (0.0,)
+    chosen = replace(in_code, theta_samples=[0.5, 1.0])
+    assert replace(chosen, mode="radial").theta_samples == (0.5, 1.0)
