@@ -321,7 +321,7 @@ def corrected_invariant(trace: ProfileTrace, t_cut: float) -> float:
 
     ts = np.concatenate([[t0], trace.t[(trace.t > t0) & (trace.t < t_cut)], [t_cut]])
     rho = np.interp(ts, trace.t, trace.rho)
-    integral = float(np.trapezoid(rho, ts))
+    integral = float((np.diff(ts) * (rho[1:] + rho[:-1]) / 2.0).sum())   # trapezoid rule
     return trace.invariant_at(t0) + 2.0 * integral
 
 
