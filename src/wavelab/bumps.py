@@ -69,6 +69,12 @@ def _core(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, wp, wpp
 
 
+def profile_derivatives(q: np.ndarray) -> np.ndarray:
+    """Stacked w, w', w'' at q = |x - c|^2 / R^2, exactly zero where q >= 1."""
+    inside = np.asarray(q) < 1.0
+    return np.where(inside, _core(np.where(inside, q, 0.0)), 0.0)
+
+
 def _bump_value_grad_hess(spec: BumpSpec, pts: np.ndarray):
     """Value, gradient and packed Hessian (xx, xy, yy) of a single bump.
 

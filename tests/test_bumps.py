@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelab import BumpSpec, InitialData, eval_bump, eval_sum, initial_values
-from wavelab.bumps import directional_derivative, sum_value_grad_hess
+from wavelab.bumps import directional_derivative, profile_derivatives, sum_value_grad_hess
 
 
 def test_center_value_equals_amplitude(unit_bump):
@@ -78,6 +79,48 @@ def test_derivatives_match_finite_differences(order, rng):
                          - value(p - ex + ey) + value(p - ex - ey)) / (4 * step**2)
     scale = np.maximum(np.abs(exact), 0.05 * np.max(np.abs(exact)))
     assert np.max(np.abs(approx - exact) / scale) < 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(center=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       radius=st.floats(0.2, 2.0),
+       amplitude=st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.1),
+       rho=st.floats(0.0, 0.65), phi=st.floats(0.0, 2 * math.pi),
+       order=st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]))
+def test_derivatives_match_finite_differences_random_bumps(center, radius, amplitude,
+                                                           rho, phi, order):
+    """Closed-form derivatives of random bumps against centred differences.
+
+    Points stay within 0.65 R of the centre, where the difference
+    truncation is small; the error is measured on the order-n scale A / R^n.
+    """
+    spec = BumpSpec(center, radius, amplitude)
+    p = np.array(spec.center) + radius * rho * np.array([math.cos(phi), math.sin(phi)])
+    step = 1e-4 * radius
+    ex, ey = np.array([step, 0.0]), np.array([0.0, step])
+
+    def value(q):
+        return eval_bump(spec, q)
+
+    approx = {
+        (1, 0): (value(p + ex) - value(p - ex)) / (2 * step),
+        (0, 1): (value(p + ey) - value(p - ey)) / (2 * step),
+        (2, 0): (value(p + ex) - 2 * value(p) + value(p - ex)) / step**2,
+        (0, 2): (value(p + ey) - 2 * value(p) + value(p - ey)) / step**2,
+        (1, 1): (value(p + ex + ey) - value(p + ex - ey)
+                 - value(p - ex + ey) + value(p - ex - ey)) / (4 * step**2),
+    }[order]
+    scale = abs(amplitude) / radius ** sum(order)
+    assert abs(approx - eval_bump(spec, p, order)) <= 2e-6 * scale
+
+
+def test_profile_derivatives_zero_off_support():
+    q = np.array([0.0, 0.25, 1.0, 1.5])
+    w, wp, wpp = profile_derivatives(q)
+    assert (w[0], wp[0], wpp[0]) == (1.0, -1.0, -1.0)
+    assert w[1] == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-15)
+    for field in (w, wp, wpp):
+        assert np.all(field[2:] == 0.0)
 
 
 def test_directional_derivative_consistency(unit_bump):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelab import (BumpSpec, InitialData, eval_bump, fit_sigma_decay,
                      half_order_integral, radiation_pair, radiation_table,
                      radon_line_integral)
-from wavelab.radiation import HALF_ORDER_NORM, RadiationTable
+from wavelab.bumps import along_direction, sum_value_grad_hess
+from wavelab.radiation import (_CHORD_NODES, _CHORD_PANELS, HALF_ORDER_NORM,
+                               RadiationTable, _panel_rule)
 
 
 def omega_of(theta):
@@ -58,6 +61,47 @@ def test_radon_derivative_order_validation(unit_bump):
         radon_line_integral([unit_bump], 0.0, omega_of(0.0), deriv_order=3)
 
 
+def test_chord_rule_is_symmetric():
+    # the radial-profile chord sums evaluate only the positive nodes
+    xi, wi = _panel_rule(_CHORD_PANELS, _CHORD_NODES)
+    assert np.array_equal(xi, -xi[::-1]) and np.array_equal(wi, wi[::-1])
+    assert not np.any(xi == 0.0)
+
+
+_coord = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cx=_coord, cy=_coord, radius=st.floats(0.2, 1.5),
+       amplitude=st.floats(-2.0, 2.0), theta=st.floats(0.0, 2 * math.pi),
+       offset=st.floats(-1.2, 1.2), k=st.sampled_from([0, 1, 2]))
+def test_radon_matches_chord_rule_on_2d_fields(cx, cy, radius, amplitude, theta,
+                                               offset, k):
+    """Radon integrals from the radial profile against the 2-D path.
+
+    The oracle applies the full 64-node chord rule to value, gradient and
+    Hessian fields evaluated at 2-D chord points.  R[(omega.grad)^k b]
+    scales like A R^(1-k); both paths round q = |y - c|^2 / R^2 with an
+    absolute error that grows with |c| / R.
+    """
+    spec = BumpSpec((cx, cy), radius, amplitude)
+    om = omega_of(theta)
+    perp = np.array([-om[1], om[0]])
+    c = np.array(spec.center)
+    s = float(c @ om) + offset * radius
+    d = s - c @ om
+    half = math.sqrt(radius**2 - d**2) if abs(d) < radius else 0.0
+    xi, wi = _panel_rule(_CHORD_PANELS, _CHORD_NODES)
+    pts = s * om + (c @ perp + half * xi)[:, None] * perp
+    fields = sum_value_grad_hess([spec], pts)
+    oracle = float(np.sum(along_direction(fields, om, k) * half * wi))
+    got = radon_line_integral([spec], s, om, deriv_order=k)
+    scale = abs(amplitude) * radius ** (1 - k) * (1.0 + math.hypot(cx, cy) / radius)
+    assert abs(got - oracle) <= 1e-12 * scale
+    if abs(offset) >= 1.0:
+        assert got == 0.0
+
+
 def test_radon_derivative_is_s_derivative(unit_bump):
     # d/ds R[phi](s) = R[(omega.grad) phi](s); the two sides use different
     # chord rules, so they agree to quadrature accuracy, not exactly
@@ -100,7 +144,8 @@ def test_half_order_smooth_against_dense_oracle(unit_bump):
     sigma = -1.3
     got = half_order_integral(line, sigma, 1.0, inner_radius=1.0, feature_scale=1.0)
     tau = np.linspace(0.0, math.sqrt(1.0 - sigma), 20001)
-    oracle = HALF_ORDER_NORM * 2.0 * np.trapezoid(line(sigma + tau**2), tau)
+    vals = line(sigma + tau**2)
+    oracle = HALF_ORDER_NORM * 2.0 * np.sum(np.diff(tau) * (vals[1:] + vals[:-1]) / 2.0)
     assert abs(got - oracle) / abs(oracle) <= 1e-7
 
 
@@ -149,19 +194,35 @@ def test_table_radial_columns_identical(unit_bump):
     assert spread <= 1e-10
 
 
-def test_rotational_equivariance():
-    alpha = 0.9
+@settings(max_examples=40, deadline=None)
+@given(center=st.tuples(_coord, _coord), radius=st.floats(0.3, 1.2),
+       amplitude=st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.1),
+       alpha=st.floats(0.0, 2 * math.pi), theta0=st.floats(0.0, 2 * math.pi),
+       n_theta=st.integers(1, 3))
+def test_rotational_equivariance(center, radius, amplitude, alpha, theta0, n_theta):
+    """Rotating off-centre data by alpha rotates its table by alpha.
+
+    Chord offsets and positions are rotation invariant, so the two tables
+    differ by rounding only.
+    """
     rot = np.array([[math.cos(alpha), -math.sin(alpha)],
                     [math.sin(alpha), math.cos(alpha)]])
-    center = np.array([0.4, -0.1])
-    data = InitialData(g1=(BumpSpec(tuple(center), 0.8, 1.0),), epsilon=0.1)
-    data_rot = InitialData(g1=(BumpSpec(tuple(rot @ center), 0.8, 1.0),), epsilon=0.1)
-    grid = np.linspace(-3.0, 1.3, 10)
-    thetas = np.array([0.0, 0.7, 2.1])
+    center = np.array(center)
+    second = center[::-1] * 0.5
+
+    def rotated(r):
+        return InitialData(f1=(BumpSpec(tuple(r @ center), radius, amplitude),),
+                           g1=(BumpSpec(tuple(r @ second), 0.5 * radius, 1.0),),
+                           epsilon=0.1)
+
+    data, data_rot = rotated(np.eye(2)), rotated(rot)
+    grid = np.linspace(-3.0, data.support_radius + 0.3, 10)
+    thetas = theta0 + 0.9 * np.arange(n_theta)
     t1 = radiation_table(data, grid, thetas)
     t2 = radiation_table(data_rot, grid, thetas + alpha)
-    assert np.max(np.abs(t1.F - t2.F)) <= 1e-8
-    assert np.max(np.abs(t1.dF - t2.dF)) <= 1e-8
+    scale = max(np.max(np.abs(t1.F)), np.max(np.abs(t1.dF)))
+    assert np.max(np.abs(t1.F - t2.F)) <= 1e-11 * scale
+    assert np.max(np.abs(t1.dF - t2.dF)) <= 1e-11 * scale
 
 
 def test_dF_consistent_with_sigma_differences(radial_data):
