@@ -74,8 +74,8 @@ def _panel_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-_xi, _wi = _panel_rule(_CHORD_PANELS, _CHORD_NODES)      # positive nodes, doubled weights
-_HALF_CHORD = (_xi[_xi > 0], 2.0 * _wi[_xi > 0])
+_xi, _wi = _panel_rule(_CHORD_PANELS, _CHORD_NODES)
+_HALF_CHORD = (_xi[_xi > 0], 2.0 * _wi[_xi > 0])        # the rule is symmetric about 0
 
 
 def _radon_many(specs: Sequence[BumpSpec], s: np.ndarray, omega: np.ndarray,
