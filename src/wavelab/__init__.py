@@ -18,8 +18,7 @@ from .fitting import PowerLawFit, fit_power_law
 from .free_wave import FreeFieldPoint, free_field
 from .profile import (MEstimate, ProfileTrace, RayTraceCollector,
                       closed_form_profile, corrected_invariant, field_value,
-                      leading_invariant, outgoing_amplitude, profile_invariant,
-                      remainder_term, sample_profile, solve_reduced_ode)
+                      leading_invariant, profile_invariant, solve_reduced_ode)
 from .radiation import (RadiationTable, fit_sigma_decay, half_order_integral,
                         radiation_pair, radiation_table, radon_line_integral)
 from .solver import (EnergyTrace, InstabilityError, WaveState, init_state,
@@ -38,7 +37,7 @@ __all__ = [
     "WaveState", "EnergyTrace", "InstabilityError", "init_state",
     "run_simulation",
     "ProfileTrace", "RayTraceCollector", "MEstimate",
-    "field_value", "outgoing_amplitude", "sample_profile", "remainder_term",
+    "field_value",
     "solve_reduced_ode", "closed_form_profile", "profile_invariant",
     "corrected_invariant", "leading_invariant",
     "__version__",

@@ -32,7 +32,6 @@ __all__ = [
     "eval_bump",
     "eval_sum",
     "sum_value_grad_hess",
-    "directional_derivative",
     "along_direction",
     "initial_values",
 ]
@@ -153,14 +152,6 @@ def sum_value_grad_hess(specs: Iterable[BumpSpec], pts: np.ndarray):
         grad += g
         hess += h
     return val, grad, hess
-
-
-def directional_derivative(specs: Iterable[BumpSpec], pts: np.ndarray,
-                           omega: np.ndarray, k: int):
-    """(omega . grad)^k applied to a bump sum, for k in {0, 1, 2}."""
-    if k not in (0, 1, 2):
-        raise ValueError(f"directional derivative order must be 0, 1 or 2, got {k}")
-    return along_direction(sum_value_grad_hess(specs, pts), omega, k)
 
 
 def along_direction(fields, omega: np.ndarray, k: int):

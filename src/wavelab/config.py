@@ -76,8 +76,22 @@ class ConfigValidationError(ValueError):
         self.field = field_name
 
 
-class _DerivedAngles(tuple):
-    """theta_samples derived from the mode; dataclasses.replace derives it anew."""
+class _Derived:
+    """Marks a field value that ScenarioConfig derived from other fields.
+
+    dataclasses.replace passes every field back to __init__, so a derived
+    value would otherwise outlive a change of the fields it came from;
+    __post_init__ derives a marked value anew.  A marked float or tuple
+    compares, hashes and prints like a plain one.
+    """
+
+
+class _DerivedFloat(_Derived, float):
+    pass
+
+
+class _DerivedTuple(_Derived, tuple):
+    pass
 
 
 @dataclass(frozen=True)
@@ -92,24 +106,37 @@ class ScenarioConfig:
     T: float | None = None       # None means "derive as 4 / min(eps)"
     sigma_samples: tuple[float, ...] = DEFAULT_SIGMA_SAMPLES
     theta_samples: tuple[float, ...] | None = None   # None: (0,) radial, 16 angles 2-D
-    eps_list: tuple[float, ...] = ()
+    eps_list: tuple[float, ...] | None = None        # None: (data.epsilon,)
     out_dir: str | None = None
+
+    def _derive(self, name: str, rule, given=lambda value: value) -> None:
+        """Set field name to rule(), marked as derived, unless it was given.
+
+        None and a value derived before count as not given; a given value
+        is stored as given(value).
+        """
+        value = getattr(self, name)
+        if value is None or isinstance(value, _Derived):
+            value = rule()
+            value = (_DerivedFloat if isinstance(value, float) else _DerivedTuple)(value)
+        else:
+            value = given(value)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         if self.mode not in CFL_LIMITS:
             raise ConfigValidationError(
                 "mode", f"must be one of {tuple(CFL_LIMITS)}, got {self.mode!r}")
-        eps_list = tuple(self.eps_list) or (self.data.epsilon,)
-        object.__setattr__(self, "eps_list", eps_list)
-        for e in eps_list:
+        self._derive("eps_list", lambda: (self.data.epsilon,), tuple)
+        if not self.eps_list:
+            raise ConfigValidationError("epsilon", "empty epsilon list")
+        for e in self.eps_list:
             if not e > 0:
                 raise ConfigValidationError("epsilon", f"must be positive, got {e}")
-        if self.h is None:
-            object.__setattr__(self, "h", self.data.support_radius / DEFAULT_POINTS_PER_RADIUS)
+        self._derive("h", lambda: self.data.support_radius / DEFAULT_POINTS_PER_RADIUS)
         if not self.h > 0:
             raise ConfigValidationError("h", f"must be positive, got {self.h}")
-        if self.T is None:
-            object.__setattr__(self, "T", 4.0 / min(eps_list))
+        self._derive("T", lambda: 4.0 / min(self.eps_list))
         if not self.T > 0:
             raise ConfigValidationError("T", f"must be positive, got {self.T}")
         if not 0 < self.cfl <= CFL_LIMITS[self.mode]:
@@ -120,12 +147,13 @@ class ScenarioConfig:
         if self.mode == "radial" and not self.data.is_centered():
             raise ConfigValidationError(
                 "mode", "radial mode requires every bump center at the origin")
-        object.__setattr__(self, "sigma_samples", tuple(float(s) for s in self.sigma_samples))
-        derived = self.theta_samples is None or isinstance(self.theta_samples, _DerivedAngles)
-        angles = self.theta_samples if not derived else (
-            [0.0] if self.mode == "radial" else np.linspace(0, 2 * np.pi, 16, endpoint=False))
-        object.__setattr__(self, "theta_samples",
-                           (_DerivedAngles if derived else tuple)(float(s) for s in angles))
+        object.__setattr__(self, "sigma_samples", _floats(self.sigma_samples))
+        self._derive("theta_samples", lambda: (0.0,) if self.mode == "radial" else _floats(
+            np.linspace(0, 2 * np.pi, 16, endpoint=False)), _floats)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 def _parse_floats(text: str, key: str, line: int) -> list[float]:
@@ -257,7 +285,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         name=name, data=data, mode=mode, h=h, cfl=cfl, T=T,
         sigma_samples=tuple(sigma), theta_samples=theta,
-        eps_list=tuple(eps_list), out_dir=out_dir)
+        eps_list=tuple(eps_list) if len(eps_list) > 1 else None, out_dir=out_dir)
 
 
 def load_scenario(path) -> ScenarioConfig:

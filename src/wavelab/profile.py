@@ -22,9 +22,13 @@ invariant V_1^2 - V_2^2 is exactly conserved; with K kept,
 d/dt (V_1^2 - V_2^2) = 2 rho with rho = V_1 K_1 - V_2 K_2, which is the
 basis of the corrected invariant estimate.
 
-Point values come from WaveState.sample, which builds one 4-point Lagrange
-(cubic) stencil per point and applies it to every sampled field; traces
-interpolate linearly in time between stored samples.
+V_j and H_j are measured in one place: RayTraceCollector, a run_simulation
+sampler, builds the level's arrays once per sample time and reads them at
+each foot point through WaveState.sample, which builds one 4-point Lagrange
+(cubic) stencil per point and applies it to every sampled field.  A single
+point x with |x| >= h is the foot point of sigma = |x| - t at
+theta = atan2(x2, x1).  field_value interpolates u alone; traces interpolate
+linearly in time between stored samples.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ from .solver import WaveState
 
 __all__ = [
     "field_value",
-    "outgoing_amplitude",
-    "sample_profile",
-    "remainder_term",
     "ProfileTrace",
     "RayTraceCollector",
     "solve_reduced_ode",
@@ -59,9 +60,9 @@ class IntegrationError(RuntimeError):
     pass
 
 
-# -- point sampling -----------------------------------------------------------
+# -- ray sampling -------------------------------------------------------------
 
-def _level_fields(state: WaveState, with_rotation: bool = False) -> list[np.ndarray]:
+def _level_fields(state: WaveState, with_rotation: bool) -> list[np.ndarray]:
     """The (2, *grid) arrays a ray sample reads from the diagnosed level.
 
     [u, d_t u, d_r u] in radial mode; [u, d_t u, d_1 u, d_2 u] in Cartesian
@@ -83,14 +84,11 @@ def _level_fields(state: WaveState, with_rotation: bool = False) -> list[np.ndar
 
 
 def _ray_values(state: WaveState, fields, x):
-    """|x| and the 2-vectors u, d_t u, d_r u, Omega^2 u at x (|x| >= h).
+    """|x| and the 2-vectors u, d_t u, d_r u, Omega^2 u at x.
 
     Omega^2 u is zero in radial mode and None when fields lack it.
     """
     r = float(np.hypot(x[0], x[1]))
-    if r < state.h:
-        raise ValueError(f"point with |x|={r:.3g} < h={state.h:.3g} is too close "
-                         "to the origin for the ray amplitude")
     v = state.sample(fields, x)
     if state.mode == "radial":
         return r, v[0], v[1], v[2], np.zeros(2)
@@ -121,31 +119,6 @@ def field_value(state: WaveState, x) -> tuple[float, float]:
     """u_1, u_2 of the diagnosed level at the point x, by cubic interpolation."""
     u = state.sample([state.u_curr], x)[0]
     return float(u[0]), float(u[1])
-
-
-def outgoing_amplitude(state: WaveState, x) -> tuple[float, float]:
-    """U_1, U_2 of the diagnosed level at a point x with |x| >= h."""
-    r, u, ut, ur, _ = _ray_values(state, _level_fields(state), x)
-    U = _amplitude(r, u, ut, ur)
-    return float(U[0]), float(U[1])
-
-
-def sample_profile(state: WaveState, sigma: float, omega) -> tuple[float, float]:
-    """V_1, V_2 at (sigma, omega): the amplitude at the foot point (t+sigma) omega."""
-    omega = np.asarray(omega, dtype=float)
-    r = state.t + sigma
-    if r < state.h:
-        raise ValueError(f"foot point t+sigma={r:.3g} < h; off the usable grid")
-    return outgoing_amplitude(state, r * omega)
-
-
-def remainder_term(state: WaveState, x) -> tuple[float, float]:
-    """H_1, H_2 of the diagnosed level at x (rotational stencils in 2D mode)."""
-    if state.t <= 0:
-        raise ValueError("remainder term needs t > 0")
-    r, u, ut, ur, ang = _ray_values(state, _level_fields(state, with_rotation=True), x)
-    h = _remainder(r, state.t, u, ut, ang, _amplitude(r, u, ut, ur))
-    return float(h[0]), float(h[1])
 
 
 # -- traces along rays ---------------------------------------------------------
@@ -198,7 +171,8 @@ class ProfileTrace:
 class RayTraceCollector:
     """run_simulation sampler that builds ProfileTraces for several sigmas.
 
-    Sampling starts once the foot point clears the origin (t + sigma >= h)
+    The one foot-point rule: a (t, sigma) sample is taken when t > 0 and
+    t + sigma >= h, so sampling starts once the foot point clears the origin
     and skips nothing afterwards.  The sampled arrays are built once per
     level, and each (t, sigma) sample reads them through one stencil and
     evaluates the amplitude once.
@@ -223,10 +197,7 @@ class RayTraceCollector:
                 continue
             r, u, ut, ur, ang = _ray_values(state, fields, r * self.omega)
             v = _amplitude(r, u, ut, ur)
-            if self.with_remainder:
-                k = _remainder(r, state.t, u, ut, ang, v)
-            else:
-                k = (0.0, 0.0)
+            k = _remainder(r, state.t, u, ut, ang, v) if self.with_remainder else (0.0, 0.0)
             self._rows[s].append((state.t, v[0], v[1], k[0], k[1]))
 
     def traces(self) -> list[ProfileTrace]:

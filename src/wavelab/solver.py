@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import eval_sum, sum_value_grad_hess
+from .bumps import initial_values
 from .config import ScenarioConfig
 
 __all__ = [
@@ -404,7 +404,6 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     data = config.data
     dt = config.cfl * h
 
-    eps = data.epsilon
     n = int(math.ceil((data.support_radius + config.T) / h)) + 3
     if config.mode == "radial":
         xs = (np.arange(n) + 0.5) * h
@@ -414,15 +413,9 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         pts = np.stack([X, Y], axis=-1)
 
-    shape = pts.shape[:-1]
-    u0 = np.zeros((2,) + shape)
-    g0 = np.zeros((2,) + shape)
-    e_init = []
-    for j in (1, 2):
-        fval, fgrad, _ = sum_value_grad_hess(data.position_data(j), pts)
-        u0[j - 1] = eps * fval
-        g0[j - 1] = eps * eval_sum(data.velocity_data(j), pts)
-        e_init.append((j, fgrad))
+    iv = initial_values(data, pts)
+    u0 = np.stack([iv["u1"], iv["u2"]])
+    g0 = np.stack([iv["ut1"], iv["ut2"]])
 
     state = WaveState(config.mode, h, dt, xs,
                       u_prev=np.zeros_like(u0), u_curr=u0,
@@ -430,9 +423,8 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     # initial energies from exact nodal derivatives: cell sums of smooth
     # compactly supported integrands converge superalgebraically
     state.initial_energies = tuple(
-        0.5 * float(np.sum((g0[j - 1] ** 2
-                            + eps * eps * np.sum(fgrad * fgrad, axis=-1)) * state.measure))
-        for j, fgrad in e_init)
+        0.5 * float(np.sum((g0[j] ** 2 + np.sum(grad * grad, axis=-1)) * state.measure))
+        for j, grad in enumerate((iv["grad_u1"], iv["grad_u2"])))
     lap0 = np.stack([state.laplacian(u0[0]), state.laplacian(u0[1])])
     if nonlinear:
         # d_t u at t=0 is exactly eps*g, so the cubic term needs no iteration

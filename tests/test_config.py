@@ -1,9 +1,11 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavelab import ConfigParseError, ConfigValidationError, parse_scenario
-from wavelab.config import DEFAULT_CFL
+from wavelab import (BumpSpec, ConfigParseError, ConfigValidationError, InitialData,
+                     ScenarioConfig, parse_scenario)
+from wavelab.config import CFL_LIMITS, DEFAULT_CFL
 from wavelab.scenarios import default_config
 
 MINIMAL = """
@@ -126,6 +128,8 @@ def test_bad_epsilon_value():
     bad = MINIMAL.replace("epsilon = 0.3", "epsilon = -0.3")
     with pytest.raises(ConfigValidationError, match="epsilon"):
         parse_scenario(bad)
+    with pytest.raises(ConfigValidationError, match="empty epsilon list"):
+        replace(parse_scenario(MINIMAL), eps_list=())
 
 
 def test_comments_and_blank_lines():
@@ -174,3 +178,101 @@ def test_theta_default_follows_mode_in_code_and_file():
     assert replace(in_code, mode="radial").theta_samples == (0.0,)
     chosen = replace(in_code, theta_samples=[0.5, 1.0])
     assert replace(chosen, mode="radial").theta_samples == (0.5, 1.0)
+
+
+def _bumps(radius):
+    return InitialData(g1=(BumpSpec((0.0, 0.0), radius, 1.0),),
+                       g2=(BumpSpec((0.0, 0.0), radius, 1.0),), epsilon=0.2)
+
+
+def test_replace_derives_h_from_new_data():
+    data = _bumps(2.0)
+    assert replace(default_config("radiation-decay"), data=data).h == 0.015625
+    assert ScenarioConfig(name="radiation-decay", data=data).h == 0.015625
+
+
+def test_replace_derives_eps_list_from_new_data():
+    cfg = default_config("conservation")
+    assert replace(cfg, data=cfg.data.with_epsilon(0.1)).eps_list == (0.1,)
+
+
+def test_replace_derives_T_from_new_eps_list():
+    cfg = replace(default_config("epsilon-scaling"), eps_list=(1.0, 0.8, 0.6))
+    assert cfg.T == 4.0 / 0.6
+
+
+def test_given_values_survive_replace():
+    cfg = ScenarioConfig(name="conservation", data=_bumps(1.0), h=0.05, T=3.0,
+                         eps_list=(0.2, 0.1), theta_samples=(0.5,))
+    other = replace(cfg, data=_bumps(2.0).with_epsilon(0.4), mode="cartesian-2d")
+    assert (other.h, other.T, other.eps_list, other.theta_samples) == (
+        0.05, 3.0, (0.2, 0.1), (0.5,))
+
+
+# -- round trip through the documented text format --------------------------------
+
+def _render(mode, h, cfl, T, eps, sigmas, thetas, bumps) -> str:
+    """A configuration document giving exactly these values (None: key absent)."""
+    def floats(values):
+        return ", ".join(repr(v) for v in values)
+
+    lines = ["[scenario]", "name = conservation", f"mode = {mode}"]
+    if T is not None:
+        lines.append(f"T = {T!r}")
+    lines.append("[grid]")
+    if h is not None:
+        lines.append(f"h = {h!r}")
+    if cfl is not None:
+        lines.append(f"cfl = {cfl!r}")
+    lines += ["[data]", f"epsilon = {floats(eps)}", f"sigma_samples = {floats(sigmas)}"]
+    if thetas is not None:
+        lines.append(f"theta_samples = {floats(thetas)}")
+    for component, kind, spec in bumps:
+        lines += ["", "[bump]", f"component = {component}", f"kind = {kind}",
+                  f"center = {floats(spec.center)}", f"radius = {spec.radius!r}",
+                  f"amplitude = {spec.amplitude!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def _config_values(draw):
+    mode = draw(st.sampled_from(sorted(CFL_LIMITS)))
+    centre = st.just(0.0) if mode == "radial" else st.floats(-2.0, 2.0)
+    bump = st.builds(BumpSpec, st.tuples(centre, centre), st.floats(0.1, 3.0),
+                     st.floats(-2.0, 2.0))
+    return dict(
+        mode=mode,
+        h=draw(_optional(st.floats(1e-3, 0.5))),
+        cfl=draw(_optional(st.floats(0.01, CFL_LIMITS[mode]))),
+        T=draw(_optional(st.floats(0.1, 100.0))),
+        eps=draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3)),
+        sigmas=draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)),
+        thetas=draw(_optional(st.lists(st.floats(0.0, 6.3), min_size=1, max_size=3))),
+        bumps=draw(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from("fg"), bump),
+                            min_size=1, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_values())
+def test_rendered_config_parses_to_the_config_built_in_code(v):
+    fields = {"f1": [], "g1": [], "f2": [], "g2": []}
+    for component, kind, spec in v["bumps"]:
+        fields[f"{kind}{component}"].append(spec)
+    data = InitialData(**fields, epsilon=v["eps"][0])
+    cfl = DEFAULT_CFL if v["cfl"] is None else v["cfl"]
+    shared = dict(name="conservation", mode=v["mode"], h=v["h"], cfl=cfl, T=v["T"],
+                  sigma_samples=v["sigmas"], theta_samples=v["thetas"])
+    in_code = ScenarioConfig(data=data, eps_list=tuple(v["eps"]), **shared)
+
+    parsed = parse_scenario(_render(**v))
+    assert parsed == in_code
+    # another run's config with the same given values: replace derives what
+    # they leave out (eps_list, h, T, angles) from the new data, as parsing does
+    unrelated = ScenarioConfig(data=_bumps(0.37).with_epsilon(0.77), **shared)
+    if len(v["eps"]) == 1:
+        assert replace(unrelated, data=data) == parsed
+    assert replace(unrelated, eps_list=tuple(v["eps"]), data=data) == parsed

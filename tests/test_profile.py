@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from wavelab import (BumpSpec, InitialData, ScenarioConfig, closed_form_profile,
                      corrected_invariant, field_value, leading_invariant,
-                     outgoing_amplitude,
                      profile_invariant, radiation_table, run_simulation,
-                     sample_profile, solve_reduced_ode)
-from wavelab.profile import RayTraceCollector, ProfileTrace, remainder_term
+                     solve_reduced_ode)
+from wavelab.profile import RayTraceCollector, ProfileTrace
 from wavelab.solver import WaveState, init_state
 
 
@@ -34,10 +33,19 @@ def gaussian_profile_prime(s):
     return -16.0 * (s - 2.0) * np.exp(-8.0 * (s - 2.0) ** 2)
 
 
+def ray_sample(state, sigma, theta=0.0, with_remainder=False):
+    """(V1, V2, K1, K2) of one collector sample at (sigma, theta) on state's level."""
+    collector = RayTraceCollector([sigma], theta, with_remainder=with_remainder)
+    collector(state)
+    tr = collector.traces()[0]
+    assert tr.t[0] == state.t
+    return tr.V1[0], tr.V2[0], tr.K1[0], tr.K2[0]
+
+
 def test_amplitude_zero_state():
     h = 1.0 / 64.0
     st = synthetic_radial_state(np.zeros(400), np.zeros(400), h, 1.0)
-    assert outgoing_amplitude(st, (1.0, 0.0)) == (0.0, 0.0)
+    assert ray_sample(st, 0.0)[:2] == (0.0, 0.0)
 
 
 def test_amplitude_outgoing_wave():
@@ -48,7 +56,7 @@ def test_amplitude_outgoing_wave():
     dt = -(rs**-0.5) * gaussian_profile_prime(rs - t0)
     st = synthetic_radial_state(u, dt, h, t0)
     for r in (1.5, 2.0, 2.5, 3.5, 5.0):
-        got = outgoing_amplitude(st, (r, 0.0))[0]
+        got = ray_sample(st, r - t0)[0]
         assert abs(got - gaussian_profile_prime(r - t0)) <= 5e-5
 
 
@@ -60,14 +68,15 @@ def test_amplitude_incoming_wave_annihilated():
     dt = rs**-0.5 * gaussian_profile_prime(rs + t0)
     st = synthetic_radial_state(u, dt, h, t0)
     for r in (0.6, 1.0, 1.5, 2.2):
-        assert abs(outgoing_amplitude(st, (r, 0.0))[0]) <= 1e-4
+        assert abs(ray_sample(st, r - t0)[0]) <= 1e-4
 
 
 def test_amplitude_origin_rejected():
+    """A foot point closer than h to the origin is not sampled."""
     h = 1.0 / 64.0
     st = synthetic_radial_state(np.zeros(200), np.zeros(200), h, 1.0)
-    with pytest.raises(ValueError, match="close"):
-        outgoing_amplitude(st, (0.5 * h, 0.0))
+    with pytest.raises(ValueError, match="no samples collected"):
+        ray_sample(st, 0.5 * h - 1.0)
 
 
 def test_sample_profile_domain(radial_data):
@@ -75,10 +84,10 @@ def test_sample_profile_domain(radial_data):
                          T=1.0, h=1.0 / 32.0)
     st = init_state(cfg, nonlinear=False)
     st.t = 1.0
-    with pytest.raises(ValueError, match="foot point"):
-        sample_profile(st, -1.0 + 0.1 * st.h, (1.0, 0.0))
+    with pytest.raises(ValueError, match="no samples collected"):
+        ray_sample(st, -1.0 + 0.1 * st.h)
     # boundary of validity: finite values, no blow-up
-    v1, v2 = sample_profile(st, -1.0 + 1.5 * st.h, (1.0, 0.0))
+    v1, v2, _, _ = ray_sample(st, -1.0 + 1.5 * st.h)
     assert math.isfinite(v1) and math.isfinite(v2)
 
 
@@ -89,7 +98,7 @@ def test_symmetric_data_equal_profiles(unit_bump):
     st = init_state(cfg, nonlinear=True)
     for _ in range(round(3.0 / st.dt)):
         st.step()
-    v1, v2 = sample_profile(st, 0.0, (1.0, 0.0))
+    v1, v2, _, _ = ray_sample(st, 0.0)
     assert abs(v1 - v2) <= 1e-12
 
 
@@ -183,7 +192,7 @@ def test_reduced_ode_rejects_bad_start():
 def test_remainder_zero_state():
     h = 1.0 / 64.0
     st = synthetic_radial_state(np.zeros(300), np.zeros(300), h, 2.5)
-    assert remainder_term(st, (1.0, 0.0)) == (0.0, 0.0)
+    assert ray_sample(st, 1.0 - 2.5, with_remainder=True) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_remainder_radial_formula():
@@ -196,12 +205,12 @@ def test_remainder_radial_formula():
     # build the two-component state with distinct fields
     st.u_curr[1] = 0.5 * st.u_curr[0]
     st.dt_u[1] = 0.5 * st.dt_u[0]
-    r = 2.3
+    sigma = 2.3 - t0
+    *U, h1, h2 = ray_sample(st, sigma, with_remainder=True)
+    r = t0 + sigma
     x = (r, 0.0)
-    h1, h2 = remainder_term(st, x)
     uu = field_value(st, x)
     ut = st.sample([st.dt_u], x)[0]
-    U = outgoing_amplitude(st, x)
     sq = math.sqrt(r)
     expect1 = 0.5 * (sq * ut[1]**2 * ut[0] + U[1]**2 * U[0] / t0) - uu[0] / (8 * r * sq)
     expect2 = 0.5 * (sq * ut[0]**2 * ut[1] + U[0]**2 * U[1] / t0) - uu[1] / (8 * r * sq)
@@ -229,30 +238,26 @@ def test_remainder_angular_term_cartesian():
         r = math.hypot(x, y)
         s2 = r * r
         uval = math.exp(1.0 - 1.0 / (1.0 - s2)) * (x / r)
-        H = remainder_term(st, (x, y))
-        U = outgoing_amplitude(st, (x, y))
-        expect = 0.5 * (U[1]**2 * U[0] / st.t) + 3.0 * uval / (8.0 * r**1.5)
-        assert H[0] == pytest.approx(expect, abs=5e-4)
+        v1, v2, k1, _ = ray_sample(st, r - st.t, math.atan2(y, x), with_remainder=True)
+        expect = 0.5 * (v2**2 * v1 / st.t) + 3.0 * uval / (8.0 * r**1.5)
+        assert k1 == pytest.approx(expect, abs=5e-4)
 
 
 @pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
-def test_collector_rows_equal_point_api(mode, request):
-    """One collector level gives exactly sample_profile and remainder_term."""
+def test_collector_remainder_rows(mode, request):
+    """A collector with the remainder on gives finite rows on real states."""
     data = request.getfixturevalue("radial_data" if mode == "radial" else "offset_data")
     cfg = ScenarioConfig(name="conservation", data=data, mode=mode,
                          T=1.0, h=1.0 / 16.0)
     st = init_state(cfg, nonlinear=True)
     for _ in range(round(0.5 / st.dt)):
         st.step()
-    theta = 0.7
-    omega = np.array([np.cos(theta), np.sin(theta)])
-    sigmas = [-0.3, 0.0, 0.6]
-    collector = RayTraceCollector(sigmas, theta, with_remainder=True)
+    collector = RayTraceCollector([-0.3, 0.0, 0.6], 0.7, with_remainder=True)
     collector(st)
     for tr in collector.traces():
-        x = (st.t + tr.sigma) * omega
-        assert (tr.t[0], tr.V1[0], tr.V2[0]) == (st.t, *sample_profile(st, tr.sigma, omega))
-        assert (tr.K1[0], tr.K2[0]) == remainder_term(st, x)
+        row = (tr.V1[0], tr.V2[0], tr.K1[0], tr.K2[0])
+        assert tr.t.tolist() == [st.t]
+        assert all(math.isfinite(v) for v in row)
         assert tr.K1[0] != 0.0
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import wavelab
 
 from wavelab.cli import main
 from wavelab.config import _SECTION_KEYS
@@ -60,6 +66,18 @@ def test_profile_oracle_via_cli(tmp_path, capsys):
     assert summary["passed"] is True
     assert (tmp_path / "profile_oracle.csv").exists()
     assert (tmp_path / "trichotomy.csv").exists()
+
+
+def test_module_entry_point_runs_a_scenario(tmp_path):
+    """`python -m wavelab` reaches cli.entry and exits with main's status."""
+    src = str(Path(wavelab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavelab", "scenario", "profile-oracle", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "summary.json").read_text())["passed"] is True
 
 
 def test_run_with_config_file(tmp_path, capsys):
