@@ -141,15 +141,19 @@ class ScenarioConfig:
             raise ConfigValidationError("T", f"must be positive, got {self.T}")
         if not 0 < self.cfl <= CFL_LIMITS[self.mode]:
             raise ConfigValidationError("cfl", f"out of stable range for {self.mode}: {self.cfl}")
-        for s in self.sigma_samples:
-            if not math.isfinite(s):
-                raise ConfigValidationError("sigma_samples", f"non-finite entry {s}")
         if self.mode == "radial" and not self.data.is_centered():
             raise ConfigValidationError(
                 "mode", "radial mode requires every bump center at the origin")
         object.__setattr__(self, "sigma_samples", _floats(self.sigma_samples))
         self._derive("theta_samples", lambda: (0.0,) if self.mode == "radial" else _floats(
             np.linspace(0, 2 * np.pi, 16, endpoint=False)), _floats)
+        for field_name in ("sigma_samples", "theta_samples"):
+            values = getattr(self, field_name)
+            if not values:
+                raise ConfigValidationError(field_name, "empty list")
+            for v in values:
+                if not math.isfinite(v):
+                    raise ConfigValidationError(field_name, f"non-finite entry {v}")
 
 
 def _floats(values) -> tuple[float, ...]:

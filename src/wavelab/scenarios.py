@@ -236,13 +236,23 @@ def _scenario_free_validation(config, out_dir):
     return assertions, values, runtimes
 
 
+def _theta_grid(config) -> tuple[float, ...]:
+    """config.theta_samples as the angle grid of a radiation table, which
+    must be strictly increasing."""
+    thetas = config.theta_samples
+    if any(b <= a for a, b in zip(thetas, thetas[1:])):
+        raise UsageError(f"{config.name}: theta_samples must be strictly increasing, "
+                         f"got {', '.join(f'{t:g}' for t in thetas)}")
+    return thetas
+
+
 def _scenario_radiation_decay(config, out_dir):
     data = config.data
     r0 = data.support_radius
     runtimes = {}
     sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
     t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, config.theta_samples)
+    table = radiation_table(data, sigma_grid, _theta_grid(config))
     runtimes["table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
@@ -340,7 +350,7 @@ def _scenario_epsilon_scaling(config, out_dir):
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
     sigma_grid = np.arange(lo, r0 + 0.2 + 1e-9, 0.02)
     t0 = time.perf_counter()
-    table = radiation_table(config.data, sigma_grid, config.theta_samples)
+    table = radiation_table(config.data, sigma_grid, _theta_grid(config))
     runtimes["radiation_table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
@@ -405,7 +415,7 @@ def _scenario_nondecay(config, out_dir):
     r0 = data.support_radius
     sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
     t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, config.theta_samples)
+    table = radiation_table(data, sigma_grid, _theta_grid(config))
     runtimes["table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 

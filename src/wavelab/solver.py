@@ -23,6 +23,19 @@ Point values of level fields come from WaveState.sample, the only code that
 knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
 point and axis and applies it to every field it is given.
 
+A step allocates no field arrays.  It advances both components at once on
+(2, ...) arrays and writes every intermediate with numpy's out= into
+buffers allocated once per state: the three levels and dt_u, a work buffer
+that holds the Laplacian, then dt^2 times it, then the linear part of a
+nonlinear update, the Laplacian's scratch (contiguous interior arrays in
+Cartesian mode), and one component's dissipation integrand.  The oldest
+level's buffer receives the new level; during a nonlinear step it first
+serves as scratch for the cubic term.  laplacian(u, out) writes the stacked
+Laplacian of u into out; init_state uses it for the first level too.
+Every operation keeps the order of the one-component formula,
+so results are bit-identical to stepping the components one by one.  The
+arrays a sampler sees are these buffers: it must copy what it keeps.
+
 Radial windows.  Every radial state keeps its levels in buffers allocated
 once for the whole domain and advances only the global cells [lo, hi);
 u_prev, u_curr, u_next, dt_u, xs and measure are views of them, and each
@@ -149,6 +162,10 @@ class WaveState:
       lo, hi      the global cells [lo, hi) held; the arrays above are views
                   of them in buffers sized for the whole domain (a Cartesian
                   state holds every cell)
+
+    step() overwrites the levels, dt_u and the work buffers in place (see
+    the module docstring), so a caller that keeps any of them across a step
+    must copy it.
     """
 
     def __init__(self, mode, h, dt, xs, u_prev, u_curr, u_next, dt_u, nonlinear):
@@ -162,11 +179,21 @@ class WaveState:
         self.cone = None
         self._levels, self._dt_u = [u_prev, u_curr, u_next], dt_u
         self._n = len(xs)
+        # work buffers (see the module docstring): the Laplacian, windowed
+        # like the levels; its scratch, windowed too (radial) or the interior's
+        # neighbour sum and centre term (Cartesian); one component's
+        # dissipation integrand over the whole domain
+        self._work = np.zeros_like(u_curr)
+        self._padded = np.zeros(u_curr.shape[1:])
         if self.mode == "radial":
-            self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h, 1.0 / xs])
-            self._padded = np.zeros(self._n)
+            # r_i, the cell measure 2 pi r_i h, and 1 / (2 h r_i) of the
+            # centred first difference
+            self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h,
+                                       (1.0 / xs) / (2.0 * self.h)])
+            self._scratch = np.zeros_like(u_curr)
         else:
             self.xs, self.measure = xs, self.h * self.h
+            self._tmp = np.zeros((2, 2, self._n - 2, self._n - 2))
         self._lo_last, self._steps_left = 0, math.inf   # a whole-disk window never closes
         self.lo = self.hi = None
         self._set_window(0, self._n)
@@ -174,26 +201,44 @@ class WaveState:
 
     # -- spatial operators -------------------------------------------------
 
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Discrete Laplacian of one component on the diagnosed geometry."""
+    def laplacian(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Discrete Laplacian of both components of u, written into out.
+
+        u and out are (2, ...) arrays on the held window; out must not share
+        memory with u.  Each term keeps the order of the one-component
+        formula, so both components come out as if computed one by one.
+        """
         h2 = self.h * self.h
         if self.mode == "radial":
-            lap = np.zeros_like(u)
-            lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2 \
-                + (u[2:] - u[:-2]) * (self._rinv[1:-1] / (2.0 * self.h))
+            # (u[2:] - 2 u[1:-1] + u[:-2]) / h^2 + (u[2:] - u[:-2]) * rinv / (2h)
+            inner, diff, c = out[:, 1:-1], self._tmp[:, 1:-1], self._rcoef
+            np.multiply(2.0, u[:, 1:-1], out=inner)
+            np.subtract(u[:, 2:], inner, out=inner)
+            np.add(inner, u[:, :-2], out=inner)
+            np.divide(inner, h2, out=inner)
+            np.subtract(u[:, 2:], u[:, :-2], out=diff)
+            np.multiply(diff, c[1:-1], out=diff)
+            np.add(inner, diff, out=inner)
             if self.lo == 0:
                 # even ghost across r=0: u[-1 cell] = u[0] makes both terms equal
-                lap[0] = 2.0 * (u[1] - u[0]) / h2
+                out[:, 0] = 2.0 * (u[:, 1] - u[:, 0]) / h2
             else:
                 # inner edge of a light-cone window: zero left neighbour
-                lap[0] = (u[1] - 2.0 * u[0]) / h2 + u[1] * (self._rinv[0] / (2.0 * self.h))
-            lap[-1] = (-2.0 * u[-1] + u[-2]) / h2 \
-                + (-u[-2]) * (self._rinv[-1] / (2.0 * self.h))
-            return lap
-        lap = np.zeros_like(u)
-        lap[1:-1, 1:-1] = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:]
-                           + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h2
-        return lap
+                out[:, 0] = (u[:, 1] - 2.0 * u[:, 0]) / h2 + u[:, 1] * c[0]
+            out[:, -1] = (-2.0 * u[:, -1] + u[:, -2]) / h2 + (-u[:, -2]) * c[-1]
+            return out
+        # the interior goes through contiguous scratch: strided out= into
+        # out[:, 1:-1, 1:-1] at every operation is slower
+        acc, centre = self._tmp
+        np.add(u[:, 2:, 1:-1], u[:, :-2, 1:-1], out=acc)
+        np.add(acc, u[:, 1:-1, 2:], out=acc)
+        np.add(acc, u[:, 1:-1, :-2], out=acc)
+        np.multiply(4.0, u[:, 1:-1, 1:-1], out=centre)
+        np.subtract(acc, centre, out=acc)
+        np.divide(acc, h2, out=acc)
+        out[:, 1:-1, 1:-1] = acc
+        out[:, 0] = out[:, -1] = out[:, :, 0] = out[:, :, -1] = 0.0   # Dirichlet ring
+        return out
 
     def _gradient4(self, u: np.ndarray):
         """Fourth-order gradient, for the energy functional and the ray amplitude.
@@ -245,8 +290,11 @@ class WaveState:
 
     def dissipation(self) -> float:
         self._require_whole_disk("dissipation integrals")
-        prod = self.dt_u[0] * self.dt_u[1]
-        return self._domain_sum(prod * prod * self.measure)
+        prod = self._padded[:self.hi]     # lo == 0; zeros past hi, which never shrinks
+        np.multiply(self.dt_u[0], self.dt_u[1], out=prod)
+        np.multiply(prod, prod, out=prod)
+        np.multiply(prod, self.measure, out=prod)
+        return float(np.sum(self._padded))
 
     def _domain_sum(self, held: np.ndarray) -> float:
         """Sum over all n cells, zeros past hi: numpy's pairwise grouping
@@ -299,29 +347,35 @@ class WaveState:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
         dt, dt2 = self.dt, self.dt * self.dt
-        top, mid = self.u_next, self.u_curr
+        top, mid, v = self.u_next, self.u_curr, self.dt_u
         # the new level overwrites the oldest one, which no step reads
         new = self._levels[0][:, self.lo:self.hi]
-        lin = np.empty_like(top) if self.nonlinear else new
-        for j in range(2):
-            lin[j] = 2.0 * top[j] - mid[j] + dt2 * self.laplacian(top[j])
+        # (2 top - mid) + dt^2 lap(top): the new level of a free step; a
+        # nonlinear step keeps it in the work buffer and uses new as scratch
+        lin = np.multiply(self.laplacian(top, self._lap), dt2, out=self._lap)
+        np.multiply(2.0, top, out=new)
+        np.subtract(new, mid, out=new)
+        np.add(new, lin, out=lin if self.nonlinear else new)
         if self.nonlinear:
             # predictor: lagged one-sided derivative at the top level
-            v = (top - mid) / dt
+            np.subtract(top, mid, out=v)
+            np.divide(v, dt, out=v)
             for _ in range(3):           # predictor + two corrector passes
-                new[0] = lin[0] - dt2 * (v[1] * v[1]) * v[0]
-                new[1] = lin[1] - dt2 * (v[0] * v[0]) * v[1]
-                v = np.divide(new - mid, 2.0 * dt, out=self.dt_u)
+                # new_j = lin_j - (dt2 * (v_k * v_k)) * v_j, k the other component
+                np.multiply(v[::-1], v[::-1], out=new)
+                np.multiply(dt2, new, out=new)
+                np.multiply(new, v, out=new)
+                np.subtract(lin, new, out=new)
+                np.subtract(new, mid, out=v)
+                np.divide(v, 2.0 * dt, out=v)
         else:
-            np.divide(new - mid, 2.0 * dt, out=self.dt_u)
+            np.subtract(new, mid, out=v)
+            np.divide(v, 2.0 * dt, out=v)
 
-        for j in range(2):
-            s = float(np.sum(new[j]))
-            if not math.isfinite(s):
-                bad = np.argwhere(~np.isfinite(new[j]))
-                bad[:, 0] += self.lo            # a global index, also in a window
-                loc = tuple(bad[0]) if len(bad) else ()
-                raise InstabilityError(self.t + dt, loc)
+        if not np.isfinite(new.sum(axis=1)).all():    # a NaN or inf in a component
+            bad = np.argwhere(~np.isfinite(new))[:, 1:]
+            bad[:, 0] += self.lo                # a global index, also in a window
+            raise InstabilityError(self.t + dt, tuple(bad[0]) if len(bad) else ())
 
         self._levels.append(self._levels.pop(0))
         self.u_prev, self.u_curr, self.u_next = mid, top, new
@@ -371,10 +425,11 @@ class WaveState:
         if (lo, hi) == (self.lo, self.hi):
             return
         self.lo, self.hi = lo, hi
-        self.u_prev, self.u_curr, self.u_next, self.dt_u = (
-            a[:, lo:hi] for a in (*self._levels, self._dt_u))
+        self.u_prev, self.u_curr, self.u_next, self.dt_u, self._lap = (
+            a[:, lo:hi] for a in (*self._levels, self._dt_u, self._work))
         if self.mode == "radial":
-            self.xs, self.measure, self._rinv = self._geometry[:, lo:hi]
+            self.xs, self.measure, self._rcoef = self._geometry[:, lo:hi]
+            self._tmp = self._scratch[:, lo:hi]
 
 
 def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
@@ -407,25 +462,20 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     n = int(math.ceil((data.support_radius + config.T) / h)) + 3
     if config.mode == "radial":
         xs = (np.arange(n) + 0.5) * h
-        pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
     else:
         xs = (np.arange(2 * n + 1) - n) * h
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
+    u0, g0, grad_sq = _initial_fields(data, config.mode, xs)
 
-    iv = initial_values(data, pts)
-    u0 = np.stack([iv["u1"], iv["u2"]])
-    g0 = np.stack([iv["ut1"], iv["ut2"]])
-
+    # the nodes and the data's derivatives are freed by now, so the state's
+    # work buffers do not add to the memory peak of the bump evaluation
     state = WaveState(config.mode, h, dt, xs,
                       u_prev=np.zeros_like(u0), u_curr=u0,
                       u_next=np.zeros_like(u0), dt_u=g0, nonlinear=nonlinear)
     # initial energies from exact nodal derivatives: cell sums of smooth
     # compactly supported integrands converge superalgebraically
     state.initial_energies = tuple(
-        0.5 * float(np.sum((g0[j] ** 2 + np.sum(grad * grad, axis=-1)) * state.measure))
-        for j, grad in enumerate((iv["grad_u1"], iv["grad_u2"])))
-    lap0 = np.stack([state.laplacian(u0[0]), state.laplacian(u0[1])])
+        0.5 * float(np.sum((g0[j] ** 2 + grad_sq[j]) * state.measure)) for j in range(2))
+    lap0 = state.laplacian(u0, state._lap)
     if nonlinear:
         # d_t u at t=0 is exactly eps*g, so the cubic term needs no iteration
         n0 = np.stack([-(g0[1] ** 2) * g0[0], -(g0[0] ** 2) * g0[1]])
@@ -436,6 +486,18 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     if config.mode == "radial":
         state._open_window(cone, _step_count(config.T, dt))
     return state
+
+
+def _initial_fields(data, mode: str, xs: np.ndarray):
+    """u, d_t u and |grad u|^2 of both components at t = 0 on the nodes."""
+    if mode == "radial":
+        pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
+    else:
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        pts = np.stack([X, Y], axis=-1)
+    iv = initial_values(data, pts)
+    return (np.stack([iv["u1"], iv["u2"]]), np.stack([iv["ut1"], iv["ut2"]]),
+            [np.sum(grad * grad, axis=-1) for grad in (iv["grad_u1"], iv["grad_u2"])])
 
 
 def _step_count(T: float, dt: float) -> int:

@@ -168,6 +168,14 @@ def test_exit_one_on_assertion_failure(tmp_path, capsys):
     assert summary["passed"] is False
 
 
+def _sampling_config(name, data_line):
+    """A radial config of scenario name with two unit g-bumps and data_line."""
+    eps = "0.4, 0.3, 0.2" if name == "epsilon-scaling" else "0.2"
+    bumps = "".join(f"\n[bump]\ncomponent = {c}\nkind = g\nradius = 1.0\namplitude = 1.0\n"
+                    for c in (1, 2))
+    return f"[scenario]\nname = {name}\n\n[data]\nepsilon = {eps}\n{data_line}\n{bumps}"
+
+
 @pytest.mark.parametrize("args,out,codes", [
     # check times and cadence follow T, so a short horizon still samples on-grid
     ("free-validation --T 0.1", "o", {0, 1}),
@@ -178,10 +186,26 @@ def test_exit_one_on_assertion_failure(tmp_path, capsys):
     # T/4 is a whole number of default-CFL steps, so cadence / (n0 h) rounds up
     # to 0.45000000000000007, past the Cartesian bound
     ("free-validation --h 0.15 --T 0.27", "o", {0, 1}),
+    # "run NAME: LINE" runs a config file of scenario NAME with LINE in [data]:
+    # an empty or non-finite sampling list, or angles out of order for a
+    # radiation table
+    ("run radiation-decay: theta_samples =", "o", {2}),
+    ("run radiation-decay: theta_samples = 1, 0", "o", {2}),
+    ("run radiation-decay: theta_samples = nan", "o", {2}),
+    ("run epsilon-scaling: sigma_samples =", "o", {2}),
+    ("run epsilon-scaling: theta_samples = 0.5, 0.5", "o", {2}),
+    ("run nondecay-demo: theta_samples = 1, 0", "o", {2}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
-    assert main(["scenario", *args.split(), "--out", str(tmp_path / out)]) in codes
+    if args.startswith("run "):
+        name, line = args[len("run "):].split(": ")
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(_sampling_config(name, line))
+        argv = ["run", "--config", str(cfg_path)]
+    else:
+        argv = ["scenario", *args.split()]
+    assert main([*argv, "--out", str(tmp_path / out)]) in codes
     captured = capsys.readouterr()
     if codes == {2}:
         assert captured.err.startswith("wavelab: ") and captured.err.count("\n") == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
                      field_value, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
+from wavelab.scenarios import default_config
 from wavelab.solver import _stencil
 
 
@@ -257,3 +259,21 @@ def test_energy_trace_csv(tmp_path, radial_data):
     header = path.read_text().splitlines()[0]
     assert header == "t,E1sq,E2sq,diff,sum,dissipation,cum_dissipation"
     assert np.all(trace.E1sq >= 0.0) and np.all(np.isfinite(trace.E1sq))
+
+
+def test_step_allocates_no_field_arrays():
+    """The step writes every intermediate into buffers allocated with the
+    state: 50 nonlinear steps raise the traced memory peak by less than one
+    component row of the held window."""
+    state = init_state(default_config("conservation"), nonlinear=True)
+    while state.hi < 1500:
+        state.step()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            state.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * state.hi

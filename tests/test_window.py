@@ -115,14 +115,31 @@ def _reference_energies(u, dt_u, measure, h):
     return tuple(out)
 
 
-def test_whole_disk_window_steps_like_every_cell(radial_data):
-    """A nonlinear whole-disk run equals, at every step, a reference loop that
-    steps every cell of the domain, until and after its support reaches the
-    wall."""
+def _reference_step(top, mid, lap, dt, nonlinear):
+    """One leapfrog step component by component: (new level, d_t u at top)."""
+    dt2 = dt * dt
+    lin = np.empty_like(top)
+    for j in range(2):
+        lin[j] = 2.0 * top[j] - mid[j] + dt2 * lap(top[j])
+    if not nonlinear:
+        return lin, (lin - mid) / (2.0 * dt)
+    v = (top - mid) / dt
+    new = np.empty_like(top)
+    for _ in range(3):
+        new[0] = lin[0] - dt2 * (v[1] * v[1]) * v[0]
+        new[1] = lin[1] - dt2 * (v[0] * v[0]) * v[1]
+        v = (new - mid) / (2.0 * dt)
+    return new, v
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
+def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
+    """A whole-disk run equals, at every step, a reference loop that steps
+    every cell of the domain, until and after its support reaches the wall."""
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=3.0, h=1.0 / 16.0)
-    state = init_state(cfg, nonlinear=True)
-    h, dt, dt2 = state.h, state.dt, state.dt * state.dt
+    state = init_state(cfg, nonlinear=nonlinear)
+    h, dt = state.h, state.dt
     n = math.ceil((radial_data.support_radius + cfg.T) / h) + 3
     xs = (np.arange(n) + 0.5) * h
     rinv, measure = 1.0 / xs, 2.0 * np.pi * xs * h
@@ -138,16 +155,9 @@ def test_whole_disk_window_steps_like_every_cell(radial_data):
     cum = 0.0
     his = []
     for _ in range(math.ceil(cfg.T / dt)):
-        lin = np.empty_like(top)
-        for j in range(2):
-            lin[j] = 2.0 * top[j] - mid[j] + dt2 * _reference_laplacian(top[j], rinv, h)
-        v = (top - mid) / dt
-        new = np.empty_like(top)
-        for _ in range(3):
-            new[0] = lin[0] - dt2 * (v[1] * v[1]) * v[0]
-            new[1] = lin[1] - dt2 * (v[0] * v[0]) * v[1]
-            v = (new - mid) / (2.0 * dt)
-        mid, top, dt_u = top, new, v
+        new, dt_u = _reference_step(top, mid, lambda u: _reference_laplacian(u, rinv, h),
+                                    dt, nonlinear)
+        mid, top = top, new
         prod = dt_u[0] * dt_u[1]
         D_new = float(np.sum(prod * prod * measure))
         cum += 0.5 * dt * (D + D_new)
@@ -164,6 +174,46 @@ def test_whole_disk_window_steps_like_every_cell(radial_data):
     assert his[0] < n and his[-1] == n          # the support reached the wall
 
 
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
+def test_cartesian_step_equals_component_loop(nonlinear):
+    """A Cartesian run equals, at every step, the 5-point Laplacian and the
+    leapfrog update applied to one component at a time."""
+    data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
+                       g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
+                       f2=(BumpSpec((-0.2, 0.1), 0.7, 0.8),),
+                       g2=(BumpSpec((0.1, -0.25), 0.9, 1.2),), epsilon=1.0)
+    cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
+                         T=1.0, h=1.0 / 16.0)
+    state = init_state(cfg, nonlinear=nonlinear)
+    h2, dt = state.h * state.h, state.dt
+
+    def laplacian(u):
+        lap = np.zeros_like(u)
+        lap[1:-1, 1:-1] = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:]
+                           + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h2
+        return lap
+
+    mid, top = state.u_curr.copy(), state.u_next.copy()
+    prod = state.dt_u[0] * state.dt_u[1]
+    D = float(np.sum(prod * prod * h2))
+    assert state.D == D
+    cum = 0.0
+    for _ in range(math.ceil(cfg.T / dt)):
+        new, dt_u = _reference_step(top, mid, laplacian, dt, nonlinear)
+        mid, top = top, new
+        prod = dt_u[0] * dt_u[1]
+        D_new = float(np.sum(prod * prod * h2))
+        cum += 0.5 * dt * (D + D_new)
+        D = D_new
+
+        state.step()
+        assert np.array_equal(state.u_curr, mid)
+        assert np.array_equal(state.u_next, top)
+        assert np.array_equal(state.dt_u, dt_u)
+        assert state.D == D and state.cum_dissipation == cum
+    assert cum > 0
+
+
 def test_window_ends_at_its_horizon():
     cfg = scaling_rung(1.0)
     state = init_state(cfg, nonlinear=True, cone=0.0)
@@ -178,6 +228,18 @@ def test_instability_location_is_global():
     while state.lo < 10:
         state.step()
     state.u_next[0, 5] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InstabilityError) as err:
+            state.step()
+    assert state.lo + 4 <= err.value.location[0] <= state.lo + 6
+
+
+@pytest.mark.parametrize("value", [-np.inf, np.nan])
+def test_instability_in_second_component(value):
+    state = init_state(scaling_rung(1.0), nonlinear=True, cone=0.5)
+    while state.lo < 10:
+        state.step()
+    state.u_next[1, 5] = value
     with np.errstate(invalid="ignore"):
         with pytest.raises(InstabilityError) as err:
             state.step()
