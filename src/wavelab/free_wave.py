@@ -43,11 +43,6 @@ class FreeFieldPoint:
     ut: tuple[float, float]
     grad: tuple[np.ndarray, np.ndarray]   # spatial gradient per component
 
-    def du(self, component: int) -> np.ndarray:
-        """(d_t u, d_1 u, d_2 u) for one component."""
-        g = self.grad[component - 1]
-        return np.array([self.ut[component - 1], g[0], g[1]])
-
 
 def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
                node_factor: float):

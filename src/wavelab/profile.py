@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .radiation import RadiationTable
 from .solver import WaveState
@@ -225,8 +224,11 @@ def solve_reduced_ode(v10: float, v20: float, t_start: float, t_end: float,
     """Integrate the reduced profile system with the remainder dropped.
 
     Returns (t, V1, V2) arrays.  High-order adaptive integration; raises
-    IntegrationError if the requested tolerance cannot be met.
+    IntegrationError if the requested tolerance cannot be met.  SciPy is
+    imported here, so that importing wavelab does not load it.
     """
+    from scipy.integrate import solve_ivp
+
     if not t_start > 0:
         raise ValueError("t_start must be positive")
     sol = solve_ivp(_reduced_rhs, (t_start, t_end), (v10, v20),

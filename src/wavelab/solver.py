@@ -23,18 +23,40 @@ Point values of level fields come from WaveState.sample, the only code that
 knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
 point and axis and applies it to every field it is given.
 
+The linear part of a step is one folded update per mode,
+
+    lin = A*top - mid + cp*top[i+1] + cm*top[i-1],
+
+which is 2 top - mid + dt^2 Laplace(top) with the grid factors multiplied
+in once.  Radial: cp and cm are per-cell rows dt^2 (1/h^2 +- 1/(2 h r_i)),
+built with the state and windowed like xs, and A = 2 - 2 dt^2/h^2; the
+origin's even ghost is cm[0] = 0 with cp[0] = 2 dt^2/h^2.  Cartesian: k =
+dt^2/h^2 times the 4-neighbour sum, and A = 2 - 4k.  A neighbour outside the
+held cells (a light-cone window's left one, the outer 0.0 or the wall) is
+skipped, not read.  The cubic term's d_t u multiplies by the precomputed
+1/dt and 1/(2 dt): a step divides nothing.  linear_update(top, mid, out) is
+this update; init_state takes the first levels from it too.
+
 A step allocates no field arrays.  It advances both components at once on
 (2, ...) arrays and writes every intermediate with numpy's out= into
 buffers allocated once per state: the three levels and dt_u, a work buffer
-that holds the Laplacian, then dt^2 times it, then the linear part of a
-nonlinear update, the Laplacian's scratch (contiguous interior arrays in
-Cartesian mode), and one component's dissipation integrand.  The oldest
-level's buffer receives the new level; during a nonlinear step it first
-serves as scratch for the cubic term.  laplacian(u, out) writes the stacked
-Laplacian of u into out; init_state uses it for the first level too.
-Every operation keeps the order of the one-component formula,
-so results are bit-identical to stepping the components one by one.  The
+for the linear part of a nonlinear update, the neighbour terms' scratch
+(contiguous interior arrays in Cartesian mode), and one component's
+dissipation integrand.  The oldest level's buffer receives the new level;
+during a nonlinear step it first serves as scratch for the cubic term.
+Both components go through the same operations in the same order, so
+results are bit-identical to stepping the components one by one.  The
 arrays a sampler sees are these buffers: it must copy what it keeps.
+
+The numerical precursor ahead of a radial front decays through the
+subnormal range, where arithmetic is slow, before it underflows.  So a
+radial step zeroes the values of its new level below TINY, the smallest
+normal float, in the FLUSH_CELLS global cells just below hi, before it
+tests hi for growth.  That band holds each component's support edge, where
+such values form (nondecay-demo's two edges lie 0.5 length units apart, 64
+cells at h = 1/128), so no held level value of a default run is subnormal.  The flushed
+values are below 2.2e-308, but the rounding flips they cause cascade inward
+from the front and move reported values in their last digits.
 
 Radial windows.  Every radial state keeps its levels in buffers allocated
 once for the whole domain and advances only the global cells [lo, hi);
@@ -104,6 +126,11 @@ TRACE_DT = 0.25
 # one level ahead (d_t u); floor and rounding of the foot point take up to
 # three more
 CONE_REACH = 8
+
+# a radial step zeroes the values below TINY, the smallest normal float, in
+# the FLUSH_CELLS global cells just below hi (see the module docstring)
+TINY = np.finfo(float).tiny
+FLUSH_CELLS = 128
 
 
 class InstabilityError(RuntimeError):
@@ -179,19 +206,27 @@ class WaveState:
         self.cone = None
         self._levels, self._dt_u = [u_prev, u_curr, u_next], dt_u
         self._n = len(xs)
-        # work buffers (see the module docstring): the Laplacian, windowed
-        # like the levels; its scratch, windowed too (radial) or the interior's
-        # neighbour sum and centre term (Cartesian); one component's
-        # dissipation integrand over the whole domain
+        # the folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1]
+        # (see the module docstring) and the reciprocals of the time step
+        dt2 = self.dt * self.dt
+        k = dt2 / (self.h * self.h)
+        self._inv_dt, self._inv_2dt = 1.0 / self.dt, 0.5 / self.dt
+        # work buffers: the linear part of a nonlinear update, windowed like
+        # the levels; the neighbour terms' scratch, windowed too (radial) or
+        # the interior's neighbour sum and centre term (Cartesian); one
+        # component's dissipation integrand over the whole domain
         self._work = np.zeros_like(u_curr)
         self._padded = np.zeros(u_curr.shape[1:])
         if self.mode == "radial":
-            # r_i, the cell measure 2 pi r_i h, and 1 / (2 h r_i) of the
-            # centred first difference
-            self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h,
-                                       (1.0 / xs) / (2.0 * self.h)])
+            self._A = 2.0 - 2.0 * k
+            c = dt2 / (2.0 * self.h * xs)        # dt^2 / (2 h r_i)
+            cp, cm = k + c, k - c
+            cp[0], cm[0] = 2.0 * k, 0.0           # even ghost across r = 0
+            # r_i, the cell measure 2 pi r_i h, and the neighbour coefficients
+            self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h, cp, cm])
             self._scratch = np.zeros_like(u_curr)
         else:
+            self._A, self._k = 2.0 - 4.0 * k, k
             self.xs, self.measure = xs, self.h * self.h
             self._tmp = np.zeros((2, 2, self._n - 2, self._n - 2))
         self._lo_last, self._steps_left = 0, math.inf   # a whole-disk window never closes
@@ -201,43 +236,39 @@ class WaveState:
 
     # -- spatial operators -------------------------------------------------
 
-    def laplacian(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Discrete Laplacian of both components of u, written into out.
+    def linear_update(self, top: np.ndarray, mid: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        """A*top - mid + dt^2 (neighbour terms) of both components, into out.
 
-        u and out are (2, ...) arrays on the held window; out must not share
-        memory with u.  Each term keeps the order of the one-component
-        formula, so both components come out as if computed one by one.
+        This is 2 top - mid + dt^2 Laplace(top), the new level of a free
+        step.  top, mid and out are (2, ...) arrays on the held window; out
+        must not share memory with top or mid.  Radial cells add
+        cp*top[i+1] + cm*top[i-1] in that order; the window's first cell
+        skips its left neighbour (cm[0] = 0 at the origin, a light-cone
+        window's zero neighbour past lo) and its last cell its right one (0.0
+        past hi and at the wall).  Cartesian nodes add k times the sum of
+        their four neighbours; the Dirichlet ring of out is left as it is.
         """
-        h2 = self.h * self.h
+        A = self._A
         if self.mode == "radial":
-            # (u[2:] - 2 u[1:-1] + u[:-2]) / h^2 + (u[2:] - u[:-2]) * rinv / (2h)
-            inner, diff, c = out[:, 1:-1], self._tmp[:, 1:-1], self._rcoef
-            np.multiply(2.0, u[:, 1:-1], out=inner)
-            np.subtract(u[:, 2:], inner, out=inner)
-            np.add(inner, u[:, :-2], out=inner)
-            np.divide(inner, h2, out=inner)
-            np.subtract(u[:, 2:], u[:, :-2], out=diff)
-            np.multiply(diff, c[1:-1], out=diff)
-            np.add(inner, diff, out=inner)
-            if self.lo == 0:
-                # even ghost across r=0: u[-1 cell] = u[0] makes both terms equal
-                out[:, 0] = 2.0 * (u[:, 1] - u[:, 0]) / h2
-            else:
-                # inner edge of a light-cone window: zero left neighbour
-                out[:, 0] = (u[:, 1] - 2.0 * u[:, 0]) / h2 + u[:, 1] * c[0]
-            out[:, -1] = (-2.0 * u[:, -1] + u[:, -2]) / h2 + (-u[:, -2]) * c[-1]
+            t = self._tmp
+            np.multiply(A, top, out=out)
+            np.subtract(out, mid, out=out)
+            np.multiply(self._cp[:-1], top[:, 1:], out=t[:, :-1])
+            np.add(out[:, :-1], t[:, :-1], out=out[:, :-1])
+            np.multiply(self._cm[1:], top[:, :-1], out=t[:, 1:])
+            np.add(out[:, 1:], t[:, 1:], out=out[:, 1:])
             return out
         # the interior goes through contiguous scratch: strided out= into
         # out[:, 1:-1, 1:-1] at every operation is slower
         acc, centre = self._tmp
-        np.add(u[:, 2:, 1:-1], u[:, :-2, 1:-1], out=acc)
-        np.add(acc, u[:, 1:-1, 2:], out=acc)
-        np.add(acc, u[:, 1:-1, :-2], out=acc)
-        np.multiply(4.0, u[:, 1:-1, 1:-1], out=centre)
-        np.subtract(acc, centre, out=acc)
-        np.divide(acc, h2, out=acc)
-        out[:, 1:-1, 1:-1] = acc
-        out[:, 0] = out[:, -1] = out[:, :, 0] = out[:, :, -1] = 0.0   # Dirichlet ring
+        np.add(top[:, 2:, 1:-1], top[:, :-2, 1:-1], out=acc)
+        np.add(acc, top[:, 1:-1, 2:], out=acc)
+        np.add(acc, top[:, 1:-1, :-2], out=acc)
+        np.multiply(self._k, acc, out=acc)
+        np.multiply(A, top[:, 1:-1, 1:-1], out=centre)
+        np.subtract(centre, mid[:, 1:-1, 1:-1], out=centre)
+        np.add(centre, acc, out=out[:, 1:-1, 1:-1])
         return out
 
     def _gradient4(self, u: np.ndarray):
@@ -350,27 +381,29 @@ class WaveState:
         top, mid, v = self.u_next, self.u_curr, self.dt_u
         # the new level overwrites the oldest one, which no step reads
         new = self._levels[0][:, self.lo:self.hi]
-        # (2 top - mid) + dt^2 lap(top): the new level of a free step; a
-        # nonlinear step keeps it in the work buffer and uses new as scratch
-        lin = np.multiply(self.laplacian(top, self._lap), dt2, out=self._lap)
-        np.multiply(2.0, top, out=new)
-        np.subtract(new, mid, out=new)
-        np.add(new, lin, out=lin if self.nonlinear else new)
         if self.nonlinear:
+            # the linear part goes to the work buffer; new serves as scratch
+            lin = self.linear_update(top, mid, self._lin)
             # predictor: lagged one-sided derivative at the top level
             np.subtract(top, mid, out=v)
-            np.divide(v, dt, out=v)
-            for _ in range(3):           # predictor + two corrector passes
+            np.multiply(v, self._inv_dt, out=v)
+            for i in range(3):           # predictor + two corrector passes
+                if i:                    # centred derivative of the last pass
+                    np.subtract(new, mid, out=v)
+                    np.multiply(v, self._inv_2dt, out=v)
                 # new_j = lin_j - (dt2 * (v_k * v_k)) * v_j, k the other component
                 np.multiply(v[::-1], v[::-1], out=new)
                 np.multiply(dt2, new, out=new)
                 np.multiply(new, v, out=new)
                 np.subtract(lin, new, out=new)
-                np.subtract(new, mid, out=v)
-                np.divide(v, 2.0 * dt, out=v)
         else:
-            np.subtract(new, mid, out=v)
-            np.divide(v, 2.0 * dt, out=v)
+            self.linear_update(top, mid, new)
+        if self.mode == "radial":
+            # the precursor's subnormal tail: zeroed where it forms, below hi
+            band = new[:, max(self.hi - FLUSH_CELLS - self.lo, 0):]
+            band[np.abs(band) < TINY] = 0.0
+        np.subtract(new, mid, out=v)
+        np.multiply(v, self._inv_2dt, out=v)
 
         if not np.isfinite(new.sum(axis=1)).all():    # a NaN or inf in a component
             bad = np.argwhere(~np.isfinite(new))[:, 1:]
@@ -425,10 +458,10 @@ class WaveState:
         if (lo, hi) == (self.lo, self.hi):
             return
         self.lo, self.hi = lo, hi
-        self.u_prev, self.u_curr, self.u_next, self.dt_u, self._lap = (
+        self.u_prev, self.u_curr, self.u_next, self.dt_u, self._lin = (
             a[:, lo:hi] for a in (*self._levels, self._dt_u, self._work))
         if self.mode == "radial":
-            self.xs, self.measure, self._rcoef = self._geometry[:, lo:hi]
+            self.xs, self.measure, self._cp, self._cm = self._geometry[:, lo:hi]
             self._tmp = self._scratch[:, lo:hi]
 
 
@@ -436,8 +469,12 @@ def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
     """4-node Lagrange stencil for fractional index p on a grid of size n."""
     k0 = min(max(int(math.floor(p)) - 1, 0), n - 4)
     x = p - k0
-    w = np.array([math.prod((x - j) / (i - j) for j in range(4) if j != i)
-                  for i in range(4)])
+    x1, x2, x3 = x - 1, x - 2, x - 3
+    # prod_{j != i} (x - j) / (i - j), multiplied left to right
+    w = np.array([x1 / -1 * (x2 / -2) * (x3 / -3),
+                  x / 1 * (x2 / -1) * (x3 / -2),
+                  x / 2 * (x1 / 1) * (x3 / -1),
+                  x / 3 * (x1 / 2) * (x2 / 1)])
     return k0, w
 
 
@@ -475,14 +512,14 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     # compactly supported integrands converge superalgebraically
     state.initial_energies = tuple(
         0.5 * float(np.sum((g0[j] ** 2 + grad_sq[j]) * state.measure)) for j in range(2))
-    lap0 = state.laplacian(u0, state._lap)
+    # 2 u0 + dt^2 Laplace(u0), with u_prev still 0.0 as the middle level
+    base = 0.5 * state.linear_update(u0, state.u_prev, state._lin)
     if nonlinear:
         # d_t u at t=0 is exactly eps*g, so the cubic term needs no iteration
         n0 = np.stack([-(g0[1] ** 2) * g0[0], -(g0[0] ** 2) * g0[1]])
-        lap0 = lap0 + n0
-    half = 0.5 * dt * dt
-    state.u_prev[:] = u0 - dt * g0 + half * lap0
-    state.u_next[:] = u0 + dt * g0 + half * lap0
+        base += (0.5 * dt * dt) * n0
+    state.u_prev[:] = base - dt * g0
+    state.u_next[:] = base + dt * g0
     if config.mode == "radial":
         state._open_window(cone, _step_count(config.T, dt))
     return state

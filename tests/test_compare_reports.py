@@ -42,3 +42,22 @@ def test_empty_trees(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     assert _run(tmp_path / "a", tmp_path / "b") == 1
+
+
+def test_difference_names_largest_relative_change(tmp_path):
+    a = _tree(tmp_path / "a", 1.0, csv=b"t,u,v\n0,1.0,2.0\n1,4.0,8.0\n")
+    b = _tree(tmp_path / "b", 2.0, csv=b"t,u,v\n0,1.0,2.0000002\n1,4.0,8.000004\n")
+    summary = json.loads((b / "demo" / "summary.json").read_text())
+    summary["assertions"] = [{"name": "floor", "value": 3.0}]
+    (b / "demo" / "summary.json").write_text(json.dumps(summary))
+    summary["assertions"][0]["value"] = 3.0 * (1.0 + 3e-9)
+    (a / "demo" / "summary.json").write_text(json.dumps(summary))
+    done = subprocess.run([sys.executable, str(TOOL), str(a), str(b)],
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert lines == [
+        "differs: demo/summary.json (max relative difference 3e-09 in key "
+        "assertions[floor].value)",
+        "differs: demo/trace.csv (max relative difference 5e-07 in column v)",
+    ]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,18 @@ def test_profile_invariant_values():
     assert profile_invariant(0.0, 0.0) == 0.0
     assert profile_invariant(3.0, 2.0) == 5.0
     np.testing.assert_allclose(profile_invariant([1.0, 2.0], [0.0, 1.0]), [1.0, 3.0])
+
+
+def test_import_does_not_load_scipy():
+    """Only the reduced ODE needs SciPy, and it imports it on its first call."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, wavelab, wavelab.scenarios; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_reduced_ode_rejects_bad_start():

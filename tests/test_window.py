@@ -2,15 +2,17 @@
 only the cells its rays see."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig, field_value,
-                     init_state, run_simulation)
+from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig, WaveState,
+                     field_value, init_state, run_simulation)
 from wavelab.profile import RayTraceCollector
-from wavelab.solver import CONE_REACH
+from wavelab.scenarios import default_config
+from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY
 
 H = 1.0 / 32.0
 
@@ -115,49 +117,77 @@ def _reference_energies(u, dt_u, measure, h):
     return tuple(out)
 
 
-def _reference_step(top, mid, lap, dt, nonlinear):
-    """One leapfrog step component by component: (new level, d_t u at top)."""
+def _radial_coefficients(xs, h, dt):
+    """A, cp and cm of the folded radial update, built as the solver builds them."""
+    k = dt * dt / (h * h)
+    c = dt * dt / (2.0 * h * xs)
+    cp, cm = k + c, k - c
+    cp[0], cm[0] = 2.0 * k, 0.0
+    return 2.0 - 2.0 * k, cp, cm
+
+
+def _reference_step(top, mid, fold, dt, nonlinear, flush):
+    """One leapfrog step component by component: (new level, d_t u at top).
+
+    fold(u, m) is one component's linear update A*u - m + dt^2 (neighbour
+    terms); flush(new) zeroes the subnormal values of the new level."""
     dt2 = dt * dt
     lin = np.empty_like(top)
     for j in range(2):
-        lin[j] = 2.0 * top[j] - mid[j] + dt2 * lap(top[j])
-    if not nonlinear:
-        return lin, (lin - mid) / (2.0 * dt)
-    v = (top - mid) / dt
-    new = np.empty_like(top)
-    for _ in range(3):
-        new[0] = lin[0] - dt2 * (v[1] * v[1]) * v[0]
-        new[1] = lin[1] - dt2 * (v[0] * v[0]) * v[1]
-        v = (new - mid) / (2.0 * dt)
-    return new, v
+        lin[j] = fold(top[j], mid[j])
+    new = lin
+    if nonlinear:
+        v = (top - mid) * (1.0 / dt)
+        new = np.empty_like(top)
+        for i in range(3):
+            if i:
+                v = (new - mid) * (0.5 / dt)
+            new[0] = lin[0] - dt2 * (v[1] * v[1]) * v[0]
+            new[1] = lin[1] - dt2 * (v[0] * v[0]) * v[1]
+    flush(new)
+    return new, (new - mid) * (0.5 / dt)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
 def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     """A whole-disk run equals, at every step, a reference loop that steps
-    every cell of the domain, until and after its support reaches the wall."""
+    every cell of the domain, until and after its support reaches the wall.
+    The reference keeps its own outer edge hi by the window's rule and
+    flushes the same band below it."""
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=3.0, h=1.0 / 16.0)
     state = init_state(cfg, nonlinear=nonlinear)
     h, dt = state.h, state.dt
     n = math.ceil((radial_data.support_radius + cfg.T) / h) + 3
     xs = (np.arange(n) + 0.5) * h
-    rinv, measure = 1.0 / xs, 2.0 * np.pi * xs * h
+    measure = 2.0 * np.pi * xs * h
+    A, cp, cm = _radial_coefficients(xs, h, dt)
+
+    def fold(u, m):
+        ext = np.concatenate([u[:1], u, [0.0]])      # even ghost, Dirichlet wall
+        return (A * u - m + cp * ext[2:]) + cm * ext[:-2]
+
+    def flush(new):
+        for j in range(2):
+            band = new[j, max(hi - FLUSH_CELLS, 0):hi]
+            band[np.abs(band) < TINY] = 0.0
 
     def padded(a):
         full = np.zeros((2, n))
         full[:, :state.hi] = a
         return full
 
+    hi = state.hi
     mid, top, dt_u = padded(state.u_curr), padded(state.u_next), padded(state.dt_u)
     prod = dt_u[0] * dt_u[1]
     D = float(np.sum(prod * prod * measure))
     cum = 0.0
     his = []
     for _ in range(math.ceil(cfg.T / dt)):
-        new, dt_u = _reference_step(top, mid, lambda u: _reference_laplacian(u, rinv, h),
-                                    dt, nonlinear)
+        new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush)
         mid, top = top, new
+        if hi < n and (top[:, hi - 2:hi].any() or mid[:, hi - 2:hi].any()):
+            hi += 1
         prod = dt_u[0] * dt_u[1]
         D_new = float(np.sum(prod * prod * measure))
         cum += 0.5 * dt * (D + D_new)
@@ -165,7 +195,7 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
 
         state.step()
         his.append(state.hi)
-        assert state.lo == 0
+        assert state.lo == 0 and state.hi == hi
         assert np.array_equal(padded(state.u_curr), mid)
         assert np.array_equal(padded(state.u_next), top)
         assert np.array_equal(padded(state.dt_u), dt_u)
@@ -176,8 +206,8 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
 
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
 def test_cartesian_step_equals_component_loop(nonlinear):
-    """A Cartesian run equals, at every step, the 5-point Laplacian and the
-    leapfrog update applied to one component at a time."""
+    """A Cartesian run equals, at every step, the folded 5-point update
+    applied to one component at a time (Cartesian steps do not flush)."""
     data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
                        g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
                        f2=(BumpSpec((-0.2, 0.1), 0.7, 0.8),),
@@ -186,12 +216,14 @@ def test_cartesian_step_equals_component_loop(nonlinear):
                          T=1.0, h=1.0 / 16.0)
     state = init_state(cfg, nonlinear=nonlinear)
     h2, dt = state.h * state.h, state.dt
+    k = dt * dt / h2
+    A = 2.0 - 4.0 * k
 
-    def laplacian(u):
-        lap = np.zeros_like(u)
-        lap[1:-1, 1:-1] = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:]
-                           + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h2
-        return lap
+    def fold(u, m):
+        lin = np.zeros_like(u)          # the Dirichlet ring stays 0.0
+        lin[1:-1, 1:-1] = (A * u[1:-1, 1:-1] - m[1:-1, 1:-1]) + k * (
+            u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2])
+        return lin
 
     mid, top = state.u_curr.copy(), state.u_next.copy()
     prod = state.dt_u[0] * state.dt_u[1]
@@ -199,7 +231,7 @@ def test_cartesian_step_equals_component_loop(nonlinear):
     assert state.D == D
     cum = 0.0
     for _ in range(math.ceil(cfg.T / dt)):
-        new, dt_u = _reference_step(top, mid, laplacian, dt, nonlinear)
+        new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush=lambda new: None)
         mid, top = top, new
         prod = dt_u[0] * dt_u[1]
         D_new = float(np.sum(prod * prod * h2))
@@ -212,6 +244,83 @@ def test_cartesian_step_equals_component_loop(nonlinear):
         assert np.array_equal(state.dt_u, dt_u)
         assert state.D == D and state.cum_dissipation == cum
     assert cum > 0
+
+
+def _smooth_levels(state):
+    """Smooth top and mid levels on the held window of a radial state."""
+    r = state.xs
+    top = np.stack([np.cos(1.3 * r) * np.exp(-0.1 * r), np.sin(0.7 * r + 0.2)])
+    return top, 0.5 * top[::-1]
+
+
+def _operator_state(radial_data, case):
+    """A radial state whose window starts at the origin, starts past it (a
+    light-cone window), or ends at the wall."""
+    cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
+                         T=3.0, h=1.0 / 16.0)
+    if case == "origin":
+        state = init_state(cfg, nonlinear=False)
+        assert state.lo == 0 and state.hi < state._n
+    elif case == "cone":
+        state = init_state(cfg, nonlinear=False, cone=0.5)
+        while state.lo == 0:
+            state.step()
+    else:
+        xs = (np.arange(40) + 0.5) * cfg.h
+        zeros = np.zeros((2, len(xs)))
+        state = WaveState("radial", cfg.h, cfg.cfl * cfg.h, xs, zeros, zeros.copy(),
+                          zeros.copy(), zeros.copy(), nonlinear=False)
+        assert state.lo == 0 and state.hi == state._n
+    return state
+
+
+@pytest.mark.parametrize("case", ["origin", "cone", "wall"])
+def test_linear_update_is_the_reference_laplacian(radial_data, case):
+    """(lin - 2 u + mid) / dt^2 of the folded update is the radial Laplacian
+    over every cell, with the window's missing neighbours read as 0.0 (the
+    even ghost at the origin)."""
+    state = _operator_state(radial_data, case)
+    top, mid = _smooth_levels(state)
+    lin = state.linear_update(top, mid, np.empty_like(top))
+    lap = (lin - 2.0 * top + mid) / state.dt ** 2
+
+    # the held window embedded in the whole domain, zeros outside it
+    n = state._n
+    full = np.zeros((2, n))
+    full[:, state.lo:state.hi] = top
+    xs = (np.arange(n) + 0.5) * state.h
+    ref = np.stack([_reference_laplacian(full[j], 1.0 / xs, state.h) for j in range(2)])
+    ref = ref[:, state.lo:state.hi]
+    assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _smoke_radial_configs():
+    for name in ("conservation", "symmetric-decay", "nondecay-demo", "epsilon-scaling"):
+        cfg = default_config(name)
+        if name == "epsilon-scaling":
+            cfg = replace(cfg, data=replace(cfg.data, epsilon=0.6), T=4.0 / 0.6)
+        yield pytest.param(replace(cfg, T=min(cfg.T, 8.0), h=1.0 / 64.0), id=name)
+
+
+def _subnormal(a):
+    return int(np.count_nonzero((a != 0.0) & (np.abs(a) < TINY)))
+
+
+@pytest.mark.parametrize("cone", [None, 0.0], ids=["whole-disk", "cone"])
+@pytest.mark.parametrize("cfg", list(_smoke_radial_configs()))
+def test_no_subnormal_held_values(cfg, cone):
+    """After every step no held cell of the three levels is subnormal, and the
+    window keeps its invariant: the last two held cells are 0.0 at the levels
+    the next step reads, or hi is the domain."""
+    state = init_state(cfg, nonlinear=True, cone=cone)
+    n_domain = state._n
+    for _ in range(math.ceil(cfg.T / state.dt)):
+        hi = state.hi
+        state.step()
+        assert all(_subnormal(a) == 0 for a in (state.u_prev, state.u_curr, state.u_next))
+        edge_zero = not (state.u_next[:, -2:].any() or state.u_curr[:, -2:].any())
+        assert edge_zero or state.hi == n_domain
+        assert 0 <= state.hi - hi <= 1
 
 
 def test_window_ends_at_its_horizon():

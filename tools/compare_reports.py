@@ -6,13 +6,16 @@ A and B are output roots holding one directory per scenario (or a single
 scenario directory each).  Every CSV must be byte-identical, and every
 summary.json must match once its "runtimes" block is dropped.  A report
 present in only one tree counts as a difference.  Prints one line per
-difference; exits 1 if there is any (or if neither tree holds a report),
-0 otherwise.
+difference, with the largest relative difference of a report's numbers and
+the CSV column or summary key where it occurs; exits 1 if there is any (or
+if neither tree holds a report), 0 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,11 +25,75 @@ def _reports(root: Path) -> set[Path]:
             if p.suffix == ".csv" or p.name == "summary.json"}
 
 
-def _summary(path: Path) -> str:
+def _summary_data(path: Path) -> dict:
     data = json.loads(path.read_text(encoding="utf-8"))
     data.pop("runtimes", None)
+    return data
+
+
+def _summary(path: Path) -> str:
     # canonical text, so NaN compares equal to NaN
-    return json.dumps(data, sort_keys=True)
+    return json.dumps(_summary_data(path), sort_keys=True)
+
+
+def _json_leaves(obj, key: str = ""):
+    """(key, value) of every scalar in obj; list items are keyed by their
+    "name" entry when they have one (the assertions), else by position."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _json_leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            label = v.get("name", i) if isinstance(v, dict) else i
+            yield from _json_leaves(v, f"{key}[{label}]")
+    else:
+        yield key, obj
+
+
+def _csv_cells(path: Path):
+    """(column, text) of every cell of a CSV report, row by row."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0] if rows else []
+    for row in rows[1:]:
+        yield from zip(header, row, strict=True)
+
+
+def _relative(x, y) -> float:
+    """|x - y| / max(|x|, |y|) of two numbers, 0 if they are equal (NaN
+    too), inf if either is no number or only one is NaN."""
+    try:
+        x, y = float(x), float(y)
+    except (TypeError, ValueError):
+        return 0.0 if x == y else math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    diff = abs(x - y) / max(abs(x), abs(y))
+    return math.inf if math.isnan(diff) else diff
+
+
+def largest_difference(a: Path, b: Path) -> str:
+    """Where the reports a and b differ most, as text for a "differs" line."""
+    try:
+        if a.name == "summary.json":
+            pairs = zip(_json_leaves(_summary_data(a)), _json_leaves(_summary_data(b)),
+                        strict=True)
+            where = "key"
+        else:
+            pairs = zip(_csv_cells(a), _csv_cells(b), strict=True)
+            where = "column"
+        worst, at = 0.0, None
+        for (ka, va), (kb, vb) in pairs:
+            if ka != kb:
+                return "different layout"
+            rel = _relative(va, vb)
+            if rel > worst:
+                worst, at = rel, ka
+    except ValueError:          # zip(strict=True): a different number of entries
+        return "different layout"
+    if at is None:
+        return "same numbers, different text"
+    return f"max relative difference {worst:.3g} in {where} {at}"
 
 
 def compare(a: Path, b: Path) -> list[str]:
@@ -41,7 +108,7 @@ def compare(a: Path, b: Path) -> list[str]:
         else:
             same = (a / rel).read_bytes() == (b / rel).read_bytes()
         if not same:
-            diffs.append(f"differs: {rel}")
+            diffs.append(f"differs: {rel} ({largest_difference(a / rel, b / rel)})")
     return diffs
 
 
