@@ -13,7 +13,7 @@ sigma-derivatives of the radiation fields of the data.
 
 from .bumps import BumpSpec, InitialData, eval_bump, eval_sum, initial_values
 from .config import (ConfigParseError, ConfigValidationError, ScenarioConfig,
-                     load_scenario, parse_scenario)
+                     parse_scenario)
 from .fitting import PowerLawFit, fit_power_law
 from .free_wave import FreeFieldPoint, free_field
 from .profile import (MEstimate, ProfileTrace, RayTraceCollector,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BumpSpec", "InitialData", "eval_bump", "eval_sum", "initial_values",
-    "ScenarioConfig", "parse_scenario", "load_scenario",
+    "ScenarioConfig", "parse_scenario",
     "ConfigParseError", "ConfigValidationError",
     "PowerLawFit", "fit_power_law",
     "FreeFieldPoint", "free_field",

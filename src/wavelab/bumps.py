@@ -212,20 +212,16 @@ class InitialData:
         return replace(self, epsilon=eps)
 
 
-def initial_values(data: InitialData, x) -> dict:
-    """Initial field values at points x: u_j, grad u_j and d_t u_j at t = 0.
+def initial_values(data: InitialData, x):
+    """Both components' u, d_t u and grad u at t = 0 at the points x.
 
-    Everything is linear in eps: u_j = eps f_j(x), grad u_j = eps grad f_j(x),
-    d_t u_j = eps g_j(x).
+    Returns (u, ut, grad) of shapes (2, ...), (2, ...) and (2, ..., 2), where
+    ... is the shape of x without its last axis and axis 0 is the component.
+    Everything is linear in eps: u_j = eps f_j(x), d_t u_j = eps g_j(x),
+    grad u_j = eps grad f_j(x).
     """
     x = np.asarray(x, dtype=float)
     eps = data.epsilon
-    out = {}
-    for j in (1, 2):
-        f = data.position_data(j)
-        g = data.velocity_data(j)
-        val, grad, _ = sum_value_grad_hess(f, x)
-        out[f"u{j}"] = eps * val
-        out[f"grad_u{j}"] = eps * grad
-        out[f"ut{j}"] = eps * eval_sum(g, x)
-    return out
+    u, grad = zip(*(sum_value_grad_hess(f, x)[:2] for f in (data.f1, data.f2)))
+    ut = [eval_sum(g, x) for g in (data.g1, data.g2)]
+    return eps * np.stack(u), eps * np.stack(ut), eps * np.stack(grad)

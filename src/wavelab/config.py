@@ -45,7 +45,6 @@ __all__ = [
     "ConfigParseError",
     "ConfigValidationError",
     "parse_scenario",
-    "load_scenario",
     "set_keys",
     "DEFAULT_CFL",
     "DEFAULT_POINTS_PER_RADIUS",
@@ -127,18 +126,23 @@ class ScenarioConfig:
         if self.mode not in CFL_LIMITS:
             raise ConfigValidationError(
                 "mode", f"must be one of {tuple(CFL_LIMITS)}, got {self.mode!r}")
+        for bump in self.data.all_bumps():
+            for field_name in ("center", "radius", "amplitude"):
+                value = getattr(bump, field_name)
+                if not np.all(np.isfinite(value)):
+                    raise ConfigValidationError(field_name, f"must be finite, got {value}")
         self._derive("eps_list", lambda: (self.data.epsilon,), tuple)
         if not self.eps_list:
             raise ConfigValidationError("epsilon", "empty epsilon list")
         for e in self.eps_list:
-            if not e > 0:
-                raise ConfigValidationError("epsilon", f"must be positive, got {e}")
+            if not 0 < e < math.inf:
+                raise ConfigValidationError("epsilon", f"must be positive and finite, got {e}")
         self._derive("h", lambda: self.data.support_radius / DEFAULT_POINTS_PER_RADIUS)
-        if not self.h > 0:
-            raise ConfigValidationError("h", f"must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ConfigValidationError("h", f"must be positive and finite, got {self.h}")
         self._derive("T", lambda: 4.0 / min(self.eps_list))
-        if not self.T > 0:
-            raise ConfigValidationError("T", f"must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ConfigValidationError("T", f"must be positive and finite, got {self.T}")
         if not 0 < self.cfl <= CFL_LIMITS[self.mode]:
             raise ConfigValidationError("cfl", f"out of stable range for {self.mode}: {self.cfl}")
         if self.mode == "radial" and not self.data.is_centered():
@@ -290,8 +294,3 @@ def parse_scenario(text: str) -> ScenarioConfig:
         name=name, data=data, mode=mode, h=h, cfl=cfl, T=T,
         sigma_samples=tuple(sigma), theta_samples=theta,
         eps_list=tuple(eps_list) if len(eps_list) > 1 else None, out_dir=out_dir)
-
-
-def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())

@@ -143,10 +143,8 @@ def free_field(data: InitialData, t: float, x, node_factor: float = 1.0
     if t < 0:
         raise ValueError("free_field requires t >= 0")
     if t == 0.0:
-        iv = initial_values(data, x)
-        return FreeFieldPoint(u=(float(iv["u1"]), float(iv["u2"])),
-                              ut=(float(iv["ut1"]), float(iv["ut2"])),
-                              grad=(iv["grad_u1"], iv["grad_u2"]))
+        u, ut, grad = initial_values(data, x)
+        return FreeFieldPoint(u=tuple(u.tolist()), ut=tuple(ut.tolist()), grad=tuple(grad))
     r0 = data.support_radius
     if np.hypot(x[0], x[1]) > r0 + t:
         z = np.zeros(2)

@@ -25,8 +25,10 @@ basis of the corrected invariant estimate.
 V_j and H_j are measured in one place: RayTraceCollector, a run_simulation
 sampler, builds the level's arrays once per sample time and reads them at
 each foot point through WaveState.sample, which builds one 4-point Lagrange
-(cubic) stencil per point and applies it to every sampled field.  A single
-point x with |x| >= h is the foot point of sigma = |x| - t at
+(cubic) stencil per point and applies it to every sampled field.  Every
+sampled field holds both components on axis 0, as the solver's levels do,
+so each operator (gradient, rotation, stencil) runs once for both.  A
+single point x with |x| >= h is the foot point of sigma = |x| - t at
 theta = atan2(x2, x1).  field_value interpolates u alone; traces interpolate
 linearly in time between stored samples.
 """
@@ -65,20 +67,16 @@ def _level_fields(state: WaveState, with_rotation: bool) -> list[np.ndarray]:
     """The (2, *grid) arrays a ray sample reads from the diagnosed level.
 
     [u, d_t u, d_r u] in radial mode; [u, d_t u, d_1 u, d_2 u] in Cartesian
-    mode, plus Omega^2 u when with_rotation.  Gradients use the solver's
-    fourth-order stencils: the ray amplitude multiplies d_r u by r^{1/2}, so
+    mode, plus Omega^2 u when with_rotation, from one rotation, gradient,
+    rotation chain.  Gradients use the solver's fourth-order stencils, one
+    call for both components: the ray amplitude multiplies d_r u by r^{1/2}, so
     at large foot-point radii a second-order gradient error would dominate
     every profile measurement.
     """
-    u = state.u_curr
-    grads = [state._gradient4(u[j]) for j in range(2)]
-    if state.mode == "radial":
-        return [u, state.dt_u, np.stack(grads)]
-    fields = [u, state.dt_u, np.stack([g[0] for g in grads]),
-              np.stack([g[1] for g in grads])]
-    if with_rotation:
-        fields.append(np.stack([state.rotation(state._gradient4(state.rotation(g)))
-                                for g in grads]))
+    grads = state._gradient4(state.u_curr)
+    fields = [state.u_curr, state.dt_u, *grads]
+    if with_rotation and state.mode != "radial":
+        fields.append(state.rotation(state._gradient4(state.rotation(grads))))
     return fields
 
 
@@ -220,7 +218,7 @@ def _reduced_rhs(t, y):
 
 
 def solve_reduced_ode(v10: float, v20: float, t_start: float, t_end: float,
-                      t_eval=None, rtol: float = 1e-10):
+                      t_eval=None):
     """Integrate the reduced profile system with the remainder dropped.
 
     Returns (t, V1, V2) arrays.  High-order adaptive integration; raises
@@ -232,7 +230,7 @@ def solve_reduced_ode(v10: float, v20: float, t_start: float, t_end: float,
     if not t_start > 0:
         raise ValueError("t_start must be positive")
     sol = solve_ivp(_reduced_rhs, (t_start, t_end), (v10, v20),
-                    method="DOP853", rtol=rtol, atol=1e-14, t_eval=t_eval,
+                    method="DOP853", rtol=1e-10, atol=1e-14, t_eval=t_eval,
                     dense_output=False)
     if not sol.success:
         raise IntegrationError(f"reduced-system integration failed: {sol.message}")

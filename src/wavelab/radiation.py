@@ -153,31 +153,33 @@ def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
     return float(total) if total.ndim == 0 else total
 
 
-def radiation_pair(data: InitialData, sigma: float, omega, component: int
-                   ) -> tuple[float, float]:
-    """(F_j, d_sigma F_j) at one (sigma, omega), per unit amplitude.
+def radiation_pair(data: InitialData, sigma: float, omega
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(F, d_sigma F) at one (sigma, omega), per unit amplitude.
 
-    F_j = -d_sigma R2[f_j] + R2[g_j]; each sigma-derivative of R2 is R2
-    applied to the next directional derivative of the data.  Both integrals
-    share one set of quadrature nodes, so F and dF are mutually consistent
-    to quadrature accuracy.
+    F and dF have shape (2,), the component on axis 0.  F_j = -d_sigma R2[f_j]
+    + R2[g_j]; each sigma-derivative of R2 is R2 applied to the next
+    directional derivative of the data.  The tau nodes depend only on R0 and
+    the smallest bump radius, so one quadrature over the four stacked
+    integrands serves F and dF of both components, and F and dF are mutually
+    consistent to quadrature accuracy.
     """
     omega = np.asarray(omega, dtype=float)
-    f, g = data.position_data(component), data.velocity_data(component)
     r0 = data.support_radius
     if sigma >= r0:
-        return 0.0, 0.0
+        return np.zeros(2), np.zeros(2)
     bumps = data.all_bumps()
     feature = min(b.radius for b in bumps) if bumps else None
 
     def integrands(s):
-        rf = _radon_many(f, s, omega, (1, 2))
-        rg = _radon_many(g, s, omega, (0, 1))
-        return np.stack([-rf[1] + rg[0], -rf[2] + rg[1]])
+        rf = [_radon_many(f, s, omega, (1, 2)) for f in (data.f1, data.f2)]
+        rg = [_radon_many(g, s, omega, (0, 1)) for g in (data.g1, data.g2)]
+        # rows F_1, F_2, dF_1, dF_2
+        return np.stack([-rf[j][k + 1] + rg[j][k] for k in (0, 1) for j in (0, 1)])
 
-    f_val, df_val = half_order_integral(integrands, sigma, r0, inner_radius=r0,
-                                        feature_scale=feature)
-    return float(f_val), float(df_val)
+    F, dF = half_order_integral(integrands, sigma, r0, inner_radius=r0,
+                                feature_scale=feature).reshape(2, 2)
+    return F, dF
 
 
 @dataclass(frozen=True)
@@ -245,11 +247,8 @@ def radiation_table(data: InitialData, sigma_grid, theta_grid) -> RadiationTable
     for j, theta in enumerate(theta_grid):
         omega = np.array([np.cos(theta), np.sin(theta)])
         for i, sigma in enumerate(sigma_grid):
-            if sigma >= r0:
-                continue
-            for comp in (1, 2):
-                F[comp - 1, i, j], dF[comp - 1, i, j] = radiation_pair(
-                    data, sigma, omega, comp)
+            if sigma < r0:
+                F[:, i, j], dF[:, i, j] = radiation_pair(data, sigma, omega)
     if not np.all(np.isfinite(F)) or not np.all(np.isfinite(dF)):
         raise FloatingPointError("non-finite value in radiation table quadrature")
     return RadiationTable(sigma_grid=sigma_grid, theta_grid=theta_grid,

@@ -202,7 +202,6 @@ class WaveState:
         self.t = 0.0
         self.nonlinear = bool(nonlinear)
         self.cum_dissipation = 0.0
-        self.initial_energies = None        # set by init_state from exact data
         self.cone = None
         self._levels, self._dt_u = [u_prev, u_curr, u_next], dt_u
         self._n = len(xs)
@@ -271,8 +270,9 @@ class WaveState:
         np.add(centre, acc, out=out[:, 1:-1, 1:-1])
         return out
 
-    def _gradient4(self, u: np.ndarray):
-        """Fourth-order gradient, for the energy functional and the ray amplitude.
+    def _gradient4(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Fourth-order gradient of a (2, ...) array: one (2, ...) array per
+        axis, (d_r u,) in radial mode and (d_1 u, d_2 u) in Cartesian mode.
 
         The higher order shrinks the slowly varying O(h^2) offset of the
         discrete energy, keeping conservation drift well inside tolerance at
@@ -283,15 +283,14 @@ class WaveState:
         """
         h12 = 12.0 * self.h
         if self.mode == "radial":
-            if self.lo == 0:
-                ext = np.concatenate([u[1::-1], u, [0.0, 0.0]])   # even ghosts + Dirichlet
-            else:
-                ext = np.concatenate([[0.0, 0.0], u, [0.0, 0.0]])
-            return (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / h12
+            pad = np.zeros((2, 2))
+            inner = u[:, 1::-1] if self.lo == 0 else pad      # even ghosts
+            ext = np.concatenate([inner, u, pad], axis=1)      # + Dirichlet
+            return ((ext[:, :-4] - 8.0 * ext[:, 1:-3] + 8.0 * ext[:, 3:-1] - ext[:, 4:]) / h12,)
         gx = np.zeros_like(u)
         gy = np.zeros_like(u)
-        gx[2:-2, :] = (u[:-4, :] - 8.0 * u[1:-3, :] + 8.0 * u[3:-1, :] - u[4:, :]) / h12
-        gy[:, 2:-2] = (u[:, :-4] - 8.0 * u[:, 1:-3] + 8.0 * u[:, 3:-1] - u[:, 4:]) / h12
+        gx[:, 2:-2] = (u[:, :-4] - 8.0 * u[:, 1:-3] + 8.0 * u[:, 3:-1] - u[:, 4:]) / h12
+        gy[..., 2:-2] = (u[..., :-4] - 8.0 * u[..., 1:-3] + 8.0 * u[..., 3:-1] - u[..., 4:]) / h12
         return gx, gy
 
     def rotation(self, grad) -> np.ndarray:
@@ -308,16 +307,10 @@ class WaveState:
 
     def energies(self) -> tuple[float, float]:
         self._require_whole_disk("energies")
-        out = []
-        for j in range(2):
-            dsq = self.dt_u[j] ** 2
-            if self.mode == "radial":
-                dsq = dsq + self._gradient4(self.u_curr[j]) ** 2
-            else:
-                gx, gy = self._gradient4(self.u_curr[j])
-                dsq = dsq + gx * gx + gy * gy
-            out.append(0.5 * self._domain_sum(dsq * self.measure))
-        return out[0], out[1]
+        dsq = self.dt_u ** 2
+        for g in self._gradient4(self.u_curr):
+            dsq += g * g
+        return tuple(0.5 * self._domain_sum(d * self.measure) for d in dsq)
 
     def dissipation(self) -> float:
         self._require_whole_disk("dissipation integrals")
@@ -499,42 +492,28 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     n = int(math.ceil((data.support_radius + config.T) / h)) + 3
     if config.mode == "radial":
         xs = (np.arange(n) + 0.5) * h
+        pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
     else:
         xs = (np.arange(2 * n + 1) - n) * h
-    u0, g0, grad_sq = _initial_fields(data, config.mode, xs)
+        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+    u0, g0 = initial_values(data, pts)[:2]
+    del pts
 
     # the nodes and the data's derivatives are freed by now, so the state's
     # work buffers do not add to the memory peak of the bump evaluation
     state = WaveState(config.mode, h, dt, xs,
                       u_prev=np.zeros_like(u0), u_curr=u0,
                       u_next=np.zeros_like(u0), dt_u=g0, nonlinear=nonlinear)
-    # initial energies from exact nodal derivatives: cell sums of smooth
-    # compactly supported integrands converge superalgebraically
-    state.initial_energies = tuple(
-        0.5 * float(np.sum((g0[j] ** 2 + grad_sq[j]) * state.measure)) for j in range(2))
     # 2 u0 + dt^2 Laplace(u0), with u_prev still 0.0 as the middle level
     base = 0.5 * state.linear_update(u0, state.u_prev, state._lin)
     if nonlinear:
         # d_t u at t=0 is exactly eps*g, so the cubic term needs no iteration
-        n0 = np.stack([-(g0[1] ** 2) * g0[0], -(g0[0] ** 2) * g0[1]])
-        base += (0.5 * dt * dt) * n0
+        base += (0.5 * dt * dt) * (-(g0[::-1] ** 2) * g0)
     state.u_prev[:] = base - dt * g0
     state.u_next[:] = base + dt * g0
     if config.mode == "radial":
         state._open_window(cone, _step_count(config.T, dt))
     return state
-
-
-def _initial_fields(data, mode: str, xs: np.ndarray):
-    """u, d_t u and |grad u|^2 of both components at t = 0 on the nodes."""
-    if mode == "radial":
-        pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
-    else:
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-    iv = initial_values(data, pts)
-    return (np.stack([iv["u1"], iv["u2"]]), np.stack([iv["ut1"], iv["ut2"]]),
-            [np.sum(grad * grad, axis=-1) for grad in (iv["grad_u1"], iv["grad_u2"])])
 
 
 def _step_count(T: float, dt: float) -> int:

@@ -149,7 +149,6 @@ RADIATION_DECAY_2D = """
 [scenario]
 name = radiation-decay
 mode = cartesian-2d
-T = 1
 
 [data]
 epsilon = 0.2

@@ -9,7 +9,7 @@ from wavelab import (BumpSpec, InitialData, eval_bump, fit_sigma_decay,
                      radon_line_integral)
 from wavelab.bumps import along_direction, sum_value_grad_hess
 from wavelab.radiation import (_CHORD_NODES, _CHORD_PANELS, HALF_ORDER_NORM,
-                               RadiationTable, _panel_rule)
+                               RadiationTable, _panel_rule, _radon_many)
 
 
 def omega_of(theta):
@@ -236,12 +236,43 @@ def test_dF_consistent_with_sigma_differences(radial_data):
     sigma = -0.2
     errs = []
     for step in (0.4, 0.2, 0.1):
-        fp, _ = radiation_pair(radial_data, sigma + step, om, 1)
-        fm, _ = radiation_pair(radial_data, sigma - step, om, 1)
-        _, df = radiation_pair(radial_data, sigma, om, 1)
-        errs.append(abs((fp - fm) / (2 * step) - df))
+        fp, _ = radiation_pair(radial_data, sigma + step, om)
+        fm, _ = radiation_pair(radial_data, sigma - step, om)
+        _, df = radiation_pair(radial_data, sigma, om)
+        errs.append(abs((fp[0] - fm[0]) / (2 * step) - df[0]))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
+
+
+def _component_pair(f, g, sigma, omega, r0, feature):
+    """(F_j, dF_j) of one component from its own half-order quadrature."""
+    def integrands(s):
+        rf = _radon_many(f, s, omega, (1, 2))
+        rg = _radon_many(g, s, omega, (0, 1))
+        return np.stack([-rf[1] + rg[0], -rf[2] + rg[1]])
+    pair = half_order_integral(integrands, sigma, r0, inner_radius=r0, feature_scale=feature)
+    return np.broadcast_to(pair, 2)
+
+
+@pytest.mark.parametrize("theta", [0.4, 2.5])
+def test_radiation_pair_matches_per_component_quadrature(theta):
+    """One quadrature over both components' stacked integrands equals, bit
+    for bit, one quadrature per component: both use the same tau nodes."""
+    data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
+                       g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
+                       f2=(BumpSpec((-0.4, 0.1), 0.5, 0.7),),
+                       g2=(BumpSpec((0.2, -0.3), 0.6, 1.2), BumpSpec((0.0, 0.5), 0.4, -0.3)),
+                       epsilon=0.2)
+    r0 = data.support_radius
+    feature = min(b.radius for b in data.all_bumps())
+    om = omega_of(theta)
+    # far field, near field, the support's edge and past it
+    for sigma in (-40.0, -7.3, -0.6, 0.2, r0 - 0.05, r0, r0 + 0.5):
+        F, dF = radiation_pair(data, sigma, om)
+        assert F.shape == dF.shape == (2,)
+        for j, (f, g) in enumerate(((data.f1, data.g1), (data.f2, data.g2))):
+            ref = _component_pair(f, g, sigma, om, r0, feature)
+            assert np.array([F[j], dF[j]]).tobytes() == ref.tobytes(), (sigma, j)
 
 
 def test_interpolation_and_support_queries(unit_bump):

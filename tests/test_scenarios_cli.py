@@ -195,6 +195,10 @@ def _sampling_config(name, data_line):
     ("run epsilon-scaling: sigma_samples =", "o", {2}),
     ("run epsilon-scaling: theta_samples = 0.5, 0.5", "o", {2}),
     ("run nondecay-demo: theta_samples = 1, 0", "o", {2}),
+    # a non-finite horizon, spacing or amplitude is a usage error, not a crash
+    ("conservation --T inf", "o", {2}),
+    ("conservation --h inf", "o", {2}),
+    ("conservation --eps inf", "o", {2}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
@@ -211,6 +215,18 @@ def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
         assert captured.err.startswith("wavelab: ") and captured.err.count("\n") == 1
     else:
         assert "scenario free-validation:" in captured.out
+
+
+@pytest.mark.parametrize("line,field", [("radius = inf", "radius"),
+                                        ("amplitude = nan", "amplitude")])
+def test_non_finite_bump_config_exit_code(tmp_path, capsys, line, field):
+    cfg_path = tmp_path / "bump.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace(f"{field} = 1.0", line, 1))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"wavelab: {field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_free_validation_reads_cfl(tmp_path, capsys):

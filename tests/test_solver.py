@@ -43,28 +43,6 @@ def test_timestep_bound_enforced(radial_data):
         assert err.value.field == "cfl"
 
 
-def test_initial_energy_matches_quadrature_oracle(unit_bump):
-    """E1^2(0) = (eps^2/2) int |grad f|^2 against a 2D tensor quadrature.
-
-    The state's cell sum uses exact nodal derivatives of smooth compactly
-    supported data, so it converges superalgebraically.
-    """
-    data = InitialData(f1=(unit_bump,), epsilon=0.3)
-    cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
-                         T=0.5, h=1.0 / 128.0)
-    state = init_state(cfg, nonlinear=False)
-
-    x, w = np.polynomial.legendre.leggauss(160)
-    X = x[:, None] * np.ones_like(x)[None, :]
-    Y = np.ones_like(x)[:, None] * x[None, :]
-    W = w[:, None] * w[None, :]
-    from wavelab.bumps import sum_value_grad_hess
-    _, grad, _ = sum_value_grad_hess([unit_bump], np.stack([X, Y], axis=-1))
-    oracle = 0.5 * 0.3**2 * float(np.sum(np.sum(grad**2, axis=-1) * W))
-    assert abs(state.initial_energies[0] - oracle) / oracle <= 1e-6
-    assert state.initial_energies[1] == 0.0
-
-
 def test_radial_and_cartesian_agree_at_t0(radial_data):
     h = 1.0 / 128.0
     cfg_r = small_config(radial_data, T=1.0, h=h)

@@ -117,6 +117,18 @@ def _reference_energies(u, dt_u, measure, h):
     return tuple(out)
 
 
+def _reference_cartesian_energies(u, dt_u, h):
+    out = []
+    for j in range(2):
+        gx, gy = np.zeros_like(u[j]), np.zeros_like(u[j])
+        gx[2:-2, :] = (u[j, :-4, :] - 8.0 * u[j, 1:-3, :] + 8.0 * u[j, 3:-1, :]
+                       - u[j, 4:, :]) / (12.0 * h)
+        gy[:, 2:-2] = (u[j, :, :-4] - 8.0 * u[j, :, 1:-3] + 8.0 * u[j, :, 3:-1]
+                       - u[j, :, 4:]) / (12.0 * h)
+        out.append(0.5 * float(np.sum((dt_u[j] ** 2 + gx * gx + gy * gy) * (h * h))))
+    return tuple(out)
+
+
 def _radial_coefficients(xs, h, dt):
     """A, cp and cm of the folded radial update, built as the solver builds them."""
     k = dt * dt / (h * h)
@@ -207,7 +219,9 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
 def test_cartesian_step_equals_component_loop(nonlinear):
     """A Cartesian run equals, at every step, the folded 5-point update
-    applied to one component at a time (Cartesian steps do not flush)."""
+    applied to one component at a time (Cartesian steps do not flush), and
+    its energies the fourth-order gradient formula of one component at a
+    time."""
     data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
                        g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
                        f2=(BumpSpec((-0.2, 0.1), 0.7, 0.8),),
@@ -243,6 +257,7 @@ def test_cartesian_step_equals_component_loop(nonlinear):
         assert np.array_equal(state.u_next, top)
         assert np.array_equal(state.dt_u, dt_u)
         assert state.D == D and state.cum_dissipation == cum
+        assert state.energies() == _reference_cartesian_energies(mid, dt_u, state.h)
     assert cum > 0
 
 
