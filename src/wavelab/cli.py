@@ -5,7 +5,8 @@
 
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
 2 on usage errors (unknown scenario, malformed or non-finite configuration or
-option, or a setting the scenario never reads).  Both commands check what they are given
+option, a ray sigma the scenario cannot sample, or a setting the scenario
+never reads).  Both commands check what they are given
 against scenarios.READS, the optional config keys each scenario reads:
 `run` the keys the file sets (config.set_keys) and `scenario` the key each
 option sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps

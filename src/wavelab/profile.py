@@ -27,10 +27,13 @@ sampler, builds the level's arrays once per sample time and reads them at
 each foot point through WaveState.sample, which builds one 4-point Lagrange
 (cubic) stencil per point and applies it to every sampled field.  Every
 sampled field holds both components on axis 0, as the solver's levels do,
-so each operator (gradient, rotation, stencil) runs once for both.  A
-single point x with |x| >= h is the foot point of sigma = |x| - t at
-theta = atan2(x2, x1).  field_value interpolates u alone; traces interpolate
-linearly in time between stored samples.
+so each operator (gradient, rotation, stencil) runs once for both, and so
+does each formula above: U and H are evaluated on the (2,) sample arrays,
+with the other component read through [::-1].  A foot point past the grid
+raises ValueError, as WaveState.sample does.  A single point x with
+|x| >= h is the foot point of sigma = |x| - t at theta = atan2(x2, x1).
+field_value interpolates u alone; traces interpolate linearly in time
+between stored samples.
 """
 
 from __future__ import annotations
@@ -78,38 +81,6 @@ def _level_fields(state: WaveState, with_rotation: bool) -> list[np.ndarray]:
     if with_rotation and state.mode != "radial":
         fields.append(state.rotation(state._gradient4(state.rotation(grads))))
     return fields
-
-
-def _ray_values(state: WaveState, fields, x):
-    """|x| and the 2-vectors u, d_t u, d_r u, Omega^2 u at x.
-
-    Omega^2 u is zero in radial mode and None when fields lack it.
-    """
-    r = float(np.hypot(x[0], x[1]))
-    v = state.sample(fields, x)
-    if state.mode == "radial":
-        return r, v[0], v[1], v[2], np.zeros(2)
-    ur = (x[0] * v[2] + x[1] * v[3]) / r
-    return r, v[0], v[1], ur, (v[4] if len(v) > 4 else None)
-
-
-def _amplitude(r: float, u, ut, ur) -> np.ndarray:
-    """U_1, U_2 from the values sampled at a point of radius r."""
-    sq = math.sqrt(r)
-    return 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)
-
-
-def _remainder(r: float, t: float, u, ut, ang, U) -> np.ndarray:
-    """H_1, H_2 from the values sampled at radius r and the amplitudes U there."""
-    sq = math.sqrt(r)
-    out = np.empty(2)
-    # scalar ** 2 on purpose: numpy squares arrays by multiplication but
-    # scalars by pow(), and the two differ in the last bit for some values
-    for j in range(2):
-        k = 1 - j
-        out[j] = 0.5 * (sq * ut[k] ** 2 * ut[j] + U[k] ** 2 * U[j] / t) \
-            - (4.0 * ang[j] + u[j]) / (8.0 * r * sq)
-    return out
 
 
 def field_value(state: WaveState, x) -> tuple[float, float]:
@@ -172,7 +143,7 @@ class RayTraceCollector:
     t + sigma >= h, so sampling starts once the foot point clears the origin
     and skips nothing afterwards.  The sampled arrays are built once per
     level, and each (t, sigma) sample reads them through one stencil and
-    evaluates the amplitude once.
+    evaluates U and K once for both components.
     """
 
     def __init__(self, sigmas, theta: float, with_remainder: bool = True):
@@ -185,17 +156,25 @@ class RayTraceCollector:
 
     def __call__(self, state: WaveState) -> None:
         self._dt = state.dt
-        if state.t <= 0.0:
+        t = state.t
+        if t <= 0.0:
             return
         fields = _level_fields(state, with_rotation=self.with_remainder)
         for s in self.sigmas:
-            r = state.t + s
-            if r < state.h:
+            if t + s < state.h:
                 continue
-            r, u, ut, ur, ang = _ray_values(state, fields, r * self.omega)
-            v = _amplitude(r, u, ut, ur)
-            k = _remainder(r, state.t, u, ut, ang, v) if self.with_remainder else (0.0, 0.0)
-            self._rows[s].append((state.t, v[0], v[1], k[0], k[1]))
+            x = (t + s) * self.omega
+            r = float(np.hypot(x[0], x[1]))
+            u, ut, *rest = state.sample(fields, x)     # (2,) arrays: both components
+            ur = rest[0] if state.mode == "radial" else (x[0] * rest[0] + x[1] * rest[1]) / r
+            ang = rest[2] if len(rest) > 2 else 0.0    # Omega^2 u, 0 in radial mode
+            sq = math.sqrt(r)
+            U = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)
+            K = (0.0, 0.0)
+            if self.with_remainder:      # the other component through [::-1]
+                K = (0.5 * (sq * ut[::-1] * ut[::-1] * ut + U[::-1] * U[::-1] * U / t)
+                     - (4.0 * ang + u) / (8.0 * r * sq))
+            self._rows[s].append((t, U[0], U[1], K[0], K[1]))
 
     def traces(self) -> list[ProfileTrace]:
         out = []
@@ -203,10 +182,9 @@ class RayTraceCollector:
             rows = self._rows[s]
             if not rows:
                 raise ValueError(f"no samples collected for sigma={s}")
-            cols = [np.array(c) for c in zip(*rows)]
-            out.append(ProfileTrace(sigma=s, theta=self.theta, dt=self._dt,
-                                    t=cols[0], V1=cols[1], V2=cols[2],
-                                    K1=cols[3], K2=cols[4]))
+            # the columns t, V1, V2, K1, K2
+            out.append(ProfileTrace(s, self.theta, self._dt,
+                                    *(np.array(col) for col in zip(*rows))))
         return out
 
 

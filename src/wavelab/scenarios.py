@@ -214,18 +214,20 @@ def _scenario_free_validation(config, out_dir):
         slope = fit_power_law(ts, dev).slope
         assertions.append(Assertion.le(f"ray_approx_slope_sigma={sigma}", slope, -0.8))
 
-    # free-field decay weights bounded along rays t = |x| + c
-    for c, order in ((2.0, 0), (2.0, 1)):
-        ts = np.geomspace(4.0 + c, 80.0, 9)
-        q = []
-        for tv in ts:
-            r = tv - c
-            p = free_field(ray_data, tv, r * omega)
+    # free-field decay weights bounded along the ray t = |x| + c: order 0
+    # weights |u|, order 1 the largest first derivative, one oracle per point
+    c = 2.0
+    ts = np.geomspace(4.0 + c, 80.0, 9)
+    q = ([], [])
+    for tv in ts:
+        r = tv - c
+        p = free_field(ray_data, tv, r * omega)
+        vals = (abs(p.u[0]), max(abs(p.ut[0]), abs(p.grad[0][0]), abs(p.grad[0][1])))
+        for order, val in enumerate(vals):
             w = math.hypot(1.0, tv + r) ** 0.5 * math.hypot(1.0, tv - r) ** (order + 0.5)
-            val = abs(p.u[0]) if order == 0 else max(
-                abs(p.ut[0]), abs(p.grad[0][0]), abs(p.grad[0][1]))
-            q.append(val * w)
-        slope = fit_power_law(ts, np.array(q)).slope
+            q[order].append(val * w)
+    for order in (0, 1):
+        slope = fit_power_law(ts, np.array(q[order])).slope
         assertions.append(Assertion.le(f"ray_bound_growth_order={order}", slope, 0.05))
     runtimes["ray_checks"] = time.perf_counter() - t0
     write_csv(os.path.join(out_dir, "ray_decay.csv"),
@@ -325,11 +327,21 @@ def _scenario_profile_oracle(config, out_dir):
     return assertions, values, runtimes
 
 
+def _rays_inside_support(config, sigmas) -> None:
+    """Past the data's support radius R0 the solution vanishes (finite speed
+    of propagation), and so does a ray profile at sigma > R0."""
+    r0 = config.data.support_radius
+    for s in sigmas:
+        if s > r0:
+            raise UsageError(f"{config.name}: sigma={s:g} exceeds the data's support "
+                             f"radius R0={r0:g}, where every ray profile is 0")
+
+
 def _run_scaling_case(config, eps, sigmas, with_remainder=True, h=None):
     T = 4.0 / eps
     cfg = replace(config, data=config.data.with_epsilon(eps), eps_list=(eps,), T=T,
                   h=(h if h is not None else config.h))
-    collector = RayTraceCollector(sigmas, config.theta_samples[0], with_remainder)
+    collector = RayTraceCollector(sigmas, 0.0, with_remainder)     # radial: any angle
     times = _trace_times(T, cfg.cfl * cfg.h)
     run_simulation(cfg, nonlinear=True, samplers=[(times, collector)],
                    cone=min(sigmas))
@@ -343,14 +355,21 @@ def _scenario_epsilon_scaling(config, out_dir):
         raise UsageError("epsilon-scaling runs in radial mode")
     eps_list = tuple(sorted(config.eps_list, reverse=True))
     sigmas = list(config.sigma_samples)
-    theta = config.theta_samples[0]
+    theta = 0.0                 # radial mode: every angle gives the same profiles
+    _rays_inside_support(config, sigmas)
+    horizon = 4.0 / eps_list[0]
+    for s in sigmas:
+        if ProfileTrace.reference_time(s) > horizon:
+            raise UsageError(f"epsilon-scaling: the reference time max(2, -2 sigma) of "
+                             f"sigma={s:g} exceeds the shortest rung's horizon "
+                             f"4/eps = {horizon:g}")
     runtimes = {}
 
     r0 = config.data.support_radius
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
     sigma_grid = np.arange(lo, r0 + 0.2 + 1e-9, 0.02)
     t0 = time.perf_counter()
-    table = radiation_table(config.data, sigma_grid, _theta_grid(config))
+    table = radiation_table(config.data, sigma_grid, (theta,))
     runtimes["radiation_table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
@@ -452,6 +471,7 @@ def _scenario_symmetric_decay(config, out_dir):
         raise UsageError("symmetric-decay requires identical component data")
     runtimes = {}
     sigma = config.sigma_samples[0]
+    _rays_inside_support(config, [sigma])
     t_ref = ProfileTrace.reference_time(sigma)
     if config.T < t_ref:
         raise UsageError(f"symmetric-decay needs T >= {t_ref:g}, the profile "
@@ -505,9 +525,10 @@ SCENARIOS = {
 # a file sets and the key behind any other `wavelab scenario` option.
 # "data.epsilon" is the first epsilon (required in a file, so only --eps is
 # checked) and EPS_LIST more than one.  epsilon-scaling runs each rung to
-# 4/eps, radiation-decay tabulates per unit amplitude without a solve (its
-# mode picks the default theta_samples and which bump centres validate),
-# and profile-oracle reads no config field.
+# 4/eps in radial mode, where every angle gives the same profiles (it uses
+# theta = 0); radiation-decay tabulates per unit amplitude without a
+# solve (its mode picks the default theta_samples and which bump centres
+# validate), and profile-oracle reads no config field.
 EPS_LIST = "data.epsilon with more than one value"
 _SOLVE = frozenset({"scenario.mode", "scenario.T", "grid.h", "grid.cfl", "data.epsilon"})
 READS = {
@@ -515,8 +536,7 @@ READS = {
     "free-validation": _SOLVE,
     "radiation-decay": frozenset({"scenario.mode", "data.theta_samples"}),
     "profile-oracle": frozenset(),
-    "epsilon-scaling": (_SOLVE - {"scenario.T"}) | {EPS_LIST, "data.sigma_samples",
-                                                    "data.theta_samples"},
+    "epsilon-scaling": (_SOLVE - {"scenario.T"}) | {EPS_LIST, "data.sigma_samples"},
     "nondecay-demo": _SOLVE | {"data.theta_samples"},
     "symmetric-decay": _SOLVE | {"data.sigma_samples", "data.theta_samples"},
 }

@@ -21,7 +21,8 @@ from the data, which makes the cached derivative equal eps*g exactly.
 
 Point values of level fields come from WaveState.sample, the only code that
 knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
-point and axis and applies it to every field it is given.
+point and axis, applies it to both components of every field at once, and
+refuses a point past the last radial cell centre or the node square.
 
 The linear part of a step is one folded update per mode,
 
@@ -40,9 +41,9 @@ this update; init_state takes the first levels from it too.
 A step allocates no field arrays.  It advances both components at once on
 (2, ...) arrays and writes every intermediate with numpy's out= into
 buffers allocated once per state: the three levels and dt_u, a work buffer
-for the linear part of a nonlinear update, the neighbour terms' scratch
-(contiguous interior arrays in Cartesian mode), and one component's
-dissipation integrand.  The oldest level's buffer receives the new level;
+for the linear part of a nonlinear update (between steps, the dissipation
+integrand's), and the neighbour terms' scratch (contiguous interior arrays
+in Cartesian mode).  The oldest level's buffer receives the new level;
 during a nonlinear step it first serves as scratch for the cubic term.
 Both components go through the same operations in the same order, so
 results are bit-identical to stepping the components one by one.  The
@@ -83,10 +84,9 @@ Both edges are exact by construction: a whole-disk window steps
 bit-identically to stepping every cell, and samples at sigma >= cone equal
 the whole-disk run's.  WaveState.sample refuses a point with |x| < t + cone,
 and a light-cone window raises when stepped past the step count it was
-sized for.  Energies and dissipation sum over the whole domain, zeros past
-hi, so numpy's pairwise sum groups them as if every cell were stepped; over
-a light-cone window they mean nothing, so such a state raises on them and
-its run_simulation returns no EnergyTrace.
+sized for.  Energies and dissipation sum the held cells [0, hi), the whole
+support; over a light-cone window they mean nothing, so such a state raises
+on them and its run_simulation returns no EnergyTrace.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
@@ -210,12 +210,11 @@ class WaveState:
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
         self._inv_dt, self._inv_2dt = 1.0 / self.dt, 0.5 / self.dt
-        # work buffers: the linear part of a nonlinear update, windowed like
-        # the levels; the neighbour terms' scratch, windowed too (radial) or
-        # the interior's neighbour sum and centre term (Cartesian); one
-        # component's dissipation integrand over the whole domain
+        # work buffers: the linear part of a nonlinear update (between steps
+        # the dissipation integrand), windowed like the levels; the neighbour
+        # terms' scratch, windowed too (radial) or the interior's neighbour
+        # sum and centre term (Cartesian)
         self._work = np.zeros_like(u_curr)
-        self._padded = np.zeros(u_curr.shape[1:])
         if self.mode == "radial":
             self._A = 2.0 - 2.0 * k
             c = dt2 / (2.0 * self.h * xs)        # dt^2 / (2 h r_i)
@@ -310,23 +309,15 @@ class WaveState:
         dsq = self.dt_u ** 2
         for g in self._gradient4(self.u_curr):
             dsq += g * g
-        return tuple(0.5 * self._domain_sum(d * self.measure) for d in dsq)
+        return tuple(0.5 * float(np.sum(d * self.measure)) for d in dsq)
 
     def dissipation(self) -> float:
         self._require_whole_disk("dissipation integrals")
-        prod = self._padded[:self.hi]     # lo == 0; zeros past hi, which never shrinks
+        prod = self._lin[0]        # the work buffer is free between steps
         np.multiply(self.dt_u[0], self.dt_u[1], out=prod)
         np.multiply(prod, prod, out=prod)
         np.multiply(prod, self.measure, out=prod)
-        return float(np.sum(self._padded))
-
-    def _domain_sum(self, held: np.ndarray) -> float:
-        """Sum over all n cells, zeros past hi: numpy's pairwise grouping
-        depends on the length, so this groups as stepping every cell does."""
-        if self.hi < self._n:
-            self._padded[:self.hi] = held      # hi never shrinks: zeros past it
-            held = self._padded
-        return float(np.sum(held))
+        return float(np.sum(prod))
 
     # -- point sampling --------------------------------------------------------
 
@@ -336,9 +327,10 @@ class WaveState:
         Returns shape (len(fields), 2).  One 4-node Lagrange stencil per axis
         serves every field: cubic interpolation in |x| over the cell centres
         r_i = (i + 1/2) h (radial), or in x1 and x2 over the nodes xs
-        (Cartesian).  A radial window builds the stencil on the global grid,
-        so its weights are the whole disk's; it reads zeros past its outer
-        edge and, with a cone, refuses a point with |x| < t + cone.
+        (Cartesian).  A point past the last cell centre (n - 1/2) h, outside
+        the node square or, with a cone, at |x| < t + cone raises ValueError.
+        A radial window builds the stencil on the global grid, so its weights
+        are the whole disk's; it reads zeros past its outer edge.
         """
         out = np.empty((len(fields), 2))
         if self.mode == "radial":
@@ -346,21 +338,23 @@ class WaveState:
             if self.cone is not None and r < self.t + self.cone - 1e-6 * self.h:
                 raise ValueError(f"point |x|={r:.6g} lies inside the light-cone window's "
                                  f"t + cone = {self.t + self.cone:.6g}")
+            if r > (self._n - 0.5) * self.h:
+                raise ValueError(f"point |x|={r:.6g} lies past the last cell centre")
             k0, w = _stencil(r / self.h - 0.5, self._n)
             k0 -= self.lo
             for i, a in enumerate(fields):
                 seg = a[:, k0:k0 + 4]
                 if seg.shape[1] < 4:        # past the window's outer edge: all 0.0
                     seg = np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1)
-                for j in range(2):
-                    out[i, j] = seg[j] @ w
+                out[i] = seg @ w
             return out
-        x0 = self.xs[0]
-        i0, wx = _stencil((x[0] - x0) / self.h, self._n)
-        j0, wy = _stencil((x[1] - x0) / self.h, self._n)
+        first, last = self.xs[0], self.xs[-1]
+        if not (first <= x[0] <= last and first <= x[1] <= last):
+            raise ValueError(f"point ({x[0]:.6g}, {x[1]:.6g}) lies outside the node square")
+        i0, wx = _stencil((x[0] - first) / self.h, self._n)
+        j0, wy = _stencil((x[1] - first) / self.h, self._n)
         for i, a in enumerate(fields):
-            for j in range(2):
-                out[i, j] = wx @ a[j, i0:i0 + 4, j0:j0 + 4] @ wy
+            out[i] = wx @ a[:, i0:i0 + 4, j0:j0 + 4] @ wy
         return out
 
     # -- time stepping -------------------------------------------------------
@@ -422,7 +416,7 @@ class WaveState:
         CONE_REACH cells below the stencil of a sample at |x| = t + cone."""
         if cone is not None:
             self.cone = float(cone)
-            self.D = self.cum_dissipation = None
+            self.cum_dissipation = None
             self._steps_left = n_steps
             foot = (n_steps * self.dt + self.cone) / self.h - 0.5
             self._lo_last = _stencil(foot, self._n)[0] - CONE_REACH
@@ -433,6 +427,7 @@ class WaveState:
         last = int(nonzero[-1]) if len(nonzero) else 0
         self._set_window(0, min(max(last + 3, 4), self._n))
         self._move_window()
+        self.D = self.dissipation() if cone is None else None     # over [0, hi)
 
     def _move_window(self) -> None:
         """Grow hi past a nonzero edge cell; move a cone's lo up one cell per step."""
@@ -559,7 +554,4 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
             rows.append((state.t, e1, e2, state.D, state.cum_dissipation))
     if cone is not None:
         return None
-    cols = list(zip(*rows))
-    return EnergyTrace(t=np.array(cols[0]), E1sq=np.array(cols[1]),
-                       E2sq=np.array(cols[2]), D=np.array(cols[3]),
-                       cum_D=np.array(cols[4]))
+    return EnergyTrace(*(np.array(col) for col in zip(*rows)))

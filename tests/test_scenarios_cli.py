@@ -199,6 +199,12 @@ def _sampling_config(name, data_line):
     ("conservation --T inf", "o", {2}),
     ("conservation --h inf", "o", {2}),
     ("conservation --eps inf", "o", {2}),
+    # a ray past the support radius R0 = 1, whose profile is 0, or one whose
+    # reference time max(2, -2 sigma) = 30 lies past the shortest rung's
+    # horizon 4/0.4 = 10
+    ("run epsilon-scaling: sigma_samples = -1, 1.5", "o", {2}),
+    ("run epsilon-scaling: sigma_samples = -15, 0", "o", {2}),
+    ("run symmetric-decay: sigma_samples = 1.5", "o", {2}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
@@ -300,6 +306,9 @@ def test_epsilon_scaling_default_derives_its_horizon():
     (TINY_CONFIG, "[data]\ntheta_samples = 1, 2\n", "conservation does not read data.theta_samples"),
     (PROFILE_ORACLE_CONFIG, "[scenario]\nmode = cartesian-2d\n",
      "profile-oracle does not read scenario.mode"),
+    # radial only: every angle gives the same profiles
+    (_sampling_config("epsilon-scaling", "theta_samples = 0"), "",
+     "epsilon-scaling does not read data.theta_samples"),
 ])
 def test_run_config_rejects_unread_sampling_and_mode(tmp_path, capsys, config, extra, rejected):
     cfg_path = tmp_path / "unread.cfg"

@@ -92,6 +92,29 @@ def test_sample_exact_on_cubics(radial_data, mode):
     np.testing.assert_allclose(got, [[exact, -exact], [2.0 * exact, exact]], rtol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
+def test_sample_refuses_points_off_the_grid(radial_data, mode):
+    """sample interpolates only: a point on the last radial cell centre or on
+    the edge of the Cartesian node square is read, one a quarter cell past
+    it raises."""
+    st = init_state(small_config(radial_data, mode=mode, T=0.5, h=1.0 / 16.0),
+                    nonlinear=False)
+    q = 0.25 * st.h
+    if mode == "radial":
+        edge = (st._n - 0.5) * st.h
+        on_grid = [(edge, 0.0), (0.0, -edge)]
+        off_grid = [(edge + q, 0.0), (0.0, -edge - q)]
+    else:
+        lo, hi = st.xs[0], st.xs[-1]
+        on_grid = [(lo, lo), (hi, hi), (lo, hi)]
+        off_grid = [(hi + q, 0.0), (0.0, lo - q), (lo - q, hi + q)]
+    for x in on_grid:
+        st.sample([st.u_curr, st.dt_u], x)
+    for x in off_grid:
+        with pytest.raises(ValueError, match="past the last cell centre|outside the node"):
+            st.sample([st.u_curr, st.dt_u], x)
+
+
 def test_symmetric_data_identical_components(unit_bump):
     data = InitialData(f1=(unit_bump,), g1=(unit_bump,),
                        f2=(unit_bump,), g2=(unit_bump,), epsilon=0.3)
