@@ -26,9 +26,9 @@ points = [(0.5, 0.4, 0.2), (1.0, 0.9, -0.3), (1.0, 0.1, 0.1), (0.5, -1.2, 0.8)]
 print("oracle values:")
 oracle = {}
 for (t, x, y) in points:
-    p = free_field(data, t, np.array([x, y]))
-    oracle[(t, x, y)] = p.u[0]
-    print(f"  t={t} x=({x},{y}):  u={p.u[0]: .6f}  u_t={p.ut[0]: .6f}")
+    u, ut, _ = free_field(data, t, np.array([x, y]))
+    oracle[(t, x, y)] = u[0]
+    print(f"  t={t} x=({x},{y}):  u={u[0]: .6f}  u_t={ut[0]: .6f}")
 
 print("\ngrid solver against the oracle under refinement:")
 # dt = cfl * h divides the check times and halves exactly with h

@@ -15,7 +15,7 @@ from .bumps import BumpSpec, InitialData, eval_bump, eval_sum, initial_values
 from .config import (ConfigParseError, ConfigValidationError, ScenarioConfig,
                      parse_scenario)
 from .fitting import PowerLawFit, fit_power_law
-from .free_wave import FreeFieldPoint, free_field
+from .free_wave import free_field
 from .profile import (MEstimate, ProfileTrace, RayTraceCollector,
                       closed_form_profile, corrected_invariant, field_value,
                       leading_invariant, profile_invariant, solve_reduced_ode)
@@ -31,7 +31,7 @@ __all__ = [
     "ScenarioConfig", "parse_scenario",
     "ConfigParseError", "ConfigValidationError",
     "PowerLawFit", "fit_power_law",
-    "FreeFieldPoint", "free_field",
+    "free_field",
     "RadiationTable", "radiation_table", "radiation_pair",
     "radon_line_integral", "half_order_integral", "fit_sigma_decay",
     "WaveState", "EnergyTrace", "InstabilityError", "init_state",

@@ -202,12 +202,6 @@ class InitialData:
         """True when every bump sits at the origin (radial symmetry)."""
         return all(b.center == (0.0, 0.0) for b in self.all_bumps())
 
-    def position_data(self, component: int) -> tuple[BumpSpec, ...]:
-        return self.f1 if component == 1 else self.f2
-
-    def velocity_data(self, component: int) -> tuple[BumpSpec, ...]:
-        return self.g1 if component == 1 else self.g2
-
     def with_epsilon(self, eps: float) -> "InitialData":
         return replace(self, epsilon=eps)
 

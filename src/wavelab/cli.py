@@ -4,9 +4,10 @@
     wavelab scenario NAME --out DIR [--h H] [--cfl C] [--T T] [--eps LIST]
 
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
-2 on usage errors (unknown scenario, malformed or non-finite configuration or
-option, a ray sigma the scenario cannot sample, or a setting the scenario
-never reads).  Both commands check what they are given
+2 on usage errors (unknown scenario, malformed, non-UTF-8 or non-finite
+configuration or option, a key set twice, a ray sigma the scenario cannot
+sample, or a setting the scenario never reads) and when the scheme produces a
+non-finite field value.  Both commands check what they are given
 against scenarios.READS, the optional config keys each scenario reads:
 `run` the keys the file sets (config.set_keys) and `scenario` the key each
 option sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps
@@ -22,6 +23,7 @@ from dataclasses import replace
 from .config import ConfigParseError, ConfigValidationError, parse_scenario, set_keys
 from .scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
                         run_scenario)
+from .solver import InstabilityError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +78,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"{args.config}: not UTF-8 text ({exc.reason} "
+                                 f"at byte {exc.start})") from None
             config = parse_scenario(text)
             given = {key: key for key in set_keys(text) - _UNCHECKED_KEYS}
             if len(config.eps_list) > 1:
@@ -104,7 +110,7 @@ def main(argv=None) -> int:
 
     try:
         summary = run_scenario(config, out_dir=args.out)
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, InstabilityError) as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2
 

@@ -26,9 +26,10 @@ Documents look like::
 
 Required: scenario.name, data.epsilon and at least one bump.  Everything
 else has a documented default (the DEFAULT_* constants); scenarios.READS lists
-the optional keys each scenario reads, and the CLI rejects the rest.  Parse
-errors carry the offending line number; validation errors name the
-offending field.
+the optional keys each scenario reads, and the CLI rejects the rest.  A key
+is set at most once in a document (once per table for [bump]), also across
+repeated section headers.  Parse errors carry the offending line number;
+validation errors name the offending field.
 """
 
 from __future__ import annotations
@@ -215,10 +216,11 @@ def _read_document(text: str):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTION_KEYS[section]:
             raise ConfigParseError(f"unknown key {key!r} in section [{section}]", lineno)
-        if section == "bump":
-            bumps[-1][key] = (value, lineno)
-        else:
-            scalars[f"{section}.{key}"] = (value, lineno)
+        table, name = (bumps[-1], key) if section == "bump" else (scalars, f"{section}.{key}")
+        if name in table:
+            raise ConfigParseError(
+                f"{key!r} in [{section}] is already set on line {table[name][1]}", lineno)
+        table[name] = (value, lineno)
     return scalars, bumps, bump_lines
 
 

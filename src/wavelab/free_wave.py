@@ -14,8 +14,12 @@ rim singularity:
 
 with a smooth integrand.  Time and space derivatives are taken analytically
 under the integral sign, which turns them into the same quadrature applied
-to directional derivatives of the data (exact for bump sums).  The
-quadrature window is clipped to the data support: only radii
+to directional derivatives of the data (exact for bump sums).  _moments
+returns the three moments one data kind needs, (d_t^k I, d_t^{k+1} I,
+grad_x d_t^k I): k = 1 for the position data phi, k = 0 for the velocity
+data psi, and each component of (u, u_t, grad u) is eps times their sum.
+Each data set gets its own disk rule, resolved to its smallest bump radius.
+The quadrature window is clipped to the data support: only radii
 rho in [max(0, |x| - R0), min(t, |x| + R0)] and, when x lies outside the
 support, only the angular sector that sees the support disk contribute.
 
@@ -25,23 +29,12 @@ node_factor knob and the accompanying tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bumps import InitialData, initial_values, sum_value_grad_hess
 from .radiation import _panel_rule
 
-__all__ = ["FreeFieldPoint", "free_field"]
-
-
-@dataclass(frozen=True)
-class FreeFieldPoint:
-    """Free solution and first derivatives of both components at one (t, x)."""
-
-    u: tuple[float, float]
-    ut: tuple[float, float]
-    grad: tuple[np.ndarray, np.ndarray]   # spatial gradient per component
+__all__ = ["free_field"]
 
 
 def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
@@ -96,67 +89,51 @@ def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
     return pts, wts, sinb, dirs
 
 
-def _disk_integrals(specs, t, x, r0, node_factor):
-    """All Poisson-kernel moments of one data function needed for u, u_t, grad u.
+def _moments(specs, t, x, r0, node_factor, k):
+    """(d_t^k I, d_t^{k+1} I, grad_x d_t^k I) of the bump sum specs at (t, x).
 
-    Returns dict with keys:
-      I      = I[w]               dI_dt   = d_t I[w]
-      d2I_dt = d_t^2 I[w]         grad_I  = grad_x I[w]
-      grad_dI = grad_x d_t I[w]
+    k = 1 gives u, u_t and grad u of position data, k = 0 those of velocity
+    data.  Empty data, or a disk that misses the support, gives zeros.
     """
-    zeros = {"I": 0.0, "dI_dt": 0.0, "d2I_dt": 0.0,
-             "grad_I": np.zeros(2), "grad_dI": np.zeros(2)}
-    if not specs or t <= 0.0:
-        return zeros
-    feature = min(s.radius for s in specs)
-    rule = _disk_rule(t, x, r0, feature, node_factor)
+    rule = _disk_rule(t, x, r0, min(s.radius for s in specs), node_factor) if specs else None
     if rule is None:
-        return zeros
+        return 0.0, 0.0, np.zeros(2)
     pts, wts, sinb, dirs = rule
     val, grad, hess = sum_value_grad_hess(specs, pts)
     dval = dirs[:, 0] * grad[:, 0] + dirs[:, 1] * grad[:, 1]       # omega.grad w
+
+    c = 1.0 / (2.0 * np.pi)
+    wsin = wts * sinb
+    dI_dt = c * np.sum((val + t * sinb * dval) * wsin)
+    if k == 0:
+        return (c * t * np.sum(val * wsin), dI_dt,
+                c * t * np.sum(grad * wsin[:, None], axis=0))
     # (omega.grad) grad w, both components
     dgrad = np.stack([dirs[:, 0] * hess[:, 0] + dirs[:, 1] * hess[:, 1],
                       dirs[:, 0] * hess[:, 1] + dirs[:, 1] * hess[:, 2]], axis=-1)
     d2val = dirs[:, 0] * dgrad[:, 0] + dirs[:, 1] * dgrad[:, 1]    # (omega.grad)^2 w
-
-    c = 1.0 / (2.0 * np.pi)
-    wsin = wts * sinb
-    return {
-        "I": c * t * np.sum(val * wsin),
-        "dI_dt": c * np.sum((val + t * sinb * dval) * wsin),
-        "d2I_dt": c * np.sum((2.0 * dval + t * sinb * d2val) * sinb * wsin),
-        "grad_I": c * t * np.sum(grad * wsin[:, None], axis=0),
-        "grad_dI": c * np.sum((grad + t * sinb[:, None] * dgrad) * wsin[:, None], axis=0),
-    }
+    return (dI_dt, c * np.sum((2.0 * dval + t * sinb * d2val) * sinb * wsin),
+            c * np.sum((grad + t * sinb[:, None] * dgrad) * wsin[:, None], axis=0))
 
 
 def free_field(data: InitialData, t: float, x, node_factor: float = 1.0
-               ) -> FreeFieldPoint:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Free solution with data (eps f_j, eps g_j), evaluated at one (t, x).
 
-    Returns values and first derivatives of both components.  t = 0 returns
-    the initial data exactly; points outside the light cone of the support
+    Returns (u, ut, grad) of shapes (2,), (2,) and (2, 2), axis 0 the
+    component, as initial_values does at one point.  t = 0 returns the
+    initial data exactly; points outside the light cone of the support
     return exact zeros.
     """
     x = np.asarray(x, dtype=float)
     if t < 0:
         raise ValueError("free_field requires t >= 0")
     if t == 0.0:
-        u, ut, grad = initial_values(data, x)
-        return FreeFieldPoint(u=tuple(u.tolist()), ut=tuple(ut.tolist()), grad=tuple(grad))
+        return initial_values(data, x)
     r0 = data.support_radius
     if np.hypot(x[0], x[1]) > r0 + t:
-        z = np.zeros(2)
-        return FreeFieldPoint(u=(0.0, 0.0), ut=(0.0, 0.0), grad=(z, z.copy()))
-
-    eps = data.epsilon
-    us, uts, grads = [], [], []
-    for j in (1, 2):
-        mf = _disk_integrals(data.position_data(j), t, x, r0, node_factor)
-        mg = _disk_integrals(data.velocity_data(j), t, x, r0, node_factor)
-        us.append(eps * (mf["dI_dt"] + mg["I"]))
-        uts.append(eps * (mf["d2I_dt"] + mg["dI_dt"]))
-        grads.append(eps * (mf["grad_dI"] + mg["grad_I"]))
-    return FreeFieldPoint(u=(us[0], us[1]), ut=(uts[0], uts[1]),
-                          grad=(grads[0], grads[1]))
+        return np.zeros(2), np.zeros(2), np.zeros((2, 2))
+    parts = [[a + b for a, b in zip(_moments(f, t, x, r0, node_factor, 1),
+                                    _moments(g, t, x, r0, node_factor, 0))]
+             for f, g in ((data.f1, data.g1), (data.f2, data.g2))]
+    return tuple(data.epsilon * np.stack(p) for p in zip(*parts))

@@ -151,7 +151,7 @@ def _scenario_free_validation(config, out_dir):
 
     pts = _free_validation_points(data, T)
     t0 = time.perf_counter()
-    oracle = {p: free_field(data, p[0], np.array([p[1], p[2]])).u for p in pts}
+    oracle = {p: free_field(data, p[0], np.array([p[1], p[2]]))[0] for p in pts}
     runtimes["oracle"] = time.perf_counter() - t0
 
     by_time = {}
@@ -204,11 +204,11 @@ def _scenario_free_validation(config, out_dir):
         dev = np.zeros(len(ts))
         for i, tv in enumerate(ts):
             r = tv + sigma
-            p = free_field(ray_data, tv, r * omega)
+            _, ut, grad = free_field(ray_data, tv, r * omega)
             sq = math.sqrt(r)
-            comps = (sq * p.ut[0] + dfv,
-                     sq * p.grad[0][0] - omega[0] * dfv,
-                     sq * p.grad[0][1] - omega[1] * dfv)
+            comps = (sq * ut[0] + dfv,
+                     sq * grad[0, 0] - omega[0] * dfv,
+                     sq * grad[0, 1] - omega[1] * dfv)
             dev[i] = float(np.hypot(np.hypot(comps[0], comps[1]), comps[2]))
             ray_rows.append((sigma, tv, *comps, dev[i]))
         slope = fit_power_law(ts, dev).slope
@@ -221,8 +221,8 @@ def _scenario_free_validation(config, out_dir):
     q = ([], [])
     for tv in ts:
         r = tv - c
-        p = free_field(ray_data, tv, r * omega)
-        vals = (abs(p.u[0]), max(abs(p.ut[0]), abs(p.grad[0][0]), abs(p.grad[0][1])))
+        u, ut, grad = free_field(ray_data, tv, r * omega)
+        vals = (abs(u[0]), max(abs(ut[0]), abs(grad[0, 0]), abs(grad[0, 1])))
         for order, val in enumerate(vals):
             w = math.hypot(1.0, tv + r) ** 0.5 * math.hypot(1.0, tv - r) ** (order + 0.5)
             q[order].append(val * w)

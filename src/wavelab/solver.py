@@ -395,7 +395,7 @@ class WaveState:
         if not np.isfinite(new.sum(axis=1)).all():    # a NaN or inf in a component
             bad = np.argwhere(~np.isfinite(new))[:, 1:]
             bad[:, 0] += self.lo                # a global index, also in a window
-            raise InstabilityError(self.t + dt, tuple(bad[0]) if len(bad) else ())
+            raise InstabilityError(self.t + dt, tuple(bad[0].tolist()) if len(bad) else ())
 
         self._levels.append(self._levels.pop(0))
         self.u_prev, self.u_curr, self.u_next = mid, top, new

@@ -104,6 +104,18 @@ def test_parse_error_reports_line():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("text,line,first", [
+    (MINIMAL.replace("name = conservation", "name = conservation\nname = other"), 4, 3),
+    # a second [scenario] header is the same section
+    (MINIMAL + "\n[scenario]\nname = other\n", 21, 3),
+    (MINIMAL.replace("radius = 1.0", "radius = 1.0\nradius = 2.0", 1), 12, 11),
+], ids=["scenario", "repeated-section", "bump"])
+def test_key_set_twice_is_an_error(text, line, first):
+    with pytest.raises(ConfigParseError, match=f"already set on line {first}$") as err:
+        parse_scenario(text)
+    assert err.value.line == line
+
+
 def test_unknown_key_and_section():
     with pytest.raises(ConfigParseError, match="unknown key"):
         parse_scenario("[scenario]\nname = x\nbogus = 1\n")

@@ -1,26 +1,51 @@
 import numpy as np
 import pytest
 
-from wavelab import BumpSpec, InitialData, eval_bump, free_field
+from wavelab import BumpSpec, InitialData, eval_bump, free_field, initial_values
 
 
-def test_time_zero_returns_data_exactly(offset_data):
-    x = np.array([0.31, 0.24])
-    p = free_field(offset_data, 0.0, x)
-    assert p.u[0] == eval_bump(offset_data.f1[0], x)
-    assert p.ut[0] == eval_bump(offset_data.g1[0], x)
-    assert p.u[1] == 0.0 and p.ut[1] == 0.0
-    np.testing.assert_allclose(
-        p.grad[0],
-        [eval_bump(offset_data.f1[0], x, (1, 0)), eval_bump(offset_data.f1[0], x, (0, 1))],
-        rtol=1e-14)
+@pytest.fixture
+def two_component_data():
+    """Off-centre data with a different bump sum in each slot."""
+    return InitialData(
+        f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
+        g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
+        f2=(BumpSpec((-0.2, -0.3), 0.7, 0.4), BumpSpec((0.1, 0.0), 0.5, -0.3)),
+        g2=(BumpSpec((0.25, -0.1), 0.6, 0.9),),
+        epsilon=0.7,
+    )
+
+
+def test_time_zero_returns_data_exactly(two_component_data):
+    for x in ([0.31, 0.24], [1.1, -0.4], [5.0, 5.0]):
+        field = free_field(two_component_data, 0.0, np.array(x))
+        values = initial_values(two_component_data, np.array(x))
+        assert [a.shape for a in field] == [(2,), (2,), (2, 2)]
+        for a, b in zip(field, values):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("t,x,outside", [
+    (1.3, (0.2, -0.1), False),   # inside the support: the full circle of directions
+    (2.0, (2.1, 0.9), True),     # outside it: only the sector that sees the support
+])
+def test_swapping_components_swaps_the_field(two_component_data, t, x, outside):
+    d = two_component_data
+    swapped = InitialData(f1=d.f2, g1=d.g2, f2=d.f1, g2=d.g1, epsilon=d.epsilon)
+    assert (np.hypot(*x) > d.support_radius) == outside
+    field = free_field(d, t, np.array(x))
+    mirrored = free_field(swapped, t, np.array(x))
+    assert [a.shape for a in field] == [(2,), (2,), (2, 2)]
+    assert all(np.all(a != 0.0) for a in field)
+    for a, b in zip(field, mirrored):
+        np.testing.assert_array_equal(a, b[::-1])
 
 
 def test_outside_light_cone_zero(offset_data):
     r0 = offset_data.support_radius
-    p = free_field(offset_data, 3.0, np.array([r0 + 3.0 + 0.01, 0.0]))
-    assert p.u == (0.0, 0.0) and p.ut == (0.0, 0.0)
-    assert np.all(p.grad[0] == 0.0)
+    u, ut, grad = free_field(offset_data, 3.0, np.array([r0 + 3.0 + 0.01, 0.0]))
+    assert u.shape == ut.shape == (2,) and grad.shape == (2, 2)
+    assert not u.any() and not ut.any() and not grad.any()
 
 
 def test_negative_time_rejected(offset_data):
@@ -33,13 +58,13 @@ def test_small_time_taylor_expansion(unit_bump):
                        epsilon=1.0)
     x = np.array([0.3, 0.1])
     t = 1e-3
-    p = free_field(data, t, x)
+    u, ut, _ = free_field(data, t, x)
     f = eval_bump(data.f1[0], x)
     g = eval_bump(data.g1[0], x)
     lap_f = eval_bump(data.f1[0], x, (2, 0)) + eval_bump(data.f1[0], x, (0, 2))
     lap_g = eval_bump(data.g1[0], x, (2, 0)) + eval_bump(data.g1[0], x, (0, 2))
-    assert p.u[0] == pytest.approx(f + t * g + 0.5 * t * t * lap_f, abs=1e-8)
-    assert p.ut[0] == pytest.approx(g + t * lap_f + 0.5 * t * t * lap_g, abs=1e-7)
+    assert u[0] == pytest.approx(f + t * g + 0.5 * t * t * lap_f, abs=1e-8)
+    assert ut[0] == pytest.approx(g + t * lap_f + 0.5 * t * t * lap_g, abs=1e-7)
 
 
 @pytest.mark.parametrize("t,x", [
@@ -56,8 +81,7 @@ def test_node_doubling_self_convergence(t, x):
                        g1=(BumpSpec((0.2, -0.1), 0.7, -0.6),), epsilon=1.0)
     a = free_field(data, t, np.array(x))
     b = free_field(data, t, np.array(x), node_factor=2.0)
-    diff = max(abs(a.u[0] - b.u[0]), abs(a.ut[0] - b.ut[0]),
-               float(np.max(np.abs(a.grad[0] - b.grad[0]))))
+    diff = max(float(np.max(np.abs(p[0] - q[0]))) for p, q in zip(a, b))
     assert diff <= 2e-7
 
 
@@ -65,18 +89,18 @@ def test_derivatives_internally_consistent(offset_data):
     """The quadrature derivatives match finite differences of the value."""
     t, x = 2.0, np.array([1.4, 0.6])
     step = 1e-4
-    mid = free_field(offset_data, t, x)
-    up = free_field(offset_data, t + step, x)
-    dn = free_field(offset_data, t - step, x)
-    assert abs((up.u[0] - dn.u[0]) / (2 * step) - mid.ut[0]) <= 1e-6
-    xp = free_field(offset_data, t, x + [step, 0.0])
-    xm = free_field(offset_data, t, x - [step, 0.0])
-    assert abs((xp.u[0] - xm.u[0]) / (2 * step) - mid.grad[0][0]) <= 1e-6
+    _, ut, grad = free_field(offset_data, t, x)
+    up = free_field(offset_data, t + step, x)[0]
+    dn = free_field(offset_data, t - step, x)[0]
+    assert abs((up[0] - dn[0]) / (2 * step) - ut[0]) <= 1e-6
+    xp = free_field(offset_data, t, x + [step, 0.0])[0]
+    xm = free_field(offset_data, t, x - [step, 0.0])[0]
+    assert abs((xp[0] - xm[0]) / (2 * step) - grad[0, 0]) <= 1e-6
 
 
 def test_linearity_in_epsilon(offset_data):
     t, x = 1.3, np.array([0.7, -0.2])
     a = free_field(offset_data.with_epsilon(0.25), t, x)
     b = free_field(offset_data.with_epsilon(0.5), t, x)
-    assert b.u[0] == pytest.approx(2.0 * a.u[0], rel=1e-14)
-    assert b.ut[0] == pytest.approx(2.0 * a.ut[0], rel=1e-14)
+    assert b[0][0] == pytest.approx(2.0 * a[0][0], rel=1e-14)
+    assert b[1][0] == pytest.approx(2.0 * a[1][0], rel=1e-14)

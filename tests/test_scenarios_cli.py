@@ -68,16 +68,41 @@ def test_profile_oracle_via_cli(tmp_path, capsys):
     assert (tmp_path / "trichotomy.csv").exists()
 
 
-def test_module_entry_point_runs_a_scenario(tmp_path):
-    """`python -m wavelab` reaches cli.entry and exits with main's status."""
+def _run_module(*args):
+    """`python -m wavelab ARGS` in a subprocess, with this checkout's package."""
     src = str(Path(wavelab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wavelab", "scenario", "profile-oracle", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "wavelab", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_runs_a_scenario(tmp_path):
+    """`python -m wavelab` reaches cli.entry and exits with main's status."""
+    proc = _run_module("scenario", "profile-oracle", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "summary.json").read_text())["passed"] is True
+
+
+def test_unstable_run_exits_two(tmp_path):
+    # eps = 1e60 overflows the cubic term in the first step; numpy's overflow
+    # warning is an error under pytest, so the run goes through a subprocess
+    cfg_path = tmp_path / "unstable.cfg"
+    cfg_path.write_text(_sampling_config("conservation", "").replace(
+        "epsilon = 0.2", "epsilon = 1e60") + "\n[scenario]\nT = 2\n[grid]\nh = 0.05\n")
+    proc = _run_module("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "wavelab: non-finite field value at t=0.0225, grid index (0,)")
+
+
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "bin.cfg"
+    cfg_path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"wavelab: {cfg_path}: not UTF-8") and err.count("\n") == 1
 
 
 def test_run_with_config_file(tmp_path, capsys):
@@ -273,19 +298,27 @@ amplitude = 1.0
 """
 
 
-@pytest.mark.parametrize("extra,rejected", [
-    ("[scenario]\nT = 5\n[grid]\nh = 0.1\n", "grid.h, scenario.T"),
-    ("[grid]\ncfl = 0.3\n", "grid.cfl"),
-    ("[data]\nepsilon = 0.2, 0.1\n", "data.epsilon with more than one value"),
-])
-def test_run_config_rejects_unread_keys(tmp_path, capsys, extra, rejected):
+def _assert_rejected(tmp_path, capsys, text, rejected):
     cfg_path = tmp_path / "oracle.cfg"
-    cfg_path.write_text(PROFILE_ORACLE_CONFIG + extra)
+    cfg_path.write_text(text)
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"wavelab: scenario profile-oracle does not read {rejected}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra,rejected", [
+    ("[scenario]\nT = 5\n[grid]\nh = 0.1\n", "grid.h, scenario.T"),
+    ("[grid]\ncfl = 0.3\n", "grid.cfl"),
+])
+def test_run_config_rejects_unread_keys(tmp_path, capsys, extra, rejected):
+    _assert_rejected(tmp_path, capsys, PROFILE_ORACLE_CONFIG + extra, rejected)
+
+
+def test_run_config_rejects_an_epsilon_list(tmp_path, capsys):
+    text = PROFILE_ORACLE_CONFIG.replace("epsilon = 0.2", "epsilon = 0.2, 0.1")
+    _assert_rejected(tmp_path, capsys, text, "data.epsilon with more than one value")
 
 
 def test_run_config_accepts_read_keys(tmp_path, capsys):

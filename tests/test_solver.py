@@ -212,7 +212,7 @@ def test_scheme_order_against_oracle(unit_bump):
                        g1=(BumpSpec((0.0, 0.0), 1.5, -0.5),), epsilon=1.0)
     T = 0.5
     pts = [(0.25, 0.4, 0.2), (0.5, 0.9, -0.3), (0.5, 0.1, 0.1), (0.25, -1.0, 0.8)]
-    oracle = {p: free_field(data, p[0], np.array([p[1], p[2]])).u[0] for p in pts}
+    oracle = {p: free_field(data, p[0], np.array([p[1], p[2]]))[0][0] for p in pts}
     errs = []
     levels = [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]
     # dt = cfl * h divides the check times and halves exactly with h
