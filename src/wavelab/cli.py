@@ -20,6 +20,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import ConfigParseError, ConfigValidationError, parse_scenario, set_keys
 from .scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
                         run_scenario)
@@ -109,7 +111,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        summary = run_scenario(config, out_dir=args.out)
+        # an unstable run ends in InstabilityError: its one line is the report,
+        # not numpy's overflow and invalid-value warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = run_scenario(config, out_dir=args.out)
     except (UsageError, OSError, InstabilityError) as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2

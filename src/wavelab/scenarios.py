@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import time
 from dataclasses import replace
 from functools import partial
@@ -546,15 +547,31 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> dict:
     """Run the scenario named in the config; returns the summary dict.
 
     Writes summary.json plus scenario CSVs into out_dir.  Raises UsageError
-    for unknown scenario names.
+    for unknown scenario names.  When the scenario raises, the directories
+    this call created are removed; one that existed before is left as it is.
     """
     if config.name not in SCENARIOS:
         raise UsageError(f"unknown scenario {config.name!r}; "
                          f"choose from {sorted(SCENARIOS)}")
     out_dir = out_dir or config.out_dir or f"out/{config.name}"
+    created = _outermost_missing(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-    assertions, values, runtimes = SCENARIOS[config.name](config, out_dir)
-    runtimes["total"] = time.perf_counter() - t0
-    return write_summary(os.path.join(out_dir, "summary.json"),
-                         config.name, assertions, values, runtimes)
+    try:
+        t0 = time.perf_counter()
+        assertions, values, runtimes = SCENARIOS[config.name](config, out_dir)
+        runtimes["total"] = time.perf_counter() - t0
+        return write_summary(os.path.join(out_dir, "summary.json"),
+                             config.name, assertions, values, runtimes)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
+def _outermost_missing(path: str) -> str | None:
+    """The outermost of path and its ancestors that does not exist, if any:
+    the first directory os.makedirs(path) creates."""
+    path, missing = os.path.abspath(path), None
+    while not os.path.exists(path):
+        path, missing = os.path.dirname(path), path
+    return missing

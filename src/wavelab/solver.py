@@ -34,17 +34,31 @@ built with the state and windowed like xs, and A = 2 - 2 dt^2/h^2; the
 origin's even ghost is cm[0] = 0 with cp[0] = 2 dt^2/h^2.  Cartesian: k =
 dt^2/h^2 times the 4-neighbour sum, and A = 2 - 4k.  A neighbour outside the
 held cells (a light-cone window's left one, the outer 0.0 or the wall) is
-skipped, not read.  The cubic term's d_t u multiplies by the precomputed
-1/dt and 1/(2 dt): a step divides nothing.  linear_update(top, mid, out) is
-this update; init_state takes the first levels from it too.
+skipped, not read.  linear_update(top, mid, out) is this update; init_state
+takes the first levels from it too.
+
+The components couple only through the product d_t u1 d_t u2, and a step
+builds the cubic term from it.  Each pass takes the increment w = top - mid
+(predictor, d_t u = w/dt) or w = new - mid (correctors, d_t u = w/(2 dt))
+and writes
+
+    P = (c w_0) w_1,    new = lin - P w[::-1],
+
+with c = 1/dt or 1/(8 dt), since dt^2 (d_t u_k)^2 d_t u_j = c (w_0 w_1) w_k;
+the product runs over one component's cells, and the reciprocals are
+precomputed: a step divides nothing.  The final d_t u is (new - mid)/(2 dt).
+A step then checks its new level with one reduction, the sum of every value;
+only when that is not finite does an element-wise scan look for the first
+NaN or inf, which a finite level whose sum overflows does not have.
 
 A step allocates no field arrays.  It advances both components at once on
 (2, ...) arrays and writes every intermediate with numpy's out= into
 buffers allocated once per state: the three levels and dt_u, a work buffer
 for the linear part of a nonlinear update (between steps, the dissipation
 integrand's), and the neighbour terms' scratch (contiguous interior arrays
-in Cartesian mode).  The oldest level's buffer receives the new level;
-during a nonlinear step it first serves as scratch for the cubic term.
+in Cartesian mode), which then holds the cubic term's product P.  The
+oldest level's buffer receives the new level; dt_u holds the increment w
+during a nonlinear step.
 Both components go through the same operations in the same order, so
 results are bit-identical to stepping the components one by one.  The
 arrays a sampler sees are these buffers: it must copy what it keeps.
@@ -210,10 +224,12 @@ class WaveState:
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
         self._inv_dt, self._inv_2dt = 1.0 / self.dt, 0.5 / self.dt
+        self._inv_8dt = 0.125 / self.dt          # the cubic term of a corrector
         # work buffers: the linear part of a nonlinear update (between steps
         # the dissipation integrand), windowed like the levels; the neighbour
         # terms' scratch, windowed too (radial) or the interior's neighbour
-        # sum and centre term (Cartesian)
+        # sum and centre term (Cartesian).  Once the linear update is done,
+        # the scratch holds the cubic term's product P of one component's size
         self._work = np.zeros_like(u_curr)
         if self.mode == "radial":
             self._A = 2.0 - 2.0 * k
@@ -227,6 +243,8 @@ class WaveState:
             self._A, self._k = 2.0 - 4.0 * k, k
             self.xs, self.measure = xs, self.h * self.h
             self._tmp = np.zeros((2, 2, self._n - 2, self._n - 2))
+            # 4 (n - 2)^2 >= n^2 values: P is an (n, n) view of their start
+            self._prod = self._tmp.reshape(-1)[:self._n ** 2].reshape(self._n, self._n)
         self._lo_last, self._steps_left = 0, math.inf   # a whole-disk window never closes
         self.lo = self.hi = None
         self._set_window(0, self._n)
@@ -364,24 +382,25 @@ class WaveState:
         if self._steps_left == 0:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
-        dt, dt2 = self.dt, self.dt * self.dt
+        dt = self.dt
         top, mid, v = self.u_next, self.u_curr, self.dt_u
         # the new level overwrites the oldest one, which no step reads
         new = self._levels[0][:, self.lo:self.hi]
         if self.nonlinear:
-            # the linear part goes to the work buffer; new serves as scratch
-            lin = self.linear_update(top, mid, self._lin)
-            # predictor: lagged one-sided derivative at the top level
+            # the linear part goes to the work buffer, the increment w to v
+            # and the product P of its components to the neighbour scratch
+            lin, P = self.linear_update(top, mid, self._lin), self._prod
+            # predictor: w = top - mid, the lagged one-sided difference
             np.subtract(top, mid, out=v)
-            np.multiply(v, self._inv_dt, out=v)
+            c = self._inv_dt
             for i in range(3):           # predictor + two corrector passes
-                if i:                    # centred derivative of the last pass
+                if i:                    # w = new - mid, the centred difference
                     np.subtract(new, mid, out=v)
-                    np.multiply(v, self._inv_2dt, out=v)
-                # new_j = lin_j - (dt2 * (v_k * v_k)) * v_j, k the other component
-                np.multiply(v[::-1], v[::-1], out=new)
-                np.multiply(dt2, new, out=new)
-                np.multiply(new, v, out=new)
+                    c = self._inv_8dt
+                # new_j = lin_j - ((c w_0) w_1) w_k, k the other component
+                np.multiply(v[0], c, out=P)
+                np.multiply(P, v[1], out=P)
+                np.multiply(P, v[::-1], out=new)
                 np.subtract(lin, new, out=new)
         else:
             self.linear_update(top, mid, new)
@@ -392,10 +411,17 @@ class WaveState:
         np.subtract(new, mid, out=v)
         np.multiply(v, self._inv_2dt, out=v)
 
-        if not np.isfinite(new.sum(axis=1)).all():    # a NaN or inf in a component
+        # one reduction finds a NaN or inf; a finite level whose total
+        # overflows goes on to the element-wise scan, which finds none.  The
+        # total's own overflow or inf - inf is not a field value's, so it
+        # does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(new.sum(axis=1).sum())
+        if not math.isfinite(total):
             bad = np.argwhere(~np.isfinite(new))[:, 1:]
-            bad[:, 0] += self.lo                # a global index, also in a window
-            raise InstabilityError(self.t + dt, tuple(bad[0].tolist()) if len(bad) else ())
+            if len(bad):
+                bad[:, 0] += self.lo            # a global index, also in a window
+                raise InstabilityError(self.t + dt, tuple(bad[0].tolist()))
 
         self._levels.append(self._levels.pop(0))
         self.u_prev, self.u_curr, self.u_next = mid, top, new
@@ -451,6 +477,7 @@ class WaveState:
         if self.mode == "radial":
             self.xs, self.measure, self._cp, self._cm = self._geometry[:, lo:hi]
             self._tmp = self._scratch[:, lo:hi]
+            self._prod = self._tmp[0]
 
 
 def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:

@@ -5,10 +5,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavelab
 
+from wavelab import InstabilityError
 from wavelab.cli import main
 from wavelab.config import _SECTION_KEYS
 from wavelab.scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
@@ -85,16 +87,40 @@ def test_module_entry_point_runs_a_scenario(tmp_path):
 
 
 def test_unstable_run_exits_two(tmp_path):
-    # eps = 1e60 overflows the cubic term in the first step; numpy's overflow
-    # warning is an error under pytest, so the run goes through a subprocess
+    # eps = 1e60 overflows the cubic term in the first step; the run goes
+    # through a subprocess, so that stderr is what a user sees under Python's
+    # default warning filters (pytest would raise numpy's warnings instead)
     cfg_path = tmp_path / "unstable.cfg"
     cfg_path.write_text(_sampling_config("conservation", "").replace(
         "epsilon = 0.2", "epsilon = 1e60") + "\n[scenario]\nT = 2\n[grid]\nh = 0.05\n")
     proc = _run_module("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == (
-        "wavelab: non-finite field value at t=0.0225, grid index (0,)")
+    assert proc.stderr == "wavelab: non-finite field value at t=0.0225, grid index (0,)\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _unstable_config():
+    config = default_config("conservation")
+    return replace(config, T=2.0, h=0.05, eps_list=(1e60,),
+                   data=config.data.with_epsilon(1e60))
+
+
+def test_failed_run_removes_the_directories_it_created(tmp_path):
+    out_dir = tmp_path / "a" / "b"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InstabilityError):
+            run_scenario(_unstable_config(), out_dir=str(out_dir))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_keeps_a_directory_that_existed(tmp_path):
+    (tmp_path / "keep.txt").write_text("kept")
+    for out_dir in (tmp_path, tmp_path / "new"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InstabilityError):
+                run_scenario(_unstable_config(), out_dir=str(out_dir))
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+        assert (tmp_path / "keep.txt").read_text() == "kept"
 
 
 def test_non_utf8_config_exit_code(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
-                     field_value, free_field, init_state, run_simulation)
+                     WaveState, field_value, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
 from wavelab.solver import _stencil
@@ -151,8 +151,30 @@ def test_instability_reports_time_and_location(radial_data):
     with np.errstate(invalid="ignore"):
         with pytest.raises(InstabilityError) as err:
             state.step()
-    assert err.value.t > 0
-    assert err.value.location != ()
+    # the inf first reaches cell 4, through its right neighbour
+    assert err.value.t == state.dt
+    assert err.value.location == (4,)
+
+
+@pytest.mark.parametrize("second", [1e307, 0.0], ids=["both", "first"])
+def test_finite_level_whose_sum_overflows_is_stable(second):
+    """40 cells of 1e307 in a component: every value stays finite, but their
+    sum overflows, so the one-reduction check hands over to the element-wise
+    scan, which finds nothing."""
+    h = 1.0 / 16.0
+    xs = (np.arange(40) + 0.5) * h
+    u = np.stack([np.full(40, 1e307), np.full(40, second)])
+    state = WaveState("radial", h, 0.45 * h, xs, np.zeros_like(u), u, u.copy(),
+                      np.zeros_like(u), nonlinear=False)
+    if second:
+        # the dissipation integrand (d_t u1 d_t u2)^2 does overflow, at the wall
+        with np.errstate(over="ignore"):
+            state.step()
+    else:
+        state.step()
+    assert state.t == state.dt
+    assert np.isfinite(state.u_next).all()
+    assert 40 * float(np.min(state.u_next[0])) > np.finfo(float).max    # the sum overflows
 
 
 def test_energy_swap_symmetry(radial_data):
