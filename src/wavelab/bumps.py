@@ -32,7 +32,6 @@ __all__ = [
     "eval_bump",
     "eval_sum",
     "sum_value_grad_hess",
-    "along_direction",
     "initial_values",
 ]
 
@@ -152,18 +151,6 @@ def sum_value_grad_hess(specs: Iterable[BumpSpec], pts: np.ndarray):
         grad += g
         hess += h
     return val, grad, hess
-
-
-def along_direction(fields, omega: np.ndarray, k: int):
-    """(omega . grad)^k of a field from its (value, gradient, packed Hessian)."""
-    val, grad, hess = fields
-    if k == 0:
-        return val
-    w1, w2 = float(omega[0]), float(omega[1])
-    if k == 1:
-        return w1 * grad[..., 0] + w2 * grad[..., 1]
-    return (w1 * w1 * hess[..., 0] + 2.0 * w1 * w2 * hess[..., 1]
-            + w2 * w2 * hess[..., 2])
 
 
 @dataclass(frozen=True)

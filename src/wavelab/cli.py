@@ -6,12 +6,12 @@
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
 2 on usage errors (unknown scenario, malformed, non-UTF-8 or non-finite
 configuration or option, a key set twice, a ray sigma the scenario cannot
-sample, or a setting the scenario never reads) and when the scheme produces a
-non-finite field value.  Both commands check what they are given
-against scenarios.READS, the optional config keys each scenario reads:
-`run` the keys the file sets (config.set_keys) and `scenario` the key each
-option sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps
-data.epsilon.  A multi-valued epsilon also sets scenarios.EPS_LIST.
+sample, or a setting the scenario never reads) and when a field or a report
+value turns non-finite.  Both commands check what they are given against
+scenarios.READS, the optional config keys each scenario reads: `run` the
+keys the file sets (config.set_keys) and `scenario` the key each option
+sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps data.epsilon.  A
+multi-valued epsilon also sets scenarios.EPS_LIST.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigParseError, ConfigValidationError, parse_scenario, set_keys
+from .reporting import NonFiniteReportError
 from .scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
                         run_scenario)
 from .solver import InstabilityError
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
         # not numpy's overflow and invalid-value warnings on the way there
         with np.errstate(over="ignore", invalid="ignore"):
             summary = run_scenario(config, out_dir=args.out)
-    except (UsageError, OSError, InstabilityError) as exc:
+    except (UsageError, OSError, InstabilityError, NonFiniteReportError) as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2
 

@@ -12,33 +12,34 @@ obeys, exactly along the true flow,
     d_t V_1 = -V_1 V_2^2 / (2 t) + K_1,
     d_t V_2 = -V_1^2 V_2 / (2 t) + K_2,
 
-where K_j collects the remainder
+where K_j is the remainder H_j at the foot point.  On a radial state,
+where the angular term Omega^2 u_j of the general remainder is 0,
 
     H_j = (1/2) ( r^{1/2} (d_t u_{3-j})^2 d_t u_j + U_{3-j}^2 U_j / t )
-          - (4 Omega^2 + 1) u_j / (8 r^{3/2}),      Omega = x1 d2 - x2 d1,
+          - u_j / (8 r^{3/2}).
 
-evaluated at the foot point.  Dropping K gives the reduced system whose
-invariant V_1^2 - V_2^2 is exactly conserved; with K kept,
-d/dt (V_1^2 - V_2^2) = 2 rho with rho = V_1 K_1 - V_2 K_2, which is the
-basis of the corrected invariant estimate.
+Dropping K gives the reduced system whose invariant V_1^2 - V_2^2 is
+exactly conserved; with K kept, d/dt (V_1^2 - V_2^2) = 2 rho with
+rho = V_1 K_1 - V_2 K_2, which is the basis of the corrected invariant
+estimate.
 
 V_j and H_j are measured in one place: RayTraceCollector, a run_simulation
-sampler, builds the level's arrays once per sample time and reads them at
-each foot point through WaveState.sample, which builds one 4-point Lagrange
-(cubic) stencil per point and applies it to every sampled field.  Every
-sampled field holds both components on axis 0, as the solver's levels do,
-so each operator (gradient, rotation, stencil) runs once for both, and so
-does each formula above: U and H are evaluated on the (2,) sample arrays,
-with the other component read through [::-1].  A foot point past the grid
-raises ValueError, as WaveState.sample does.  A single point x with
-|x| >= h is the foot point of sigma = |x| - t at theta = atan2(x2, x1).
-field_value interpolates u alone; traces interpolate linearly in time
-between stored samples.
+sampler of radial states, where every angle gives the same profile.  It
+builds u, d_t u and the fourth-order d_r u once per sample time and reads
+them at each foot point |x| = t + sigma through WaveState.sample, which
+builds one 4-point Lagrange (cubic) stencil per point and applies it to
+every sampled field.  Every sampled field holds both components on axis 0,
+as the solver's levels do, so the gradient and the stencil run once for
+both, and so does each formula above, with the other component read
+through [::-1].  A foot point past the grid raises ValueError, as
+WaveState.sample does.  field_value interpolates u alone, in either mode;
+traces interpolate linearly in time between stored samples.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,23 +67,6 @@ class IntegrationError(RuntimeError):
 
 # -- ray sampling -------------------------------------------------------------
 
-def _level_fields(state: WaveState, with_rotation: bool) -> list[np.ndarray]:
-    """The (2, *grid) arrays a ray sample reads from the diagnosed level.
-
-    [u, d_t u, d_r u] in radial mode; [u, d_t u, d_1 u, d_2 u] in Cartesian
-    mode, plus Omega^2 u when with_rotation, from one rotation, gradient,
-    rotation chain.  Gradients use the solver's fourth-order stencils, one
-    call for both components: the ray amplitude multiplies d_r u by r^{1/2}, so
-    at large foot-point radii a second-order gradient error would dominate
-    every profile measurement.
-    """
-    grads = state._gradient4(state.u_curr)
-    fields = [state.u_curr, state.dt_u, *grads]
-    if with_rotation and state.mode != "radial":
-        fields.append(state.rotation(state._gradient4(state.rotation(grads))))
-    return fields
-
-
 def field_value(state: WaveState, x) -> tuple[float, float]:
     """u_1, u_2 of the diagnosed level at the point x, by cubic interpolation."""
     u = state.sample([state.u_curr], x)[0]
@@ -93,10 +77,9 @@ def field_value(state: WaveState, x) -> tuple[float, float]:
 
 @dataclass
 class ProfileTrace:
-    """V and remainder samples along one outgoing ray (fixed sigma, theta)."""
+    """V and remainder samples along one outgoing ray (fixed sigma)."""
 
     sigma: float
-    theta: float
     dt: float                     # solver step underlying the samples
     t: np.ndarray
     V1: np.ndarray
@@ -137,54 +120,59 @@ class ProfileTrace:
 
 
 class RayTraceCollector:
-    """run_simulation sampler that builds ProfileTraces for several sigmas.
+    """run_simulation sampler that builds ProfileTraces for several sigmas
+    from radial states; a Cartesian state raises ValueError.
 
     The one foot-point rule: a (t, sigma) sample is taken when t > 0 and
     t + sigma >= h, so sampling starts once the foot point clears the origin
-    and skips nothing afterwards.  The sampled arrays are built once per
-    level, and each (t, sigma) sample reads them through one stencil and
-    evaluates U and K once for both components.
+    and skips nothing afterwards.  Each (t, sigma) sample reads the level's
+    fields through one stencil and keeps t, u, d_t u and U of both
+    components; traces() evaluates K over all of a sigma's samples at once.
     """
 
-    def __init__(self, sigmas, theta: float, with_remainder: bool = True):
+    def __init__(self, sigmas):
         self.sigmas = [float(s) for s in sigmas]
-        self.theta = float(theta)
-        self.omega = np.array([np.cos(theta), np.sin(theta)])
-        self.with_remainder = with_remainder
-        self._rows: dict[float, list] = {s: [] for s in self.sigmas}
+        # per sigma, 7 packed floats per sample: t, then u, d_t u and U of
+        # both components; a tuple of objects per sample would take 4x the memory
+        self._rows = {s: array("d") for s in self.sigmas}
         self._dt = None
 
     def __call__(self, state: WaveState) -> None:
+        if state.mode != "radial":
+            raise ValueError(f"ray profiles are sampled in radial mode, not {state.mode}")
         self._dt = state.dt
         t = state.t
         if t <= 0.0:
             return
-        fields = _level_fields(state, with_rotation=self.with_remainder)
+        # fourth-order d_r u, one call for both components: the ray amplitude
+        # multiplies it by r^{1/2}, so at large foot-point radii a
+        # second-order gradient error would dominate every profile measurement
+        fields = [state.u_curr, state.dt_u, *state._gradient4(state.u_curr)]
         for s in self.sigmas:
-            if t + s < state.h:
+            r = t + s
+            if r < state.h:
                 continue
-            x = (t + s) * self.omega
-            r = float(np.hypot(x[0], x[1]))
-            u, ut, *rest = state.sample(fields, x)     # (2,) arrays: both components
-            ur = rest[0] if state.mode == "radial" else (x[0] * rest[0] + x[1] * rest[1]) / r
-            ang = rest[2] if len(rest) > 2 else 0.0    # Omega^2 u, 0 in radial mode
+            sample = state.sample(fields, (r, 0.0))
+            u, ut, ur = sample                    # (2,) rows: both components
             sq = math.sqrt(r)
-            U = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)
-            K = (0.0, 0.0)
-            if self.with_remainder:      # the other component through [::-1]
-                K = (0.5 * (sq * ut[::-1] * ut[::-1] * ut + U[::-1] * U[::-1] * U / t)
-                     - (4.0 * ang + u) / (8.0 * r * sq))
-            self._rows[s].append((t, U[0], U[1], K[0], K[1]))
+            sample[2] = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)     # U over d_r u
+            rows = self._rows[s]
+            rows.append(t)
+            rows.frombytes(sample.tobytes())
 
     def traces(self) -> list[ProfileTrace]:
         out = []
         for s in self.sigmas:
-            rows = self._rows[s]
-            if not rows:
+            rows = np.array(self._rows[s]).reshape(-1, 7)
+            if not len(rows):
                 raise ValueError(f"no samples collected for sigma={s}")
-            # the columns t, V1, V2, K1, K2
-            out.append(ProfileTrace(s, self.theta, self._dt,
-                                    *(np.array(col) for col in zip(*rows))))
+            t = rows[:, 0]
+            r = t + s
+            u, ut, U = rows[:, 1:].reshape(-1, 3, 2).transpose(1, 2, 0)   # (2, samples) each
+            sq = np.sqrt(r)          # the other component through [::-1]
+            K = (0.5 * (sq * ut[::-1] * ut[::-1] * ut + U[::-1] * U[::-1] * U / t)
+                 - u / (8.0 * r * sq))
+            out.append(ProfileTrace(s, self._dt, t, U[0], U[1], K[0], K[1]))
         return out
 
 

@@ -4,16 +4,22 @@ Floats, numpy scalars included, are rendered as the repr of a Python float
 (shortest round-trip form), so identical numerical results produce
 byte-identical files whatever the numpy version.  The one intentionally
 non-deterministic part of a summary is the "runtimes" block; everything
-else is covered by the reproducibility contract.
+else is covered by the reproducibility contract.  A NaN or inf raises
+NonFiniteReportError, naming the file and where it sits, and is not written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 
-__all__ = ["Assertion", "write_csv", "write_summary"]
+__all__ = ["Assertion", "NonFiniteReportError", "write_csv", "write_summary"]
+
+
+class NonFiniteReportError(ValueError):
+    """A report would hold a NaN or inf (CLI exit code 2)."""
 
 
 @dataclass(frozen=True)
@@ -44,11 +50,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})     # the cells they render as
+
+
 def write_csv(path, header, rows) -> None:
+    lines = [",".join(header)]
+    for i, row in enumerate(rows, 1):
+        cells = [_fmt(v) for v in row]
+        if not _NON_FINITE.isdisjoint(cells):
+            name, cell = next(nc for nc in zip(header, cells) if nc[1] in _NON_FINITE)
+            raise NonFiniteReportError(f"{path}: column {name}, row {i} is {cell}, "
+                                       "not a finite number")
+        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def _non_finite_keys(value, key: str = ""):
+    """The dotted keys of the NaNs and infs in a tree of dicts and lists."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield key
+    elif isinstance(value, (dict, list, tuple)):
+        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _non_finite_keys(v, f"{key}.{k}" if key else str(k))
 
 
 def write_summary(path, scenario: str, assertions, values: dict,
@@ -65,8 +89,11 @@ def write_summary(path, scenario: str, assertions, values: dict,
         "values": values,
         "runtimes": {k: round(v, 3) for k, v in runtimes.items()},
     }
+    bad = next(_non_finite_keys(summary), None)
+    if bad is not None:
+        raise NonFiniteReportError(f"{path}: {bad} is not a finite number")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary

@@ -338,11 +338,11 @@ def _rays_inside_support(config, sigmas) -> None:
                              f"radius R0={r0:g}, where every ray profile is 0")
 
 
-def _run_scaling_case(config, eps, sigmas, with_remainder=True, h=None):
+def _run_scaling_case(config, eps, sigmas, h=None):
     T = 4.0 / eps
     cfg = replace(config, data=config.data.with_epsilon(eps), eps_list=(eps,), T=T,
                   h=(h if h is not None else config.h))
-    collector = RayTraceCollector(sigmas, 0.0, with_remainder)     # radial: any angle
+    collector = RayTraceCollector(sigmas)
     times = _trace_times(T, cfg.cfl * cfg.h)
     run_simulation(cfg, nonlinear=True, samplers=[(times, collector)],
                    cone=min(sigmas))
@@ -398,8 +398,7 @@ def _scenario_epsilon_scaling(config, out_dir):
     # discretization floor at the smallest eps from one h-halved rerun
     eps_min = eps_list[-1]
     t0 = time.perf_counter()
-    traces_half = _run_scaling_case(config, eps_min, sigmas,
-                                    with_remainder=False, h=config.h / 2)
+    traces_half = _run_scaling_case(config, eps_min, sigmas, h=config.h / 2)
     runtimes["floor_run"] = time.perf_counter() - t0
     floor = {}
     base = {e.sigma: e for e in estimates if e.eps == eps_min}
@@ -467,6 +466,8 @@ def _scenario_nondecay(config, out_dir):
 
 
 def _scenario_symmetric_decay(config, out_dir):
+    if config.mode != "radial":
+        raise UsageError("symmetric-decay runs in radial mode")
     data = config.data
     if data.f1 != data.f2 or data.g1 != data.g2:
         raise UsageError("symmetric-decay requires identical component data")
@@ -477,7 +478,7 @@ def _scenario_symmetric_decay(config, out_dir):
     if config.T < t_ref:
         raise UsageError(f"symmetric-decay needs T >= {t_ref:g}, the profile "
                          f"reference time for sigma={sigma:g}; got T={config.T:g}")
-    collector = RayTraceCollector([sigma], config.theta_samples[0], with_remainder=False)
+    collector = RayTraceCollector([sigma])
     sym_gap = [0.0]
 
     def check_symmetry(state):
@@ -525,11 +526,11 @@ SCENARIOS = {
 # The optional config keys each scenario reads; the CLI rejects any other key
 # a file sets and the key behind any other `wavelab scenario` option.
 # "data.epsilon" is the first epsilon (required in a file, so only --eps is
-# checked) and EPS_LIST more than one.  epsilon-scaling runs each rung to
-# 4/eps in radial mode, where every angle gives the same profiles (it uses
-# theta = 0); radiation-decay tabulates per unit amplitude without a
-# solve (its mode picks the default theta_samples and which bump centres
-# validate), and profile-oracle reads no config field.
+# checked) and EPS_LIST more than one.  epsilon-scaling (each rung to 4/eps)
+# and symmetric-decay sample ray profiles in radial mode, where every angle
+# gives the same profiles; radiation-decay tabulates per unit amplitude
+# without a solve (its mode picks the default theta_samples and which bump
+# centres validate), and profile-oracle reads no config field.
 EPS_LIST = "data.epsilon with more than one value"
 _SOLVE = frozenset({"scenario.mode", "scenario.T", "grid.h", "grid.cfl", "data.epsilon"})
 READS = {
@@ -539,7 +540,7 @@ READS = {
     "profile-oracle": frozenset(),
     "epsilon-scaling": (_SOLVE - {"scenario.T"}) | {EPS_LIST, "data.sigma_samples"},
     "nondecay-demo": _SOLVE | {"data.theta_samples"},
-    "symmetric-decay": _SOLVE | {"data.sigma_samples", "data.theta_samples"},
+    "symmetric-decay": _SOLVE | {"data.sigma_samples"},
 }
 
 

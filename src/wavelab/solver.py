@@ -310,11 +310,6 @@ class WaveState:
         gy[..., 2:-2] = (u[..., :-4] - 8.0 * u[..., 1:-3] + 8.0 * u[..., 3:-1] - u[..., 4:]) / h12
         return gx, gy
 
-    def rotation(self, grad) -> np.ndarray:
-        """Omega u = x1 d2 u - x2 d1 u of a Cartesian field u from its gradient."""
-        X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
-        return X * grad[1] - Y * grad[0]
-
     # -- diagnostics ---------------------------------------------------------
 
     def _require_whole_disk(self, what: str) -> None:

@@ -4,6 +4,18 @@ import pytest
 from wavelab import BumpSpec, InitialData
 
 
+def along_direction(fields, omega: np.ndarray, k: int):
+    """(omega . grad)^k of a field from its (value, gradient, packed Hessian)."""
+    val, grad, hess = fields
+    if k == 0:
+        return val
+    w1, w2 = float(omega[0]), float(omega[1])
+    if k == 1:
+        return w1 * grad[..., 0] + w2 * grad[..., 1]
+    return (w1 * w1 * hess[..., 0] + 2.0 * w1 * w2 * hess[..., 1]
+            + w2 * w2 * hess[..., 2])
+
+
 @pytest.fixture
 def unit_bump():
     return BumpSpec(center=(0.0, 0.0), radius=1.0, amplitude=1.0)

@@ -134,11 +134,16 @@ def test_criterion_09_nondecay_criterion(nondecay):
     assert _report(9, "crossing condition, both energies stay above 0.2x", items)
 
 
-def test_criterion_10_symmetric_single_equation(symmetric):
+def test_criterion_10_symmetric_single_equation(outroot, symmetric):
     items = [_get(symmetric, "component_symmetry_gap"),
              _get(symmetric, "total_energy_monotone_decay"),
              _get(symmetric, "profile_shape_rel_dev")]
     assert _report(10, "u1 = u2 to 1e-12, monotone decay, log-shape within 20%", items)
+    # the profile trace reports the measured remainder K, not 0.0 placeholders
+    header, *rows = (outroot / "symmetric-decay" / "profile_trace.csv").read_text(
+        encoding="utf-8").splitlines()
+    k1 = header.split(",").index("K1")
+    assert any(float(row.split(",")[k1]) != 0.0 for row in rows)
 
 
 def test_every_csv_cell_parses_as_float(outroot, conservation, free_validation,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import along_direction
 from wavelab import BumpSpec, InitialData, eval_bump, eval_sum, initial_values
-from wavelab.bumps import along_direction, profile_derivatives, sum_value_grad_hess
+from wavelab.bumps import profile_derivatives, sum_value_grad_hess
 
 
 def test_center_value_equals_amplitude(unit_bump):

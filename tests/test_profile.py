@@ -37,9 +37,9 @@ def gaussian_profile_prime(s):
     return -16.0 * (s - 2.0) * np.exp(-8.0 * (s - 2.0) ** 2)
 
 
-def ray_sample(state, sigma, theta=0.0, with_remainder=False):
-    """(V1, V2, K1, K2) of one collector sample at (sigma, theta) on state's level."""
-    collector = RayTraceCollector([sigma], theta, with_remainder=with_remainder)
+def ray_sample(state, sigma):
+    """(V1, V2, K1, K2) of one collector sample at sigma on state's level."""
+    collector = RayTraceCollector([sigma])
     collector(state)
     tr = collector.traces()[0]
     assert tr.t[0] == state.t
@@ -208,7 +208,7 @@ def test_reduced_ode_rejects_bad_start():
 def test_remainder_zero_state():
     h = 1.0 / 64.0
     st = synthetic_radial_state(np.zeros(300), np.zeros(300), h, 2.5)
-    assert ray_sample(st, 1.0 - 2.5, with_remainder=True) == (0.0, 0.0, 0.0, 0.0)
+    assert ray_sample(st, 1.0 - 2.5) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_remainder_radial_formula():
@@ -222,7 +222,7 @@ def test_remainder_radial_formula():
     st.u_curr[1] = 0.5 * st.u_curr[0]
     st.dt_u[1] = 0.5 * st.dt_u[0]
     sigma = 2.3 - t0
-    *U, h1, h2 = ray_sample(st, sigma, with_remainder=True)
+    *U, h1, h2 = ray_sample(st, sigma)
     r = t0 + sigma
     x = (r, 0.0)
     uu = field_value(st, x)
@@ -234,47 +234,30 @@ def test_remainder_radial_formula():
     assert h2 == pytest.approx(expect2, rel=1e-12)
 
 
-def test_remainder_angular_term_cartesian():
-    """u = chi(r) cos(theta) has Omega^2 u = -u, so the angular factor is +3."""
-    h = 1.0 / 64.0
-    m = int(3.0 / h)
-    xs = (np.arange(2 * m + 1) - m) * h
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    R2 = np.minimum(X**2 + Y**2, 1.0)
-    with np.errstate(divide="ignore"):
-        chi = np.where(R2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - R2)), 0.0)
-    u = chi * np.cos(np.arctan2(Y, X))
-    zeros = np.zeros_like(u)
-    st = WaveState("cartesian-2d", h, 0.45 * h, xs,
-                   np.stack([u, zeros]), np.stack([u, zeros]),
-                   np.stack([u, zeros]), np.stack([zeros, zeros]),
-                   nonlinear=True)
-    st.t = 3.0
-    for (x, y) in ((0.35, 0.1), (0.2, -0.4), (-0.5, 0.3)):
-        r = math.hypot(x, y)
-        s2 = r * r
-        uval = math.exp(1.0 - 1.0 / (1.0 - s2)) * (x / r)
-        v1, v2, k1, _ = ray_sample(st, r - st.t, math.atan2(y, x), with_remainder=True)
-        expect = 0.5 * (v2**2 * v1 / st.t) + 3.0 * uval / (8.0 * r**1.5)
-        assert k1 == pytest.approx(expect, abs=5e-4)
-
-
-@pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
-def test_collector_remainder_rows(mode, request):
-    """A collector with the remainder on gives finite rows on real states."""
-    data = request.getfixturevalue("radial_data" if mode == "radial" else "offset_data")
-    cfg = ScenarioConfig(name="conservation", data=data, mode=mode,
+def test_collector_remainder_rows(radial_data):
+    """The collector gives finite rows with a nonzero remainder on a real state."""
+    cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=1.0, h=1.0 / 16.0)
     st = init_state(cfg, nonlinear=True)
     for _ in range(round(0.5 / st.dt)):
         st.step()
-    collector = RayTraceCollector([-0.3, 0.0, 0.6], 0.7, with_remainder=True)
+    collector = RayTraceCollector([-0.3, 0.0, 0.6])
     collector(st)
     for tr in collector.traces():
         row = (tr.V1[0], tr.V2[0], tr.K1[0], tr.K2[0])
         assert tr.t.tolist() == [st.t]
         assert all(math.isfinite(v) for v in row)
         assert tr.K1[0] != 0.0
+
+
+def test_collector_rejects_cartesian_state(offset_data):
+    """Ray profiles are sampled on radial states only."""
+    cfg = ScenarioConfig(name="conservation", data=offset_data, mode="cartesian-2d",
+                         T=1.0, h=1.0 / 16.0)
+    st = init_state(cfg, nonlinear=True)
+    st.step()
+    with pytest.raises(ValueError, match="radial mode, not cartesian-2d"):
+        RayTraceCollector([0.0])(st)
 
 
 # -- traces and invariant estimators ------------------------------------------------
@@ -285,7 +268,7 @@ def nonlinear_run():
                        g2=(BumpSpec((0.0, 0.0), 0.8, 0.6),), epsilon=0.2)
     eps, T = 0.2, 20.0
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
-    collector = RayTraceCollector([-1.0, 0.0], 0.0)
+    collector = RayTraceCollector([-1.0, 0.0])
     times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
     run_simulation(cfg, nonlinear=True, samplers=[(times, collector)])
     return data, eps, T, collector.traces()
@@ -296,7 +279,7 @@ def test_trace_window_and_formulas(nonlinear_run):
     tr = traces[0]
     assert tr.sigma == -1.0
     assert tr.t0 == 2.0                       # max(2, -2 sigma) with sigma >= -1
-    deeper = ProfileTrace(sigma=-3.0, theta=0.0, dt=tr.dt,
+    deeper = ProfileTrace(sigma=-3.0, dt=tr.dt,
                           t=tr.t, V1=tr.V1, V2=tr.V2, K1=tr.K1, K2=tr.K2)
     assert deeper.t0 == 6.0
 
@@ -328,7 +311,7 @@ def test_corrected_invariant_coverage_checks(nonlinear_run):
     with pytest.raises(ValueError, match="cover"):
         corrected_invariant(tr, 2.0 * T)
     idx = np.append(np.arange(0, len(tr.t) - 1, 4), len(tr.t) - 1)
-    sparse = ProfileTrace(sigma=tr.sigma, theta=0.0, dt=tr.dt,
+    sparse = ProfileTrace(sigma=tr.sigma, dt=tr.dt,
                           t=tr.t[idx], V1=tr.V1[idx], V2=tr.V2[idx],
                           K1=tr.K1[idx], K2=tr.K2[idx])
     with pytest.raises(ValueError, match="spacing"):
@@ -345,8 +328,7 @@ def test_trace_csv(tmp_path, nonlinear_run):
 def test_corrected_invariant_zero_trace():
     t = np.linspace(2.0, 10.0, 81)
     z = np.zeros_like(t)
-    tr = ProfileTrace(sigma=0.0, theta=0.0, dt=0.025,
-                      t=t, V1=z, V2=z, K1=z, K2=z)
+    tr = ProfileTrace(sigma=0.0, dt=0.025, t=t, V1=z, V2=z, K1=z, K2=z)
     assert corrected_invariant(tr, 10.0) == 0.0
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import along_direction
 from wavelab import (BumpSpec, InitialData, eval_bump, fit_sigma_decay,
                      half_order_integral, radiation_pair, radiation_table,
                      radon_line_integral)
-from wavelab.bumps import along_direction, sum_value_grad_hess
+from wavelab.bumps import sum_value_grad_hess
 from wavelab.radiation import (_CHORD_NODES, _CHORD_PANELS, HALF_ORDER_NORM,
                                RadiationTable, _panel_rule, _radon_many)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import wavelab
 from wavelab import InstabilityError
 from wavelab.cli import main
 from wavelab.config import _SECTION_KEYS
+from wavelab.reporting import NonFiniteReportError, write_csv, write_summary
 from wavelab.scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
                                run_scenario)
 
@@ -121,6 +123,36 @@ def test_failed_run_keeps_a_directory_that_existed(tmp_path):
                 run_scenario(_unstable_config(), out_dir=str(out_dir))
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
         assert (tmp_path / "keep.txt").read_text() == "kept"
+
+
+def test_csv_refuses_a_non_finite_value(tmp_path):
+    path = tmp_path / "r.csv"
+    rows = [(0.0, 1.0), (0.5, np.float64(-np.inf))]
+    with pytest.raises(NonFiniteReportError,
+                       match=r"r\.csv: column u, row 2 is -inf, not a finite number"):
+        write_csv(path, ("t", "u"), rows)
+    assert not path.exists()
+
+
+def test_summary_refuses_a_non_finite_value(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(NonFiniteReportError,
+                       match=r"summary\.json: values\.floor\.-1 is not a finite number"):
+        write_summary(path, "x", [], {"slope": 2.5, "floor": {"0": 1e-9, "-1": math.nan}}, {})
+    assert not path.exists()
+
+
+def test_non_finite_report_exits_two(tmp_path, capsys, monkeypatch):
+    def scenario(config, out_dir):
+        return [], {"slope": math.inf}, {}
+
+    monkeypatch.setitem(SCENARIOS, "profile-oracle", scenario)
+    code = main(["scenario", "profile-oracle", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wavelab: ") and err.count("\n") == 1
+    assert "values.slope is not a finite number" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_utf8_config_exit_code(tmp_path, capsys):
@@ -368,6 +400,8 @@ def test_epsilon_scaling_default_derives_its_horizon():
     # radial only: every angle gives the same profiles
     (_sampling_config("epsilon-scaling", "theta_samples = 0"), "",
      "epsilon-scaling does not read data.theta_samples"),
+    (_sampling_config("symmetric-decay", "theta_samples = 0"), "",
+     "symmetric-decay does not read data.theta_samples"),
 ])
 def test_run_config_rejects_unread_sampling_and_mode(tmp_path, capsys, config, extra, rejected):
     cfg_path = tmp_path / "unread.cfg"
@@ -387,11 +421,14 @@ def test_reads_names_config_keys():
 
 
 def test_epsilon_scaling_rejects_cartesian_mode(tmp_path, capsys):
-    cfg_path = tmp_path / "scaling.cfg"
-    cfg_path.write_text(PROFILE_ORACLE_CONFIG.replace("profile-oracle", "epsilon-scaling")
-                        .replace("epsilon = 0.2", "epsilon = 0.4, 0.2, 0.1")
-                        + "[scenario]\nmode = cartesian-2d\n")
-    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert capsys.readouterr().err == "wavelab: epsilon-scaling runs in radial mode\n"
-    assert not (tmp_path / "o" / "radiation_table.csv").exists()
+    """The two scenarios that sample ray profiles run in radial mode only."""
+    scaling = (PROFILE_ORACLE_CONFIG.replace("profile-oracle", "epsilon-scaling")
+               .replace("epsilon = 0.2", "epsilon = 0.4, 0.2, 0.1"))
+    for name, text in (("epsilon-scaling", scaling),
+                       ("symmetric-decay", _sampling_config("symmetric-decay", ""))):
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(text + "[scenario]\nmode = cartesian-2d\n")
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / name)])
+        assert code == 2
+        assert capsys.readouterr().err == f"wavelab: {name} runs in radial mode\n"
+        assert not (tmp_path / name).exists()

@@ -25,10 +25,10 @@ def scaling_rung(eps, cfl=0.9):
                           T=4.0 / eps, h=H, cfl=cfl)
 
 
-def ray_traces(cfg, sigmas, cone, with_remainder=True, extra=(), t_end=None):
+def ray_traces(cfg, sigmas, cone, extra=(), t_end=None):
     """Traces sampled every fourth step up to t_end (default cfg.T)."""
     t_end = cfg.T if t_end is None else t_end
-    collector = RayTraceCollector(sigmas, 0.7, with_remainder=with_remainder)
+    collector = RayTraceCollector(sigmas)
     times = np.append(np.arange(0.0, t_end, 4 * cfg.cfl * cfg.h), t_end)
     result = run_simulation(cfg, nonlinear=True, cone=cone,
                             samplers=[(times, collector), *extra])
@@ -42,7 +42,7 @@ def assert_equal_traces(full, windowed):
 
 
 def test_windowed_run_equals_full_run():
-    """With the remainder on, every trace value is bit-identical, also at foot
+    """Every trace value, the remainder's too, is bit-identical, also at foot
     points past the window's outer edge (sigma > R0 = 1).  Sampling stops
     0.6 time units before T, so that the foot point at sigma = 1.6 stays on
     the grid."""
@@ -64,8 +64,8 @@ def test_windowed_run_equals_full_run():
        eps=st.floats(0.6, 1.0), cfl=st.sampled_from([0.3, 0.45, 0.9]))
 def test_windowed_equals_full_for_random_sigmas(sigmas, eps, cfl):
     cfg = scaling_rung(eps, cfl)
-    _, full = ray_traces(cfg, sigmas, cone=None, with_remainder=False)
-    _, windowed = ray_traces(cfg, sigmas, cone=min(sigmas), with_remainder=False)
+    _, full = ray_traces(cfg, sigmas, cone=None)
+    _, windowed = ray_traces(cfg, sigmas, cone=min(sigmas))
     assert_equal_traces(full, windowed)
 
 
