@@ -45,7 +45,7 @@ print("\n sigma   m_direct      m_corrected   eps^2(dF1^2-dF2^2)   resid/leading
 for tr in collector.traces():
     m_direct = tr.invariant_at(T)
     m_corr = corrected_invariant(tr, T)
-    m_lead = leading_invariant(table, eps, tr.sigma, 0.0)
+    m_lead = leading_invariant(table, eps, tr.sigma)
     rel = (m_direct - m_lead) / m_lead if m_lead else float("nan")
     print(f"{tr.sigma:6.2f}  {m_direct: .6e}  {m_corr: .6e}  {m_lead: .6e}   {rel:+.2%}")
 print("(the leading term captures the invariant to a few percent at eps = 0.2)")

@@ -32,7 +32,7 @@ for eps in eps_ladder:
     times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
     # a light-cone window: advance only the cells rays at sigma >= -2 can see
     run_simulation(cfg, nonlinear=True, samplers=[(times, col)], cone=min(sigmas))
-    worst = max(abs(tr.invariant_at(T) - leading_invariant(table, eps, tr.sigma, 0.0))
+    worst = max(abs(tr.invariant_at(T) - leading_invariant(table, eps, tr.sigma))
                 for tr in col.traces())
     residuals.append(worst)
     print(f"  {eps:.4f}  {T:5.1f}   {worst:.3e}")

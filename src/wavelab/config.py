@@ -159,6 +159,10 @@ class ScenarioConfig:
             for v in values:
                 if not math.isfinite(v):
                     raise ConfigValidationError(field_name, f"non-finite entry {v}")
+        # the angle grid of a radiation table
+        if any(b <= a for a, b in zip(self.theta_samples, self.theta_samples[1:])):
+            raise ConfigValidationError("theta_samples", "must be strictly increasing, got "
+                                        + ", ".join(f"{t:g}" for t in self.theta_samples))
 
 
 def _floats(values) -> tuple[float, ...]:

@@ -28,12 +28,14 @@ sampler of radial states, where every angle gives the same profile.  It
 builds u, d_t u and the fourth-order d_r u once per sample time and reads
 them at each foot point |x| = t + sigma through WaveState.sample, which
 builds one 4-point Lagrange (cubic) stencil per point and applies it to
-every sampled field.  Every sampled field holds both components on axis 0,
-as the solver's levels do, so the gradient and the stencil run once for
-both, and so does each formula above, with the other component read
-through [::-1].  A foot point past the grid raises ValueError, as
-WaveState.sample does.  field_value interpolates u alone, in either mode;
-traces interpolate linearly in time between stored samples.
+every sampled field.  A sample stores these raw values; the collector's
+traces() evaluates U_j and H_j over a whole trace at once.  Every sampled
+field holds both components on axis 0, as the solver's levels do, so the
+gradient and the stencil run once for both, and so does each formula
+above, with the other component read through [::-1].  A foot point past
+the grid raises ValueError, as WaveState.sample does.  field_value
+interpolates u alone, in either mode; traces interpolate linearly in time
+between stored samples.
 """
 
 from __future__ import annotations
@@ -126,13 +128,14 @@ class RayTraceCollector:
     The one foot-point rule: a (t, sigma) sample is taken when t > 0 and
     t + sigma >= h, so sampling starts once the foot point clears the origin
     and skips nothing afterwards.  Each (t, sigma) sample reads the level's
-    fields through one stencil and keeps t, u, d_t u and U of both
-    components; traces() evaluates K over all of a sigma's samples at once.
+    fields through one stencil and keeps t, u, d_t u and d_r u of both
+    components; traces() evaluates U and K over all of a sigma's samples at
+    once.
     """
 
     def __init__(self, sigmas):
         self.sigmas = [float(s) for s in sigmas]
-        # per sigma, 7 packed floats per sample: t, then u, d_t u and U of
+        # per sigma, 7 packed floats per sample: t, then u, d_t u and d_r u of
         # both components; a tuple of objects per sample would take 4x the memory
         self._rows = {s: array("d") for s in self.sigmas}
         self._dt = None
@@ -152,13 +155,9 @@ class RayTraceCollector:
             r = t + s
             if r < state.h:
                 continue
-            sample = state.sample(fields, (r, 0.0))
-            u, ut, ur = sample                    # (2,) rows: both components
-            sq = math.sqrt(r)
-            sample[2] = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)     # U over d_r u
             rows = self._rows[s]
             rows.append(t)
-            rows.frombytes(sample.tobytes())
+            rows.frombytes(state.sample(fields, (r, 0.0)).tobytes())
 
     def traces(self) -> list[ProfileTrace]:
         out = []
@@ -168,8 +167,9 @@ class RayTraceCollector:
                 raise ValueError(f"no samples collected for sigma={s}")
             t = rows[:, 0]
             r = t + s
-            u, ut, U = rows[:, 1:].reshape(-1, 3, 2).transpose(1, 2, 0)   # (2, samples) each
+            u, ut, ur = rows[:, 1:].reshape(-1, 3, 2).transpose(1, 2, 0)  # (2, samples) each
             sq = np.sqrt(r)          # the other component through [::-1]
+            U = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)
             K = (0.5 * (sq * ut[::-1] * ut[::-1] * ut + U[::-1] * U[::-1] * U / t)
                  - u / (8.0 * r * sq))
             out.append(ProfileTrace(s, self._dt, t, U[0], U[1], K[0], K[1]))
@@ -262,12 +262,23 @@ def corrected_invariant(trace: ProfileTrace, t_cut: float) -> float:
     return trace.invariant_at(t0) + 2.0 * integral
 
 
-def leading_invariant(table: RadiationTable, eps: float, sigma: float,
-                      theta: float) -> float:
-    """eps^2 ((d_sigma F1)^2 - (d_sigma F2)^2) from a per-unit-amplitude table."""
-    d1 = table.value_at(sigma, theta, 1)
-    d2 = table.value_at(sigma, theta, 2)
-    return eps * eps * (d1 * d1 - d2 * d2)
+def leading_invariant(table: RadiationTable, eps: float, sigma: float) -> float:
+    """eps^2 ((d_sigma F1)^2 - (d_sigma F2)^2), dF interpolated linearly in
+    sigma on a one-angle, per-unit-amplitude table: 0 above the support
+    radius; ValueError below the grid (no extrapolation on the decaying tail)
+    or on a table of more angles."""
+    if len(table.theta_grid) != 1:
+        raise ValueError(f"leading_invariant reads a one-angle table, "
+                         f"not {len(table.theta_grid)} angles")
+    if sigma > table.support_radius:
+        return 0.0
+    sg = table.sigma_grid
+    if sigma < sg[0] - 1e-12:
+        raise ValueError(f"sigma={sigma} below the table grid (starts at {sg[0]})")
+    i = int(np.clip(np.searchsorted(sg, sigma) - 1, 0, len(sg) - 2))
+    ws = min(max((sigma - sg[i]) / (sg[i + 1] - sg[i]), 0.0), 1.0)
+    d1, d2 = (1 - ws) * table.dF[:, i, 0] + ws * table.dF[:, i + 1, 0]
+    return float(eps * eps * (d1 * d1 - d2 * d2))
 
 
 @dataclass(frozen=True)

@@ -203,31 +203,6 @@ class RadiationTable:
                 raise ValueError(f"{name} must be non-empty and strictly increasing")
             object.__setattr__(self, name, g)
 
-    def value_at(self, sigma: float, theta: float, component: int) -> float:
-        """Bilinear interpolation of dF at (sigma, theta).
-
-        sigma above the support radius returns 0 exactly; sigma below the
-        grid raises (no extrapolation on the decaying tail).
-        """
-        if sigma > self.support_radius:
-            return 0.0
-        sg, tg = self.sigma_grid, self.theta_grid
-        if sigma < sg[0] - 1e-12:
-            raise ValueError(f"sigma={sigma} below the table grid (starts at {sg[0]})")
-        table = self.dF[component - 1]
-        i = int(np.clip(np.searchsorted(sg, sigma) - 1, 0, len(sg) - 2))
-        ws = (sigma - sg[i]) / (sg[i + 1] - sg[i])
-        ws = min(max(ws, 0.0), 1.0)
-        if len(tg) == 1:
-            col = table[:, 0]
-            return float((1 - ws) * col[i] + ws * col[i + 1])
-        j = int(np.clip(np.searchsorted(tg, theta) - 1, 0, len(tg) - 2))
-        wt = (theta - tg[j]) / (tg[j + 1] - tg[j])
-        wt = min(max(wt, 0.0), 1.0)
-        patch = table[i:i + 2, j:j + 2]
-        return float((1 - ws) * (1 - wt) * patch[0, 0] + (1 - ws) * wt * patch[0, 1]
-                     + ws * (1 - wt) * patch[1, 0] + ws * wt * patch[1, 1])
-
     def to_csv(self, path) -> None:
         """Sigma-major CSV: sigma, theta, F1, dF1, F2, dF2."""
         from .reporting import write_csv

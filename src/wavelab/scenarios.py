@@ -239,23 +239,13 @@ def _scenario_free_validation(config, out_dir):
     return assertions, values, runtimes
 
 
-def _theta_grid(config) -> tuple[float, ...]:
-    """config.theta_samples as the angle grid of a radiation table, which
-    must be strictly increasing."""
-    thetas = config.theta_samples
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise UsageError(f"{config.name}: theta_samples must be strictly increasing, "
-                         f"got {', '.join(f'{t:g}' for t in thetas)}")
-    return thetas
-
-
 def _scenario_radiation_decay(config, out_dir):
     data = config.data
     r0 = data.support_radius
     runtimes = {}
     sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
     t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, _theta_grid(config))
+    table = radiation_table(data, sigma_grid, config.theta_samples)
     runtimes["table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
@@ -352,6 +342,9 @@ def _run_scaling_case(config, eps, sigmas, h=None):
 def _scenario_epsilon_scaling(config, out_dir):
     if len(config.eps_list) < 3:
         raise UsageError("epsilon-scaling needs at least 3 epsilon values")
+    if len(set(config.eps_list)) < len(config.eps_list):
+        raise UsageError("epsilon-scaling needs distinct epsilon values, got "
+                         + ", ".join(f"{e:g}" for e in config.eps_list))
     if config.mode != "radial":
         raise UsageError("epsilon-scaling runs in radial mode")
     eps_list = tuple(sorted(config.eps_list, reverse=True))
@@ -384,7 +377,7 @@ def _scenario_epsilon_scaling(config, out_dir):
         for tr in traces:
             md = tr.invariant_at(T)
             mc = corrected_invariant(tr, T)
-            ml = leading_invariant(table, eps, tr.sigma, theta)
+            ml = leading_invariant(table, eps, tr.sigma)
             estimates.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
                                        m_direct=md, m_corrected=mc, m_leading=ml))
     runtimes["eps_runs"] = time.perf_counter() - t0
@@ -434,11 +427,11 @@ def _scenario_nondecay(config, out_dir):
     r0 = data.support_radius
     sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
     t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, _theta_grid(config))
+    table = radiation_table(data, sigma_grid, config.theta_samples)
     runtimes["table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
-    gap = np.abs(table.dF[0, :, 0]) - np.abs(table.dF[1, :, 0])
+    gap = np.abs(table.dF[0]) - np.abs(table.dF[1])      # every (sigma, theta)
     margin = 0.05
     # the crossing condition must hold before any solve happens
     assertions = [
@@ -471,8 +464,11 @@ def _scenario_symmetric_decay(config, out_dir):
     data = config.data
     if data.f1 != data.f2 or data.g1 != data.g2:
         raise UsageError("symmetric-decay requires identical component data")
+    if len(config.sigma_samples) != 1:
+        raise UsageError("symmetric-decay samples one ray: set one sigma_samples "
+                         "value, got " + ", ".join(f"{s:g}" for s in config.sigma_samples))
     runtimes = {}
-    sigma = config.sigma_samples[0]
+    (sigma,) = config.sigma_samples
     _rays_inside_support(config, [sigma])
     t_ref = ProfileTrace.reference_time(sigma)
     if config.T < t_ref:
@@ -526,11 +522,12 @@ SCENARIOS = {
 # The optional config keys each scenario reads; the CLI rejects any other key
 # a file sets and the key behind any other `wavelab scenario` option.
 # "data.epsilon" is the first epsilon (required in a file, so only --eps is
-# checked) and EPS_LIST more than one.  epsilon-scaling (each rung to 4/eps)
-# and symmetric-decay sample ray profiles in radial mode, where every angle
-# gives the same profiles; radiation-decay tabulates per unit amplitude
-# without a solve (its mode picks the default theta_samples and which bump
-# centres validate), and profile-oracle reads no config field.
+# checked) and EPS_LIST more than one.  epsilon-scaling (distinct epsilons,
+# each rung to 4/eps) and symmetric-decay (one sigma) sample ray profiles in
+# radial mode, where every angle gives the same profiles; nondecay-demo checks
+# the crossing over every tabulated angle; radiation-decay tabulates per unit
+# amplitude without a solve (its mode picks the default theta_samples and
+# which bump centres validate), and profile-oracle reads no config field.
 EPS_LIST = "data.epsilon with more than one value"
 _SOLVE = frozenset({"scenario.mode", "scenario.T", "grid.h", "grid.cfl", "data.epsilon"})
 READS = {

@@ -100,7 +100,9 @@ the whole-disk run's.  WaveState.sample refuses a point with |x| < t + cone,
 and a light-cone window raises when stepped past the step count it was
 sized for.  Energies and dissipation sum the held cells [0, hi), the whole
 support; over a light-cone window they mean nothing, so such a state raises
-on them and its run_simulation returns no EnergyTrace.
+on them and its run_simulation returns no EnergyTrace.  A state keeps no
+integral over time: run_simulation reads the dissipation after every step
+and integrates it.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
@@ -197,7 +199,6 @@ class WaveState:
       dt_u        centered time derivative at the diagnosed level, (2, ...)
       xs          1D node coordinates (Cartesian axes) or cell centers r_i
       measure     cell measure of every integral: 2 pi r_i h (radial), h^2
-      D           dissipation integrand at the diagnosed level
       cone        None for the whole disk, else the smallest ray sigma of a
                   light-cone window (radial only; see the module docstring)
       lo, hi      the global cells [lo, hi) held; the arrays above are views
@@ -215,7 +216,6 @@ class WaveState:
         self.dt = float(dt)
         self.t = 0.0
         self.nonlinear = bool(nonlinear)
-        self.cum_dissipation = 0.0
         self.cone = None
         self._levels, self._dt_u = [u_prev, u_curr, u_next], dt_u
         self._n = len(xs)
@@ -248,7 +248,6 @@ class WaveState:
         self._lo_last, self._steps_left = 0, math.inf   # a whole-disk window never closes
         self.lo = self.hi = None
         self._set_window(0, self._n)
-        self.D = self.dissipation()
 
     # -- spatial operators -------------------------------------------------
 
@@ -423,10 +422,6 @@ class WaveState:
         self.t += dt
         self._steps_left -= 1
         self._move_window()
-        if self.cone is None:
-            D = self.dissipation()
-            self.cum_dissipation += 0.5 * dt * (self.D + D)
-            self.D = D
         return self
 
     # -- radial window -------------------------------------------------------
@@ -437,7 +432,6 @@ class WaveState:
         CONE_REACH cells below the stencil of a sample at |x| = t + cone."""
         if cone is not None:
             self.cone = float(cone)
-            self.cum_dissipation = None
             self._steps_left = n_steps
             foot = (n_steps * self.dt + self.cone) / self.h - 0.5
             self._lo_last = _stencil(foot, self._n)[0] - CONE_REACH
@@ -448,7 +442,6 @@ class WaveState:
         last = int(nonzero[-1]) if len(nonzero) else 0
         self._set_window(0, min(max(last + 3, 4), self._n))
         self._move_window()
-        self.D = self.dissipation() if cone is None else None     # over [0, hi)
 
     def _move_window(self) -> None:
         """Grow hi past a nonzero edge cell; move a cone's lo up one cell per step."""
@@ -547,7 +540,8 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
     requested times (mapped to the nearest step), and must copy what it
     keeps: later steps overwrite the state's arrays.  The returned
     EnergyTrace is sampled every TRACE_DT time units plus the initial and
-    final levels.
+    final levels; its cum_D is the trapezoid over every step of
+    state.dissipation(), read after each step.
 
     cone, the smallest sigma any sampler reads, makes the radial window a
     light-cone window (see the module docstring): samples at sigma >= cone
@@ -566,14 +560,21 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
 
     stride = max(1, int(round(TRACE_DT / state.dt)))
     rows = []
+    whole = cone is None
+    # the dissipation integrand at every step and its step-resolution
+    # trapezoid from 0, over [0, hi) from the window init_state opened
+    D, cum_D = (state.dissipation() if whole else None), 0.0
     for n in range(n_steps + 1):
         if n:
             state.step()
+            if whole:
+                D_prev, D = D, state.dissipation()
+                cum_D += 0.5 * state.dt * (D_prev + D)
         for cb in requests.get(n, ()):
             cb(state)
-        if cone is None and (n % stride == 0 or n == n_steps):
+        if whole and (n % stride == 0 or n == n_steps):
             e1, e2 = state.energies()
-            rows.append((state.t, e1, e2, state.D, state.cum_dissipation))
-    if cone is not None:
+            rows.append((state.t, e1, e2, D, cum_D))
+    if not whole:
         return None
     return EnergyTrace(*(np.array(col) for col in zip(*rows)))

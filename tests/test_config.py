@@ -157,6 +157,17 @@ def test_sigma_and_theta_lists():
     assert cfg.theta_samples == (0.0, 1.57)
 
 
+@pytest.mark.parametrize("thetas", ["1, 0", "0.5, 0.5"])
+def test_theta_samples_must_increase(thetas):
+    """The angles are a radiation table's grid, checked where the config is
+    built, in a file or in code."""
+    text = MINIMAL + f"\n[data]\ntheta_samples = {thetas}\n"
+    with pytest.raises(ConfigValidationError, match="theta_samples: must be strictly increasing"):
+        parse_scenario(text)
+    with pytest.raises(ConfigValidationError, match="theta_samples"):
+        replace(parse_scenario(MINIMAL), theta_samples=(1.0, 0.0))
+
+
 RADIATION_DECAY_2D = """
 [scenario]
 name = radiation-decay
@@ -262,7 +273,8 @@ def _config_values(draw):
         T=draw(_optional(st.floats(0.1, 100.0))),
         eps=draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3)),
         sigmas=draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)),
-        thetas=draw(_optional(st.lists(st.floats(0.0, 6.3), min_size=1, max_size=3))),
+        thetas=draw(_optional(st.lists(st.floats(0.0, 6.3), min_size=1, max_size=3,
+                                       unique=True).map(sorted))),
         bumps=draw(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from("fg"), bump),
                             min_size=1, max_size=3)))
 

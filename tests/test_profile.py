@@ -337,12 +337,20 @@ def test_leading_invariant_properties(unit_bump):
                        epsilon=0.2)
     grid = np.arange(-2.0, 1.2001, 0.05)
     table = radiation_table(asym, grid, [0.0])
-    assert leading_invariant(table, 0.2, 1.5, 0.0) == 0.0      # above support
-    v1 = leading_invariant(table, 0.1, -0.5, 0.0)
-    v2 = leading_invariant(table, 0.2, -0.5, 0.0)
+    assert leading_invariant(table, 0.2, 1.5) == 0.0           # above support
+    with pytest.raises(ValueError, match="below"):
+        leading_invariant(table, 0.2, -3.0)                     # below the grid
+    mid = leading_invariant(table, 0.2, -0.513)                 # between nodes
+    assert np.isfinite(mid) and mid != 0.0
+    v1 = leading_invariant(table, 0.1, -0.5)
+    v2 = leading_invariant(table, 0.2, -0.5)
     assert v2 == pytest.approx(4.0 * v1, rel=1e-14)            # eps^2 scaling
 
     same = InitialData(g1=(unit_bump,), g2=(unit_bump,), epsilon=0.2)
     table_same = radiation_table(same, grid, [0.0])
-    vals = [leading_invariant(table_same, 0.2, s, 0.0) for s in (-1.5, -0.3, 0.4)]
+    vals = [leading_invariant(table_same, 0.2, s) for s in (-1.5, -0.3, 0.4)]
     assert all(v == 0.0 for v in vals)                          # identical data
+
+    two_angles = radiation_table(asym, grid[::8], [0.0, 1.0])
+    with pytest.raises(ValueError, match="one-angle"):
+        leading_invariant(two_angles, 0.2, -0.5)

@@ -276,16 +276,6 @@ def test_radiation_pair_matches_per_component_quadrature(theta):
             assert np.array([F[j], dF[j]]).tobytes() == ref.tobytes(), (sigma, j)
 
 
-def test_interpolation_and_support_queries(unit_bump):
-    data = InitialData(g1=(unit_bump,), g2=(unit_bump,), epsilon=0.1)
-    table = radiation_table(data, np.linspace(-2, 1.2, 33), [0.0])
-    assert table.value_at(2.0, 0.0, 1) == 0.0           # above support radius
-    with pytest.raises(ValueError, match="below"):
-        table.value_at(-3.0, 0.0, 1)
-    mid = table.value_at(-0.513, 0.0, 1)
-    assert np.isfinite(mid) and mid != 0.0
-
-
 def test_table_grid_validation():
     with pytest.raises(ValueError, match="increasing"):
         RadiationTable(sigma_grid=np.array([0.0, 0.0]), theta_grid=np.array([0.0]),

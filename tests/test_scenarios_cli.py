@@ -14,6 +14,7 @@ import wavelab
 from wavelab import InstabilityError
 from wavelab.cli import main
 from wavelab.config import _SECTION_KEYS
+from wavelab.radiation import RadiationTable
 from wavelab.reporting import NonFiniteReportError, write_csv, write_summary
 from wavelab.scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
                                run_scenario)
@@ -288,6 +289,10 @@ def _sampling_config(name, data_line):
     ("run epsilon-scaling: sigma_samples = -1, 1.5", "o", {2}),
     ("run epsilon-scaling: sigma_samples = -15, 0", "o", {2}),
     ("run symmetric-decay: sigma_samples = 1.5", "o", {2}),
+    # symmetric-decay samples one ray; epsilon-scaling fits one residual per
+    # distinct epsilon, refused before any rung runs
+    ("run symmetric-decay: sigma_samples = 0, 0.5", "o", {2}),
+    ("epsilon-scaling --eps 1,1,0.8 --h 0.0625", "o", {2}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
@@ -410,6 +415,25 @@ def test_run_config_rejects_unread_sampling_and_mode(tmp_path, capsys, config, e
     assert code == 2
     assert capsys.readouterr().err == f"wavelab: scenario {rejected}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_nondecay_crossing_reads_every_angle(tmp_path, monkeypatch):
+    """The crossing condition is taken over every tabulated angle: in this
+    stubbed two-angle table it holds at angle 1 alone."""
+    def table(data, sigma_grid, theta_grid):
+        n = len(sigma_grid)
+        dF = np.zeros((2, n, len(theta_grid)))
+        dF[0, :n // 2, 1] = 1.0             # dF1 dominates on the inner half
+        dF[1, n // 2:, 1] = 1.0             # dF2 on the outer half
+        return RadiationTable(sigma_grid, theta_grid, np.zeros_like(dF), dF,
+                              data.support_radius)
+
+    monkeypatch.setattr(wavelab.scenarios, "radiation_table", table)
+    cfg = replace(default_config("nondecay-demo"), theta_samples=(0.0, 1.0),
+                  T=1.0, h=1.0 / 16.0)
+    summary = run_scenario(cfg, out_dir=tmp_path)
+    passed = {a["name"]: a["passed"] for a in summary["assertions"]}
+    assert passed["crossing_dF1_dominates"] and passed["crossing_dF2_dominates"]
 
 
 def test_reads_names_config_keys():

@@ -12,7 +12,7 @@ from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig, Wa
                      field_value, init_state, run_simulation)
 from wavelab.profile import RayTraceCollector
 from wavelab.scenarios import default_config
-from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY
+from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY, TRACE_DT
 
 H = 1.0 / 32.0
 
@@ -142,6 +142,22 @@ def _radial_coefficients(xs, h, dt):
     return 2.0 - 2.0 * k, cp, cm
 
 
+def _assert_trace_integrates(cfg, nonlinear, Ds):
+    """run_simulation's EnergyTrace holds, at its rows, the reference
+    dissipation Ds (one value per level from t = 0) and its step-resolution
+    trapezoid."""
+    dt = cfg.cfl * cfg.h
+    cums = [0.0]
+    for D_prev, D in zip(Ds, Ds[1:]):
+        cums.append(cums[-1] + 0.5 * dt * (D_prev + D))
+    stride = max(1, round(TRACE_DT / dt))
+    rows = [n for n in range(len(Ds)) if n % stride == 0 or n == len(Ds) - 1]
+    trace = run_simulation(cfg, nonlinear=nonlinear)
+    assert trace.D.tolist() == [Ds[n] for n in rows]
+    assert trace.cum_D.tolist() == [cums[n] for n in rows]
+    return cums[-1]
+
+
 def _reference_step(top, mid, fold, dt, nonlinear, flush):
     """One leapfrog step component by component: (new level, d_t u at top).
 
@@ -173,7 +189,7 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     every cell of the domain, until and after its support reaches the wall.
     The reference keeps its own outer edge hi by the window's rule, flushes
     the same band below it, and sums D and the energies over its cells
-    [0, hi)."""
+    [0, hi); run_simulation integrates that D."""
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=3.0, h=1.0 / 16.0)
     state = init_state(cfg, nonlinear=nonlinear)
@@ -203,17 +219,15 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
 
     hi = state.hi
     mid, top, dt_u = padded(state.u_curr), padded(state.u_next), padded(state.dt_u)
-    D = dissipation(dt_u)
-    cum = 0.0
+    Ds = [dissipation(dt_u)]
+    assert state.dissipation() == Ds[0]
     his = []
     for _ in range(math.ceil(cfg.T / dt)):
         new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush)
         mid, top = top, new
         if hi < n and (top[:, hi - 2:hi].any() or mid[:, hi - 2:hi].any()):
             hi += 1
-        D_new = dissipation(dt_u)
-        cum += 0.5 * dt * (D + D_new)
-        D = D_new
+        Ds.append(dissipation(dt_u))
 
         state.step()
         his.append(state.hi)
@@ -221,10 +235,11 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
         assert np.array_equal(padded(state.u_curr), mid)
         assert np.array_equal(padded(state.u_next), top)
         assert np.array_equal(padded(state.dt_u), dt_u)
-        assert state.D == D and state.cum_dissipation == cum
+        assert state.dissipation() == Ds[-1]
         assert state.energies() == _reference_energies(mid[:, :hi], dt_u[:, :hi],
                                                        measure[:hi], h)
     assert his[0] < n and his[-1] == n          # the support reached the wall
+    _assert_trace_integrates(cfg, nonlinear, Ds)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
@@ -250,26 +265,25 @@ def test_cartesian_step_equals_component_loop(nonlinear):
             u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2])
         return lin
 
+    def dissipation(dt_u):
+        prod = dt_u[0] * dt_u[1]
+        return float(np.sum(prod * prod * h2))
+
     mid, top = state.u_curr.copy(), state.u_next.copy()
-    prod = state.dt_u[0] * state.dt_u[1]
-    D = float(np.sum(prod * prod * h2))
-    assert state.D == D
-    cum = 0.0
+    Ds = [dissipation(state.dt_u)]
+    assert state.dissipation() == Ds[0]
     for _ in range(math.ceil(cfg.T / dt)):
         new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush=lambda new: None)
         mid, top = top, new
-        prod = dt_u[0] * dt_u[1]
-        D_new = float(np.sum(prod * prod * h2))
-        cum += 0.5 * dt * (D + D_new)
-        D = D_new
+        Ds.append(dissipation(dt_u))
 
         state.step()
         assert np.array_equal(state.u_curr, mid)
         assert np.array_equal(state.u_next, top)
         assert np.array_equal(state.dt_u, dt_u)
-        assert state.D == D and state.cum_dissipation == cum
+        assert state.dissipation() == Ds[-1]
         assert state.energies() == _reference_cartesian_energies(mid, dt_u, state.h)
-    assert cum > 0
+    assert _assert_trace_integrates(cfg, nonlinear, Ds) > 0
 
 
 @pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
