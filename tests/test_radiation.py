@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import along_direction
 from wavelab import (BumpSpec, InitialData, eval_bump, fit_sigma_decay,
-                     half_order_integral, radiation_pair, radiation_table,
-                     radon_line_integral)
+                     half_order_integral, leading_invariant, radiation_pair,
+                     radiation_table, radon_line_integral)
 from wavelab.bumps import sum_value_grad_hess
 from wavelab.radiation import (_CHORD_NODES, _CHORD_PANELS, HALF_ORDER_NORM,
                                RadiationTable, _panel_rule, _radon_many)
@@ -274,6 +274,17 @@ def test_radiation_pair_matches_per_component_quadrature(theta):
         for j, (f, g) in enumerate(((data.f1, data.g1), (data.f2, data.g2))):
             ref = _component_pair(f, g, sigma, om, r0, feature)
             assert np.array([F[j], dF[j]]).tobytes() == ref.tobytes(), (sigma, j)
+
+
+def test_interpolation_and_support_queries(unit_bump):
+    data = InitialData(g1=(unit_bump,), g2=(BumpSpec((0.0, 0.0), 0.7, 0.4),),
+                       epsilon=0.1)
+    table = radiation_table(data, np.linspace(-2, 1.2, 33), [0.0])
+    assert leading_invariant(table, 0.1, 2.0) == 0.0    # above support radius
+    with pytest.raises(ValueError, match="below"):
+        leading_invariant(table, 0.1, -3.0)
+    mid = leading_invariant(table, 0.1, -0.513)         # between nodes
+    assert np.isfinite(mid) and mid != 0.0
 
 
 def test_table_grid_validation():
