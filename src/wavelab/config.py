@@ -104,7 +104,7 @@ class ScenarioConfig:
     h: float | None = None       # None means "derive from support radius"
     cfl: float = DEFAULT_CFL
     T: float | None = None       # None means "derive as 4 / min(eps)"
-    sigma_samples: tuple[float, ...] = DEFAULT_SIGMA_SAMPLES
+    sigma_samples: tuple[float, ...] | None = None   # None: (0,) symmetric-decay, else 4 rays
     theta_samples: tuple[float, ...] | None = None   # None: (0,) radial, 16 angles 2-D
     eps_list: tuple[float, ...] | None = None        # None: (data.epsilon,)
     out_dir: str | None = None
@@ -149,7 +149,8 @@ class ScenarioConfig:
         if self.mode == "radial" and not self.data.is_centered():
             raise ConfigValidationError(
                 "mode", "radial mode requires every bump center at the origin")
-        object.__setattr__(self, "sigma_samples", _floats(self.sigma_samples))
+        self._derive("sigma_samples", lambda: (0.0,) if self.name == "symmetric-decay"
+                     else DEFAULT_SIGMA_SAMPLES, _floats)
         self._derive("theta_samples", lambda: (0.0,) if self.mode == "radial" else _floats(
             np.linspace(0, 2 * np.pi, 16, endpoint=False)), _floats)
         for field_name in ("sigma_samples", "theta_samples"):
@@ -159,6 +160,9 @@ class ScenarioConfig:
             for v in values:
                 if not math.isfinite(v):
                     raise ConfigValidationError(field_name, f"non-finite entry {v}")
+        if len(set(self.sigma_samples)) < len(self.sigma_samples):
+            raise ConfigValidationError("sigma_samples", "repeated sigma in "
+                                        + ", ".join(f"{s:g}" for s in self.sigma_samples))
         # the angle grid of a radiation table
         if any(b <= a for a, b in zip(self.theta_samples, self.theta_samples[1:])):
             raise ConfigValidationError("theta_samples", "must be strictly increasing, got "
@@ -261,7 +265,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for e in eps_list:
         if not e > 0:
             raise ConfigValidationError("epsilon", f"must be positive, got {e}")
-    sigma = take("data.sigma_samples", _parse_floats, default=list(DEFAULT_SIGMA_SAMPLES))
+    sigma = take("data.sigma_samples", _parse_floats)
     theta = take("data.theta_samples", _parse_floats)
 
     if not bumps:
@@ -298,5 +302,5 @@ def parse_scenario(text: str) -> ScenarioConfig:
                        epsilon=eps_list[0])
     return ScenarioConfig(
         name=name, data=data, mode=mode, h=h, cfl=cfl, T=T,
-        sigma_samples=tuple(sigma), theta_samples=theta,
+        sigma_samples=sigma, theta_samples=theta,
         eps_list=tuple(eps_list) if len(eps_list) > 1 else None, out_dir=out_dir)

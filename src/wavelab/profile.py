@@ -24,18 +24,17 @@ rho = V_1 K_1 - V_2 K_2, which is the basis of the corrected invariant
 estimate.
 
 V_j and H_j are measured in one place: RayTraceCollector, a run_simulation
-sampler of radial states, where every angle gives the same profile.  It
-builds u, d_t u and the fourth-order d_r u once per sample time and reads
-them at each foot point |x| = t + sigma through WaveState.sample, which
-builds one 4-point Lagrange (cubic) stencil per point and applies it to
-every sampled field.  A sample stores these raw values; the collector's
-traces() evaluates U_j and H_j over a whole trace at once.  Every sampled
-field holds both components on axis 0, as the solver's levels do, so the
-gradient and the stencil run once for both, and so does each formula
-above, with the other component read through [::-1].  A foot point past
-the grid raises ValueError, as WaveState.sample does.  field_value
-interpolates u alone, in either mode; traces interpolate linearly in time
-between stored samples.
+sampler of radial states, where every angle gives the same profile.  At
+each sample time one WaveState.sample call reads u, d_t u and the
+fourth-order d_r u at every foot point |x| = t + sigma, by one 4-point
+Lagrange (cubic) stencil per point, with d_r u differenced on the
+stencil's cells alone.  A sample stores these raw values; the collector's
+traces() evaluates U_j and H_j over a whole trace at once.  Every field
+holds both components on axis 0, as the solver's levels do, so each
+formula above runs once for both, with the other component read through
+[::-1].  A foot point past the grid raises ValueError, as WaveState.sample
+does.  field_value reads u alone, in either mode; traces interpolate
+linearly in time between stored samples.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class IntegrationError(RuntimeError):
 
 def field_value(state: WaveState, x) -> tuple[float, float]:
     """u_1, u_2 of the diagnosed level at the point x, by cubic interpolation."""
-    u = state.sample([state.u_curr], x)[0]
-    return float(u[0]), float(u[1])
+    u1, u2 = state.sample(np.reshape(x, (1, 2)))[0, :, 0]
+    return float(u1), float(u2)
 
 
 # -- traces along rays ---------------------------------------------------------
@@ -127,14 +126,16 @@ class RayTraceCollector:
 
     The one foot-point rule: a (t, sigma) sample is taken when t > 0 and
     t + sigma >= h, so sampling starts once the foot point clears the origin
-    and skips nothing afterwards.  Each (t, sigma) sample reads the level's
-    fields through one stencil and keeps t, u, d_t u and d_r u of both
-    components; traces() evaluates U and K over all of a sigma's samples at
-    once.
+    and skips nothing afterwards.  One WaveState.sample call per level reads
+    every such foot point, and each (t, sigma) sample keeps t, u, d_t u and
+    d_r u of both components; traces() evaluates U and K over all of a
+    sigma's samples at once.  A repeated sigma raises ValueError.
     """
 
     def __init__(self, sigmas):
         self.sigmas = [float(s) for s in sigmas]
+        if len(set(self.sigmas)) < len(self.sigmas):
+            raise ValueError("repeated sigma: " + ", ".join(f"{s:g}" for s in self.sigmas))
         # per sigma, 7 packed floats per sample: t, then u, d_t u and d_r u of
         # both components; a tuple of objects per sample would take 4x the memory
         self._rows = {s: array("d") for s in self.sigmas}
@@ -147,17 +148,15 @@ class RayTraceCollector:
         t = state.t
         if t <= 0.0:
             return
-        # fourth-order d_r u, one call for both components: the ray amplitude
-        # multiplies it by r^{1/2}, so at large foot-point radii a
-        # second-order gradient error would dominate every profile measurement
-        fields = [state.u_curr, state.dt_u, *state._gradient4(state.u_curr)]
-        for s in self.sigmas:
-            r = t + s
-            if r < state.h:
-                continue
+        live = [s for s in self.sigmas if t + s >= state.h]
+        if not live:
+            return
+        # u, d_t u and d_r u of both components, (3, 2), at each foot point
+        values = state.sample(np.array([(t + s, 0.0) for s in live])).transpose(2, 0, 1)
+        for s, sample in zip(live, values):
             rows = self._rows[s]
             rows.append(t)
-            rows.frombytes(state.sample(fields, (r, 0.0)).tobytes())
+            rows.frombytes(sample.tobytes())
 
     def traces(self) -> list[ProfileTrace]:
         out = []
@@ -265,7 +264,7 @@ def corrected_invariant(trace: ProfileTrace, t_cut: float) -> float:
 def leading_invariant(table: RadiationTable, eps: float, sigma: float) -> float:
     """eps^2 ((d_sigma F1)^2 - (d_sigma F2)^2), dF interpolated linearly in
     sigma on a one-angle, per-unit-amplitude table: 0 above the support
-    radius; ValueError below the grid (no extrapolation on the decaying tail)
+    radius; ValueError off the grid inside the support (no extrapolation)
     or on a table of more angles."""
     if len(table.theta_grid) != 1:
         raise ValueError(f"leading_invariant reads a one-angle table, "
@@ -275,6 +274,8 @@ def leading_invariant(table: RadiationTable, eps: float, sigma: float) -> float:
     sg = table.sigma_grid
     if sigma < sg[0] - 1e-12:
         raise ValueError(f"sigma={sigma} below the table grid (starts at {sg[0]})")
+    if sigma > sg[-1] + 1e-12:
+        raise ValueError(f"sigma={sigma} above the table grid (ends at {sg[-1]})")
     i = int(np.clip(np.searchsorted(sg, sigma) - 1, 0, len(sg) - 2))
     ws = min(max((sigma - sg[i]) / (sg[i + 1] - sg[i]), 0.0), 1.0)
     d1, d2 = (1 - ws) * table.dF[:, i, 0] + ws * table.dF[:, i + 1, 0]

@@ -80,15 +80,13 @@ def default_config(name: str) -> ScenarioConfig:
     if name == "epsilon-scaling":
         data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 0.6),), epsilon=0.4)
         return ScenarioConfig(name=name, data=data, mode="radial",
-                              eps_list=_eps_ladder(),
-                              sigma_samples=(-2.0, -1.0, 0.0, 0.5))
+                              eps_list=_eps_ladder())
     if name == "nondecay-demo":
         data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(0.5, 1.6),), epsilon=0.2)
         return ScenarioConfig(name=name, data=data, mode="radial", T=20.0)
     if name == "symmetric-decay":
         data = InitialData(g1=(_b(1.0, 2.0),), g2=(_b(1.0, 2.0),), epsilon=0.4)
-        return ScenarioConfig(name=name, data=data, mode="radial", T=40.0,
-                              sigma_samples=(0.0,))
+        return ScenarioConfig(name=name, data=data, mode="radial", T=40.0)
     raise UsageError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
 
 
@@ -471,9 +469,13 @@ def _scenario_symmetric_decay(config, out_dir):
     (sigma,) = config.sigma_samples
     _rays_inside_support(config, [sigma])
     t_ref = ProfileTrace.reference_time(sigma)
-    if config.T < t_ref:
-        raise UsageError(f"symmetric-decay needs T >= {t_ref:g}, the profile "
-                         f"reference time for sigma={sigma:g}; got T={config.T:g}")
+    # the last profile sample, at T, is taken at the nearest step
+    dt = config.cfl * config.h
+    t_last = round(config.T / dt) * dt
+    if config.T < t_ref or t_last < t_ref:
+        raise UsageError(f"symmetric-decay needs a profile sample at t >= {t_ref:g}, the "
+                         f"reference time for sigma={sigma:g}; with T={config.T:g} the last "
+                         f"lands at t={t_last:.7g}")
     collector = RayTraceCollector([sigma])
     sym_gap = [0.0]
 

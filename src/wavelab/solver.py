@@ -19,10 +19,12 @@ diagnostic (energies, profile sampling) is second-order accurate.  The
 previous-level start at t = 0 is the exact second-order Taylor expansion
 from the data, which makes the cached derivative equal eps*g exactly.
 
-Point values of level fields come from WaveState.sample, the only code that
-knows where the grid nodes sit: it builds one 4-node Lagrange stencil per
-point and axis, applies it to both components of every field at once, and
-refuses a point past the last radial cell centre or the node square.
+Point values come from WaveState.sample(points), the only code that knows
+where the grid nodes sit: one call per level gives every point its 4-node
+Lagrange stencils and reads their cells in one gather, with the radial d_r u
+differenced on those cells alone, so a sampled level costs O(points), not
+O(window).  It refuses a point past the last radial cell centre or the node
+square.
 
 The linear part of a step is one folded update per mode,
 
@@ -81,9 +83,9 @@ step writes its new level over the oldest one.
 * the outer edge follows the numerical support: hi grows by one cell, up
   to the domain's n, whenever either of the last two held cells is nonzero
   at the top or middle level.  The stencil reaches one cell per step, so
-  every cell past hi - 2 is exactly 0.0 when every cell is stepped too, and
-  so is every sampled field (u, d_t u and the fourth-order d_r u) past hi;
-  WaveState.sample reads zeros there;
+  every cell past hi is exactly 0.0 when every cell is stepped too; the
+  buffers hold that 0.0 (a step writes only held cells), and
+  WaveState.sample reads them as they are, its d_r u past hi included;
 * the inner edge lo stays at the origin unless the run is given a cone.
   A ray profile at sigma >= cone depends only on the cells with
   r >= t + cone, so a light-cone window reads a zero left neighbour at lo.
@@ -286,29 +288,6 @@ class WaveState:
         np.add(centre, acc, out=out[:, 1:-1, 1:-1])
         return out
 
-    def _gradient4(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Fourth-order gradient of a (2, ...) array: one (2, ...) array per
-        axis, (d_r u,) in radial mode and (d_1 u, d_2 u) in Cartesian mode.
-
-        The higher order shrinks the slowly varying O(h^2) offset of the
-        discrete energy, keeping conservation drift well inside tolerance at
-        the default resolution.  Fields are 0.0 past a window's outer edge
-        and the wall is Dirichlet, so zero padding is exact there; the radial
-        axis uses even-ghost values, and the inner edge of a light-cone
-        window zeros (wrong there, but no sample reads those cells).
-        """
-        h12 = 12.0 * self.h
-        if self.mode == "radial":
-            pad = np.zeros((2, 2))
-            inner = u[:, 1::-1] if self.lo == 0 else pad      # even ghosts
-            ext = np.concatenate([inner, u, pad], axis=1)      # + Dirichlet
-            return ((ext[:, :-4] - 8.0 * ext[:, 1:-3] + 8.0 * ext[:, 3:-1] - ext[:, 4:]) / h12,)
-        gx = np.zeros_like(u)
-        gy = np.zeros_like(u)
-        gx[:, 2:-2] = (u[:, :-4] - 8.0 * u[:, 1:-3] + 8.0 * u[:, 3:-1] - u[:, 4:]) / h12
-        gy[..., 2:-2] = (u[..., :-4] - 8.0 * u[..., 1:-3] + 8.0 * u[..., 3:-1] - u[..., 4:]) / h12
-        return gx, gy
-
     # -- diagnostics ---------------------------------------------------------
 
     def _require_whole_disk(self, what: str) -> None:
@@ -317,9 +296,19 @@ class WaveState:
                              "run without cone")
 
     def energies(self) -> tuple[float, float]:
+        """(1/2) int (d_t u_j)^2 + |grad u_j|^2 dx over the held cells, with a
+        fourth-order gradient: its smaller O(h^2) energy offset keeps the
+        conservation drift well inside tolerance.  Even ghosts across r = 0."""
         self._require_whole_disk("energies")
+        u, h = self.u_curr, self.h
+        if self.mode == "radial":
+            grads = (_diff4(np.concatenate([u[:, 1::-1], u, np.zeros((2, 2))], axis=1), h),)
+        else:
+            grads = np.zeros((2, *u.shape))
+            grads[0][:, 2:-2] = _diff4(u.swapaxes(1, 2), h).swapaxes(1, 2)
+            grads[1][..., 2:-2] = _diff4(u, h)
         dsq = self.dt_u ** 2
-        for g in self._gradient4(self.u_curr):
+        for g in grads:
             dsq += g * g
         return tuple(0.5 * float(np.sum(d * self.measure)) for d in dsq)
 
@@ -333,41 +322,45 @@ class WaveState:
 
     # -- point sampling --------------------------------------------------------
 
-    def sample(self, fields, x) -> np.ndarray:
-        """Both components of each (2, *grid) array in fields at the point x.
-
-        Returns shape (len(fields), 2).  One 4-node Lagrange stencil per axis
-        serves every field: cubic interpolation in |x| over the cell centres
-        r_i = (i + 1/2) h (radial), or in x1 and x2 over the nodes xs
-        (Cartesian).  A point past the last cell centre (n - 1/2) h, outside
-        the node square or, with a cone, at |x| < t + cone raises ValueError.
-        A radial window builds the stencil on the global grid, so its weights
-        are the whole disk's; it reads zeros past its outer edge.
+    def sample(self, points) -> np.ndarray:
+        """Fields of the diagnosed level at the points, an (m, 2) array, by
+        cubic interpolation: (3, 2, m), u, d_t u and the fourth-order d_r u of
+        both components, in |x| over the cell centres (radial); (1, 2, m), u,
+        in x1 and x2 over the nodes xs (Cartesian).  One gather reads every
+        stencil's cells from the whole-domain buffers (0.0 past hi, even
+        ghosts across r = 0, 0.0 past the wall); d_r u is differenced on them
+        alone.  A point past the last cell centre (n - 1/2) h, outside the
+        node square or, with a cone, at |x| < t + cone raises ValueError.
         """
-        out = np.empty((len(fields), 2))
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        n, h, level = self._n, self.h, self._levels[1]     # the diagnosed level
         if self.mode == "radial":
-            r = float(np.hypot(x[0], x[1]))
-            if self.cone is not None and r < self.t + self.cone - 1e-6 * self.h:
-                raise ValueError(f"point |x|={r:.6g} lies inside the light-cone window's "
-                                 f"t + cone = {self.t + self.cone:.6g}")
-            if r > (self._n - 0.5) * self.h:
-                raise ValueError(f"point |x|={r:.6g} lies past the last cell centre")
-            k0, w = _stencil(r / self.h - 0.5, self._n)
-            k0 -= self.lo
-            for i, a in enumerate(fields):
-                seg = a[:, k0:k0 + 4]
-                if seg.shape[1] < 4:        # past the window's outer edge: all 0.0
-                    seg = np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1)
-                out[i] = seg @ w
-            return out
+            r = np.hypot(pts[:, 0], pts[:, 1])
+            if self.cone is not None and r.min() < self.t + self.cone - 1e-6 * h:
+                raise ValueError(f"point |x|={r.min():.6g} lies inside the light-cone "
+                                 f"window's t + cone = {self.t + self.cone:.6g}")
+            if not r.max() <= (n - 0.5) * h:          # NaN too
+                raise ValueError(f"point |x|={r.max():.6g} lies past the last cell centre")
+            k0, w = _stencil(r / h - 0.5, n)
+            # each stencil's cells and 2 more each side, (2, m, 8); unit stride
+            # along a stencil gives w the BLAS product a window slice had
+            cells = k0[:, None] + np.arange(-2, 6)
+            cells = np.maximum(cells, -1 - cells)           # even ghosts across r = 0
+            u = np.where(cells < n, level.take(cells, axis=1, mode="clip"), 0.0)
+            fields = np.empty((3, 2, len(r), 4))            # u, d_t u, d_r u
+            fields[0], fields[2] = u[..., 2:6], _diff4(u, h)
+            self._dt_u.take(cells[:, 2:6], axis=1, out=fields[1])
+            return (fields.transpose(0, 2, 1, 3) @ w[:, :, None])[..., 0].transpose(0, 2, 1)
         first, last = self.xs[0], self.xs[-1]
-        if not (first <= x[0] <= last and first <= x[1] <= last):
-            raise ValueError(f"point ({x[0]:.6g}, {x[1]:.6g}) lies outside the node square")
-        i0, wx = _stencil((x[0] - first) / self.h, self._n)
-        j0, wy = _stencil((x[1] - first) / self.h, self._n)
-        for i, a in enumerate(fields):
-            out[i] = wx @ a[:, i0:i0 + 4, j0:j0 + 4] @ wy
-        return out
+        if not first <= pts.min() <= pts.max() <= last:
+            bad = pts[~((first <= pts) & (pts <= last)).all(axis=1)][0]
+            raise ValueError(f"point ({bad[0]:.6g}, {bad[1]:.6g}) lies outside the node square")
+        (i0, j0), (wx, wy) = _stencil((pts.T - first) / h, n)
+        four = np.arange(4)
+        u = level[np.arange(2)[:, None, None], (i0[:, None] + four)[:, None, :, None],
+                  (j0[:, None] + four)[:, None, None, :]]   # C-ordered (m, 2, 4, 4)
+        rows = (wx[:, None, None, :] @ u)[..., 0, :]
+        return (rows @ wy[:, :, None])[None, ..., 0].transpose(0, 2, 1)
 
     # -- time stepping -------------------------------------------------------
 
@@ -434,7 +427,7 @@ class WaveState:
             self.cone = float(cone)
             self._steps_left = n_steps
             foot = (n_steps * self.dt + self.cone) / self.h - 0.5
-            self._lo_last = _stencil(foot, self._n)[0] - CONE_REACH
+            self._lo_last = int(_stencil(foot, self._n)[0]) - CONE_REACH
         held = np.zeros(self._n, dtype=bool)
         for a in (*self._levels, self._dt_u):
             held |= a.any(axis=0)
@@ -468,17 +461,26 @@ class WaveState:
             self._prod = self._tmp[0]
 
 
-def _stencil(p: float, n: int) -> tuple[int, np.ndarray]:
-    """4-node Lagrange stencil for fractional index p on a grid of size n."""
-    k0 = min(max(int(math.floor(p)) - 1, 0), n - 4)
-    x = p - k0
-    x1, x2, x3 = x - 1, x - 2, x - 3
-    # prod_{j != i} (x - j) / (i - j), multiplied left to right
-    w = np.array([x1 / -1 * (x2 / -2) * (x3 / -3),
-                  x / 1 * (x2 / -1) * (x3 / -2),
-                  x / 2 * (x1 / 1) * (x3 / -1),
-                  x / 3 * (x1 / 2) * (x2 / 1)])
-    return k0, w
+def _diff4(a: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order centred first difference along the last axis of a, at
+    a[..., 2:-2]: four values fewer."""
+    return (a[..., :-4] - 8.0 * a[..., 1:-3] + 8.0 * a[..., 3:-1] - a[..., 4:]) / (12.0 * h)
+
+
+# node i's Lagrange weight prod_{j != i} (x - j) / (i - j) as three factors
+# (x - j) / (i - j): the j of each factor and node, and its i - j
+_FACTOR_J = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])
+_FACTOR_DEN = np.array([[-1, 1, 2, 3], [-2, -1, 1, 2], [-3, -2, -1, 1]], dtype=float)
+
+
+def _stencil(p, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """4-node Lagrange stencils for the fractional indices p (an array or a
+    scalar) on a grid of size n: the first nodes k0, shaped like p, and the
+    weights on a new last axis of 4, each the product of its three factors
+    multiplied left to right."""
+    k0 = np.minimum(np.maximum(np.floor(p).astype(int) - 1, 0), n - 4)
+    f = ((p - k0)[..., None, None] - _FACTOR_J) / _FACTOR_DEN
+    return k0, f[..., 0, :] * f[..., 1, :] * f[..., 2, :]
 
 
 def init_state(config: ScenarioConfig, nonlinear: bool, *,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wavelab import (BumpSpec, ConfigParseError, ConfigValidationError, InitialData,
                      ScenarioConfig, parse_scenario)
-from wavelab.config import CFL_LIMITS, DEFAULT_CFL
+from wavelab.config import CFL_LIMITS, DEFAULT_CFL, DEFAULT_SIGMA_SAMPLES
 from wavelab.scenarios import default_config
 
 MINIMAL = """
@@ -202,6 +202,25 @@ def test_theta_default_follows_mode_in_code_and_file():
     assert replace(chosen, mode="radial").theta_samples == (0.5, 1.0)
 
 
+def test_sigma_default_follows_scenario_in_code_and_file():
+    """symmetric-decay samples the one ray sigma = 0 by default and the other
+    scenarios the default rays, for a run built in code or parsed."""
+    from_file = parse_scenario(RADIATION_DECAY_2D.replace(
+        "name = radiation-decay\nmode = cartesian-2d", "name = symmetric-decay"))
+    in_code = default_config("symmetric-decay")
+    assert from_file.sigma_samples == in_code.sigma_samples == (0.0,)
+    assert replace(in_code, name="epsilon-scaling").sigma_samples == DEFAULT_SIGMA_SAMPLES
+    assert parse_scenario(MINIMAL).sigma_samples == DEFAULT_SIGMA_SAMPLES
+
+
+def test_sigma_samples_must_not_repeat():
+    """A repeated ray would be sampled, and reported, twice."""
+    with pytest.raises(ConfigValidationError, match="sigma_samples: repeated sigma in 0, -1, 0"):
+        parse_scenario(MINIMAL + "\n[data]\nsigma_samples = 0, -1, 0\n")
+    with pytest.raises(ConfigValidationError, match="sigma_samples"):
+        replace(parse_scenario(MINIMAL), sigma_samples=(0.5, 0.5))
+
+
 def _bumps(radius):
     return InitialData(g1=(BumpSpec((0.0, 0.0), radius, 1.0),),
                        g2=(BumpSpec((0.0, 0.0), radius, 1.0),), epsilon=0.2)
@@ -246,7 +265,9 @@ def _render(mode, h, cfl, T, eps, sigmas, thetas, bumps) -> str:
         lines.append(f"h = {h!r}")
     if cfl is not None:
         lines.append(f"cfl = {cfl!r}")
-    lines += ["[data]", f"epsilon = {floats(eps)}", f"sigma_samples = {floats(sigmas)}"]
+    lines += ["[data]", f"epsilon = {floats(eps)}"]
+    if sigmas is not None:
+        lines.append(f"sigma_samples = {floats(sigmas)}")
     if thetas is not None:
         lines.append(f"theta_samples = {floats(thetas)}")
     for component, kind, spec in bumps:
@@ -272,7 +293,8 @@ def _config_values(draw):
         cfl=draw(_optional(st.floats(0.01, CFL_LIMITS[mode]))),
         T=draw(_optional(st.floats(0.1, 100.0))),
         eps=draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3)),
-        sigmas=draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)),
+        sigmas=draw(_optional(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4,
+                                       unique=True))),
         thetas=draw(_optional(st.lists(st.floats(0.0, 6.3), min_size=1, max_size=3,
                                        unique=True).map(sorted))),
         bumps=draw(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from("fg"), bump),

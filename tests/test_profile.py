@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavelab import (BumpSpec, InitialData, ScenarioConfig, closed_form_profile,
-                     corrected_invariant, field_value, leading_invariant,
+                     corrected_invariant, leading_invariant,
                      profile_invariant, radiation_table, run_simulation,
                      solve_reduced_ode)
 from wavelab.profile import RayTraceCollector, ProfileTrace
@@ -224,9 +224,7 @@ def test_remainder_radial_formula():
     sigma = 2.3 - t0
     *U, h1, h2 = ray_sample(st, sigma)
     r = t0 + sigma
-    x = (r, 0.0)
-    uu = field_value(st, x)
-    ut = st.sample([st.dt_u], x)[0]
+    uu, ut, _ = st.sample(np.array([(r, 0.0)]))[..., 0]
     sq = math.sqrt(r)
     expect1 = 0.5 * (sq * ut[1]**2 * ut[0] + U[1]**2 * U[0] / t0) - uu[0] / (8 * r * sq)
     expect2 = 0.5 * (sq * ut[0]**2 * ut[1] + U[0]**2 * U[1] / t0) - uu[1] / (8 * r * sq)
@@ -248,6 +246,12 @@ def test_collector_remainder_rows(radial_data):
         assert tr.t.tolist() == [st.t]
         assert all(math.isfinite(v) for v in row)
         assert tr.K1[0] != 0.0
+
+
+def test_collector_refuses_a_repeated_sigma():
+    """A repeated sigma would store every sample of its ray twice."""
+    with pytest.raises(ValueError, match="repeated sigma: 0, 0"):
+        RayTraceCollector([0.0, 0.0])
 
 
 def test_collector_rejects_cartesian_state(offset_data):

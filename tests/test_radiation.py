@@ -285,6 +285,10 @@ def test_interpolation_and_support_queries(unit_bump):
         leading_invariant(table, 0.1, -3.0)
     mid = leading_invariant(table, 0.1, -0.513)         # between nodes
     assert np.isfinite(mid) and mid != 0.0
+    # a grid that ends inside the support: no extrapolation above it either
+    short = radiation_table(data, np.linspace(-1.0, 0.5, 16), [0.0])
+    with pytest.raises(ValueError, match="above"):
+        leading_invariant(short, 0.1, 0.9)
 
 
 def test_table_grid_validation():

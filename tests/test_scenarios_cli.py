@@ -13,7 +13,7 @@ import wavelab
 
 from wavelab import InstabilityError
 from wavelab.cli import main
-from wavelab.config import _SECTION_KEYS
+from wavelab.config import _SECTION_KEYS, parse_scenario
 from wavelab.radiation import RadiationTable
 from wavelab.reporting import NonFiniteReportError, write_csv, write_summary
 from wavelab.scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
@@ -293,6 +293,11 @@ def _sampling_config(name, data_line):
     # distinct epsilon, refused before any rung runs
     ("run symmetric-decay: sigma_samples = 0, 0.5", "o", {2}),
     ("epsilon-scaling --eps 1,1,0.8 --h 0.0625", "o", {2}),
+    # a repeated ray would be sampled, and reported, twice
+    ("run epsilon-scaling: sigma_samples = 0, 0", "o", {2}),
+    # T passes the reference time 2, but the last profile sample, at the
+    # step nearest T, lands at t = 1.996875
+    ("symmetric-decay --T 2 --h 0.0625", "o", {2}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
@@ -309,6 +314,23 @@ def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
         assert captured.err.startswith("wavelab: ") and captured.err.count("\n") == 1
     else:
         assert "scenario free-validation:" in captured.out
+
+
+def test_symmetric_decay_file_samples_one_ray_by_default(tmp_path):
+    """A symmetric-decay file without sigma_samples samples sigma = 0, as
+    default_config does, and runs as the same file with sigma_samples = 0."""
+    reports = []
+    for line in ("", "sigma_samples = 0"):
+        text = _sampling_config("symmetric-decay", line).replace(
+            "name = symmetric-decay", "name = symmetric-decay\nT = 4\n[grid]\nh = 0.0625")
+        if not line:
+            assert parse_scenario(text).sigma_samples == (0.0,)
+        cfg_path = tmp_path / f"sym{len(reports)}.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / f"o{len(reports)}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reports.append((out / "profile_trace.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("line,field", [("radius = inf", "radius"),

@@ -67,36 +67,57 @@ def _reference_stencil(p, n):
 
 
 def test_stencil_matches_reference_loop(rng):
-    for p in np.concatenate([rng.uniform(-1.0, 60.0, 500), [0.0, 0.5, 57.0]]):
-        k0, w = _stencil(p, 60)
+    """Bit for bit, for an array of fractional indices and for a scalar one."""
+    ps = np.concatenate([rng.uniform(-1.0, 60.0, 500), [0.0, 0.5, 57.0]])
+    for p, k0, w in zip(ps, *_stencil(ps, 60)):
         k_ref, w_ref = _reference_stencil(p, 60)
         assert k0 == k_ref and w.tobytes() == w_ref.tobytes()
+        assert _stencil(p, 60)[1].tobytes() == w_ref.tobytes()
+
+
+def _held_state(mode, h, u, dt_u):
+    """A WaveState that holds every cell, with level u and time derivative
+    dt_u given on the radial cell centres or the Cartesian node square."""
+    n = u.shape[1]
+    xs = (np.arange(n) + 0.5) * h if mode == "radial" else (np.arange(n) - n // 2) * h
+    return WaveState(mode, h, 0.45 * h, xs, u_prev=u.copy(), u_curr=u.copy(),
+                     u_next=u.copy(), dt_u=dt_u.copy(), nonlinear=False)
 
 
 @pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
-def test_sample_exact_on_cubics(radial_data, mode):
-    """Every field and component of one sample reproduces a cubic exactly."""
-    st = init_state(small_config(radial_data, mode=mode, T=0.5, h=1.0 / 16.0),
-                    nonlinear=False)
+def test_sample_exact_on_cubics(mode):
+    """Every field and component of a sample reproduces a cubic exactly: u
+    and d_t u in either mode, and the fourth-order d_r u, exact on cubics,
+    in radial mode."""
+    h = 1.0 / 16.0
 
     def cubic(a, b):
         return a ** 3 - 2.0 * a * b ** 2 + b
 
-    x = np.array([0.61, -0.37])
+    x = np.array([[0.61, -0.37], [0.2, 0.9]])
     if mode == "radial":
-        c, exact = cubic(st.xs, 0.5), cubic(math.hypot(*x), 0.5)
+        rs = (np.arange(40) + 0.5) * h
+        c = cubic(rs, 0.5)
+        r = np.hypot(*x.T)
+        exact, slope = cubic(r, 0.5), 3.0 * r ** 2 - 0.5
     else:
-        X, Y = np.meshgrid(st.xs, st.xs, indexing="ij")
-        c, exact = cubic(X, Y), cubic(*x)
-    got = st.sample([np.stack([c, -c]), np.stack([2.0 * c, c])], x)
-    np.testing.assert_allclose(got, [[exact, -exact], [2.0 * exact, exact]], rtol=1e-12)
+        xs = (np.arange(41) - 20) * h
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        c, exact = cubic(X, Y), cubic(*x.T)
+    st = _held_state(mode, h, np.stack([c, -c]), np.stack([2.0 * c, c]))
+    got = st.sample(x)
+    if mode == "radial":
+        want = [[exact, -exact], [2.0 * exact, exact], [slope, -slope]]
+    else:
+        want = [[exact, -exact]]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
 def test_sample_refuses_points_off_the_grid(radial_data, mode):
     """sample interpolates only: a point on the last radial cell centre or on
     the edge of the Cartesian node square is read, one a quarter cell past
-    it raises."""
+    it raises, also among points on the grid."""
     st = init_state(small_config(radial_data, mode=mode, T=0.5, h=1.0 / 16.0),
                     nonlinear=False)
     q = 0.25 * st.h
@@ -108,11 +129,73 @@ def test_sample_refuses_points_off_the_grid(radial_data, mode):
         lo, hi = st.xs[0], st.xs[-1]
         on_grid = [(lo, lo), (hi, hi), (lo, hi)]
         off_grid = [(hi + q, 0.0), (0.0, lo - q), (lo - q, hi + q)]
-    for x in on_grid:
-        st.sample([st.u_curr, st.dt_u], x)
+    st.sample(np.array(on_grid))
     for x in off_grid:
         with pytest.raises(ValueError, match="past the last cell centre|outside the node"):
-            st.sample([st.u_curr, st.dt_u], x)
+            st.sample(np.array([on_grid[0], x]))
+
+
+def _parent_sample(state, points):
+    """What sample returned before it gathered: a fourth-order d_r u over the
+    whole held window (even ghosts at the origin, zeros below a light-cone
+    window's lo and past hi), then one stencil per point and field on window
+    slices, zeros past the window's outer edge.  Cartesian: u alone."""
+    if state.mode != "radial":
+        out = []
+        for x in points:
+            i0, wx = _reference_stencil((x[0] - state.xs[0]) / state.h, state._n)
+            j0, wy = _reference_stencil((x[1] - state.xs[0]) / state.h, state._n)
+            out.append(wx @ state.u_curr[:, i0:i0 + 4, j0:j0 + 4] @ wy)
+        return np.array(out).T[None]
+    u, h = state.u_curr, state.h
+    inner = u[:, 1::-1] if state.lo == 0 else np.zeros((2, 2))
+    ext = np.concatenate([inner, u, np.zeros((2, 2))], axis=1)
+    grad = (ext[:, :-4] - 8.0 * ext[:, 1:-3] + 8.0 * ext[:, 3:-1] - ext[:, 4:]) / (12.0 * h)
+    out = np.empty((len(points), 3, 2))
+    for i, x in enumerate(points):
+        k0, w = _reference_stencil(float(np.hypot(*x)) / h - 0.5, state._n)
+        for j, a in enumerate((u, state.dt_u, grad)):
+            seg = a[:, k0 - state.lo:k0 - state.lo + 4]
+            out[i, j] = np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1) @ w
+    return out.transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("case", ["origin", "cone", "wall", "cartesian"])
+def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
+    """One gather per call gives what a whole-window gradient and a stencil
+    per point gave, bit for bit: near the origin, where the even ghosts are
+    read, on a light-cone window with lo > 0, on a state whose hi is the
+    wall n, and on a Cartesian state; points also reach past hi."""
+    if case == "wall":
+        rs = (np.arange(300) + 0.5) / 64.0
+        st = _held_state("radial", 1.0 / 64.0, np.stack([np.sin(3.0 * rs), np.cos(2.0 * rs)]),
+                         np.stack([np.cos(5.0 * rs), rs * rs]))
+        assert st.hi == st._n
+        r = np.append(rng.uniform(0.0, rs[-1], 300), [rs[-1], 0.0])
+    elif case == "cartesian":
+        st = init_state(small_config(offset_data, mode="cartesian-2d", T=0.5, h=1.0 / 16.0),
+                        nonlinear=True)
+        for _ in range(5):
+            st.step()
+        x = rng.uniform(st.xs[0], st.xs[-1], (200, 2))
+        assert st.sample(x).tobytes() == _parent_sample(st, x).tobytes()
+        return
+    else:
+        cfg = small_config(radial_data, T=3.0)
+        st = init_state(cfg, nonlinear=True, cone=-0.5 if case == "cone" else None)
+        for _ in range(40):
+            st.step()
+        while st.lo == 0 and case == "cone":
+            st.step()
+        start = st.t - 0.5 if case == "cone" else 0.0
+        r = np.concatenate([rng.uniform(start, start + 6.0 * st.h, 50),
+                            rng.uniform(start, min(st.hi + 6, st._n - 0.5) * st.h, 250)])
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(r))
+    x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    got, want = st.sample(x), _parent_sample(st, x)
+    assert got.shape == (3, 2, len(r))
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()          # signed zeros too
 
 
 def test_symmetric_data_identical_components(unit_bump):
