@@ -11,14 +11,15 @@ m = V_1^2 - V_2^2 is reproduced, to leading order in eps, by the squared
 sigma-derivatives of the radiation fields of the data.
 """
 
-from .bumps import BumpSpec, InitialData, eval_bump, eval_sum, initial_values
+from .bumps import (BumpSpec, InitialData, eval_sum, initial_values,
+                    sum_value_grad_hess)
 from .config import (ConfigParseError, ConfigValidationError, ScenarioConfig,
                      parse_scenario)
 from .fitting import PowerLawFit, fit_power_law
 from .free_wave import free_field
 from .profile import (MEstimate, ProfileTrace, RayTraceCollector,
-                      closed_form_profile, corrected_invariant, field_value,
-                      leading_invariant, profile_invariant, solve_reduced_ode)
+                      closed_form_profile, corrected_invariant, leading_invariant,
+                      profile_invariant, solve_reduced_ode)
 from .radiation import (RadiationTable, fit_sigma_decay, half_order_integral,
                         radiation_pair, radiation_table, radon_line_integral)
 from .solver import (EnergyTrace, InstabilityError, WaveState, init_state,
@@ -27,7 +28,7 @@ from .solver import (EnergyTrace, InstabilityError, WaveState, init_state,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BumpSpec", "InitialData", "eval_bump", "eval_sum", "initial_values",
+    "BumpSpec", "InitialData", "eval_sum", "sum_value_grad_hess", "initial_values",
     "ScenarioConfig", "parse_scenario",
     "ConfigParseError", "ConfigValidationError",
     "PowerLawFit", "fit_power_law",
@@ -37,7 +38,6 @@ __all__ = [
     "WaveState", "EnergyTrace", "InstabilityError", "init_state",
     "run_simulation",
     "ProfileTrace", "RayTraceCollector", "MEstimate",
-    "field_value",
     "solve_reduced_ode", "closed_form_profile", "profile_invariant",
     "corrected_invariant", "leading_invariant",
     "__version__",

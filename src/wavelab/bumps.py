@@ -2,21 +2,18 @@
 
 The building block is the mollifier-style bump
 
-    b(x) = A * exp(1 - 1 / (1 - |x - c|^2 / R^2))   for |x - c| < R,
-    b(x) = 0                                        otherwise,
+    b(x) = A w(|x - c|^2 / R^2),   w(s) = exp(1 - 1 / (1 - s)) for s < 1, else 0,
 
 which is C-infinity on the whole plane, supported exactly on the closed disk
-of radius R about c, and equals A at the center.  Derivatives up to total
-order two are available in closed form; every quadrature in the package uses
-these exact formulas, so no numerical differentiation of the data happens
-anywhere downstream.
+of radius R about c, and equals A at the center.  profile_derivatives is the
+one place where w and its derivatives
 
-Writing s = |x - c|^2 / R^2 and w(s) = exp(1 - 1/(1 - s)):
+    w'(s) = -w(s) / (1 - s)^2,    w''(s) = w(s) (2 s - 1) / (1 - s)^4
 
-    w'(s)  = -w(s) / (1 - s)^2
-    w''(s) =  w(s) (2 s - 1) / (1 - s)^4
-
-and the chain rule gives gradient and Hessian of b.
+are written.  sum_value_grad_hess turns them by the chain rule into the
+value, gradient and Hessian of a bump sum, eval_sum takes the value alone,
+and the radiation module's Radon integrals read the profile itself; no
+numerical differentiation of the data happens anywhere downstream.
 """
 
 from __future__ import annotations
@@ -26,14 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "BumpSpec",
-    "InitialData",
-    "eval_bump",
-    "eval_sum",
-    "sum_value_grad_hess",
-    "initial_values",
-]
+__all__ = ["BumpSpec", "InitialData", "profile_derivatives", "eval_sum",
+           "sum_value_grad_hess", "initial_values"]
 
 
 @dataclass(frozen=True)
@@ -58,98 +49,53 @@ class BumpSpec:
         return float(np.hypot(cx, cy) + self.radius)
 
 
-def _core(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w, w', w'' at s = rho^2/R^2, valid for 0 <= s < 1."""
-    one_minus = 1.0 - s
-    w = np.exp(1.0 - 1.0 / one_minus)
-    wp = -w / one_minus**2
-    wpp = w * (2.0 * s - 1.0) / one_minus**4
-    return w, wp, wpp
-
-
 def profile_derivatives(q: np.ndarray) -> np.ndarray:
     """Stacked w, w', w'' at q = |x - c|^2 / R^2, exactly zero where q >= 1."""
     inside = np.asarray(q) < 1.0
-    return np.where(inside, _core(np.where(inside, q, 0.0)), 0.0)
+    s = np.where(inside, q, 0.0)
+    one_minus = 1.0 - s
+    out = np.empty((3,) + s.shape)   # written in place: no stacked copy at the peak
+    w = np.exp(1.0 - 1.0 / one_minus, out=out[0, ...])
+    np.divide(-w, one_minus**2, out=out[1, ...])
+    np.divide(w * (2.0 * s - 1.0), one_minus**4, out=out[2, ...])
+    out[:, ~inside] = 0.0
+    return out
 
 
-def _bump_value_grad_hess(spec: BumpSpec, pts: np.ndarray):
-    """Value, gradient and packed Hessian (xx, xy, yy) of a single bump.
-
-    pts has shape (..., 2).  Outside the support everything is exactly zero,
-    including on the boundary circle itself.
-    """
-    pts = np.asarray(pts, dtype=float)
+def _offsets(spec: BumpSpec, pts: np.ndarray):
+    """d = pts - c, R^2 and s = |d|^2 / R^2 of one bump."""
     d = pts - np.asarray(spec.center)
     r2 = spec.radius * spec.radius
-    s = (d[..., 0] ** 2 + d[..., 1] ** 2) / r2
-
-    val = np.zeros(s.shape)
-    grad = np.zeros(s.shape + (2,))
-    hess = np.zeros(s.shape + (3,))
-
-    inside = s < 1.0
-    if np.any(inside):
-        w, wp, wpp = _core(s[inside])
-        a = spec.amplitude
-        # s_i = 2 d_i / R^2,  s_ij = 2 delta_ij / R^2
-        si = 2.0 * d[inside] / r2
-        val[inside] = a * w
-        grad[inside] = a * wp[..., None] * si
-        hess[inside, 0] = a * (wpp * si[..., 0] * si[..., 0] + wp * 2.0 / r2)
-        hess[inside, 1] = a * wpp * si[..., 0] * si[..., 1]
-        hess[inside, 2] = a * (wpp * si[..., 1] * si[..., 1] + wp * 2.0 / r2)
-    return val, grad, hess
+    return d, r2, (d[..., 0] ** 2 + d[..., 1] ** 2) / r2
 
 
-_ORDER_INDEX = {(0, 0): None, (1, 0): ("g", 0), (0, 1): ("g", 1),
-                (2, 0): ("h", 0), (1, 1): ("h", 1), (0, 2): ("h", 2)}
-
-
-def eval_bump(spec: BumpSpec, x, order: tuple[int, int] = (0, 0)):
-    """Evaluate one bump or one of its partial derivatives.
-
-    order is the multi-index (n_x, n_y); total order at most two.  x may be a
-    single point (length-2) or an array of shape (..., 2).  Returns a scalar
-    for a single point, an array otherwise.
-    """
-    order = (int(order[0]), int(order[1]))
-    if order not in _ORDER_INDEX:
-        raise ValueError(f"unsupported derivative order {order}; total order must be <= 2")
+def eval_sum(specs: Iterable[BumpSpec], x):
+    """Value of a bump sum at x of shape (..., 2), a float for a single point
+    (length 2); the empty sum is zero."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    val, grad, hess = _bump_value_grad_hess(spec, x)
-    sel = _ORDER_INDEX[order]
-    if sel is None:
-        out = val
-    elif sel[0] == "g":
-        out = grad[..., sel[1]]
-    else:
-        out = hess[..., sel[1]]
-    return float(out) if scalar else out
-
-
-def eval_sum(specs: Iterable[BumpSpec], x, order: tuple[int, int] = (0, 0)):
-    """Sum of eval_bump over a collection of bumps (empty sum is zero)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
     out = np.zeros(x.shape[:-1])
     for spec in specs:
-        out = out + eval_bump(spec, x, order)
-    return float(out) if scalar else out
+        out += spec.amplitude * profile_derivatives(_offsets(spec, x)[2])[0]
+    return float(out) if x.ndim == 1 else out
 
 
 def sum_value_grad_hess(specs: Iterable[BumpSpec], pts: np.ndarray):
-    """Value, gradient, packed Hessian of a bump sum, vectorized over pts."""
+    """Value, gradient and packed Hessian (xx, xy, yy) of a bump sum at pts of
+    shape (..., 2); a bump adds exactly 0.0 on and outside its support circle."""
     pts = np.asarray(pts, dtype=float)
     val = np.zeros(pts.shape[:-1])
     grad = np.zeros(pts.shape[:-1] + (2,))
     hess = np.zeros(pts.shape[:-1] + (3,))
     for spec in specs:
-        v, g, h = _bump_value_grad_hess(spec, pts)
-        val += v
-        grad += g
-        hess += h
+        d, r2, q = _offsets(spec, pts)
+        w, wp, wpp = profile_derivatives(q)
+        a = spec.amplitude
+        si = 2.0 * d / r2                   # s_i; s_ij = 2 delta_ij / R^2
+        val += a * w
+        grad += a * wp[..., None] * si
+        hess[..., 0] += a * (wpp * si[..., 0] * si[..., 0] + wp * 2.0 / r2)
+        hess[..., 1] += a * wpp * si[..., 0] * si[..., 1]
+        hess[..., 2] += a * (wpp * si[..., 1] * si[..., 1] + wp * 2.0 / r2)
     return val, grad, hess
 
 

@@ -33,8 +33,8 @@ traces() evaluates U_j and H_j over a whole trace at once.  Every field
 holds both components on axis 0, as the solver's levels do, so each
 formula above runs once for both, with the other component read through
 [::-1].  A foot point past the grid raises ValueError, as WaveState.sample
-does.  field_value reads u alone, in either mode; traces interpolate
-linearly in time between stored samples.
+does.  Traces interpolate linearly in time between stored samples.  Any
+other point read of a state, in either mode, calls WaveState.sample itself.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .radiation import RadiationTable
 from .solver import WaveState
 
 __all__ = [
-    "field_value",
     "ProfileTrace",
     "RayTraceCollector",
     "solve_reduced_ode",
@@ -64,14 +63,6 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     pass
-
-
-# -- ray sampling -------------------------------------------------------------
-
-def field_value(state: WaveState, x) -> tuple[float, float]:
-    """u_1, u_2 of the diagnosed level at the point x, by cubic interpolation."""
-    u1, u2 = state.sample(np.reshape(x, (1, 2)))[0, :, 0]
-    return float(u1), float(u2)
 
 
 # -- traces along rays ---------------------------------------------------------

@@ -27,6 +27,7 @@ import math
 import os
 import shutil
 import time
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -37,7 +38,7 @@ from .config import ScenarioConfig
 from .fitting import fit_power_law
 from .free_wave import free_field
 from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
-                      corrected_invariant, field_value, leading_invariant,
+                      corrected_invariant, leading_invariant,
                       profile_invariant, solve_reduced_ode, write_mestimates,
                       MEstimate)
 from .radiation import fit_sigma_decay, radiation_pair, radiation_table
@@ -99,6 +100,13 @@ def _trace_times(T: float, dt: float):
 
 
 def _scenario_conservation(config, out_dir):
+    data = config.data
+    # the same nonzero bumps, in any order, sum to the same fields
+    f1, g1, f2, g2 = (Counter(b for b in bumps if b.amplitude)
+                      for bumps in (data.f1, data.g1, data.f2, data.g2))
+    if f1 == f2 and g1 == g2:
+        raise UsageError("conservation needs different component data: with identical "
+                         "components the difference law E1^2 - E2^2 is identically 0")
     runtimes = {}
     results = {}
     for label, cfg in (("base", config), ("half", replace(config, h=config.h / 2))):
@@ -158,8 +166,8 @@ def _scenario_free_validation(config, out_dir):
         by_time.setdefault(p[0], []).append(p)
 
     def sample(grid, points, state):
-        for p in points:
-            grid[p] = field_value(state, p[1:])
+        u = state.sample([p[1:] for p in points])[0]       # (2, points)
+        grid.update(zip(points, u.T.tolist()))
 
     # dt = cfl * h divides the check cadence T/4 and, for a power-of-two h,
     # halves exactly across refinements; min() keeps a quotient that rounds
@@ -237,9 +245,22 @@ def _scenario_free_validation(config, out_dir):
     return assertions, values, runtimes
 
 
+# the far-field window of the sigma-decay fit, which needs sigma < -2 R0
+_DECAY_FIT_WINDOW = (-40.0, -10.0)
+
+
 def _scenario_radiation_decay(config, out_dir):
     data = config.data
     r0 = data.support_radius
+    lo, hi = _DECAY_FIT_WINDOW
+    if hi >= -2.0 * r0:
+        raise UsageError(f"radiation-decay fits the decay on sigma in [{lo:g}, {hi:g}], "
+                         f"which must lie below -2 R0; the data's support radius is "
+                         f"R0={r0:g}, so R0 must be below {-hi / 2:g}")
+    for comp, (f, g) in enumerate(((data.f1, data.g1), (data.f2, data.g2)), 1):
+        if not any(b.amplitude for b in f + g):
+            raise UsageError(f"radiation-decay fits the decay of both components, "
+                             f"but component {comp} has no nonzero data")
     runtimes = {}
     sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
     t0 = time.perf_counter()
@@ -247,7 +268,7 @@ def _scenario_radiation_decay(config, out_dir):
     runtimes["table"] = time.perf_counter() - t0
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
-    slopes = fit_sigma_decay(table, (-40.0, -10.0))
+    slopes = fit_sigma_decay(table, _DECAY_FIT_WINDOW)
     tail = sigma_grid > r0
     support_max = float(max(np.max(np.abs(table.F[:, tail, :]), initial=0.0),
                             np.max(np.abs(table.dF[:, tail, :]), initial=0.0)))

@@ -529,8 +529,9 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
 
 
 def _step_count(T: float, dt: float) -> int:
-    """Steps of a run to the horizon T: the last diagnosed time is >= T."""
-    return int(math.ceil(T / dt - 1e-9))
+    """Steps of a run to the horizon T, at least one: the last diagnosed time
+    is >= T."""
+    return max(1, int(math.ceil(T / dt - 1e-9)))
 
 
 def run_simulation(config: ScenarioConfig, nonlinear: bool, *,

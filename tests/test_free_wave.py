@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavelab import BumpSpec, InitialData, eval_bump, free_field, initial_values
+from wavelab import BumpSpec, InitialData, free_field, initial_values, sum_value_grad_hess
 
 
 @pytest.fixture
@@ -59,10 +59,8 @@ def test_small_time_taylor_expansion(unit_bump):
     x = np.array([0.3, 0.1])
     t = 1e-3
     u, ut, _ = free_field(data, t, x)
-    f = eval_bump(data.f1[0], x)
-    g = eval_bump(data.g1[0], x)
-    lap_f = eval_bump(data.f1[0], x, (2, 0)) + eval_bump(data.f1[0], x, (0, 2))
-    lap_g = eval_bump(data.g1[0], x, (2, 0)) + eval_bump(data.g1[0], x, (0, 2))
+    (f, _, hf), (g, _, hg) = (sum_value_grad_hess(s, x) for s in (data.f1, data.g1))
+    lap_f, lap_g = hf[0] + hf[2], hg[0] + hg[2]
     assert u[0] == pytest.approx(f + t * g + 0.5 * t * t * lap_f, abs=1e-8)
     assert ut[0] == pytest.approx(g + t * lap_f + 0.5 * t * t * lap_g, abs=1e-7)
 

@@ -92,10 +92,13 @@ def test_module_entry_point_runs_a_scenario(tmp_path):
 def test_unstable_run_exits_two(tmp_path):
     # eps = 1e60 overflows the cubic term in the first step; the run goes
     # through a subprocess, so that stderr is what a user sees under Python's
-    # default warning filters (pytest would raise numpy's warnings instead)
+    # default warning filters (pytest would raise numpy's warnings instead);
+    # component 2's bump has amplitude 0.5, as identical components are refused
     cfg_path = tmp_path / "unstable.cfg"
-    cfg_path.write_text(_sampling_config("conservation", "").replace(
-        "epsilon = 0.2", "epsilon = 1e60") + "\n[scenario]\nT = 2\n[grid]\nh = 0.05\n")
+    text = _sampling_config("conservation", "").replace("epsilon = 0.2", "epsilon = 1e60")
+    head, tail = text.rsplit("amplitude = 1.0", 1)
+    cfg_path.write_text(head + "amplitude = 0.5" + tail
+                        + "\n[scenario]\nT = 2\n[grid]\nh = 0.05\n")
     proc = _run_module("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert proc.stderr == "wavelab: non-finite field value at t=0.0225, grid index (0,)\n"
@@ -314,6 +317,49 @@ def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
         assert captured.err.startswith("wavelab: ") and captured.err.count("\n") == 1
     else:
         assert "scenario free-validation:" in captured.out
+
+
+# data a scenario cannot use, refused before any output is written: identical
+# components, also as the same bumps in another order or with a zero-amplitude
+# bump (the difference law is identically 0); a support radius R0 = 6 that
+# reaches the decay-fit window sigma < -10 (which needs R0 < 5); data for one
+# component only, also as a zero-amplitude bump (no decay to fit for the other)
+_IDENTICAL = _sampling_config("conservation", "").replace(
+    "name = conservation", "name = conservation\nT = 1\n[grid]\nh = 0.125")
+_TWO_BUMPS = _sampling_config("radiation-decay", "")
+_ONE_BUMP = _TWO_BUMPS[:_TWO_BUMPS.rindex("[bump]")]
+_SMALL_BUMP = "\n[bump]\ncomponent = {}\nkind = g\nradius = 0.5\namplitude = {}\n"
+# component 1 lists the small bump first, component 2 last
+_REORDERED = (_IDENTICAL.replace("[bump]", _SMALL_BUMP.format(1, 0.5) + "[bump]", 1)
+              + _SMALL_BUMP.format(2, 0.5))
+
+
+@pytest.mark.parametrize("text,message", [
+    (_IDENTICAL, "identical components"),
+    (_REORDERED, "identical components"),
+    (_IDENTICAL + _SMALL_BUMP.format(2, 0.0), "identical components"),
+    (_TWO_BUMPS.replace("radius = 1.0", "radius = 6.0"), "R0=6"),
+    (_ONE_BUMP, "component 2 has no nonzero data"),
+    (_ONE_BUMP + _SMALL_BUMP.format(2, 0.0), "component 2 has no nonzero data"),
+], ids=["conservation-identical", "conservation-reordered", "conservation-zero-amplitude",
+        "radiation-decay-R0",
+        "radiation-decay-one-component", "radiation-decay-zero-amplitude"])
+def test_unusable_data_exit_code(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "data.cfg"
+    cfg_path.write_text(text)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wavelab: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,code", [("conservation", 1), ("nondecay-demo", 0)])
+def test_horizon_below_one_step_runs(tmp_path, name, code):
+    """T = 1e-12 is far below one step; the run still takes one and reports."""
+    argv = ["scenario", name, "--T", "1e-12", "--h", "0.25", "--out", str(tmp_path)]
+    assert main(argv) == code
+    assert json.loads((tmp_path / "summary.json").read_text())["passed"] is (code == 0)
 
 
 def test_symmetric_decay_file_samples_one_ray_by_default(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
-                     WaveState, field_value, free_field, init_state, run_simulation)
+                     WaveState, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
 from wavelab.solver import _stencil
@@ -49,10 +49,8 @@ def test_radial_and_cartesian_agree_at_t0(radial_data):
     cfg_c = small_config(radial_data, mode="cartesian-2d", T=1.0, h=h)
     sr = init_state(cfg_r, nonlinear=False)
     sc = init_state(cfg_c, nonlinear=False)
-    for r in (0.3, 0.55, 0.92):
-        vr = field_value(sr, (r, 0.0))
-        vc = field_value(sc, (r, 0.0))
-        assert max(abs(vr[0] - vc[0]), abs(vr[1] - vc[1])) <= 1e-8
+    pts = [(r, 0.0) for r in (0.3, 0.55, 0.92)]
+    assert np.max(np.abs(sr.sample(pts)[0] - sc.sample(pts)[0])) <= 1e-8
 
 
 def _reference_stencil(p, n):
@@ -328,8 +326,9 @@ def test_scheme_order_against_oracle(unit_bump):
         errs_h = []
 
         def check(state):
-            errs_h.extend(abs(field_value(state, (x, y))[0] - oracle[(tv, x, y)])
-                          for tv, x, y in pts if abs(tv - state.t) < 1e-9)
+            now = [p for p in pts if abs(p[0] - state.t) < 1e-9]
+            u = state.sample([p[1:] for p in now])[0, 0]       # component 1
+            errs_h.extend(abs(u - [oracle[p] for p in now]))
 
         run_simulation(cfg, nonlinear=False, samplers=[((0.25, 0.5), check)])
         assert len(errs_h) == len(pts)
@@ -352,9 +351,15 @@ def test_radial_cartesian_cross_check(unit_bump):
     for _ in range(round(T / sr.dt)):
         sr.step()
         sc.step()
-    dmax = max(abs(field_value(sr, (r, 0.0))[0] - field_value(sc, (r, 0.0))[0])
-               for r in np.linspace(0.2, sr.t + 1.0, 25))
+    pts = [(r, 0.0) for r in np.linspace(0.2, sr.t + 1.0, 25)]
+    dmax = np.max(np.abs(sr.sample(pts)[0, 0] - sc.sample(pts)[0, 0]))
     assert dmax <= 5.0 * h * h
+
+
+def test_horizon_below_one_step_takes_one_step(radial_data):
+    """A run always steps at least once, so its last diagnosed time is >= T."""
+    trace = run_simulation(small_config(radial_data, T=1e-12), nonlinear=True)
+    assert len(trace.t) == 2 and trace.t[-1] >= 1e-12
 
 
 def test_energy_trace_csv(tmp_path, radial_data):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig, WaveState,
-                     field_value, init_state, run_simulation)
+                     init_state, run_simulation)
 from wavelab.profile import RayTraceCollector
 from wavelab.scenarios import default_config
 from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY, TRACE_DT
@@ -452,6 +452,6 @@ def test_sample_inside_the_cone_rejected():
     while state.lo == 0:
         state.step()
     edge = state.t + state.cone
-    field_value(state, (edge, 0.0))
+    state.sample([(edge, 0.0)])
     with pytest.raises(ValueError, match="light-cone window"):
-        field_value(state, (edge - 0.5 * H, 0.0))
+        state.sample([(edge - 0.5 * H, 0.0)])
