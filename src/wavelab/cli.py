@@ -5,12 +5,13 @@
 
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
 2 on usage errors (unknown scenario, malformed, non-UTF-8 or non-finite
-configuration or option, a key set twice, a ray sigma the scenario cannot
-sample, or a setting the scenario never reads) and when a field or a report
-value turns non-finite.  Both commands check what they are given against
-scenarios.READS, the optional config keys each scenario reads: `run` the
-keys the file sets (config.set_keys) and `scenario` the key each option
-sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps data.epsilon.  A
+configuration or option, a key set twice, a mode the scenario does not run
+in, data it cannot use, a ray sigma it cannot sample, or a setting it never
+reads) and when a field or a report value turns non-finite.  Both commands
+check what they are given against the reads of the scenario's record
+(scenarios.scenario), the optional config keys it reads: `run` the keys the
+file sets (config.set_keys) and `scenario` the key each option sets: --T
+scenario.T, --h grid.h, --cfl grid.cfl and --eps data.epsilon.  A
 multi-valued epsilon also sets scenarios.EPS_LIST.
 """
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from .config import ConfigParseError, ConfigValidationError, parse_scenario, set_keys
 from .reporting import NonFiniteReportError
-from .scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
-                        run_scenario)
+from .scenarios import (EPS_LIST, SCENARIOS, UsageError, default_config, run_scenario,
+                        scenario)
 from .solver import InstabilityError
 
 
@@ -57,9 +58,8 @@ _UNCHECKED_KEYS = {"scenario.name", "data.epsilon", "scenario.out"}
 
 def _reject_unread(name: str, given: dict) -> None:
     """given maps each config key the user set to the words that name it."""
-    if name not in READS:
-        return                  # run_scenario reports the unknown name
-    unread = sorted(label for key, label in given.items() if key not in READS[name])
+    reads = scenario(name).reads
+    unread = sorted(label for key, label in given.items() if key not in reads)
     if unread:
         raise UsageError(f"scenario {name} does not read {', '.join(unread)}")
 

@@ -25,8 +25,9 @@ Documents look like::
     amplitude = 1.0
 
 Required: scenario.name, data.epsilon and at least one bump.  Everything
-else has a documented default (the DEFAULT_* constants); scenarios.READS lists
-the optional keys each scenario reads, and the CLI rejects the rest.  A key
+else has a documented default (the DEFAULT_* constants); each scenario's
+record in scenarios.SCENARIOS lists the optional keys it reads in its reads,
+and the CLI rejects the rest.  A key
 is set at most once in a document (once per table for [bump]), also across
 repeated section headers.  Parse errors carry the offending line number;
 validation errors name the offending field.

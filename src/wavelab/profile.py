@@ -132,14 +132,17 @@ class RayTraceCollector:
         self._rows = {s: array("d") for s in self.sigmas}
         self._dt = None
 
+    @staticmethod
+    def samples_at(t, sigma: float, h: float):
+        """The foot-point rule, for a time t or an array of times."""
+        return (t > 0) & (t + sigma >= h)
+
     def __call__(self, state: WaveState) -> None:
         if state.mode != "radial":
             raise ValueError(f"ray profiles are sampled in radial mode, not {state.mode}")
         self._dt = state.dt
         t = state.t
-        if t <= 0.0:
-            return
-        live = [s for s in self.sigmas if t + s >= state.h]
+        live = [s for s in self.sigmas if self.samples_at(t, s, state.h)]
         if not live:
             return
         # u, d_t u and d_r u of both components, (3, 2), at each foot point

@@ -4,6 +4,9 @@ Every scenario returns a summary dict (also written to summary.json in the
 output directory) whose "assertions" block lists named pass/fail checks with
 measured values and thresholds.  A scenario passes iff all assertions pass.
 
+Each is one Scenario record in SCENARIOS: its run function, the optional
+config keys it reads, its default config and the one grid mode it runs in.
+
 The seven scenarios:
 
   conservation     difference law E1^2 - E2^2 constant and energy balance,
@@ -28,8 +31,10 @@ import os
 import shutil
 import time
 from collections import Counter
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from .radiation import fit_sigma_decay, radiation_pair, radiation_table
 from .reporting import Assertion, write_csv, write_summary
 from .solver import run_simulation
 
-__all__ = ["SCENARIOS", "READS", "EPS_LIST", "UsageError",
+__all__ = ["Scenario", "SCENARIOS", "EPS_LIST", "UsageError", "scenario",
            "default_config", "run_scenario"]
 
 
@@ -53,42 +58,50 @@ class UsageError(ValueError):
     """Unknown scenario or unusable invocation (CLI exit code 2)."""
 
 
-def _b(radius, amplitude, center=(0.0, 0.0)):
-    return BumpSpec(center=center, radius=radius, amplitude=amplitude)
+@dataclass(frozen=True)
+class Scenario:
+    """run(config, out_dir, runtimes) returns (assertions, values), timing its
+    phases into runtimes; reads: the optional config keys it reads; data and
+    settings (ScenarioConfig fields): its default config; mode: the one grid
+    mode it runs in, None for either."""
+
+    run: Callable
+    reads: frozenset
+    data: InitialData
+    settings: dict = field(default_factory=dict)
+    mode: str | None = None
 
 
-def _eps_ladder():
-    return (0.4, 0.4 / math.sqrt(2.0), 0.2, 0.2 / math.sqrt(2.0), 0.1)
+def scenario(name: str) -> Scenario:
+    """The record of the named scenario; UsageError for an unknown name."""
+    if name not in SCENARIOS:
+        raise UsageError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
+    return SCENARIOS[name]
 
 
 def default_config(name: str) -> ScenarioConfig:
     """Built-in configuration for each named scenario."""
-    if name == "conservation":
-        data = InitialData(f1=(_b(1.0, 1.0),), g1=(_b(0.7, -0.5),),
-                           f2=(_b(0.8, 0.3),), g2=(_b(1.0, 1.0),), epsilon=0.3)
-        return ScenarioConfig(name=name, data=data, mode="radial", T=40.0)
-    if name == "free-validation":
-        data = InitialData(f1=(_b(1.8, 1.0),), g1=(_b(1.5, -0.5),),
-                           f2=(_b(1.8, 0.7),), g2=(_b(1.6, 0.4),), epsilon=1.0)
-        return ScenarioConfig(name=name, data=data, mode="cartesian-2d",
-                              T=1.0, h=1.0 / 16.0)
-    if name == "radiation-decay":
-        data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 1.0),), epsilon=0.2)
-        return ScenarioConfig(name=name, data=data, mode="radial")
-    if name == "profile-oracle":
-        data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 1.0),), epsilon=0.2)
-        return ScenarioConfig(name=name, data=data, mode="radial")
-    if name == "epsilon-scaling":
-        data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 0.6),), epsilon=0.4)
-        return ScenarioConfig(name=name, data=data, mode="radial",
-                              eps_list=_eps_ladder())
-    if name == "nondecay-demo":
-        data = InitialData(g1=(_b(1.0, 1.0),), g2=(_b(0.5, 1.6),), epsilon=0.2)
-        return ScenarioConfig(name=name, data=data, mode="radial", T=20.0)
-    if name == "symmetric-decay":
-        data = InitialData(g1=(_b(1.0, 2.0),), g2=(_b(1.0, 2.0),), epsilon=0.4)
-        return ScenarioConfig(name=name, data=data, mode="radial", T=40.0)
-    raise UsageError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
+    record = scenario(name)
+    return ScenarioConfig(name, record.data, record.mode or "radial", **record.settings)
+
+
+def _b(radius, amplitude, center=(0.0, 0.0)):
+    return BumpSpec(center=center, radius=radius, amplitude=amplitude)
+
+
+@contextmanager
+def _timed(runtimes: dict, key: str):
+    """Store the wall time of the with-block in runtimes[key]."""
+    t0 = time.perf_counter()
+    yield
+    runtimes[key] = time.perf_counter() - t0
+
+
+def _nonzero_bumps(data: InitialData):
+    """Each component's nonzero bumps as multisets (f, g): two components
+    whose bumps sum, in any order, to the same fields compare equal."""
+    return [tuple(Counter(b for b in bumps if b.amplitude) for bumps in pair)
+            for pair in ((data.f1, data.g1), (data.f2, data.g2))]
 
 
 # -- individual scenarios -------------------------------------------------------
@@ -99,20 +112,15 @@ def _trace_times(T: float, dt: float):
     return np.append(np.arange(0.0, T, 4 * dt), T)
 
 
-def _scenario_conservation(config, out_dir):
-    data = config.data
-    # the same nonzero bumps, in any order, sum to the same fields
-    f1, g1, f2, g2 = (Counter(b for b in bumps if b.amplitude)
-                      for bumps in (data.f1, data.g1, data.f2, data.g2))
-    if f1 == f2 and g1 == g2:
+def _scenario_conservation(config, out_dir, runtimes):
+    component1, component2 = _nonzero_bumps(config.data)
+    if component1 == component2:
         raise UsageError("conservation needs different component data: with identical "
                          "components the difference law E1^2 - E2^2 is identically 0")
-    runtimes = {}
     results = {}
     for label, cfg in (("base", config), ("half", replace(config, h=config.h / 2))):
-        t0 = time.perf_counter()
-        trace = run_simulation(cfg, nonlinear=True)
-        runtimes[f"run_{label}"] = time.perf_counter() - t0
+        with _timed(runtimes, f"run_{label}"):
+            trace = run_simulation(cfg, nonlinear=True)
         scale = max(trace.E1sq[0], 1e-30)
         drift = float(np.max(np.abs(trace.diff - trace.diff[0])) / scale)
         balance = float(np.max(np.abs(trace.total - trace.total[0]
@@ -133,7 +141,7 @@ def _scenario_conservation(config, out_dir):
     values = {"drift_base": drift, "drift_half": drift_h,
               "balance_base": balance, "balance_half": balance_h,
               "h": config.h, "epsilon": config.data.epsilon, "T": config.T}
-    return assertions, values, runtimes
+    return assertions, values
 
 
 def _free_validation_points(data, T):
@@ -149,17 +157,13 @@ def _free_validation_points(data, T):
     return pts
 
 
-def _scenario_free_validation(config, out_dir):
-    if config.mode != "cartesian-2d":
-        raise UsageError("free-validation runs in cartesian-2d mode")
+def _scenario_free_validation(config, out_dir, runtimes):
     data = config.data
     T = config.T
-    runtimes = {}
 
     pts = _free_validation_points(data, T)
-    t0 = time.perf_counter()
-    oracle = {p: free_field(data, p[0], np.array([p[1], p[2]]))[0] for p in pts}
-    runtimes["oracle"] = time.perf_counter() - t0
+    with _timed(runtimes, "oracle"):
+        oracle = {p: free_field(data, p[0], np.array([p[1], p[2]]))[0] for p in pts}
 
     by_time = {}
     for p in pts:
@@ -177,15 +181,14 @@ def _scenario_free_validation(config, out_dir):
     n0 = math.ceil(cadence / (config.cfl * levels[0]))
     cfl = min(cadence / (n0 * levels[0]), config.cfl)
     errs = []
-    t0 = time.perf_counter()
-    for h in levels:
-        grid = {}
-        samplers = [((tv,), partial(sample, grid, points))
-                    for tv, points in by_time.items()]
-        run_simulation(replace(config, h=h, cfl=cfl), nonlinear=False,
-                       samplers=samplers)
-        errs.append(max(abs(grid[p][c] - oracle[p][c]) for p in pts for c in (0, 1)))
-    runtimes["refinement_runs"] = time.perf_counter() - t0
+    with _timed(runtimes, "refinement_runs"):
+        for h in levels:
+            grid = {}
+            samplers = [((tv,), partial(sample, grid, points))
+                        for tv, points in by_time.items()]
+            run_simulation(replace(config, h=h, cfl=cfl), nonlinear=False,
+                           samplers=samplers)
+            errs.append(max(abs(grid[p][c] - oracle[p][c]) for p in pts for c in (0, 1)))
     rows = [(*p, grid[p][0], oracle[p][0], abs(grid[p][0] - oracle[p][0]))
             for p in pts]
     write_csv(os.path.join(out_dir, "free_validation_points.csv"),
@@ -203,53 +206,52 @@ def _scenario_free_validation(config, out_dir):
                            g1=(_b(0.8, -0.6, (-0.1, 0.2)),), epsilon=1.0)
     theta = 0.7
     omega = np.array([np.cos(theta), np.sin(theta)])
-    t0 = time.perf_counter()
-    ray_rows = []
-    for sigma in (-0.5, 0.1):
-        dfv = float(radiation_pair(ray_data, sigma, omega)[1][0])    # component 1
-        ts = np.geomspace(4.0, 64.0, 9)
-        dev = np.zeros(len(ts))
-        for i, tv in enumerate(ts):
-            r = tv + sigma
-            _, ut, grad = free_field(ray_data, tv, r * omega)
-            sq = math.sqrt(r)
-            comps = (sq * ut[0] + dfv,
-                     sq * grad[0, 0] - omega[0] * dfv,
-                     sq * grad[0, 1] - omega[1] * dfv)
-            dev[i] = float(np.hypot(np.hypot(comps[0], comps[1]), comps[2]))
-            ray_rows.append((sigma, tv, *comps, dev[i]))
-        slope = fit_power_law(ts, dev).slope
-        assertions.append(Assertion.le(f"ray_approx_slope_sigma={sigma}", slope, -0.8))
+    with _timed(runtimes, "ray_checks"):
+        ray_rows = []
+        for sigma in (-0.5, 0.1):
+            dfv = float(radiation_pair(ray_data, sigma, omega)[1][0])    # component 1
+            ts = np.geomspace(4.0, 64.0, 9)
+            dev = np.zeros(len(ts))
+            for i, tv in enumerate(ts):
+                r = tv + sigma
+                _, ut, grad = free_field(ray_data, tv, r * omega)
+                sq = math.sqrt(r)
+                comps = (sq * ut[0] + dfv,
+                         sq * grad[0, 0] - omega[0] * dfv,
+                         sq * grad[0, 1] - omega[1] * dfv)
+                dev[i] = float(np.hypot(np.hypot(comps[0], comps[1]), comps[2]))
+                ray_rows.append((sigma, tv, *comps, dev[i]))
+            slope = fit_power_law(ts, dev).slope
+            assertions.append(Assertion.le(f"ray_approx_slope_sigma={sigma}", slope, -0.8))
 
-    # free-field decay weights bounded along the ray t = |x| + c: order 0
-    # weights |u|, order 1 the largest first derivative, one oracle per point
-    c = 2.0
-    ts = np.geomspace(4.0 + c, 80.0, 9)
-    q = ([], [])
-    for tv in ts:
-        r = tv - c
-        u, ut, grad = free_field(ray_data, tv, r * omega)
-        vals = (abs(u[0]), max(abs(ut[0]), abs(grad[0, 0]), abs(grad[0, 1])))
-        for order, val in enumerate(vals):
-            w = math.hypot(1.0, tv + r) ** 0.5 * math.hypot(1.0, tv - r) ** (order + 0.5)
-            q[order].append(val * w)
-    for order in (0, 1):
-        slope = fit_power_law(ts, np.array(q[order])).slope
-        assertions.append(Assertion.le(f"ray_bound_growth_order={order}", slope, 0.05))
-    runtimes["ray_checks"] = time.perf_counter() - t0
+        # free-field decay weights bounded along the ray t = |x| + c: order 0
+        # weights |u|, order 1 the largest first derivative, one oracle per point
+        c = 2.0
+        ts = np.geomspace(4.0 + c, 80.0, 9)
+        q = ([], [])
+        for tv in ts:
+            r = tv - c
+            u, ut, grad = free_field(ray_data, tv, r * omega)
+            vals = (abs(u[0]), max(abs(ut[0]), abs(grad[0, 0]), abs(grad[0, 1])))
+            for order, val in enumerate(vals):
+                w = math.hypot(1.0, tv + r) ** 0.5 * math.hypot(1.0, tv - r) ** (order + 0.5)
+                q[order].append(val * w)
+        for order in (0, 1):
+            slope = fit_power_law(ts, np.array(q[order])).slope
+            assertions.append(Assertion.le(f"ray_bound_growth_order={order}", slope, 0.05))
     write_csv(os.path.join(out_dir, "ray_decay.csv"),
               ("sigma", "t", "dev_t", "dev_x", "dev_y", "dev_norm"), ray_rows)
 
     values = {"errors": dict(zip((f"h={h:.6g}" for h in levels), errs)),
               "order": fit.slope, "r_squared": fit.r_squared}
-    return assertions, values, runtimes
+    return assertions, values
 
 
 # the far-field window of the sigma-decay fit, which needs sigma < -2 R0
 _DECAY_FIT_WINDOW = (-40.0, -10.0)
 
 
-def _scenario_radiation_decay(config, out_dir):
+def _scenario_radiation_decay(config, out_dir, runtimes):
     data = config.data
     r0 = data.support_radius
     lo, hi = _DECAY_FIT_WINDOW
@@ -257,15 +259,13 @@ def _scenario_radiation_decay(config, out_dir):
         raise UsageError(f"radiation-decay fits the decay on sigma in [{lo:g}, {hi:g}], "
                          f"which must lie below -2 R0; the data's support radius is "
                          f"R0={r0:g}, so R0 must be below {-hi / 2:g}")
-    for comp, (f, g) in enumerate(((data.f1, data.g1), (data.f2, data.g2)), 1):
-        if not any(b.amplitude for b in f + g):
+    for comp, bumps in enumerate(_nonzero_bumps(data), 1):
+        if not any(bumps):
             raise UsageError(f"radiation-decay fits the decay of both components, "
                              f"but component {comp} has no nonzero data")
-    runtimes = {}
     sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
-    t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, config.theta_samples)
-    runtimes["table"] = time.perf_counter() - t0
+    with _timed(runtimes, "table"):
+        table = radiation_table(data, sigma_grid, config.theta_samples)
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
     slopes = fit_sigma_decay(table, _DECAY_FIT_WINDOW)
@@ -277,29 +277,27 @@ def _scenario_radiation_decay(config, out_dir):
         s = float(np.max(np.abs(slopes[comp] + 1.5)))
         assertions.append(Assertion.le(f"decay_slope_gap_component{comp + 1}", s, 0.15))
     values = {"slopes": slopes.ravel().tolist(), "support_radius": r0}
-    return assertions, values, runtimes
+    return assertions, values
 
 
-def _scenario_profile_oracle(config, out_dir):
-    runtimes = {}
+def _scenario_profile_oracle(config, out_dir, runtimes):
     t_start, t_end = 2.0, 2.0e6
     t_eval = np.geomspace(t_start, t_end, 40)
     worst_rel = 0.0
     worst_drift = 0.0
     rows = []
-    t0 = time.perf_counter()
-    for v10 in np.linspace(0.05, 0.5, 5):
-        for v20 in np.linspace(0.05, 0.5, 5):
-            _, v1, v2 = solve_reduced_ode(v10, v20, t_start, t_end, t_eval=t_eval)
-            c1, c2 = closed_form_profile(v10, v20, t_start, t_eval)
-            mag = np.hypot(c1, c2)
-            rel = float(np.max(np.abs(np.hypot(v1, v2) - mag) / mag))
-            drift = float(np.max(np.abs(profile_invariant(v1, v2)
-                                        - profile_invariant(v10, v20))))
-            worst_rel = max(worst_rel, rel)
-            worst_drift = max(worst_drift, drift)
-            rows.append((v10, v20, rel, drift))
-    runtimes["ode_grid"] = time.perf_counter() - t0
+    with _timed(runtimes, "ode_grid"):
+        for v10 in np.linspace(0.05, 0.5, 5):
+            for v20 in np.linspace(0.05, 0.5, 5):
+                _, v1, v2 = solve_reduced_ode(v10, v20, t_start, t_end, t_eval=t_eval)
+                c1, c2 = closed_form_profile(v10, v20, t_start, t_eval)
+                mag = np.hypot(c1, c2)
+                rel = float(np.max(np.abs(np.hypot(v1, v2) - mag) / mag))
+                drift = float(np.max(np.abs(profile_invariant(v1, v2)
+                                            - profile_invariant(v10, v20))))
+                worst_rel = max(worst_rel, rel)
+                worst_drift = max(worst_drift, drift)
+                rows.append((v10, v20, rel, drift))
     write_csv(os.path.join(out_dir, "profile_oracle.csv"),
               ("V10", "V20", "max_rel_err", "invariant_drift"), rows)
 
@@ -309,42 +307,49 @@ def _scenario_profile_oracle(config, out_dir):
     ]
 
     # sign trichotomy with terminal limits
-    t0 = time.perf_counter()
     tri_rows = []
-    for v10, v20 in ((0.9, 0.1), (0.1, 0.9), (0.4, 0.4)):
-        m = profile_invariant(v10, v20)
-        ts, v1, v2 = solve_reduced_ode(v10, v20, t_start, t_end,
-                                       t_eval=np.geomspace(t_start, t_end, 24))
-        if m > 0:
-            lim = abs(v1[-1] ** 2 - m)
-            env = float(np.max(np.abs(v2) / (abs(v20) * (ts / t_start) ** (-m / 2))))
-            assertions.append(Assertion.le("trichotomy_limit_m_pos", lim, 1e-6))
-            assertions.append(Assertion.le("trichotomy_envelope_m_pos", env, 1.0 + 1e-9))
-        elif m < 0:
-            lim = abs(v2[-1] ** 2 + m)
-            env = float(np.max(np.abs(v1) / (abs(v10) * (ts / t_start) ** (m / 2))))
-            assertions.append(Assertion.le("trichotomy_limit_m_neg", lim, 1e-6))
-            assertions.append(Assertion.le("trichotomy_envelope_m_neg", env, 1.0 + 1e-9))
-        else:
-            pred = v10 ** 2 / (1.0 + v10 ** 2 * math.log(t_end / t_start))
-            lim = abs(v1[-1] ** 2 - pred) / pred
-            assertions.append(Assertion.le("trichotomy_log_decay_m_zero", lim, 1e-6))
-        tri_rows.append((v10, v20, m, v1[-1], v2[-1]))
-    runtimes["trichotomy"] = time.perf_counter() - t0
+    with _timed(runtimes, "trichotomy"):
+        for v10, v20 in ((0.9, 0.1), (0.1, 0.9), (0.4, 0.4)):
+            m = profile_invariant(v10, v20)
+            ts, v1, v2 = solve_reduced_ode(v10, v20, t_start, t_end,
+                                           t_eval=np.geomspace(t_start, t_end, 24))
+            if m > 0:
+                lim = abs(v1[-1] ** 2 - m)
+                env = float(np.max(np.abs(v2) / (abs(v20) * (ts / t_start) ** (-m / 2))))
+                assertions.append(Assertion.le("trichotomy_limit_m_pos", lim, 1e-6))
+                assertions.append(Assertion.le("trichotomy_envelope_m_pos", env, 1.0 + 1e-9))
+            elif m < 0:
+                lim = abs(v2[-1] ** 2 + m)
+                env = float(np.max(np.abs(v1) / (abs(v10) * (ts / t_start) ** (m / 2))))
+                assertions.append(Assertion.le("trichotomy_limit_m_neg", lim, 1e-6))
+                assertions.append(Assertion.le("trichotomy_envelope_m_neg", env, 1.0 + 1e-9))
+            else:
+                pred = v10 ** 2 / (1.0 + v10 ** 2 * math.log(t_end / t_start))
+                lim = abs(v1[-1] ** 2 - pred) / pred
+                assertions.append(Assertion.le("trichotomy_log_decay_m_zero", lim, 1e-6))
+            tri_rows.append((v10, v20, m, v1[-1], v2[-1]))
     write_csv(os.path.join(out_dir, "trichotomy.csv"),
               ("V10", "V20", "m", "V1_final", "V2_final"), tri_rows)
     values = {"worst_rel_err": worst_rel, "worst_drift": worst_drift}
-    return assertions, values, runtimes
+    return assertions, values
 
 
-def _rays_inside_support(config, sigmas) -> None:
-    """Past the data's support radius R0 the solution vanishes (finite speed
-    of propagation), and so does a ray profile at sigma > R0."""
-    r0 = config.data.support_radius
+def _check_rays(config, sigmas, times) -> None:
+    """Refuse a sigma > R0, whose profile vanishes (finite speed of propagation),
+    and one first sampled (the collector's foot-point rule at the steps taken
+    for times) more than one step after its reference time."""
+    r0, h, dt = config.data.support_radius, config.h, config.cfl * config.h
+    steps = np.round(times / dt) * dt
     for s in sigmas:
         if s > r0:
             raise UsageError(f"{config.name}: sigma={s:g} exceeds the data's support "
                              f"radius R0={r0:g}, where every ray profile is 0")
+        t_ref = ProfileTrace.reference_time(s)
+        first = min(steps[RayTraceCollector.samples_at(steps, s, h)], default=math.inf)
+        if first > t_ref + dt:
+            raise UsageError(f"{config.name}: with h={h:g} the first profile sample of "
+                             f"sigma={s:g} lands at t={first:.4g}, more than one step "
+                             f"past its reference time max(2, -2 sigma) = {t_ref:g}")
 
 
 def _run_scaling_case(config, eps, sigmas, h=None):
@@ -358,48 +363,42 @@ def _run_scaling_case(config, eps, sigmas, h=None):
     return collector.traces()
 
 
-def _scenario_epsilon_scaling(config, out_dir):
+def _scenario_epsilon_scaling(config, out_dir, runtimes):
     if len(config.eps_list) < 3:
         raise UsageError("epsilon-scaling needs at least 3 epsilon values")
     if len(set(config.eps_list)) < len(config.eps_list):
         raise UsageError("epsilon-scaling needs distinct epsilon values, got "
                          + ", ".join(f"{e:g}" for e in config.eps_list))
-    if config.mode != "radial":
-        raise UsageError("epsilon-scaling runs in radial mode")
     eps_list = tuple(sorted(config.eps_list, reverse=True))
     sigmas = list(config.sigma_samples)
     theta = 0.0                 # radial mode: every angle gives the same profiles
-    _rays_inside_support(config, sigmas)
     horizon = 4.0 / eps_list[0]
     for s in sigmas:
         if ProfileTrace.reference_time(s) > horizon:
             raise UsageError(f"epsilon-scaling: the reference time max(2, -2 sigma) of "
                              f"sigma={s:g} exceeds the shortest rung's horizon "
                              f"4/eps = {horizon:g}")
-    runtimes = {}
+    _check_rays(config, sigmas, _trace_times(horizon, config.cfl * config.h))
 
     r0 = config.data.support_radius
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
     sigma_grid = np.arange(lo, r0 + 0.2 + 1e-9, 0.02)
-    t0 = time.perf_counter()
-    table = radiation_table(config.data, sigma_grid, (theta,))
-    runtimes["radiation_table"] = time.perf_counter() - t0
+    with _timed(runtimes, "radiation_table"):
+        table = radiation_table(config.data, sigma_grid, (theta,))
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
     estimates = []
-    t0 = time.perf_counter()
-    for eps in eps_list:
-        t_case = time.perf_counter()
-        traces = _run_scaling_case(config, eps, sigmas)
-        runtimes[f"eps={eps:.4g}"] = time.perf_counter() - t_case
-        T = 4.0 / eps
-        for tr in traces:
-            md = tr.invariant_at(T)
-            mc = corrected_invariant(tr, T)
-            ml = leading_invariant(table, eps, tr.sigma)
-            estimates.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
-                                       m_direct=md, m_corrected=mc, m_leading=ml))
-    runtimes["eps_runs"] = time.perf_counter() - t0
+    with _timed(runtimes, "eps_runs"):
+        for eps in eps_list:
+            with _timed(runtimes, f"eps={eps:.4g}"):
+                traces = _run_scaling_case(config, eps, sigmas)
+            T = 4.0 / eps
+            for tr in traces:
+                md = tr.invariant_at(T)
+                mc = corrected_invariant(tr, T)
+                ml = leading_invariant(table, eps, tr.sigma)
+                estimates.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
+                                           m_direct=md, m_corrected=mc, m_leading=ml))
     write_mestimates(os.path.join(out_dir, "m_estimates.csv"), estimates)
 
     max_resid = {}
@@ -409,9 +408,8 @@ def _scenario_epsilon_scaling(config, out_dir):
 
     # discretization floor at the smallest eps from one h-halved rerun
     eps_min = eps_list[-1]
-    t0 = time.perf_counter()
-    traces_half = _run_scaling_case(config, eps_min, sigmas, h=config.h / 2)
-    runtimes["floor_run"] = time.perf_counter() - t0
+    with _timed(runtimes, "floor_run"):
+        traces_half = _run_scaling_case(config, eps_min, sigmas, h=config.h / 2)
     floor = {}
     base = {e.sigma: e for e in estimates if e.eps == eps_min}
     for tr in traces_half:
@@ -437,17 +435,15 @@ def _scenario_epsilon_scaling(config, out_dir):
               "max_residuals": {f"{k:.4g}": v for k, v in max_resid.items()},
               "floor": {f"{k}": v for k, v in floor.items()},
               "pointwise_rel": {f"{k}": v for k, v in pointwise.items()}}
-    return assertions, values, runtimes
+    return assertions, values
 
 
-def _scenario_nondecay(config, out_dir):
+def _scenario_nondecay(config, out_dir, runtimes):
     data = config.data
-    runtimes = {}
     r0 = data.support_radius
     sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
-    t0 = time.perf_counter()
-    table = radiation_table(data, sigma_grid, config.theta_samples)
-    runtimes["table"] = time.perf_counter() - t0
+    with _timed(runtimes, "table"):
+        table = radiation_table(data, sigma_grid, config.theta_samples)
     table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
     gap = np.abs(table.dF[0]) - np.abs(table.dF[1])      # every (sigma, theta)
@@ -459,11 +455,10 @@ def _scenario_nondecay(config, out_dir):
     ]
     if not (assertions[0].passed and assertions[1].passed):
         values = {"gap_max": float(np.max(gap)), "gap_min": float(np.min(gap))}
-        return assertions, values, runtimes
+        return assertions, values
 
-    t0 = time.perf_counter()
-    trace = run_simulation(config, nonlinear=True)
-    runtimes["run"] = time.perf_counter() - t0
+    with _timed(runtimes, "run"):
+        trace = run_simulation(config, nonlinear=True)
     trace.to_csv(os.path.join(out_dir, "energy_trace.csv"))
     late = trace.t >= config.T / 2.0
     floor1 = float(np.min(trace.E1sq[late]) / trace.E1sq[0])
@@ -474,21 +469,19 @@ def _scenario_nondecay(config, out_dir):
     ]
     values = {"gap_max": float(np.max(gap)), "gap_min": float(np.min(gap)),
               "floor1": floor1, "floor2": floor2}
-    return assertions, values, runtimes
+    return assertions, values
 
 
-def _scenario_symmetric_decay(config, out_dir):
-    if config.mode != "radial":
-        raise UsageError("symmetric-decay runs in radial mode")
-    data = config.data
-    if data.f1 != data.f2 or data.g1 != data.g2:
+def _scenario_symmetric_decay(config, out_dir, runtimes):
+    component1, component2 = _nonzero_bumps(config.data)
+    if component1 != component2:
         raise UsageError("symmetric-decay requires identical component data")
+    if not any(component1):
+        raise UsageError("symmetric-decay needs nonzero data")
     if len(config.sigma_samples) != 1:
         raise UsageError("symmetric-decay samples one ray: set one sigma_samples "
                          "value, got " + ", ".join(f"{s:g}" for s in config.sigma_samples))
-    runtimes = {}
     (sigma,) = config.sigma_samples
-    _rays_inside_support(config, [sigma])
     t_ref = ProfileTrace.reference_time(sigma)
     # the last profile sample, at T, is taken at the nearest step
     dt = config.cfl * config.h
@@ -497,6 +490,8 @@ def _scenario_symmetric_decay(config, out_dir):
         raise UsageError(f"symmetric-decay needs a profile sample at t >= {t_ref:g}, the "
                          f"reference time for sigma={sigma:g}; with T={config.T:g} the last "
                          f"lands at t={t_last:.7g}")
+    times = np.append(np.arange(0.0, config.T, 0.25), config.T)
+    _check_rays(config, [sigma], times)
     collector = RayTraceCollector([sigma])
     sym_gap = [0.0]
 
@@ -504,11 +499,9 @@ def _scenario_symmetric_decay(config, out_dir):
         gap = float(np.max(np.abs(state.u_curr[0] - state.u_curr[1])))
         sym_gap[0] = max(sym_gap[0], gap)
 
-    times = np.append(np.arange(0.0, config.T, 0.25), config.T)
-    t0 = time.perf_counter()
-    trace = run_simulation(config, nonlinear=True,
-                           samplers=[(times, collector), (times, check_symmetry)])
-    runtimes["run"] = time.perf_counter() - t0
+    with _timed(runtimes, "run"):
+        trace = run_simulation(config, nonlinear=True,
+                               samplers=[(times, collector), (times, check_symmetry)])
     trace.to_csv(os.path.join(out_dir, "energy_trace.csv"))
 
     onset = int(np.argmax(trace.D > 1e-14))
@@ -529,58 +522,66 @@ def _scenario_symmetric_decay(config, out_dir):
     values = {"symmetry_gap": sym_gap[0],
               "dissipated_fraction": float(1.0 - trace.total[-1] / trace.total[0]),
               "V0": v0, "shape_dev": shape_dev}
-    return assertions, values, runtimes
+    return assertions, values
 
 
-SCENARIOS = {
-    "conservation": _scenario_conservation,
-    "free-validation": _scenario_free_validation,
-    "radiation-decay": _scenario_radiation_decay,
-    "profile-oracle": _scenario_profile_oracle,
-    "epsilon-scaling": _scenario_epsilon_scaling,
-    "nondecay-demo": _scenario_nondecay,
-    "symmetric-decay": _scenario_symmetric_decay,
-}
-
-# The optional config keys each scenario reads; the CLI rejects any other key
-# a file sets and the key behind any other `wavelab scenario` option.
-# "data.epsilon" is the first epsilon (required in a file, so only --eps is
-# checked) and EPS_LIST more than one.  epsilon-scaling (distinct epsilons,
-# each rung to 4/eps) and symmetric-decay (one sigma) sample ray profiles in
-# radial mode, where every angle gives the same profiles; nondecay-demo checks
-# the crossing over every tabulated angle; radiation-decay tabulates per unit
-# amplitude without a solve (its mode picks the default theta_samples and
-# which bump centres validate), and profile-oracle reads no config field.
+# "data.epsilon" in reads is the first epsilon (required in a file, so only
+# --eps is checked) and EPS_LIST more than one.  Ray profiles are sampled in
+# radial mode, where every angle gives the same profiles; radiation-decay
+# tabulates per unit amplitude without a solve (its mode picks the default
+# theta_samples and which bump centres validate).
 EPS_LIST = "data.epsilon with more than one value"
 _SOLVE = frozenset({"scenario.mode", "scenario.T", "grid.h", "grid.cfl", "data.epsilon"})
-READS = {
-    "conservation": _SOLVE,
-    "free-validation": _SOLVE,
-    "radiation-decay": frozenset({"scenario.mode", "data.theta_samples"}),
-    "profile-oracle": frozenset(),
-    "epsilon-scaling": (_SOLVE - {"scenario.T"}) | {EPS_LIST, "data.sigma_samples"},
-    "nondecay-demo": _SOLVE | {"data.theta_samples"},
-    "symmetric-decay": _SOLVE | {"data.sigma_samples"},
+SCENARIOS = {
+    "conservation": Scenario(
+        _scenario_conservation, _SOLVE,
+        InitialData(f1=(_b(1.0, 1.0),), g1=(_b(0.7, -0.5),),
+                    f2=(_b(0.8, 0.3),), g2=(_b(1.0, 1.0),), epsilon=0.3), {"T": 40.0}),
+    "free-validation": Scenario(
+        _scenario_free_validation, _SOLVE,
+        InitialData(f1=(_b(1.8, 1.0),), g1=(_b(1.5, -0.5),),
+                    f2=(_b(1.8, 0.7),), g2=(_b(1.6, 0.4),), epsilon=1.0),
+        {"T": 1.0, "h": 1.0 / 16.0}, mode="cartesian-2d"),
+    "radiation-decay": Scenario(
+        _scenario_radiation_decay, frozenset({"scenario.mode", "data.theta_samples"}),
+        InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 1.0),), epsilon=0.2)),
+    "profile-oracle": Scenario(
+        _scenario_profile_oracle, frozenset(),
+        InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 1.0),), epsilon=0.2)),
+    "epsilon-scaling": Scenario(
+        _scenario_epsilon_scaling,
+        (_SOLVE - {"scenario.T"}) | {EPS_LIST, "data.sigma_samples"},
+        InitialData(g1=(_b(1.0, 1.0),), g2=(_b(1.0, 0.6),), epsilon=0.4),
+        {"eps_list": (0.4, 0.4 / math.sqrt(2.0), 0.2, 0.2 / math.sqrt(2.0), 0.1)},
+        mode="radial"),
+    "nondecay-demo": Scenario(
+        _scenario_nondecay, _SOLVE | {"data.theta_samples"},
+        InitialData(g1=(_b(1.0, 1.0),), g2=(_b(0.5, 1.6),), epsilon=0.2), {"T": 20.0}),
+    "symmetric-decay": Scenario(
+        _scenario_symmetric_decay, _SOLVE | {"data.sigma_samples"},
+        InitialData(g1=(_b(1.0, 2.0),), g2=(_b(1.0, 2.0),), epsilon=0.4), {"T": 40.0},
+        mode="radial"),
 }
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None) -> dict:
     """Run the scenario named in the config; returns the summary dict.
 
-    Writes summary.json plus scenario CSVs into out_dir.  Raises UsageError
-    for unknown scenario names.  When the scenario raises, the directories
+    Writes summary.json plus scenario CSVs into out_dir.  Raises UsageError,
+    before it creates any directory, for an unknown scenario name or a mode
+    the scenario does not run in.  When the scenario raises, the directories
     this call created are removed; one that existed before is left as it is.
     """
-    if config.name not in SCENARIOS:
-        raise UsageError(f"unknown scenario {config.name!r}; "
-                         f"choose from {sorted(SCENARIOS)}")
+    record = scenario(config.name)
+    if record.mode not in (None, config.mode):
+        raise UsageError(f"{config.name} runs in {record.mode} mode")
     out_dir = out_dir or config.out_dir or f"out/{config.name}"
     created = _outermost_missing(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     try:
-        t0 = time.perf_counter()
-        assertions, values, runtimes = SCENARIOS[config.name](config, out_dir)
-        runtimes["total"] = time.perf_counter() - t0
+        runtimes = {}
+        with _timed(runtimes, "total"):
+            assertions, values = record.run(config, out_dir, runtimes)
         return write_summary(os.path.join(out_dir, "summary.json"),
                              config.name, assertions, values, runtimes)
     except BaseException:

@@ -16,7 +16,7 @@ from wavelab.cli import main
 from wavelab.config import _SECTION_KEYS, parse_scenario
 from wavelab.radiation import RadiationTable
 from wavelab.reporting import NonFiniteReportError, write_csv, write_summary
-from wavelab.scenarios import (EPS_LIST, READS, SCENARIOS, UsageError, default_config,
+from wavelab.scenarios import (EPS_LIST, SCENARIOS, UsageError, default_config,
                                run_scenario)
 
 TINY_CONFIG = """
@@ -62,6 +62,14 @@ def test_default_config_rejects_unknown():
         default_config("nope")
 
 
+def test_run_scenarios_tool_rejects_unknown(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "run_scenarios.py"
+    proc = _run_python(str(tool), str(tmp_path / "o"), "profile-oracle", "nope")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("unknown scenario 'nope'; choose from [")
+    assert proc.stdout == "" and not (tmp_path / "o").exists()
+
+
 def test_profile_oracle_via_cli(tmp_path, capsys):
     code = main(["scenario", "profile-oracle", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -73,18 +81,18 @@ def test_profile_oracle_via_cli(tmp_path, capsys):
     assert (tmp_path / "trichotomy.csv").exists()
 
 
-def _run_module(*args):
-    """`python -m wavelab ARGS` in a subprocess, with this checkout's package."""
+def _run_python(*args):
+    """`python ARGS` in a subprocess, with this checkout's package."""
     src = str(Path(wavelab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "wavelab", *args],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_module_entry_point_runs_a_scenario(tmp_path):
     """`python -m wavelab` reaches cli.entry and exits with main's status."""
-    proc = _run_module("scenario", "profile-oracle", "--out", str(tmp_path))
+    proc = _run_python("-m", "wavelab", "scenario", "profile-oracle", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "summary.json").read_text())["passed"] is True
 
@@ -99,7 +107,8 @@ def test_unstable_run_exits_two(tmp_path):
     head, tail = text.rsplit("amplitude = 1.0", 1)
     cfg_path.write_text(head + "amplitude = 0.5" + tail
                         + "\n[scenario]\nT = 2\n[grid]\nh = 0.05\n")
-    proc = _run_module("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    proc = _run_python("-m", "wavelab", "run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert proc.stderr == "wavelab: non-finite field value at t=0.0225, grid index (0,)\n"
     assert not (tmp_path / "o").exists()
@@ -147,10 +156,10 @@ def test_summary_refuses_a_non_finite_value(tmp_path):
 
 
 def test_non_finite_report_exits_two(tmp_path, capsys, monkeypatch):
-    def scenario(config, out_dir):
-        return [], {"slope": math.inf}, {}
+    def run(config, out_dir, runtimes):
+        return [], {"slope": math.inf}
 
-    monkeypatch.setitem(SCENARIOS, "profile-oracle", scenario)
+    monkeypatch.setitem(SCENARIOS, "profile-oracle", replace(SCENARIOS["profile-oracle"], run=run))
     code = main(["scenario", "profile-oracle", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
@@ -507,9 +516,8 @@ def test_nondecay_crossing_reads_every_angle(tmp_path, monkeypatch):
 def test_reads_names_config_keys():
     keys = {f"{section}.{key}" for section, names in _SECTION_KEYS.items()
             if section != "bump" for key in names}
-    assert set(READS) == set(SCENARIOS)
-    for reads in READS.values():
-        assert reads <= keys | {EPS_LIST}
+    for record in SCENARIOS.values():
+        assert record.reads <= keys | {EPS_LIST}
 
 
 def test_epsilon_scaling_rejects_cartesian_mode(tmp_path, capsys):
@@ -524,3 +532,119 @@ def test_epsilon_scaling_rejects_cartesian_mode(tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err == f"wavelab: {name} runs in radial mode\n"
         assert not (tmp_path / name).exists()
+
+
+def _symmetric_file(*bumps):
+    """A short symmetric-decay file with (component, radius, amplitude) g-bumps."""
+    return ("[scenario]\nname = symmetric-decay\nT = 4\n[grid]\nh = 0.0625\n"
+            "[data]\nepsilon = 0.4\nsigma_samples = 0\n"
+            + "".join(f"\n[bump]\ncomponent = {c}\nkind = g\nradius = {r}\namplitude = {a}\n"
+                      for c, r, a in bumps))
+
+
+def test_symmetric_decay_compares_nonzero_bumps_in_any_order(tmp_path):
+    """The same nonzero bumps, listed in another order or beside a
+    zero-amplitude bump, are identical component data: they run, and report
+    what the same-order file reports."""
+    same = [(1, 0.5, 1), (1, 1, 1), (2, 0.5, 1), (2, 1, 1)]
+    files = {"same": same,
+             "reordered": [(1, 0.5, 1), (1, 1, 1), (2, 1, 1), (2, 0.5, 1)],
+             "zero-padded": same + [(2, 0.8, 0)]}
+    reports = {}
+    for label, bumps in files.items():
+        cfg_path = tmp_path / f"{label}.cfg"
+        cfg_path.write_text(_symmetric_file(*bumps))
+        out = tmp_path / label
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) in (0, 1)
+        reports[label] = json.loads((out / "summary.json").read_text())
+        reports[label].pop("runtimes")
+    assert reports["reordered"] == reports["same"]
+    assert reports["zero-padded"] == reports["same"]
+
+
+@pytest.mark.parametrize("name,h,sigma", [("epsilon-scaling", "0.7", "-1"),
+                                          ("epsilon-scaling", "1", "-1"),
+                                          ("symmetric-decay", "3", "0")])
+def test_late_first_ray_sample_exit_code(tmp_path, capsys, name, h, sigma):
+    """On a coarse grid the first profile sample of a ray lands more than one
+    step past its reference time 2, where the profile is read."""
+    assert main(["scenario", name, "--h", h, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"wavelab: {name}: with h={h} the first profile sample of "
+                          f"sigma={sigma} lands at t=") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_epsilon_scaling_first_sample_in_time_runs(tmp_path):
+    """At h = 0.6 the first sample of sigma = -1, at t = 2.16, lies within one
+    step (0.27) of its reference time: the ladder runs and reports."""
+    code = main(["scenario", "epsilon-scaling", "--h", "0.6", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert (tmp_path / "summary.json").exists()
+
+
+_REFUSALS = [
+    # mode, checked by run_scenario before any directory exists
+    ("run free-validation: \n[scenario]\nmode = radial", "free-validation runs in cartesian-2d mode"),
+    ("run epsilon-scaling: \n[scenario]\nmode = cartesian-2d", "epsilon-scaling runs in radial mode"),
+    ("run symmetric-decay: \n[scenario]\nmode = cartesian-2d", "symmetric-decay runs in radial mode"),
+    # component data
+    ("file conservation", "identical components"),
+    ("file symmetric-decay-different", "requires identical component data"),
+    ("file symmetric-decay-zero", "symmetric-decay needs nonzero data"),
+    ("file radiation-decay-one", "component 2 has no nonzero data"),
+    ("file radiation-decay-wide", "R0=6"),
+    # the epsilon ladder
+    ("epsilon-scaling --eps 0.4,0.2", "at least 3 epsilon values"),
+    ("epsilon-scaling --eps 1,1,0.8", "distinct epsilon values"),
+    # rays: support, reference times, first samples and one sigma
+    ("run epsilon-scaling: sigma_samples = -1, 1.5", "exceeds the data's support radius"),
+    ("run symmetric-decay: sigma_samples = 1.5", "exceeds the data's support radius"),
+    ("run epsilon-scaling: sigma_samples = -15, 0", "exceeds the shortest rung's horizon"),
+    ("symmetric-decay --T 1", "needs a profile sample at t >= 2"),
+    ("symmetric-decay --T 2 --h 0.0625", "needs a profile sample at t >= 2"),
+    ("epsilon-scaling --h 0.7", "the first profile sample of sigma=-1"),
+    ("symmetric-decay --h 3", "the first profile sample of sigma=0"),
+    ("run symmetric-decay: sigma_samples = 0, 0.5", "samples one ray"),
+]
+_REFUSAL_FILES = {
+    "conservation": _IDENTICAL,
+    "symmetric-decay-different": _symmetric_file((1, 1, 1), (2, 1, 0.5)),
+    "symmetric-decay-zero": _symmetric_file((1, 1, 0), (2, 1, 0)),
+    "radiation-decay-one": _ONE_BUMP,
+    "radiation-decay-wide": _TWO_BUMPS.replace("radius = 1.0", "radius = 6.0"),
+}
+
+
+@pytest.mark.parametrize("args,message", _REFUSALS,
+                         ids=[args.replace("\n[scenario]\n", "") for args, _ in _REFUSALS])
+def test_refusals_come_before_any_run_or_table(tmp_path, capsys, monkeypatch, args, message):
+    """Every refusal of a scenario exits 2 with one line before a solver run
+    or a radiation table starts, and leaves no output directory."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("a refused scenario started a run or a table")
+
+    monkeypatch.setattr(wavelab.scenarios, "run_simulation", unreached)
+    monkeypatch.setattr(wavelab.scenarios, "radiation_table", unreached)
+    cfg_path = tmp_path / "refused.cfg"
+    if args.startswith("run "):
+        name, line = args[len("run "):].split(": ")
+        cfg_path.write_text(_sampling_config(name, line))
+        argv = ["run", "--config", str(cfg_path)]
+    elif args.startswith("file "):
+        cfg_path.write_text(_REFUSAL_FILES[args[len("file "):]])
+        argv = ["run", "--config", str(cfg_path)]
+    else:
+        argv = ["scenario", *args.split()]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wavelab: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_symmetric_decay_refuses_all_zero_data(tmp_path, capsys):
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(_symmetric_file((1, 1, 0), (1, 0.5, 0), (2, 1, 0), (2, 0.5, 0)))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "wavelab: symmetric-decay needs nonzero data\n"
+    assert not (tmp_path / "o").exists()

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from wavelab.scenarios import SCENARIOS, default_config, run_scenario
+from wavelab.scenarios import SCENARIOS, UsageError, default_config, run_scenario, scenario
 
 
 def main(argv=None) -> int:
@@ -24,10 +24,11 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     out, names = Path(args[0]), args[1:] or list(SCENARIOS)
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        print(f"unknown scenario {unknown[0]!r}; choose from {sorted(SCENARIOS)}",
-              file=sys.stderr)
+    try:
+        for name in names:
+            scenario(name)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         return 2
     failed = 0
     for name in names:
