@@ -21,7 +21,7 @@ from .profile import (MEstimate, ProfileTrace, RayTraceCollector,
                       closed_form_profile, corrected_invariant, leading_invariant,
                       profile_invariant, solve_reduced_ode)
 from .radiation import (RadiationTable, fit_sigma_decay, half_order_integral,
-                        radiation_pair, radiation_table, radon_line_integral)
+                        radiation_pair, radiation_table)
 from .solver import (EnergyTrace, InstabilityError, WaveState, init_state,
                      run_simulation)
 
@@ -34,7 +34,7 @@ __all__ = [
     "PowerLawFit", "fit_power_law",
     "free_field",
     "RadiationTable", "radiation_table", "radiation_pair",
-    "radon_line_integral", "half_order_integral", "fit_sigma_decay",
+    "half_order_integral", "fit_sigma_decay",
     "WaveState", "EnergyTrace", "InstabilityError", "init_state",
     "run_simulation",
     "ProfileTrace", "RayTraceCollector", "MEstimate",

@@ -6,13 +6,14 @@
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
 2 on usage errors (unknown scenario, malformed, non-UTF-8 or non-finite
 configuration or option, a key set twice, a mode the scenario does not run
-in, data it cannot use, a ray sigma it cannot sample, or a setting it never
-reads) and when a field or a report value turns non-finite.  Both commands
-check what they are given against the reads of the scenario's record
-(scenarios.scenario), the optional config keys it reads: `run` the keys the
-file sets (config.set_keys) and `scenario` the key each option sets: --T
-scenario.T, --h grid.h, --cfl grid.cfl and --eps data.epsilon.  A
-multi-valued epsilon also sets scenarios.EPS_LIST.
+in, data it cannot use, a ray sigma it cannot sample, a grid spacing that
+samples nonzero data to 0, or a setting it never reads) and when a field or
+a report value turns non-finite; only a failed write leaves part of the
+reports then.  Both commands check what they are given against the reads of
+the scenario's record (scenarios.scenario), the optional config keys it
+reads: `run` the keys the file sets (config.set_keys) and `scenario` the key
+each option sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps
+data.epsilon.  A multi-valued epsilon also sets scenarios.EPS_LIST.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def main(argv=None) -> int:
         # not numpy's overflow and invalid-value warnings on the way there
         with np.errstate(over="ignore", invalid="ignore"):
             summary = run_scenario(config, out_dir=args.out)
-    except (UsageError, OSError, InstabilityError, NonFiniteReportError) as exc:
+    except (UsageError, ConfigValidationError, OSError, InstabilityError,
+            NonFiniteReportError) as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2
 

@@ -57,7 +57,6 @@ __all__ = [
     "corrected_invariant",
     "leading_invariant",
     "MEstimate",
-    "write_mestimates",
 ]
 
 
@@ -105,10 +104,10 @@ class ProfileTrace:
         v1, v2 = self.values_at(t)
         return v1 * v1 - v2 * v2
 
-    def to_csv(self, path) -> None:
-        from .reporting import write_csv
-        rows = zip(self.t, self.V1, self.V2, self.K1, self.K2, self.rho)
-        write_csv(path, ("t", "V1", "V2", "K1", "K2", "rho"), rows)
+    def to_csv(self):
+        """The (header, rows) of the profile_trace CSV."""
+        return (("t", "V1", "V2", "K1", "K2", "rho"),
+                zip(self.t, self.V1, self.V2, self.K1, self.K2, self.rho))
 
 
 class RayTraceCollector:
@@ -291,10 +290,3 @@ class MEstimate:
     def residual(self) -> float:
         return self.m_direct - self.m_leading
 
-
-def write_mestimates(path, estimates) -> None:
-    from .reporting import write_csv
-    rows = [(e.sigma, e.theta, e.eps, e.m_direct, e.m_corrected,
-             e.m_leading, e.residual) for e in estimates]
-    write_csv(path, ("sigma", "theta", "eps", "m_direct", "m_corrected",
-                     "m_leading", "residual"), rows)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .bumps import BumpSpec, InitialData, profile_derivatives
 from .fitting import fit_power_law
 
 __all__ = [
-    "radon_line_integral",
     "half_order_integral",
     "radiation_pair",
     "RadiationTable",
@@ -101,19 +100,6 @@ def _radon_many(specs: Sequence[BumpSpec], s: np.ndarray, omega: np.ndarray,
         for k in orders:
             out[k][hit] += (w, slope * wp, slope * slope * wpp + 2.0 / r2 * wp)[k]
     return out
-
-
-def radon_line_integral(specs: Iterable[BumpSpec], s: float, omega,
-                        deriv_order: int = 0) -> float:
-    """R[(omega . grad)^k phi](s, omega) for a bump sum phi.
-
-    Exactly zero whenever the line {y.omega = s} misses every support disk.
-    """
-    if deriv_order not in (0, 1, 2):
-        raise ValueError(f"derivative order along omega must be 0..2, got {deriv_order}")
-    omega = np.asarray(omega, dtype=float)
-    vals = _radon_many(tuple(specs), np.atleast_1d(float(s)), omega, (deriv_order,))
-    return float(vals[deriv_order][0])
 
 
 def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
@@ -203,13 +189,12 @@ class RadiationTable:
                 raise ValueError(f"{name} must be non-empty and strictly increasing")
             object.__setattr__(self, name, g)
 
-    def to_csv(self, path) -> None:
-        """Sigma-major CSV: sigma, theta, F1, dF1, F2, dF2."""
-        from .reporting import write_csv
+    def to_csv(self):
+        """The (header, rows) of the sigma-major radiation_table CSV."""
         grids = np.meshgrid(self.sigma_grid, self.theta_grid, indexing="ij")
         columns = (*grids, self.F[0], self.dF[0], self.F[1], self.dF[1])
-        write_csv(path, ("sigma", "theta", "F1", "dF1", "F2", "dF2"),
-                  zip(*(c.ravel() for c in columns)))
+        return (("sigma", "theta", "F1", "dF1", "F2", "dF2"),
+                zip(*(c.ravel() for c in columns)))
 
 
 def radiation_table(data: InitialData, sigma_grid, theta_grid) -> RadiationTable:

@@ -1,21 +1,22 @@
-"""Deterministic CSV / JSON report writing.
+"""Deterministic CSV / JSON reports, rendered first and written after.
 
 Floats, numpy scalars included, are rendered as the repr of a Python float
 (shortest round-trip form), so identical numerical results produce
 byte-identical files whatever the numpy version.  The one intentionally
 non-deterministic part of a summary is the "runtimes" block; everything
-else is covered by the reproducibility contract.  A NaN or inf raises
-NonFiniteReportError, naming the file and where it sits, and is not written.
+else is covered by the reproducibility contract.  Rendering a NaN or inf
+raises NonFiniteReportError, naming the file and where it sits; the writers
+only write what rendered.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, asdict
 
-__all__ = ["Assertion", "NonFiniteReportError", "write_csv", "write_summary"]
+__all__ = ["Assertion", "NonFiniteReportError", "render_csv", "render_summary",
+           "write_csv", "write_summary"]
 
 
 class NonFiniteReportError(ValueError):
@@ -45,15 +46,14 @@ class Assertion:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})     # the cells they render as
 
 
-def write_csv(path, header, rows) -> None:
+def render_csv(path, header, rows) -> str:
+    """The CSV text of a header and rows; path names the file in an error."""
     lines = [",".join(header)]
     for i, row in enumerate(rows, 1):
         cells = [_fmt(v) for v in row]
@@ -62,8 +62,7 @@ def write_csv(path, header, rows) -> None:
             raise NonFiniteReportError(f"{path}: column {name}, row {i} is {cell}, "
                                        "not a finite number")
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _non_finite_keys(value, key: str = ""):
@@ -75,13 +74,9 @@ def _non_finite_keys(value, key: str = ""):
             yield from _non_finite_keys(v, f"{key}.{k}" if key else str(k))
 
 
-def write_summary(path, scenario: str, assertions, values: dict,
-                  runtimes: dict) -> dict:
-    """Write summary.json; returns the summary dict.
-
-    Keys are sorted and floats serialized by json, so reruns with identical
-    results differ only in the "runtimes" block.
-    """
+def render_summary(path, scenario: str, assertions, values: dict, runtimes: dict) -> dict:
+    """The summary dict; path names the file in an error.  Written with sorted
+    keys, reruns with identical results differ only in the "runtimes" block."""
     summary = {
         "scenario": scenario,
         "passed": all(a.passed for a in assertions),
@@ -92,8 +87,15 @@ def write_summary(path, scenario: str, assertions, values: dict,
     bad = next(_non_finite_keys(summary), None)
     if bad is not None:
         raise NonFiniteReportError(f"{path}: {bad} is not a finite number")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return summary
+
+
+def write_csv(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_summary(path, summary: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    return summary

@@ -1,7 +1,7 @@
-"""Named experiments: each runs a study, writes CSVs and asserts its contract.
+"""Named experiments: each runs a study, returns its CSVs and asserts its contract.
 
-Every scenario returns a summary dict (also written to summary.json in the
-output directory) whose "assertions" block lists named pass/fail checks with
+run_scenario writes summary.json and the CSVs, all or none, into the output
+directory.  The summary's "assertions" block lists named pass/fail checks with
 measured values and thresholds.  A scenario passes iff all assertions pass.
 
 Each is one Scenario record in SCENARIOS: its run function, the optional
@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 import os
-import shutil
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -44,10 +43,9 @@ from .fitting import fit_power_law
 from .free_wave import free_field
 from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
                       corrected_invariant, leading_invariant,
-                      profile_invariant, solve_reduced_ode, write_mestimates,
-                      MEstimate)
+                      profile_invariant, solve_reduced_ode, MEstimate)
 from .radiation import fit_sigma_decay, radiation_pair, radiation_table
-from .reporting import Assertion, write_csv, write_summary
+from .reporting import Assertion, render_csv, render_summary, write_csv, write_summary
 from .solver import run_simulation
 
 __all__ = ["Scenario", "SCENARIOS", "EPS_LIST", "UsageError", "scenario",
@@ -60,10 +58,11 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """run(config, out_dir, runtimes) returns (assertions, values), timing its
-    phases into runtimes; reads: the optional config keys it reads; data and
-    settings (ScenarioConfig fields): its default config; mode: the one grid
-    mode it runs in, None for either."""
+    """run(config, runtimes) returns (assertions, values, reports), timing its
+    phases into runtimes; reports maps each CSV file name to its (header,
+    rows).  reads: the optional config keys it reads; data and settings
+    (ScenarioConfig fields): its default config; mode: the one grid mode it
+    runs in, None for either."""
 
     run: Callable
     reads: frozenset
@@ -112,12 +111,12 @@ def _trace_times(T: float, dt: float):
     return np.append(np.arange(0.0, T, 4 * dt), T)
 
 
-def _scenario_conservation(config, out_dir, runtimes):
+def _scenario_conservation(config, runtimes):
     component1, component2 = _nonzero_bumps(config.data)
     if component1 == component2:
         raise UsageError("conservation needs different component data: with identical "
                          "components the difference law E1^2 - E2^2 is identically 0")
-    results = {}
+    results, reports = {}, {}
     for label, cfg in (("base", config), ("half", replace(config, h=config.h / 2))):
         with _timed(runtimes, f"run_{label}"):
             trace = run_simulation(cfg, nonlinear=True)
@@ -126,7 +125,7 @@ def _scenario_conservation(config, out_dir, runtimes):
         balance = float(np.max(np.abs(trace.total - trace.total[0]
                                       + 2.0 * trace.cum_D)) / trace.total[0])
         results[label] = (drift, balance)
-        trace.to_csv(os.path.join(out_dir, f"energy_trace_{label}.csv"))
+        reports[f"energy_trace_{label}.csv"] = trace.to_csv()
 
     drift, balance = results["base"]
     drift_h, balance_h = results["half"]
@@ -141,7 +140,7 @@ def _scenario_conservation(config, out_dir, runtimes):
     values = {"drift_base": drift, "drift_half": drift_h,
               "balance_base": balance, "balance_half": balance_h,
               "h": config.h, "epsilon": config.data.epsilon, "T": config.T}
-    return assertions, values
+    return assertions, values, reports
 
 
 def _free_validation_points(data, T):
@@ -157,7 +156,7 @@ def _free_validation_points(data, T):
     return pts
 
 
-def _scenario_free_validation(config, out_dir, runtimes):
+def _scenario_free_validation(config, runtimes):
     data = config.data
     T = config.T
 
@@ -189,11 +188,6 @@ def _scenario_free_validation(config, out_dir, runtimes):
             run_simulation(replace(config, h=h, cfl=cfl), nonlinear=False,
                            samplers=samplers)
             errs.append(max(abs(grid[p][c] - oracle[p][c]) for p in pts for c in (0, 1)))
-    rows = [(*p, grid[p][0], oracle[p][0], abs(grid[p][0] - oracle[p][0]))
-            for p in pts]
-    write_csv(os.path.join(out_dir, "free_validation_points.csv"),
-              ("t", "x", "y", "u_grid", "u_oracle", "abs_err"), rows)
-
     fit = fit_power_law(levels, errs)
     assertions = [
         Assertion.ge("solver_convergence_order", fit.slope, 1.9),
@@ -239,19 +233,20 @@ def _scenario_free_validation(config, out_dir, runtimes):
         for order in (0, 1):
             slope = fit_power_law(ts, np.array(q[order])).slope
             assertions.append(Assertion.le(f"ray_bound_growth_order={order}", slope, 0.05))
-    write_csv(os.path.join(out_dir, "ray_decay.csv"),
-              ("sigma", "t", "dev_t", "dev_x", "dev_y", "dev_norm"), ray_rows)
 
     values = {"errors": dict(zip((f"h={h:.6g}" for h in levels), errs)),
               "order": fit.slope, "r_squared": fit.r_squared}
-    return assertions, values
+    rows = [(*p, grid[p][0], oracle[p][0], abs(grid[p][0] - oracle[p][0])) for p in pts]
+    return assertions, values, {
+        "free_validation_points.csv": (("t", "x", "y", "u_grid", "u_oracle", "abs_err"), rows),
+        "ray_decay.csv": (("sigma", "t", "dev_t", "dev_x", "dev_y", "dev_norm"), ray_rows)}
 
 
 # the far-field window of the sigma-decay fit, which needs sigma < -2 R0
 _DECAY_FIT_WINDOW = (-40.0, -10.0)
 
 
-def _scenario_radiation_decay(config, out_dir, runtimes):
+def _scenario_radiation_decay(config, runtimes):
     data = config.data
     r0 = data.support_radius
     lo, hi = _DECAY_FIT_WINDOW
@@ -266,7 +261,6 @@ def _scenario_radiation_decay(config, out_dir, runtimes):
     sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
     with _timed(runtimes, "table"):
         table = radiation_table(data, sigma_grid, config.theta_samples)
-    table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
     slopes = fit_sigma_decay(table, _DECAY_FIT_WINDOW)
     tail = sigma_grid > r0
@@ -277,10 +271,10 @@ def _scenario_radiation_decay(config, out_dir, runtimes):
         s = float(np.max(np.abs(slopes[comp] + 1.5)))
         assertions.append(Assertion.le(f"decay_slope_gap_component{comp + 1}", s, 0.15))
     values = {"slopes": slopes.ravel().tolist(), "support_radius": r0}
-    return assertions, values
+    return assertions, values, {"radiation_table.csv": table.to_csv()}
 
 
-def _scenario_profile_oracle(config, out_dir, runtimes):
+def _scenario_profile_oracle(config, runtimes):
     t_start, t_end = 2.0, 2.0e6
     t_eval = np.geomspace(t_start, t_end, 40)
     worst_rel = 0.0
@@ -298,8 +292,6 @@ def _scenario_profile_oracle(config, out_dir, runtimes):
                 worst_rel = max(worst_rel, rel)
                 worst_drift = max(worst_drift, drift)
                 rows.append((v10, v20, rel, drift))
-    write_csv(os.path.join(out_dir, "profile_oracle.csv"),
-              ("V10", "V20", "max_rel_err", "invariant_drift"), rows)
 
     assertions = [
         Assertion.le("closed_form_rel_err", worst_rel, 1e-8),
@@ -328,16 +320,16 @@ def _scenario_profile_oracle(config, out_dir, runtimes):
                 lim = abs(v1[-1] ** 2 - pred) / pred
                 assertions.append(Assertion.le("trichotomy_log_decay_m_zero", lim, 1e-6))
             tri_rows.append((v10, v20, m, v1[-1], v2[-1]))
-    write_csv(os.path.join(out_dir, "trichotomy.csv"),
-              ("V10", "V20", "m", "V1_final", "V2_final"), tri_rows)
     values = {"worst_rel_err": worst_rel, "worst_drift": worst_drift}
-    return assertions, values
+    return assertions, values, {
+        "profile_oracle.csv": (("V10", "V20", "max_rel_err", "invariant_drift"), rows),
+        "trichotomy.csv": (("V10", "V20", "m", "V1_final", "V2_final"), tri_rows)}
 
 
 def _check_rays(config, sigmas, times) -> None:
     """Refuse a sigma > R0, whose profile vanishes (finite speed of propagation),
-    and one first sampled (the collector's foot-point rule at the steps taken
-    for times) more than one step after its reference time."""
+    one first sampled (the collector's foot-point rule at the steps taken for
+    times) more than one step after its reference time, and one sampled once."""
     r0, h, dt = config.data.support_radius, config.h, config.cfl * config.h
     steps = np.round(times / dt) * dt
     for s in sigmas:
@@ -345,11 +337,15 @@ def _check_rays(config, sigmas, times) -> None:
             raise UsageError(f"{config.name}: sigma={s:g} exceeds the data's support "
                              f"radius R0={r0:g}, where every ray profile is 0")
         t_ref = ProfileTrace.reference_time(s)
-        first = min(steps[RayTraceCollector.samples_at(steps, s, h)], default=math.inf)
+        sampled = steps[RayTraceCollector.samples_at(steps, s, h)]
+        first = min(sampled, default=math.inf)
         if first > t_ref + dt:
             raise UsageError(f"{config.name}: with h={h:g} the first profile sample of "
                              f"sigma={s:g} lands at t={first:.4g}, more than one step "
                              f"past its reference time max(2, -2 sigma) = {t_ref:g}")
+        if sampled[-1] == first:
+            raise UsageError(f"{config.name}: with h={h:g} sigma={s:g} gets one profile "
+                             f"sample, at t={first:.4g}, up to its horizon; it needs two")
 
 
 def _run_scaling_case(config, eps, sigmas, h=None):
@@ -363,7 +359,7 @@ def _run_scaling_case(config, eps, sigmas, h=None):
     return collector.traces()
 
 
-def _scenario_epsilon_scaling(config, out_dir, runtimes):
+def _scenario_epsilon_scaling(config, runtimes):
     if len(config.eps_list) < 3:
         raise UsageError("epsilon-scaling needs at least 3 epsilon values")
     if len(set(config.eps_list)) < len(config.eps_list):
@@ -385,7 +381,6 @@ def _scenario_epsilon_scaling(config, out_dir, runtimes):
     sigma_grid = np.arange(lo, r0 + 0.2 + 1e-9, 0.02)
     with _timed(runtimes, "radiation_table"):
         table = radiation_table(config.data, sigma_grid, (theta,))
-    table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
 
     estimates = []
     with _timed(runtimes, "eps_runs"):
@@ -399,7 +394,6 @@ def _scenario_epsilon_scaling(config, out_dir, runtimes):
                 ml = leading_invariant(table, eps, tr.sigma)
                 estimates.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
                                            m_direct=md, m_corrected=mc, m_leading=ml))
-    write_mestimates(os.path.join(out_dir, "m_estimates.csv"), estimates)
 
     max_resid = {}
     for e in estimates:
@@ -428,23 +422,25 @@ def _scenario_epsilon_scaling(config, out_dir, runtimes):
         else:
             pointwise[sigma] = None
 
-    write_csv(os.path.join(out_dir, "scaling_report.csv"),
-              ("eps", "max_abs_residual"),
-              sorted(max_resid.items(), reverse=True))
     values = {"slope": fit.slope, "r_squared": fit.r_squared,
               "max_residuals": {f"{k:.4g}": v for k, v in max_resid.items()},
               "floor": {f"{k}": v for k, v in floor.items()},
               "pointwise_rel": {f"{k}": v for k, v in pointwise.items()}}
-    return assertions, values
+    return assertions, values, {
+        "radiation_table.csv": table.to_csv(),
+        "m_estimates.csv": (("sigma", "theta", "eps", "m_direct", "m_corrected", "m_leading",
+                             "residual"), [(*astuple(e), e.residual) for e in estimates]),
+        "scaling_report.csv": (("eps", "max_abs_residual"),
+                               sorted(max_resid.items(), reverse=True))}
 
 
-def _scenario_nondecay(config, out_dir, runtimes):
+def _scenario_nondecay(config, runtimes):
     data = config.data
     r0 = data.support_radius
     sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
     with _timed(runtimes, "table"):
         table = radiation_table(data, sigma_grid, config.theta_samples)
-    table.to_csv(os.path.join(out_dir, "radiation_table.csv"))
+    reports = {"radiation_table.csv": table.to_csv()}
 
     gap = np.abs(table.dF[0]) - np.abs(table.dF[1])      # every (sigma, theta)
     margin = 0.05
@@ -455,11 +451,11 @@ def _scenario_nondecay(config, out_dir, runtimes):
     ]
     if not (assertions[0].passed and assertions[1].passed):
         values = {"gap_max": float(np.max(gap)), "gap_min": float(np.min(gap))}
-        return assertions, values
+        return assertions, values, reports
 
     with _timed(runtimes, "run"):
         trace = run_simulation(config, nonlinear=True)
-    trace.to_csv(os.path.join(out_dir, "energy_trace.csv"))
+    reports["energy_trace.csv"] = trace.to_csv()
     late = trace.t >= config.T / 2.0
     floor1 = float(np.min(trace.E1sq[late]) / trace.E1sq[0])
     floor2 = float(np.min(trace.E2sq[late]) / trace.E2sq[0])
@@ -469,10 +465,10 @@ def _scenario_nondecay(config, out_dir, runtimes):
     ]
     values = {"gap_max": float(np.max(gap)), "gap_min": float(np.min(gap)),
               "floor1": floor1, "floor2": floor2}
-    return assertions, values
+    return assertions, values, reports
 
 
-def _scenario_symmetric_decay(config, out_dir, runtimes):
+def _scenario_symmetric_decay(config, runtimes):
     component1, component2 = _nonzero_bumps(config.data)
     if component1 != component2:
         raise UsageError("symmetric-decay requires identical component data")
@@ -502,13 +498,11 @@ def _scenario_symmetric_decay(config, out_dir, runtimes):
     with _timed(runtimes, "run"):
         trace = run_simulation(config, nonlinear=True,
                                samplers=[(times, collector), (times, check_symmetry)])
-    trace.to_csv(os.path.join(out_dir, "energy_trace.csv"))
 
     onset = int(np.argmax(trace.D > 1e-14))
     monotone = bool(np.all(np.diff(trace.total[onset:]) < 0.0))
 
     tr = collector.traces()[0]
-    tr.to_csv(os.path.join(out_dir, "profile_trace.csv"))
     v0 = tr.values_at(t_ref)[0]
     mask = tr.t >= t_ref
     cf1, _ = closed_form_profile(v0, v0, t_ref, tr.t[mask])
@@ -522,7 +516,8 @@ def _scenario_symmetric_decay(config, out_dir, runtimes):
     values = {"symmetry_gap": sym_gap[0],
               "dissipated_fraction": float(1.0 - trace.total[-1] / trace.total[0]),
               "V0": v0, "shape_dev": shape_dev}
-    return assertions, values
+    return assertions, values, {"energy_trace.csv": trace.to_csv(),
+                                "profile_trace.csv": tr.to_csv()}
 
 
 # "data.epsilon" in reads is the first epsilon (required in a file, so only
@@ -567,33 +562,28 @@ SCENARIOS = {
 def run_scenario(config: ScenarioConfig, out_dir=None) -> dict:
     """Run the scenario named in the config; returns the summary dict.
 
-    Writes summary.json plus scenario CSVs into out_dir.  Raises UsageError,
-    before it creates any directory, for an unknown scenario name or a mode
-    the scenario does not run in.  When the scenario raises, the directories
-    this call created are removed; one that existed before is left as it is.
+    Writes summary.json plus the scenario's CSVs into out_dir, all or none:
+    the run and the rendering of every report come before out_dir is made,
+    so a UsageError (an unknown name, a mode the scenario does not run in or
+    a refusal of its config), a run that raises or a NaN or inf in a report
+    (NonFiniteReportError) leaves no directory behind and an existing one as
+    it was.  Only an OSError while writing can leave part of the files.
     """
     record = scenario(config.name)
     if record.mode not in (None, config.mode):
         raise UsageError(f"{config.name} runs in {record.mode} mode")
     out_dir = out_dir or config.out_dir or f"out/{config.name}"
-    created = _outermost_missing(out_dir)
+    runtimes = {}
+    with _timed(runtimes, "total"):
+        assertions, values, reports = record.run(config, runtimes)
+    texts = {}
+    for name, (header, rows) in reports.items():
+        path = os.path.join(out_dir, name)
+        texts[path] = render_csv(path, header, rows)
+    path = os.path.join(out_dir, "summary.json")
+    summary = render_summary(path, config.name, assertions, values, runtimes)
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        runtimes = {}
-        with _timed(runtimes, "total"):
-            assertions, values = record.run(config, out_dir, runtimes)
-        return write_summary(os.path.join(out_dir, "summary.json"),
-                             config.name, assertions, values, runtimes)
-    except BaseException:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
-        raise
-
-
-def _outermost_missing(path: str) -> str | None:
-    """The outermost of path and its ancestors that does not exist, if any:
-    the first directory os.makedirs(path) creates."""
-    path, missing = os.path.abspath(path), None
-    while not os.path.exists(path):
-        path, missing = os.path.dirname(path), path
-    return missing
+    for csv_path, text in texts.items():
+        write_csv(csv_path, text)
+    write_summary(path, summary)
+    return summary

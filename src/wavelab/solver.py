@@ -124,7 +124,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import initial_values
-from .config import ScenarioConfig
+from .config import ConfigValidationError, ScenarioConfig
 
 __all__ = [
     "WaveState",
@@ -183,12 +183,10 @@ class EnergyTrace:
     def total(self) -> np.ndarray:
         return self.E1sq + self.E2sq
 
-    def to_csv(self, path) -> None:
-        from .reporting import write_csv
-        rows = zip(self.t, self.E1sq, self.E2sq, self.diff, self.total,
-                   self.D, self.cum_D)
-        write_csv(path, ("t", "E1sq", "E2sq", "diff", "sum",
-                         "dissipation", "cum_dissipation"), rows)
+    def to_csv(self):
+        """The (header, rows) of the energy_trace CSV."""
+        return (("t", "E1sq", "E2sq", "diff", "sum", "dissipation", "cum_dissipation"),
+                zip(self.t, self.E1sq, self.E2sq, self.diff, self.total, self.D, self.cum_D))
 
 
 class WaveState:
@@ -493,7 +491,8 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     ScenarioConfig keeps inside the stability bound.  A radial state holds
     the window up to its numerical support; a cone (radial mode only) makes
     it a light-cone window for rays at sigma >= cone, sized for the
-    run_simulation steps to config.T.
+    run_simulation steps to config.T.  ConfigValidationError("h") when a
+    component with nonzero bumps samples to 0 at every grid point.
     """
     if cone is not None and config.mode != "radial":
         raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
@@ -510,6 +509,11 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     u0, g0 = initial_values(data, pts)[:2]
     del pts
+    for j, pair in enumerate(((data.f1, data.g1), (data.f2, data.g2))):
+        nonzero = any(b.amplitude for bumps in pair for b in bumps)
+        if nonzero and not (u0[j].any() or g0[j].any()):
+            raise ConfigValidationError("h", f"h={h:g} samples component {j + 1}'s "
+                                        f"nonzero data to 0 at every grid point")
 
     # the nodes and the data's derivatives are freed by now, so the state's
     # work buffers do not add to the memory peak of the bump evaluation

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavelab import BumpSpec, InitialData
+from wavelab.radiation import _radon_many
 
 
 def along_direction(fields, omega: np.ndarray, k: int):
@@ -14,6 +15,17 @@ def along_direction(fields, omega: np.ndarray, k: int):
         return w1 * grad[..., 0] + w2 * grad[..., 1]
     return (w1 * w1 * hess[..., 0] + 2.0 * w1 * w2 * hess[..., 1]
             + w2 * w2 * hess[..., 2])
+
+
+def radon_line_integral(specs, s: float, omega, deriv_order: int = 0) -> float:
+    """R[(omega . grad)^k phi](s, omega) for a bump sum phi, k = deriv_order
+    in 0..2: the radiation module's chord sums at one s.
+
+    Exactly zero whenever the line {y.omega = s} misses every support disk.
+    """
+    omega = np.asarray(omega, dtype=float)
+    vals = _radon_many(tuple(specs), np.atleast_1d(float(s)), omega, (deriv_order,))
+    return float(vals[deriv_order][0])
 
 
 @pytest.fixture

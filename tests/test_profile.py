@@ -322,11 +322,11 @@ def test_corrected_invariant_coverage_checks(nonlinear_run):
         corrected_invariant(sparse, T)
 
 
-def test_trace_csv(tmp_path, nonlinear_run):
+def test_trace_csv(nonlinear_run):
     _, _, _, traces = nonlinear_run
-    path = tmp_path / "trace.csv"
-    traces[0].to_csv(path)
-    assert path.read_text().splitlines()[0] == "t,V1,V2,K1,K2,rho"
+    header, rows = traces[0].to_csv()
+    assert header == ("t", "V1", "V2", "K1", "K2", "rho")
+    assert len(list(rows)) == len(traces[0].t)
 
 
 def test_corrected_invariant_zero_trace():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import along_direction
+from conftest import along_direction, radon_line_integral
 from wavelab import (BumpSpec, InitialData, fit_sigma_decay, half_order_integral,
                      leading_invariant, radiation_pair, radiation_table,
-                     radon_line_integral, sum_value_grad_hess)
+                     sum_value_grad_hess)
 from wavelab.radiation import (_CHORD_NODES, _CHORD_PANELS, HALF_ORDER_NORM,
                                RadiationTable, _panel_rule, _radon_many)
+from wavelab.reporting import render_csv
 
 
 def omega_of(theta):
@@ -54,11 +55,6 @@ def test_radon_mass_identity_fubini():
     total = sum(wsi * spec.radius * radon_line_integral([spec], si, om)
                 for si, wsi in zip(svals, ws))
     assert abs(total - oracle) / abs(oracle) <= 1e-8
-
-
-def test_radon_derivative_order_validation(unit_bump):
-    with pytest.raises(ValueError, match="order"):
-        radon_line_integral([unit_bump], 0.0, omega_of(0.0), deriv_order=3)
 
 
 def test_chord_rule_is_symmetric():
@@ -342,12 +338,10 @@ def test_decay_fit_window_validation(unit_bump):
         fit_sigma_decay(table, (-5.0, 0.0))
 
 
-def test_csv_export(tmp_path, unit_bump):
+def test_csv_export(unit_bump):
     data = InitialData(g1=(unit_bump,), g2=(unit_bump,), epsilon=0.1)
     table = radiation_table(data, np.linspace(-1, 1.2, 5), [0.0, 1.0])
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
+    lines = render_csv("table.csv", *table.to_csv()).splitlines()
     assert lines[0] == "sigma,theta,F1,dF1,F2,dF2"
     assert len(lines) == 1 + 5 * 2
     # sigma-major ordering

@@ -15,7 +15,7 @@ from wavelab import InstabilityError
 from wavelab.cli import main
 from wavelab.config import _SECTION_KEYS, parse_scenario
 from wavelab.radiation import RadiationTable
-from wavelab.reporting import NonFiniteReportError, write_csv, write_summary
+from wavelab.reporting import NonFiniteReportError, render_csv, render_summary
 from wavelab.scenarios import (EPS_LIST, SCENARIOS, UsageError, default_config,
                                run_scenario)
 
@@ -143,7 +143,7 @@ def test_csv_refuses_a_non_finite_value(tmp_path):
     rows = [(0.0, 1.0), (0.5, np.float64(-np.inf))]
     with pytest.raises(NonFiniteReportError,
                        match=r"r\.csv: column u, row 2 is -inf, not a finite number"):
-        write_csv(path, ("t", "u"), rows)
+        render_csv(path, ("t", "u"), rows)
     assert not path.exists()
 
 
@@ -151,13 +151,13 @@ def test_summary_refuses_a_non_finite_value(tmp_path):
     path = tmp_path / "summary.json"
     with pytest.raises(NonFiniteReportError,
                        match=r"summary\.json: values\.floor\.-1 is not a finite number"):
-        write_summary(path, "x", [], {"slope": 2.5, "floor": {"0": 1e-9, "-1": math.nan}}, {})
+        render_summary(path, "x", [], {"slope": 2.5, "floor": {"0": 1e-9, "-1": math.nan}}, {})
     assert not path.exists()
 
 
 def test_non_finite_report_exits_two(tmp_path, capsys, monkeypatch):
-    def run(config, out_dir, runtimes):
-        return [], {"slope": math.inf}
+    def run(config, runtimes):
+        return [], {"slope": math.inf}, {}
 
     monkeypatch.setitem(SCENARIOS, "profile-oracle", replace(SCENARIOS["profile-oracle"], run=run))
     code = main(["scenario", "profile-oracle", "--out", str(tmp_path / "o")])
@@ -534,6 +534,14 @@ def test_epsilon_scaling_rejects_cartesian_mode(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+# on the shortest rung, to T = 4/2, the ray at sigma = -1 is sampled only at
+# the step nearest T, t = 2.0475, within one step of its reference time 2
+_ONE_SAMPLE = ("[scenario]\nname = epsilon-scaling\n[grid]\nh = 0.65\n"
+               "[data]\nepsilon = 2, 1, 0.5\nsigma_samples = -1, 0\n"
+               + "".join(f"\n[bump]\ncomponent = {c}\nkind = g\nradius = 1.0\namplitude = {a}\n"
+                         for c, a in ((1, 1.0), (2, 0.6))))
+
+
 def _symmetric_file(*bumps):
     """A short symmetric-decay file with (component, radius, amplitude) g-bumps."""
     return ("[scenario]\nname = symmetric-decay\nT = 4\n[grid]\nh = 0.0625\n"
@@ -606,6 +614,9 @@ _REFUSALS = [
     ("epsilon-scaling --h 0.7", "the first profile sample of sigma=-1"),
     ("symmetric-decay --h 3", "the first profile sample of sigma=0"),
     ("run symmetric-decay: sigma_samples = 0, 0.5", "samples one ray"),
+    # corrected_invariant needs two samples of a ray on the shortest rung
+    ("file epsilon-scaling-one-sample", "epsilon-scaling: with h=0.65 sigma=-1 gets one "
+     "profile sample, at t=2.048, up to its horizon; it needs two"),
 ]
 _REFUSAL_FILES = {
     "conservation": _IDENTICAL,
@@ -613,6 +624,7 @@ _REFUSAL_FILES = {
     "symmetric-decay-zero": _symmetric_file((1, 1, 0), (2, 1, 0)),
     "radiation-decay-one": _ONE_BUMP,
     "radiation-decay-wide": _TWO_BUMPS.replace("radius = 1.0", "radius = 6.0"),
+    "epsilon-scaling-one-sample": _ONE_SAMPLE,
 }
 
 
@@ -648,3 +660,36 @@ def test_symmetric_decay_refuses_all_zero_data(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "wavelab: symmetric-decay needs nonzero data\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_data_sampled_to_zero_exit_code(tmp_path, capsys):
+    """At h = 2 every radial cell centre lies on or outside the support of
+    symmetric-decay's radius-1 bumps: the grid holds no data."""
+    assert main(["scenario", "symmetric-decay", "--h", "2", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "wavelab: h: h=2 samples component 1's nonzero data to 0 at every grid point\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_rerun_leaves_the_reports_as_they_were(tmp_path):
+    out = tmp_path / "o"
+    assert main(["scenario", "symmetric-decay", "--T", "4", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"energy_trace.csv", "profile_trace.csv", "summary.json"}
+    assert main(["scenario", "symmetric-decay", "--T", "4", "--h", "2",
+                 "--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_non_finite_later_report_writes_nothing(tmp_path, monkeypatch):
+    """Every report is rendered before out_dir exists: a NaN in the second
+    table names that file, and nothing is written, not even the first."""
+    def run(config, runtimes):
+        return [], {"slope": 1.0}, {"first.csv": (("t", "u"), [(0.0, 1.0)]),
+                                    "second.csv": (("t", "u"), [(0.0, 1.0), (0.5, math.nan)])}
+
+    monkeypatch.setitem(SCENARIOS, "profile-oracle", replace(SCENARIOS["profile-oracle"], run=run))
+    out_dir = tmp_path / "o"
+    with pytest.raises(NonFiniteReportError, match=r"second\.csv: column u, row 2 is nan"):
+        run_scenario(default_config("profile-oracle"), out_dir=str(out_dir))
+    assert list(tmp_path.iterdir()) == []

@@ -362,13 +362,12 @@ def test_horizon_below_one_step_takes_one_step(radial_data):
     assert len(trace.t) == 2 and trace.t[-1] >= 1e-12
 
 
-def test_energy_trace_csv(tmp_path, radial_data):
+def test_energy_trace_csv(radial_data):
     cfg = small_config(radial_data, T=1.0)
     trace = run_simulation(cfg, nonlinear=True)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,E1sq,E2sq,diff,sum,dissipation,cum_dissipation"
+    header, rows = trace.to_csv()
+    assert header == ("t", "E1sq", "E2sq", "diff", "sum", "dissipation", "cum_dissipation")
+    assert len(list(rows)) == len(trace.t)
     assert np.all(trace.E1sq >= 0.0) and np.all(np.isfinite(trace.E1sq))
 
 
