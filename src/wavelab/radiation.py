@@ -127,10 +127,12 @@ def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
     tau_lo = 0.0
     if inner_radius is not None and -inner_radius > sigma:
         tau_lo = np.sqrt(-inner_radius - sigma)
-    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL)))
+    # panel counts round a ratio within 1e-9 of an integer down to it, so
+    # data that differ by rounding (e.g. rotated copies) get the same rule
+    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL - 1e-9)))
     if feature_scale is not None and feature_scale > 0:
         s_span = tau_hi**2 - tau_lo**2
-        panels = max(panels, int(np.ceil(6.0 * s_span / feature_scale)))
+        panels = max(panels, int(np.ceil(6.0 * s_span / feature_scale - 1e-9)))
     xi, wi = _panel_rule(panels, _TAU_NODES)
     tau = tau_lo + 0.5 * (tau_hi - tau_lo) * (xi + 1.0)
     wts = 0.5 * (tau_hi - tau_lo) * wi

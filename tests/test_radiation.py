@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import along_direction, radon_line_integral
 from wavelab import (BumpSpec, InitialData, fit_sigma_decay, half_order_integral,
@@ -196,6 +196,14 @@ def test_table_radial_columns_identical(unit_bump):
        amplitude=st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.1),
        alpha=st.floats(0.0, 2 * math.pi), theta0=st.floats(0.0, 2 * math.pi),
        n_theta=st.integers(1, 3))
+# each rotated copy's support radius differs from the original's by one ulp
+# where the panel count of the half-order rule is an exact integer
+@example(center=(0.0, 0.7), radius=0.3, amplitude=1.0, alpha=4.0, theta0=0.0,
+         n_theta=1)
+@example(center=(0.0, 0.3), radius=0.3, amplitude=1.0, alpha=4.5, theta0=0.0,
+         n_theta=1)
+@example(center=(0.0, 0.679289601261084), radius=0.679289601261084,
+         amplitude=1.0, alpha=0.1, theta0=0.0, n_theta=1)
 def test_rotational_equivariance(center, radius, amplitude, alpha, theta0, n_theta):
     """Rotating off-centre data by alpha rotates its table by alpha.
 
