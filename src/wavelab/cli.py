@@ -6,9 +6,10 @@
 Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
 2 on usage errors (unknown scenario, malformed, non-UTF-8 or non-finite
 configuration or option, a key set twice, a mode the scenario does not run
-in, data it cannot use, a ray sigma it cannot sample, a grid spacing that
-samples nonzero data to 0, or a setting it never reads) and when a field or
-a report value turns non-finite; only a failed write leaves part of the
+in, data it cannot use or whose energy underflows, a ray sigma it cannot
+sample, a grid spacing that samples nonzero data to 0, a grid whose buffers
+exceed physical memory, or a setting it never reads) and when a field or a
+report value turns non-finite; only a failed write leaves part of the
 reports then.  Both commands check what they are given against the reads of
 the scenario's record (scenarios.scenario), the optional config keys it
 reads: `run` the keys the file sets (config.set_keys) and `scenario` the key
@@ -108,16 +109,11 @@ def main(argv=None) -> int:
             _reject_unread(args.name, given)
             if overrides:
                 config = replace(config, **overrides)
-    except (ConfigParseError, ConfigValidationError, UsageError, OSError) as exc:
-        print(f"wavelab: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         # an unstable run ends in InstabilityError: its one line is the report,
         # not numpy's overflow and invalid-value warnings on the way there
         with np.errstate(over="ignore", invalid="ignore"):
             summary = run_scenario(config, out_dir=args.out)
-    except (UsageError, ConfigValidationError, OSError, InstabilityError,
+    except (ConfigParseError, ConfigValidationError, UsageError, OSError, InstabilityError,
             NonFiniteReportError) as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2

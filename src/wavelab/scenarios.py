@@ -6,6 +6,8 @@ measured values and thresholds.  A scenario passes iff all assertions pass.
 
 Each is one Scenario record in SCENARIOS: its run function, the optional
 config keys it reads, its default config and the one grid mode it runs in.
+A ray's refusals take its sample steps from solver.sample_steps, as its run
+does, and epsilon-scaling builds each rung's config once, in _rung.
 
 The seven scenarios:
 
@@ -46,7 +48,7 @@ from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
                       profile_invariant, solve_reduced_ode, MEstimate)
 from .radiation import fit_sigma_decay, radiation_pair, radiation_table
 from .reporting import Assertion, render_csv, render_summary, write_csv, write_summary
-from .solver import run_simulation
+from .solver import grid_cells, run_simulation, sample_steps
 
 __all__ = ["Scenario", "SCENARIOS", "EPS_LIST", "UsageError", "scenario",
            "default_config", "run_scenario"]
@@ -106,9 +108,9 @@ def _nonzero_bumps(data: InitialData):
 # -- individual scenarios -------------------------------------------------------
 
 
-def _trace_times(T: float, dt: float):
-    """Every fourth step time, and T."""
-    return np.append(np.arange(0.0, T, 4 * dt), T)
+def _trace_times(cfg):
+    """Every fourth step time of cfg's run, and its horizon T."""
+    return np.append(np.arange(0.0, cfg.T, 4 * cfg.cfl * cfg.h), cfg.T)
 
 
 def _scenario_conservation(config, runtimes):
@@ -328,10 +330,10 @@ def _scenario_profile_oracle(config, runtimes):
 
 def _check_rays(config, sigmas, times) -> None:
     """Refuse a sigma > R0, whose profile vanishes (finite speed of propagation),
-    one first sampled (the collector's foot-point rule at the steps taken for
+    one first sampled (the collector's foot-point rule at the sample_steps of
     times) more than one step after its reference time, and one sampled once."""
     r0, h, dt = config.data.support_radius, config.h, config.cfl * config.h
-    steps = np.round(times / dt) * dt
+    steps = sample_steps(config, times) * dt
     for s in sigmas:
         if s > r0:
             raise UsageError(f"{config.name}: sigma={s:g} exceeds the data's support "
@@ -348,13 +350,15 @@ def _check_rays(config, sigmas, times) -> None:
                              f"sample, at t={first:.4g}, up to its horizon; it needs two")
 
 
-def _run_scaling_case(config, eps, sigmas, h=None):
-    T = 4.0 / eps
-    cfg = replace(config, data=config.data.with_epsilon(eps), eps_list=(eps,), T=T,
-                  h=(h if h is not None else config.h))
+def _rung(config, eps, h=None):
+    """The config of the epsilon-scaling run at eps, to its horizon T = 4/eps."""
+    return replace(config, data=config.data.with_epsilon(eps), eps_list=(eps,),
+                   T=4.0 / eps, h=config.h if h is None else h)
+
+
+def _run_rung(cfg, sigmas):
     collector = RayTraceCollector(sigmas)
-    times = _trace_times(T, cfg.cfl * cfg.h)
-    run_simulation(cfg, nonlinear=True, samplers=[(times, collector)],
+    run_simulation(cfg, nonlinear=True, samplers=[(_trace_times(cfg), collector)],
                    cone=min(sigmas))
     return collector.traces()
 
@@ -368,13 +372,17 @@ def _scenario_epsilon_scaling(config, runtimes):
     eps_list = tuple(sorted(config.eps_list, reverse=True))
     sigmas = list(config.sigma_samples)
     theta = 0.0                 # radial mode: every angle gives the same profiles
-    horizon = 4.0 / eps_list[0]
+    rungs = [_rung(config, eps) for eps in eps_list]
+    floor_rung = _rung(config, eps_list[-1], h=config.h / 2)
+    for rung in (*rungs, floor_rung):
+        grid_cells(rung)        # before any sample-time array
+    shortest = rungs[0]
     for s in sigmas:
-        if ProfileTrace.reference_time(s) > horizon:
+        if ProfileTrace.reference_time(s) > shortest.T:
             raise UsageError(f"epsilon-scaling: the reference time max(2, -2 sigma) of "
                              f"sigma={s:g} exceeds the shortest rung's horizon "
-                             f"4/eps = {horizon:g}")
-    _check_rays(config, sigmas, _trace_times(horizon, config.cfl * config.h))
+                             f"4/eps = {shortest.T:g}")
+    _check_rays(shortest, sigmas, _trace_times(shortest))
 
     r0 = config.data.support_radius
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
@@ -384,13 +392,12 @@ def _scenario_epsilon_scaling(config, runtimes):
 
     estimates = []
     with _timed(runtimes, "eps_runs"):
-        for eps in eps_list:
+        for eps, rung in zip(eps_list, rungs):
             with _timed(runtimes, f"eps={eps:.4g}"):
-                traces = _run_scaling_case(config, eps, sigmas)
-            T = 4.0 / eps
+                traces = _run_rung(rung, sigmas)
             for tr in traces:
-                md = tr.invariant_at(T)
-                mc = corrected_invariant(tr, T)
+                md = tr.invariant_at(rung.T)
+                mc = corrected_invariant(tr, rung.T)
                 ml = leading_invariant(table, eps, tr.sigma)
                 estimates.append(MEstimate(sigma=tr.sigma, theta=theta, eps=eps,
                                            m_direct=md, m_corrected=mc, m_leading=ml))
@@ -403,12 +410,10 @@ def _scenario_epsilon_scaling(config, runtimes):
     # discretization floor at the smallest eps from one h-halved rerun
     eps_min = eps_list[-1]
     with _timed(runtimes, "floor_run"):
-        traces_half = _run_scaling_case(config, eps_min, sigmas, h=config.h / 2)
-    floor = {}
+        traces_half = _run_rung(floor_rung, sigmas)
     base = {e.sigma: e for e in estimates if e.eps == eps_min}
-    for tr in traces_half:
-        md_half = tr.invariant_at(4.0 / eps_min)
-        floor[tr.sigma] = abs(base[tr.sigma].m_direct - md_half)
+    floor = {tr.sigma: abs(base[tr.sigma].m_direct - tr.invariant_at(floor_rung.T))
+             for tr in traces_half}
 
     assertions = [Assertion.ge("residual_scaling_slope", fit.slope, 2.2)]
     pointwise = {}
@@ -479,9 +484,8 @@ def _scenario_symmetric_decay(config, runtimes):
                          "value, got " + ", ".join(f"{s:g}" for s in config.sigma_samples))
     (sigma,) = config.sigma_samples
     t_ref = ProfileTrace.reference_time(sigma)
-    # the last profile sample, at T, is taken at the nearest step
-    dt = config.cfl * config.h
-    t_last = round(config.T / dt) * dt
+    grid_cells(config)          # before any sample-time array
+    t_last = sample_steps(config, [config.T])[0] * config.cfl * config.h
     if config.T < t_ref or t_last < t_ref:
         raise UsageError(f"symmetric-decay needs a profile sample at t >= {t_ref:g}, the "
                          f"reference time for sigma={sigma:g}; with T={config.T:g} the last "

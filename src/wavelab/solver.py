@@ -109,16 +109,19 @@ and integrates it.
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
 nowhere else.  There is no dt override: the step is always cfl * h, and a
-caller that needs another step sets cfl.  Boundaries are homogeneous
-Dirichlet on a domain sized for that T: the physical support never reaches
-them, but the scheme's numerical precursor, which runs ahead of the front,
-does (see README).  All integrals use numpy's pairwise summation over arrays
-in fixed index order, so results are reproducible run to run.
+caller that needs another step sets cfl.  sample_steps is the one rule for
+the steps a run samples, also for a caller that checks them before the run:
+the nearest step to each requested time, clipped to the last.  Boundaries are
+homogeneous Dirichlet on a domain sized for that T: the physical support
+never reaches them, but the scheme's numerical precursor, which runs ahead of
+the front, does (see README).  All integrals use numpy's pairwise summation
+over arrays in fixed index order, so results are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +134,7 @@ __all__ = [
     "EnergyTrace",
     "InstabilityError",
     "init_state",
-    "run_simulation",
+    "run_simulation", "sample_steps", "grid_cells",
     "TRACE_DT",
     "CONE_REACH",
 ]
@@ -144,6 +147,15 @@ TRACE_DT = 0.25
 # one level ahead (d_t u); floor and rounding of the foot point take up to
 # three more
 CONE_REACH = 8
+
+# bytes WaveState holds per cell, at most: 17 float64 values, the three
+# levels, d_t u, the work and the scratch buffer of both components, four
+# radial geometry rows and the cell centres
+CELL_BYTES = 17 * 8
+
+# the smallest eps |A| of a component's largest bump: the energies, of order
+# (eps A)^2, stay normal floats
+SMALLEST_DATA = math.sqrt(np.finfo(float).tiny)
 
 # a radial step zeroes the values below TINY, the smallest normal float, in
 # the FLUSH_CELLS global cells just below hi (see the module docstring)
@@ -485,22 +497,30 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
                cone: float | None = None) -> WaveState:
     """Build the t = 0 state of config.data for a run of length config.T.
 
-    The domain reaches n = ceil((R0 + T) / h) + 3 cells out from the origin,
-    so the physical support, expanding at unit speed, stays at least 2h away
-    from the boundary for all t <= T.  The step is dt = config.cfl * h, which
-    ScenarioConfig keeps inside the stability bound.  A radial state holds
-    the window up to its numerical support; a cone (radial mode only) makes
-    it a light-cone window for rays at sigma >= cone, sized for the
-    run_simulation steps to config.T.  ConfigValidationError("h") when a
-    component with nonzero bumps samples to 0 at every grid point.
+    The domain reaches grid_cells(config) cells out from the origin.  The
+    step is dt = config.cfl * h, which ScenarioConfig keeps inside the
+    stability bound.  A radial state holds the window up to its numerical
+    support; a cone (radial mode only) makes it a light-cone window for rays
+    at sigma >= cone, sized for the run_simulation steps to config.T.
+    Before any grid array exists: ConfigValidationError("epsilon") when a
+    component's largest eps |A| lies below SMALLEST_DATA, and grid_cells's
+    refusal.  ConfigValidationError("h") when a component with nonzero bumps
+    samples to 0 at every grid point.
     """
     if cone is not None and config.mode != "radial":
         raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
     h = config.h
     data = config.data
     dt = config.cfl * h
+    largest = [max((abs(b.amplitude) for bumps in pair for b in bumps), default=0.0)
+                  for pair in ((data.f1, data.g1), (data.f2, data.g2))]
+    for j, a in enumerate(largest):
+        if a and data.epsilon * a < SMALLEST_DATA:
+            raise ConfigValidationError("epsilon", f"eps={data.epsilon:g} times component "
+                                        f"{j + 1}'s largest amplitude {a:g} lies below "
+                                        f"{SMALLEST_DATA:.3g}, where its energy underflows to 0")
 
-    n = int(math.ceil((data.support_radius + config.T) / h)) + 3
+    n = grid_cells(config)
     if config.mode == "radial":
         xs = (np.arange(n) + 0.5) * h
         pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
@@ -509,9 +529,8 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     u0, g0 = initial_values(data, pts)[:2]
     del pts
-    for j, pair in enumerate(((data.f1, data.g1), (data.f2, data.g2))):
-        nonzero = any(b.amplitude for bumps in pair for b in bumps)
-        if nonzero and not (u0[j].any() or g0[j].any()):
+    for j, a in enumerate(largest):
+        if a and not (u0[j].any() or g0[j].any()):
             raise ConfigValidationError("h", f"h={h:g} samples component {j + 1}'s "
                                         f"nonzero data to 0 at every grid point")
 
@@ -532,10 +551,36 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     return state
 
 
+def grid_cells(config: ScenarioConfig) -> int:
+    """n = ceil((R0 + T) / h) + 3, the cells of config's grid out from the
+    origin: the physical support, expanding at unit speed, stays at least 2h
+    away from the boundary for all t <= T.  ConfigValidationError("grid")
+    naming h, T and the cell count, taken in floating point, when the buffers
+    WaveState allocates for them would exceed physical memory."""
+    reach = (config.data.support_radius + config.T) / config.h
+    side = 2.0 * (reach + 3) + 1          # Cartesian nodes per axis
+    cells = reach + 3 if config.mode == "radial" else side * side
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not cells * CELL_BYTES <= memory:
+        raise ConfigValidationError("grid", f"h={config.h:g} and T={config.T:g} need "
+                                    f"{cells:.3g} cells, whose buffers exceed the "
+                                    f"{memory / 2 ** 30:.3g} GiB of physical memory")
+    return int(math.ceil(reach)) + 3
+
+
 def _step_count(T: float, dt: float) -> int:
     """Steps of a run to the horizon T, at least one: the last diagnosed time
     is >= T."""
     return max(1, int(math.ceil(T / dt - 1e-9)))
+
+
+def sample_steps(config: ScenarioConfig, times) -> np.ndarray:
+    """The steps at which run_simulation samples the requested times: the
+    nearest step, clipped to the run's last; ValueError past T + dt."""
+    dt, times = config.cfl * config.h, np.asarray(times, dtype=float)
+    if not np.all(times <= config.T + dt):
+        raise ValueError(f"requested sample time {times.max()} exceeds T={config.T}")
+    return np.clip(np.round(times / dt), 0, _step_count(config.T, dt)).astype(int)
 
 
 def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
@@ -543,11 +588,10 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
     """Advance config.data to config.T, sampling at the nearest grid times.
 
     samplers is a sequence of (times, callback) pairs; each callback receives
-    the read-only state whenever the diagnosed time passes one of its
-    requested times (mapped to the nearest step), and must copy what it
-    keeps: later steps overwrite the state's arrays.  The returned
-    EnergyTrace is sampled every TRACE_DT time units plus the initial and
-    final levels; its cum_D is the trapezoid over every step of
+    the read-only state at the steps sample_steps takes for its times, and
+    must copy what it keeps: later steps overwrite the state's arrays.  The
+    returned EnergyTrace is sampled every TRACE_DT time units plus the initial
+    and final levels; its cum_D is the trapezoid over every step of
     state.dissipation(), read after each step.
 
     cone, the smallest sigma any sampler reads, makes the radial window a
@@ -559,11 +603,8 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
 
     requests: dict[int, list] = {}
     for times, callback in samplers:
-        for t_req in times:
-            if t_req > config.T + state.dt:
-                raise ValueError(f"requested sample time {t_req} exceeds T={config.T}")
-            idx = min(n_steps, max(0, int(round(t_req / state.dt))))
-            requests.setdefault(idx, []).append(callback)
+        for n in sample_steps(config, times).tolist():
+            requests.setdefault(n, []).append(callback)
 
     stride = max(1, int(round(TRACE_DT / state.dt)))
     rows = []

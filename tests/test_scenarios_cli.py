@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -652,6 +653,82 @@ def test_refusals_come_before_any_run_or_table(tmp_path, capsys, monkeypatch, ar
     err = capsys.readouterr().err
     assert err.startswith("wavelab: ") and err.count("\n") == 1 and message in err
     assert not (tmp_path / "o").exists()
+
+
+# 0.5 runs; at 0.55 to 0.7 the ray at sigma = -1 is sampled once up to T = 2
+@pytest.mark.parametrize("h", ["0.5", "0.55", "0.6", "0.65", "0.7"])
+def test_epsilon_scaling_samples_each_ray_twice_or_refuses(tmp_path, monkeypatch, h):
+    """Each ray either gets, on the shortest rung, two profile samples or more,
+    the first at most one step past its reference time, or the ladder is
+    refused with a ray's UsageError before it runs."""
+    runs = []
+
+    def recorded(cfg, sigmas, run_rung=wavelab.scenarios._run_rung):
+        runs.append((cfg, run_rung(cfg, sigmas)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(wavelab.scenarios, "_run_rung", recorded)
+    config = parse_scenario(_ONE_SAMPLE.replace("h = 0.65", f"h = {h}"))
+    try:
+        run_scenario(config, out_dir=str(tmp_path / "o"))
+    except UsageError as exc:
+        assert "profile sample" in str(exc) and not runs
+        return
+    cfg, traces = min(runs, key=lambda run: run[0].T)
+    assert cfg.T == 2.0 and [tr.sigma for tr in traces] == [-1.0, 0.0]
+    for tr in traces:
+        assert len(tr.t) >= 2 and tr.t[0] <= tr.t0 + cfg.cfl * cfg.h + 1e-9
+
+
+@pytest.mark.parametrize("args,cells", [
+    ("conservation --h 1e-300", "4.1e+301 cells"),
+    ("conservation --T 1e300", "1.28e+302 cells"),
+    ("conservation --h 1e-310", "inf cells"),
+    ("symmetric-decay --T 1e300", "1.28e+302 cells"),
+    ("epsilon-scaling --eps 1e-100,1e-101,1e-102 --h 0.125", "3.2e+101 cells"),
+])
+def test_grid_too_large_exit_code(tmp_path, capsys, args, cells):
+    """A grid whose buffers would exceed physical memory is refused, on one
+    line, before anything is allocated for it."""
+    tracemalloc.start()
+    try:
+        code = main(["scenario", *args.split(), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 10 ** 7
+    err = capsys.readouterr().err
+    assert err.startswith("wavelab: grid: h=") and err.count("\n") == 1
+    assert f"need {cells}, whose buffers exceed the" in err
+    assert not (tmp_path / "o").exists()
+
+
+# conservation's epsilon with g-bumps of amplitude 1e-200 (component 1) and 2e-200
+_TINY_AMPLITUDES = (_sampling_config("conservation", "").replace("epsilon = 0.2", "epsilon = 0.3")
+                    .replace("amplitude = 1.0", "amplitude = 1e-200", 1)
+                    .replace("amplitude = 1.0", "amplitude = 2e-200"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "conservation", "--eps", "1e-200", "--T", "2", "--h", "0.0625"],
+    ["run", "--config", "tiny-amplitudes.cfg"],
+], ids=["tiny-epsilon", "tiny-amplitudes"])
+def test_energy_underflow_exit_code(tmp_path, capsys, monkeypatch, argv):
+    """Data whose energies, of order (eps A)^2, underflow to 0 is refused."""
+    (tmp_path / "tiny-amplitudes.cfg").write_text(_TINY_AMPLITUDES)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wavelab: epsilon: eps=") and err.count("\n") == 1
+    assert "where its energy underflows to 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_smallest_data_reaches_a_verdict(tmp_path):
+    """eps |A| = 1.5e-154 lies just above the refusal's bound: the run reports."""
+    code = main(["scenario", "conservation", "--eps", "1.5e-154", "--T", "2", "--h", "0.0625",
+                 "--out", str(tmp_path)])
+    assert code in (0, 1) and (tmp_path / "summary.json").exists()
 
 
 def test_symmetric_decay_refuses_all_zero_data(tmp_path, capsys):

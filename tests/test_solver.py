@@ -1,15 +1,17 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
                      WaveState, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
-from wavelab.solver import _stencil
+from wavelab.solver import _stencil, sample_steps
 
 
 def small_config(data, mode="radial", T=2.0, h=1.0 / 32.0, **kw):
@@ -307,6 +309,30 @@ def test_sampler_times_hit_nearest_steps(radial_data):
                    samplers=[((0.0, 0.5, 1.0), lambda s: seen.append(s.t))])
     assert len(seen) == 3
     assert abs(seen[1] - 0.5) <= cfg.cfl * cfg.h
+
+
+_SMOKE_DATA = InitialData(g1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),
+                          g2=(BumpSpec((0.0, 0.0), 1.0, 0.6),), epsilon=1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfl=st.sampled_from([0.3, 0.45, 0.9]), h=st.floats(1 / 32, 1 / 8),
+       T=st.floats(0.5, 3.0), fractions=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_run_samples_at_sample_steps(cfl, h, T, fractions):
+    """run_simulation calls a sampler at the steps sample_steps takes for its
+    times in [0, T + dt], once per requested time; a time past T + dt raises."""
+    cfg = small_config(_SMOKE_DATA, T=T, h=h, cfl=cfl)
+    last = T + cfl * h
+    times = [f * last for f in fractions]
+    seen = []
+    run_simulation(cfg, nonlinear=True,
+                   samplers=[(times, lambda state: seen.append(round(state.t / state.dt)))])
+    assert Counter(seen) == Counter(sample_steps(cfg, times).tolist())
+    late = [*times, np.nextafter(last, math.inf)]
+    with pytest.raises(ValueError, match="requested sample time .* exceeds T="):
+        sample_steps(cfg, late)
+    with pytest.raises(ValueError, match="exceeds T="):
+        run_simulation(cfg, nonlinear=True, samplers=[(late, lambda state: None)])
 
 
 def test_scheme_order_against_oracle(unit_bump):
