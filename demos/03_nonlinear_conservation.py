@@ -10,7 +10,7 @@ Run:  python demos/03_nonlinear_conservation.py
 
 import numpy as np
 
-from wavelab import BumpSpec, InitialData, ScenarioConfig, run_simulation
+from wavelab import BumpSpec, EnergyTrace, InitialData, ScenarioConfig, run_simulation
 
 data = InitialData(
     f1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),
@@ -22,7 +22,8 @@ data = InitialData(
 config = ScenarioConfig(name="conservation", data=data, mode="radial", T=40.0)
 print(f"radial nonlinear run: eps={data.epsilon}, T={config.T}, h={config.h:.5f}")
 
-trace = run_simulation(config, nonlinear=True)
+trace = EnergyTrace(config)
+run_simulation(config, nonlinear=True, samplers=[(trace.times, trace)])
 
 print("\n   t      E1^2       E2^2       diff        total      cum 2*D")
 for i in range(0, len(trace.t), len(trace.t) // 10):

@@ -11,8 +11,8 @@ Run:  python demos/06_energy_nondecay.py
 
 import numpy as np
 
-from wavelab import (BumpSpec, InitialData, ScenarioConfig, radiation_table,
-                     run_simulation)
+from wavelab import (BumpSpec, EnergyTrace, InitialData, ScenarioConfig,
+                     radiation_table, run_simulation)
 
 data = InitialData(
     g1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),     # wide
@@ -30,7 +30,8 @@ print(f"  |dF1| - |dF2| = {gap[i_lo]:+.4f} at sigma = {grid[i_lo]:.2f}  (compone
 T = 4.0 / data.epsilon
 config = ScenarioConfig(name="nondecay-demo", data=data, mode="radial", T=T)
 print(f"\nnonlinear run to T = {T} ...")
-trace = run_simulation(config, nonlinear=True)
+trace = EnergyTrace(config)
+run_simulation(config, nonlinear=True, samplers=[(trace.times, trace)])
 
 late = trace.t >= T / 2
 print(f"E1^2: initial {trace.E1sq[0]:.5f}, floor on [T/2, T]: "

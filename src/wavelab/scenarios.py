@@ -48,7 +48,7 @@ from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
                       profile_invariant, solve_reduced_ode, MEstimate)
 from .radiation import fit_sigma_decay, radiation_pair, radiation_table
 from .reporting import Assertion, render_csv, render_summary, write_csv, write_summary
-from .solver import grid_cells, run_simulation, sample_steps
+from .solver import EnergyTrace, grid_cells, run_simulation, sample_steps, step_count
 
 __all__ = ["Scenario", "SCENARIOS", "EPS_LIST", "UsageError", "scenario",
            "default_config", "run_scenario"]
@@ -121,7 +121,8 @@ def _scenario_conservation(config, runtimes):
     results, reports = {}, {}
     for label, cfg in (("base", config), ("half", replace(config, h=config.h / 2))):
         with _timed(runtimes, f"run_{label}"):
-            trace = run_simulation(cfg, nonlinear=True)
+            trace = EnergyTrace(cfg)
+            run_simulation(cfg, nonlinear=True, samplers=[(trace.times, trace)])
         scale = max(trace.E1sq[0], 1e-30)
         drift = float(np.max(np.abs(trace.diff - trace.diff[0])) / scale)
         balance = float(np.max(np.abs(trace.total - trace.total[0]
@@ -161,6 +162,9 @@ def _free_validation_points(data, T):
 def _scenario_free_validation(config, runtimes):
     data = config.data
     T = config.T
+    levels = [config.h / (2 ** i) for i in range(3)]
+    grid_cells(replace(config, h=levels[-1]))       # the finest level's refusals,
+    step_count(replace(config, h=levels[-1]))       # before n0 below
 
     pts = _free_validation_points(data, T)
     with _timed(runtimes, "oracle"):
@@ -177,7 +181,6 @@ def _scenario_free_validation(config, runtimes):
     # dt = cfl * h divides the check cadence T/4 and, for a power-of-two h,
     # halves exactly across refinements; min() keeps a quotient that rounds
     # up past config.cfl (cadence / (cfl h) a whole number) inside its bound
-    levels = [config.h / (2 ** i) for i in range(3)]
     cadence = 0.25 * T
     n0 = math.ceil(cadence / (config.cfl * levels[0]))
     cfl = min(cadence / (n0 * levels[0]), config.cfl)
@@ -376,6 +379,7 @@ def _scenario_epsilon_scaling(config, runtimes):
     floor_rung = _rung(config, eps_list[-1], h=config.h / 2)
     for rung in (*rungs, floor_rung):
         grid_cells(rung)        # before any sample-time array
+        step_count(rung)
     shortest = rungs[0]
     for s in sigmas:
         if ProfileTrace.reference_time(s) > shortest.T:
@@ -459,7 +463,8 @@ def _scenario_nondecay(config, runtimes):
         return assertions, values, reports
 
     with _timed(runtimes, "run"):
-        trace = run_simulation(config, nonlinear=True)
+        trace = EnergyTrace(config)
+        run_simulation(config, nonlinear=True, samplers=[(trace.times, trace)])
     reports["energy_trace.csv"] = trace.to_csv()
     late = trace.t >= config.T / 2.0
     floor1 = float(np.min(trace.E1sq[late]) / trace.E1sq[0])
@@ -500,8 +505,9 @@ def _scenario_symmetric_decay(config, runtimes):
         sym_gap[0] = max(sym_gap[0], gap)
 
     with _timed(runtimes, "run"):
-        trace = run_simulation(config, nonlinear=True,
-                               samplers=[(times, collector), (times, check_symmetry)])
+        trace = EnergyTrace(config)
+        run_simulation(config, nonlinear=True, samplers=[
+            (trace.times, trace), (times, collector), (times, check_symmetry)])
 
     onset = int(np.argmax(trace.D > 1e-14))
     monotone = bool(np.all(np.diff(trace.total[onset:]) < 0.0))

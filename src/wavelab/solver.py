@@ -102,16 +102,18 @@ the whole-disk run's.  WaveState.sample refuses a point with |x| < t + cone,
 and a light-cone window raises when stepped past the step count it was
 sized for.  Energies and dissipation sum the held cells [0, hi), the whole
 support; over a light-cone window they mean nothing, so such a state raises
-on them and its run_simulation returns no EnergyTrace.  A state keeps no
-integral over time: run_simulation reads the dissipation after every step
-and integrates it.
+on them, and so does an EnergyTrace of it.  A state keeps no integral over
+time: EnergyTrace, a run_simulation sampler of every step, integrates the
+dissipation.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
 nowhere else.  There is no dt override: the step is always cfl * h, and a
-caller that needs another step sets cfl.  sample_steps is the one rule for
-the steps a run samples, also for a caller that checks them before the run:
-the nearest step to each requested time, clipped to the last.  Boundaries are
+caller that needs another step sets cfl.  step_count is the one rule for
+the number of steps, refused as grid_cells refuses the cells: when their
+arrays would not fit in memory.  sample_steps is the one rule for the steps
+a run samples, also for a caller that checks them before the run: the
+nearest step to each requested time, clipped to the last.  Boundaries are
 homogeneous Dirichlet on a domain sized for that T: the physical support
 never reaches them, but the scheme's numerical precursor, which runs ahead of
 the front, does (see README).  All integrals use numpy's pairwise summation
@@ -122,7 +124,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -134,7 +136,7 @@ __all__ = [
     "EnergyTrace",
     "InstabilityError",
     "init_state",
-    "run_simulation", "sample_steps", "grid_cells",
+    "run_simulation", "sample_steps", "grid_cells", "step_count",
     "TRACE_DT",
     "CONE_REACH",
 ]
@@ -147,6 +149,13 @@ TRACE_DT = 0.25
 # one level ahead (d_t u); floor and rounding of the foot point take up to
 # three more
 CONE_REACH = 8
+
+# bytes per step of a run's per-step arrays, at most: EnergyTrace.times, the
+# temporaries of its sample_steps and run_simulation's byte per sampler
+STEP_BYTES = 4 * 8
+
+# physical memory, the bound of the grid and of the per-step arrays
+_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 # bytes WaveState holds per cell, at most: 17 float64 values, the three
 # levels, d_t u, the work and the scratch buffer of both components, four
@@ -172,20 +181,36 @@ class InstabilityError(RuntimeError):
         self.location = location
 
 
-@dataclass
 class EnergyTrace:
-    """Sampled energy diagnostics of one run.
-
-    E1sq/E2sq are the squared energy norms (1/2) int |du_j|^2 dx, D is the
-    dissipation integrand int (d_t u1)^2 (d_t u2)^2 dx and cum_D its time
-    integral from 0, accumulated by a step-resolution trapezoid.
+    """Energy diagnostics of a run of config, a run_simulation sampler of every
+    step: run_simulation(config, nonlinear, samplers=[(trace.times, trace)]).
+    At every TRACE_DT and the last step, after which the arrays exist: t, the
+    squared energy norms E1sq/E2sq, (1/2) int |du_j|^2 dx, the dissipation D,
+    int (d_t u1)^2 (d_t u2)^2 dx, and cum_D, its step-resolution trapezoid from
+    0.  A skipped step, another h or dt and a light-cone window raise ValueError.
     """
 
-    t: np.ndarray
-    E1sq: np.ndarray
-    E2sq: np.ndarray
-    D: np.ndarray
-    cum_D: np.ndarray
+    def __init__(self, config: ScenarioConfig):
+        grid_cells(config)
+        self._last = step_count(config)
+        self._h, self._dt = config.h, config.cfl * config.h
+        self.times = np.arange(self._last + 1) * self._dt
+        self._stride = max(1, round(TRACE_DT / self._dt))
+        self._next, self._D, self._cum_D, self._rows = 0, None, 0.0, []
+
+    def __call__(self, state: WaveState) -> None:
+        n = round(state.t / state.dt)
+        if (state.h, state.dt) != (self._h, self._dt) or n != self._next:
+            raise ValueError(f"an energy trace of h={self._h:g}, dt={self._dt:g} expects step "
+                             f"{self._next}, not step {n} of h={state.h:g}, dt={state.dt:g}")
+        D = state.dissipation()
+        if n:
+            self._cum_D += 0.5 * state.dt * (self._D + D)
+        self._D, self._next = D, n + 1
+        if n % self._stride == 0 or n == self._last:
+            self._rows.append((state.t, *state.energies(), D, self._cum_D))
+        if n == self._last:
+            self.t, self.E1sq, self.E2sq, self.D, self.cum_D = map(np.array, zip(*self._rows))
 
     @property
     def diff(self) -> np.ndarray:
@@ -503,9 +528,9 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     support; a cone (radial mode only) makes it a light-cone window for rays
     at sigma >= cone, sized for the run_simulation steps to config.T.
     Before any grid array exists: ConfigValidationError("epsilon") when a
-    component's largest eps |A| lies below SMALLEST_DATA, and grid_cells's
-    refusal.  ConfigValidationError("h") when a component with nonzero bumps
-    samples to 0 at every grid point.
+    component's largest eps |A| lies below SMALLEST_DATA, and the refusals
+    of grid_cells and step_count.  ConfigValidationError("h") when a
+    component with nonzero bumps samples to 0 at every grid point.
     """
     if cone is not None and config.mode != "radial":
         raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
@@ -521,6 +546,7 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
                                         f"{SMALLEST_DATA:.3g}, where its energy underflows to 0")
 
     n = grid_cells(config)
+    n_steps = step_count(config)
     if config.mode == "radial":
         xs = (np.arange(n) + 0.5) * h
         pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
@@ -547,7 +573,7 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     state.u_prev[:] = base - dt * g0
     state.u_next[:] = base + dt * g0
     if config.mode == "radial":
-        state._open_window(cone, _step_count(config.T, dt))
+        state._open_window(cone, n_steps)
     return state
 
 
@@ -560,18 +586,26 @@ def grid_cells(config: ScenarioConfig) -> int:
     reach = (config.data.support_radius + config.T) / config.h
     side = 2.0 * (reach + 3) + 1          # Cartesian nodes per axis
     cells = reach + 3 if config.mode == "radial" else side * side
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if not cells * CELL_BYTES <= memory:
+    if not cells * CELL_BYTES <= _MEMORY:
         raise ConfigValidationError("grid", f"h={config.h:g} and T={config.T:g} need "
                                     f"{cells:.3g} cells, whose buffers exceed the "
-                                    f"{memory / 2 ** 30:.3g} GiB of physical memory")
+                                    f"{_MEMORY / 2 ** 30:.3g} GiB of physical memory")
     return int(math.ceil(reach)) + 3
 
 
-def _step_count(T: float, dt: float) -> int:
-    """Steps of a run to the horizon T, at least one: the last diagnosed time
-    is >= T."""
-    return max(1, int(math.ceil(T / dt - 1e-9)))
+def step_count(config: ScenarioConfig) -> int:
+    """Steps of config's run to its horizon T, at least one: the last
+    diagnosed time is >= T.  ConfigValidationError("cfl") naming cfl, h, T and
+    the step count, taken in floating point, when it is not finite or the
+    run's per-step arrays would exceed physical memory."""
+    dt = config.cfl * config.h
+    steps = config.T / dt if dt else math.inf
+    if not steps * STEP_BYTES <= _MEMORY:
+        raise ConfigValidationError("cfl", f"cfl={config.cfl:g}, h={config.h:g} and "
+                                    f"T={config.T:g} take {steps:.3g} steps, whose per-step "
+                                    f"arrays exceed the {_MEMORY / 2 ** 30:.3g} GiB of "
+                                    f"physical memory")
+    return max(1, int(math.ceil(steps - 1e-9)))
 
 
 def sample_steps(config: ScenarioConfig, times) -> np.ndarray:
@@ -580,49 +614,29 @@ def sample_steps(config: ScenarioConfig, times) -> np.ndarray:
     dt, times = config.cfl * config.h, np.asarray(times, dtype=float)
     if not np.all(times <= config.T + dt):
         raise ValueError(f"requested sample time {times.max()} exceeds T={config.T}")
-    return np.clip(np.round(times / dt), 0, _step_count(config.T, dt)).astype(int)
+    return np.clip(np.round(times / dt), 0, step_count(config)).astype(int)
 
 
 def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
-                   samplers=(), cone: float | None = None) -> EnergyTrace | None:
+                   samplers=(), cone: float | None = None) -> None:
     """Advance config.data to config.T, sampling at the nearest grid times.
 
     samplers is a sequence of (times, callback) pairs; each callback receives
-    the read-only state at the steps sample_steps takes for its times, and
-    must copy what it keeps: later steps overwrite the state's arrays.  The
-    returned EnergyTrace is sampled every TRACE_DT time units plus the initial
-    and final levels; its cum_D is the trapezoid over every step of
-    state.dissipation(), read after each step.
+    the read-only state once at each step sample_steps takes for its times,
+    however many of them round to it, and must copy what it keeps: later
+    steps overwrite the state's arrays.  An EnergyTrace is such a sampler.
 
     cone, the smallest sigma any sampler reads, makes the radial window a
-    light-cone window (see the module docstring): samples at sigma >= cone
-    stay bit-identical, and the run returns None, having no energy trace.
+    light-cone window, whose samples at sigma >= cone are bit-identical.
     """
     state = init_state(config, nonlinear, cone=cone)
-    n_steps = _step_count(config.T, state.dt)
-
-    requests: dict[int, list] = {}
-    for times, callback in samplers:
-        for n in sample_steps(config, times).tolist():
-            requests.setdefault(n, []).append(callback)
-
-    stride = max(1, int(round(TRACE_DT / state.dt)))
-    rows = []
-    whole = cone is None
-    # the dissipation integrand at every step and its step-resolution
-    # trapezoid from 0, over [0, hi) from the window init_state opened
-    D, cum_D = (state.dissipation() if whole else None), 0.0
-    for n in range(n_steps + 1):
+    # one byte per step and sampler: whether the sampler reads that step
+    due = np.zeros((step_count(config) + 1, len(samplers)), dtype=bool)
+    for j, (times, _) in enumerate(samplers):
+        due[sample_steps(config, times), j] = True
+    callbacks = [callback for _, callback in samplers]
+    for n, now in enumerate(due):
         if n:
             state.step()
-            if whole:
-                D_prev, D = D, state.dissipation()
-                cum_D += 0.5 * state.dt * (D_prev + D)
-        for cb in requests.get(n, ()):
-            cb(state)
-        if whole and (n % stride == 0 or n == n_steps):
-            e1, e2 = state.energies()
-            rows.append((state.t, e1, e2, D, cum_D))
-    if not whole:
-        return None
-    return EnergyTrace(*(np.array(col) for col in zip(*rows)))
+        for callback in compress(callbacks, now):
+            callback(state)

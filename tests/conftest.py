@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavelab import BumpSpec, InitialData
+from wavelab import BumpSpec, EnergyTrace, InitialData, run_simulation
 from wavelab.radiation import _radon_many
 
 
@@ -15,6 +15,13 @@ def along_direction(fields, omega: np.ndarray, k: int):
         return w1 * grad[..., 0] + w2 * grad[..., 1]
     return (w1 * w1 * hess[..., 0] + 2.0 * w1 * w2 * hess[..., 1]
             + w2 * w2 * hess[..., 2])
+
+
+def energy_run(cfg, nonlinear: bool, cone=None) -> EnergyTrace:
+    """The EnergyTrace of cfg's run."""
+    trace = EnergyTrace(cfg)
+    run_simulation(cfg, nonlinear=nonlinear, cone=cone, samplers=[(trace.times, trace)])
+    return trace
 
 
 def radon_line_integral(specs, s: float, omega, deriv_order: int = 0) -> float:

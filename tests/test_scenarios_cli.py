@@ -12,13 +12,15 @@ import pytest
 
 import wavelab
 
-from wavelab import InstabilityError
+from wavelab import InstabilityError, WaveState
 from wavelab.cli import main
 from wavelab.config import _SECTION_KEYS, parse_scenario
+from wavelab.profile import RayTraceCollector
 from wavelab.radiation import RadiationTable
 from wavelab.reporting import NonFiniteReportError, render_csv, render_summary
 from wavelab.scenarios import (EPS_LIST, SCENARIOS, UsageError, default_config,
                                run_scenario)
+from wavelab.solver import sample_steps
 
 TINY_CONFIG = """
 [scenario]
@@ -701,6 +703,57 @@ def test_grid_too_large_exit_code(tmp_path, capsys, args, cells):
     assert err.startswith("wavelab: grid: h=") and err.count("\n") == 1
     assert f"need {cells}, whose buffers exceed the" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args,steps", [
+    ("conservation --cfl 1e-310", "inf steps"),
+    ("conservation --cfl 5e-324 --h 0.25", "inf steps"),      # cfl * h rounds to 0
+    ("epsilon-scaling --cfl 1e-12", "1.28e+15 steps"),
+    ("epsilon-scaling --cfl 1e-310", "inf steps"),
+    ("symmetric-decay --cfl 1e-12", "5.12e+15 steps"),
+    ("free-validation --cfl 1e-310", "inf steps"),
+])
+def test_too_many_steps_exit_code(tmp_path, capsys, args, steps):
+    """A step count that is not finite, or whose per-step arrays would exceed
+    physical memory, is refused on one line before anything is allocated
+    for it."""
+    tracemalloc.start()
+    try:
+        code = main(["scenario", *args.split(), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 10 ** 7
+    err = capsys.readouterr().err
+    assert err.startswith("wavelab: cfl: cfl=") and err.count("\n") == 1
+    assert f"take {steps}, whose per-step arrays exceed the" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_epsilon_scaling_samples_each_step_once():
+    """On the default eps = 0.4 rung the trace times ask for 713 steps, 712 of
+    them distinct; each ray holds one sample per distinct step its foot
+    point reaches, none twice."""
+    config = default_config("epsilon-scaling")
+    rung = wavelab.scenarios._rung(config, 0.4)
+    steps = sample_steps(rung, wavelab.scenarios._trace_times(rung))
+    distinct = np.unique(steps)
+    assert len(steps) == 713 and len(distinct) == 712
+    dt = rung.cfl * rung.h
+    traces = wavelab.scenarios._run_rung(rung, list(config.sigma_samples))
+    for tr in traces:
+        reached = distinct[RayTraceCollector.samples_at(distinct * dt, tr.sigma, rung.h)]
+        assert np.round(tr.t / dt).astype(int).tolist() == reached.tolist(), tr.sigma
+
+
+def test_free_validation_reads_no_energies(tmp_path, monkeypatch):
+    """free-validation samples point values only: no energy or dissipation."""
+    def unreached(state):
+        raise AssertionError("free-validation computed an energy diagnostic")
+
+    monkeypatch.setattr(WaveState, "energies", unreached)
+    monkeypatch.setattr(WaveState, "dissipation", unreached)
+    assert run_scenario(default_config("free-validation"), out_dir=str(tmp_path / "o"))["passed"]
 
 
 # conservation's epsilon with g-bumps of amplitude 1e-200 (component 1) and 2e-200

@@ -1,13 +1,13 @@
 import math
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig,
+from conftest import energy_run
+from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, ScenarioConfig,
                      WaveState, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
@@ -290,7 +290,7 @@ def test_free_energy_conservation(radial_data):
     sharp = InitialData(f1=(BumpSpec((0.0, 0.0), 1.0, 1.0),), epsilon=0.3)
     for data, bound in ((gentle, 1e-4), (sharp, 2e-4)):
         cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=20.0)
-        trace = run_simulation(cfg, nonlinear=False)
+        trace = energy_run(cfg, nonlinear=False)
         drift = float(np.max(np.abs(trace.E1sq - trace.E1sq[0])) / trace.E1sq[0])
         assert drift <= bound
 
@@ -320,14 +320,15 @@ _SMOKE_DATA = InitialData(g1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),
        T=st.floats(0.5, 3.0), fractions=st.lists(st.floats(0.0, 1.0), max_size=12))
 def test_run_samples_at_sample_steps(cfl, h, T, fractions):
     """run_simulation calls a sampler at the steps sample_steps takes for its
-    times in [0, T + dt], once per requested time; a time past T + dt raises."""
+    times in [0, T + dt], once per step however many times round to it; a
+    time past T + dt raises."""
     cfg = small_config(_SMOKE_DATA, T=T, h=h, cfl=cfl)
     last = T + cfl * h
     times = [f * last for f in fractions]
     seen = []
     run_simulation(cfg, nonlinear=True,
                    samplers=[(times, lambda state: seen.append(round(state.t / state.dt)))])
-    assert Counter(seen) == Counter(sample_steps(cfg, times).tolist())
+    assert seen == sorted(set(sample_steps(cfg, times).tolist()))
     late = [*times, np.nextafter(last, math.inf)]
     with pytest.raises(ValueError, match="requested sample time .* exceeds T="):
         sample_steps(cfg, late)
@@ -384,17 +385,34 @@ def test_radial_cartesian_cross_check(unit_bump):
 
 def test_horizon_below_one_step_takes_one_step(radial_data):
     """A run always steps at least once, so its last diagnosed time is >= T."""
-    trace = run_simulation(small_config(radial_data, T=1e-12), nonlinear=True)
+    trace = energy_run(small_config(radial_data, T=1e-12), nonlinear=True)
     assert len(trace.t) == 2 and trace.t[-1] >= 1e-12
 
 
 def test_energy_trace_csv(radial_data):
     cfg = small_config(radial_data, T=1.0)
-    trace = run_simulation(cfg, nonlinear=True)
+    trace = energy_run(cfg, nonlinear=True)
     header, rows = trace.to_csv()
     assert header == ("t", "E1sq", "E2sq", "diff", "sum", "dissipation", "cum_dissipation")
     assert len(list(rows)) == len(trace.t)
     assert np.all(trace.E1sq >= 0.0) and np.all(np.isfinite(trace.E1sq))
+
+
+def test_energy_trace_refuses_skipped_steps_and_other_runs(radial_data):
+    """An EnergyTrace reads every step of one run of its config: times that
+    skip a step, a run of another spacing or step and a second run raise."""
+    cfg = small_config(radial_data, T=1.0)
+    trace = EnergyTrace(cfg)
+    with pytest.raises(ValueError, match="expects step 1, not step 2 of"):
+        run_simulation(cfg, nonlinear=True, samplers=[(trace.times[::2], trace)])
+    for other in (replace(cfg, h=2 * cfg.h), replace(cfg, cfl=0.9)):
+        trace = EnergyTrace(cfg)
+        with pytest.raises(ValueError, match="expects step 0, not step 0 of"):
+            run_simulation(other, nonlinear=True, samplers=[(trace.times, trace)])
+    trace = EnergyTrace(cfg)
+    run_simulation(cfg, nonlinear=True, samplers=[(trace.times, trace)])
+    with pytest.raises(ValueError, match=f"expects step {len(trace.times)}, not step 0"):
+        run_simulation(cfg, nonlinear=True, samplers=[(trace.times, trace)])
 
 
 def test_step_allocates_no_field_arrays():

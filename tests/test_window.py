@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelab import (BumpSpec, InitialData, InstabilityError, ScenarioConfig, WaveState,
-                     init_state, run_simulation)
+from conftest import energy_run
+from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, ScenarioConfig,
+                     WaveState, init_state, run_simulation)
 from wavelab.profile import RayTraceCollector
 from wavelab.scenarios import default_config
 from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY, TRACE_DT
@@ -49,8 +50,10 @@ def test_windowed_run_equals_full_run():
     cfg = scaling_rung(0.6)
     sigmas = [0.0, 0.5, 1.1, 1.6]
     lows = []
-    trace, full = ray_traces(cfg, sigmas, cone=None, t_end=cfg.T - 0.6)
-    assert trace is not None
+    trace = EnergyTrace(cfg)
+    result, full = ray_traces(cfg, sigmas, cone=None, t_end=cfg.T - 0.6,
+                              extra=[(trace.times, trace)])
+    assert result is None and trace.t[-1] >= cfg.T
     result, windowed = ray_traces(cfg, sigmas, cone=0.0, t_end=cfg.T - 0.6,
                                   extra=[((cfg.T,), lambda s: lows.append(s.lo))])
     assert result is None
@@ -143,7 +146,7 @@ def _radial_coefficients(xs, h, dt):
 
 
 def _assert_trace_integrates(cfg, nonlinear, Ds):
-    """run_simulation's EnergyTrace holds, at its rows, the reference
+    """An EnergyTrace sampler holds, at its rows, the reference
     dissipation Ds (one value per level from t = 0) and its step-resolution
     trapezoid."""
     dt = cfg.cfl * cfg.h
@@ -152,7 +155,7 @@ def _assert_trace_integrates(cfg, nonlinear, Ds):
         cums.append(cums[-1] + 0.5 * dt * (D_prev + D))
     stride = max(1, round(TRACE_DT / dt))
     rows = [n for n in range(len(Ds)) if n % stride == 0 or n == len(Ds) - 1]
-    trace = run_simulation(cfg, nonlinear=nonlinear)
+    trace = energy_run(cfg, nonlinear)
     assert trace.D.tolist() == [Ds[n] for n in rows]
     assert trace.cum_D.tolist() == [cums[n] for n in rows]
     return cums[-1]
@@ -189,7 +192,7 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     every cell of the domain, until and after its support reaches the wall.
     The reference keeps its own outer edge hi by the window's rule, flushes
     the same band below it, and sums D and the energies over its cells
-    [0, hi); run_simulation integrates that D."""
+    [0, hi); an EnergyTrace integrates that D."""
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=3.0, h=1.0 / 16.0)
     state = init_state(cfg, nonlinear=nonlinear)
@@ -432,6 +435,11 @@ def test_windowed_state_has_no_energies():
         state.energies()
     with pytest.raises(ValueError, match="window"):
         state.dissipation()
+
+
+def test_energy_trace_refuses_a_light_cone_run():
+    with pytest.raises(ValueError, match="light-cone window"):
+        energy_run(scaling_rung(1.0), nonlinear=True, cone=0.0)
 
 
 def test_cone_rejected_in_cartesian(offset_data):
