@@ -34,7 +34,7 @@ T = 4.0 / eps
 config = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
 sigmas = [-2.0, -1.0, 0.0, 0.5]
 collector = RayTraceCollector(sigmas)
-times = np.append(np.arange(0.0, T, 4 * config.cfl * config.h), T)
+times = np.append(np.arange(0.0, T, 4 * config.dt), T)
 print(f"\nnonlinear radial run to T = 4/eps = {T} ...")
 run_simulation(config, nonlinear=True, samplers=[(times, collector)])
 

@@ -29,7 +29,7 @@ for eps in eps_ladder:
     T = 4.0 / eps
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
     col = RayTraceCollector(sigmas)
-    times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
+    times = np.append(np.arange(0.0, T, 4 * cfg.dt), T)
     # a light-cone window: advance only the cells rays at sigma >= -2 can see
     run_simulation(cfg, nonlinear=True, samplers=[(times, col)], cone=min(sigmas))
     worst = max(abs(tr.invariant_at(T) - leading_invariant(table, eps, tr.sigma))

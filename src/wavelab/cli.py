@@ -8,13 +8,15 @@ Exit status: 0 when every scenario assertion passes, 1 on assertion failure,
 configuration or option, a key set twice, a mode the scenario does not run
 in, data it cannot use or whose energy underflows, a ray sigma it cannot
 sample, a grid spacing that samples nonzero data to 0, a grid whose buffers
-exceed physical memory, or a setting it never reads) and when a field or a
-report value turns non-finite; only a failed write leaves part of the
-reports then.  Both commands check what they are given against the reads of
-the scenario's record (scenarios.scenario), the optional config keys it
-reads: `run` the keys the file sets (config.set_keys) and `scenario` the key
-each option sets: --T scenario.T, --h grid.h, --cfl grid.cfl and --eps
-data.epsilon.  A multi-valued epsilon also sets scenarios.EPS_LIST.
+or a step count whose per-step arrays exceed physical memory, a step count
+that is not finite, or a setting it never reads) and when a field, a
+radiation table or a report value turns non-finite; only a failed write
+leaves part of the reports then.  Both commands check what they are given
+against the reads of the scenario's record (scenarios.scenario), the
+optional config keys it reads: `run` the keys the file sets
+(config.set_keys) and `scenario` the key each option sets: --T scenario.T,
+--h grid.h, --cfl grid.cfl and --eps data.epsilon.  A multi-valued epsilon
+also sets scenarios.EPS_LIST.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             summary = run_scenario(config, out_dir=args.out)
     except (ConfigParseError, ConfigValidationError, UsageError, OSError, InstabilityError,
-            NonFiniteReportError) as exc:
+            FloatingPointError, NonFiniteReportError) as exc:
         print(f"wavelab: {exc}", file=sys.stderr)
         return 2
 

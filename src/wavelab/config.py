@@ -110,6 +110,11 @@ class ScenarioConfig:
     eps_list: tuple[float, ...] | None = None        # None: (data.epsilon,)
     out_dir: str | None = None
 
+    @property
+    def dt(self) -> float:
+        """The time step of every run of this config: cfl * h."""
+        return self.cfl * self.h
+
     def _derive(self, name: str, rule, given=lambda value: value) -> None:
         """Set field name to rule(), marked as derived, unless it was given.
 

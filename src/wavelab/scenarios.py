@@ -48,7 +48,7 @@ from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
                       profile_invariant, solve_reduced_ode, MEstimate)
 from .radiation import fit_sigma_decay, radiation_pair, radiation_table
 from .reporting import Assertion, render_csv, render_summary, write_csv, write_summary
-from .solver import EnergyTrace, grid_cells, run_simulation, sample_steps, step_count
+from .solver import EnergyTrace, run_simulation, run_size, sample_steps
 
 __all__ = ["Scenario", "SCENARIOS", "EPS_LIST", "UsageError", "scenario",
            "default_config", "run_scenario"]
@@ -110,7 +110,7 @@ def _nonzero_bumps(data: InitialData):
 
 def _trace_times(cfg):
     """Every fourth step time of cfg's run, and its horizon T."""
-    return np.append(np.arange(0.0, cfg.T, 4 * cfg.cfl * cfg.h), cfg.T)
+    return np.append(np.arange(0.0, cfg.T, 4 * cfg.dt), cfg.T)
 
 
 def _scenario_conservation(config, runtimes):
@@ -118,8 +118,11 @@ def _scenario_conservation(config, runtimes):
     if component1 == component2:
         raise UsageError("conservation needs different component data: with identical "
                          "components the difference law E1^2 - E2^2 is identically 0")
+    runs = (("base", config), ("half", replace(config, h=config.h / 2)))
+    for _, cfg in runs:
+        run_size(cfg)               # both grids' refusals before either run
     results, reports = {}, {}
-    for label, cfg in (("base", config), ("half", replace(config, h=config.h / 2))):
+    for label, cfg in runs:
         with _timed(runtimes, f"run_{label}"):
             trace = EnergyTrace(cfg)
             run_simulation(cfg, nonlinear=True, samplers=[(trace.times, trace)])
@@ -163,8 +166,7 @@ def _scenario_free_validation(config, runtimes):
     data = config.data
     T = config.T
     levels = [config.h / (2 ** i) for i in range(3)]
-    grid_cells(replace(config, h=levels[-1]))       # the finest level's refusals,
-    step_count(replace(config, h=levels[-1]))       # before n0 below
+    run_size(replace(config, h=levels[-1]))     # the finest level's refusals, before n0
 
     pts = _free_validation_points(data, T)
     with _timed(runtimes, "oracle"):
@@ -182,7 +184,7 @@ def _scenario_free_validation(config, runtimes):
     # halves exactly across refinements; min() keeps a quotient that rounds
     # up past config.cfl (cadence / (cfl h) a whole number) inside its bound
     cadence = 0.25 * T
-    n0 = math.ceil(cadence / (config.cfl * levels[0]))
+    n0 = math.ceil(cadence / config.dt)
     cfl = min(cadence / (n0 * levels[0]), config.cfl)
     errs = []
     with _timed(runtimes, "refinement_runs"):
@@ -335,7 +337,7 @@ def _check_rays(config, sigmas, times) -> None:
     """Refuse a sigma > R0, whose profile vanishes (finite speed of propagation),
     one first sampled (the collector's foot-point rule at the sample_steps of
     times) more than one step after its reference time, and one sampled once."""
-    r0, h, dt = config.data.support_radius, config.h, config.cfl * config.h
+    r0, h, dt = config.data.support_radius, config.h, config.dt
     steps = sample_steps(config, times) * dt
     for s in sigmas:
         if s > r0:
@@ -378,8 +380,7 @@ def _scenario_epsilon_scaling(config, runtimes):
     rungs = [_rung(config, eps) for eps in eps_list]
     floor_rung = _rung(config, eps_list[-1], h=config.h / 2)
     for rung in (*rungs, floor_rung):
-        grid_cells(rung)        # before any sample-time array
-        step_count(rung)
+        run_size(rung)              # every run's refusals before any run or table
     shortest = rungs[0]
     for s in sigmas:
         if ProfileTrace.reference_time(s) > shortest.T:
@@ -447,6 +448,7 @@ def _scenario_nondecay(config, runtimes):
     data = config.data
     r0 = data.support_radius
     sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
+    run_size(config)                # the run's refusals before the table
     with _timed(runtimes, "table"):
         table = radiation_table(data, sigma_grid, config.theta_samples)
     reports = {"radiation_table.csv": table.to_csv()}
@@ -489,8 +491,7 @@ def _scenario_symmetric_decay(config, runtimes):
                          "value, got " + ", ".join(f"{s:g}" for s in config.sigma_samples))
     (sigma,) = config.sigma_samples
     t_ref = ProfileTrace.reference_time(sigma)
-    grid_cells(config)          # before any sample-time array
-    t_last = sample_steps(config, [config.T])[0] * config.cfl * config.h
+    t_last = sample_steps(config, [config.T])[0] * config.dt
     if config.T < t_ref or t_last < t_ref:
         raise UsageError(f"symmetric-decay needs a profile sample at t >= {t_ref:g}, the "
                          f"reference time for sigma={sigma:g}; with T={config.T:g} the last "

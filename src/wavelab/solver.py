@@ -108,16 +108,17 @@ dissipation.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
-nowhere else.  There is no dt override: the step is always cfl * h, and a
-caller that needs another step sets cfl.  step_count is the one rule for
-the number of steps, refused as grid_cells refuses the cells: when their
-arrays would not fit in memory.  sample_steps is the one rule for the steps
-a run samples, also for a caller that checks them before the run: the
-nearest step to each requested time, clipped to the last.  Boundaries are
-homogeneous Dirichlet on a domain sized for that T: the physical support
-never reaches them, but the scheme's numerical precursor, which runs ahead of
-the front, does (see README).  All integrals use numpy's pairwise summation
-over arrays in fixed index order, so results are reproducible run to run.
+nowhere else.  There is no dt override: the step is always config.dt,
+cfl * h; a caller that needs another step sets cfl.  run_size is the one
+rule for a run's cells and steps, refused, the grid first, when their arrays
+would not fit in memory; a scenario sizes every run with it before any run
+or table.  sample_steps is the one rule for the steps a run samples, also
+for a caller that checks them before the run: the nearest step to each
+requested time, clipped to the last.  Boundaries are homogeneous Dirichlet
+on a domain sized for that T: the physical support never reaches them, but
+the scheme's numerical precursor, which runs ahead of the front, does (see
+README).  All integrals use numpy's pairwise summation over arrays in fixed
+index order, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ __all__ = [
     "EnergyTrace",
     "InstabilityError",
     "init_state",
-    "run_simulation", "sample_steps", "grid_cells", "step_count",
+    "run_simulation", "sample_steps", "run_size",
     "TRACE_DT",
     "CONE_REACH",
 ]
@@ -191,9 +192,8 @@ class EnergyTrace:
     """
 
     def __init__(self, config: ScenarioConfig):
-        grid_cells(config)
-        self._last = step_count(config)
-        self._h, self._dt = config.h, config.cfl * config.h
+        self._last = run_size(config)[1]
+        self._h, self._dt = config.h, config.dt
         self.times = np.arange(self._last + 1) * self._dt
         self._stride = max(1, round(TRACE_DT / self._dt))
         self._next, self._D, self._cum_D, self._rows = 0, None, 0.0, []
@@ -522,21 +522,19 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
                cone: float | None = None) -> WaveState:
     """Build the t = 0 state of config.data for a run of length config.T.
 
-    The domain reaches grid_cells(config) cells out from the origin.  The
-    step is dt = config.cfl * h, which ScenarioConfig keeps inside the
-    stability bound.  A radial state holds the window up to its numerical
-    support; a cone (radial mode only) makes it a light-cone window for rays
-    at sigma >= cone, sized for the run_simulation steps to config.T.
-    Before any grid array exists: ConfigValidationError("epsilon") when a
-    component's largest eps |A| lies below SMALLEST_DATA, and the refusals
-    of grid_cells and step_count.  ConfigValidationError("h") when a
-    component with nonzero bumps samples to 0 at every grid point.
+    The domain and the step count are run_size(config); the step is
+    config.dt, which ScenarioConfig keeps inside the stability bound.  A
+    radial state holds the window up to its numerical support; a cone (radial
+    mode only) makes it a light-cone window for rays at sigma >= cone, sized
+    for the run_simulation steps to config.T.  Before any grid array exists:
+    ConfigValidationError("epsilon") when a component's largest eps |A| lies
+    below SMALLEST_DATA, and the refusals of run_size.
+    ConfigValidationError("h") when a component with nonzero bumps samples
+    to 0 at every grid point.
     """
     if cone is not None and config.mode != "radial":
         raise ValueError(f"a light-cone window needs radial mode, not {config.mode}")
-    h = config.h
-    data = config.data
-    dt = config.cfl * h
+    h, dt, data = config.h, config.dt, config.data
     largest = [max((abs(b.amplitude) for bumps in pair for b in bumps), default=0.0)
                   for pair in ((data.f1, data.g1), (data.f2, data.g2))]
     for j, a in enumerate(largest):
@@ -545,8 +543,7 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
                                         f"{j + 1}'s largest amplitude {a:g} lies below "
                                         f"{SMALLEST_DATA:.3g}, where its energy underflows to 0")
 
-    n = grid_cells(config)
-    n_steps = step_count(config)
+    n, n_steps = run_size(config)
     if config.mode == "radial":
         xs = (np.arange(n) + 0.5) * h
         pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
@@ -577,44 +574,37 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     return state
 
 
-def grid_cells(config: ScenarioConfig) -> int:
-    """n = ceil((R0 + T) / h) + 3, the cells of config's grid out from the
+def run_size(config: ScenarioConfig) -> tuple[int, int]:
+    """(cells, steps) of config's run, each counted in floating point first
+    and refused in this order.  cells = ceil((R0 + T) / h) + 3 out from the
     origin: the physical support, expanding at unit speed, stays at least 2h
-    away from the boundary for all t <= T.  ConfigValidationError("grid")
-    naming h, T and the cell count, taken in floating point, when the buffers
-    WaveState allocates for them would exceed physical memory."""
+    from the boundary for all t <= T; ConfigValidationError("grid") naming h,
+    T and the cells when WaveState's buffers for them would exceed physical
+    memory.  steps to T, at least one, so the last diagnosed time is >= T;
+    ConfigValidationError("cfl") naming cfl, h, T and the steps when they are
+    not finite or the run's per-step arrays would exceed physical memory."""
     reach = (config.data.support_radius + config.T) / config.h
     side = 2.0 * (reach + 3) + 1          # Cartesian nodes per axis
     cells = reach + 3 if config.mode == "radial" else side * side
+    memory = f"the {_MEMORY / 2 ** 30:.3g} GiB of physical memory"
     if not cells * CELL_BYTES <= _MEMORY:
         raise ConfigValidationError("grid", f"h={config.h:g} and T={config.T:g} need "
-                                    f"{cells:.3g} cells, whose buffers exceed the "
-                                    f"{_MEMORY / 2 ** 30:.3g} GiB of physical memory")
-    return int(math.ceil(reach)) + 3
-
-
-def step_count(config: ScenarioConfig) -> int:
-    """Steps of config's run to its horizon T, at least one: the last
-    diagnosed time is >= T.  ConfigValidationError("cfl") naming cfl, h, T and
-    the step count, taken in floating point, when it is not finite or the
-    run's per-step arrays would exceed physical memory."""
-    dt = config.cfl * config.h
-    steps = config.T / dt if dt else math.inf
+                                    f"{cells:.3g} cells, whose buffers exceed {memory}")
+    steps = config.T / config.dt if config.dt else math.inf
     if not steps * STEP_BYTES <= _MEMORY:
         raise ConfigValidationError("cfl", f"cfl={config.cfl:g}, h={config.h:g} and "
                                     f"T={config.T:g} take {steps:.3g} steps, whose per-step "
-                                    f"arrays exceed the {_MEMORY / 2 ** 30:.3g} GiB of "
-                                    f"physical memory")
-    return max(1, int(math.ceil(steps - 1e-9)))
+                                    f"arrays exceed {memory}")
+    return int(math.ceil(reach)) + 3, max(1, int(math.ceil(steps - 1e-9)))
 
 
 def sample_steps(config: ScenarioConfig, times) -> np.ndarray:
     """The steps at which run_simulation samples the requested times: the
     nearest step, clipped to the run's last; ValueError past T + dt."""
-    dt, times = config.cfl * config.h, np.asarray(times, dtype=float)
+    dt, times = config.dt, np.asarray(times, dtype=float)
     if not np.all(times <= config.T + dt):
         raise ValueError(f"requested sample time {times.max()} exceeds T={config.T}")
-    return np.clip(np.round(times / dt), 0, step_count(config)).astype(int)
+    return np.clip(np.round(times / dt), 0, run_size(config)[1]).astype(int)
 
 
 def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
@@ -631,7 +621,7 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
     """
     state = init_state(config, nonlinear, cone=cone)
     # one byte per step and sampler: whether the sampler reads that step
-    due = np.zeros((step_count(config) + 1, len(samplers)), dtype=bool)
+    due = np.zeros((run_size(config)[1] + 1, len(samplers)), dtype=bool)
     for j, (times, _) in enumerate(samplers):
         due[sample_steps(config, times), j] = True
     callbacks = [callback for _, callback in samplers]

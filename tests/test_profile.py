@@ -273,7 +273,7 @@ def nonlinear_run():
     eps, T = 0.2, 20.0
     cfg = ScenarioConfig(name="conservation", data=data, mode="radial", T=T)
     collector = RayTraceCollector([-1.0, 0.0])
-    times = np.append(np.arange(0.0, T, 4 * cfg.cfl * cfg.h), T)
+    times = np.append(np.arange(0.0, T, 4 * cfg.dt), T)
     run_simulation(cfg, nonlinear=True, samplers=[(times, collector)])
     return data, eps, T, collector.traces()
 

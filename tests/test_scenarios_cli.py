@@ -117,6 +117,20 @@ def test_unstable_run_exits_two(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name", ["radiation-decay", "nondecay-demo"])
+def test_overflowing_radiation_table_exits_two(tmp_path, name):
+    # a bump of amplitude 1e308 overflows the radiation table's quadrature;
+    # the subprocess shows stderr under Python's default warning filters
+    cfg_path = tmp_path / "overflow.cfg"
+    cfg_path.write_text(_sampling_config(name, "").replace("amplitude = 1.0",
+                                                           "amplitude = 1e308", 1))
+    proc = _run_python("-m", "wavelab", "run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == "wavelab: non-finite value in radiation table quadrature\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _unstable_config():
     config = default_config("conservation")
     return replace(config, T=2.0, h=0.05, eps_list=(1e60,),
@@ -620,6 +634,11 @@ _REFUSALS = [
     # corrected_invariant needs two samples of a ray on the shortest rung
     ("file epsilon-scaling-one-sample", "epsilon-scaling: with h=0.65 sigma=-1 gets one "
      "profile sample, at t=2.048, up to its horizon; it needs two"),
+    # the size of every run: nondecay-demo's before its radiation table, and
+    # "memory N: ARGS" runs ARGS with solver._MEMORY = N bytes, where only
+    # conservation's h/2 grid (19 cells of 136 bytes) does not fit
+    ("nondecay-demo --cfl 1e-12", "cfl: cfl=1e-12, h=0.0078125 and T=20 take 2.56e+15 steps"),
+    ("memory 2000: conservation --T 1 --h 0.25", "grid: h=0.125 and T=1 need 19 cells"),
 ]
 _REFUSAL_FILES = {
     "conservation": _IDENTICAL,
@@ -641,6 +660,9 @@ def test_refusals_come_before_any_run_or_table(tmp_path, capsys, monkeypatch, ar
 
     monkeypatch.setattr(wavelab.scenarios, "run_simulation", unreached)
     monkeypatch.setattr(wavelab.scenarios, "radiation_table", unreached)
+    if args.startswith("memory "):
+        memory, args = args[len("memory "):].split(": ")
+        monkeypatch.setattr(wavelab.solver, "_MEMORY", int(memory))
     cfg_path = tmp_path / "refused.cfg"
     if args.startswith("run "):
         name, line = args[len("run "):].split(": ")
@@ -679,7 +701,7 @@ def test_epsilon_scaling_samples_each_ray_twice_or_refuses(tmp_path, monkeypatch
     cfg, traces = min(runs, key=lambda run: run[0].T)
     assert cfg.T == 2.0 and [tr.sigma for tr in traces] == [-1.0, 0.0]
     for tr in traces:
-        assert len(tr.t) >= 2 and tr.t[0] <= tr.t0 + cfg.cfl * cfg.h + 1e-9
+        assert len(tr.t) >= 2 and tr.t[0] <= tr.t0 + cfg.dt + 1e-9
 
 
 @pytest.mark.parametrize("args,cells", [
@@ -712,6 +734,7 @@ def test_grid_too_large_exit_code(tmp_path, capsys, args, cells):
     ("epsilon-scaling --cfl 1e-310", "inf steps"),
     ("symmetric-decay --cfl 1e-12", "5.12e+15 steps"),
     ("free-validation --cfl 1e-310", "inf steps"),
+    ("nondecay-demo --cfl 1e-12", "2.56e+15 steps"),
 ])
 def test_too_many_steps_exit_code(tmp_path, capsys, args, steps):
     """A step count that is not finite, or whose per-step arrays would exceed
@@ -739,7 +762,7 @@ def test_epsilon_scaling_samples_each_step_once():
     steps = sample_steps(rung, wavelab.scenarios._trace_times(rung))
     distinct = np.unique(steps)
     assert len(steps) == 713 and len(distinct) == 712
-    dt = rung.cfl * rung.h
+    dt = rung.dt
     traces = wavelab.scenarios._run_rung(rung, list(config.sigma_samples))
     for tr in traces:
         reached = distinct[RayTraceCollector.samples_at(distinct * dt, tr.sigma, rung.h)]

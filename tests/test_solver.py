@@ -308,7 +308,7 @@ def test_sampler_times_hit_nearest_steps(radial_data):
     run_simulation(cfg, nonlinear=False,
                    samplers=[((0.0, 0.5, 1.0), lambda s: seen.append(s.t))])
     assert len(seen) == 3
-    assert abs(seen[1] - 0.5) <= cfg.cfl * cfg.h
+    assert abs(seen[1] - 0.5) <= cfg.dt
 
 
 _SMOKE_DATA = InitialData(g1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),

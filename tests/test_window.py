@@ -30,7 +30,7 @@ def ray_traces(cfg, sigmas, cone, extra=(), t_end=None):
     """Traces sampled every fourth step up to t_end (default cfg.T)."""
     t_end = cfg.T if t_end is None else t_end
     collector = RayTraceCollector(sigmas)
-    times = np.append(np.arange(0.0, t_end, 4 * cfg.cfl * cfg.h), t_end)
+    times = np.append(np.arange(0.0, t_end, 4 * cfg.dt), t_end)
     result = run_simulation(cfg, nonlinear=True, cone=cone,
                             samplers=[(times, collector), *extra])
     return result, collector.traces()
@@ -90,7 +90,7 @@ def test_window_invariant_every_step(cone):
         assert state.u_curr.shape == state.dt_u.shape == (2, len(state.xs))
         seen.append((state.lo, state.hi))
 
-    steps = np.arange(0.0, cfg.T, cfg.cfl * cfg.h)
+    steps = np.arange(0.0, cfg.T, cfg.dt)
     run_simulation(cfg, nonlinear=True, cone=cone, samplers=[(steps, check)])
     assert len(seen) == len(steps)
     assert seen[0][1] < n_domain and seen[-1][1] <= n_domain
@@ -149,7 +149,7 @@ def _assert_trace_integrates(cfg, nonlinear, Ds):
     """An EnergyTrace sampler holds, at its rows, the reference
     dissipation Ds (one value per level from t = 0) and its step-resolution
     trapezoid."""
-    dt = cfg.cfl * cfg.h
+    dt = cfg.dt
     cums = [0.0]
     for D_prev, D in zip(Ds, Ds[1:]):
         cums.append(cums[-1] + 0.5 * dt * (D_prev + D))
@@ -341,7 +341,7 @@ def _operator_state(radial_data, case):
     else:
         xs = (np.arange(40) + 0.5) * cfg.h
         zeros = np.zeros((2, len(xs)))
-        state = WaveState("radial", cfg.h, cfg.cfl * cfg.h, xs, zeros, zeros.copy(),
+        state = WaveState("radial", cfg.h, cfg.dt, xs, zeros, zeros.copy(),
                           zeros.copy(), zeros.copy(), nonlinear=False)
         assert state.lo == 0 and state.hi == state._n
     return state
