@@ -103,36 +103,29 @@ def _radon_many(specs: Sequence[BumpSpec], s: np.ndarray, omega: np.ndarray,
 
 
 def half_order_integral(line_values: Callable[[np.ndarray], np.ndarray],
-                        sigma: float, support_radius: float,
-                        inner_radius: float | None = None,
-                        feature_scale: float | None = None):
+                        sigma: float, support_radius: float, feature_scale: float):
     """(1/(2 sqrt2 pi)) int_sigma^inf line_values(s) / sqrt(s - sigma) ds.
 
-    line_values must vanish for s > support_radius; the substitution
-    s = sigma + tau^2 turns the integral into a regular one over
-    tau in [0, sqrt(support_radius - sigma)].  It may return stacked
-    integrands of shape (k, len(s)); the result is then an array of the k
-    integrals, otherwise a float.
+    line_values must vanish for |s| > support_radius, as the Radon transform
+    of data supported in |y| <= support_radius does; the substitution
+    s = sigma + tau^2 turns the integral into a regular one over the tau
+    window where s lies in [max(sigma, -support_radius), support_radius].
+    It may return stacked integrands of shape (k, len(s)); the result is
+    then an array of the k integrals, otherwise a float.
 
-    When line_values also vanishes for s < -inner_radius (always true for
-    Radon transforms of data supported in |y| <= inner_radius), the dead part
-    of the tau window is skipped.  feature_scale, if given, is the smallest
-    s-scale on which line_values varies; panels are refined so each covers
-    at most a fraction of it, which keeps far-negative sigma (a tiny,
-    strongly stretched tau window) as accurate as the near field.
+    feature_scale is the smallest s-scale on which line_values varies;
+    panels are refined so each covers at most a fraction of it, which keeps
+    far-negative sigma (a tiny, strongly stretched tau window) as accurate
+    as the near field.
     """
     if sigma >= support_radius:
         return 0.0
     tau_hi = np.sqrt(support_radius - sigma)
-    tau_lo = 0.0
-    if inner_radius is not None and -inner_radius > sigma:
-        tau_lo = np.sqrt(-inner_radius - sigma)
+    tau_lo = np.sqrt(max(-support_radius - sigma, 0.0))
     # panel counts round a ratio within 1e-9 of an integer down to it, so
     # data that differ by rounding (e.g. rotated copies) get the same rule
-    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL - 1e-9)))
-    if feature_scale is not None and feature_scale > 0:
-        s_span = tau_hi**2 - tau_lo**2
-        panels = max(panels, int(np.ceil(6.0 * s_span / feature_scale - 1e-9)))
+    panels = max(1, int(np.ceil((tau_hi - tau_lo) / _TAU_PANEL - 1e-9)),
+                 int(np.ceil(6.0 * (tau_hi**2 - tau_lo**2) / feature_scale - 1e-9)))
     xi, wi = _panel_rule(panels, _TAU_NODES)
     tau = tau_lo + 0.5 * (tau_hi - tau_lo) * (xi + 1.0)
     wts = 0.5 * (tau_hi - tau_lo) * wi
@@ -154,10 +147,9 @@ def radiation_pair(data: InitialData, sigma: float, omega
     """
     omega = np.asarray(omega, dtype=float)
     r0 = data.support_radius
-    if sigma >= r0:
-        return np.zeros(2), np.zeros(2)
     bumps = data.all_bumps()
-    feature = min(b.radius for b in bumps) if bumps else None
+    if sigma >= r0 or not bumps:
+        return np.zeros(2), np.zeros(2)
 
     def integrands(s):
         rf = [_radon_many(f, s, omega, (1, 2)) for f in (data.f1, data.f2)]
@@ -165,8 +157,8 @@ def radiation_pair(data: InitialData, sigma: float, omega
         # rows F_1, F_2, dF_1, dF_2
         return np.stack([-rf[j][k + 1] + rg[j][k] for k in (0, 1) for j in (0, 1)])
 
-    F, dF = half_order_integral(integrands, sigma, r0, inner_radius=r0,
-                                feature_scale=feature).reshape(2, 2)
+    feature = min(b.radius for b in bumps)
+    F, dF = half_order_integral(integrands, sigma, r0, feature).reshape(2, 2)
     return F, dF
 
 

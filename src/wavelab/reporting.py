@@ -32,17 +32,15 @@ class Assertion:
     threshold: float
     op: str                       # "<=" or ">="
     passed: bool
-    detail: str = ""
+    detail: str = ""              # always "", kept as a key of summary.json
 
     @staticmethod
-    def le(name, value, threshold, detail=""):
-        return Assertion(name, float(value), float(threshold), "<=",
-                         bool(value <= threshold), detail)
+    def le(name, value, threshold):
+        return Assertion(name, float(value), float(threshold), "<=", bool(value <= threshold))
 
     @staticmethod
-    def ge(name, value, threshold, detail=""):
-        return Assertion(name, float(value), float(threshold), ">=",
-                         bool(value >= threshold), detail)
+    def ge(name, value, threshold):
+        return Assertion(name, float(value), float(threshold), ">=", bool(value >= threshold))
 
 
 def _fmt(value) -> str:

@@ -167,6 +167,15 @@ def _scenario_free_validation(config, runtimes):
     T = config.T
     levels = [config.h / (2 ** i) for i in range(3)]
     run_size(replace(config, h=levels[-1]))     # the finest level's refusals, before n0
+    # dt = cfl * h divides the check cadence T/4 and, for a power-of-two h,
+    # halves exactly across refinements; min() keeps a quotient that rounds
+    # up past config.cfl (cadence / (cfl h) a whole number) inside its bound
+    cadence = 0.25 * T
+    n0 = math.ceil(cadence / config.dt)
+    cfl = min(cadence / (n0 * levels[0]), config.cfl)
+    runs = [replace(config, h=h, cfl=cfl) for h in levels]
+    for cfg in runs:
+        run_size(cfg)               # every run's refusals before the oracle
 
     pts = _free_validation_points(data, T)
     with _timed(runtimes, "oracle"):
@@ -180,20 +189,13 @@ def _scenario_free_validation(config, runtimes):
         u = state.sample([p[1:] for p in points])[0]       # (2, points)
         grid.update(zip(points, u.T.tolist()))
 
-    # dt = cfl * h divides the check cadence T/4 and, for a power-of-two h,
-    # halves exactly across refinements; min() keeps a quotient that rounds
-    # up past config.cfl (cadence / (cfl h) a whole number) inside its bound
-    cadence = 0.25 * T
-    n0 = math.ceil(cadence / config.dt)
-    cfl = min(cadence / (n0 * levels[0]), config.cfl)
     errs = []
     with _timed(runtimes, "refinement_runs"):
-        for h in levels:
+        for cfg in runs:
             grid = {}
             samplers = [((tv,), partial(sample, grid, points))
                         for tv, points in by_time.items()]
-            run_simulation(replace(config, h=h, cfl=cfl), nonlinear=False,
-                           samplers=samplers)
+            run_simulation(cfg, nonlinear=False, samplers=samplers)
             errs.append(max(abs(grid[p][c] - oracle[p][c]) for p in pts for c in (0, 1)))
     fit = fit_power_law(levels, errs)
     assertions = [

@@ -113,11 +113,11 @@ def test_radon_derivative_is_s_derivative(unit_bump):
 # -- half-order integral ---------------------------------------------------------
 
 def test_half_order_zero_input():
-    assert half_order_integral(lambda s: np.zeros_like(s), -1.0, 1.0) == 0.0
+    assert half_order_integral(lambda s: np.zeros_like(s), -1.0, 1.0, 1.0) == 0.0
 
 
 def test_half_order_empty_domain():
-    assert half_order_integral(lambda s: np.ones_like(s), 2.0, 1.0) == 0.0
+    assert half_order_integral(lambda s: np.ones_like(s), 2.0, 1.0, 1.0) == 0.0
 
 
 def test_half_order_indicator_against_antiderivative():
@@ -130,7 +130,7 @@ def test_half_order_indicator_against_antiderivative():
     indicator = lambda s: ((s >= a) & (s <= b)).astype(float)
     sigma = -2.0
     exact = HALF_ORDER_NORM * 2.0 * (math.sqrt(b - sigma) - math.sqrt(a - sigma))
-    got = half_order_integral(indicator, sigma, 1.0)
+    got = half_order_integral(indicator, sigma, 1.0, 1.0)
     assert abs(got - exact) / exact <= 5e-3
 
 
@@ -139,7 +139,7 @@ def test_half_order_smooth_against_dense_oracle(unit_bump):
     line = lambda s: np.array([radon_line_integral([unit_bump], float(v), om)
                                for v in np.atleast_1d(s)])
     sigma = -1.3
-    got = half_order_integral(line, sigma, 1.0, inner_radius=1.0, feature_scale=1.0)
+    got = half_order_integral(line, sigma, 1.0, 1.0)
     tau = np.linspace(0.0, math.sqrt(1.0 - sigma), 20001)
     vals = line(sigma + tau**2)
     oracle = HALF_ORDER_NORM * 2.0 * np.sum(np.diff(tau) * (vals[1:] + vals[:-1]) / 2.0)
@@ -254,7 +254,7 @@ def _component_pair(f, g, sigma, omega, r0, feature):
         rf = _radon_many(f, s, omega, (1, 2))
         rg = _radon_many(g, s, omega, (0, 1))
         return np.stack([-rf[1] + rg[0], -rf[2] + rg[1]])
-    pair = half_order_integral(integrands, sigma, r0, inner_radius=r0, feature_scale=feature)
+    pair = half_order_integral(integrands, sigma, r0, feature)
     return np.broadcast_to(pair, 2)
 
 

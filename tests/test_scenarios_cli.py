@@ -292,8 +292,10 @@ def _sampling_config(name, data_line):
 @pytest.mark.parametrize("args,out,codes", [
     # check times and cadence follow T, so a short horizon still samples on-grid
     ("free-validation --T 0.1", "o", {0, 1}),
-    # the profile reference time max(2, -2 sigma) lies beyond T
-    ("symmetric-decay --T 1", "o", {2}),
+    # at the default h the last profile sample, at the step nearest T = 2,
+    # reaches the reference time 2: the run reports (compare the refusal of
+    # symmetric-decay --T 2 --h 0.0625 in _REFUSALS)
+    ("symmetric-decay --T 2", "o", {0, 1}),
     # --out names an existing file
     ("profile-oracle", "afile", {2}),
     # T/4 is a whole number of default-CFL steps, so cadence / (n0 h) rounds up
@@ -312,21 +314,6 @@ def _sampling_config(name, data_line):
     ("conservation --T inf", "o", {2}),
     ("conservation --h inf", "o", {2}),
     ("conservation --eps inf", "o", {2}),
-    # a ray past the support radius R0 = 1, whose profile is 0, or one whose
-    # reference time max(2, -2 sigma) = 30 lies past the shortest rung's
-    # horizon 4/0.4 = 10
-    ("run epsilon-scaling: sigma_samples = -1, 1.5", "o", {2}),
-    ("run epsilon-scaling: sigma_samples = -15, 0", "o", {2}),
-    ("run symmetric-decay: sigma_samples = 1.5", "o", {2}),
-    # symmetric-decay samples one ray; epsilon-scaling fits one residual per
-    # distinct epsilon, refused before any rung runs
-    ("run symmetric-decay: sigma_samples = 0, 0.5", "o", {2}),
-    ("epsilon-scaling --eps 1,1,0.8 --h 0.0625", "o", {2}),
-    # a repeated ray would be sampled, and reported, twice
-    ("run epsilon-scaling: sigma_samples = 0, 0", "o", {2}),
-    # T passes the reference time 2, but the last profile sample, at the
-    # step nearest T, lands at t = 1.996875
-    ("symmetric-decay --T 2 --h 0.0625", "o", {2}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
@@ -342,7 +329,7 @@ def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     if codes == {2}:
         assert captured.err.startswith("wavelab: ") and captured.err.count("\n") == 1
     else:
-        assert "scenario free-validation:" in captured.out
+        assert f"scenario {args.split()[0]}:" in captured.out
 
 
 # data a scenario cannot use, refused before any output is written: identical
@@ -587,19 +574,6 @@ def test_symmetric_decay_compares_nonzero_bumps_in_any_order(tmp_path):
     assert reports["zero-padded"] == reports["same"]
 
 
-@pytest.mark.parametrize("name,h,sigma", [("epsilon-scaling", "0.7", "-1"),
-                                          ("epsilon-scaling", "1", "-1"),
-                                          ("symmetric-decay", "3", "0")])
-def test_late_first_ray_sample_exit_code(tmp_path, capsys, name, h, sigma):
-    """On a coarse grid the first profile sample of a ray lands more than one
-    step past its reference time 2, where the profile is read."""
-    assert main(["scenario", name, "--h", h, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"wavelab: {name}: with h={h} the first profile sample of "
-                          f"sigma={sigma} lands at t=") and err.count("\n") == 1
-    assert not (tmp_path / "o").exists()
-
-
 def test_epsilon_scaling_first_sample_in_time_runs(tmp_path):
     """At h = 0.6 the first sample of sigma = -1, at t = 2.16, lies within one
     step (0.27) of its reference time: the ladder runs and reports."""
@@ -608,35 +582,52 @@ def test_epsilon_scaling_first_sample_in_time_runs(tmp_path):
     assert (tmp_path / "summary.json").exists()
 
 
+# The one table of refusals that come before any run: "ARGS" runs the
+# scenario command, "run NAME: LINE" a _sampling_config file of NAME with LINE
+# in [data], "file KEY" the config _REFUSAL_FILES[KEY], and "memory N: ARGS"
+# ARGS with solver._MEMORY = N bytes.  Each message begins the error line.
 _REFUSALS = [
     # mode, checked by run_scenario before any directory exists
     ("run free-validation: \n[scenario]\nmode = radial", "free-validation runs in cartesian-2d mode"),
     ("run epsilon-scaling: \n[scenario]\nmode = cartesian-2d", "epsilon-scaling runs in radial mode"),
     ("run symmetric-decay: \n[scenario]\nmode = cartesian-2d", "symmetric-decay runs in radial mode"),
     # component data
-    ("file conservation", "identical components"),
-    ("file symmetric-decay-different", "requires identical component data"),
+    ("file conservation", "conservation needs different component data: with identical "
+     "components"),
+    ("file symmetric-decay-different", "symmetric-decay requires identical component data"),
     ("file symmetric-decay-zero", "symmetric-decay needs nonzero data"),
-    ("file radiation-decay-one", "component 2 has no nonzero data"),
-    ("file radiation-decay-wide", "R0=6"),
+    ("file radiation-decay-one", "radiation-decay fits the decay of both components, but "
+     "component 2 has no nonzero data"),
+    ("file radiation-decay-wide", "radiation-decay fits the decay on sigma in [-40, -10], which "
+     "must lie below -2 R0; the data's support radius is R0=6"),
     # the epsilon ladder
-    ("epsilon-scaling --eps 0.4,0.2", "at least 3 epsilon values"),
-    ("epsilon-scaling --eps 1,1,0.8", "distinct epsilon values"),
-    # rays: support, reference times, first samples and one sigma
-    ("run epsilon-scaling: sigma_samples = -1, 1.5", "exceeds the data's support radius"),
-    ("run symmetric-decay: sigma_samples = 1.5", "exceeds the data's support radius"),
-    ("run epsilon-scaling: sigma_samples = -15, 0", "exceeds the shortest rung's horizon"),
-    ("symmetric-decay --T 1", "needs a profile sample at t >= 2"),
-    ("symmetric-decay --T 2 --h 0.0625", "needs a profile sample at t >= 2"),
-    ("epsilon-scaling --h 0.7", "the first profile sample of sigma=-1"),
-    ("symmetric-decay --h 3", "the first profile sample of sigma=0"),
-    ("run symmetric-decay: sigma_samples = 0, 0.5", "samples one ray"),
+    ("epsilon-scaling --eps 0.4,0.2", "epsilon-scaling needs at least 3 epsilon values"),
+    ("epsilon-scaling --eps 1,1,0.8", "epsilon-scaling needs distinct epsilon values"),
+    # rays: support, reference times, first samples, one sigma and no sigma twice
+    ("run epsilon-scaling: sigma_samples = -1, 1.5", "epsilon-scaling: sigma=1.5 exceeds the "
+     "data's support radius"),
+    ("run symmetric-decay: sigma_samples = 1.5", "symmetric-decay: sigma=1.5 exceeds the "
+     "data's support radius"),
+    ("run epsilon-scaling: sigma_samples = -15, 0", "epsilon-scaling: the reference time "
+     "max(2, -2 sigma) of sigma=-15 exceeds the shortest rung's horizon"),
+    ("symmetric-decay --T 1", "symmetric-decay needs a profile sample at t >= 2"),
+    # T passes the reference time 2, but the last sample lands at t = 1.996875
+    ("symmetric-decay --T 2 --h 0.0625", "symmetric-decay needs a profile sample at t >= 2"),
+    ("epsilon-scaling --h 0.7", "epsilon-scaling: with h=0.7 the first profile sample of "
+     "sigma=-1 lands at t="),
+    ("epsilon-scaling --h 1", "epsilon-scaling: with h=1 the first profile sample of "
+     "sigma=-1 lands at t="),
+    ("symmetric-decay --h 3", "symmetric-decay: with h=3 the first profile sample of "
+     "sigma=0 lands at t="),
+    ("run symmetric-decay: sigma_samples = 0, 0.5", "symmetric-decay samples one ray"),
+    # a repeated ray would be sampled, and reported, twice
+    ("run epsilon-scaling: sigma_samples = 0, 0", "sigma_samples: repeated sigma in 0, 0"),
     # corrected_invariant needs two samples of a ray on the shortest rung
     ("file epsilon-scaling-one-sample", "epsilon-scaling: with h=0.65 sigma=-1 gets one "
      "profile sample, at t=2.048, up to its horizon; it needs two"),
     # the size of every run: nondecay-demo's before its radiation table, and
-    # "memory N: ARGS" runs ARGS with solver._MEMORY = N bytes, where only
-    # conservation's h/2 grid (19 cells of 136 bytes) does not fit
+    # in 2000 bytes, where only conservation's h/2 grid (19 cells of 136 bytes)
+    # does not fit
     ("nondecay-demo --cfl 1e-12", "cfl: cfl=1e-12, h=0.0078125 and T=20 take 2.56e+15 steps"),
     ("memory 2000: conservation --T 1 --h 0.25", "grid: h=0.125 and T=1 need 19 cells"),
 ]
@@ -653,8 +644,8 @@ _REFUSAL_FILES = {
 @pytest.mark.parametrize("args,message", _REFUSALS,
                          ids=[args.replace("\n[scenario]\n", "") for args, _ in _REFUSALS])
 def test_refusals_come_before_any_run_or_table(tmp_path, capsys, monkeypatch, args, message):
-    """Every refusal of a scenario exits 2 with one line before a solver run
-    or a radiation table starts, and leaves no output directory."""
+    """Every refusal of a scenario exits 2 with one line, its message, before
+    a solver run or a radiation table starts, and leaves no output directory."""
     def unreached(*args, **kwargs):
         raise AssertionError("a refused scenario started a run or a table")
 
@@ -675,7 +666,7 @@ def test_refusals_come_before_any_run_or_table(tmp_path, capsys, monkeypatch, ar
         argv = ["scenario", *args.split()]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("wavelab: ") and err.count("\n") == 1 and message in err
+    assert err.startswith(f"wavelab: {message}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -767,6 +758,50 @@ def test_epsilon_scaling_samples_each_step_once():
     for tr in traces:
         reached = distinct[RayTraceCollector.samples_at(distinct * dt, tr.sigma, rung.h)]
         assert np.round(tr.t / dt).astype(int).tolist() == reached.tolist(), tr.sigma
+
+
+def test_ray_samples_follow_the_step_clock():
+    """For sigma = -2 the foot point reaches h at step 1140, 1140 dt = 2.00390625
+    = h - sigma, where the state's t, summed once a step, falls 3.5e-14 short:
+    each ray holds a sample at every step the rule takes on the step clock n dt,
+    as _check_rays predicts, no more and no fewer."""
+    rung = replace(wavelab.scenarios._rung(default_config("epsilon-scaling"), 0.1, h=1 / 256),
+                   T=2.1)
+    steps = np.unique(sample_steps(rung, wavelab.scenarios._trace_times(rung)))
+    for tr in wavelab.scenarios._run_rung(rung, [-2.0, -1.0]):
+        predicted = steps[RayTraceCollector.samples_at(steps * rung.dt, tr.sigma, rung.h)]
+        assert np.round(tr.t / rung.dt).astype(int).tolist() == predicted.tolist(), tr.sigma
+
+
+# the five scenarios that run the solver, shrunk to a second or less each
+_SMALL_RUNS = {"conservation": {"T": 2.0, "h": 1 / 16},
+               "free-validation": {"h": 1 / 8},
+               "epsilon-scaling": {"eps_list": (1.0, 0.8, 0.6), "h": 1 / 32},
+               "nondecay-demo": {"T": 2.0, "h": 1 / 16},
+               "symmetric-decay": {"T": 4.0, "h": 1 / 32}}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_RUNS))
+def test_every_run_is_sized_before_the_first(tmp_path, monkeypatch, name):
+    """Every config a scenario passes to run_simulation went through run_size,
+    which refuses a run that does not fit, before the scenario's first run."""
+    sized, runs = [], []
+
+    def sizing(cfg, run_size=wavelab.solver.run_size):
+        if not runs:
+            sized.append(cfg)
+        return run_size(cfg)
+
+    def running(cfg, *args, run_simulation=wavelab.solver.run_simulation, **kwargs):
+        runs.append(cfg)
+        return run_simulation(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(wavelab.solver, "run_size", sizing)
+    monkeypatch.setattr(wavelab.scenarios, "run_size", sizing)
+    monkeypatch.setattr(wavelab.scenarios, "run_simulation", running)
+    config = replace(default_config(name), **_SMALL_RUNS[name])
+    run_scenario(config, out_dir=str(tmp_path / "o"))
+    assert runs and all(cfg in sized for cfg in runs)
 
 
 def test_free_validation_reads_no_energies(tmp_path, monkeypatch):
