@@ -292,10 +292,8 @@ def _sampling_config(name, data_line):
 @pytest.mark.parametrize("args,out,codes", [
     # check times and cadence follow T, so a short horizon still samples on-grid
     ("free-validation --T 0.1", "o", {0, 1}),
-    # at the default h the last profile sample, at the step nearest T = 2,
-    # reaches the reference time 2: the run reports (compare the refusal of
-    # symmetric-decay --T 2 --h 0.0625 in _REFUSALS)
-    ("symmetric-decay --T 2", "o", {0, 1}),
+    # the profile reference time max(2, -2 sigma) lies beyond T
+    ("symmetric-decay --T 1", "o", {2}),
     # --out names an existing file
     ("profile-oracle", "afile", {2}),
     # T/4 is a whole number of default-CFL steps, so cadence / (n0 h) rounds up
@@ -314,6 +312,24 @@ def _sampling_config(name, data_line):
     ("conservation --T inf", "o", {2}),
     ("conservation --h inf", "o", {2}),
     ("conservation --eps inf", "o", {2}),
+    # a ray past the support radius R0 = 1, whose profile is 0, or one whose
+    # reference time max(2, -2 sigma) = 30 lies past the shortest rung's
+    # horizon 4/0.4 = 10
+    ("run epsilon-scaling: sigma_samples = -1, 1.5", "o", {2}),
+    ("run epsilon-scaling: sigma_samples = -15, 0", "o", {2}),
+    ("run symmetric-decay: sigma_samples = 1.5", "o", {2}),
+    # symmetric-decay samples one ray; epsilon-scaling fits one residual per
+    # distinct epsilon, refused before any rung runs
+    ("run symmetric-decay: sigma_samples = 0, 0.5", "o", {2}),
+    ("epsilon-scaling --eps 1,1,0.8 --h 0.0625", "o", {2}),
+    # a repeated ray would be sampled, and reported, twice
+    ("run epsilon-scaling: sigma_samples = 0, 0", "o", {2}),
+    # T passes the reference time 2, but the last profile sample, at the
+    # step nearest T, lands at t = 1.996875
+    ("symmetric-decay --T 2 --h 0.0625", "o", {2}),
+    # at the default h the last profile sample, at the step nearest T = 2,
+    # reaches the reference time 2: the run reports
+    ("symmetric-decay --T 2", "o", {0, 1}),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")
@@ -572,6 +588,19 @@ def test_symmetric_decay_compares_nonzero_bumps_in_any_order(tmp_path):
         reports[label].pop("runtimes")
     assert reports["reordered"] == reports["same"]
     assert reports["zero-padded"] == reports["same"]
+
+
+@pytest.mark.parametrize("name,h,sigma", [("epsilon-scaling", "0.7", "-1"),
+                                          ("epsilon-scaling", "1", "-1"),
+                                          ("symmetric-decay", "3", "0")])
+def test_late_first_ray_sample_exit_code(tmp_path, capsys, name, h, sigma):
+    """On a coarse grid the first profile sample of a ray lands more than one
+    step past its reference time 2, where the profile is read."""
+    assert main(["scenario", name, "--h", h, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"wavelab: {name}: with h={h} the first profile sample of "
+                          f"sigma={sigma} lands at t=") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_epsilon_scaling_first_sample_in_time_runs(tmp_path):
