@@ -116,13 +116,11 @@ class RayTraceCollector:
 
     The one foot-point rule: a (t, sigma) sample is taken when t > 0 and
     t + sigma >= h, so sampling starts once the foot point clears the origin
-    and skips nothing afterwards.  The rule reads t on the step clock n dt,
-    as the refusals in scenarios predict the samples, not the state's t,
-    which sums dt once a step and can differ in its last digits; each sample
-    is read and recorded at the state's t.  One WaveState.sample call per
-    level reads every such foot point, and each (t, sigma) sample keeps t, u,
-    d_t u and d_r u of both components; traces() evaluates U and K over all
-    of a sigma's samples at once.  A repeated sigma raises ValueError.
+    and skips nothing afterwards, at the state's t = n dt, where the refusals
+    in scenarios predict the samples.  One WaveState.sample call per level
+    reads every such foot point, and each (t, sigma) sample keeps t, u, d_t u
+    and d_r u of both components; traces() evaluates U and K over all of a
+    sigma's samples at once.  A repeated sigma raises ValueError.
     """
 
     def __init__(self, sigmas):
@@ -142,9 +140,8 @@ class RayTraceCollector:
     def __call__(self, state: WaveState) -> None:
         if state.mode != "radial":
             raise ValueError(f"ray profiles are sampled in radial mode, not {state.mode}")
-        self._dt = state.dt
-        t, clock = state.t, round(state.t / state.dt) * state.dt
-        live = [s for s in self.sigmas if self.samples_at(clock, s, state.h)]
+        self._dt, t = state.dt, state.t
+        live = [s for s in self.sigmas if self.samples_at(t, s, state.h)]
         if not live:
             return
         # u, d_t u and d_r u of both components, (3, 2), at each foot point

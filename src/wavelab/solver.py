@@ -114,9 +114,12 @@ rule for a run's cells and steps, refused, the grid first, when their arrays
 would not fit in memory; a scenario sizes every run with it before any run
 or table.  sample_steps is the one rule for the steps a run samples, also
 for a caller that checks them before the run: the nearest step to each
-requested time, clipped to the last.  Boundaries are homogeneous Dirichlet
-on a domain sized for that T: the physical support never reaches them, but
-the scheme's numerical precursor, which runs ahead of the front, does (see
+requested time, clipped to the last.  The step count n is the one clock: a
+step counts n and assigns t = n dt, which a sum of dt misses in its last
+digits, so every time a run records or decides on is exactly the n dt that
+sample_steps predicts.  Boundaries are homogeneous Dirichlet on a domain
+sized for that T: the physical support never reaches them, but the
+scheme's numerical precursor, which runs ahead of the front, does (see
 README).  All integrals use numpy's pairwise summation over arrays in fixed
 index order, so results are reproducible run to run.
 """
@@ -199,7 +202,7 @@ class EnergyTrace:
         self._next, self._D, self._cum_D, self._rows = 0, None, 0.0, []
 
     def __call__(self, state: WaveState) -> None:
-        n = round(state.t / state.dt)
+        n = state.n
         if (state.h, state.dt) != (self._h, self._dt) or n != self._next:
             raise ValueError(f"an energy trace of h={self._h:g}, dt={self._dt:g} expects step "
                              f"{self._next}, not step {n} of h={state.h:g}, dt={state.dt:g}")
@@ -231,7 +234,7 @@ class WaveState:
 
     Attributes of interest:
       mode        "cartesian-2d" or "radial"
-      h, dt, t    spacing, time step, diagnosed time
+      h, dt, n, t spacing, time step, steps taken, diagnosed time n * dt
       u_prev/u_curr/u_next   arrays (2, ...) at t-dt, t, t+dt
       dt_u        centered time derivative at the diagnosed level, (2, ...)
       xs          1D node coordinates (Cartesian axes) or cell centers r_i
@@ -251,11 +254,11 @@ class WaveState:
         self.mode = mode
         self.h = float(h)
         self.dt = float(dt)
-        self.t = 0.0
+        self.n, self.t = 0, 0.0
         self.nonlinear = bool(nonlinear)
         self.cone = None
         self._levels, self._dt_u = [u_prev, u_curr, u_next], dt_u
-        self._n = len(xs)
+        self._cells = len(xs)
         # the folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1]
         # (see the module docstring) and the reciprocals of the time step
         dt2 = self.dt * self.dt
@@ -279,12 +282,12 @@ class WaveState:
         else:
             self._A, self._k = 2.0 - 4.0 * k, k
             self.xs, self.measure = xs, self.h * self.h
-            self._tmp = np.zeros((2, 2, self._n - 2, self._n - 2))
+            self._tmp = np.zeros((2, 2, self._cells - 2, self._cells - 2))
             # 4 (n - 2)^2 >= n^2 values: P is an (n, n) view of their start
-            self._prod = self._tmp.reshape(-1)[:self._n ** 2].reshape(self._n, self._n)
-        self._lo_last, self._steps_left = 0, math.inf   # a whole-disk window never closes
+            self._prod = self._tmp.reshape(-1)[:self._cells ** 2].reshape(u_curr.shape[1:])
+        self._lo_last, self._last_n = 0, math.inf   # a whole-disk window never closes
         self.lo = self.hi = None
-        self._set_window(0, self._n)
+        self._set_window(0, self._cells)
 
     # -- spatial operators -------------------------------------------------
 
@@ -368,7 +371,7 @@ class WaveState:
         node square or, with a cone, at |x| < t + cone raises ValueError.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        n, h, level = self._n, self.h, self._levels[1]     # the diagnosed level
+        n, h, level = self._cells, self.h, self._levels[1]     # the diagnosed level
         if self.mode == "radial":
             r = np.hypot(pts[:, 0], pts[:, 1])
             if self.cone is not None and r.min() < self.t + self.cone - 1e-6 * h:
@@ -401,7 +404,7 @@ class WaveState:
 
     def step(self) -> "WaveState":
         """Advance the diagnosed level by one dt (in place)."""
-        if self._steps_left == 0:
+        if self.n == self._last_n:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
         dt = self.dt
@@ -443,12 +446,12 @@ class WaveState:
             bad = np.argwhere(~np.isfinite(new))[:, 1:]
             if len(bad):
                 bad[:, 0] += self.lo            # a global index, also in a window
-                raise InstabilityError(self.t + dt, tuple(bad[0].tolist()))
+                raise InstabilityError((self.n + 1) * dt, tuple(bad[0].tolist()))
 
         self._levels.append(self._levels.pop(0))
         self.u_prev, self.u_curr, self.u_next = mid, top, new
-        self.t += dt
-        self._steps_left -= 1
+        self.n += 1
+        self.t = self.n * dt
         self._move_window()
         return self
 
@@ -460,23 +463,23 @@ class WaveState:
         CONE_REACH cells below the stencil of a sample at |x| = t + cone."""
         if cone is not None:
             self.cone = float(cone)
-            self._steps_left = n_steps
-            foot = (n_steps * self.dt + self.cone) / self.h - 0.5
-            self._lo_last = int(_stencil(foot, self._n)[0]) - CONE_REACH
-        held = np.zeros(self._n, dtype=bool)
+            self._last_n = self.n + n_steps
+            foot = (self._last_n * self.dt + self.cone) / self.h - 0.5
+            self._lo_last = int(_stencil(foot, self._cells)[0]) - CONE_REACH
+        held = np.zeros(self._cells, dtype=bool)
         for a in (*self._levels, self._dt_u):
             held |= a.any(axis=0)
         nonzero = np.flatnonzero(held)
         last = int(nonzero[-1]) if len(nonzero) else 0
-        self._set_window(0, min(max(last + 3, 4), self._n))
+        self._set_window(0, min(max(last + 3, 4), self._cells))
         self._move_window()
 
     def _move_window(self) -> None:
         """Grow hi past a nonzero edge cell; move a cone's lo up one cell per step."""
         hi = self.hi
-        if hi < self._n and (self.u_next[:, -2:].any() or self.u_curr[:, -2:].any()):
+        if hi < self._cells and (self.u_next[:, -2:].any() or self.u_curr[:, -2:].any()):
             hi += 1
-        lo = max(self._lo_last - self._steps_left, 0)
+        lo = max(self._lo_last - (self._last_n - self.n), 0)
         self._set_window(min(lo, hi - 4), hi)     # a stencil's worth at least
 
     def _set_window(self, lo: int, hi: int) -> None:

@@ -49,8 +49,10 @@ def test_difference_names_largest_relative_change(tmp_path):
     b = _tree(tmp_path / "b", 2.0, csv=b"t,u,v\n0,1.0,2.0000002\n1,4.0,8.000004\n")
     summary = json.loads((b / "demo" / "summary.json").read_text())
     summary["assertions"] = [{"name": "floor", "value": 3.0}]
+    summary["values"]["y"] = 2.0
     (b / "demo" / "summary.json").write_text(json.dumps(summary))
     summary["assertions"][0]["value"] = 3.0 * (1.0 + 3e-9)
+    summary["values"]["y"] = 2.0 * (1.0 + 1e-9)
     (a / "demo" / "summary.json").write_text(json.dumps(summary))
     done = subprocess.run([sys.executable, str(TOOL), str(a), str(b)],
                           capture_output=True, text=True)
@@ -59,5 +61,7 @@ def test_difference_names_largest_relative_change(tmp_path):
     assert lines == [
         "differs: demo/summary.json (max relative difference 3e-09 in key "
         "assertions[floor].value)",
+        "  values.y: 2.000000002 -> 2.0 (relative 1e-09)",
+        "  assertions[floor].value: 3.000000009 -> 3.0 (relative 3e-09)",
         "differs: demo/trace.csv (max relative difference 5e-07 in column v)",
     ]

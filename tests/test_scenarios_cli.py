@@ -776,7 +776,7 @@ def test_too_many_steps_exit_code(tmp_path, capsys, args, steps):
 def test_epsilon_scaling_samples_each_step_once():
     """On the default eps = 0.4 rung the trace times ask for 713 steps, 712 of
     them distinct; each ray holds one sample per distinct step its foot
-    point reaches, none twice."""
+    point reaches, none twice, each at exactly that step times dt."""
     config = default_config("epsilon-scaling")
     rung = wavelab.scenarios._rung(config, 0.4)
     steps = sample_steps(rung, wavelab.scenarios._trace_times(rung))
@@ -786,20 +786,20 @@ def test_epsilon_scaling_samples_each_step_once():
     traces = wavelab.scenarios._run_rung(rung, list(config.sigma_samples))
     for tr in traces:
         reached = distinct[RayTraceCollector.samples_at(distinct * dt, tr.sigma, rung.h)]
-        assert np.round(tr.t / dt).astype(int).tolist() == reached.tolist(), tr.sigma
+        assert np.array_equal(tr.t, reached * dt), tr.sigma
 
 
 def test_ray_samples_follow_the_step_clock():
     """For sigma = -2 the foot point reaches h at step 1140, 1140 dt = 2.00390625
-    = h - sigma, where the state's t, summed once a step, falls 3.5e-14 short:
-    each ray holds a sample at every step the rule takes on the step clock n dt,
-    as _check_rays predicts, no more and no fewer."""
+    = h - sigma, where a sum of dt falls 3.5e-14 short: each ray holds a
+    sample at exactly n dt for every step n the rule takes, as _check_rays
+    predicts, no more and no fewer."""
     rung = replace(wavelab.scenarios._rung(default_config("epsilon-scaling"), 0.1, h=1 / 256),
                    T=2.1)
     steps = np.unique(sample_steps(rung, wavelab.scenarios._trace_times(rung)))
     for tr in wavelab.scenarios._run_rung(rung, [-2.0, -1.0]):
         predicted = steps[RayTraceCollector.samples_at(steps * rung.dt, tr.sigma, rung.h)]
-        assert np.round(tr.t / rung.dt).astype(int).tolist() == predicted.tolist(), tr.sigma
+        assert np.array_equal(tr.t, predicted * rung.dt), tr.sigma
 
 
 # the five scenarios that run the solver, shrunk to a second or less each
@@ -808,6 +808,24 @@ _SMALL_RUNS = {"conservation": {"T": 2.0, "h": 1 / 16},
                "epsilon-scaling": {"eps_list": (1.0, 0.8, 0.6), "h": 1 / 32},
                "nondecay-demo": {"T": 2.0, "h": 1 / 16},
                "symmetric-decay": {"T": 4.0, "h": 1 / 32}}
+
+
+@pytest.mark.parametrize("name", ["epsilon-scaling", "symmetric-decay"])
+def test_solver_reports_deterministic(tmp_path, name):
+    """Two runs of a ray-sampling scenario write byte-identical CSVs and the
+    same summary once its runtimes are dropped."""
+    config = replace(default_config(name), **_SMALL_RUNS[name])
+    summaries = [run_scenario(config, out_dir=str(tmp_path / run)) for run in "ab"]
+    for s in summaries:
+        s.pop("runtimes")
+    assert summaries[0] == summaries[1]
+    csvs = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+    assert csvs and csvs == sorted(p.name for p in (tmp_path / "b").glob("*.csv"))
+    for csv in csvs:
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+    ja, jb = (json.loads((tmp_path / run / "summary.json").read_text()) for run in "ab")
+    ja.pop("runtimes"), jb.pop("runtimes")
+    assert ja == jb
 
 
 @pytest.mark.parametrize("name", sorted(_SMALL_RUNS))

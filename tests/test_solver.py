@@ -11,7 +11,7 @@ from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, Scena
                      WaveState, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
-from wavelab.solver import _stencil, sample_steps
+from wavelab.solver import TRACE_DT, _stencil, sample_steps
 
 
 def small_config(data, mode="radial", T=2.0, h=1.0 / 32.0, **kw):
@@ -122,7 +122,7 @@ def test_sample_refuses_points_off_the_grid(radial_data, mode):
                     nonlinear=False)
     q = 0.25 * st.h
     if mode == "radial":
-        edge = (st._n - 0.5) * st.h
+        edge = (st._cells - 0.5) * st.h
         on_grid = [(edge, 0.0), (0.0, -edge)]
         off_grid = [(edge + q, 0.0), (0.0, -edge - q)]
     else:
@@ -143,8 +143,8 @@ def _parent_sample(state, points):
     if state.mode != "radial":
         out = []
         for x in points:
-            i0, wx = _reference_stencil((x[0] - state.xs[0]) / state.h, state._n)
-            j0, wy = _reference_stencil((x[1] - state.xs[0]) / state.h, state._n)
+            i0, wx = _reference_stencil((x[0] - state.xs[0]) / state.h, state._cells)
+            j0, wy = _reference_stencil((x[1] - state.xs[0]) / state.h, state._cells)
             out.append(wx @ state.u_curr[:, i0:i0 + 4, j0:j0 + 4] @ wy)
         return np.array(out).T[None]
     u, h = state.u_curr, state.h
@@ -153,7 +153,7 @@ def _parent_sample(state, points):
     grad = (ext[:, :-4] - 8.0 * ext[:, 1:-3] + 8.0 * ext[:, 3:-1] - ext[:, 4:]) / (12.0 * h)
     out = np.empty((len(points), 3, 2))
     for i, x in enumerate(points):
-        k0, w = _reference_stencil(float(np.hypot(*x)) / h - 0.5, state._n)
+        k0, w = _reference_stencil(float(np.hypot(*x)) / h - 0.5, state._cells)
         for j, a in enumerate((u, state.dt_u, grad)):
             seg = a[:, k0 - state.lo:k0 - state.lo + 4]
             out[i, j] = np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1) @ w
@@ -170,7 +170,7 @@ def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
         rs = (np.arange(300) + 0.5) / 64.0
         st = _held_state("radial", 1.0 / 64.0, np.stack([np.sin(3.0 * rs), np.cos(2.0 * rs)]),
                          np.stack([np.cos(5.0 * rs), rs * rs]))
-        assert st.hi == st._n
+        assert st.hi == st._cells
         r = np.append(rng.uniform(0.0, rs[-1], 300), [rs[-1], 0.0])
     elif case == "cartesian":
         st = init_state(small_config(offset_data, mode="cartesian-2d", T=0.5, h=1.0 / 16.0),
@@ -189,7 +189,7 @@ def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
             st.step()
         start = st.t - 0.5 if case == "cone" else 0.0
         r = np.concatenate([rng.uniform(start, start + 6.0 * st.h, 50),
-                            rng.uniform(start, min(st.hi + 6, st._n - 0.5) * st.h, 250)])
+                            rng.uniform(start, min(st.hi + 6, st._cells - 0.5) * st.h, 250)])
     theta = rng.uniform(0.0, 2.0 * np.pi, len(r))
     x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
     got, want = st.sample(x), _parent_sample(st, x)
@@ -327,8 +327,9 @@ def test_run_samples_at_sample_steps(cfl, h, T, fractions):
     times = [f * last for f in fractions]
     seen = []
     run_simulation(cfg, nonlinear=True,
-                   samplers=[(times, lambda state: seen.append(round(state.t / state.dt)))])
-    assert seen == sorted(set(sample_steps(cfg, times).tolist()))
+                   samplers=[(times, lambda state: seen.append((state.n, state.t)))])
+    steps = sorted(set(sample_steps(cfg, times).tolist()))
+    assert seen == [(n, n * cfg.dt) for n in steps]
     late = [*times, np.nextafter(last, math.inf)]
     with pytest.raises(ValueError, match="requested sample time .* exceeds T="):
         sample_steps(cfg, late)
@@ -396,6 +397,28 @@ def test_energy_trace_csv(radial_data):
     assert header == ("t", "E1sq", "E2sq", "diff", "sum", "dissipation", "cum_dissipation")
     assert len(list(rows)) == len(trace.t)
     assert np.all(trace.E1sq >= 0.0) and np.all(np.isfinite(trace.E1sq))
+
+
+def test_state_time_is_step_count_times_dt(radial_data):
+    """A state's t is its step count times dt, exactly: at step 1140 of
+    h = 1/256, where a sum of dt falls 3.5e-14 short of 1140 dt = 2.00390625."""
+    state = init_state(small_config(radial_data, T=2.1, h=1.0 / 256.0), nonlinear=False)
+    summed = 0.0
+    for _ in range(1140):
+        state.step()
+        summed += state.dt
+    assert state.n == 1140 and state.t == 1140 * state.dt == 2.00390625
+    assert summed != state.t
+
+
+def test_energy_trace_times_are_steps_times_dt(radial_data):
+    """An EnergyTrace records its t at every TRACE_DT stride and the last
+    step, each exactly that step times dt."""
+    cfg = small_config(radial_data, T=3.0, h=1.0 / 16.0)
+    trace = energy_run(cfg, nonlinear=True)
+    last, stride = len(trace.times) - 1, round(TRACE_DT / cfg.dt)
+    steps = np.union1d(np.arange(0, last + 1, stride), [last])
+    assert np.array_equal(trace.t, steps * cfg.dt)
 
 
 def test_energy_trace_refuses_skipped_steps_and_other_runs(radial_data):

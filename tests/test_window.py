@@ -333,7 +333,7 @@ def _operator_state(radial_data, case):
                          T=3.0, h=1.0 / 16.0)
     if case == "origin":
         state = init_state(cfg, nonlinear=False)
-        assert state.lo == 0 and state.hi < state._n
+        assert state.lo == 0 and state.hi < state._cells
     elif case == "cone":
         state = init_state(cfg, nonlinear=False, cone=0.5)
         while state.lo == 0:
@@ -343,7 +343,7 @@ def _operator_state(radial_data, case):
         zeros = np.zeros((2, len(xs)))
         state = WaveState("radial", cfg.h, cfg.dt, xs, zeros, zeros.copy(),
                           zeros.copy(), zeros.copy(), nonlinear=False)
-        assert state.lo == 0 and state.hi == state._n
+        assert state.lo == 0 and state.hi == state._cells
     return state
 
 
@@ -358,7 +358,7 @@ def test_linear_update_is_the_reference_laplacian(radial_data, case):
     lap = (lin - 2.0 * top + mid) / state.dt ** 2
 
     # the held window embedded in the whole domain, zeros outside it
-    n = state._n
+    n = state._cells
     full = np.zeros((2, n))
     full[:, state.lo:state.hi] = top
     xs = (np.arange(n) + 0.5) * state.h
@@ -386,7 +386,7 @@ def test_no_subnormal_held_values(cfg, cone):
     window keeps its invariant: the last two held cells are 0.0 at the levels
     the next step reads, or hi is the domain."""
     state = init_state(cfg, nonlinear=True, cone=cone)
-    n_domain = state._n
+    n_domain = state._cells
     for _ in range(math.ceil(cfg.T / state.dt)):
         hi = state.hi
         state.step()

@@ -7,8 +7,10 @@ scenario directory each).  Every CSV must be byte-identical, and every
 summary.json must match once its "runtimes" block is dropped.  A report
 present in only one tree counts as a difference.  Prints one line per
 difference, with the largest relative difference of a report's numbers and
-the CSV column or summary key where it occurs; exits 1 if there is any (or
-if neither tree holds a report), 0 otherwise.
+the CSV column or summary key where it occurs; a differing summary's line is
+followed by one indented line per differing key, with both values and their
+relative difference.  Exits 1 if there is any difference (or if neither
+tree holds a report), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -72,28 +74,43 @@ def _relative(x, y) -> float:
     return math.inf if math.isnan(diff) else diff
 
 
+def _changes(a: Path, b: Path):
+    """(key, value in a, value in b, relative difference) of every entry
+    whose numbers differ between the reports a and b, in report order;
+    ValueError when their layouts differ."""
+    if a.name == "summary.json":
+        pairs = zip(_json_leaves(_summary_data(a)), _json_leaves(_summary_data(b)), strict=True)
+    else:
+        pairs = zip(_csv_cells(a), _csv_cells(b), strict=True)
+    for (ka, va), (kb, vb) in pairs:
+        if ka != kb:
+            raise ValueError(f"entry {ka} against {kb}")
+        rel = _relative(va, vb)
+        if rel:
+            yield ka, va, vb, rel
+
+
 def largest_difference(a: Path, b: Path) -> str:
     """Where the reports a and b differ most, as text for a "differs" line."""
-    try:
-        if a.name == "summary.json":
-            pairs = zip(_json_leaves(_summary_data(a)), _json_leaves(_summary_data(b)),
-                        strict=True)
-            where = "key"
-        else:
-            pairs = zip(_csv_cells(a), _csv_cells(b), strict=True)
-            where = "column"
-        worst, at = 0.0, None
-        for (ka, va), (kb, vb) in pairs:
-            if ka != kb:
-                return "different layout"
-            rel = _relative(va, vb)
-            if rel > worst:
-                worst, at = rel, ka
-    except ValueError:          # zip(strict=True): a different number of entries
+    try:                # zip(strict=True) raises on a different number of entries
+        worst = max(_changes(a, b), key=lambda change: change[3], default=None)
+    except ValueError:
         return "different layout"
-    if at is None:
+    if worst is None:
         return "same numbers, different text"
-    return f"max relative difference {worst:.3g} in {where} {at}"
+    where = "key" if a.name == "summary.json" else "column"
+    return f"max relative difference {worst[3]:.3g} in {where} {worst[0]}"
+
+
+def moved_values(a: Path, b: Path) -> list[str]:
+    """One indented line per key whose numbers differ between the summaries
+    a and b: the key, both values and their relative difference; none when
+    their layouts differ."""
+    try:
+        return [f"  {key}: {va!r} -> {vb!r} (relative {rel:.3g})"
+                for key, va, vb, rel in _changes(a, b)]
+    except ValueError:
+        return []
 
 
 def compare(a: Path, b: Path) -> list[str]:
@@ -109,6 +126,8 @@ def compare(a: Path, b: Path) -> list[str]:
             same = (a / rel).read_bytes() == (b / rel).read_bytes()
         if not same:
             diffs.append(f"differs: {rel} ({largest_difference(a / rel, b / rel)})")
+            if rel.name == "summary.json":
+                diffs += moved_values(a / rel, b / rel)
     return diffs
 
 
