@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigParseError, ConfigValidationError, parse_scenario, set_keys
+from .config import ConfigParseError, ConfigValidationError, epsilons, parse_scenario, set_keys
 from .reporting import NonFiniteReportError
 from .scenarios import (EPS_LIST, SCENARIOS, UsageError, default_config, run_scenario,
                         scenario)
@@ -73,11 +73,7 @@ def _parse_eps(text: str) -> tuple[float, ...]:
         eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"--eps: cannot parse {text!r} as a number list") from None
-    if not eps:
-        raise UsageError(f"--eps: empty epsilon list {text!r}")
-    if not all(e > 0 for e in eps):
-        raise UsageError(f"--eps: every epsilon must be positive, got {text!r}")
-    return eps
+    return epsilons(eps, "--eps")
 
 
 def main(argv=None) -> int:
@@ -104,8 +100,7 @@ def main(argv=None) -> int:
                          if getattr(args, key) is not None}
             if args.eps is not None:
                 eps = _parse_eps(args.eps)
-                overrides["eps_list"] = eps
-                overrides["data"] = config.data.with_epsilon(eps[0])
+                overrides.update(eps_list=eps, data=config.data.with_epsilon(eps[0]))
                 if len(eps) > 1:
                     given[EPS_LIST] = "--eps with more than one value"
             _reject_unread(args.name, given)

@@ -48,6 +48,7 @@ __all__ = [
     "ConfigValidationError",
     "parse_scenario",
     "set_keys",
+    "epsilons",
     "DEFAULT_CFL",
     "DEFAULT_POINTS_PER_RADIUS",
 ]
@@ -139,11 +140,7 @@ class ScenarioConfig:
                 if not np.all(np.isfinite(value)):
                     raise ConfigValidationError(field_name, f"must be finite, got {value}")
         self._derive("eps_list", lambda: (self.data.epsilon,), tuple)
-        if not self.eps_list:
-            raise ConfigValidationError("epsilon", "empty epsilon list")
-        for e in self.eps_list:
-            if not 0 < e < math.inf:
-                raise ConfigValidationError("epsilon", f"must be positive and finite, got {e}")
+        epsilons(self.eps_list, "epsilon")
         self._derive("h", lambda: self.data.support_radius / DEFAULT_POINTS_PER_RADIUS)
         if not 0 < self.h < math.inf:
             raise ConfigValidationError("h", f"must be positive and finite, got {self.h}")
@@ -173,6 +170,18 @@ class ScenarioConfig:
         if any(b <= a for a, b in zip(self.theta_samples, self.theta_samples[1:])):
             raise ConfigValidationError("theta_samples", "must be strictly increasing, got "
                                         + ", ".join(f"{t:g}" for t in self.theta_samples))
+
+
+def epsilons(values, field_name: str) -> tuple[float, ...]:
+    """values as a tuple, or ConfigValidationError(field_name) when it is empty
+    or holds an epsilon that is not positive and finite."""
+    values = tuple(values)
+    if not values:
+        raise ConfigValidationError(field_name, "empty epsilon list")
+    for e in values:
+        if not 0 < e < math.inf:
+            raise ConfigValidationError(field_name, f"must be positive and finite, got {e}")
+    return values
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -265,12 +274,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     out_dir = take("scenario.out")
     h = take("grid.h", _parse_float)
     cfl = take("grid.cfl", _parse_float, default=DEFAULT_CFL)
-    eps_list = take("data.epsilon", _parse_floats, required=True)
-    if not eps_list:
-        raise ConfigValidationError("epsilon", "empty epsilon list")
-    for e in eps_list:
-        if not e > 0:
-            raise ConfigValidationError("epsilon", f"must be positive, got {e}")
+    eps_list = epsilons(take("data.epsilon", _parse_floats, required=True), "epsilon")
     sigma = take("data.sigma_samples", _parse_floats)
     theta = take("data.theta_samples", _parse_floats)
 
@@ -309,4 +313,4 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         name=name, data=data, mode=mode, h=h, cfl=cfl, T=T,
         sigma_samples=sigma, theta_samples=theta,
-        eps_list=tuple(eps_list) if len(eps_list) > 1 else None, out_dir=out_dir)
+        eps_list=eps_list if len(eps_list) > 1 else None, out_dir=out_dir)

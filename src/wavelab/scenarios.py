@@ -314,16 +314,12 @@ def _scenario_profile_oracle(config, runtimes):
             m = profile_invariant(v10, v20)
             ts, v1, v2 = solve_reduced_ode(v10, v20, t_start, t_end,
                                            t_eval=np.geomspace(t_start, t_end, 24))
-            if m > 0:
-                lim = abs(v1[-1] ** 2 - m)
-                env = float(np.max(np.abs(v2) / (abs(v20) * (ts / t_start) ** (-m / 2))))
-                assertions.append(Assertion.le("trichotomy_limit_m_pos", lim, 1e-6))
-                assertions.append(Assertion.le("trichotomy_envelope_m_pos", env, 1.0 + 1e-9))
-            elif m < 0:
-                lim = abs(v2[-1] ** 2 + m)
-                env = float(np.max(np.abs(v1) / (abs(v10) * (ts / t_start) ** (m / 2))))
-                assertions.append(Assertion.le("trichotomy_limit_m_neg", lim, 1e-6))
-                assertions.append(Assertion.le("trichotomy_envelope_m_neg", env, 1.0 + 1e-9))
+            if m:       # V1 <-> V2 with m -> -m: a^2 tends to |m|, b decays
+                a, b, b0, sign = (v1, v2, v20, "pos") if m > 0 else (v2, v1, v10, "neg")
+                lim = abs(a[-1] ** 2 - abs(m))
+                env = float(np.max(np.abs(b) / (abs(b0) * (ts / t_start) ** (-abs(m) / 2))))
+                assertions.append(Assertion.le(f"trichotomy_limit_m_{sign}", lim, 1e-6))
+                assertions.append(Assertion.le(f"trichotomy_envelope_m_{sign}", env, 1.0 + 1e-9))
             else:
                 pred = v10 ** 2 / (1.0 + v10 ** 2 * math.log(t_end / t_start))
                 lim = abs(v1[-1] ** 2 - pred) / pred
@@ -492,6 +488,7 @@ def _scenario_symmetric_decay(config, runtimes):
         raise UsageError("symmetric-decay samples one ray: set one sigma_samples "
                          "value, got " + ", ".join(f"{s:g}" for s in config.sigma_samples))
     (sigma,) = config.sigma_samples
+    run_size(config)                # the run's refusals before its horizon check
     t_ref = ProfileTrace.reference_time(sigma)
     t_last = sample_steps(config, [config.T])[0] * config.dt
     if config.T < t_ref or t_last < t_ref:

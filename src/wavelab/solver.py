@@ -49,9 +49,8 @@ and writes
 with c = 1/dt or 1/(8 dt), since dt^2 (d_t u_k)^2 d_t u_j = c (w_0 w_1) w_k;
 the product runs over one component's cells, and the reciprocals are
 precomputed: a step divides nothing.  The final d_t u is (new - mid)/(2 dt).
-A step then checks its new level with one reduction, the sum of every value;
-only when that is not finite does an element-wise scan look for the first
-NaN or inf, which a finite level whose sum overflows does not have.
+A step then tests each value of its new level, one component row at a
+time, and raises InstabilityError at the first NaN or inf.
 
 A step allocates no field arrays.  It advances both components at once on
 (2, ...) arrays and writes every intermediate with numpy's out= into
@@ -145,7 +144,7 @@ __all__ = [
     "CONE_REACH",
 ]
 
-# spacing in time units of the EnergyTrace records of run_simulation
+# an EnergyTrace records a row every max(1, round(TRACE_DT / dt)) steps
 TRACE_DT = 0.25
 
 # cells a light-cone window keeps below the last sample's stencil at the
@@ -188,10 +187,11 @@ class InstabilityError(RuntimeError):
 class EnergyTrace:
     """Energy diagnostics of a run of config, a run_simulation sampler of every
     step: run_simulation(config, nonlinear, samplers=[(trace.times, trace)]).
-    At every TRACE_DT and the last step, after which the arrays exist: t, the
-    squared energy norms E1sq/E2sq, (1/2) int |du_j|^2 dx, the dissipation D,
-    int (d_t u1)^2 (d_t u2)^2 dx, and cum_D, its step-resolution trapezoid from
-    0.  A skipped step, another h or dt and a light-cone window raise ValueError.
+    Every round(TRACE_DT / dt) steps and at the last, after which the arrays
+    exist: t, the squared energy norms E1sq/E2sq, (1/2) int |du_j|^2 dx, the
+    dissipation D, int (d_t u1)^2 (d_t u2)^2 dx, and cum_D, its step-resolution
+    trapezoid from 0.  A skipped step, another h or dt and a light-cone window
+    raise ValueError.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -436,17 +436,13 @@ class WaveState:
         np.subtract(new, mid, out=v)
         np.multiply(v, self._inv_2dt, out=v)
 
-        # one reduction finds a NaN or inf; a finite level whose total
-        # overflows goes on to the element-wise scan, which finds none.  The
-        # total's own overflow or inf - inf is not a field value's, so it
-        # does not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(new.sum(axis=1).sum())
-        if not math.isfinite(total):
-            bad = np.argwhere(~np.isfinite(new))[:, 1:]
-            if len(bad):
-                bad[:, 0] += self.lo            # a global index, also in a window
-                raise InstabilityError((self.n + 1) * dt, tuple(bad[0].tolist()))
+        # a component row, not the window: isfinite would copy a strided view
+        for row in new:
+            finite = np.isfinite(row)
+            if not finite.all():
+                bad = np.argwhere(~finite)[0]
+                bad[0] += self.lo               # a global index, also in a window
+                raise InstabilityError((self.n + 1) * dt, tuple(bad.tolist()))
 
         self._levels.append(self._levels.pop(0))
         self.u_prev, self.u_curr, self.u_next = mid, top, new

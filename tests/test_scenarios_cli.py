@@ -14,7 +14,7 @@ import wavelab
 
 from wavelab import InstabilityError, WaveState
 from wavelab.cli import main
-from wavelab.config import _SECTION_KEYS, parse_scenario
+from wavelab.config import _SECTION_KEYS, ConfigValidationError, ScenarioConfig, parse_scenario
 from wavelab.profile import RayTraceCollector
 from wavelab.radiation import RadiationTable
 from wavelab.reporting import NonFiniteReportError, render_csv, render_summary
@@ -255,6 +255,24 @@ def test_malformed_eps_exit_code(tmp_path, capsys, eps):
     assert err.startswith("wavelab: --eps") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps", ["", "0", "-1", "nan", "inf"],
+                         ids=["empty", "0", "-1", "nan", "inf"])
+def test_one_epsilon_rule(tmp_path, capsys, eps):
+    """A bad epsilon list gives the same message through a config file, --eps
+    and ScenarioConfig, after the label epsilon: or --eps:."""
+    text = _sampling_config("conservation", "").replace("epsilon = 0.2", f"epsilon = {eps}")
+    with pytest.raises(ConfigValidationError) as from_file:
+        parse_scenario(text)
+    data = default_config("conservation").data
+    with pytest.raises(ConfigValidationError) as from_config:
+        ScenarioConfig("conservation", data, eps_list=tuple(float(e) for e in eps.split(",") if e))
+    assert main(["scenario", "conservation", "--eps", eps, "--out", str(tmp_path / "o")]) == 2
+    message = str(from_file.value).removeprefix("epsilon: ")
+    assert str(from_config.value) == str(from_file.value) == f"epsilon: {message}"
+    assert capsys.readouterr().err == f"wavelab: --eps: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_spacing_exit_code(tmp_path, capsys):
     # 0 is an explicit value, not a request for the default spacing
     code = main(["scenario", "conservation", "--out", str(tmp_path), "--h", "0"])
@@ -289,47 +307,63 @@ def _sampling_config(name, data_line):
     return f"[scenario]\nname = {name}\n\n[data]\nepsilon = {eps}\n{data_line}\n{bumps}"
 
 
+# Each case's id is written out, so removing a case renames no other; its
+# codes{N} ends the id pytest once made from the case's position.
 @pytest.mark.parametrize("args,out,codes", [
     # check times and cadence follow T, so a short horizon still samples on-grid
-    ("free-validation --T 0.1", "o", {0, 1}),
+    pytest.param("free-validation --T 0.1", "o", {0, 1}, id="free-validation --T 0.1-o-codes0"),
     # the profile reference time max(2, -2 sigma) lies beyond T
-    ("symmetric-decay --T 1", "o", {2}),
+    pytest.param("symmetric-decay --T 1", "o", {2}, id="symmetric-decay --T 1-o-codes1"),
     # --out names an existing file
-    ("profile-oracle", "afile", {2}),
+    pytest.param("profile-oracle", "afile", {2}, id="profile-oracle-afile-codes2"),
     # T/4 is a whole number of default-CFL steps, so cadence / (n0 h) rounds up
     # to 0.45000000000000007, past the Cartesian bound
-    ("free-validation --h 0.15 --T 0.27", "o", {0, 1}),
+    pytest.param("free-validation --h 0.15 --T 0.27", "o", {0, 1},
+                 id="free-validation --h 0.15 --T 0.27-o-codes3"),
     # "run NAME: LINE" runs a config file of scenario NAME with LINE in [data]:
     # an empty or non-finite sampling list, or angles out of order for a
     # radiation table
-    ("run radiation-decay: theta_samples =", "o", {2}),
-    ("run radiation-decay: theta_samples = 1, 0", "o", {2}),
-    ("run radiation-decay: theta_samples = nan", "o", {2}),
-    ("run epsilon-scaling: sigma_samples =", "o", {2}),
-    ("run epsilon-scaling: theta_samples = 0.5, 0.5", "o", {2}),
-    ("run nondecay-demo: theta_samples = 1, 0", "o", {2}),
+    pytest.param("run radiation-decay: theta_samples =", "o", {2},
+                 id="run radiation-decay: theta_samples =-o-codes4"),
+    pytest.param("run radiation-decay: theta_samples = 1, 0", "o", {2},
+                 id="run radiation-decay: theta_samples = 1, 0-o-codes5"),
+    pytest.param("run radiation-decay: theta_samples = nan", "o", {2},
+                 id="run radiation-decay: theta_samples = nan-o-codes6"),
+    pytest.param("run epsilon-scaling: sigma_samples =", "o", {2},
+                 id="run epsilon-scaling: sigma_samples =-o-codes7"),
+    pytest.param("run epsilon-scaling: theta_samples = 0.5, 0.5", "o", {2},
+                 id="run epsilon-scaling: theta_samples = 0.5, 0.5-o-codes8"),
+    pytest.param("run nondecay-demo: theta_samples = 1, 0", "o", {2},
+                 id="run nondecay-demo: theta_samples = 1, 0-o-codes9"),
     # a non-finite horizon, spacing or amplitude is a usage error, not a crash
-    ("conservation --T inf", "o", {2}),
-    ("conservation --h inf", "o", {2}),
-    ("conservation --eps inf", "o", {2}),
+    pytest.param("conservation --T inf", "o", {2}, id="conservation --T inf-o-codes10"),
+    pytest.param("conservation --h inf", "o", {2}, id="conservation --h inf-o-codes11"),
+    pytest.param("conservation --eps inf", "o", {2}, id="conservation --eps inf-o-codes12"),
     # a ray past the support radius R0 = 1, whose profile is 0, or one whose
     # reference time max(2, -2 sigma) = 30 lies past the shortest rung's
     # horizon 4/0.4 = 10
-    ("run epsilon-scaling: sigma_samples = -1, 1.5", "o", {2}),
-    ("run epsilon-scaling: sigma_samples = -15, 0", "o", {2}),
-    ("run symmetric-decay: sigma_samples = 1.5", "o", {2}),
+    pytest.param("run epsilon-scaling: sigma_samples = -1, 1.5", "o", {2},
+                 id="run epsilon-scaling: sigma_samples = -1, 1.5-o-codes13"),
+    pytest.param("run epsilon-scaling: sigma_samples = -15, 0", "o", {2},
+                 id="run epsilon-scaling: sigma_samples = -15, 0-o-codes14"),
+    pytest.param("run symmetric-decay: sigma_samples = 1.5", "o", {2},
+                 id="run symmetric-decay: sigma_samples = 1.5-o-codes15"),
     # symmetric-decay samples one ray; epsilon-scaling fits one residual per
     # distinct epsilon, refused before any rung runs
-    ("run symmetric-decay: sigma_samples = 0, 0.5", "o", {2}),
-    ("epsilon-scaling --eps 1,1,0.8 --h 0.0625", "o", {2}),
+    pytest.param("run symmetric-decay: sigma_samples = 0, 0.5", "o", {2},
+                 id="run symmetric-decay: sigma_samples = 0, 0.5-o-codes16"),
+    pytest.param("epsilon-scaling --eps 1,1,0.8 --h 0.0625", "o", {2},
+                 id="epsilon-scaling --eps 1,1,0.8 --h 0.0625-o-codes17"),
     # a repeated ray would be sampled, and reported, twice
-    ("run epsilon-scaling: sigma_samples = 0, 0", "o", {2}),
+    pytest.param("run epsilon-scaling: sigma_samples = 0, 0", "o", {2},
+                 id="run epsilon-scaling: sigma_samples = 0, 0-o-codes18"),
     # T passes the reference time 2, but the last profile sample, at the
     # step nearest T, lands at t = 1.996875
-    ("symmetric-decay --T 2 --h 0.0625", "o", {2}),
+    pytest.param("symmetric-decay --T 2 --h 0.0625", "o", {2},
+                 id="symmetric-decay --T 2 --h 0.0625-o-codes19"),
     # at the default h the last profile sample, at the step nearest T = 2,
     # reaches the reference time 2: the run reports
-    ("symmetric-decay --T 2", "o", {0, 1}),
+    pytest.param("symmetric-decay --T 2", "o", {0, 1}, id="symmetric-decay --T 2-o-codes20"),
 ])
 def test_bad_invocation_exit_code(tmp_path, capsys, args, out, codes):
     (tmp_path / "afile").write_text("")

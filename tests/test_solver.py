@@ -241,9 +241,8 @@ def test_instability_reports_time_and_location(radial_data):
 
 @pytest.mark.parametrize("second", [1e307, 0.0], ids=["both", "first"])
 def test_finite_level_whose_sum_overflows_is_stable(second):
-    """40 cells of 1e307 in a component: every value stays finite, but their
-    sum overflows, so the one-reduction check hands over to the element-wise
-    scan, which finds nothing."""
+    """40 cells of 1e307 in a component: their sum overflows, but every value
+    stays finite, and the step tests the values."""
     h = 1.0 / 16.0
     xs = (np.arange(40) + 0.5) * h
     u = np.stack([np.full(40, 1e307), np.full(40, second)])
