@@ -42,27 +42,28 @@ takes the first levels from it too.
 The components couple only through the product d_t u1 d_t u2, and a step
 builds the cubic term from it.  Each pass takes the increment w = top - mid
 (predictor, d_t u = w/dt) or w = new - mid (correctors, d_t u = w/(2 dt))
-and writes
+and computes
 
-    P = (c w_0) w_1,    new = lin - P w[::-1],
+    P = (c w_0) w_1,    new_j = lin_j - P w_k,  k the other component,
 
 with c = 1/dt or 1/(8 dt), since dt^2 (d_t u_k)^2 d_t u_j = c (w_0 w_1) w_k;
-the product runs over one component's cells, and the reciprocals are
-precomputed: a step divides nothing.  The final d_t u is (new - mid)/(2 dt).
-A step then tests each value of its new level, one component row at a
-time, and raises InstabilityError at the first NaN or inf.
+the reciprocals are precomputed: a step divides nothing.  The final d_t u
+is (new - mid) * (1/(2 dt)).
 
-A step allocates no field arrays.  It advances both components at once on
-(2, ...) arrays and writes every intermediate with numpy's out= into
-buffers allocated once per state: the three levels and dt_u, a work buffer
-for the linear part of a nonlinear update (between steps, the dissipation
-integrand's), and the neighbour terms' scratch (contiguous interior arrays
-in Cartesian mode), which then holds the cubic term's product P.  The
-oldest level's buffer receives the new level; dt_u holds the increment w
-during a nonlinear step.
-Both components go through the same operations in the same order, so
-results are bit-identical to stepping the components one by one.  The
-arrays a sampler sees are these buffers: it must copy what it keeps.
+A step is one call of a C function per mode (_step.c, built on the first
+state of a process; see wavelab._step), which walks the held cells once and
+does, per cell and component, the linear update, the three cubic passes, the
+subnormal flush below, d_t u and a record of the first NaN or inf of each
+component, from which the step raises InstabilityError.  Each value is the
+result of the same IEEE operations in the same order as the numpy
+expressions above, and the library is built with -ffp-contract=off, so that
+results are bit-identical to them and to stepping the components one by
+one.  It allocates nothing: the state holds the three levels and dt_u as
+C-contiguous float64 (2, ...) buffers (it copies arrays of another layout
+and refuses another shape), one component-sized buffer for the dissipation
+integrand, and the radial geometry rows; the oldest level's buffer receives
+the new level.  The arrays a sampler sees are these buffers: it must copy
+what it keeps.
 
 The numerical precursor ahead of a radial front decays through the
 subnormal range, where arithmetic is slow, before it underflows.  So a
@@ -127,10 +128,12 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 from itertools import compress
 
 import numpy as np
 
+from . import _step
 from .bumps import initial_values
 from .config import ConfigValidationError, ScenarioConfig
 
@@ -160,17 +163,18 @@ STEP_BYTES = 4 * 8
 # physical memory, the bound of the grid and of the per-step arrays
 _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-# bytes WaveState holds per cell, at most: 17 float64 values, the three
-# levels, d_t u, the work and the scratch buffer of both components, four
+# bytes WaveState holds per cell, at most: 14 float64 values, the three
+# levels and d_t u of both components, the dissipation integrand, four
 # radial geometry rows and the cell centres
-CELL_BYTES = 17 * 8
+CELL_BYTES = 14 * 8
 
 # the smallest eps |A| of a component's largest bump: the energies, of order
 # (eps A)^2, stay normal floats
 SMALLEST_DATA = math.sqrt(np.finfo(float).tiny)
 
-# a radial step zeroes the values below TINY, the smallest normal float, in
-# the FLUSH_CELLS global cells just below hi (see the module docstring)
+# a radial step zeroes the values below TINY, the smallest normal float
+# (DBL_MIN in the kernel), in the FLUSH_CELLS global cells just below hi
+# (see the module docstring)
 TINY = np.finfo(float).tiny
 FLUSH_CELLS = 128
 
@@ -245,9 +249,9 @@ class WaveState:
                   of them in buffers sized for the whole domain (a Cartesian
                   state holds every cell)
 
-    step() overwrites the levels, dt_u and the work buffers in place (see
-    the module docstring), so a caller that keeps any of them across a step
-    must copy it.
+    step() overwrites the levels and dt_u in place (see the module
+    docstring), so a caller that keeps any of them across a step must copy
+    it.
     """
 
     def __init__(self, mode, h, dt, xs, u_prev, u_curr, u_next, dt_u, nonlinear):
@@ -257,20 +261,31 @@ class WaveState:
         self.n, self.t = 0, 0.0
         self.nonlinear = bool(nonlinear)
         self.cone = None
-        self._levels, self._dt_u = [u_prev, u_curr, u_next], dt_u
+        xs = np.asarray(xs, dtype=float)
         self._cells = len(xs)
+        shape = (2, self._cells) if mode == "radial" else (2, self._cells, self._cells)
+        # the kernel reads and writes these as C-contiguous, aligned, writable
+        # float64 buffers of one shape: other arrays are copied, another shape
+        # refused, so that it never reaches past a buffer
+        buffers = [np.require(a, float, "CAW") for a in (u_prev, u_curr, u_next, dt_u)]
+        if any(a.shape != shape for a in buffers):
+            raise ValueError(f"the levels and dt_u of {len(xs)} cells must have the shape "
+                             f"{shape}, not {', '.join(str(a.shape) for a in buffers)}")
+        if mode == "radial" and self._cells < 4:
+            # the window holds a stencil's worth, so lo = hi - 4 >= 0
+            raise ValueError(f"a radial state needs 4 cells or more, not {self._cells}")
+        self._levels, self._dt_u = buffers[:3], buffers[3]
+        # the dissipation integrand, one component's size and windowed like
+        # the levels; the kernel's record of non-finite values
+        self._work = np.zeros(shape[1:])
+        self._bad = np.empty(2, dtype=np.int64)
         # the folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1]
-        # (see the module docstring) and the reciprocals of the time step
+        # (see the module docstring) and the reciprocals of the time step:
+        # the predictor's c, a corrector's c and the factor of d_t u
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
-        self._inv_dt, self._inv_2dt = 1.0 / self.dt, 0.5 / self.dt
-        self._inv_8dt = 0.125 / self.dt          # the cubic term of a corrector
-        # work buffers: the linear part of a nonlinear update (between steps
-        # the dissipation integrand), windowed like the levels; the neighbour
-        # terms' scratch, windowed too (radial) or the interior's neighbour
-        # sum and centre term (Cartesian).  Once the linear update is done,
-        # the scratch holds the cubic term's product P of one component's size
-        self._work = np.zeros_like(u_curr)
+        reciprocals = (1.0 / self.dt, 0.125 / self.dt, 0.5 / self.dt)
+        lib = _step.library()
         if self.mode == "radial":
             self._A = 2.0 - 2.0 * k
             c = dt2 / (2.0 * self.h * xs)        # dt^2 / (2 h r_i)
@@ -278,13 +293,18 @@ class WaveState:
             cp[0], cm[0] = 2.0 * k, 0.0           # even ghost across r = 0
             # r_i, the cell measure 2 pi r_i h, and the neighbour coefficients
             self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h, cp, cm])
-            self._scratch = np.zeros_like(u_curr)
+            self._kernel = partial(lib.radial_step, self._dt_u.ctypes.data,
+                                   self._geometry[2].ctypes.data, self._geometry[3].ctypes.data,
+                                   self._cells, self._A, *reciprocals, self.nonlinear,
+                                   self._bad.ctypes.data)
         else:
             self._A, self._k = 2.0 - 4.0 * k, k
             self.xs, self.measure = xs, self.h * self.h
-            self._tmp = np.zeros((2, 2, self._cells - 2, self._cells - 2))
-            # 4 (n - 2)^2 >= n^2 values: P is an (n, n) view of their start
-            self._prod = self._tmp.reshape(-1)[:self._cells ** 2].reshape(u_curr.shape[1:])
+            self._kernel = partial(lib.cartesian_step, self._dt_u.ctypes.data, self._cells,
+                                   self._A, k, *reciprocals, self.nonlinear,
+                                   self._bad.ctypes.data)
+        # the levels' addresses, oldest first, rotated with them
+        self._addresses = [a.ctypes.data for a in self._levels]
         self._lo_last, self._last_n = 0, math.inf   # a whole-disk window never closes
         self.lo = self.hi = None
         self._set_window(0, self._cells)
@@ -293,37 +313,31 @@ class WaveState:
 
     def linear_update(self, top: np.ndarray, mid: np.ndarray,
                       out: np.ndarray) -> np.ndarray:
-        """A*top - mid + dt^2 (neighbour terms) of both components, into out.
+        """A*top - mid + dt^2 (neighbour terms) of both components, into out,
+        by the kernel's code for the linear part of a step.
 
         This is 2 top - mid + dt^2 Laplace(top), the new level of a free
-        step.  top, mid and out are (2, ...) arrays on the held window; out
-        must not share memory with top or mid.  Radial cells add
-        cp*top[i+1] + cm*top[i-1] in that order; the window's first cell
-        skips its left neighbour (cm[0] = 0 at the origin, a light-cone
-        window's zero neighbour past lo) and its last cell its right one (0.0
-        past hi and at the wall).  Cartesian nodes add k times the sum of
-        their four neighbours; the Dirichlet ring of out is left as it is.
+        step.  top, mid and out are (2, ...) float64 arrays on the held
+        window, out a C-contiguous one that does not share memory with top or
+        mid; another out raises ValueError.  Radial cells add cp*top[i+1] +
+        cm*top[i-1] in that order; the window's first cell skips its left
+        neighbour (cm[0] = 0 at the origin, a light-cone window's zero
+        neighbour past lo) and its last cell its right one (0.0 past hi and at
+        the wall).  Cartesian nodes add k times the sum of their four
+        neighbours; the Dirichlet ring of out is left as it is.
         """
-        A = self._A
+        top, mid = (np.require(a, float, "CA") for a in (top, mid))
+        if np.require(out, float, "CAW") is not out or not (
+                top.shape == mid.shape == out.shape == self.u_curr.shape):
+            raise ValueError(f"linear_update writes a C-contiguous float64 array of the "
+                             f"window's shape {self.u_curr.shape}")
+        lib, arrays = _step.library(), (out.ctypes.data, top.ctypes.data, mid.ctypes.data)
         if self.mode == "radial":
-            t = self._tmp
-            np.multiply(A, top, out=out)
-            np.subtract(out, mid, out=out)
-            np.multiply(self._cp[:-1], top[:, 1:], out=t[:, :-1])
-            np.add(out[:, :-1], t[:, :-1], out=out[:, :-1])
-            np.multiply(self._cm[1:], top[:, :-1], out=t[:, 1:])
-            np.add(out[:, 1:], t[:, 1:], out=out[:, 1:])
-            return out
-        # the interior goes through contiguous scratch: strided out= into
-        # out[:, 1:-1, 1:-1] at every operation is slower
-        acc, centre = self._tmp
-        np.add(top[:, 2:, 1:-1], top[:, :-2, 1:-1], out=acc)
-        np.add(acc, top[:, 1:-1, 2:], out=acc)
-        np.add(acc, top[:, 1:-1, :-2], out=acc)
-        np.multiply(self._k, acc, out=acc)
-        np.multiply(A, top[:, 1:-1, 1:-1], out=centre)
-        np.subtract(centre, mid[:, 1:-1, 1:-1], out=centre)
-        np.add(centre, acc, out=out[:, 1:-1, 1:-1])
+            cells = self.hi - self.lo
+            lib.radial_linear(*arrays, self._cp.ctypes.data, self._cm.ctypes.data,
+                              cells, cells, self._A)
+        else:
+            lib.cartesian_linear(*arrays, self._cells, self._A, self._k)
         return out
 
     # -- diagnostics ---------------------------------------------------------
@@ -352,7 +366,7 @@ class WaveState:
 
     def dissipation(self) -> float:
         self._require_whole_disk("dissipation integrals")
-        prod = self._lin[0]        # the work buffer is free between steps
+        prod = self._integrand
         np.multiply(self.dt_u[0], self.dt_u[1], out=prod)
         np.multiply(prod, prod, out=prod)
         np.multiply(prod, self.measure, out=prod)
@@ -407,48 +421,24 @@ class WaveState:
         if self.n == self._last_n:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
-        dt = self.dt
-        top, mid, v = self.u_next, self.u_curr, self.dt_u
         # the new level overwrites the oldest one, which no step reads
-        new = self._levels[0][:, self.lo:self.hi]
-        if self.nonlinear:
-            # the linear part goes to the work buffer, the increment w to v
-            # and the product P of its components to the neighbour scratch
-            lin, P = self.linear_update(top, mid, self._lin), self._prod
-            # predictor: w = top - mid, the lagged one-sided difference
-            np.subtract(top, mid, out=v)
-            c = self._inv_dt
-            for i in range(3):           # predictor + two corrector passes
-                if i:                    # w = new - mid, the centred difference
-                    np.subtract(new, mid, out=v)
-                    c = self._inv_8dt
-                # new_j = lin_j - ((c w_0) w_1) w_k, k the other component
-                np.multiply(v[0], c, out=P)
-                np.multiply(P, v[1], out=P)
-                np.multiply(P, v[::-1], out=new)
-                np.subtract(lin, new, out=new)
-        else:
-            self.linear_update(top, mid, new)
         if self.mode == "radial":
-            # the precursor's subnormal tail: zeroed where it forms, below hi
-            band = new[:, max(self.hi - FLUSH_CELLS - self.lo, 0):]
-            band[np.abs(band) < TINY] = 0.0
-        np.subtract(new, mid, out=v)
-        np.multiply(v, self._inv_2dt, out=v)
+            status = self._kernel(*self._addresses, self.lo, self.hi, self.hi - FLUSH_CELLS)
+        else:
+            status = self._kernel(*self._addresses)
+        if status & _step.NONFINITE:
+            # component 1's first non-finite value, else component 2's
+            bad = int(next(b for b in self._bad if b >= 0))
+            location = (bad,) if self.mode == "radial" else divmod(bad, self._cells)
+            raise InstabilityError((self.n + 1) * self.dt, location)
 
-        # a component row, not the window: isfinite would copy a strided view
-        for row in new:
-            finite = np.isfinite(row)
-            if not finite.all():
-                bad = np.argwhere(~finite)[0]
-                bad[0] += self.lo               # a global index, also in a window
-                raise InstabilityError((self.n + 1) * dt, tuple(bad.tolist()))
-
+        new = self._levels[0][:, self.lo:self.hi]
         self._levels.append(self._levels.pop(0))
-        self.u_prev, self.u_curr, self.u_next = mid, top, new
+        self._addresses.append(self._addresses.pop(0))
+        self.u_prev, self.u_curr, self.u_next = self.u_curr, self.u_next, new
         self.n += 1
-        self.t = self.n * dt
-        self._move_window()
+        self.t = self.n * self.dt
+        self._move_window(status & _step.GROW)
         return self
 
     # -- radial window -------------------------------------------------------
@@ -468,13 +458,13 @@ class WaveState:
         nonzero = np.flatnonzero(held)
         last = int(nonzero[-1]) if len(nonzero) else 0
         self._set_window(0, min(max(last + 3, 4), self._cells))
-        self._move_window()
+        self._move_window(self.u_next[:, -2:].any() or self.u_curr[:, -2:].any())
 
-    def _move_window(self) -> None:
-        """Grow hi past a nonzero edge cell; move a cone's lo up one cell per step."""
-        hi = self.hi
-        if hi < self._cells and (self.u_next[:, -2:].any() or self.u_curr[:, -2:].any()):
-            hi += 1
+    def _move_window(self, edge_nonzero) -> None:
+        """Grow hi by one cell when either of the last two held cells is
+        nonzero at the top or middle level; move a cone's lo up one cell per
+        step."""
+        hi = self.hi + bool(edge_nonzero and self.hi < self._cells)
         lo = max(self._lo_last - (self._last_n - self.n), 0)
         self._set_window(min(lo, hi - 4), hi)     # a stencil's worth at least
 
@@ -487,12 +477,11 @@ class WaveState:
         if (lo, hi) == (self.lo, self.hi):
             return
         self.lo, self.hi = lo, hi
-        self.u_prev, self.u_curr, self.u_next, self.dt_u, self._lin = (
-            a[:, lo:hi] for a in (*self._levels, self._dt_u, self._work))
+        self.u_prev, self.u_curr, self.u_next, self.dt_u = (
+            a[:, lo:hi] for a in (*self._levels, self._dt_u))
+        self._integrand = self._work[lo:hi]
         if self.mode == "radial":
             self.xs, self.measure, self._cp, self._cm = self._geometry[:, lo:hi]
-            self._tmp = self._scratch[:, lo:hi]
-            self._prod = self._tmp[0]
 
 
 def _diff4(a: np.ndarray, h: float) -> np.ndarray:
@@ -561,8 +550,9 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     state = WaveState(config.mode, h, dt, xs,
                       u_prev=np.zeros_like(u0), u_curr=u0,
                       u_next=np.zeros_like(u0), dt_u=g0, nonlinear=nonlinear)
-    # 2 u0 + dt^2 Laplace(u0), with u_prev still 0.0 as the middle level
-    base = 0.5 * state.linear_update(u0, state.u_prev, state._lin)
+    # 2 u0 + dt^2 Laplace(u0), with u_prev still 0.0 as the middle level and
+    # u_next, 0.0 too, as the output
+    base = 0.5 * state.linear_update(state.u_curr, state.u_prev, state.u_next)
     if nonlinear:
         # d_t u at t=0 is exactly eps*g, so the cubic term needs no iteration
         base += (0.5 * dt * dt) * (-(g0[::-1] ** 2) * g0)

@@ -185,6 +185,20 @@ def test_non_finite_report_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+def test_missing_compiler_exits_two(tmp_path, capsys, monkeypatch):
+    """Without the C compiler the step kernel cannot be built for the first
+    solver state of a process: one line naming the compiler command, exit 2
+    and no directory."""
+    monkeypatch.setattr(wavelab._step, "CC", "wavelab-no-such-compiler")
+    monkeypatch.setattr(wavelab._step, "_LIB", None)
+    code = main(["scenario", "nondecay-demo", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wavelab: cannot compile the step kernel with "
+                          "'wavelab-no-such-compiler': ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_utf8_config_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "bin.cfg"
     cfg_path.write_bytes(b"\xff\xfe\x00bad")
@@ -689,7 +703,7 @@ _REFUSALS = [
     ("file epsilon-scaling-one-sample", "epsilon-scaling: with h=0.65 sigma=-1 gets one "
      "profile sample, at t=2.048, up to its horizon; it needs two"),
     # the size of every run: nondecay-demo's before its radiation table, and
-    # in 2000 bytes, where only conservation's h/2 grid (19 cells of 136 bytes)
+    # in 2000 bytes, where only conservation's h/2 grid (19 cells of 112 bytes)
     # does not fit
     ("nondecay-demo --cfl 1e-12", "cfl: cfl=1e-12, h=0.0078125 and T=20 take 2.56e+15 steps"),
     ("memory 2000: conservation --T 1 --h 0.25", "grid: h=0.125 and T=1 need 19 cells"),

@@ -238,6 +238,23 @@ def test_instability_reports_time_and_location(radial_data):
     assert err.value.t == state.dt
     assert err.value.location == (4,)
 
+    # an inf in component 2 alone is found there
+    state = init_state(cfg, nonlinear=False)
+    state.u_next[1, 7] = np.inf
+    with pytest.raises(InstabilityError) as err:
+        state.step()
+    assert err.value.t == state.dt and err.value.location == (6,)
+
+    # in a light-cone window the location is the global cell lo + i
+    state = init_state(cfg, nonlinear=True, cone=0.0)
+    while state.lo < 10:
+        state.step()
+    state.u_next[0, 5] = np.inf
+    with pytest.raises(InstabilityError) as err:
+        state.step()
+    assert err.value.t == (state.n + 1) * state.dt
+    assert err.value.location == (state.lo + 4,)
+
 
 @pytest.mark.parametrize("second", [1e307, 0.0], ids=["both", "first"])
 def test_finite_level_whose_sum_overflows_is_stable(second):
@@ -257,6 +274,46 @@ def test_finite_level_whose_sum_overflows_is_stable(second):
     assert state.t == state.dt
     assert np.isfinite(state.u_next).all()
     assert 40 * float(np.min(state.u_next[0])) > np.finfo(float).max    # the sum overflows
+
+
+@pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
+def test_state_holds_buffers_the_kernel_can_read(mode, rng):
+    """The compiled step reads and writes the levels and d_t u as C-contiguous
+    float64 buffers of one shape.  A state given a strided view, a float32
+    level, a Fortran-ordered one or a read-only one holds such a copy of each
+    and steps exactly like a state given the copies; the arrays it was given
+    stay as they were.  A level of another shape, a radial state of fewer
+    cells than a stencil's four, and an out of linear_update that is not
+    such a buffer of the window's shape are refused."""
+    h, n = 1.0 / 16.0, 24
+    xs = (np.arange(n) + 0.5) * h if mode == "radial" else (np.arange(n) - n // 2) * h
+    shape = (2, n) if mode == "radial" else (2, n, n)
+    levels = 1e-2 * rng.standard_normal((4, *shape))
+    strided = np.repeat(levels[0], 2, axis=-1)[..., ::2]
+    read_only = levels[3].copy()
+    read_only.flags.writeable = False
+    given = [strided, levels[1].astype(np.float32), np.asfortranarray(levels[2]), read_only]
+    before = [a.copy() for a in given]
+    copies = [np.ascontiguousarray(a, dtype=float) for a in given]
+    a = WaveState(mode, h, 0.3 * h, xs, *given, nonlinear=True)
+    b = WaveState(mode, h, 0.3 * h, xs, *copies, nonlinear=True)
+    for _ in range(20):
+        a.step()
+        b.step()
+        for name in ("u_prev", "u_curr", "u_next", "dt_u"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert all(np.array_equal(g, c) for g, c in zip(given, before))
+
+    with pytest.raises(ValueError, match="must have the shape"):
+        WaveState(mode, h, 0.3 * h, xs[:-1], *copies, nonlinear=False)
+    if mode == "radial":
+        with pytest.raises(ValueError, match="4 cells or more, not 3"):
+            WaveState(mode, h, 0.3 * h, xs[:3], *(c[:, :3] for c in copies), nonlinear=False)
+    top, mid = b.u_next.copy(), b.u_curr.copy()
+    for out in (np.zeros(shape, dtype=np.float32), np.zeros((2, 2 * n))[:, ::2],
+                np.zeros((2, n + 1))):
+        with pytest.raises(ValueError, match="linear_update writes"):
+            b.linear_update(top, mid, out)
 
 
 def test_energy_swap_symmetry(radial_data):

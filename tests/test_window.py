@@ -192,10 +192,13 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     every cell of the domain, until and after its support reaches the wall.
     The reference keeps its own outer edge hi by the window's rule, flushes
     the same band below it, and sums D and the energies over its cells
-    [0, hi); an EnergyTrace integrates that D."""
+    [0, hi); an EnergyTrace integrates that D.  A light-cone window's held
+    cells [lo, hi) equal the reference's at every step too: the cell its cut
+    makes wrong, the first, leaves the window as lo moves up."""
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=3.0, h=1.0 / 16.0)
     state = init_state(cfg, nonlinear=nonlinear)
+    cone_state = init_state(cfg, nonlinear=nonlinear, cone=0.5)
     h, dt = state.h, state.dt
     n = math.ceil((radial_data.support_radius + cfg.T) / h) + 3
     xs = (np.arange(n) + 0.5) * h
@@ -241,7 +244,15 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
         assert state.dissipation() == Ds[-1]
         assert state.energies() == _reference_energies(mid[:, :hi], dt_u[:, :hi],
                                                        measure[:hi], h)
+
+        cone_state.step()
+        lo = cone_state.lo
+        assert cone_state.hi == hi
+        assert np.array_equal(cone_state.u_curr, mid[:, lo:hi])
+        assert np.array_equal(cone_state.u_next, top[:, lo:hi])
+        assert np.array_equal(cone_state.dt_u, dt_u[:, lo:hi])
     assert his[0] < n and his[-1] == n          # the support reached the wall
+    assert cone_state.lo > 0                    # the inner edge has moved
     _assert_trace_integrates(cfg, nonlinear, Ds)
 
 
@@ -250,43 +261,45 @@ def test_cartesian_step_equals_component_loop(nonlinear):
     """A Cartesian run equals, at every step, the folded 5-point update
     applied to one component at a time (Cartesian steps do not flush), and
     its energies the fourth-order gradient formula of one component at a
-    time."""
-    data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
-                       g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
-                       f2=(BumpSpec((-0.2, 0.1), 0.7, 0.8),),
-                       g2=(BumpSpec((0.1, -0.25), 0.9, 1.2),), epsilon=1.0)
-    cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
-                         T=1.0, h=1.0 / 16.0)
-    state = init_state(cfg, nonlinear=nonlinear)
-    h2, dt = state.h * state.h, state.dt
-    k = dt * dt / h2
-    A = 2.0 - 4.0 * k
+    time; also with data three times larger, whose cubic term is 27 times
+    larger, at another CFL number."""
+    for eps, cfl in ((1.0, 0.45), (3.0, 0.3)):
+        data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
+                           g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
+                           f2=(BumpSpec((-0.2, 0.1), 0.7, 0.8),),
+                           g2=(BumpSpec((0.1, -0.25), 0.9, 1.2),), epsilon=eps)
+        cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
+                             T=1.0, h=1.0 / 16.0, cfl=cfl)
+        state = init_state(cfg, nonlinear=nonlinear)
+        h2, dt = state.h * state.h, state.dt
+        k = dt * dt / h2
+        A = 2.0 - 4.0 * k
 
-    def fold(u, m):
-        lin = np.zeros_like(u)          # the Dirichlet ring stays 0.0
-        lin[1:-1, 1:-1] = (A * u[1:-1, 1:-1] - m[1:-1, 1:-1]) + k * (
-            u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2])
-        return lin
+        def fold(u, m):
+            lin = np.zeros_like(u)          # the Dirichlet ring stays 0.0
+            lin[1:-1, 1:-1] = (A * u[1:-1, 1:-1] - m[1:-1, 1:-1]) + k * (
+                u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2])
+            return lin
 
-    def dissipation(dt_u):
-        prod = dt_u[0] * dt_u[1]
-        return float(np.sum(prod * prod * h2))
+        def dissipation(dt_u):
+            prod = dt_u[0] * dt_u[1]
+            return float(np.sum(prod * prod * h2))
 
-    mid, top = state.u_curr.copy(), state.u_next.copy()
-    Ds = [dissipation(state.dt_u)]
-    assert state.dissipation() == Ds[0]
-    for _ in range(math.ceil(cfg.T / dt)):
-        new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush=lambda new: None)
-        mid, top = top, new
-        Ds.append(dissipation(dt_u))
+        mid, top = state.u_curr.copy(), state.u_next.copy()
+        Ds = [dissipation(state.dt_u)]
+        assert state.dissipation() == Ds[0]
+        for _ in range(math.ceil(cfg.T / dt)):
+            new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush=lambda new: None)
+            mid, top = top, new
+            Ds.append(dissipation(dt_u))
 
-        state.step()
-        assert np.array_equal(state.u_curr, mid)
-        assert np.array_equal(state.u_next, top)
-        assert np.array_equal(state.dt_u, dt_u)
-        assert state.dissipation() == Ds[-1]
-        assert state.energies() == _reference_cartesian_energies(mid, dt_u, state.h)
-    assert _assert_trace_integrates(cfg, nonlinear, Ds) > 0
+            state.step()
+            assert np.array_equal(state.u_curr, mid)
+            assert np.array_equal(state.u_next, top)
+            assert np.array_equal(state.dt_u, dt_u)
+            assert state.dissipation() == Ds[-1]
+            assert state.energies() == _reference_cartesian_energies(mid, dt_u, state.h)
+        assert _assert_trace_integrates(cfg, nonlinear, Ds) > 0
 
 
 @pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
