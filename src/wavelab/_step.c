@@ -1,5 +1,8 @@
 /* One leapfrog step of the two-component cubic wave system, in one pass over
- * the held cells (see the module docstring of solver.py for the scheme).
+ * the held cells (see the module docstring of solver.py for the scheme):
+ * radial_step and cartesian_step, the library's only functions.  They are
+ * also the only stencil: the run's start level is one free pass of them, with
+ * a zero middle level and no flush.
  *
  * Every value is the result of the same IEEE operations, in the same order,
  * as the expression its comment gives, which is how numpy evaluates it; the
@@ -74,25 +77,14 @@ static inline void store(double *new, double *dtu, const double *mid, int64_t f,
         bad[1] = f;
 }
 
-/* the linear update of a radial window of m cells into out; every pointer
-   is to the window's first cell, component 2 starting `second` values later */
-void radial_linear(double *out, const double *top, const double *mid, const double *cp,
-                   const double *cm, int64_t second, int64_t m, double A)
-{
-    for (int64_t i = 0; i < m; i++) {
-        out[i] = radial_lin(top, mid, cp, cm, i, m, A);
-        out[second + i] = radial_lin(top + second, mid + second, cp, cm, i, m, A);
-    }
-}
-
 /* one radial step of the global cells [lo, hi), the state's constants first,
-   then its levels from the oldest, which receives the new one: new from top
-   and mid, zeroing the new values below DBL_MIN in the cells from flush on;
-   bad receives the global index of each component's first non-finite value,
-   or -1.  Returns NONFINITE when there is one, and GROW when a value of new
-   or top is nonzero in the window's last two cells. */
+   then whether the step is nonlinear and the levels new, mid and top: new
+   from top and mid, zeroing the new values below DBL_MIN in the cells from
+   flush on; bad receives the global index of each component's first
+   non-finite value, or -1.  Returns NONFINITE when there is one, and GROW
+   when a value of new or top is nonzero in the window's last two cells. */
 int radial_step(double *dtu, const double *cp, const double *cm, int64_t cells, double A,
-                double inv_dt, double inv_8dt, double inv_2dt, int nonlinear, int64_t *bad,
+                double inv_dt, double inv_8dt, double inv_2dt, int64_t *bad, int nonlinear,
                 double *new, const double *mid, const double *top, int64_t lo, int64_t hi,
                 int64_t flush)
 {
@@ -124,26 +116,14 @@ int radial_step(double *dtu, const double *cp, const double *cm, int64_t cells, 
     return status;
 }
 
-/* the linear update of the interior nodes of an n x n grid into out; its
-   Dirichlet ring is left as it is */
-void cartesian_linear(double *out, const double *top, const double *mid, int64_t n,
-                      double A, double k)
-{
-    int64_t second = n * n;
-    for (int64_t i = 1; i < n - 1; i++)
-        for (int64_t f = i * n + 1; f < (i + 1) * n - 1; f++) {
-            out[f] = cartesian_lin(top, mid, f, n, A, k);
-            out[second + f] = cartesian_lin(top + second, mid + second, f, n, A, k);
-        }
-}
-
-/* one Cartesian step, the state's constants first, then its levels from the
-   oldest, which receives the new one: new from top and mid at the interior
-   nodes, the Dirichlet ring of new left as it is; d_t u and the finiteness
-   record over every node, bad receiving the flat index of each component's
-   first non-finite value, or -1.  Returns NONFINITE when there is one. */
+/* one Cartesian step, the state's constants first, then whether the step is
+   nonlinear and the levels new, mid and top: new from top and mid at the
+   interior nodes, the Dirichlet ring of new left as it is; d_t u and the
+   finiteness record over every node, bad receiving the flat index of each
+   component's first non-finite value, or -1.  Returns NONFINITE when there
+   is one. */
 int cartesian_step(double *dtu, int64_t n, double A, double k, double inv_dt,
-                   double inv_8dt, double inv_2dt, int nonlinear, int64_t *bad,
+                   double inv_8dt, double inv_2dt, int64_t *bad, int nonlinear,
                    double *new, const double *mid, const double *top)
 {
     int64_t second = n * n;

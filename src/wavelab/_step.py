@@ -1,5 +1,9 @@
 """The compiled leapfrog step: builds and loads _step.c.
 
+Its two functions, radial_step and cartesian_step, are the solver's only
+stencil: a step is one call, and so is the first level of a run (a free pass
+with a zero middle level and no flush; see solver.init_state).
+
 The library is compiled on its first use in each process, never at import,
 with the C compiler CC into a private temporary directory, which is removed
 once the library is loaded.  The flags keep every multiply and add a rounding
@@ -26,13 +30,12 @@ SOURCE = Path(__file__).with_name("_step.c")
 GROW, NONFINITE = 1, 2
 
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-# each function's argument types: pointers are passed as addresses
+# each function's argument types, pointers passed as addresses; each returns
+# the status bits as an int, ctypes' default
 _SIGNATURES = {
-    "radial_linear": (_P, _P, _P, _P, _P, _I, _I, _F),
-    "radial_step": (_P, _P, _P, _I, _F, _F, _F, _F, ctypes.c_int, _P, _P, _P, _P,
+    "radial_step": (_P, _P, _P, _I, _F, _F, _F, _F, _P, ctypes.c_int, _P, _P, _P,
                     _I, _I, _I),
-    "cartesian_linear": (_P, _P, _P, _I, _F, _F),
-    "cartesian_step": (_P, _I, _F, _F, _F, _F, _F, ctypes.c_int, _P, _P, _P, _P),
+    "cartesian_step": (_P, _I, _F, _F, _F, _F, _F, _P, ctypes.c_int, _P, _P, _P),
 }
 
 _LIB = None
@@ -72,7 +75,5 @@ def _build() -> ctypes.CDLL:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int if name.endswith("_step") else None
+        getattr(lib, name).argtypes = argtypes
     return lib

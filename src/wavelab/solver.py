@@ -36,8 +36,9 @@ built with the state and windowed like xs, and A = 2 - 2 dt^2/h^2; the
 origin's even ghost is cm[0] = 0 with cp[0] = 2 dt^2/h^2.  Cartesian: k =
 dt^2/h^2 times the 4-neighbour sum, and A = 2 - 4k.  A neighbour outside the
 held cells (a light-cone window's left one, the outer 0.0 or the wall) is
-skipped, not read.  linear_update(top, mid, out) is this update; init_state
-takes the first levels from it too.
+skipped, not read.  The step is the only code that applies this update:
+init_state takes lin(u0, 0) for the first levels from one free, unflushed
+step over the whole domain.
 
 The components couple only through the product d_t u1 d_t u2, and a step
 builds the cubic term from it.  Each pass takes the increment w = top - mid
@@ -271,23 +272,25 @@ class WaveState:
         if any(a.shape != shape for a in buffers):
             raise ValueError(f"the levels and dt_u of {len(xs)} cells must have the shape "
                              f"{shape}, not {', '.join(str(a.shape) for a in buffers)}")
-        if mode == "radial" and self._cells < 4:
-            # the window holds a stencil's worth, so lo = hi - 4 >= 0
-            raise ValueError(f"a radial state needs 4 cells or more, not {self._cells}")
+        if self._cells < 4:
+            # a sample's stencil and a radial window hold 4 cells or nodes per
+            # axis, so that their first, n - 4 and hi - 4 at most, is >= 0
+            unit = "cells" if mode == "radial" else "nodes per axis"
+            raise ValueError(f"a {mode} state needs 4 {unit} or more, not {self._cells}")
         self._levels, self._dt_u = buffers[:3], buffers[3]
         # the dissipation integrand, one component's size and windowed like
         # the levels; the kernel's record of non-finite values
         self._work = np.zeros(shape[1:])
         self._bad = np.empty(2, dtype=np.int64)
-        # the folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1]
-        # (see the module docstring) and the reciprocals of the time step:
-        # the predictor's c, a corrector's c and the factor of d_t u
+        # the kernel call with the state's constants bound: the folded update
+        # lin = A*top - mid + cp*top[i+1] + cm*top[i-1] (see the module
+        # docstring) and the reciprocals of the time step, the predictor's c,
+        # a corrector's c and the factor of d_t u
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
         reciprocals = (1.0 / self.dt, 0.125 / self.dt, 0.5 / self.dt)
         lib = _step.library()
         if self.mode == "radial":
-            self._A = 2.0 - 2.0 * k
             c = dt2 / (2.0 * self.h * xs)        # dt^2 / (2 h r_i)
             cp, cm = k + c, k - c
             cp[0], cm[0] = 2.0 * k, 0.0           # even ghost across r = 0
@@ -295,50 +298,17 @@ class WaveState:
             self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h, cp, cm])
             self._kernel = partial(lib.radial_step, self._dt_u.ctypes.data,
                                    self._geometry[2].ctypes.data, self._geometry[3].ctypes.data,
-                                   self._cells, self._A, *reciprocals, self.nonlinear,
+                                   self._cells, 2.0 - 2.0 * k, *reciprocals,
                                    self._bad.ctypes.data)
         else:
-            self._A, self._k = 2.0 - 4.0 * k, k
             self.xs, self.measure = xs, self.h * self.h
             self._kernel = partial(lib.cartesian_step, self._dt_u.ctypes.data, self._cells,
-                                   self._A, k, *reciprocals, self.nonlinear,
-                                   self._bad.ctypes.data)
+                                   2.0 - 4.0 * k, k, *reciprocals, self._bad.ctypes.data)
         # the levels' addresses, oldest first, rotated with them
         self._addresses = [a.ctypes.data for a in self._levels]
         self._lo_last, self._last_n = 0, math.inf   # a whole-disk window never closes
         self.lo = self.hi = None
         self._set_window(0, self._cells)
-
-    # -- spatial operators -------------------------------------------------
-
-    def linear_update(self, top: np.ndarray, mid: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-        """A*top - mid + dt^2 (neighbour terms) of both components, into out,
-        by the kernel's code for the linear part of a step.
-
-        This is 2 top - mid + dt^2 Laplace(top), the new level of a free
-        step.  top, mid and out are (2, ...) float64 arrays on the held
-        window, out a C-contiguous one that does not share memory with top or
-        mid; another out raises ValueError.  Radial cells add cp*top[i+1] +
-        cm*top[i-1] in that order; the window's first cell skips its left
-        neighbour (cm[0] = 0 at the origin, a light-cone window's zero
-        neighbour past lo) and its last cell its right one (0.0 past hi and at
-        the wall).  Cartesian nodes add k times the sum of their four
-        neighbours; the Dirichlet ring of out is left as it is.
-        """
-        top, mid = (np.require(a, float, "CA") for a in (top, mid))
-        if np.require(out, float, "CAW") is not out or not (
-                top.shape == mid.shape == out.shape == self.u_curr.shape):
-            raise ValueError(f"linear_update writes a C-contiguous float64 array of the "
-                             f"window's shape {self.u_curr.shape}")
-        lib, arrays = _step.library(), (out.ctypes.data, top.ctypes.data, mid.ctypes.data)
-        if self.mode == "radial":
-            cells = self.hi - self.lo
-            lib.radial_linear(*arrays, self._cp.ctypes.data, self._cm.ctypes.data,
-                              cells, cells, self._A)
-        else:
-            lib.cartesian_linear(*arrays, self._cells, self._A, self._k)
-        return out
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -422,16 +392,7 @@ class WaveState:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
         # the new level overwrites the oldest one, which no step reads
-        if self.mode == "radial":
-            status = self._kernel(*self._addresses, self.lo, self.hi, self.hi - FLUSH_CELLS)
-        else:
-            status = self._kernel(*self._addresses)
-        if status & _step.NONFINITE:
-            # component 1's first non-finite value, else component 2's
-            bad = int(next(b for b in self._bad if b >= 0))
-            location = (bad,) if self.mode == "radial" else divmod(bad, self._cells)
-            raise InstabilityError((self.n + 1) * self.dt, location)
-
+        status = self._pass(self.nonlinear, self._addresses, self.hi - FLUSH_CELLS)
         new = self._levels[0][:, self.lo:self.hi]
         self._levels.append(self._levels.pop(0))
         self._addresses.append(self._addresses.pop(0))
@@ -440,6 +401,23 @@ class WaveState:
         self.t = self.n * self.dt
         self._move_window(status & _step.GROW)
         return self
+
+    def _pass(self, nonlinear: bool, levels, flush: int) -> int:
+        """One kernel call over the held cells: the level at the address
+        levels[0] from those at levels[2] (top) and levels[1] (mid), its d_t u
+        into dt_u, and, radial, its values below TINY from the global cell
+        flush on zeroed.  The status bits; InstabilityError, at the new
+        level's time (n + 1) dt, when a new value is not finite."""
+        if self.mode == "radial":
+            status = self._kernel(nonlinear, *levels, self.lo, self.hi, flush)
+        else:
+            status = self._kernel(nonlinear, *levels)
+        if status & _step.NONFINITE:
+            # component 1's first non-finite value, else component 2's
+            bad = int(next(b for b in self._bad if b >= 0))
+            location = (bad,) if self.mode == "radial" else divmod(bad, self._cells)
+            raise InstabilityError((self.n + 1) * self.dt, location)
+        return status
 
     # -- radial window -------------------------------------------------------
 
@@ -481,7 +459,7 @@ class WaveState:
             a[:, lo:hi] for a in (*self._levels, self._dt_u))
         self._integrand = self._work[lo:hi]
         if self.mode == "radial":
-            self.xs, self.measure, self._cp, self._cm = self._geometry[:, lo:hi]
+            self.xs, self.measure = self._geometry[:2, lo:hi]
 
 
 def _diff4(a: np.ndarray, h: float) -> np.ndarray:
@@ -548,11 +526,16 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     # the nodes and the data's derivatives are freed by now, so the state's
     # work buffers do not add to the memory peak of the bump evaluation
     state = WaveState(config.mode, h, dt, xs,
-                      u_prev=np.zeros_like(u0), u_curr=u0,
-                      u_next=np.zeros_like(u0), dt_u=g0, nonlinear=nonlinear)
-    # 2 u0 + dt^2 Laplace(u0), with u_prev still 0.0 as the middle level and
-    # u_next, 0.0 too, as the output
-    base = 0.5 * state.linear_update(state.u_curr, state.u_prev, state.u_next)
+                      u_prev=np.zeros_like(u0), u_curr=u0, u_next=np.zeros_like(u0),
+                      dt_u=np.zeros_like(u0), nonlinear=nonlinear)
+    # 2 u0 + dt^2 Laplace(u0) into u_next: one free, unflushed pass of the
+    # step over the whole domain, with u_prev, still 0.0, as the middle level;
+    # g0 then replaces the d_t u it wrote and is held only by the state
+    prev, curr, nxt = state._addresses
+    state._pass(False, (nxt, prev, curr), state.hi)       # new, mid, top
+    np.copyto(state.dt_u, g0)
+    g0 = state.dt_u
+    base = 0.5 * state.u_next
     if nonlinear:
         # d_t u at t=0 is exactly eps*g, so the cubic term needs no iteration
         base += (0.5 * dt * dt) * (-(g0[::-1] ** 2) * g0)

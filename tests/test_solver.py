@@ -1,4 +1,5 @@
 import math
+import subprocess
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import energy_run
 from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, ScenarioConfig,
-                     WaveState, free_field, init_state, run_simulation)
+                     WaveState, _step, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
 from wavelab.solver import TRACE_DT, _stencil, sample_steps
@@ -282,9 +283,10 @@ def test_state_holds_buffers_the_kernel_can_read(mode, rng):
     float64 buffers of one shape.  A state given a strided view, a float32
     level, a Fortran-ordered one or a read-only one holds such a copy of each
     and steps exactly like a state given the copies; the arrays it was given
-    stay as they were.  A level of another shape, a radial state of fewer
-    cells than a stencil's four, and an out of linear_update that is not
-    such a buffer of the window's shape are refused."""
+    stay as they were.  A level of another shape, and a radial state of
+    fewer cells or a Cartesian one of fewer nodes per axis than a stencil's
+    four, are refused: a Cartesian state on the nodes -1/4, 0, 1/4 holding
+    u = x + 2y would sample 0.534 at (0.25, 0.1), not 0.45."""
     h, n = 1.0 / 16.0, 24
     xs = (np.arange(n) + 0.5) * h if mode == "radial" else (np.arange(n) - n // 2) * h
     shape = (2, n) if mode == "radial" else (2, n, n)
@@ -309,11 +311,21 @@ def test_state_holds_buffers_the_kernel_can_read(mode, rng):
     if mode == "radial":
         with pytest.raises(ValueError, match="4 cells or more, not 3"):
             WaveState(mode, h, 0.3 * h, xs[:3], *(c[:, :3] for c in copies), nonlinear=False)
-    top, mid = b.u_next.copy(), b.u_curr.copy()
-    for out in (np.zeros(shape, dtype=np.float32), np.zeros((2, 2 * n))[:, ::2],
-                np.zeros((2, n + 1))):
-        with pytest.raises(ValueError, match="linear_update writes"):
-            b.linear_update(top, mid, out)
+    else:
+        nodes = np.array([-0.25, 0.0, 0.25])
+        u = np.stack(2 * [nodes[:, None] + 2.0 * nodes[None, :]])
+        with pytest.raises(ValueError, match="4 nodes per axis or more, not 3"):
+            WaveState(mode, 0.25, 0.025, nodes, np.zeros_like(u), u, u.copy(),
+                      np.zeros_like(u), nonlinear=False)
+
+
+def test_step_kernel_source_is_clean_c99(tmp_path):
+    """_step.c compiles as C99 without a warning: no unused static function
+    (which -fsyntax-only would not report) and no unused parameter."""
+    done = subprocess.run([_step.CC, "-Wall", "-Wextra", "-Werror", "-std=c99", "-c", "-o",
+                           str(tmp_path / "_step.o"), str(_step.SOURCE)],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def test_energy_swap_symmetry(radial_data):

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import energy_run
 from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, ScenarioConfig,
                      WaveState, init_state, run_simulation)
+from wavelab.bumps import initial_values
 from wavelab.profile import RayTraceCollector
 from wavelab.scenarios import default_config
-from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY, TRACE_DT
+from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY, TRACE_DT, run_size
 
 H = 1.0 / 32.0
 
@@ -145,6 +146,31 @@ def _radial_coefficients(xs, h, dt):
     return 2.0 - 2.0 * k, cp, cm
 
 
+def _radial_fold(xs, h, dt):
+    """fold(u, m): one component's folded radial update over every cell of
+    the domain of cell centres xs, even ghost at the origin, Dirichlet wall."""
+    A, cp, cm = _radial_coefficients(xs, h, dt)
+
+    def fold(u, m):
+        ext = np.concatenate([u[:1], u, [0.0]])
+        return (A * u - m + cp * ext[2:]) + cm * ext[:-2]
+    return fold
+
+
+def _cartesian_fold(h, dt):
+    """fold(u, m): one component's folded 5-point update at the interior
+    nodes; the Dirichlet ring stays 0.0."""
+    k = dt * dt / (h * h)
+    A = 2.0 - 4.0 * k
+
+    def fold(u, m):
+        lin = np.zeros_like(u)
+        lin[1:-1, 1:-1] = (A * u[1:-1, 1:-1] - m[1:-1, 1:-1]) + k * (
+            u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2])
+        return lin
+    return fold
+
+
 def _assert_trace_integrates(cfg, nonlinear, Ds):
     """An EnergyTrace sampler holds, at its rows, the reference
     dissipation Ds (one value per level from t = 0) and its step-resolution
@@ -203,11 +229,7 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     n = math.ceil((radial_data.support_radius + cfg.T) / h) + 3
     xs = (np.arange(n) + 0.5) * h
     measure = 2.0 * np.pi * xs * h
-    A, cp, cm = _radial_coefficients(xs, h, dt)
-
-    def fold(u, m):
-        ext = np.concatenate([u[:1], u, [0.0]])      # even ghost, Dirichlet wall
-        return (A * u - m + cp * ext[2:]) + cm * ext[:-2]
+    fold = _radial_fold(xs, h, dt)
 
     def flush(new):
         for j in range(2):
@@ -256,6 +278,16 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     _assert_trace_integrates(cfg, nonlinear, Ds)
 
 
+def _cartesian_config(eps=1.0, cfl=0.45):
+    """A T = 1 Cartesian run of off-centre data of both components, h = 1/16."""
+    data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
+                       g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
+                       f2=(BumpSpec((-0.2, 0.1), 0.7, 0.8),),
+                       g2=(BumpSpec((0.1, -0.25), 0.9, 1.2),), epsilon=eps)
+    return ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
+                          T=1.0, h=1.0 / 16.0, cfl=cfl)
+
+
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
 def test_cartesian_step_equals_component_loop(nonlinear):
     """A Cartesian run equals, at every step, the folded 5-point update
@@ -264,22 +296,10 @@ def test_cartesian_step_equals_component_loop(nonlinear):
     time; also with data three times larger, whose cubic term is 27 times
     larger, at another CFL number."""
     for eps, cfl in ((1.0, 0.45), (3.0, 0.3)):
-        data = InitialData(f1=(BumpSpec((0.3, 0.15), 0.9, 1.0),),
-                           g1=(BumpSpec((-0.1, 0.2), 0.8, -0.6),),
-                           f2=(BumpSpec((-0.2, 0.1), 0.7, 0.8),),
-                           g2=(BumpSpec((0.1, -0.25), 0.9, 1.2),), epsilon=eps)
-        cfg = ScenarioConfig(name="conservation", data=data, mode="cartesian-2d",
-                             T=1.0, h=1.0 / 16.0, cfl=cfl)
+        cfg = _cartesian_config(eps, cfl)
         state = init_state(cfg, nonlinear=nonlinear)
         h2, dt = state.h * state.h, state.dt
-        k = dt * dt / h2
-        A = 2.0 - 4.0 * k
-
-        def fold(u, m):
-            lin = np.zeros_like(u)          # the Dirichlet ring stays 0.0
-            lin[1:-1, 1:-1] = (A * u[1:-1, 1:-1] - m[1:-1, 1:-1]) + k * (
-                u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2])
-            return lin
+        fold = _cartesian_fold(state.h, dt)
 
         def dissipation(dt_u):
             prod = dt_u[0] * dt_u[1]
@@ -302,11 +322,62 @@ def test_cartesian_step_equals_component_loop(nonlinear):
         assert _assert_trace_integrates(cfg, nonlinear, Ds) > 0
 
 
+def _start_config(case):
+    """A T = 1 run of default conservation data (radial), of data whose first
+    component holds e^-720, a subnormal value, at its outermost cell inside
+    the support, 15.5 h (radial, h = 1/16: the domain's 35 cells lie inside
+    the last FLUSH_CELLS), or _cartesian_config()."""
+    if case == "radial":
+        return replace(default_config("conservation"), T=1.0)
+    if case == "cartesian-2d":
+        return _cartesian_config()
+    h = 1.0 / 16.0
+    edge = 15.5 * h / math.sqrt(1.0 - 1.0 / 721.0)
+    data = InitialData(f1=(BumpSpec((0.0, 0.0), edge, 1.0),),
+                       g1=(BumpSpec((0.0, 0.0), 0.5, -0.5),),
+                       f2=(BumpSpec((0.0, 0.0), 0.8, 0.3),),
+                       g2=(BumpSpec((0.0, 0.0), 0.6, 1.0),), epsilon=1.0)
+    return ScenarioConfig(name="conservation", data=data, mode="radial", T=1.0, h=h)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
+@pytest.mark.parametrize("case", ["radial", "radial-flush-band", "cartesian-2d"])
+def test_start_level_is_the_taylor_expansion(case, nonlinear):
+    """init_state's levels at -dt and dt are, bit for bit, base -+ dt g0 with
+    base = (1/2) lin(u0, 0) [+ (dt^2/2) (-(g0_k)^2 g0_j), k the other
+    component], lin the folded update of each component over every cell of
+    the domain, unflushed: in the flush band, the cell past the subnormal
+    value starts at the subnormal 0.5 cm u0, which a flushed start zeroes."""
+    cfg = _start_config(case)
+    state = init_state(cfg, nonlinear=nonlinear)
+    n, h, dt = run_size(cfg)[0], cfg.h, cfg.dt
+    if cfg.mode == "radial":
+        xs = (np.arange(n) + 0.5) * h
+        pts = np.stack([xs, np.zeros_like(xs)], axis=-1)
+        fold = _radial_fold(xs, h, dt)
+    else:
+        xs = (np.arange(2 * n + 1) - n) * h
+        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+        fold = _cartesian_fold(h, dt)
+    u0, g0 = initial_values(cfg.data, pts)[:2]
+    base = 0.5 * np.stack([fold(u, np.zeros_like(u)) for u in u0])
+    if nonlinear:
+        base += (0.5 * dt * dt) * (-(g0[::-1] ** 2) * g0)
+    levels = {"u_prev": base - dt * g0, "u_curr": u0, "u_next": base + dt * g0, "dt_u": g0}
+    if case == "radial-flush-band":
+        assert state.hi < FLUSH_CELLS and _subnormal(levels["u_prev"]) > 0
+    for name, level in levels.items():
+        # a radial state holds the cells [0, hi), and 0.0 past them
+        assert getattr(state, name).tobytes() == level[:, :state.hi].tobytes(), name
+        assert not level[:, state.hi:].any(), name
+
+
 @pytest.mark.parametrize("mode", ["radial", "cartesian-2d"])
 def test_nonlinear_step_is_the_textbook_cubic_term(mode):
     """One nonlinear step equals new_j = lin_j - dt^2 v_k^2 v_j, k the other
     component, iterated three times: v the lagged one-sided difference of
-    the two top levels, then twice the centred one of the last pass."""
+    the two top levels, then twice the centred one of the last pass; lin
+    is the new level of a free state's step from the same two levels."""
     data = InitialData(f1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),
                        g1=(BumpSpec((0.0, 0.0), 0.7, -2.0),),
                        f2=(BumpSpec((0.0, 0.0), 0.8, 0.5),),
@@ -318,7 +389,11 @@ def test_nonlinear_step_is_the_textbook_cubic_term(mode):
         state.step()
     dt = state.dt
     top, mid = state.u_next.copy(), state.u_curr.copy()
-    lin = state.linear_update(top, mid, np.zeros_like(top))
+    # a radial state's window starts at the origin, and its cells past hi are
+    # 0.0, so a state of the window's cells steps them alike
+    free = WaveState(mode, state.h, dt, state.xs, np.zeros_like(top), mid, top,
+                     np.zeros_like(top), nonlinear=False)
+    lin = free.step().u_next
     v = (top - mid) / dt
     for _ in range(3):
         new = lin - dt * dt * v[::-1] ** 2 * v
@@ -362,21 +437,25 @@ def _operator_state(radial_data, case):
 
 @pytest.mark.parametrize("case", ["origin", "cone", "wall"])
 def test_linear_update_is_the_reference_laplacian(radial_data, case):
-    """(lin - 2 u + mid) / dt^2 of the folded update is the radial Laplacian
-    over every cell, with the window's missing neighbours read as 0.0 (the
-    even ghost at the origin)."""
+    """(lin - 2 u + mid) / dt^2 of the folded update, the new level of a
+    free step from mid and u, is the radial Laplacian over every cell, with
+    the window's missing neighbours read as 0.0 (the even ghost at the
+    origin)."""
     state = _operator_state(radial_data, case)
     top, mid = _smooth_levels(state)
-    lin = state.linear_update(top, mid, np.empty_like(top))
+    lo, hi = state.lo, state.hi
+    state.u_curr[:], state.u_next[:] = mid, top
+    # the step's window may move, so the new level is read from its buffer
+    lin = state.step()._levels[-1][:, lo:hi]
     lap = (lin - 2.0 * top + mid) / state.dt ** 2
 
     # the held window embedded in the whole domain, zeros outside it
     n = state._cells
     full = np.zeros((2, n))
-    full[:, state.lo:state.hi] = top
+    full[:, lo:hi] = top
     xs = (np.arange(n) + 0.5) * state.h
     ref = np.stack([_reference_laplacian(full[j], 1.0 / xs, state.h) for j in range(2)])
-    ref = ref[:, state.lo:state.hi]
+    ref = ref[:, lo:hi]
     assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
