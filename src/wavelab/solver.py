@@ -51,8 +51,8 @@ with c = 1/dt or 1/(8 dt), since dt^2 (d_t u_k)^2 d_t u_j = c (w_0 w_1) w_k;
 the reciprocals are precomputed: a step divides nothing.  The final d_t u
 is (new - mid) * (1/(2 dt)).
 
-A step is one call of a C function per mode (_step.c, built on the first
-state of a process; see wavelab._step), which walks the held cells once and
+A step is one call of a C function per mode (_step.c, built once per
+machine; see wavelab._step), which walks the held cells once and
 does, per cell and component, the linear update, the three cubic passes, the
 subnormal flush below, d_t u and a record of the first NaN or inf of each
 component, from which the step raises InstabilityError.  Each value is the
@@ -127,6 +127,7 @@ index order, so results are reproducible run to run.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from functools import partial
@@ -282,13 +283,16 @@ class WaveState:
         # the levels; the kernel's record of non-finite values
         self._work = np.zeros(shape[1:])
         self._bad = np.empty(2, dtype=np.int64)
-        # the kernel call with the state's constants bound: the folded update
-        # lin = A*top - mid + cp*top[i+1] + cm*top[i-1] (see the module
-        # docstring) and the reciprocals of the time step, the predictor's c,
-        # a corrector's c and the factor of d_t u
+        # the kernel call, bound to the address of the state's constants, an
+        # attribute so that they live as long as the state: its buffers, the
+        # folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1] (see
+        # the module docstring) and the reciprocals of the time step, the
+        # predictor's c, a corrector's c and the factor of d_t u
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
-        reciprocals = (1.0 / self.dt, 0.125 / self.dt, 0.5 / self.dt)
+        self._constants = _step.State(dtu=self._dt_u.ctypes.data, bad=self._bad.ctypes.data,
+                                      cells=self._cells, k=k, inv_dt=1.0 / self.dt,
+                                      inv_8dt=0.125 / self.dt, inv_2dt=0.5 / self.dt)
         lib = _step.library()
         if self.mode == "radial":
             c = dt2 / (2.0 * self.h * xs)        # dt^2 / (2 h r_i)
@@ -296,14 +300,15 @@ class WaveState:
             cp[0], cm[0] = 2.0 * k, 0.0           # even ghost across r = 0
             # r_i, the cell measure 2 pi r_i h, and the neighbour coefficients
             self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h, cp, cm])
-            self._kernel = partial(lib.radial_step, self._dt_u.ctypes.data,
-                                   self._geometry[2].ctypes.data, self._geometry[3].ctypes.data,
-                                   self._cells, 2.0 - 2.0 * k, *reciprocals,
-                                   self._bad.ctypes.data)
+            self._constants.cp = self._geometry[2].ctypes.data
+            self._constants.cm = self._geometry[3].ctypes.data
+            self._constants.A = 2.0 - 2.0 * k
+            kernel = lib.radial_step
         else:
             self.xs, self.measure = xs, self.h * self.h
-            self._kernel = partial(lib.cartesian_step, self._dt_u.ctypes.data, self._cells,
-                                   2.0 - 4.0 * k, k, *reciprocals, self._bad.ctypes.data)
+            self._constants.A = 2.0 - 4.0 * k
+            kernel = lib.cartesian_step
+        self._kernel = partial(kernel, ctypes.addressof(self._constants))
         # the levels' addresses, oldest first, rotated with them
         self._addresses = [a.ctypes.data for a in self._levels]
         self._lo_last, self._last_n = 0, math.inf   # a whole-disk window never closes

@@ -1,7 +1,10 @@
 import math
+import os
 import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +259,19 @@ def test_instability_reports_time_and_location(radial_data):
     assert err.value.t == (state.n + 1) * state.dt
     assert err.value.location == (state.lo + 4,)
 
+    # a NaN or inf in the middle level reaches only its own cell: at the
+    # first and the last held cell, in either component, whole disk or cone
+    for cone in (None, 0.0):
+        for component in (0, 1):
+            for cell in ("first", "last"):
+                state = init_state(cfg, nonlinear=True, cone=cone)
+                while cone is not None and state.lo < 10:
+                    state.step()
+                state.u_curr[component, 0 if cell == "first" else -1] = np.nan
+                with pytest.raises(InstabilityError) as err:
+                    state.step()
+                assert err.value.location == (state.lo if cell == "first" else state.hi - 1,)
+
 
 @pytest.mark.parametrize("second", [1e307, 0.0], ids=["both", "first"])
 def test_finite_level_whose_sum_overflows_is_stable(second):
@@ -326,6 +342,62 @@ def test_step_kernel_source_is_clean_c99(tmp_path):
                            str(tmp_path / "_step.o"), str(_step.SOURCE)],
                           capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def _small_radial_state():
+    """A 24-cell nonlinear radial state of small random levels."""
+    h, n = 1.0 / 16.0, 24
+    u = 1e-2 * np.random.default_rng(5).standard_normal((2, n))
+    return WaveState("radial", h, 0.45 * h, (np.arange(n) + 0.5) * h, np.zeros_like(u), u,
+                     u.copy(), np.zeros_like(u), nonlinear=True)
+
+
+def test_step_library_is_built_once_per_machine(tmp_path, monkeypatch):
+    """library() keeps the kernel in _step.CACHE as _step-<key>.so: the first
+    call writes that one file and leaves no temporary directory; a fresh
+    process loads it without compiling, so its inode and mtime stay; an
+    edited source gets a key of its own; and a CACHE that cannot be a
+    directory, a regular file, still gives a kernel that steps like the
+    cached one, written nowhere in tmp_path."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_step, "CACHE", cache)
+    monkeypatch.setattr(_step, "_LIB", None)
+    cached = _step.library()
+    built = list(cache.iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_step-") and built[0].suffix == ".so"
+    before = built[0].stat()
+
+    child = f"from pathlib import Path; from wavelab import _step; " \
+            f"_step.CACHE = Path({str(cache)!r}); _step.library()"
+    src = str(Path(_step.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", child], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    after = built[0].stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert list(cache.iterdir()) == built
+
+    edited = tmp_path / "_step.c"
+    edited.write_bytes(_step.SOURCE.read_bytes() + b"\n/* edited */\n")
+    with monkeypatch.context() as m:
+        m.setattr(_step, "SOURCE", edited)
+        m.setattr(_step, "_LIB", None)
+        _step.library()
+    assert len(list(cache.glob("_step-*.so"))) == 2
+
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file")
+    monkeypatch.setattr(_step, "CACHE", blocked)
+    monkeypatch.setattr(_step, "_LIB", None)
+    private = _small_radial_state()
+    assert _step._LIB is not cached
+    monkeypatch.setattr(_step, "_LIB", cached)
+    reference = _small_radial_state()
+    for _ in range(5):
+        private.step()
+        reference.step()
+        assert private.u_next.tobytes() == reference.u_next.tobytes()
+    assert blocked.read_text() == "a file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["_step.c", "blocked", "cache"]
 
 
 def test_energy_swap_symmetry(radial_data):

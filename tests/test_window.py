@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import energy_run
 from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, ScenarioConfig,
-                     WaveState, init_state, run_simulation)
+                     WaveState, init_state, run_simulation, solver)
 from wavelab.bumps import initial_values
 from wavelab.profile import RayTraceCollector
 from wavelab.scenarios import default_config
@@ -276,6 +276,57 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     assert his[0] < n and his[-1] == n          # the support reached the wall
     assert cone_state.lo > 0                    # the inner edge has moved
     _assert_trace_integrates(cfg, nonlinear, Ds)
+
+
+# (cells, FLUSH_CELLS): a window of exactly 4 cells flushed from its third;
+# flush = hi - FLUSH_CELLS below lo and at lo (every cell flushed), at the
+# first and at the last interior cell (lo + 1, hi - 2), at the last cell
+# (hi - 1) and at hi (none flushed)
+_EDGE_CASES = {"4-cells": (4, 2), "flush-below-lo": (40, 50), "flush-at-lo": (40, 40),
+               "flush-first-interior": (40, 39), "flush-last-interior": (40, 2),
+               "flush-last-cell": (40, 1), "unflushed": (40, 0)}
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_window_edges_step_like_the_reference(case, nonlinear, monkeypatch, rng):
+    """The kernel does the first and last held cell one at a time and the
+    cells between in loops split at the first flushed one.  Each split steps
+    bit for bit like the numpy reference step on levels that mix values of
+    order 0.1 with subnormal ones, at the window's ends and in its middle, so
+    that the flush zeroes new values wherever its band starts."""
+    cells, flush_cells = _EDGE_CASES[case]
+    monkeypatch.setattr(solver, "FLUSH_CELLS", flush_cells)
+    h = 1.0 / 16.0
+    dt = 0.45 * h
+    xs = (np.arange(cells) + 0.5) * h
+    i = np.arange(cells)
+    tiny = (i < 3) | ((i >= 18) & (i < 22)) | (i >= cells - 3) if cells > 4 else i > 0
+    scale = np.where(tiny, 1e-309, 0.1)
+    u = scale * rng.standard_normal((2, cells))
+    levels = [u, u + 0.05 * scale * rng.standard_normal((2, cells))]
+    state = WaveState("radial", h, dt, xs, np.zeros((2, cells)), *levels, np.zeros((2, cells)),
+                      nonlinear=nonlinear)
+    assert (state.lo, state.hi) == (0, cells)
+    fold = _radial_fold(xs, h, dt)
+    flush = cells - flush_cells
+    zeroed = 0
+
+    def flush_band(new):
+        nonlocal zeroed
+        band = new[:, max(flush, 0):]
+        zeroed += np.count_nonzero(band[np.abs(band) < TINY])
+        band[np.abs(band) < TINY] = 0.0
+
+    mid, top = (a.copy() for a in levels)
+    for _ in range(3):
+        new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush_band)
+        mid, top = top, new
+        state.step()
+        assert state.hi == cells
+        assert state.u_next.tobytes() == top.tobytes()
+        assert state.dt_u.tobytes() == dt_u.tobytes()
+    assert (zeroed > 0) == (flush < cells)
 
 
 def _cartesian_config(eps=1.0, cfl=0.45):
