@@ -7,16 +7,18 @@ pointer to the state's constants, a State, then the per-call choices.
 
 The library is compiled once per machine, on the first use in a process
 that does not find it (never at import), with the C compiler CC and the
-flags CFLAGS.  It is kept as _step-<key>.so in CACHE, the __pycache__
-directory next to _step.c, where Python caches the package's bytecode.  The
-key is a 256-bit BLAKE2b digest of the source, CC, CFLAGS and what
+flags CFLAGS.  It is kept as _step-<build>-<source>.so in CACHE, the
+__pycache__ directory next to _step.c, where Python caches the package's
+bytecode.  build is a 128-bit BLAKE2b digest of CC, CFLAGS and what
 `CC -march=native -E -v` reports (the compiler's version and the machine's
-resolved -march and -m flags), so an edited source, another compiler or
-another machine gets a library of its own; old ones are left in place.  A
-miss compiles into a temporary directory in CACHE and renames the library
-into place, so that processes building it at once each load a whole file.
-Where CACHE cannot be written, the library is built in a private temporary
-directory, removed once it is loaded.
+resolved -march and -m flags), source one of _step.c, so an edited source,
+another compiler or another machine gets a library of its own.  A miss
+compiles into a temporary directory in CACHE and renames the library into
+place, so that processes building it at once each load a whole file; it then
+removes the build's libraries of other sources, which an edit left behind.
+Those of another build, another compiler's or machine's in a shared CACHE,
+stay.  Where CACHE cannot be written, the library is built in a private
+temporary directory, removed once it is loaded.
 
 The flags keep every multiply and add a rounding of its own (-ffp-contract=off,
 no -ffast-math), so the kernel's results are bit-identical to the numpy
@@ -97,10 +99,12 @@ def _build() -> ctypes.CDLL:
     # hashlib would map OpenSSL's libcrypto, 3.6 MB of resident memory
     from _blake2 import blake2b
 
-    source = SOURCE.read_bytes()
+    def digest(*parts):
+        return blake2b(repr(parts).encode(), digest_size=16).hexdigest()
+
     machine = _run([CC, "-march=native", "-E", "-v", "-x", "c", os.devnull]).stderr
-    key = blake2b(repr((source, CC, CFLAGS, machine)).encode(), digest_size=32).hexdigest()
-    lib_path = CACHE / f"_step-{key}.so"
+    build = digest(CC, CFLAGS, machine)
+    lib_path = CACHE / f"_step-{build}-{digest(SOURCE.read_bytes())}.so"
     if lib_path.is_file():
         return _load(lib_path)
     try:
@@ -114,6 +118,9 @@ def _build() -> ctypes.CDLL:
         if lib_path is None:
             return _load(built)
         os.replace(built, lib_path)
+        for stale in CACHE.glob(f"_step-{build}-*.so"):
+            if stale != lib_path:
+                stale.unlink(missing_ok=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return _load(lib_path)

@@ -63,8 +63,8 @@ one.  It allocates nothing: the state holds the three levels and dt_u as
 C-contiguous float64 (2, ...) buffers (it copies arrays of another layout
 and refuses another shape), one component-sized buffer for the dissipation
 integrand, and the radial geometry rows; the oldest level's buffer receives
-the new level.  The arrays a sampler sees are these buffers: it must copy
-what it keeps.
+the new level.  The arrays a sampler sees are views of these buffers: it
+must copy what it keeps.
 
 The numerical precursor ahead of a radial front decays through the
 subnormal range, where arithmetic is slow, before it underflows.  So a
@@ -77,9 +77,12 @@ values are below 2.2e-308, but the rounding flips they cause cascade inward
 from the front and move reported values in their last digits.
 
 Radial windows.  Every radial state keeps its levels in buffers allocated
-once for the whole domain and advances only the global cells [lo, hi);
-u_prev, u_curr, u_next, dt_u, xs and measure are views of them, and each
-step writes its new level over the oldest one.
+once for the whole domain and advances only the global cells [lo, hi).  The
+level of time index j (t = j dt) sits in slot j % 3, which never rotates: a
+step writes level n + 2 over level n - 1 and then only updates n, t, lo and
+hi.  u_prev, u_curr, u_next, dt_u, xs and measure are read-only properties
+that slice slots (n - 1) % 3, n % 3, (n + 1) % 3 and the other buffers to
+[lo, hi) on each access.
 
 * the outer edge follows the numerical support: hi grows by one cell, up
   to the domain's n, whenever either of the last two held cells is nonzero
@@ -247,11 +250,13 @@ class WaveState:
       measure     cell measure of every integral: 2 pi r_i h (radial), h^2
       cone        None for the whole disk, else the smallest ray sigma of a
                   light-cone window (radial only; see the module docstring)
-      lo, hi      the global cells [lo, hi) held; the arrays above are views
-                  of them in buffers sized for the whole domain (a Cartesian
-                  state holds every cell)
+      lo, hi      the global cells [lo, hi) held (a Cartesian state holds
+                  every cell)
 
-    step() overwrites the levels and dt_u in place (see the module
+    The state is its buffers, sized for the whole domain, plus n, lo and hi:
+    the level of time index j is slot j % 3 of _levels, and the six arrays
+    above are read-only properties, views of the held cells sliced on each
+    access.  step() overwrites the levels and dt_u in place (see the module
     docstring), so a caller that keeps any of them across a step must copy
     it.
     """
@@ -278,9 +283,11 @@ class WaveState:
             # axis, so that their first, n - 4 and hi - 4 at most, is >= 0
             unit = "cells" if mode == "radial" else "nodes per axis"
             raise ValueError(f"a {mode} state needs 4 {unit} or more, not {self._cells}")
-        self._levels, self._dt_u = buffers[:3], buffers[3]
-        # the dissipation integrand, one component's size and windowed like
-        # the levels; the kernel's record of non-finite values
+        # the level of time index j in slot j % 3: u_prev, u_curr, u_next are
+        # slots 2, 0, 1 at n = 0
+        self._levels, self._dt_u = (buffers[1], buffers[2], buffers[0]), buffers[3]
+        # the dissipation integrand, one component's size; the kernel's
+        # record of non-finite values
         self._work = np.zeros(shape[1:])
         self._bad = np.empty(2, dtype=np.int64)
         # the kernel call, bound to the address of the state's constants, an
@@ -305,15 +312,27 @@ class WaveState:
             self._constants.A = 2.0 - 2.0 * k
             kernel = lib.radial_step
         else:
-            self.xs, self.measure = xs, self.h * self.h
+            self._geometry = (xs, self.h * self.h)
             self._constants.A = 2.0 - 4.0 * k
             kernel = lib.cartesian_step
         self._kernel = partial(kernel, ctypes.addressof(self._constants))
-        # the levels' addresses, oldest first, rotated with them
-        self._addresses = [a.ctypes.data for a in self._levels]
+        self._addresses = tuple(a.ctypes.data for a in self._levels)   # by slot
         self._lo_last, self._last_n = 0, math.inf   # a whole-disk window never closes
-        self.lo = self.hi = None
-        self._set_window(0, self._cells)
+        self.lo, self.hi = 0, self._cells
+
+    # -- the held window, sliced on access ------------------------------------
+
+    u_prev = property(lambda self: self._levels[(self.n - 1) % 3][:, self.lo:self.hi])
+    u_curr = property(lambda self: self._levels[self.n % 3][:, self.lo:self.hi])
+    u_next = property(lambda self: self._levels[(self.n + 1) % 3][:, self.lo:self.hi])
+    dt_u = property(lambda self: self._dt_u[:, self.lo:self.hi])
+    xs = property(lambda self: self._geometry[0][self.lo:self.hi])
+
+    @property
+    def measure(self):
+        if self.mode == "radial":
+            return self._geometry[1, self.lo:self.hi]
+        return self._geometry[1]
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -341,8 +360,8 @@ class WaveState:
 
     def dissipation(self) -> float:
         self._require_whole_disk("dissipation integrals")
-        prod = self._integrand
-        np.multiply(self.dt_u[0], self.dt_u[1], out=prod)
+        prod, dt_u = self._work[self.lo:self.hi], self.dt_u
+        np.multiply(dt_u[0], dt_u[1], out=prod)
         np.multiply(prod, prod, out=prod)
         np.multiply(prod, self.measure, out=prod)
         return float(np.sum(prod))
@@ -360,7 +379,7 @@ class WaveState:
         node square or, with a cone, at |x| < t + cone raises ValueError.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        n, h, level = self._cells, self.h, self._levels[1]     # the diagnosed level
+        n, h, level = self._cells, self.h, self._levels[self.n % 3]   # the diagnosed level
         if self.mode == "radial":
             r = np.hypot(pts[:, 0], pts[:, 1])
             if self.cone is not None and r.min() < self.t + self.cone - 1e-6 * h:
@@ -396,23 +415,21 @@ class WaveState:
         if self.n == self._last_n:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
-        # the new level overwrites the oldest one, which no step reads
-        status = self._pass(self.nonlinear, self._addresses, self.hi - FLUSH_CELLS)
-        new = self._levels[0][:, self.lo:self.hi]
-        self._levels.append(self._levels.pop(0))
-        self._addresses.append(self._addresses.pop(0))
-        self.u_prev, self.u_curr, self.u_next = self.u_curr, self.u_next, new
+        # level n + 2 overwrites level n - 1 in its slot: no step reads it
+        status = self._pass(self.nonlinear, self.n + 2, self.hi - FLUSH_CELLS)
         self.n += 1
         self.t = self.n * self.dt
         self._move_window(status & _step.GROW)
         return self
 
-    def _pass(self, nonlinear: bool, levels, flush: int) -> int:
-        """One kernel call over the held cells: the level at the address
-        levels[0] from those at levels[2] (top) and levels[1] (mid), its d_t u
+    def _pass(self, nonlinear: bool, j: int, flush: int) -> int:
+        """One kernel call over the held cells: the level of time index j
+        into slot j % 3 from levels j - 1 (top) and j - 2 (mid), its d_t u
         into dt_u, and, radial, its values below TINY from the global cell
-        flush on zeroed.  The status bits; InstabilityError, at the new
-        level's time (n + 1) dt, when a new value is not finite."""
+        flush on zeroed.  The status bits; InstabilityError, at the time
+        (n + 1) dt, when a new value is not finite."""
+        a = self._addresses
+        levels = a[j % 3], a[(j - 2) % 3], a[(j - 1) % 3]      # new, mid, top
         if self.mode == "radial":
             status = self._kernel(nonlinear, *levels, self.lo, self.hi, flush)
         else:
@@ -440,31 +457,17 @@ class WaveState:
             held |= a.any(axis=0)
         nonzero = np.flatnonzero(held)
         last = int(nonzero[-1]) if len(nonzero) else 0
-        self._set_window(0, min(max(last + 3, 4), self._cells))
+        self.lo, self.hi = 0, min(max(last + 3, 4), self._cells)
         self._move_window(self.u_next[:, -2:].any() or self.u_curr[:, -2:].any())
 
     def _move_window(self, edge_nonzero) -> None:
         """Grow hi by one cell when either of the last two held cells is
         nonzero at the top or middle level; move a cone's lo up one cell per
-        step."""
+        step.  Steps write only held cells and hi never falls, so the buffers
+        are 0.0 past hi; lo never falls either, so no cell below it is read."""
         hi = self.hi + bool(edge_nonzero and self.hi < self._cells)
         lo = max(self._lo_last - (self._last_n - self.n), 0)
-        self._set_window(min(lo, hi - 4), hi)     # a stencil's worth at least
-
-    def _set_window(self, lo: int, hi: int) -> None:
-        """Hold the global cells [lo, hi): point the views into the buffers.
-
-        Steps write only held cells and hi never falls, so the buffers are
-        0.0 past hi; lo never falls either, so no cell below it is read.
-        """
-        if (lo, hi) == (self.lo, self.hi):
-            return
-        self.lo, self.hi = lo, hi
-        self.u_prev, self.u_curr, self.u_next, self.dt_u = (
-            a[:, lo:hi] for a in (*self._levels, self._dt_u))
-        self._integrand = self._work[lo:hi]
-        if self.mode == "radial":
-            self.xs, self.measure = self._geometry[:2, lo:hi]
+        self.lo, self.hi = min(lo, hi - 4), hi     # a stencil's worth at least
 
 
 def _diff4(a: np.ndarray, h: float) -> np.ndarray:
@@ -536,8 +539,7 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     # 2 u0 + dt^2 Laplace(u0) into u_next: one free, unflushed pass of the
     # step over the whole domain, with u_prev, still 0.0, as the middle level;
     # g0 then replaces the d_t u it wrote and is held only by the state
-    prev, curr, nxt = state._addresses
-    state._pass(False, (nxt, prev, curr), state.hi)       # new, mid, top
+    state._pass(False, 1, state.hi)
     np.copyto(state.dt_u, g0)
     g0 = state.dt_u
     base = 0.5 * state.u_next

@@ -353,12 +353,13 @@ def _small_radial_state():
 
 
 def test_step_library_is_built_once_per_machine(tmp_path, monkeypatch):
-    """library() keeps the kernel in _step.CACHE as _step-<key>.so: the first
-    call writes that one file and leaves no temporary directory; a fresh
-    process loads it without compiling, so its inode and mtime stay; an
-    edited source gets a key of its own; and a CACHE that cannot be a
-    directory, a regular file, still gives a kernel that steps like the
-    cached one, written nowhere in tmp_path."""
+    """library() keeps the kernel in _step.CACHE as _step-<build>-<source>.so:
+    the first call writes that one file and leaves no temporary directory; a
+    fresh process loads it without compiling, so its inode and mtime stay; an
+    edited source gets a library of its own, which replaces the build's old
+    one and leaves another build's; and a CACHE that cannot be a directory, a
+    regular file, still gives a kernel that steps like the cached one,
+    written nowhere in tmp_path."""
     cache = tmp_path / "cache"
     monkeypatch.setattr(_step, "CACHE", cache)
     monkeypatch.setattr(_step, "_LIB", None)
@@ -376,13 +377,19 @@ def test_step_library_is_built_once_per_machine(tmp_path, monkeypatch):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert list(cache.iterdir()) == built
 
+    build = built[0].name.split("-")[1]
+    other = cache / "_step-otherbuild-x.so"
+    other.write_text("another machine's library")
     edited = tmp_path / "_step.c"
     edited.write_bytes(_step.SOURCE.read_bytes() + b"\n/* edited */\n")
     with monkeypatch.context() as m:
         m.setattr(_step, "SOURCE", edited)
         m.setattr(_step, "_LIB", None)
         _step.library()
-    assert len(list(cache.glob("_step-*.so"))) == 2
+    ours = list(cache.glob(f"_step-{build}-*.so"))
+    assert len(ours) == 1 and ours != built
+    assert other.read_text() == "another machine's library"
+    assert len(list(cache.iterdir())) == 2
 
     blocked = tmp_path / "blocked"
     blocked.write_text("a file")
@@ -578,13 +585,16 @@ def test_energy_trace_refuses_skipped_steps_and_other_runs(radial_data):
         run_simulation(cfg, nonlinear=True, samplers=[(trace.times, trace)])
 
 
-def test_step_allocates_no_field_arrays():
+@pytest.mark.parametrize("cone", [None, 0.0])
+def test_step_allocates_no_field_arrays(cone):
     """The step writes every intermediate into buffers allocated with the
     state: 50 nonlinear steps raise the traced memory peak by less than one
-    component row of the held window."""
-    state = init_state(default_config("conservation"), nonlinear=True)
-    while state.hi < 1500:
+    component row of the held window, also those of a light-cone window
+    whose lo moves every step."""
+    state = init_state(default_config("conservation"), nonlinear=True, cone=cone)
+    while state.hi < 1500 or (cone is not None and state.lo == 0):
         state.step()
+    lo = state.lo
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -594,3 +604,4 @@ def test_step_allocates_no_field_arrays():
     finally:
         tracemalloc.stop()
     assert peak - start < 8 * state.hi
+    assert state.lo == lo + (50 if cone is not None else 0)

@@ -3,6 +3,7 @@ only the cells its rays see."""
 
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -78,10 +79,12 @@ def test_window_invariant_every_step(cone):
     """The last two held cells are 0.0 at the levels a step reads, or hi is the
     domain; hi grows by at most one cell per step.  A light-cone window's lo
     moves up one cell per step once it leaves the origin; a whole-disk
-    window's lo stays there."""
+    window's lo stays there.  The six views span the held cells after every
+    step, the three levels are three buffers, and the step's top level is
+    the next step's diagnosed one, in the same memory."""
     cfg = scaling_rung(0.6)
     n_domain = math.ceil((cfg.data.support_radius + cfg.T) / H) + 3
-    seen = []
+    seen, tops = [], []
 
     def check(state):
         edge_zero = not (state.u_next[:, -2:].any() or state.u_curr[:, -2:].any())
@@ -89,7 +92,13 @@ def test_window_invariant_every_step(cone):
         assert state.hi - state.lo == len(state.xs)
         assert state.xs[0] == (state.lo + 0.5) * H
         assert state.u_curr.shape == state.dt_u.shape == (2, len(state.xs))
+        levels = state.u_prev, state.u_curr, state.u_next
+        for view in (*levels, state.dt_u, state.xs, state.measure):
+            assert view.shape[-1] == state.hi - state.lo
+        assert not any(np.shares_memory(a, b) for a, b in combinations(levels, 2))
+        assert not tops or np.shares_memory(state.u_curr, tops[-1])
         seen.append((state.lo, state.hi))
+        tops.append(state.u_next)
 
     steps = np.arange(0.0, cfg.T, cfg.dt)
     run_simulation(cfg, nonlinear=True, cone=cone, samplers=[(steps, check)])
@@ -497,7 +506,8 @@ def test_linear_update_is_the_reference_laplacian(radial_data, case):
     lo, hi = state.lo, state.hi
     state.u_curr[:], state.u_next[:] = mid, top
     # the step's window may move, so the new level is read from its buffer
-    lin = state.step()._levels[-1][:, lo:hi]
+    state.step()
+    lin = state._levels[(state.n + 1) % 3][:, lo:hi]
     lap = (lin - 2.0 * top + mid) / state.dt ** 2
 
     # the held window embedded in the whole domain, zeros outside it
