@@ -9,14 +9,16 @@
  * library is built with -ffp-contract=off, so that no multiply and add are
  * fused into one rounding, and its results are bit-identical to numpy's.
  *
- * The cells whose neighbours are all held run in loops without a branch, one
+ * Each grid's update is written once, in radial_cell and cartesian_node.  The
+ * cells whose neighbours are all held run it in loops without a branch, one
  * per value of nonlinear, which the compiler vectorises (-O3 -march=native):
  * each SIMD lane does the same IEEE operations as the scalar code, so the
  * results do not depend on the vector width.  A radial window's interior is
- * split at its first flushed cell; only its first and last cell, and the
- * Dirichlet ring of a Cartesian grid, are done one at a time.  Finiteness is
- * one AND over the new values; only when it fails is each component scanned
- * for its first NaN or inf.
+ * split at its first flushed cell, and its first and last cell are the same
+ * update with the neighbour outside the window skipped; the Dirichlet ring of
+ * a Cartesian grid is left as it is.  Finiteness is one AND over the new
+ * values; only when it fails is each component scanned for its first NaN or
+ * inf.
  *
  * Every buffer is a C-contiguous float64 array of both components, (2, cells)
  * in radial mode and (2, n, n) in Cartesian mode: component 2 starts one
@@ -31,11 +33,12 @@
 enum { GROW = 1, NONFINITE = 2 };
 
 /* a state's constants, bound once per state: d_t u, the radial neighbour
-   coefficient rows cp and cm (unused in Cartesian mode), bad, which receives
-   the index of each component's first non-finite new value or -1, the cells
-   of a component (radial) or the nodes per axis (Cartesian), the folded
-   update's A, the Cartesian neighbour factor k, and the reciprocals 1/dt,
-   1/(8 dt) and 1/(2 dt) */
+   coefficient rows cp and cm (unused in Cartesian mode), bad, which holds the
+   index of each component's first non-finite new value, or -1, only when a
+   step returns NONFINITE (no other step writes it), the cells of a component
+   (radial) or the nodes per axis (Cartesian), the folded update's A, the
+   Cartesian neighbour factor k, and the reciprocals 1/dt, 1/(8 dt) and
+   1/(2 dt) */
 struct state {
     double *dtu;
     const double *cp, *cm;
@@ -99,79 +102,61 @@ static void scan(const double *new, int64_t second, int64_t m, int64_t base, int
     }
 }
 
-/* A*top - mid + cp*top[i+1] + cm*top[i-1] at cell i of a window of m cells,
-   its first cell without its left neighbour and its last without its right */
-static double radial_lin(const double *top, const double *mid, const double *cp,
-                         const double *cm, int64_t i, int64_t m, double A)
+/* cell i of a radial window: the folded update
+   ((A*top - mid) + cp*top[i+1]) + cm*top[i-1], a neighbour whose flag left
+   or right is 0 skipped, not read; the cubic term when nonlinear; the new
+   values below tiny zeroed (none when tiny is 0.0), and their d_t u.
+   Whether they are finite: a flush keeps that, so it is tested before one.
+   The only place the radial update is written */
+static int radial_cell(const struct state *s, double *restrict new, double *restrict dtu,
+                       const double *restrict mid, const double *restrict top,
+                       const double *restrict cp, const double *restrict cm, int64_t i,
+                       int left, int right, double tiny, int nonlinear)
 {
-    double x = A * top[i] - mid[i];
-    if (i + 1 < m)
-        x += cp[i] * top[i + 1];
-    if (i > 0)
-        x += cm[i] * top[i - 1];
-    return x;
-}
-
-/* cell i of a window of m cells, one at a time: its linear update by
-   radial_lin, the cubic term when nonlinear and the flush from the cell
-   first_flushed on; whether its values are finite (a flush keeps that, so it
-   is tested before one) */
-static int radial_cell(const struct state *s, double *new, double *dtu, const double *mid,
-                       const double *top, const double *cp, const double *cm, int64_t i,
-                       int64_t m, int64_t first_flushed, int nonlinear)
-{
-    int64_t second = s->cells;
-    double tiny = i >= first_flushed ? DBL_MIN : 0.0;
-    double a = radial_lin(top, mid, cp, cm, i, m, s->A);
-    double b = radial_lin(top + second, mid + second, cp, cm, i, m, s->A);
+    const int64_t second = s->cells, j = second + i;
+    double a = s->A * top[i] - mid[i], b = s->A * top[j] - mid[j];
+    if (right) {
+        a += cp[i] * top[i + 1];
+        b += cp[i] * top[j + 1];
+    }
+    if (left) {
+        a += cm[i] * top[i - 1];
+        b += cm[i] * top[j - 1];
+    }
     if (nonlinear)
-        cubic(&a, &b, top[i], top[second + i], mid[i], mid[second + i], s->inv_dt,
-              s->inv_8dt);
+        cubic(&a, &b, top[i], top[j], mid[i], mid[j], s->inv_dt, s->inv_8dt);
     int ok = finite_value(a) & finite_value(b);
     store(new, dtu, mid, i, second, flushed(a, tiny), flushed(b, tiny), s->inv_2dt);
     return ok;
 }
 
-/* the cells [i0, i1) of a window, each with both neighbours held, as
-   radial_cell does them, in a loop without a branch for each value of
-   nonlinear: ((A*top - mid) + cp*top[i+1]) + cm*top[i-1], the cubic term when
-   nonlinear, the values below tiny zeroed (none when tiny is 0.0); whether
-   they are all finite.  Never inlined: inlined, its restrict parameters no
-   longer tell the compiler that the levels do not overlap, and it does not
-   vectorise the loops. */
+/* the cells [i0, i1) of a window, each with both neighbours held, by
+   radial_cell in a loop without a branch for each value of nonlinear;
+   whether their new values are all finite.  Never inlined: inlined, its
+   restrict parameters no longer tell the compiler that the levels do not
+   overlap, and it does not vectorise the loops. */
 __attribute__((noinline))
 static int radial_run(const struct state *s, double *restrict new, double *restrict dtu,
                       const double *restrict mid, const double *restrict top,
                       const double *restrict cp, const double *restrict cm, int64_t i0,
                       int64_t i1, double tiny, int nonlinear)
 {
-    const int64_t second = s->cells;
-    const double A = s->A, inv_dt = s->inv_dt, inv_8dt = s->inv_8dt, inv_2dt = s->inv_2dt;
     int ok = 1;
     if (nonlinear)
-        for (int64_t i = i0, j = second + i0; i < i1; i++, j++) {
-            double a = ((A * top[i] - mid[i]) + cp[i] * top[i + 1]) + cm[i] * top[i - 1];
-            double b = ((A * top[j] - mid[j]) + cp[i] * top[j + 1]) + cm[i] * top[j - 1];
-            cubic(&a, &b, top[i], top[j], mid[i], mid[j], inv_dt, inv_8dt);
-            ok &= finite_value(a) & finite_value(b);
-            store(new, dtu, mid, i, second, flushed(a, tiny), flushed(b, tiny), inv_2dt);
-        }
+        for (int64_t i = i0; i < i1; i++)
+            ok &= radial_cell(s, new, dtu, mid, top, cp, cm, i, 1, 1, tiny, 1);
     else
-        for (int64_t i = i0, j = second + i0; i < i1; i++, j++) {
-            double a = ((A * top[i] - mid[i]) + cp[i] * top[i + 1]) + cm[i] * top[i - 1];
-            double b = ((A * top[j] - mid[j]) + cp[i] * top[j + 1]) + cm[i] * top[j - 1];
-            ok &= finite_value(a) & finite_value(b);
-            store(new, dtu, mid, i, second, flushed(a, tiny), flushed(b, tiny), inv_2dt);
-        }
+        for (int64_t i = i0; i < i1; i++)
+            ok &= radial_cell(s, new, dtu, mid, top, cp, cm, i, 1, 1, tiny, 0);
     return ok;
 }
 
-/* one radial step of the global cells [lo, hi) with the state's constants s:
-   the level new from top and mid, the cubic term when nonlinear, the new
-   values below DBL_MIN zeroed in the cells from flush on, and d_t u; bad
-   receives the global index of each component's first non-finite value, or
-   -1.  Returns NONFINITE when there is one, and GROW when a value of new or
-   top is nonzero in the window's last two cells. */
+/* one radial step of the global cells [lo, hi), hi - lo >= 4, with the
+   state's constants s: the level new from top and mid, the cubic term when
+   nonlinear, the new values below DBL_MIN zeroed in the cells from flush on,
+   and d_t u.  Returns NONFINITE when a new value is not finite, bad then
+   holding the global index of each component's first one, or -1, and GROW
+   when a value of new or top is nonzero in the window's last two cells. */
 int radial_step(const struct state *s, int nonlinear, double *new, const double *mid,
                 const double *top, int64_t lo, int64_t hi, int64_t flush)
 {
@@ -179,23 +164,22 @@ int radial_step(const struct state *s, int nonlinear, double *new, const double 
     double *dtu = s->dtu + lo;
     const double *cp = s->cp + lo, *cm = s->cm + lo;
     new += lo, mid += lo, top += lo;
-    /* the interior [1, m - 1) split at its first flushed cell */
+    /* the first cell without its left neighbour, the interior [1, m - 1)
+       split at its first flushed cell, the last cell without its right one */
     int64_t cut = first_flushed < 1 ? 1 : first_flushed;
     cut = cut < m - 1 ? cut : m - 1;
-    int ok = 1;
-    if (m > 0)
-        ok &= radial_cell(s, new, dtu, mid, top, cp, cm, 0, m, first_flushed, nonlinear);
+    int ok = radial_cell(s, new, dtu, mid, top, cp, cm, 0, 0, 1,
+                         first_flushed <= 0 ? DBL_MIN : 0.0, nonlinear);
     ok &= radial_run(s, new, dtu, mid, top, cp, cm, 1, cut, 0.0, nonlinear);
     ok &= radial_run(s, new, dtu, mid, top, cp, cm, cut, m - 1, DBL_MIN, nonlinear);
-    if (m > 1)
-        ok &= radial_cell(s, new, dtu, mid, top, cp, cm, m - 1, m, first_flushed, nonlinear);
+    ok &= radial_cell(s, new, dtu, mid, top, cp, cm, m - 1, 1, 0,
+                      first_flushed <= m - 1 ? DBL_MIN : 0.0, nonlinear);
     int status = 0;
-    s->bad[0] = s->bad[1] = -1;
     if (!ok) {
         scan(new, second, m, lo, s->bad);
         status = NONFINITE;
     }
-    for (int64_t i = m < 2 ? 0 : m - 2; i < m; i++)
+    for (int64_t i = m - 2; i < m; i++)
         if (new[i] != 0.0 || new[second + i] != 0.0 || top[i] != 0.0 || top[second + i] != 0.0)
             status |= GROW;
     return status;
@@ -216,46 +200,49 @@ static int cartesian_keep(const struct state *s, double *new, const double *mid,
     return ok;
 }
 
-/* the interior nodes [f0, f1) of one row of an n x n grid, x along the first
-   axis, in a loop without a branch for each value of nonlinear:
-   (A*top - mid) + k*(((x+ + x-) + y+) + y-), the cubic term when nonlinear;
-   whether their new values are all finite.  Never inlined, as radial_run */
+/* node f of an n x n grid, its four neighbours held, x along the first axis:
+   (A*top - mid) + k*(((x+ + x-) + y+) + y-), the cubic term when nonlinear,
+   and its d_t u; whether its new values are finite.  The only place the
+   Cartesian update is written */
+static int cartesian_node(const struct state *s, double *restrict new, double *restrict dtu,
+                          const double *restrict mid, const double *restrict top, int64_t f,
+                          int nonlinear)
+{
+    const int64_t n = s->cells, second = n * n, g = second + f;
+    double a = (s->A * top[f] - mid[f])
+        + s->k * (((top[f + n] + top[f - n]) + top[f + 1]) + top[f - 1]);
+    double b = (s->A * top[g] - mid[g])
+        + s->k * (((top[g + n] + top[g - n]) + top[g + 1]) + top[g - 1]);
+    if (nonlinear)
+        cubic(&a, &b, top[f], top[g], mid[f], mid[g], s->inv_dt, s->inv_8dt);
+    int ok = finite_value(a) & finite_value(b);
+    store(new, dtu, mid, f, second, a, b, s->inv_2dt);
+    return ok;
+}
+
+/* the interior nodes [f0, f1) of one row of an n x n grid by cartesian_node,
+   in a loop without a branch for each value of nonlinear; whether their new
+   values are all finite.  Never inlined, as radial_run */
 __attribute__((noinline))
 static int cartesian_run(const struct state *s, double *restrict new, double *restrict dtu,
                          const double *restrict mid, const double *restrict top, int64_t f0,
                          int64_t f1, int nonlinear)
 {
-    const int64_t n = s->cells, second = n * n;
-    const double A = s->A, k = s->k, inv_dt = s->inv_dt, inv_8dt = s->inv_8dt,
-                 inv_2dt = s->inv_2dt;
     int ok = 1;
     if (nonlinear)
-        for (int64_t f = f0, g = second + f0; f < f1; f++, g++) {
-            double a = (A * top[f] - mid[f])
-                + k * (((top[f + n] + top[f - n]) + top[f + 1]) + top[f - 1]);
-            double b = (A * top[g] - mid[g])
-                + k * (((top[g + n] + top[g - n]) + top[g + 1]) + top[g - 1]);
-            cubic(&a, &b, top[f], top[g], mid[f], mid[g], inv_dt, inv_8dt);
-            ok &= finite_value(a) & finite_value(b);
-            store(new, dtu, mid, f, second, a, b, inv_2dt);
-        }
+        for (int64_t f = f0; f < f1; f++)
+            ok &= cartesian_node(s, new, dtu, mid, top, f, 1);
     else
-        for (int64_t f = f0, g = second + f0; f < f1; f++, g++) {
-            double a = (A * top[f] - mid[f])
-                + k * (((top[f + n] + top[f - n]) + top[f + 1]) + top[f - 1]);
-            double b = (A * top[g] - mid[g])
-                + k * (((top[g + n] + top[g - n]) + top[g + 1]) + top[g - 1]);
-            ok &= finite_value(a) & finite_value(b);
-            store(new, dtu, mid, f, second, a, b, inv_2dt);
-        }
+        for (int64_t f = f0; f < f1; f++)
+            ok &= cartesian_node(s, new, dtu, mid, top, f, 0);
     return ok;
 }
 
 /* one Cartesian step with the state's constants s: the level new from top
    and mid at the interior nodes, row by row, the cubic term when nonlinear,
    the Dirichlet ring of new left as it is; d_t u and the finiteness record
-   over every node, bad receiving the flat index of each component's first
-   non-finite value, or -1.  Returns NONFINITE when there is one. */
+   over every node.  Returns NONFINITE when a new value is not finite, bad
+   then holding the flat index of each component's first one, or -1. */
 int cartesian_step(const struct state *s, int nonlinear, double *new, const double *mid,
                    const double *top)
 {
@@ -267,7 +254,6 @@ int cartesian_step(const struct state *s, int nonlinear, double *new, const doub
               & cartesian_keep(s, new, mid, f + n - 1, f + n);
         ok &= cartesian_run(s, new, s->dtu, mid, top, f + 1, f + n - 1, nonlinear);
     }
-    s->bad[0] = s->bad[1] = -1;
     if (ok)
         return 0;
     scan(new, second, second, 0, s->bad);

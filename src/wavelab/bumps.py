@@ -116,9 +116,9 @@ class InitialData:
 
     def __post_init__(self):
         # zero amplitude is allowed for degenerate evaluations; simulation
-        # configs additionally require epsilon > 0
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        # configs additionally require epsilon > 0.  NaN fails both tests
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         for name in ("f1", "g1", "f2", "g2"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 

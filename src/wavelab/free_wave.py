@@ -23,8 +23,8 @@ The quadrature window is clipped to the data support: only radii
 rho in [max(0, |x| - R0), min(t, |x| + R0)] and, when x lies outside the
 support, only the angular sector that sees the support disk contribute.
 
-Accuracy target: 1e-7 absolute at the default node budget (see the
-node_factor knob and the accompanying tests).
+Accuracy target: 1e-7 absolute at PANEL_DENSITY composite panels per
+feature length (the tests check it against twice that density).
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from .radiation import _panel_rule
 
 __all__ = ["free_field"]
 
+PANEL_DENSITY = 4.0        # composite panels per feature length
 
-def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
-               node_factor: float):
+
+def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float):
     """Quadrature nodes/weights for the clipped backward light disk.
 
     feature is the finest length scale of the data (smallest bump radius);
@@ -54,8 +55,7 @@ def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
     beta0 = np.arcsin(min(1.0, rho_min / t))
     beta1 = np.arcsin(min(1.0, rho_max / t)) if rho_max < t else 0.5 * np.pi
     scale = max(feature, 1e-9)
-    dens = 4.0 * node_factor          # composite panels per feature length
-    beta_panels = max(4, int(np.ceil(dens * (rho_max - rho_min) / scale)))
+    beta_panels = max(4, int(np.ceil(PANEL_DENSITY * (rho_max - rho_min) / scale)))
     bx, bw = _panel_rule(beta_panels, 24)
     beta = beta0 + 0.5 * (beta1 - beta0) * (bx + 1.0)
     beta_w = 0.5 * (beta1 - beta0) * bw
@@ -63,7 +63,7 @@ def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
     if dist <= r0:
         # x inside the support: full circle, periodic trapezoid in alpha;
         # the node count resolves the steep bump flank (about feature/5)
-        n_alpha = max(64, int(np.ceil(dens * 10.0 * np.pi * rho_max / scale)))
+        n_alpha = max(64, int(np.ceil(PANEL_DENSITY * 10.0 * np.pi * rho_max / scale)))
         alpha = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
         alpha_w = np.full(n_alpha, 2.0 * np.pi / n_alpha)
     else:
@@ -71,7 +71,7 @@ def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
         half = np.arcsin(min(1.0, r0 / dist))
         center = np.arctan2(-x[1], -x[0])
         arc = rho_max * 2.0 * half
-        panels = max(4, int(np.ceil(dens * arc / scale)))
+        panels = max(4, int(np.ceil(PANEL_DENSITY * arc / scale)))
         ax, aw = _panel_rule(panels, 24)
         alpha = center + half * ax
         alpha_w = half * aw
@@ -89,13 +89,13 @@ def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float,
     return pts, wts, sinb, dirs
 
 
-def _moments(specs, t, x, r0, node_factor, k):
+def _moments(specs, t, x, r0, k):
     """(d_t^k I, d_t^{k+1} I, grad_x d_t^k I) of the bump sum specs at (t, x).
 
     k = 1 gives u, u_t and grad u of position data, k = 0 those of velocity
     data.  Empty data, or a disk that misses the support, gives zeros.
     """
-    rule = _disk_rule(t, x, r0, min(s.radius for s in specs), node_factor) if specs else None
+    rule = _disk_rule(t, x, r0, min(s.radius for s in specs)) if specs else None
     if rule is None:
         return 0.0, 0.0, np.zeros(2)
     pts, wts, sinb, dirs = rule
@@ -116,8 +116,7 @@ def _moments(specs, t, x, r0, node_factor, k):
             c * np.sum((grad + t * sinb[:, None] * dgrad) * wsin[:, None], axis=0))
 
 
-def free_field(data: InitialData, t: float, x, node_factor: float = 1.0
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def free_field(data: InitialData, t: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Free solution with data (eps f_j, eps g_j), evaluated at one (t, x).
 
     Returns (u, ut, grad) of shapes (2,), (2,) and (2, 2), axis 0 the
@@ -133,7 +132,6 @@ def free_field(data: InitialData, t: float, x, node_factor: float = 1.0
     r0 = data.support_radius
     if np.hypot(x[0], x[1]) > r0 + t:
         return np.zeros(2), np.zeros(2), np.zeros((2, 2))
-    parts = [[a + b for a, b in zip(_moments(f, t, x, r0, node_factor, 1),
-                                    _moments(g, t, x, r0, node_factor, 0))]
+    parts = [[a + b for a, b in zip(_moments(f, t, x, r0, 1), _moments(g, t, x, r0, 0))]
              for f, g in ((data.f1, data.g1), (data.f2, data.g2))]
     return tuple(data.epsilon * np.stack(p) for p in zip(*parts))

@@ -55,11 +55,13 @@ A step is one call of a C function per mode (_step.c, built once per
 machine; see wavelab._step), which walks the held cells once and
 does, per cell and component, the linear update, the three cubic passes, the
 subnormal flush below, d_t u and a record of the first NaN or inf of each
-component, from which the step raises InstabilityError.  Each value is the
-result of the same IEEE operations in the same order as the numpy
-expressions above, and the library is built with -ffp-contract=off, so that
-results are bit-identical to them and to stepping the components one by
-one.  It allocates nothing: the state holds the three levels and dt_u as
+component, from which the step raises InstabilityError.  That per-cell work
+is written once per mode: the same code does a radial window's first and
+last cell, without the neighbour outside it, and the cells between.  Each
+value is the result of the same IEEE operations in the same order as the
+numpy expressions above, and the library is built with -ffp-contract=off,
+so that results are bit-identical to them and to stepping the components
+one by one.  It allocates nothing: the state holds the three levels and dt_u as
 C-contiguous float64 (2, ...) buffers (it copies arrays of another layout
 and refuses another shape), one component-sized buffer for the dissipation
 integrand, and the radial geometry rows; the oldest level's buffer receives
@@ -457,8 +459,10 @@ class WaveState:
             held |= a.any(axis=0)
         nonzero = np.flatnonzero(held)
         last = int(nonzero[-1]) if len(nonzero) else 0
+        # the window ends two zero cells past the last nonzero one, or at the
+        # domain's edge, so it does not grow before the first step
         self.lo, self.hi = 0, min(max(last + 3, 4), self._cells)
-        self._move_window(self.u_next[:, -2:].any() or self.u_curr[:, -2:].any())
+        self._move_window(False)
 
     def _move_window(self, edge_nonzero) -> None:
         """Grow hi by one cell when either of the last two held cells is

@@ -148,6 +148,16 @@ def test_directional_derivative_consistency(unit_bump):
     np.testing.assert_allclose(d2, expect2, rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf, 0.0])
+def test_epsilon_must_be_finite_and_nonnegative(eps, unit_bump):
+    """A negative, NaN or infinite epsilon is refused; 0 builds."""
+    if eps == 0.0:
+        assert InitialData(g1=(unit_bump,), epsilon=eps).epsilon == 0.0
+        return
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        InitialData(g1=(unit_bump,), epsilon=eps)
+
+
 def test_initial_values_zero_epsilon(unit_bump):
     data = InitialData(f1=(unit_bump,), g1=(unit_bump,), epsilon=0.0)
     u, ut, grad = initial_values(data, np.array([0.3, 0.1]))

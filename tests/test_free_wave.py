@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wavelab import BumpSpec, InitialData, free_field, initial_values, sum_value_grad_hess
+from wavelab import (BumpSpec, InitialData, free_field, free_wave, initial_values,
+                     sum_value_grad_hess)
 
 
 @pytest.fixture
@@ -73,12 +74,13 @@ def test_small_time_taylor_expansion(unit_bump):
     (10.0, (2.0, 1.0)),
     (25.0, (24.8, 0.0)),
 ])
-def test_node_doubling_self_convergence(t, x):
+def test_node_doubling_self_convergence(t, x, monkeypatch):
     """Doubling the quadrature density moves nothing above 1e-7 absolute."""
     data = InitialData(f1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),
                        g1=(BumpSpec((0.2, -0.1), 0.7, -0.6),), epsilon=1.0)
     a = free_field(data, t, np.array(x))
-    b = free_field(data, t, np.array(x), node_factor=2.0)
+    monkeypatch.setattr(free_wave, "PANEL_DENSITY", 2.0 * free_wave.PANEL_DENSITY)
+    b = free_field(data, t, np.array(x))
     diff = max(float(np.max(np.abs(p[0] - q[0]))) for p, q in zip(a, b))
     assert diff <= 2e-7
 

@@ -337,11 +337,37 @@ def test_state_holds_buffers_the_kernel_can_read(mode, rng):
 
 def test_step_kernel_source_is_clean_c99(tmp_path):
     """_step.c compiles as C99 without a warning: no unused static function
-    (which -fsyntax-only would not report) and no unused parameter."""
-    done = subprocess.run([_step.CC, "-Wall", "-Wextra", "-Werror", "-std=c99", "-c", "-o",
-                           str(tmp_path / "_step.o"), str(_step.SOURCE)],
-                          capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    (which -fsyntax-only would not report) and no unused parameter; and with
+    the library's own flags, whose optimisation finds warnings of its own."""
+    for flags in (("-std=c99", "-c"), _step.CFLAGS):
+        done = subprocess.run([_step.CC, *flags, "-Wall", "-Wextra", "-Werror", "-o",
+                               str(tmp_path / "_step.out"), str(_step.SOURCE)],
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", ""), flags
+
+
+def test_step_kernel_loops_are_vectorised(tmp_path):
+    """gcc reports every loop of radial_run and cartesian_run vectorised
+    under the library's flags: the per-cell helpers they call must inline
+    into them, which a plain static function does at -O3."""
+    version = subprocess.run([_step.CC, "--version"], capture_output=True, text=True).stdout
+    if "Free Software Foundation" not in version:
+        pytest.skip(f"{_step.CC} is not gcc")
+    done = subprocess.run([_step.CC, *_step.CFLAGS, "-fopt-info-vec-optimized", "-o",
+                           str(tmp_path / "_step.so"), str(_step.SOURCE)],
+                          capture_output=True, text=True, check=True)
+    vectorised = {int(line.split(":")[1]) for line in done.stderr.splitlines()
+                  if "optimized: loop vectorized" in line}
+    loops, inside = [], None
+    for number, line in enumerate(_step.SOURCE.read_text().splitlines(), start=1):
+        if line.startswith("static int "):
+            inside = line.split()[2].split("(")[0]
+        elif line == "}":
+            inside = None
+        elif inside in ("radial_run", "cartesian_run") and "for (" in line:
+            loops.append((inside, number))
+    assert [name for name, _ in loops] == 2 * ["radial_run"] + 2 * ["cartesian_run"]
+    assert [loop for loop in loops if loop[1] not in vectorised] == []
 
 
 def _small_radial_state():
