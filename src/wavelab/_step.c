@@ -2,7 +2,7 @@
  * the held cells (see the module docstring of solver.py for the scheme):
  * radial_step and cartesian_step, the library's only functions.  They are
  * also the only stencil: the run's start level is one free pass of them, with
- * a zero middle level and no flush.
+ * a zero middle level.
  *
  * Every value is the result of the same IEEE operations, in the same order,
  * as the expression its comment gives, which is how numpy evaluates it; the
@@ -13,12 +13,14 @@
  * cells whose neighbours are all held run it in loops without a branch, one
  * per value of nonlinear, which the compiler vectorises (-O3 -march=native):
  * each SIMD lane does the same IEEE operations as the scalar code, so the
- * results do not depend on the vector width.  A radial window's interior is
- * split at its first flushed cell, and its first and last cell are the same
- * update with the neighbour outside the window skipped; the Dirichlet ring of
- * a Cartesian grid is left as it is.  Finiteness is one AND over the new
- * values; only when it fails is each component scanned for its first NaN or
- * inf.
+ * results do not depend on the vector width.  A radial window's first and
+ * last cell are the same update with the neighbour outside the window
+ * skipped; a Cartesian step never writes its grid's Dirichlet ring.
+ *
+ * The one subnormal rule: a radial step writes 0.0 in place of every new
+ * value below DBL_MIN, the smallest normal double; a Cartesian step flushes
+ * nothing.  Finiteness is one AND over the new values; only when it fails is
+ * each component scanned for its first NaN or inf.
  *
  * Every buffer is a C-contiguous float64 array of both components, (2, cells)
  * in radial mode and (2, n, n) in Cartesian mode: component 2 starts one
@@ -53,10 +55,10 @@ static int finite_value(double x)
     return fabs(x) <= DBL_MAX;
 }
 
-/* x, or 0.0 when its magnitude is below tiny: x itself when tiny is 0.0 */
-static double flushed(double x, double tiny)
+/* x, or 0.0 when its magnitude is below DBL_MIN */
+static double flushed(double x)
 {
-    return fabs(x) < tiny ? 0.0 : x;
+    return fabs(x) < DBL_MIN ? 0.0 : x;
 }
 
 /* the cubic term's predictor and two correctors, from the linear parts *a and
@@ -105,13 +107,13 @@ static void scan(const double *new, int64_t second, int64_t m, int64_t base, int
 /* cell i of a radial window: the folded update
    ((A*top - mid) + cp*top[i+1]) + cm*top[i-1], a neighbour whose flag left
    or right is 0 skipped, not read; the cubic term when nonlinear; the new
-   values below tiny zeroed (none when tiny is 0.0), and their d_t u.
+   values below DBL_MIN zeroed, and their d_t u.
    Whether they are finite: a flush keeps that, so it is tested before one.
    The only place the radial update is written */
 static int radial_cell(const struct state *s, double *restrict new, double *restrict dtu,
                        const double *restrict mid, const double *restrict top,
                        const double *restrict cp, const double *restrict cm, int64_t i,
-                       int left, int right, double tiny, int nonlinear)
+                       int left, int right, int nonlinear)
 {
     const int64_t second = s->cells, j = second + i;
     double a = s->A * top[i] - mid[i], b = s->A * top[j] - mid[j];
@@ -126,7 +128,7 @@ static int radial_cell(const struct state *s, double *restrict new, double *rest
     if (nonlinear)
         cubic(&a, &b, top[i], top[j], mid[i], mid[j], s->inv_dt, s->inv_8dt);
     int ok = finite_value(a) & finite_value(b);
-    store(new, dtu, mid, i, second, flushed(a, tiny), flushed(b, tiny), s->inv_2dt);
+    store(new, dtu, mid, i, second, flushed(a), flushed(b), s->inv_2dt);
     return ok;
 }
 
@@ -139,41 +141,36 @@ __attribute__((noinline))
 static int radial_run(const struct state *s, double *restrict new, double *restrict dtu,
                       const double *restrict mid, const double *restrict top,
                       const double *restrict cp, const double *restrict cm, int64_t i0,
-                      int64_t i1, double tiny, int nonlinear)
+                      int64_t i1, int nonlinear)
 {
     int ok = 1;
     if (nonlinear)
         for (int64_t i = i0; i < i1; i++)
-            ok &= radial_cell(s, new, dtu, mid, top, cp, cm, i, 1, 1, tiny, 1);
+            ok &= radial_cell(s, new, dtu, mid, top, cp, cm, i, 1, 1, 1);
     else
         for (int64_t i = i0; i < i1; i++)
-            ok &= radial_cell(s, new, dtu, mid, top, cp, cm, i, 1, 1, tiny, 0);
+            ok &= radial_cell(s, new, dtu, mid, top, cp, cm, i, 1, 1, 0);
     return ok;
 }
 
 /* one radial step of the global cells [lo, hi), hi - lo >= 4, with the
    state's constants s: the level new from top and mid, the cubic term when
-   nonlinear, the new values below DBL_MIN zeroed in the cells from flush on,
-   and d_t u.  Returns NONFINITE when a new value is not finite, bad then
-   holding the global index of each component's first one, or -1, and GROW
-   when a value of new or top is nonzero in the window's last two cells. */
+   nonlinear, the new values below DBL_MIN zeroed, and d_t u.  Returns
+   NONFINITE when a new value is not finite, bad then holding the global
+   index of each component's first one, or -1, and GROW when a value of new
+   or top is nonzero in the window's last two cells. */
 int radial_step(const struct state *s, int nonlinear, double *new, const double *mid,
-                const double *top, int64_t lo, int64_t hi, int64_t flush)
+                const double *top, int64_t lo, int64_t hi)
 {
-    int64_t m = hi - lo, second = s->cells, first_flushed = flush - lo;
+    int64_t m = hi - lo, second = s->cells;
     double *dtu = s->dtu + lo;
     const double *cp = s->cp + lo, *cm = s->cm + lo;
     new += lo, mid += lo, top += lo;
-    /* the first cell without its left neighbour, the interior [1, m - 1)
-       split at its first flushed cell, the last cell without its right one */
-    int64_t cut = first_flushed < 1 ? 1 : first_flushed;
-    cut = cut < m - 1 ? cut : m - 1;
-    int ok = radial_cell(s, new, dtu, mid, top, cp, cm, 0, 0, 1,
-                         first_flushed <= 0 ? DBL_MIN : 0.0, nonlinear);
-    ok &= radial_run(s, new, dtu, mid, top, cp, cm, 1, cut, 0.0, nonlinear);
-    ok &= radial_run(s, new, dtu, mid, top, cp, cm, cut, m - 1, DBL_MIN, nonlinear);
-    ok &= radial_cell(s, new, dtu, mid, top, cp, cm, m - 1, 1, 0,
-                      first_flushed <= m - 1 ? DBL_MIN : 0.0, nonlinear);
+    /* the first cell without its left neighbour, the interior [1, m - 1), the
+       last cell without its right one */
+    int ok = radial_cell(s, new, dtu, mid, top, cp, cm, 0, 0, 1, nonlinear);
+    ok &= radial_run(s, new, dtu, mid, top, cp, cm, 1, m - 1, nonlinear);
+    ok &= radial_cell(s, new, dtu, mid, top, cp, cm, m - 1, 1, 0, nonlinear);
     int status = 0;
     if (!ok) {
         scan(new, second, m, lo, s->bad);
@@ -183,21 +180,6 @@ int radial_step(const struct state *s, int nonlinear, double *new, const double 
         if (new[i] != 0.0 || new[second + i] != 0.0 || top[i] != 0.0 || top[second + i] != 0.0)
             status |= GROW;
     return status;
-}
-
-/* the nodes [f0, f1) of an n x n grid left as they are in new, with their
-   d_t u; whether their values are all finite */
-static int cartesian_keep(const struct state *s, double *new, const double *mid, int64_t f0,
-                          int64_t f1)
-{
-    int64_t second = s->cells * s->cells;
-    int ok = 1;
-    for (int64_t f = f0; f < f1; f++) {
-        double a = new[f], b = new[second + f];
-        ok &= finite_value(a) & finite_value(b);
-        store(new, s->dtu, mid, f, second, a, b, s->inv_2dt);
-    }
-    return ok;
 }
 
 /* node f of an n x n grid, its four neighbours held, x along the first axis:
@@ -240,20 +222,16 @@ static int cartesian_run(const struct state *s, double *restrict new, double *re
 
 /* one Cartesian step with the state's constants s: the level new from top
    and mid at the interior nodes, row by row, the cubic term when nonlinear,
-   the Dirichlet ring of new left as it is; d_t u and the finiteness record
-   over every node.  Returns NONFINITE when a new value is not finite, bad
-   then holding the flat index of each component's first one, or -1. */
+   and their d_t u; the Dirichlet ring of new and of d_t u is never written.
+   Returns NONFINITE when a new value is not finite, bad then holding the
+   flat index of each component's first one, or -1. */
 int cartesian_step(const struct state *s, int nonlinear, double *new, const double *mid,
                    const double *top)
 {
     int64_t n = s->cells, second = n * n;
-    int ok = cartesian_keep(s, new, mid, 0, n)
-             & cartesian_keep(s, new, mid, second - n, second);
-    for (int64_t f = n; f < second - n; f += n) {
-        ok &= cartesian_keep(s, new, mid, f, f + 1)
-              & cartesian_keep(s, new, mid, f + n - 1, f + n);
+    int ok = 1;
+    for (int64_t f = n; f < second - n; f += n)
         ok &= cartesian_run(s, new, s->dtu, mid, top, f + 1, f + n - 1, nonlinear);
-    }
     if (ok)
         return 0;
     scan(new, second, second, 0, s->bad);

@@ -2,8 +2,10 @@
 
 Its two functions, radial_step and cartesian_step, are the solver's only
 stencil: a step is one call, and so is the first level of a run (a free pass
-with a zero middle level and no flush; see solver.init_state).  Each takes a
-pointer to the state's constants, a State, then the per-call choices.
+with a zero middle level; see solver.init_state).  A radial step writes 0.0
+for every new value below the smallest normal float; a Cartesian step
+flushes nothing.  Each takes a pointer to the state's constants, a State,
+then the per-call choices.
 
 The library is compiled once per machine, on the first use in a process
 that does not find it (never at import), with the C compiler CC and the
@@ -50,7 +52,7 @@ _P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # each function's argument types, pointers passed as addresses; each returns
 # the status bits as an int, ctypes' default
 _SIGNATURES = {
-    "radial_step": (_P, ctypes.c_int, _P, _P, _P, _I, _I, _I),
+    "radial_step": (_P, ctypes.c_int, _P, _P, _P, _I, _I),
     "cartesian_step": (_P, ctypes.c_int, _P, _P, _P),
 }
 

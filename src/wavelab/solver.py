@@ -37,8 +37,8 @@ origin's even ghost is cm[0] = 0 with cp[0] = 2 dt^2/h^2.  Cartesian: k =
 dt^2/h^2 times the 4-neighbour sum, and A = 2 - 4k.  A neighbour outside the
 held cells (a light-cone window's left one, the outer 0.0 or the wall) is
 skipped, not read.  The step is the only code that applies this update:
-init_state takes lin(u0, 0) for the first levels from one free, unflushed
-step over the whole domain.
+init_state takes lin(u0, 0) for the first levels from one free step over
+the whole domain, flushed like every other radial step.
 
 The components couple only through the product d_t u1 d_t u2, and a step
 builds the cubic term from it.  Each pass takes the increment w = top - mid
@@ -52,8 +52,8 @@ the reciprocals are precomputed: a step divides nothing.  The final d_t u
 is (new - mid) * (1/(2 dt)).
 
 A step is one call of a C function per mode (_step.c, built once per
-machine; see wavelab._step), which walks the held cells once and
-does, per cell and component, the linear update, the three cubic passes, the
+machine; see wavelab._step), which walks the held cells once and does, per
+cell and component, the linear update, the three cubic passes, the radial
 subnormal flush below, d_t u and a record of the first NaN or inf of each
 component, from which the step raises InstabilityError.  That per-cell work
 is written once per mode: the same code does a radial window's first and
@@ -69,14 +69,13 @@ the new level.  The arrays a sampler sees are views of these buffers: it
 must copy what it keeps.
 
 The numerical precursor ahead of a radial front decays through the
-subnormal range, where arithmetic is slow, before it underflows.  So a
-radial step zeroes the values of its new level below TINY, the smallest
-normal float, in the FLUSH_CELLS global cells just below hi, before it
-tests hi for growth.  That band holds each component's support edge, where
-such values form (nondecay-demo's two edges lie 0.5 length units apart, 64
-cells at h = 1/128), so no held level value of a default run is subnormal.  The flushed
-values are below 2.2e-308, but the rounding flips they cause cascade inward
-from the front and move reported values in their last digits.
+subnormal range, where arithmetic is slow, before it underflows.  So the
+one subnormal rule is: a radial step writes 0.0 for every new value below
+TINY, the smallest normal float, in every held cell, before it tests hi for
+growth, and no level a radial step writes holds a subnormal value.  The
+flushed values are below 2.2e-308, but the rounding flips they cause
+cascade inward from the front and move reported values in their last
+digits.  A Cartesian step flushes nothing.
 
 Radial windows.  Every radial state keeps its levels in buffers allocated
 once for the whole domain and advances only the global cells [lo, hi).  The
@@ -179,11 +178,9 @@ CELL_BYTES = 14 * 8
 # (eps A)^2, stay normal floats
 SMALLEST_DATA = math.sqrt(np.finfo(float).tiny)
 
-# a radial step zeroes the values below TINY, the smallest normal float
-# (DBL_MIN in the kernel), in the FLUSH_CELLS global cells just below hi
-# (see the module docstring)
+# a radial step writes 0.0 for each new value below TINY, the smallest
+# normal float (DBL_MIN in the kernel; see the module docstring)
 TINY = np.finfo(float).tiny
-FLUSH_CELLS = 128
 
 
 class InstabilityError(RuntimeError):
@@ -418,22 +415,22 @@ class WaveState:
             raise ValueError("a light-cone window ends at the step count it was "
                              "opened for")
         # level n + 2 overwrites level n - 1 in its slot: no step reads it
-        status = self._pass(self.nonlinear, self.n + 2, self.hi - FLUSH_CELLS)
+        status = self._pass(self.nonlinear, self.n + 2)
         self.n += 1
         self.t = self.n * self.dt
         self._move_window(status & _step.GROW)
         return self
 
-    def _pass(self, nonlinear: bool, j: int, flush: int) -> int:
+    def _pass(self, nonlinear: bool, j: int) -> int:
         """One kernel call over the held cells: the level of time index j
         into slot j % 3 from levels j - 1 (top) and j - 2 (mid), its d_t u
-        into dt_u, and, radial, its values below TINY from the global cell
-        flush on zeroed.  The status bits; InstabilityError, at the time
-        (n + 1) dt, when a new value is not finite."""
+        into dt_u, and, radial, its values below TINY zeroed.  The status
+        bits; InstabilityError, at the time (n + 1) dt, when a new value is
+        not finite."""
         a = self._addresses
         levels = a[j % 3], a[(j - 2) % 3], a[(j - 1) % 3]      # new, mid, top
         if self.mode == "radial":
-            status = self._kernel(nonlinear, *levels, self.lo, self.hi, flush)
+            status = self._kernel(nonlinear, *levels, self.lo, self.hi)
         else:
             status = self._kernel(nonlinear, *levels)
         if status & _step.NONFINITE:
@@ -540,10 +537,11 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     state = WaveState(config.mode, h, dt, xs,
                       u_prev=np.zeros_like(u0), u_curr=u0, u_next=np.zeros_like(u0),
                       dt_u=np.zeros_like(u0), nonlinear=nonlinear)
-    # 2 u0 + dt^2 Laplace(u0) into u_next: one free, unflushed pass of the
-    # step over the whole domain, with u_prev, still 0.0, as the middle level;
-    # g0 then replaces the d_t u it wrote and is held only by the state
-    state._pass(False, 1, state.hi)
+    # 2 u0 + dt^2 Laplace(u0) into u_next: one free pass of the step over the
+    # whole domain, with u_prev, still 0.0, as the middle level, flushed like
+    # every radial step; g0 then replaces the d_t u it wrote and is held only
+    # by the state
+    state._pass(False, 1)
     np.copyto(state.dt_u, g0)
     g0 = state.dt_u
     base = 0.5 * state.u_next

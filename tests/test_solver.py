@@ -1,5 +1,7 @@
+import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -344,6 +346,24 @@ def test_step_kernel_source_is_clean_c99(tmp_path):
                                str(tmp_path / "_step.out"), str(_step.SOURCE)],
                               capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == (0, "", ""), flags
+
+
+def test_step_signatures_match_the_kernel_source():
+    """_step._SIGNATURES names exactly the non-static functions of _step.c,
+    each returning int (ctypes' default), with one argument type per C
+    parameter: a pointer as c_void_p, int64_t as c_int64, int as c_int.  A
+    longer or shorter Python signature would load silently and pass the
+    kernel garbage."""
+    source = re.sub(r"/\*.*?\*/", "", _step.SOURCE.read_text(), flags=re.S)
+    kinds = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double}
+    found = {}
+    for kind, name, params in re.findall(r"^(\w[\w\s*]*?)\b(\w+)\(([^)]*)\)\s*\{", source,
+                                         flags=re.M):
+        if "static" not in kind.split():
+            assert kind.split() == ["int"], name
+            found[name] = tuple(ctypes.c_void_p if "*" in p else kinds[p.split()[0]]
+                                for p in params.split(","))
+    assert found == _step._SIGNATURES
 
 
 def test_step_kernel_loops_are_vectorised(tmp_path):

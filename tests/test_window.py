@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import energy_run
 from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, ScenarioConfig,
-                     WaveState, init_state, run_simulation, solver)
+                     WaveState, init_state, run_simulation)
 from wavelab.bumps import initial_values
 from wavelab.profile import RayTraceCollector
 from wavelab.scenarios import default_config
-from wavelab.solver import CONE_REACH, FLUSH_CELLS, TINY, TRACE_DT, run_size
+from wavelab.solver import CONE_REACH, TINY, TRACE_DT, run_size
 
 H = 1.0 / 32.0
 
@@ -227,10 +227,10 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     """A whole-disk run equals, at every step, a reference loop that steps
     every cell of the domain, until and after its support reaches the wall.
     The reference keeps its own outer edge hi by the window's rule, flushes
-    the same band below it, and sums D and the energies over its cells
-    [0, hi); an EnergyTrace integrates that D.  A light-cone window's held
-    cells [lo, hi) equal the reference's at every step too: the cell its cut
-    makes wrong, the first, leaves the window as lo moves up."""
+    its cells [0, hi), and sums D and the energies over them; an EnergyTrace
+    integrates that D.  A light-cone window's held cells [lo, hi) equal the
+    reference's at every step too: the cell its cut makes wrong, the first,
+    leaves the window as lo moves up."""
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=3.0, h=1.0 / 16.0)
     state = init_state(cfg, nonlinear=nonlinear)
@@ -242,9 +242,7 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     fold = _radial_fold(xs, h, dt)
 
     def flush(new):
-        for j in range(2):
-            band = new[j, max(hi - FLUSH_CELLS, 0):hi]
-            band[np.abs(band) < TINY] = 0.0
+        _flush(new[:, :hi])
 
     def padded(a):
         full = np.zeros((2, n))
@@ -288,26 +286,28 @@ def test_whole_disk_window_steps_like_every_cell(radial_data, nonlinear):
     _assert_trace_integrates(cfg, nonlinear, Ds)
 
 
-# (cells, FLUSH_CELLS): a window of exactly 4 cells flushed from its third;
-# flush = hi - FLUSH_CELLS below lo and at lo (every cell flushed), at the
-# first and at the last interior cell (lo + 1, hi - 2), at the last cell
-# (hi - 1) and at hi (none flushed)
-_EDGE_CASES = {"4-cells": (4, 2), "flush-below-lo": (40, 50), "flush-at-lo": (40, 40),
-               "flush-first-interior": (40, 39), "flush-last-interior": (40, 2),
-               "flush-last-cell": (40, 1), "unflushed": (40, 0)}
+def _flush(new):
+    """Zero the subnormal values of new in place, as a radial step does with
+    its new values; how many there were."""
+    zeroed = _subnormal(new)
+    new[np.abs(new) < TINY] = 0.0
+    return zeroed
+
+
+# the cells of a window: exactly 4, and 40; every radial step flushes from lo
+_EDGE_CASES = {"4-cells": 4, "flush-at-lo": 40}
 
 
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
-def test_window_edges_step_like_the_reference(case, nonlinear, monkeypatch, rng):
+def test_window_edges_step_like_the_reference(case, nonlinear, rng):
     """The kernel does the first and last held cell with the neighbour outside
-    the window skipped and the cells between in loops split at the first
-    flushed one, all by one per-cell update.  Each split steps bit for bit
-    like the numpy reference step on levels that mix values of order 0.1 with
-    subnormal ones, at the window's ends and in its middle, so that the flush
-    zeroes new values wherever its band starts."""
-    cells, flush_cells = _EDGE_CASES[case]
-    monkeypatch.setattr(solver, "FLUSH_CELLS", flush_cells)
+    the window skipped and the cells between in one loop, all by one per-cell
+    update.  It steps bit for bit like the numpy reference step, which
+    flushes every new value, on levels that mix values of order 0.1 with
+    subnormal ones, at the window's ends and in its middle, so that the
+    flush zeroes new values."""
+    cells = _EDGE_CASES[case]
     h = 1.0 / 16.0
     dt = 0.45 * h
     xs = (np.arange(cells) + 0.5) * h
@@ -320,24 +320,21 @@ def test_window_edges_step_like_the_reference(case, nonlinear, monkeypatch, rng)
                       nonlinear=nonlinear)
     assert (state.lo, state.hi) == (0, cells)
     fold = _radial_fold(xs, h, dt)
-    flush = cells - flush_cells
     zeroed = 0
 
-    def flush_band(new):
+    def flush(new):
         nonlocal zeroed
-        band = new[:, max(flush, 0):]
-        zeroed += np.count_nonzero(band[np.abs(band) < TINY])
-        band[np.abs(band) < TINY] = 0.0
+        zeroed += _flush(new)
 
     mid, top = (a.copy() for a in levels)
     for _ in range(3):
-        new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush_band)
+        new, dt_u = _reference_step(top, mid, fold, dt, nonlinear, flush)
         mid, top = top, new
         state.step()
         assert state.hi == cells
         assert state.u_next.tobytes() == top.tobytes()
         assert state.dt_u.tobytes() == dt_u.tobytes()
-    assert (zeroed > 0) == (flush < cells)
+    assert zeroed > 0
 
 
 def _cartesian_config(eps=1.0, cfl=0.45):
@@ -387,8 +384,7 @@ def test_cartesian_step_equals_component_loop(nonlinear):
 def _start_config(case):
     """A T = 1 run of default conservation data (radial), of data whose first
     component holds e^-720, a subnormal value, at its outermost cell inside
-    the support, 15.5 h (radial, h = 1/16: the domain's 35 cells lie inside
-    the last FLUSH_CELLS), or _cartesian_config()."""
+    the support, 15.5 h (radial, h = 1/16), or _cartesian_config()."""
     if case == "radial":
         return replace(default_config("conservation"), T=1.0)
     if case == "cartesian-2d":
@@ -408,8 +404,9 @@ def test_start_level_is_the_taylor_expansion(case, nonlinear):
     """init_state's levels at -dt and dt are, bit for bit, base -+ dt g0 with
     base = (1/2) lin(u0, 0) [+ (dt^2/2) (-(g0_k)^2 g0_j), k the other
     component], lin the folded update of each component over every cell of
-    the domain, unflushed: in the flush band, the cell past the subnormal
-    value starts at the subnormal 0.5 cm u0, which a flushed start zeroes."""
+    the domain, flushed in radial mode like every radial step: the cell past
+    the subnormal value, whose unflushed start is the subnormal 0.5 cm u0,
+    starts at 0.0."""
     cfg = _start_config(case)
     state = init_state(cfg, nonlinear=nonlinear)
     n, h, dt = run_size(cfg)[0], cfg.h, cfg.dt
@@ -422,12 +419,18 @@ def test_start_level_is_the_taylor_expansion(case, nonlinear):
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
         fold = _cartesian_fold(h, dt)
     u0, g0 = initial_values(cfg.data, pts)[:2]
-    base = 0.5 * np.stack([fold(u, np.zeros_like(u)) for u in u0])
+    lin = np.stack([fold(u, np.zeros_like(u)) for u in u0])
+    if case == "radial-flush-band":
+        past = np.flatnonzero(u0[0])[-1] + 1
+        assert _subnormal(u0[0, past - 1]) and _subnormal(0.5 * lin[0, past])
+    if cfg.mode == "radial":
+        _flush(lin)
+    base = 0.5 * lin
     if nonlinear:
         base += (0.5 * dt * dt) * (-(g0[::-1] ** 2) * g0)
     levels = {"u_prev": base - dt * g0, "u_curr": u0, "u_next": base + dt * g0, "dt_u": g0}
     if case == "radial-flush-band":
-        assert state.hi < FLUSH_CELLS and _subnormal(levels["u_prev"]) > 0
+        assert state.u_prev[0, past] == state.u_next[0, past] == 0.0
     for name, level in levels.items():
         # a radial state holds the cells [0, hi), and 0.0 past them
         assert getattr(state, name).tobytes() == level[:, :state.hi].tobytes(), name
