@@ -19,8 +19,9 @@
  *
  * The one subnormal rule: a radial step writes 0.0 in place of every new
  * value below DBL_MIN, the smallest normal double; a Cartesian step flushes
- * nothing.  Finiteness is one AND over the new values; only when it fails is
- * each component scanned for its first NaN or inf.
+ * nothing.  Finiteness is one AND over the new values, and a step returns
+ * only whether it held: which value failed is found by the caller, in the
+ * level the step wrote.
  *
  * Every buffer is a C-contiguous float64 array of both components, (2, cells)
  * in radial mode and (2, n, n) in Cartesian mode: component 2 starts one
@@ -35,16 +36,13 @@
 enum { GROW = 1, NONFINITE = 2 };
 
 /* a state's constants, bound once per state: d_t u, the radial neighbour
-   coefficient rows cp and cm (unused in Cartesian mode), bad, which holds the
-   index of each component's first non-finite new value, or -1, only when a
-   step returns NONFINITE (no other step writes it), the cells of a component
-   (radial) or the nodes per axis (Cartesian), the folded update's A, the
-   Cartesian neighbour factor k, and the reciprocals 1/dt, 1/(8 dt) and
+   coefficient rows cp and cm (unused in Cartesian mode), the cells of a
+   component (radial) or the nodes per axis (Cartesian), the folded update's
+   A, the Cartesian neighbour factor k, and the reciprocals 1/dt, 1/(8 dt) and
    1/(2 dt) */
 struct state {
     double *dtu;
     const double *cp, *cm;
-    int64_t *bad;
     int64_t cells;
     double A, k, inv_dt, inv_8dt, inv_2dt;
 };
@@ -88,20 +86,6 @@ static void store(double *restrict new, double *restrict dtu, const double *rest
     new[second + f] = b;
     dtu[f] = (a - mid[f]) * inv_2dt;
     dtu[second + f] = (b - mid[second + f]) * inv_2dt;
-}
-
-/* bad[c] = base + the index of component c's first non-finite value among
-   the m values of new, or -1 */
-static void scan(const double *new, int64_t second, int64_t m, int64_t base, int64_t *bad)
-{
-    for (int c = 0; c < 2; c++) {
-        bad[c] = -1;
-        for (int64_t i = 0; i < m; i++)
-            if (!finite_value(new[c * second + i])) {
-                bad[c] = base + i;
-                break;
-            }
-    }
 }
 
 /* cell i of a radial window: the folded update
@@ -156,9 +140,8 @@ static int radial_run(const struct state *s, double *restrict new, double *restr
 /* one radial step of the global cells [lo, hi), hi - lo >= 4, with the
    state's constants s: the level new from top and mid, the cubic term when
    nonlinear, the new values below DBL_MIN zeroed, and d_t u.  Returns
-   NONFINITE when a new value is not finite, bad then holding the global
-   index of each component's first one, or -1, and GROW when a value of new
-   or top is nonzero in the window's last two cells. */
+   NONFINITE when a new value is not finite, and GROW when a value of new or
+   top is nonzero in the window's last two cells. */
 int radial_step(const struct state *s, int nonlinear, double *new, const double *mid,
                 const double *top, int64_t lo, int64_t hi)
 {
@@ -171,11 +154,7 @@ int radial_step(const struct state *s, int nonlinear, double *new, const double 
     int ok = radial_cell(s, new, dtu, mid, top, cp, cm, 0, 0, 1, nonlinear);
     ok &= radial_run(s, new, dtu, mid, top, cp, cm, 1, m - 1, nonlinear);
     ok &= radial_cell(s, new, dtu, mid, top, cp, cm, m - 1, 1, 0, nonlinear);
-    int status = 0;
-    if (!ok) {
-        scan(new, second, m, lo, s->bad);
-        status = NONFINITE;
-    }
+    int status = ok ? 0 : NONFINITE;
     for (int64_t i = m - 2; i < m; i++)
         if (new[i] != 0.0 || new[second + i] != 0.0 || top[i] != 0.0 || top[second + i] != 0.0)
             status |= GROW;
@@ -223,8 +202,7 @@ static int cartesian_run(const struct state *s, double *restrict new, double *re
 /* one Cartesian step with the state's constants s: the level new from top
    and mid at the interior nodes, row by row, the cubic term when nonlinear,
    and their d_t u; the Dirichlet ring of new and of d_t u is never written.
-   Returns NONFINITE when a new value is not finite, bad then holding the
-   flat index of each component's first one, or -1. */
+   Returns NONFINITE when a new value is not finite. */
 int cartesian_step(const struct state *s, int nonlinear, double *new, const double *mid,
                    const double *top)
 {
@@ -232,8 +210,5 @@ int cartesian_step(const struct state *s, int nonlinear, double *new, const doub
     int ok = 1;
     for (int64_t f = n; f < second - n; f += n)
         ok &= cartesian_run(s, new, s->dtu, mid, top, f + 1, f + n - 1, nonlinear);
-    if (ok)
-        return 0;
-    scan(new, second, second, 0, s->bad);
-    return NONFINITE;
+    return ok ? 0 : NONFINITE;
 }

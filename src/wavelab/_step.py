@@ -61,12 +61,11 @@ _LIB = None
 
 class State(ctypes.Structure):
     """A state's constants, laid out as struct state of _step.c: the
-    addresses of d_t u, of the radial neighbour rows cp and cm and of the
-    two-entry record of non-finite values (written only by a step that
-    returns NONFINITE), the cells of a component (radial) or nodes per axis
-    (Cartesian), and A, k, 1/dt, 1/(8 dt) and 1/(2 dt)."""
+    addresses of d_t u and of the radial neighbour rows cp and cm, the cells
+    of a component (radial) or nodes per axis (Cartesian), and A, k, 1/dt,
+    1/(8 dt) and 1/(2 dt)."""
 
-    _fields_ = [("dtu", _P), ("cp", _P), ("cm", _P), ("bad", _P), ("cells", _I),
+    _fields_ = [("dtu", _P), ("cp", _P), ("cm", _P), ("cells", _I),
                 ("A", _F), ("k", _F), ("inv_dt", _F), ("inv_8dt", _F), ("inv_2dt", _F)]
 
 

@@ -47,9 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scenario", help="run a named scenario with its defaults")
     p_sc.add_argument("name", help=f"one of {', '.join(sorted(SCENARIOS))}")
     p_sc.add_argument("--out", default=None, help="output directory")
-    p_sc.add_argument("--h", type=float, default=None, help="grid spacing override")
-    p_sc.add_argument("--cfl", type=float, default=None)
-    p_sc.add_argument("--T", type=float, default=None, help="final time override")
+    p_sc.add_argument("--h", default=None, help="grid spacing override")
+    p_sc.add_argument("--cfl", default=None)
+    p_sc.add_argument("--T", default=None, help="final time override")
     p_sc.add_argument("--eps", default=None, help="epsilon (scalar or comma list)")
     return parser
 
@@ -66,6 +66,13 @@ def _reject_unread(name: str, given: dict) -> None:
     unread = sorted(label for key, label in given.items() if key not in reads)
     if unread:
         raise UsageError(f"scenario {name} does not read {', '.join(unread)}")
+
+
+def _parse_number(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"--{option}: cannot parse {text!r} as a number") from None
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:
@@ -96,7 +103,7 @@ def main(argv=None) -> int:
             config = default_config(args.name)
             given = {key: f"--{option}" for option, key in _OPTION_KEYS.items()
                      if getattr(args, option) is not None}
-            overrides = {key: getattr(args, key) for key in ("h", "cfl", "T")
+            overrides = {key: _parse_number(getattr(args, key), key) for key in ("h", "cfl", "T")
                          if getattr(args, key) is not None}
             if args.eps is not None:
                 eps = _parse_eps(args.eps)

@@ -54,10 +54,12 @@ is (new - mid) * (1/(2 dt)).
 A step is one call of a C function per mode (_step.c, built once per
 machine; see wavelab._step), which walks the held cells once and does, per
 cell and component, the linear update, the three cubic passes, the radial
-subnormal flush below, d_t u and a record of the first NaN or inf of each
-component, from which the step raises InstabilityError.  That per-cell work
-is written once per mode: the same code does a radial window's first and
-last cell, without the neighbour outside it, and the cells between.  Each
+subnormal flush below and d_t u, and returns whether every new value is
+finite.  Only when one is not does the state look, in numpy, for the first
+NaN or inf of each component in the level just written, and raise
+InstabilityError there.  That per-cell work is written once per mode: the
+same code does a radial window's first and last cell, without the neighbour
+outside it, and the cells between.  Each
 value is the result of the same IEEE operations in the same order as the
 numpy expressions above, and the library is built with -ffp-contract=off,
 so that results are bit-identical to them and to stepping the components
@@ -285,10 +287,8 @@ class WaveState:
         # the level of time index j in slot j % 3: u_prev, u_curr, u_next are
         # slots 2, 0, 1 at n = 0
         self._levels, self._dt_u = (buffers[1], buffers[2], buffers[0]), buffers[3]
-        # the dissipation integrand, one component's size; the kernel's
-        # record of non-finite values
+        # the dissipation integrand, one component's size
         self._work = np.zeros(shape[1:])
-        self._bad = np.empty(2, dtype=np.int64)
         # the kernel call, bound to the address of the state's constants, an
         # attribute so that they live as long as the state: its buffers, the
         # folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1] (see
@@ -296,9 +296,9 @@ class WaveState:
         # predictor's c, a corrector's c and the factor of d_t u
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
-        self._constants = _step.State(dtu=self._dt_u.ctypes.data, bad=self._bad.ctypes.data,
-                                      cells=self._cells, k=k, inv_dt=1.0 / self.dt,
-                                      inv_8dt=0.125 / self.dt, inv_2dt=0.5 / self.dt)
+        self._constants = _step.State(dtu=self._dt_u.ctypes.data, cells=self._cells, k=k,
+                                      inv_dt=1.0 / self.dt, inv_8dt=0.125 / self.dt,
+                                      inv_2dt=0.5 / self.dt)
         lib = _step.library()
         if self.mode == "radial":
             c = dt2 / (2.0 * self.h * xs)        # dt^2 / (2 h r_i)
@@ -426,7 +426,8 @@ class WaveState:
         into slot j % 3 from levels j - 1 (top) and j - 2 (mid), its d_t u
         into dt_u, and, radial, its values below TINY zeroed.  The status
         bits; InstabilityError, at the time (n + 1) dt, when a new value is
-        not finite."""
+        not finite, located at component 1's first one in the held cells,
+        else component 2's."""
         a = self._addresses
         levels = a[j % 3], a[(j - 2) % 3], a[(j - 1) % 3]      # new, mid, top
         if self.mode == "radial":
@@ -434,9 +435,9 @@ class WaveState:
         else:
             status = self._kernel(nonlinear, *levels)
         if status & _step.NONFINITE:
-            # component 1's first non-finite value, else component 2's
-            bad = int(next(b for b in self._bad if b >= 0))
-            location = (bad,) if self.mode == "radial" else divmod(bad, self._cells)
+            failed = ~np.isfinite(self._levels[j % 3][:, self.lo:self.hi].reshape(2, -1))
+            i = int(np.argmax(failed[0] if failed[0].any() else failed[1]))
+            location = (self.lo + i,) if self.mode == "radial" else divmod(i, self._cells)
             raise InstabilityError((self.n + 1) * self.dt, location)
         return status
 

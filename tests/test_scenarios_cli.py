@@ -680,6 +680,10 @@ _REFUSALS = [
     # the epsilon ladder
     ("epsilon-scaling --eps 0.4,0.2", "epsilon-scaling needs at least 3 epsilon values"),
     ("epsilon-scaling --eps 1,1,0.8", "epsilon-scaling needs distinct epsilon values"),
+    # a malformed number option, worded as a malformed --eps
+    ("conservation --h abc", "--h: cannot parse 'abc' as a number"),
+    ("conservation --cfl 0.5x", "--cfl: cannot parse '0.5x' as a number"),
+    ("conservation --T 1,2", "--T: cannot parse '1,2' as a number"),
     # rays: support, reference times, first samples, one sigma and no sigma twice
     ("run epsilon-scaling: sigma_samples = -1, 1.5", "epsilon-scaling: sigma=1.5 exceeds the "
      "data's support radius"),

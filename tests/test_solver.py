@@ -275,6 +275,26 @@ def test_instability_reports_time_and_location(radial_data):
                 assert err.value.location == (state.lo if cell == "first" else state.hi - 1,)
 
 
+def test_cartesian_instability_reports_the_node(offset_data):
+    """A NaN in the middle level of a free Cartesian step reaches only its own
+    node, which the error names as (i, j); with non-finite values in both
+    components, component 1's node is named, though component 2's comes
+    first in the grid's row-major order."""
+    cfg = small_config(offset_data, mode="cartesian-2d", T=0.5, h=1.0 / 16.0)
+    state = init_state(cfg, nonlinear=False)
+    state.u_curr[1, 5, 9] = np.nan
+    with pytest.raises(InstabilityError) as err:
+        state.step()
+    assert err.value.t == state.dt and err.value.location == (5, 9)
+
+    state = init_state(cfg, nonlinear=False)
+    state.u_curr[0, 7, 3] = np.nan
+    state.u_curr[1, 2, 4] = np.nan
+    with pytest.raises(InstabilityError) as err:
+        state.step()
+    assert err.value.location == (7, 3)
+
+
 @pytest.mark.parametrize("second", [1e307, 0.0], ids=["both", "first"])
 def test_finite_level_whose_sum_overflows_is_stable(second):
     """40 cells of 1e307 in a component: their sum overflows, but every value
@@ -364,6 +384,25 @@ def test_step_signatures_match_the_kernel_source():
             found[name] = tuple(ctypes.c_void_p if "*" in p else kinds[p.split()[0]]
                                 for p in params.split(","))
     assert found == _step._SIGNATURES
+
+
+def test_step_state_matches_the_kernel_struct():
+    """_step.State has the members of struct state in _step.c, in order and
+    with matching types: a pointer as c_void_p, int64_t as c_int64, double
+    as c_double.  A Python layout that drifted from C's would have the kernel
+    read cells and the constants at the wrong offsets, silently."""
+    source = re.sub(r"/\*.*?\*/", "", _step.SOURCE.read_text(), flags=re.S)
+    body = re.search(r"struct state \{(.*?)\};", source, flags=re.S).group(1)
+    kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    members = []
+    for declaration in body.split(";")[:-1]:
+        # [const] type declarator, declarator, ...: each declarator a name,
+        # a pointer's with a leading *
+        kind, declarators = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", declaration,
+                                         flags=re.S).groups()
+        for d in declarators.split(","):
+            members.append((d.strip(" *"), ctypes.c_void_p if "*" in d else kinds[kind]))
+    assert members == list(_step.State._fields_)
 
 
 def test_step_kernel_loops_are_vectorised(tmp_path):
