@@ -18,13 +18,18 @@ numerical differentiation of the data happens anywhere downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 __all__ = ["BumpSpec", "InitialData", "profile_derivatives", "eval_sum",
-           "sum_value_grad_hess", "initial_values"]
+           "sum_value_grad_hess", "initial_values", "SMALLEST_RADIUS"]
+
+# the smallest bump radius R: every profile argument divides by R^2, which
+# must be a positive normal float (below this it is subnormal, or 0.0)
+SMALLEST_RADIUS = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,9 @@ class BumpSpec:
     amplitude: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"bump radius must be positive, got {self.radius}")
+        if not self.radius >= SMALLEST_RADIUS:
+            raise ValueError(f"bump radius must be at least {SMALLEST_RADIUS:.3g}, where "
+                             f"its square is a normal float, got {self.radius:g}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "amplitude", float(self.amplitude))

@@ -15,8 +15,10 @@ leaves part of the reports then.  Both commands check what they are given
 against the reads of the scenario's record (scenarios.scenario), the
 optional config keys it reads: `run` the keys the file sets
 (config.set_keys) and `scenario` the key each option sets: --T scenario.T,
---h grid.h, --cfl grid.cfl and --eps data.epsilon.  A multi-valued epsilon
-also sets scenarios.EPS_LIST.
+--h grid.h, --cfl grid.cfl and --eps data.epsilon.  An option is read by
+its key's reader and sets its key's ScenarioConfig field (config.read and
+config.settings), as a file line does.  A multi-valued epsilon also sets
+scenarios.EPS_LIST.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigParseError, ConfigValidationError, epsilons, parse_scenario, set_keys
+from .config import (ConfigParseError, ConfigValidationError, epsilons, parse_scenario, read,
+                     set_keys, settings)
 from .reporting import NonFiniteReportError
 from .scenarios import (EPS_LIST, SCENARIOS, UsageError, default_config, run_scenario,
                         scenario)
@@ -68,21 +71,6 @@ def _reject_unread(name: str, given: dict) -> None:
         raise UsageError(f"scenario {name} does not read {', '.join(unread)}")
 
 
-def _parse_number(text: str, option: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"--{option}: cannot parse {text!r} as a number") from None
-
-
-def _parse_eps(text: str) -> tuple[float, ...]:
-    try:
-        eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"--eps: cannot parse {text!r} as a number list") from None
-    return epsilons(eps, "--eps")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -101,13 +89,19 @@ def main(argv=None) -> int:
             _reject_unread(config.name, given)
         else:
             config = default_config(args.name)
-            given = {key: f"--{option}" for option, key in _OPTION_KEYS.items()
-                     if getattr(args, option) is not None}
-            overrides = {key: _parse_number(getattr(args, key), key) for key in ("h", "cfl", "T")
-                         if getattr(args, key) is not None}
-            if args.eps is not None:
-                eps = _parse_eps(args.eps)
-                overrides.update(eps_list=eps, data=config.data.with_epsilon(eps[0]))
+            given, values = {}, {}
+            for option, key in _OPTION_KEYS.items():
+                text = getattr(args, option)
+                if text is not None:
+                    given[key] = f"--{option}"
+                    try:
+                        values[key] = read(key, text)
+                    except ValueError as exc:
+                        raise UsageError(f"--{option}: {exc}") from None
+            overrides = settings(values)
+            if "eps_list" in overrides:
+                eps = overrides["eps_list"] = epsilons(overrides["eps_list"], "--eps")
+                overrides["data"] = config.data.with_epsilon(eps[0])
                 if len(eps) > 1:
                     given[EPS_LIST] = "--eps with more than one value"
             _reject_unread(args.name, given)

@@ -24,13 +24,15 @@ Documents look like::
     radius = 1.0
     amplitude = 1.0
 
-Required: scenario.name, data.epsilon and at least one bump.  Everything
-else has a documented default (the DEFAULT_* constants); each scenario's
-record in scenarios.SCENARIOS lists the optional keys it reads in its reads,
-and the CLI rejects the rest.  A key
-is set at most once in a document (once per table for [bump]), also across
-repeated section headers.  Parse errors carry the offending line number;
-validation errors name the offending field.
+One table, _KEYS, gives each key its section, the reader of its text and,
+outside [bump], the ScenarioConfig field it sets; a document line and the
+CLI option of its key are read through it.  Required: scenario.name,
+data.epsilon and at least one bump; a key left out takes ScenarioConfig's
+default.  Each scenario's record in scenarios.SCENARIOS lists the optional
+keys it reads, and the CLI rejects the rest.  A key is set at most once in a
+document (once per table for [bump]), also across repeated section headers.
+Parse errors carry the offending line number; validation errors name the
+offending field.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
     "ConfigValidationError",
     "parse_scenario",
     "set_keys",
-    "epsilons",
+    "epsilons", "read", "settings",
     "DEFAULT_CFL",
     "DEFAULT_POINTS_PER_RADIUS",
 ]
@@ -188,36 +190,50 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _parse_floats(text: str, key: str, line: int) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigParseError(f"cannot parse {key!r} as number list: {text!r}", line) from None
+def _numbers(text: str) -> tuple[float, ...]:
+    """A comma list of numbers; empty entries are skipped."""
+    return _floats(tok for tok in text.split(",") if tok.strip())
 
 
-def _parse_float(text: str, key: str, line: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigParseError(f"cannot parse {key!r} as number: {text!r}", line) from None
-
-
-_SECTION_KEYS = {
-    "scenario": {"name", "mode", "T", "out"},
-    "grid": {"h", "cfl"},
-    "data": {"epsilon", "sigma_samples", "theta_samples"},
-    "bump": {"component", "kind", "center", "radius", "amplitude"},
+# every key of a document, {section: {key: (reader of its text, the
+# ScenarioConfig field it sets)}}; a [bump] key sets a part of one BumpSpec
+_KEYS = {
+    "scenario": {"name": (str, "name"), "mode": (str, "mode"), "T": (float, "T"),
+                 "out": (str, "out_dir")},
+    "grid": {"h": (float, "h"), "cfl": (float, "cfl")},
+    "data": {"epsilon": (_numbers, "eps_list"), "sigma_samples": (_numbers, "sigma_samples"),
+             "theta_samples": (_numbers, "theta_samples")},
+    "bump": {"component": (float, None), "kind": (str, None), "center": (_numbers, None),
+             "radius": (float, None), "amplitude": (float, None)},
 }
+_READS_AS = {float: "a number", _numbers: "a number list"}
+
+
+def _entry(name: str) -> tuple:
+    section, key = name.split(".")
+    return _KEYS[section][key]
+
+
+def read(name: str, text: str):
+    """text read as the value of the key name, "section.key"; ValueError
+    "cannot parse TEXT as a number" (or "as a number list") when malformed."""
+    reader = _entry(name)[0]
+    try:
+        return reader(text)
+    except ValueError:
+        raise ValueError(f"cannot parse {text!r} as {_READS_AS[reader]}") from None
+
+
+def settings(values: dict) -> dict:
+    """The ScenarioConfig fields that {"section.key": value} outside [bump] set."""
+    return {_entry(name)[1]: value for name, value in values.items()}
 
 
 def _read_document(text: str):
-    """The scalar keys ({"section.key": (value, line)}), bump tables and their
-    header lines of a configuration document, before any validation."""
-    scalars: dict[str, tuple[str, int]] = {}
-    bumps: list[dict] = []
-    bump_lines: list[int] = []
-    section = None
-
+    """The scalar keys and bump tables ({"section.key": (value, line)}) of a
+    configuration document, each value read by its key's reader, and the bump
+    tables' header lines, before any validation."""
+    scalars, bumps, bump_lines, section = {}, [], [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -226,7 +242,7 @@ def _read_document(text: str):
             if not line.endswith("]"):
                 raise ConfigParseError(f"unterminated section header {raw.strip()!r}", lineno)
             section = line[1:-1].strip().lower()
-            if section not in _SECTION_KEYS:
+            if section not in _KEYS:
                 raise ConfigParseError(f"unknown section [{section}]", lineno)
             if section == "bump":
                 bumps.append({})
@@ -237,13 +253,17 @@ def _read_document(text: str):
         if section is None:
             raise ConfigParseError("key outside any [section]", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[section]:
+        if key not in _KEYS[section]:
             raise ConfigParseError(f"unknown key {key!r} in section [{section}]", lineno)
-        table, name = (bumps[-1], key) if section == "bump" else (scalars, f"{section}.{key}")
+        name = f"{section}.{key}"
+        table = bumps[-1] if section == "bump" else scalars
         if name in table:
             raise ConfigParseError(
                 f"{key!r} in [{section}] is already set on line {table[name][1]}", lineno)
-        table[name] = (value, lineno)
+        try:
+            table[name] = (read(name, value), lineno)
+        except ValueError as exc:
+            raise ConfigParseError(f"{name}: {exc}", lineno) from None
     return scalars, bumps, bump_lines
 
 
@@ -257,60 +277,38 @@ def set_keys(text: str) -> frozenset[str]:
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a configuration document."""
+    """Parse and validate a configuration document.  ScenarioConfig gets only
+    the keys the document sets: it holds every default."""
     scalars, bumps, bump_lines = _read_document(text)
-
-    def take(name, parser=None, default=None, required=False):
+    for name in ("scenario.name", "data.epsilon"):
         if name not in scalars:
-            if required:
-                raise ConfigValidationError(name, "required key is missing")
-            return default
-        value, lineno = scalars[name]
-        return parser(value, name, lineno) if parser else value
-
-    name = take("scenario.name", required=True)
-    mode = take("scenario.mode", default="radial")
-    T = take("scenario.T", _parse_float)
-    out_dir = take("scenario.out")
-    h = take("grid.h", _parse_float)
-    cfl = take("grid.cfl", _parse_float, default=DEFAULT_CFL)
-    eps_list = epsilons(take("data.epsilon", _parse_floats, required=True), "epsilon")
-    sigma = take("data.sigma_samples", _parse_floats)
-    theta = take("data.theta_samples", _parse_floats)
+            raise ConfigValidationError(name, "required key is missing")
+    given = settings({name: value for name, (value, _) in scalars.items()})
+    eps_list = epsilons(given.pop("eps_list"), "epsilon")
+    if len(eps_list) > 1:
+        given["eps_list"] = eps_list
 
     if not bumps:
         raise ConfigValidationError("bump", "at least one [bump] table is required")
     fields = {"f1": [], "g1": [], "f2": [], "g2": []}
-    for spec, header_line in zip(bumps, bump_lines):
-        def bump_take(key, parser=None, required=True, default=None):
+    for table, header_line in zip(bumps, bump_lines):
+        spec = {name[len("bump."):]: value for name, (value, _) in table.items()}
+        for key in ("component", "kind", "radius", "amplitude"):
             if key not in spec:
-                if required:
-                    raise ConfigParseError(
-                        f"bump table is missing key {key!r}", header_line)
-                return default
-            value, lineno = spec[key]
-            return parser(value, key, lineno) if parser else value
-
-        component = bump_take("component", _parse_float)
+                raise ConfigParseError(f"bump table is missing key {key!r}", header_line)
+        component, kind = spec["component"], spec["kind"]
         if component not in (1.0, 2.0):
             raise ConfigValidationError("component", f"must be 1 or 2, got {component}")
-        kind = bump_take("kind")
         if kind not in ("f", "g"):
             raise ConfigValidationError("kind", f"must be 'f' or 'g', got {kind!r}")
-        center = bump_take("center", _parse_floats, required=False, default=[0.0, 0.0])
+        center = spec.get("center", (0.0, 0.0))
         if len(center) != 2:
-            raise ConfigValidationError("center", f"needs two coordinates, got {center}")
-        radius = bump_take("radius", _parse_float)
-        if not radius > 0:
-            raise ConfigValidationError("radius", f"must be positive, got {radius}")
-        amplitude = bump_take("amplitude", _parse_float)
-        fields[f"{kind}{int(component)}"].append(
-            BumpSpec(center=(center[0], center[1]), radius=radius, amplitude=amplitude))
+            raise ConfigValidationError("center", f"needs two coordinates, got {list(center)}")
+        try:
+            bump = BumpSpec(center=center, radius=spec["radius"], amplitude=spec["amplitude"])
+        except ValueError as exc:           # the radius rule
+            raise ConfigValidationError("radius", str(exc)) from None
+        fields[f"{kind}{int(component)}"].append(bump)
 
-    data = InitialData(f1=tuple(fields["f1"]), g1=tuple(fields["g1"]),
-                       f2=tuple(fields["f2"]), g2=tuple(fields["g2"]),
-                       epsilon=eps_list[0])
-    return ScenarioConfig(
-        name=name, data=data, mode=mode, h=h, cfl=cfl, T=T,
-        sigma_samples=sigma, theta_samples=theta,
-        eps_list=eps_list if len(eps_list) > 1 else None, out_dir=out_dir)
+    data = InitialData(**fields, epsilon=eps_list[0])
+    return ScenarioConfig(data=data, **given)

@@ -39,9 +39,36 @@ import numpy as np
 from .bumps import InitialData, initial_values, sum_value_grad_hess
 from .radiation import _panel_rule
 
-__all__ = ["free_field"]
+__all__ = ["free_field", "oracle_nodes", "NODE_BYTES"]
 
 PANEL_DENSITY = 4.0        # composite panels per feature length
+
+# bytes a node of a disk rule holds at the peak of free_field, at most: 28
+# float64 values (217 bytes measured with tracemalloc, at 3e5 to 2.5e6 nodes)
+NODE_BYTES = 28 * 8
+
+
+def _disk_counts(t: float, x: np.ndarray, r0: float, feature: float):
+    """(rho_min, rho_max, half, beta panels, alpha count) of _disk_rule's
+    rule, the counts as floats, or None when the disk misses the support.  For x inside
+    the support half is None and the alpha count the node count of the
+    trapezoid on the full circle; else they are the half-angle and the panel
+    count of the sector that sees the support disk."""
+    dist = float(np.hypot(x[0], x[1]))
+    rho_min = max(0.0, dist - r0)
+    rho_max = min(t, dist + r0)
+    if rho_min >= rho_max:
+        return None
+    scale = max(feature, 1e-9)
+    beta_panels = max(4.0, np.ceil(PANEL_DENSITY * (rho_max - rho_min) / scale))
+    if dist <= r0:
+        # the node count resolves the steep bump flank (about feature/5)
+        half = None
+        alpha = max(64.0, np.ceil(PANEL_DENSITY * 10.0 * np.pi * rho_max / scale))
+    else:
+        half = np.arcsin(min(1.0, r0 / dist))
+        alpha = max(4.0, np.ceil(PANEL_DENSITY * (rho_max * 2.0 * half) / scale))
+    return rho_min, rho_max, half, beta_panels, alpha
 
 
 def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float):
@@ -51,33 +78,25 @@ def _disk_rule(t: float, x: np.ndarray, r0: float, feature: float):
     node densities resolve it.  Returns (points (n,2), weights, sin(beta),
     alpha unit vectors) or None when the disk misses the support entirely.
     """
-    dist = float(np.hypot(x[0], x[1]))
-    rho_min = max(0.0, dist - r0)
-    rho_max = min(t, dist + r0)
-    if rho_min >= rho_max:
+    counts = _disk_counts(t, x, r0, feature)
+    if counts is None:
         return None
-
+    rho_min, rho_max, half, beta_panels, n_alpha = counts
+    beta_panels, n_alpha = int(beta_panels), int(n_alpha)
     beta0 = np.arcsin(min(1.0, rho_min / t))
     beta1 = np.arcsin(min(1.0, rho_max / t)) if rho_max < t else 0.5 * np.pi
-    scale = max(feature, 1e-9)
-    beta_panels = max(4, int(np.ceil(PANEL_DENSITY * (rho_max - rho_min) / scale)))
     bx, bw = _panel_rule(beta_panels, 24)
     beta = beta0 + 0.5 * (beta1 - beta0) * (bx + 1.0)
     beta_w = 0.5 * (beta1 - beta0) * bw
 
-    if dist <= r0:
-        # x inside the support: full circle, periodic trapezoid in alpha;
-        # the node count resolves the steep bump flank (about feature/5)
-        n_alpha = max(64, int(np.ceil(PANEL_DENSITY * 10.0 * np.pi * rho_max / scale)))
+    if half is None:
+        # x inside the support: full circle, periodic trapezoid in alpha
         alpha = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
         alpha_w = np.full(n_alpha, 2.0 * np.pi / n_alpha)
     else:
         # only the sector that can reach the support disk contributes
-        half = np.arcsin(min(1.0, r0 / dist))
         center = np.arctan2(-x[1], -x[0])
-        arc = rho_max * 2.0 * half
-        panels = max(4, int(np.ceil(PANEL_DENSITY * arc / scale)))
-        ax, aw = _panel_rule(panels, 24)
+        ax, aw = _panel_rule(n_alpha, 24)
         alpha = center + half * ax
         alpha_w = half * aw
 
@@ -119,6 +138,19 @@ def _moments(specs, t, x, r0, k):
     d2val = dirs[:, 0] * dgrad[:, 0] + dirs[:, 1] * dgrad[:, 1]    # (omega.grad)^2 w
     return (dI_dt, c * np.sum((2.0 * dval + t * sinb * d2val) * sinb * wsin),
             c * np.sum((grad + t * sinb[:, None] * dgrad) * wsin[:, None], axis=0))
+
+
+def oracle_nodes(data: InitialData, t: float, x) -> float:
+    """Nodes of the largest rule free_field builds at (t, x), one data set's,
+    counted in floating point without building it; 0 for none."""
+    x, r0 = np.asarray(x, dtype=float), data.support_radius
+    nodes = [0]
+    for specs in (data.f1, data.g1, data.f2, data.g2):
+        counts = _disk_counts(t, x, r0, min(s.radius for s in specs)) if specs else None
+        if counts is not None:
+            _, _, half, beta_panels, alpha = counts
+            nodes.append(24 * beta_panels * (alpha if half is None else 24 * alpha))
+    return max(nodes)
 
 
 def free_field(data: InitialData, t: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,9 @@ measured values and thresholds.  A scenario passes iff all assertions pass.
 Each is one Scenario record in SCENARIOS: its run function, the optional
 config keys it reads, its default config and the one grid mode it runs in.
 A ray's refusals take its sample steps from solver.sample_steps, as its run
-does, and epsilon-scaling builds each rung's config once, in _rung.
+does, and epsilon-scaling builds each rung's config once, in _rung.  Each
+scenario sizes its runs (solver.run_size) and its radiation tables and
+free-field oracle (_size_quadrature) before the first of them starts.
 
 The seven scenarios:
 
@@ -42,13 +44,14 @@ import numpy as np
 from .bumps import BumpSpec, InitialData
 from .config import ScenarioConfig
 from .fitting import fit_power_law
-from .free_wave import free_field
+from .free_wave import NODE_BYTES, free_field, oracle_nodes
 from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
                       corrected_invariant, leading_invariant,
                       profile_invariant, solve_reduced_ode, MEstimate)
-from .radiation import fit_sigma_decay, radiation_pair, radiation_table
+from .radiation import (TAU_NODE_BYTES, fit_sigma_decay, radiation_pair, radiation_table,
+                        table_nodes)
 from .reporting import Assertion, render_csv, render_summary, write_csv, write_summary
-from .solver import EnergyTrace, run_simulation, run_size, sample_steps
+from .solver import EnergyTrace, fit_memory, run_simulation, run_size, sample_steps
 
 __all__ = ["Scenario", "SCENARIOS", "EPS_LIST", "UsageError", "scenario",
            "default_config", "run_scenario"]
@@ -83,7 +86,8 @@ def scenario(name: str) -> Scenario:
 def default_config(name: str) -> ScenarioConfig:
     """Built-in configuration for each named scenario."""
     record = scenario(name)
-    return ScenarioConfig(name, record.data, record.mode or "radial", **record.settings)
+    mode = {"mode": record.mode} if record.mode else {}
+    return ScenarioConfig(name, record.data, **mode, **record.settings)
 
 
 def _b(radius, amplitude, center=(0.0, 0.0)):
@@ -103,6 +107,19 @@ def _nonzero_bumps(data: InitialData):
     whose bumps sum, in any order, to the same fields compare equal."""
     return [tuple(Counter(b for b in bumps if b.amplitude) for bumps in pair)
             for pair in ((data.f1, data.g1), (data.f2, data.g2))]
+
+
+def _size_quadrature(data: InitialData, rule: str, nodes: float, node_bytes: int) -> None:
+    """Refuse a quadrature whose largest rule, of nodes, would exceed physical
+    memory: ConfigValidationError("radius") naming the data's smallest bump
+    radius, whose inverse sets the node density, and the nodes."""
+    radius = min((b.radius for b in data.all_bumps()), default=0.0)
+    fit_memory(nodes * node_bytes, "radius", f"the smallest bump radius {radius:g} and "
+               f"R0={data.support_radius:g} need {nodes:.3g} {rule} nodes, whose buffers")
+
+
+def _size_table(data: InitialData, sigma_grid) -> None:
+    _size_quadrature(data, "radiation quadrature", table_nodes(data, sigma_grid), TAU_NODE_BYTES)
 
 
 # -- individual scenarios -------------------------------------------------------
@@ -178,6 +195,8 @@ def _scenario_free_validation(config, runtimes):
         run_size(cfg)               # every run's refusals before the oracle
 
     pts = _free_validation_points(data, T)
+    _size_quadrature(data, "free-field oracle",
+                     max(oracle_nodes(data, p[0], p[1:]) for p in pts), NODE_BYTES)
     with _timed(runtimes, "oracle"):
         oracle = {p: free_field(data, p[0], np.array([p[1], p[2]]))[0] for p in pts}
 
@@ -268,6 +287,7 @@ def _scenario_radiation_decay(config, runtimes):
             raise UsageError(f"radiation-decay fits the decay of both components, "
                              f"but component {comp} has no nonzero data")
     sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
+    _size_table(data, sigma_grid)
     with _timed(runtimes, "table"):
         table = radiation_table(data, sigma_grid, config.theta_samples)
 
@@ -390,6 +410,7 @@ def _scenario_epsilon_scaling(config, runtimes):
     r0 = config.data.support_radius
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
     sigma_grid = np.arange(lo, r0 + 0.2 + 1e-9, 0.02)
+    _size_table(config.data, sigma_grid)
     with _timed(runtimes, "radiation_table"):
         table = radiation_table(config.data, sigma_grid, (theta,))
 
@@ -447,6 +468,7 @@ def _scenario_nondecay(config, runtimes):
     r0 = data.support_radius
     sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
     run_size(config)                # the run's refusals before the table
+    _size_table(data, sigma_grid)
     with _timed(runtimes, "table"):
         table = radiation_table(data, sigma_grid, config.theta_samples)
     reports = {"radiation_table.csv": table.to_csv()}

@@ -150,7 +150,7 @@ __all__ = [
     "EnergyTrace",
     "InstabilityError",
     "init_state",
-    "run_simulation", "sample_steps", "run_size",
+    "run_simulation", "sample_steps", "run_size", "fit_memory",
     "TRACE_DT",
     "CONE_REACH",
 ]
@@ -568,16 +568,20 @@ def run_size(config: ScenarioConfig) -> tuple[int, int]:
     reach = (config.data.support_radius + config.T) / config.h
     side = 2.0 * (reach + 3) + 1          # Cartesian nodes per axis
     cells = reach + 3 if config.mode == "radial" else side * side
-    memory = f"the {_MEMORY / 2 ** 30:.3g} GiB of physical memory"
-    if not cells * CELL_BYTES <= _MEMORY:
-        raise ConfigValidationError("grid", f"h={config.h:g} and T={config.T:g} need "
-                                    f"{cells:.3g} cells, whose buffers exceed {memory}")
+    fit_memory(cells * CELL_BYTES, "grid", f"h={config.h:g} and T={config.T:g} need "
+               f"{cells:.3g} cells, whose buffers")
     steps = config.T / config.dt if config.dt else math.inf
-    if not steps * STEP_BYTES <= _MEMORY:
-        raise ConfigValidationError("cfl", f"cfl={config.cfl:g}, h={config.h:g} and "
-                                    f"T={config.T:g} take {steps:.3g} steps, whose per-step "
-                                    f"arrays exceed {memory}")
+    fit_memory(steps * STEP_BYTES, "cfl", f"cfl={config.cfl:g}, h={config.h:g} and "
+               f"T={config.T:g} take {steps:.3g} steps, whose per-step arrays")
     return int(math.ceil(reach)) + 3, max(1, int(math.ceil(steps - 1e-9)))
+
+
+def fit_memory(nbytes: float, field_name: str, what: str) -> None:
+    """ConfigValidationError(field_name) "WHAT exceed the ... GiB of physical
+    memory" unless nbytes, counted before anything is allocated, fit in it."""
+    if not nbytes <= _MEMORY:
+        raise ConfigValidationError(
+            field_name, f"{what} exceed the {_MEMORY / 2 ** 30:.3g} GiB of physical memory")
 
 
 def sample_steps(config: ScenarioConfig, times) -> np.ndarray:

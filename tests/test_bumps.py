@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import along_direction
 from wavelab import BumpSpec, InitialData, eval_sum, initial_values, sum_value_grad_hess
-from wavelab.bumps import profile_derivatives
+from wavelab.bumps import SMALLEST_RADIUS, profile_derivatives
 
 # the multi-index (n_x, n_y) of a partial derivative: its field in
 # sum_value_grad_hess (gradient 1, packed Hessian 2) and its index there
@@ -56,6 +56,17 @@ def test_interior_range(unit_bump, rng):
 def test_invalid_radius():
     with pytest.raises(ValueError, match="radius"):
         BumpSpec((0.0, 0.0), -1.0, 1.0)
+
+
+def test_radius_whose_square_is_not_normal_is_refused():
+    """Every profile argument divides by R^2: below SMALLEST_RADIUS that is
+    subnormal or 0.0, and the division overflows to inf."""
+    for radius in (1e-300, np.nextafter(SMALLEST_RADIUS, 0.0), 0.0):
+        with pytest.raises(ValueError, match="bump radius must be at least 1.49e-154"):
+            BumpSpec((0.0, 0.0), radius, 1.0)
+    smallest = BumpSpec((0.0, 0.0), SMALLEST_RADIUS, 1.0)
+    assert smallest.radius ** 2 == np.finfo(float).tiny
+    assert eval_sum([smallest], [0.0, 0.0]) == 1.0
 
 
 @pytest.mark.parametrize("order", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])

@@ -104,3 +104,20 @@ def test_linearity_in_epsilon(offset_data):
     b = free_field(offset_data.with_epsilon(0.5), t, x)
     assert b[0][0] == pytest.approx(2.0 * a[0][0], rel=1e-14)
     assert b[1][0] == pytest.approx(2.0 * a[1][0], rel=1e-14)
+
+
+def test_counted_oracle_nodes_are_the_built_ones(two_component_data, monkeypatch):
+    """oracle_nodes counts, with _disk_rule's own formulas, the nodes of the
+    largest rule free_field builds: inside the support, outside it, and at a
+    point the light disk misses."""
+    sizes = []
+
+    def recorded(specs, pts):
+        sizes.append(len(pts))
+        return sum_value_grad_hess(specs, pts)
+
+    monkeypatch.setattr(free_wave, "sum_value_grad_hess", recorded)
+    for t, x in ((1.3, (0.2, -0.1)), (2.0, (2.1, 0.9)), (0.5, (4.0, 0.0))):
+        sizes.clear()
+        free_field(two_component_data, t, np.array(x))
+        assert free_wave.oracle_nodes(two_component_data, t, x) == max(sizes, default=0)

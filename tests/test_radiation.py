@@ -8,8 +8,9 @@ from conftest import along_direction, radon_line_integral
 from wavelab import (BumpSpec, InitialData, fit_sigma_decay, half_order_integral,
                      leading_invariant, radiation_pair, radiation_table,
                      sum_value_grad_hess)
+from wavelab import radiation
 from wavelab.radiation import (_CHORD_NODES, _CHORD_PANELS, HALF_ORDER_NORM,
-                               RadiationTable, _panel_rule, _radon_many)
+                               RadiationTable, _panel_rule, _radon_many, table_nodes)
 from wavelab.reporting import render_csv
 
 
@@ -356,3 +357,22 @@ def test_csv_export(unit_bump):
     first_two = [line.split(",")[:2] for line in lines[1:3]]
     assert first_two[0][0] == first_two[1][0]
     assert first_two[0][1] != first_two[1][1]
+
+
+def test_counted_table_nodes_are_the_built_ones(monkeypatch):
+    """table_nodes counts, with half_order_integral's own formula, the tau
+    nodes of the largest rule a table builds; the narrow bump sets them."""
+    data = InitialData(g1=(BumpSpec((0.0, 0.0), 1.0, 1.0),),
+                       f2=(BumpSpec((0.0, 0.0), 0.1, 0.5),), epsilon=0.2)
+    sizes = []
+
+    def recorded(specs, s, omega, orders):
+        sizes.append(len(s))
+        return _radon_many(specs, s, omega, orders)
+
+    monkeypatch.setattr(radiation, "_radon_many", recorded)
+    for sigma_grid in ([-3.0, -0.5, 0.5, 1.5], [-1.0], [0.2, 0.6], [2.0]):
+        sizes.clear()
+        radiation_table(data, sigma_grid, [0.0])
+        assert table_nodes(data, sigma_grid) == max(sizes, default=0)
+    assert table_nodes(InitialData(), [-1.0]) == 0

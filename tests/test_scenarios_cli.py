@@ -14,7 +14,7 @@ import wavelab
 
 from wavelab import InstabilityError, WaveState
 from wavelab.cli import main
-from wavelab.config import _SECTION_KEYS, ConfigValidationError, ScenarioConfig, parse_scenario
+from wavelab.config import _KEYS, ConfigValidationError, ScenarioConfig, parse_scenario
 from wavelab.profile import RayTraceCollector
 from wavelab.radiation import RadiationTable
 from wavelab.reporting import NonFiniteReportError, render_csv, render_summary
@@ -114,6 +114,21 @@ def test_unstable_run_exits_two(tmp_path):
                        "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert proc.stderr == "wavelab: non-finite field value at t=0.0225, grid index (0,)\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_tiny_bump_radius_exits_two_on_one_line(tmp_path):
+    # R^2 of a radius of 1e-300 is 0.0, which every profile argument divides
+    # by; the subprocess shows stderr under Python's default warning filters,
+    # where a division by it would print numpy's warning first
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(_sampling_config("conservation", "").replace(
+        "radius = 1.0", "radius = 1e-300", 1).replace("amplitude = 1.0", "amplitude = 0.5", 1))
+    proc = _run_python("-m", "wavelab", "run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == ("wavelab: radius: bump radius must be at least 1.49e-154, where "
+                           "its square is a normal float, got 1e-300\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -285,6 +300,48 @@ def test_one_epsilon_rule(tmp_path, capsys, eps):
     assert str(from_config.value) == str(from_file.value) == f"epsilon: {message}"
     assert capsys.readouterr().err == f"wavelab: --eps: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def _default_document(name, given=None):
+    """A config file of scenario name's default config, with the keys in
+    given ({"section.key": text}) set to their texts instead."""
+    config = default_config(name)
+    keys = {"scenario.name": name, "data.epsilon": ", ".join(map(repr, config.eps_list))}
+    if "T" in SCENARIOS[name].settings:
+        keys["scenario.T"] = repr(config.T)
+    keys.update(given or {})
+    doc = "".join(f"[{k.split('.')[0]}]\n{k.split('.')[1]} = {v}\n" for k, v in keys.items())
+    for slot in ("f1", "g1", "f2", "g2"):
+        for bump in getattr(config.data, slot):
+            doc += (f"[bump]\ncomponent = {slot[1]}\nkind = {slot[0]}\n"
+                    f"radius = {bump.radius!r}\namplitude = {bump.amplitude!r}\n")
+    return doc
+
+
+@pytest.mark.parametrize("name,option,key,text", [
+    ("conservation", "--h", "grid.h", "0.0625"),
+    ("conservation", "--cfl", "grid.cfl", "0.3"),
+    ("conservation", "--T", "scenario.T", "2.5"),
+    ("epsilon-scaling", "--eps", "data.epsilon", "0.5, 0.25,0.125"),
+])
+def test_option_reads_like_its_file_key(tmp_path, monkeypatch, name, option, key, text):
+    """An option gives the config that a file setting its key to the same
+    text gives, where the file without it gives the default config."""
+    configs = []
+
+    def captured(config, out_dir):
+        configs.append(config)
+        return {"assertions": [], "scenario": name, "passed": True}
+
+    monkeypatch.setattr(wavelab.cli, "run_scenario", captured)
+    for label, given in (("default", None), ("given", {key: text})):
+        cfg_path = tmp_path / f"{label}.cfg"
+        cfg_path.write_text(_default_document(name, given))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+    assert main(["scenario", name, option, text]) == 0
+    from_default, from_file, from_option = configs
+    assert from_default == default_config(name)
+    assert from_option == from_file != from_default
 
 
 def test_zero_spacing_exit_code(tmp_path, capsys):
@@ -582,7 +639,7 @@ def test_nondecay_crossing_reads_every_angle(tmp_path, monkeypatch):
 
 
 def test_reads_names_config_keys():
-    keys = {f"{section}.{key}" for section, names in _SECTION_KEYS.items()
+    keys = {f"{section}.{key}" for section, names in _KEYS.items()
             if section != "bump" for key in names}
     for record in SCENARIOS.values():
         assert record.reads <= keys | {EPS_LIST}
@@ -711,6 +768,17 @@ _REFUSALS = [
     # does not fit
     ("nondecay-demo --cfl 1e-12", "cfl: cfl=1e-12, h=0.0078125 and T=20 take 2.56e+15 steps"),
     ("memory 2000: conservation --T 1 --h 0.25", "grid: h=0.125 and T=1 need 19 cells"),
+    # the size of every quadrature, counted at its largest rule: the radiation
+    # tables' tau nodes (2,304 bytes each), after the runs' grids, and
+    # free-validation's oracle nodes (224 bytes each), after its finest grid
+    ("memory 100000: radiation-decay", "radius: the smallest bump radius 1 and R0=1 need "
+     "192 radiation quadrature nodes, whose buffers exceed the"),
+    ("memory 500000: nondecay-demo", "radius: the smallest bump radius 0.5 and R0=1 need "
+     "384 radiation quadrature nodes"),
+    ("memory 100000: epsilon-scaling --h 0.25", "radius: the smallest bump radius 1 and R0=1 "
+     "need 192 radiation quadrature nodes"),
+    ("memory 1000000: free-validation --h 0.5", "radius: the smallest bump radius 1.5 and "
+     "R0=1.8 need 1.15e+04 free-field oracle nodes"),
 ]
 _REFUSAL_FILES = {
     "conservation": _IDENTICAL,
