@@ -1,8 +1,10 @@
 /* One leapfrog step of the two-component cubic wave system, in one pass over
- * the held cells (see the module docstring of solver.py for the scheme):
- * radial_step and cartesian_step, the library's only functions.  They are
- * also the only stencil: the run's start level is one free pass of them, with
- * a zero middle level.
+ * the held cells (see the module docstring of solver.py for the scheme), and
+ * the two diagnostics a run reads at its steps.  radial_step and
+ * cartesian_step are the only stencil: the run's start level is one free
+ * pass of them, with a zero middle level.  dissipation sums the integrand
+ * (d_t u1 d_t u2)^2 times the cell measure, and radial_sample interpolates a
+ * radial level and its d_t u and d_r u at points.
  *
  * Every value is the result of the same IEEE operations, in the same order,
  * as the expression its comment gives, which is how numpy evaluates it; the
@@ -211,4 +213,110 @@ int cartesian_step(const struct state *s, int nonlinear, double *new, const doub
     for (int64_t f = n; f < second - n; f += n)
         ok &= cartesian_run(s, new, s->dtu, mid, top, f + 1, f + n - 1, nonlinear);
     return ok ? 0 : NONFINITE;
+}
+
+/* the dissipation integrand of value i, ((d0 d1)^2) m with p = d0 d1 rounded
+   first, as numpy's ((d0*d1)**2)*m: m[i * stride], the cell measure, is one
+   value for every i when stride is 0 */
+static double integrand(const double *d0, const double *d1, const double *m, int64_t stride,
+                        int64_t i)
+{
+    double p = d0[i] * d1[i];
+    return (p * p) * m[i * stride];
+}
+
+/* the sum of the integrand's first n values in the order of numpy's pairwise
+   summation (its float64 add.reduce of a contiguous array): below 8 values a
+   loop from 0.0; up to 128, eight running sums of every eighth value joined
+   as a tree, then the rest in order; above, the sums of two halves, split at
+   a multiple of 8 */
+static double pairwise(const double *d0, const double *d1, const double *m, int64_t stride,
+                       int64_t n)
+{
+    if (n < 8) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            sum += integrand(d0, d1, m, stride, i);
+        return sum;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = integrand(d0, d1, m, stride, k);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += integrand(d0, d1, m, stride, i + k);
+        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            sum += integrand(d0, d1, m, stride, i);
+        return sum;
+    }
+    int64_t n2 = n / 2 - (n / 2) % 8;
+    return pairwise(d0, d1, m, stride, n2)
+        + pairwise(d0 + n2, d1 + n2, m + n2 * stride, stride, n - n2);
+}
+
+/* int (d_t u1)^2 (d_t u2)^2 dx over the first n values of each component of
+   d_t u, component 2 `second` values after component 1, with the measure
+   measure[i * stride]: numpy's np.sum of the integrand, 0.0 plus its
+   pairwise sum, bit for bit */
+double dissipation(const struct state *s, const double *measure, int64_t stride,
+                   int64_t second, int64_t n)
+{
+    return 0.0 + pairwise(s->dtu, s->dtu + second, measure, stride, n);
+}
+
+/* the weights of a 4-node Lagrange stencil at x = p - k0: node i's weight
+   the product of (x - j) / (i - j) over j != i, multiplied left to right in
+   the order of solver._stencil's factors */
+static void lagrange(double x, double w[4])
+{
+    static const double J[3][4] = {{1, 0, 0, 0}, {2, 2, 1, 1}, {3, 3, 3, 2}};
+    static const double D[3][4] = {{-1, 1, 2, 3}, {-2, -1, 1, 2}, {-3, -2, -1, 1}};
+    for (int i = 0; i < 4; i++)
+        w[i] = (((x - J[0][i]) / D[0][i]) * ((x - J[1][i]) / D[1][i])) * ((x - J[2][i]) / D[2][i]);
+}
+
+/* a 4-point stencil's values a[0..3] times its weights, in the order numpy's
+   batched matmul takes with OpenBLAS for a (2, 4) block on x86-64: the even
+   products, the odd, then both; written out, so the sample does not depend
+   on a BLAS */
+static double dot4(const double *a, const double w[4])
+{
+    return (a[0] * w[0] + a[2] * w[2]) + (a[1] * w[1] + a[3] * w[3]);
+}
+
+/* the radial level `level` and its d_t u and d_r u at the m radii r, each
+   (n - 1/2) h at most, into out, (3, 2, m): u, d_t u and the fourth-order
+   d_r u of both components.  Per radius: the stencil k0 =
+   min(max(floor(r/h - 1/2) - 1, 0), n - 4) and its weights; the cells
+   k0 - 2 to k0 + 5 of the level, even ghosts across r = 0 and 0.0 past the
+   n cells; d_r u = (((a0 - 8 a1) + 8 a3) - a4) / (12 h) on those cells
+   alone; each field's stencil values times the weights by dot4 */
+void radial_sample(const struct state *s, const double *level, const double *r, int64_t m,
+                   double h, double *out)
+{
+    const int64_t n = s->cells;
+    const double den = 12.0 * h;
+    for (int64_t p = 0; p < m; p++) {
+        double x = r[p] / h - 0.5, w[4];
+        int64_t k0 = (int64_t)floor(x) - 1;
+        k0 = k0 < 0 ? 0 : k0 > n - 4 ? n - 4 : k0;
+        lagrange(x - (double)k0, w);
+        for (int c = 0; c < 2; c++) {
+            const double *u = level + c * n, *dtu = s->dtu + c * n;
+            double a[8], grad[4];
+            for (int k = 0; k < 8; k++) {
+                int64_t cell = k0 - 2 + k;
+                cell = cell < 0 ? -1 - cell : cell;
+                a[k] = cell < n ? u[cell] : 0.0;
+            }
+            for (int k = 0; k < 4; k++)
+                grad[k] = (((a[k] - 8.0 * a[k + 1]) + 8.0 * a[k + 3]) - a[k + 4]) / den;
+            out[(0 + c) * m + p] = dot4(a + 2, w);
+            out[(2 + c) * m + p] = dot4(dtu + k0, w);
+            out[(4 + c) * m + p] = dot4(grad, w);
+        }
+    }
 }

@@ -1,11 +1,13 @@
-"""The compiled leapfrog step: builds and loads _step.c.
+"""The compiled leapfrog step and per-step diagnostics: builds and loads _step.c.
 
-Its two functions, radial_step and cartesian_step, are the solver's only
-stencil: a step is one call, and so is the first level of a run (a free pass
-with a zero middle level; see solver.init_state).  A radial step writes 0.0
-for every new value below the smallest normal float; a Cartesian step
-flushes nothing.  Each takes a pointer to the state's constants, a State,
-then the per-call choices.
+Its functions radial_step and cartesian_step are the solver's only stencil:
+a step is one call, and so is the first level of a run (a free pass with a
+zero middle level; see solver.init_state).  A radial step writes 0.0 for
+every new value below the smallest normal float; a Cartesian step flushes
+nothing.  dissipation is WaveState.dissipation's sum, in numpy's pairwise
+order, and radial_sample the radial WaveState.sample's interpolation.  Each
+takes a pointer to the state's constants, a State, then the per-call
+choices.
 
 The library is compiled once per machine, on the first use in a process
 that does not find it (never at import), with the C compiler CC and the
@@ -49,11 +51,13 @@ CACHE = SOURCE.with_name("__pycache__")
 GROW, NONFINITE = 1, 2
 
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-# each function's argument types, pointers passed as addresses; each returns
-# the status bits as an int, ctypes' default
+# each function's return type (None for void) and argument types, pointers
+# passed as addresses; a step returns its status bits
 _SIGNATURES = {
-    "radial_step": (_P, ctypes.c_int, _P, _P, _P, _I, _I),
-    "cartesian_step": (_P, ctypes.c_int, _P, _P, _P),
+    "radial_step": (ctypes.c_int, (_P, ctypes.c_int, _P, _P, _P, _I, _I)),
+    "cartesian_step": (ctypes.c_int, (_P, ctypes.c_int, _P, _P, _P)),
+    "dissipation": (_F, (_P, _P, _I, _I, _I)),
+    "radial_sample": (None, (_P, _P, _P, _I, _F, _P)),
 }
 
 _LIB = None
@@ -133,6 +137,7 @@ def _load(path) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise CompilerError(f"cannot load the step kernel built by {CC!r}: {exc}") from None
-    for name, argtypes in _SIGNATURES.items():
-        getattr(lib, name).argtypes = argtypes
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
     return lib

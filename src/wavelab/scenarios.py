@@ -122,6 +122,17 @@ def _size_table(data: InitialData, sigma_grid) -> None:
     _size_quadrature(data, "radiation quadrature", table_nodes(data, sigma_grid), TAU_NODE_BYTES)
 
 
+def _sigma_grid(data: InitialData, start: float, stop: float, step: float) -> np.ndarray:
+    """np.arange(start, stop, step), a radiation table's sigma grid, whose
+    stop grows with R0.  Its values are counted in floating point first and
+    refused, ConfigValidationError("radius") naming R0 and the count, when
+    they would exceed physical memory (8 bytes each)."""
+    count = (stop - start) / step
+    fit_memory(count * 8, "radius", f"R0={data.support_radius:g} needs {count:.3g} "
+               f"sigma grid values, whose buffers")
+    return np.arange(start, stop, step)
+
+
 # -- individual scenarios -------------------------------------------------------
 
 
@@ -286,7 +297,7 @@ def _scenario_radiation_decay(config, runtimes):
         if not any(bumps):
             raise UsageError(f"radiation-decay fits the decay of both components, "
                              f"but component {comp} has no nonzero data")
-    sigma_grid = np.arange(-50.0, r0 + 1.0 + 1e-9, 0.05)
+    sigma_grid = _sigma_grid(data, -50.0, r0 + 1.0 + 1e-9, 0.05)
     _size_table(data, sigma_grid)
     with _timed(runtimes, "table"):
         table = radiation_table(data, sigma_grid, config.theta_samples)
@@ -409,7 +420,7 @@ def _scenario_epsilon_scaling(config, runtimes):
 
     r0 = config.data.support_radius
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
-    sigma_grid = np.arange(lo, r0 + 0.2 + 1e-9, 0.02)
+    sigma_grid = _sigma_grid(config.data, lo, r0 + 0.2 + 1e-9, 0.02)
     _size_table(config.data, sigma_grid)
     with _timed(runtimes, "radiation_table"):
         table = radiation_table(config.data, sigma_grid, (theta,))
@@ -466,7 +477,7 @@ def _scenario_epsilon_scaling(config, runtimes):
 def _scenario_nondecay(config, runtimes):
     data = config.data
     r0 = data.support_radius
-    sigma_grid = np.arange(-2.0, r0 + 0.2 + 1e-9, 0.02)
+    sigma_grid = _sigma_grid(data, -2.0, r0 + 0.2 + 1e-9, 0.02)
     run_size(config)                # the run's refusals before the table
     _size_table(data, sigma_grid)
     with _timed(runtimes, "table"):

@@ -21,10 +21,15 @@ from the data, which makes the cached derivative equal eps*g exactly.
 
 Point values come from WaveState.sample(points), the only code that knows
 where the grid nodes sit: one call per level gives every point its 4-node
-Lagrange stencils and reads their cells in one gather, with the radial d_r u
-differenced on those cells alone, so a sampled level costs O(points), not
-O(window).  It refuses a point past the last radial cell centre or the node
-square.
+Lagrange stencil and reads its cells alone, with the radial d_r u
+differenced on those cells, so a sampled level costs O(points), not
+O(window).  A radial level is sampled by one call of the kernel library's
+radial_sample, which does per point the IEEE operations of the numpy form
+(_stencil, an 8-cell gather, _diff4) in its order, and sums each 4-point
+product as (p0 w0 + p2 w2) + (p1 w1 + p3 w3), the order numpy's matmul took
+for it; a Cartesian level by one gather and two matmuls in numpy.  It
+refuses a point past the last radial cell centre or the node square, and
+inside a light-cone window's cone, in Python, once per call.
 
 The linear part of a step is one folded update per mode,
 
@@ -65,10 +70,9 @@ numpy expressions above, and the library is built with -ffp-contract=off,
 so that results are bit-identical to them and to stepping the components
 one by one.  It allocates nothing: the state holds the three levels and dt_u as
 C-contiguous float64 (2, ...) buffers (it copies arrays of another layout
-and refuses another shape), one component-sized buffer for the dissipation
-integrand, and the radial geometry rows; the oldest level's buffer receives
-the new level.  The arrays a sampler sees are views of these buffers: it
-must copy what it keeps.
+and refuses another shape) and the radial geometry rows; the oldest level's
+buffer receives the new level.  The arrays a sampler sees are views of these
+buffers: it must copy what it keeps.
 
 The numerical precursor ahead of a radial front decays through the
 subnormal range, where arithmetic is slow, before it underflows.  So the
@@ -127,8 +131,11 @@ digits, so every time a run records or decides on is exactly the n dt that
 sample_steps predicts.  Boundaries are homogeneous Dirichlet on a domain
 sized for that T: the physical support never reaches them, but the
 scheme's numerical precursor, which runs ahead of the front, does (see
-README).  All integrals use numpy's pairwise summation over arrays in fixed
-index order, so results are reproducible run to run.
+README).  Every integral is a pairwise sum in fixed index order, so results
+are reproducible run to run: the energies numpy's np.sum, the dissipation
+the kernel library's copy of it, which forms the integrand
+((d_t u1 d_t u2)^2) measure as numpy does and adds it in np.sum's order, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -171,10 +178,10 @@ STEP_BYTES = 4 * 8
 # physical memory, the bound of the grid and of the per-step arrays
 _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-# bytes WaveState holds per cell, at most: 14 float64 values, the three
-# levels and d_t u of both components, the dissipation integrand, four
-# radial geometry rows and the cell centres
-CELL_BYTES = 14 * 8
+# bytes WaveState holds per cell, at most: 13 float64 values, the three
+# levels and d_t u of both components, and the radial geometry rows: the cell
+# centres, the cell measure and the two neighbour coefficients
+CELL_BYTES = 13 * 8
 
 # the smallest eps |A| of a component's largest bump: the energies, of order
 # (eps A)^2, stay normal floats
@@ -287,8 +294,6 @@ class WaveState:
         # the level of time index j in slot j % 3: u_prev, u_curr, u_next are
         # slots 2, 0, 1 at n = 0
         self._levels, self._dt_u = (buffers[1], buffers[2], buffers[0]), buffers[3]
-        # the dissipation integrand, one component's size
-        self._work = np.zeros(shape[1:])
         # the kernel call, bound to the address of the state's constants, an
         # attribute so that they live as long as the state: its buffers, the
         # folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1] (see
@@ -309,12 +314,17 @@ class WaveState:
             self._constants.cp = self._geometry[2].ctypes.data
             self._constants.cm = self._geometry[3].ctypes.data
             self._constants.A = 2.0 - 2.0 * k
-            kernel = lib.radial_step
+            kernel, stride, second = lib.radial_step, 1, self._cells
+            self._sample = partial(lib.radial_sample, ctypes.addressof(self._constants))
         else:
-            self._geometry = (xs, self.h * self.h)
+            # h^2, the one measure of every node, with an address for the kernel
+            self._geometry = (xs, np.array(self.h * self.h))
             self._constants.A = 2.0 - 4.0 * k
-            kernel = lib.cartesian_step
+            kernel, stride, second = lib.cartesian_step, 0, self._cells ** 2
         self._kernel = partial(kernel, ctypes.addressof(self._constants))
+        # the sum of the dissipation integrand over a component's first values
+        self._dissipation = partial(lib.dissipation, ctypes.addressof(self._constants),
+                                    self._geometry[1].ctypes.data, stride, second)
         self._addresses = tuple(a.ctypes.data for a in self._levels)   # by slot
         self._lo_last, self._last_n = 0, math.inf   # a whole-disk window never closes
         self.lo, self.hi = 0, self._cells
@@ -358,24 +368,24 @@ class WaveState:
         return tuple(0.5 * float(np.sum(d * self.measure)) for d in dsq)
 
     def dissipation(self) -> float:
+        """int (d_t u1)^2 (d_t u2)^2 dx over the held cells: the kernel library's
+        sum of ((d_t u1 d_t u2)^2) measure in numpy's pairwise order, np.sum of
+        that integrand bit for bit."""
         self._require_whole_disk("dissipation integrals")
-        prod, dt_u = self._work[self.lo:self.hi], self.dt_u
-        np.multiply(dt_u[0], dt_u[1], out=prod)
-        np.multiply(prod, prod, out=prod)
-        np.multiply(prod, self.measure, out=prod)
-        return float(np.sum(prod))
+        return self._dissipation(self.hi if self.mode == "radial" else self._cells ** 2)
 
     # -- point sampling --------------------------------------------------------
 
     def sample(self, points) -> np.ndarray:
         """Fields of the diagnosed level at the points, an (m, 2) array, by
         cubic interpolation: (3, 2, m), u, d_t u and the fourth-order d_r u of
-        both components, in |x| over the cell centres (radial); (1, 2, m), u,
-        in x1 and x2 over the nodes xs (Cartesian).  One gather reads every
-        stencil's cells from the whole-domain buffers (0.0 past hi, even
-        ghosts across r = 0, 0.0 past the wall); d_r u is differenced on them
-        alone.  A point past the last cell centre (n - 1/2) h, outside the
-        node square or, with a cone, at |x| < t + cone raises ValueError.
+        both components, in |x| over the cell centres (radial), one call of
+        the kernel library's radial_sample; (1, 2, m), u, in x1 and x2 over
+        the nodes xs (Cartesian), one gather and two matmuls in numpy.  Each
+        stencil's cells are read from the whole-domain buffers (0.0 past hi,
+        even ghosts across r = 0, 0.0 past the wall); d_r u is differenced on
+        them alone.  A point past the last cell centre (n - 1/2) h, outside
+        the node square or, with a cone, at |x| < t + cone raises ValueError.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         n, h, level = self._cells, self.h, self._levels[self.n % 3]   # the diagnosed level
@@ -386,16 +396,10 @@ class WaveState:
                                  f"window's t + cone = {self.t + self.cone:.6g}")
             if not r.max() <= (n - 0.5) * h:          # NaN too
                 raise ValueError(f"point |x|={r.max():.6g} lies past the last cell centre")
-            k0, w = _stencil(r / h - 0.5, n)
-            # each stencil's cells and 2 more each side, (2, m, 8); unit stride
-            # along a stencil gives w the BLAS product a window slice had
-            cells = k0[:, None] + np.arange(-2, 6)
-            cells = np.maximum(cells, -1 - cells)           # even ghosts across r = 0
-            u = np.where(cells < n, level.take(cells, axis=1, mode="clip"), 0.0)
-            fields = np.empty((3, 2, len(r), 4))            # u, d_t u, d_r u
-            fields[0], fields[2] = u[..., 2:6], _diff4(u, h)
-            self._dt_u.take(cells[:, 2:6], axis=1, out=fields[1])
-            return (fields.transpose(0, 2, 1, 3) @ w[:, :, None])[..., 0].transpose(0, 2, 1)
+            out = np.empty((3, 2, len(r)))                  # u, d_t u, d_r u
+            self._sample(self._addresses[self.n % 3], r.ctypes.data, len(r), h,
+                         out.ctypes.data)
+            return out
         first, last = self.xs[0], self.xs[-1]
         if not first <= pts.min() <= pts.max() <= last:
             bad = pts[~((first <= pts) & (pts <= last)).all(axis=1)][0]

@@ -764,10 +764,13 @@ _REFUSALS = [
     ("file epsilon-scaling-one-sample", "epsilon-scaling: with h=0.65 sigma=-1 gets one "
      "profile sample, at t=2.048, up to its horizon; it needs two"),
     # the size of every run: nondecay-demo's before its radiation table, and
-    # in 2000 bytes, where only conservation's h/2 grid (19 cells of 112 bytes)
+    # in 1900 bytes, where only conservation's h/2 grid (19 cells of 104 bytes)
     # does not fit
     ("nondecay-demo --cfl 1e-12", "cfl: cfl=1e-12, h=0.0078125 and T=20 take 2.56e+15 steps"),
-    ("memory 2000: conservation --T 1 --h 0.25", "grid: h=0.125 and T=1 need 19 cells"),
+    ("memory 1900: conservation --T 1 --h 0.25", "grid: h=0.125 and T=1 need 19 cells"),
+    # a radiation table's sigma grid, counted before it is built
+    ("file nondecay-demo-huge", "radius: R0=1e+200 needs 5e+201 sigma grid values, whose "
+     "buffers exceed the"),
     # the size of every quadrature, counted at its largest rule: the radiation
     # tables' tau nodes (2,304 bytes each), after the runs' grids, and
     # free-validation's oracle nodes (224 bytes each), after its finest grid
@@ -787,6 +790,8 @@ _REFUSAL_FILES = {
     "radiation-decay-one": _ONE_BUMP,
     "radiation-decay-wide": _TWO_BUMPS.replace("radius = 1.0", "radius = 6.0"),
     "epsilon-scaling-one-sample": _ONE_SAMPLE,
+    "nondecay-demo-huge": _sampling_config("nondecay-demo", "").replace("radius = 1.0",
+                                                                        "radius = 1e200"),
 }
 
 

@@ -162,22 +162,122 @@ def _parent_sample(state, points):
         k0, w = _reference_stencil(float(np.hypot(*x)) / h - 0.5, state._cells)
         for j, a in enumerate((u, state.dt_u, grad)):
             seg = a[:, k0 - state.lo:k0 - state.lo + 4]
-            out[i, j] = np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1) @ w
+            out[i, j] = _dot4(np.concatenate([seg, np.zeros((2, 4 - seg.shape[1]))], axis=1), w)
     return out.transpose(1, 2, 0)
+
+
+def _dot4(a, w):
+    """The values a[..., 0:4] of 4-point stencils times their weights w, in
+    the kernel library's fixed order, the one numpy's batched matmul takes
+    with OpenBLAS for a (2, 4) block on x86-64: the even products, the odd
+    ones, then both."""
+    return (a[..., 0] * w[0] + a[..., 2] * w[2]) + (a[..., 1] * w[1] + a[..., 3] * w[3])
+
+
+def _reference_radial_sample(state, points):
+    """WaveState.sample of a radial state written out per point, with no
+    matmul: the reference stencil at |x| / h - 1/2; the cells k0 - 2 to
+    k0 + 5 of the whole-domain buffers, even ghosts across r = 0 and 0.0 past
+    the n cells; d_r u as ((a0 - 8 a1) + 8 a3) - a4 over 12 h on those
+    cells; each field's 4 stencil values times the weights by _dot4."""
+    n, h = state._cells, state.h
+    level, dt_u = state._levels[state.n % 3], state._dt_u
+    out = np.empty((3, 2, len(points)))
+    for i, r in enumerate(np.hypot(points[:, 0], points[:, 1])):
+        k0, w = _reference_stencil(r / h - 0.5, n)
+        a = np.zeros((2, 8))
+        for k, cell in enumerate(range(k0 - 2, k0 + 6)):
+            cell = -1 - cell if cell < 0 else cell
+            if cell < n:
+                a[:, k] = level[:, cell]
+        grad = (((a[:, :4] - 8.0 * a[:, 1:5]) + 8.0 * a[:, 3:7]) - a[:, 4:]) / (12.0 * h)
+        for j, values in enumerate((a[:, 2:6], dt_u[:, k0:k0 + 4], grad)):
+            out[j, :, i] = _dot4(values, w)
+    return out
+
+
+def _kernel_dissipation(dt_u, measure, stride):
+    """The kernel library's dissipation over every value of the C-contiguous
+    (2, ...) array dt_u, with the measure measure[i * stride]."""
+    constants = _step.State(dtu=dt_u.ctypes.data)
+    n = dt_u[0].size
+    return _step.library().dissipation(ctypes.addressof(constants), measure.ctypes.data,
+                                       stride, n, n)
+
+
+def _signed(n, rng, scale=20.0):
+    """n values of random sign and magnitudes e^-scale to e^scale."""
+    return rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-scale, scale, n))
+
+
+def test_dissipation_sum_is_numpy_pairwise_sum(rng):
+    """The library's sum equals np.sum bit for bit, on every length from 0 to
+    300 and on longer ones up to 20,000, with magnitudes e^-20 to e^20: of
+    the values themselves (d_t u of ones, the values as the measure), and of
+    the integrand ((d0 d1)^2) m of random d_t u and a positive measure."""
+    lengths = [*range(301), *rng.integers(301, 20001, 30), 20000]
+    for n in lengths:
+        values = _signed(n, rng)
+        got = _kernel_dissipation(np.ones((2, n)), values, 1)
+        assert np.float64(got).tobytes() == np.sum(values).tobytes(), n
+        dt_u, measure = _signed(2 * n, rng, 10.0).reshape(2, n), np.abs(_signed(n, rng))
+        p = dt_u[0] * dt_u[1]
+        got = _kernel_dissipation(dt_u, measure, 1)
+        assert np.float64(got).tobytes() == np.sum(p * p * measure).tobytes(), n
+
+
+def test_dissipation_sum_of_a_node_square_with_one_measure(rng):
+    """np.sum of a contiguous (n, n) integrand with the scalar measure h^2,
+    a Cartesian state's, is the library's flat sum of n^2 values with stride
+    0, bit for bit."""
+    for n in [*range(1, 40), 63, 64, 65, 100, 129, 257, 300]:
+        h2 = rng.uniform(1e-4, 1.0)
+        dt_u = _signed(2 * n * n, rng, 10.0).reshape(2, n, n)
+        p = dt_u[0] * dt_u[1]
+        got = _kernel_dissipation(dt_u, np.array(h2), 0)
+        assert np.float64(got).tobytes() == np.sum(p * p * h2).tobytes(), n
+
+
+@pytest.mark.parametrize("mode,h,T", [("radial", 1.0 / 64.0, 2.0),
+                                      ("cartesian-2d", 1.0 / 16.0, 1.0)])
+def test_dissipation_is_numpy_sum_at_every_step(radial_data, mode, h, T):
+    """At every step of a run, n = 0 included, where d_t u is the data's g
+    copied in after the start pass, dissipation() is np.sum of the numpy
+    integrand ((d_t u1 d_t u2)^2) measure over the held cells, bit for bit;
+    the radial window grows past 128 cells, the Cartesian square has 5,041
+    nodes, so both reach the halving of the pairwise sum."""
+    cfg = small_config(radial_data, mode=mode, T=T, h=h)
+    steps, sizes = [], []
+
+    def check(state):
+        p = state.dt_u[0] * state.dt_u[1]
+        want = np.sum(p * p * state.measure)
+        assert np.float64(state.dissipation()).tobytes() == want.tobytes(), state.n
+        assert want > 0.0
+        steps.append(state.n)
+        sizes.append(p.size)
+
+    run_simulation(cfg, nonlinear=True, samplers=[(np.arange(0.0, cfg.T, cfg.dt), check)])
+    assert steps == list(range(len(steps))) and len(steps) > 30
+    assert max(sizes) > 128
 
 
 @pytest.mark.parametrize("case", ["origin", "cone", "wall", "cartesian"])
 def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
-    """One gather per call gives what a whole-window gradient and a stencil
-    per point gave, bit for bit: near the origin, where the even ghosts are
-    read, on a light-cone window with lo > 0, on a state whose hi is the
-    wall n, and on a Cartesian state; points also reach past hi."""
+    """A sample of the cells each stencil reads gives what a whole-window
+    gradient and a stencil per point gave, bit for bit: near the origin,
+    where the even ghosts are read, r = 0 and 1e-3 included; on a light-cone
+    window with lo > 0; on a state whose hi is the wall n; and on a
+    Cartesian state.  Radial points reach past hi and up to the last cell
+    centre, whose stencil reaches past n.  The kernel library's radial sample
+    also equals the per-point reference written out with no matmul, so
+    neither the reports nor this test depend on the host's BLAS."""
     if case == "wall":
         rs = (np.arange(300) + 0.5) / 64.0
         st = _held_state("radial", 1.0 / 64.0, np.stack([np.sin(3.0 * rs), np.cos(2.0 * rs)]),
                          np.stack([np.cos(5.0 * rs), rs * rs]))
         assert st.hi == st._cells
-        r = np.append(rng.uniform(0.0, rs[-1], 300), [rs[-1], 0.0])
+        r = rng.uniform(0.0, rs[-1], 300)
     elif case == "cartesian":
         st = init_state(small_config(offset_data, mode="cartesian-2d", T=0.5, h=1.0 / 16.0),
                         nonlinear=True)
@@ -193,15 +293,21 @@ def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
             st.step()
         while st.lo == 0 and case == "cone":
             st.step()
+        assert case == "cone" or st.hi + 6 < st._cells
         start = st.t - 0.5 if case == "cone" else 0.0
         r = np.concatenate([rng.uniform(start, start + 6.0 * st.h, 50),
                             rng.uniform(start, min(st.hi + 6, st._cells - 0.5) * st.h, 250)])
     theta = rng.uniform(0.0, 2.0 * np.pi, len(r))
-    x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    edge = (st._cells - 0.5) * st.h
+    on_axes = [(edge, 0.0), (0.0, 0.3 * st.h - edge)]
+    if case != "cone":
+        on_axes += [(0.0, 0.0), (-1e-3, 0.0)]
+    x = np.concatenate([np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1), on_axes])
     got, want = st.sample(x), _parent_sample(st, x)
-    assert got.shape == (3, 2, len(r))
+    assert got.shape == (3, 2, len(x))
     np.testing.assert_array_equal(got, want)
     assert got.tobytes() == want.tobytes()          # signed zeros too
+    assert got.tobytes() == _reference_radial_sample(st, x).tobytes()
 
 
 def test_symmetric_data_identical_components(unit_bump):
@@ -370,19 +476,22 @@ def test_step_kernel_source_is_clean_c99(tmp_path):
 
 def test_step_signatures_match_the_kernel_source():
     """_step._SIGNATURES names exactly the non-static functions of _step.c,
-    each returning int (ctypes' default), with one argument type per C
-    parameter: a pointer as c_void_p, int64_t as c_int64, int as c_int.  A
-    longer or shorter Python signature would load silently and pass the
-    kernel garbage."""
+    with the C return type (void as None) and one argument type per C
+    parameter: a pointer as c_void_p, int64_t as c_int64, int as c_int,
+    double as c_double.  A longer or shorter Python signature would load
+    silently and pass the kernel garbage, and a wrong return type would read
+    a double result as an int, or an int as a double."""
     source = re.sub(r"/\*.*?\*/", "", _step.SOURCE.read_text(), flags=re.S)
-    kinds = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double}
+    kinds = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double,
+             "void": None}
     found = {}
     for kind, name, params in re.findall(r"^(\w[\w\s*]*?)\b(\w+)\(([^)]*)\)\s*\{", source,
                                          flags=re.M):
         if "static" not in kind.split():
-            assert kind.split() == ["int"], name
-            found[name] = tuple(ctypes.c_void_p if "*" in p else kinds[p.split()[0]]
-                                for p in params.split(","))
+            (restype,) = kind.split()
+            found[name] = (kinds[restype],
+                           tuple(ctypes.c_void_p if "*" in p else kinds[p.split()[0]]
+                                 for p in params.split(",")))
     assert found == _step._SIGNATURES
 
 
