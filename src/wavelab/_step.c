@@ -1,10 +1,12 @@
-/* One leapfrog step of the two-component cubic wave system, in one pass over
- * the held cells (see the module docstring of solver.py for the scheme), and
- * the two diagnostics a run reads at its steps.  radial_step and
+/* The leapfrog steps of the two-component cubic wave system, one pass over
+ * the held cells each (see the module docstring of solver.py for the scheme),
+ * the time loop that advances a state between the steps its samplers read,
+ * and the two diagnostics a run reads at its steps.  radial_step and
  * cartesian_step are the only stencil: the run's start level is one free
- * pass of them, with a zero middle level.  dissipation sums the integrand
- * (d_t u1 d_t u2)^2 times the cell measure, and radial_sample interpolates a
- * radial level and its d_t u and d_r u at points.
+ * pass of them, with a zero middle level, and advance calls them once per
+ * step.  dissipation sums the integrand (d_t u1 d_t u2)^2 times the cell
+ * measure, and radial_sample interpolates a radial level and its d_t u and
+ * d_r u at points.
  *
  * Every value is the result of the same IEEE operations, in the same order,
  * as the expression its comment gives, which is how numpy evaluates it; the
@@ -25,6 +27,13 @@
  * only whether it held: which value failed is found by the caller, in the
  * level the step wrote.
  *
+ * The window rule is written once, in place_lo and advance: after each step
+ * hi grows by one cell when the step reports GROW, up to the domain, and lo
+ * is placed by place_lo.  advance stops at a step whose new values are not
+ * all finite, before it counts that step, so that the caller finds the
+ * state as single steps would have left it and the bad value in the level
+ * the step wrote.
+ *
  * Every buffer is a C-contiguous float64 array of both components, (2, cells)
  * in radial mode and (2, n, n) in Cartesian mode: component 2 starts one
  * component (`second` values) after component 1.
@@ -37,15 +46,22 @@
 /* the status bits of a step */
 enum { GROW = 1, NONFINITE = 2 };
 
-/* a state's constants, bound once per state: d_t u, the radial neighbour
-   coefficient rows cp and cm (unused in Cartesian mode), the cells of a
-   component (radial) or the nodes per axis (Cartesian), the folded update's
-   A, the Cartesian neighbour factor k, and the reciprocals 1/dt, 1/(8 dt) and
-   1/(2 dt) */
+/* a state, bound once per state: d_t u, the radial neighbour coefficient rows
+   cp and cm (unused in Cartesian mode), the cell measure, the buffers of
+   slots 0, 1 and 2, which hold the level of time index j in slot j % 3, and
+   the dissipation record, NULL or D[n] of every step n a run takes; the
+   cells of a component (radial) or the nodes per axis (Cartesian), whether
+   the state is radial and its step nonlinear; the steps taken n and the held
+   global cells [lo, hi), which advance moves; the last step last_n a
+   light-cone window or a record allows, INT64_MAX when neither ends the
+   state, and a light-cone window's lo there, lo_last, 0 for the whole disk;
+   the folded update's A, the Cartesian neighbour factor k, and the
+   reciprocals 1/dt, 1/(8 dt) and 1/(2 dt) */
 struct state {
     double *dtu;
-    const double *cp, *cm;
-    int64_t cells;
+    const double *cp, *cm, *measure;
+    double *slot0, *slot1, *slot2, *record;
+    int64_t cells, radial, nonlinear, n, lo, hi, lo_last, last_n;
     double A, k, inv_dt, inv_8dt, inv_2dt;
 };
 
@@ -139,11 +155,11 @@ static int radial_run(const struct state *s, double *restrict new, double *restr
     return ok;
 }
 
-/* one radial step of the global cells [lo, hi), hi - lo >= 4, with the
-   state's constants s: the level new from top and mid, the cubic term when
-   nonlinear, the new values below DBL_MIN zeroed, and d_t u.  Returns
-   NONFINITE when a new value is not finite, and GROW when a value of new or
-   top is nonzero in the window's last two cells. */
+/* one radial step of the global cells [lo, hi), hi - lo >= 4, of the state
+   s: the level new from top and mid, the cubic term when nonlinear, the new
+   values below DBL_MIN zeroed, and d_t u.  Returns NONFINITE when a new
+   value is not finite, and GROW when a value of new or top is nonzero in the
+   window's last two cells. */
 int radial_step(const struct state *s, int nonlinear, double *new, const double *mid,
                 const double *top, int64_t lo, int64_t hi)
 {
@@ -201,9 +217,9 @@ static int cartesian_run(const struct state *s, double *restrict new, double *re
     return ok;
 }
 
-/* one Cartesian step with the state's constants s: the level new from top
-   and mid at the interior nodes, row by row, the cubic term when nonlinear,
-   and their d_t u; the Dirichlet ring of new and of d_t u is never written.
+/* one Cartesian step of the state s: the level new from top and mid at the
+   interior nodes, row by row, the cubic term when nonlinear, and their
+   d_t u; the Dirichlet ring of new and of d_t u is never written.
    Returns NONFINITE when a new value is not finite. */
 int cartesian_step(const struct state *s, int nonlinear, double *new, const double *mid,
                    const double *top)
@@ -265,6 +281,47 @@ double dissipation(const struct state *s, const double *measure, int64_t stride,
                    int64_t second, int64_t n)
 {
     return 0.0 + pairwise(s->dtu, s->dtu + second, measure, stride, n);
+}
+
+/* place lo at the state's step n: lo_last - (last_n - n), up one cell per
+   step to lo_last at last_n, but not below the origin, and a stencil's worth
+   below hi at least.  lo never falls, so no cell below it is read again */
+void place_lo(struct state *s)
+{
+    int64_t lo = s->lo_last - (s->last_n - s->n);
+    lo = lo > 0 ? lo : 0;
+    s->lo = lo < s->hi - 4 ? lo : s->hi - 4;
+}
+
+/* count steps of the state s, count <= last_n - n: each writes the level of
+   time index n + 2 into its slot from levels n + 1 (top) and n (mid) by
+   radial_step over [lo, hi) or cartesian_step, counts n, grows hi by one
+   cell on GROW up to the cells of the domain (steps write only held cells
+   and hi never falls, so the buffers are 0.0 past hi), places lo and, with a
+   record, writes D[n], dissipation over the held cells [0, hi) or every
+   node.  Returns NONFINITE at the first step with a new value that is not
+   finite, whose n, lo and hi it leaves as they were, else 0 */
+int advance(struct state *s, int64_t count)
+{
+    double *slots[3] = {s->slot0, s->slot1, s->slot2};
+    for (int64_t step = 0; step < count; step++) {
+        int64_t j = s->n + 2;
+        double *new = slots[j % 3];
+        const double *mid = slots[(j - 2) % 3], *top = slots[(j - 1) % 3];
+        int status = s->radial
+            ? radial_step(s, (int)s->nonlinear, new, mid, top, s->lo, s->hi)
+            : cartesian_step(s, (int)s->nonlinear, new, mid, top);
+        if (status & NONFINITE)
+            return NONFINITE;
+        s->n++;
+        s->hi += (status & GROW) && s->hi < s->cells;
+        place_lo(s);
+        if (s->record)
+            s->record[s->n] = s->radial
+                ? dissipation(s, s->measure, 1, s->cells, s->hi)
+                : dissipation(s, s->measure, 0, s->cells * s->cells, s->cells * s->cells);
+    }
+    return 0;
 }
 
 /* the weights of a 4-node Lagrange stencil at x = p - k0: node i's weight

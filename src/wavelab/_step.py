@@ -1,13 +1,19 @@
-"""The compiled leapfrog step and per-step diagnostics: builds and loads _step.c.
+"""The compiled leapfrog step, time loop and per-step diagnostics: builds and
+loads _step.c.
 
-Its functions radial_step and cartesian_step are the solver's only stencil:
-a step is one call, and so is the first level of a run (a free pass with a
-zero middle level; see solver.init_state).  A radial step writes 0.0 for
-every new value below the smallest normal float; a Cartesian step flushes
-nothing.  dissipation is WaveState.dissipation's sum, in numpy's pairwise
-order, and radial_sample the radial WaveState.sample's interpolation.  Each
-takes a pointer to the state's constants, a State, then the per-call
-choices.
+Its functions radial_step and cartesian_step are the solver's only stencil,
+and advance its only time loop: WaveState.step(count) is one call of
+advance, which runs count steps of radial_step or cartesian_step, applies
+the radial window rule after each (hi grows on GROW, place_lo places lo)
+and, when the state keeps a dissipation record, writes each step's
+dissipation into it.  The first level of a run is one radial_step or
+cartesian_step call (a free pass with a zero middle level; see
+solver.init_state), and a window's first lo one place_lo call.  A radial
+step writes 0.0 for every new value below the smallest normal float; a
+Cartesian step flushes nothing.  dissipation is WaveState.dissipation's
+sum, in numpy's pairwise order, and radial_sample the radial
+WaveState.sample's interpolation.  Each takes a pointer to the state, a
+State, then the per-call choices.
 
 The library is compiled once per machine, on the first use in a process
 that does not find it (never at import), with the C compiler CC and the
@@ -47,15 +53,18 @@ CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("_step.c")
 CACHE = SOURCE.with_name("__pycache__")
 
-# the status bits of a step, numbered as in _step.c
-GROW, NONFINITE = 1, 2
+# the status bit of a step, or of advance, with a new value that is not
+# finite, numbered as in _step.c
+NONFINITE = 2
 
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # each function's return type (None for void) and argument types, pointers
-# passed as addresses; a step returns its status bits
+# passed as addresses; a step and advance return status bits
 _SIGNATURES = {
     "radial_step": (ctypes.c_int, (_P, ctypes.c_int, _P, _P, _P, _I, _I)),
     "cartesian_step": (ctypes.c_int, (_P, ctypes.c_int, _P, _P, _P)),
+    "place_lo": (None, (_P,)),
+    "advance": (ctypes.c_int, (_P, _I)),
     "dissipation": (_F, (_P, _P, _I, _I, _I)),
     "radial_sample": (None, (_P, _P, _P, _I, _F, _P)),
 }
@@ -64,12 +73,18 @@ _LIB = None
 
 
 class State(ctypes.Structure):
-    """A state's constants, laid out as struct state of _step.c: the
-    addresses of d_t u and of the radial neighbour rows cp and cm, the cells
-    of a component (radial) or nodes per axis (Cartesian), and A, k, 1/dt,
-    1/(8 dt) and 1/(2 dt)."""
+    """A state as the kernel sees it, laid out as struct state of _step.c:
+    the addresses of d_t u, of the radial neighbour rows cp and cm, of the
+    cell measure, of the level slots 0 to 2 and of the dissipation record
+    (None for none); the cells of a component (radial) or nodes per axis
+    (Cartesian), whether it is radial and nonlinear, the steps taken n, the
+    held cells [lo, hi), a light-cone window's lo at its last step last_n;
+    and A, k, 1/dt, 1/(8 dt) and 1/(2 dt)."""
 
-    _fields_ = [("dtu", _P), ("cp", _P), ("cm", _P), ("cells", _I),
+    _fields_ = [("dtu", _P), ("cp", _P), ("cm", _P), ("measure", _P),
+                ("slot0", _P), ("slot1", _P), ("slot2", _P), ("record", _P),
+                ("cells", _I), ("radial", _I), ("nonlinear", _I), ("n", _I), ("lo", _I),
+                ("hi", _I), ("lo_last", _I), ("last_n", _I),
                 ("A", _F), ("k", _F), ("inv_dt", _F), ("inv_8dt", _F), ("inv_2dt", _F)]
 
 

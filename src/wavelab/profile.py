@@ -25,16 +25,18 @@ estimate.
 
 V_j and H_j are measured in one place: RayTraceCollector, a run_simulation
 sampler of radial states, where every angle gives the same profile.  At
-each sample time one WaveState.sample call reads u, d_t u and the
-fourth-order d_r u at every foot point |x| = t + sigma, by one 4-point
-Lagrange (cubic) stencil per point, with d_r u differenced on the
-stencil's cells alone.  A sample stores these raw values; the collector's
-traces() evaluates U_j and H_j over a whole trace at once.  Every field
-holds both components on axis 0, as the solver's levels do, so each
-formula above runs once for both, with the other component read through
-[::-1].  A foot point past the grid raises ValueError, as WaveState.sample
-does.  Traces interpolate linearly in time between stored samples.  Any
-other point read of a state, in either mode, calls WaveState.sample itself.
+each sample time one call of the kernel library's radial_sample, the path
+WaveState.sample takes, reads u, d_t u and the fourth-order d_r u at every
+foot point |x| = t + sigma, by one 4-point Lagrange (cubic) stencil per
+point, with d_r u differenced on the stencil's cells alone, and writes them
+straight into the collector's packed storage.  A sample stores these raw
+values; the collector's traces() evaluates U_j and H_j over a whole trace
+at once.  Every field holds both components on axis 0, as the solver's
+levels do, so each formula above runs once for both, with the other
+component read through [::-1].  A foot point past the grid or inside a
+light-cone window raises ValueError, with WaveState.sample's messages.
+Traces interpolate linearly in time between stored samples.  Any other
+point read of a state, in either mode, calls WaveState.sample itself.
 """
 
 from __future__ import annotations
@@ -117,20 +119,30 @@ class RayTraceCollector:
     The one foot-point rule: a (t, sigma) sample is taken when t > 0 and
     t + sigma >= h, so sampling starts once the foot point clears the origin
     and skips nothing afterwards, at the state's t = n dt, where the refusals
-    in scenarios predict the samples.  One WaveState.sample call per level
-    reads every such foot point, and each (t, sigma) sample keeps t, u, d_t u
-    and d_r u of both components; traces() evaluates U and K over all of a
-    sigma's samples at once.  A repeated sigma raises ValueError.
+    in scenarios predict the samples.  Since t + sigma grows with sigma, the
+    rays a level samples are the first m of the sigmas from the largest
+    down.  A level is one call of the kernel library's radial_sample, after
+    the state's refusals, at their foot points, which writes u, d_t u and
+    d_r u of both components at each straight into the collector's packed
+    storage; the level's t is stored once.  traces() evaluates U and K over
+    all of a sigma's samples at once.  A repeated sigma raises ValueError.
     """
 
     def __init__(self, sigmas):
         self.sigmas = [float(s) for s in sigmas]
         if len(set(self.sigmas)) < len(self.sigmas):
             raise ValueError("repeated sigma: " + ", ".join(f"{s:g}" for s in self.sigmas))
-        # per sigma, 7 packed floats per sample: t, then u, d_t u and d_r u of
-        # both components; a tuple of objects per sample would take 4x the memory
-        self._rows = {s: array("d") for s in self.sigmas}
-        self._dt = None
+        self._descending = sorted(self.sigmas, reverse=True)
+        # the foot points of a level, read by the kernel at their address
+        self._radii = np.empty(len(self.sigmas))
+        self._radii_address = self._radii.ctypes.data
+        # per level its t, and u, d_t u and d_r u of both components at its m
+        # foot points, 6 m packed floats as radial_sample writes them: a
+        # (3, 2, m) array, the rays in descending sigma; a level's floats are
+        # appended as zero bytes, 6 * 8 per ray, which the kernel overwrites
+        self._times, self._values = array("d"), array("d")
+        self._zeros = memoryview(bytes(6 * 8 * len(self.sigmas)))
+        self._dt, self._h = None, math.inf      # no level sampled yet
 
     @staticmethod
     def samples_at(t, sigma: float, h: float):
@@ -140,27 +152,40 @@ class RayTraceCollector:
     def __call__(self, state: WaveState) -> None:
         if state.mode != "radial":
             raise ValueError(f"ray profiles are sampled in radial mode, not {state.mode}")
-        self._dt, t = state.dt, state.t
-        live = [s for s in self.sigmas if self.samples_at(t, s, state.h)]
-        if not live:
+        self._dt, self._h, t = state.dt, state.h, state.t
+        radii, m = self._radii, 0
+        for s in self._descending:
+            if not self.samples_at(t, s, state.h):
+                break
+            radii[m] = t + s
+            m += 1
+        if not m:
             return
-        # u, d_t u and d_r u of both components, (3, 2), at each foot point
-        values = state.sample(np.array([(t + s, 0.0) for s in live])).transpose(2, 0, 1)
-        for s, sample in zip(live, values):
-            rows = self._rows[s]
-            rows.append(t)
-            rows.frombytes(sample.tobytes())
+        level = state._radial_level(radii[m - 1], radii[0])
+        values = self._values
+        values.frombytes(self._zeros[:6 * 8 * m])
+        address, length = values.buffer_info()
+        state._sample(level, self._radii_address, m, state.h,
+                      address + 8 * (length - 6 * m))
+        self._times.append(t)
 
     def traces(self) -> list[ProfileTrace]:
+        times, values = np.frombuffer(self._times), np.frombuffer(self._values)
+        # per level the rays it sampled, and where its values start
+        live = [self.samples_at(times, s, self._h) for s in self._descending]
+        m = np.sum(live, axis=0, dtype=int)
+        start = np.cumsum(6 * m) - 6 * m
         out = []
         for s in self.sigmas:
-            rows = np.array(self._rows[s]).reshape(-1, 7)
-            if not len(rows):
+            rank = self._descending.index(s)
+            rows = live[rank]
+            if not rows.any():
                 raise ValueError(f"no samples collected for sigma={s}")
-            t = rows[:, 0]
+            t, first, stride = times[rows], start[rows] + rank, m[rows]
+            # (2, samples) each: u, d_t u, d_r u; the other component through [::-1]
+            u, ut, ur = np.stack([values[first + k * stride] for k in range(6)]).reshape(3, 2, -1)
             r = t + s
-            u, ut, ur = rows[:, 1:].reshape(-1, 3, 2).transpose(1, 2, 0)  # (2, samples) each
-            sq = np.sqrt(r)          # the other component through [::-1]
+            sq = np.sqrt(r)
             U = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)
             K = (0.5 * (sq * ut[::-1] * ut[::-1] * ut + U[::-1] * U[::-1] * U / t)
                  - u / (8.0 * r * sq))

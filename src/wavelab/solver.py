@@ -29,7 +29,10 @@ radial_sample, which does per point the IEEE operations of the numpy form
 product as (p0 w0 + p2 w2) + (p1 w1 + p3 w3), the order numpy's matmul took
 for it; a Cartesian level by one gather and two matmuls in numpy.  It
 refuses a point past the last radial cell centre or the node square, and
-inside a light-cone window's cone, in Python, once per call.
+inside a light-cone window's cone, in Python, once per call.  The radial
+refusals and the level are _radial_level's, the one radial sampling path,
+which RayTraceCollector takes too, to write a level's ray samples into its
+own storage.  No points give an empty sample.
 
 The linear part of a step is one folded update per mode,
 
@@ -56,23 +59,28 @@ with c = 1/dt or 1/(8 dt), since dt^2 (d_t u_k)^2 d_t u_j = c (w_0 w_1) w_k;
 the reciprocals are precomputed: a step divides nothing.  The final d_t u
 is (new - mid) * (1/(2 dt)).
 
-A step is one call of a C function per mode (_step.c, built once per
-machine; see wavelab._step), which walks the held cells once and does, per
-cell and component, the linear update, the three cubic passes, the radial
-subnormal flush below and d_t u, and returns whether every new value is
-finite.  Only when one is not does the state look, in numpy, for the first
-NaN or inf of each component in the level just written, and raise
-InstabilityError there.  That per-cell work is written once per mode: the
-same code does a radial window's first and last cell, without the neighbour
-outside it, and the cells between.  Each
-value is the result of the same IEEE operations in the same order as the
-numpy expressions above, and the library is built with -ffp-contract=off,
-so that results are bit-identical to them and to stepping the components
-one by one.  It allocates nothing: the state holds the three levels and dt_u as
-C-contiguous float64 (2, ...) buffers (it copies arrays of another layout
-and refuses another shape) and the radial geometry rows; the oldest level's
-buffer receives the new level.  The arrays a sampler sees are views of these
-buffers: it must copy what it keeps.
+The time loop is the kernel library's (_step.c, built once per machine;
+see wavelab._step): WaveState.step(count) is one call of its advance, which
+takes count steps, so a run makes one call per stretch of steps between the
+steps its samplers read.  A step is one call of a C function per mode,
+which walks the held cells once and does, per cell and component, the
+linear update, the three cubic passes, the radial subnormal flush below and
+d_t u, and returns whether every new value is finite.  The loop stops at
+the first step where one is not, before it counts that step; only then
+does the state look, in numpy, for the first NaN or inf of each component
+in the level just written, and raise InstabilityError there, at the time
+and cell single steps would name.  That per-cell work is written once per
+mode: the same code does a radial window's first and last cell, without
+the neighbour outside it, and the cells between.  Each value is the result
+of the same IEEE operations in the same order as the numpy expressions
+above, and the library is built with -ffp-contract=off, so that results
+are bit-identical to them, to stepping the components one by one and to
+stepping one step per call.  It allocates nothing: the state holds the
+three levels and dt_u as C-contiguous float64 (2, ...) buffers (it copies
+arrays of another layout and refuses another shape) and the radial
+geometry rows; the oldest level's buffer receives the new level.  The
+arrays a sampler sees are views of these buffers: it must copy what it
+keeps.
 
 The numerical precursor ahead of a radial front decays through the
 subnormal range, where arithmetic is slow, before it underflows.  So the
@@ -86,10 +94,13 @@ digits.  A Cartesian step flushes nothing.
 Radial windows.  Every radial state keeps its levels in buffers allocated
 once for the whole domain and advances only the global cells [lo, hi).  The
 level of time index j (t = j dt) sits in slot j % 3, which never rotates: a
-step writes level n + 2 over level n - 1 and then only updates n, t, lo and
-hi.  u_prev, u_curr, u_next, dt_u, xs and measure are read-only properties
-that slice slots (n - 1) % 3, n % 3, (n + 1) % 3 and the other buffers to
-[lo, hi) on each access.
+step writes level n + 2 over level n - 1 and then only updates n, lo and
+hi, which the state keeps in the struct it shares with the kernel, and
+step() sets t after the loop.  The window rule below is the kernel's, written
+once: advance applies it after every step, and a window's opening places
+its first lo with the same place_lo.  u_prev, u_curr, u_next, dt_u, xs and
+measure are read-only properties that slice slots (n - 1) % 3, n % 3,
+(n + 1) % 3 and the other buffers to [lo, hi) on each access.
 
 * the outer edge follows the numerical support: hi grows by one cell, up
   to the domain's n, whenever either of the last two held cells is nonzero
@@ -110,12 +121,18 @@ that slice slots (n - 1) % 3, n % 3, (n + 1) % 3 and the other buffers to
 Both edges are exact by construction: a whole-disk window steps
 bit-identically to stepping every cell, and samples at sigma >= cone equal
 the whole-disk run's.  WaveState.sample refuses a point with |x| < t + cone,
-and a light-cone window raises when stepped past the step count it was
-sized for.  Energies and dissipation sum the held cells [0, hi), the whole
-support; over a light-cone window they mean nothing, so such a state raises
-on them, and so does an EnergyTrace of it.  A state keeps no integral over
-time: EnergyTrace, a run_simulation sampler of every step, integrates the
-dissipation.
+and a light-cone window refuses, before it steps at all, a step(count) past
+the step count it was sized for.  Energies and dissipation sum the held
+cells [0, hi), the whole support; over a light-cone window they mean
+nothing, so such a state raises on them, and so does an EnergyTrace of it.
+A state keeps no integral over time.  It keeps, once an EnergyTrace starts
+it at step 0, a dissipation record: an array sized for the run's steps by
+run_size, into which the kernel loop writes each step's dissipation after
+its window rule, the same sum over the same cells as dissipation().  The
+EnergyTrace, a run_simulation sampler of its rows only, adds at each row
+the trapezoids of the record's steps since its last row, in step order, and
+a record, like a light-cone window, refuses a step past its end.  A state
+no EnergyTrace reads computes no dissipation.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
@@ -165,14 +182,20 @@ __all__ = [
 # an EnergyTrace records a row every max(1, round(TRACE_DT / dt)) steps
 TRACE_DT = 0.25
 
+# the last step of a state whose light-cone window or dissipation record does
+# not end it: it never closes
+_NEVER = 2 ** 63 - 1
+
 # cells a light-cone window keeps below the last sample's stencil at the
 # final step: a sample reads two cells below its stencil (the gradient) and
 # one level ahead (d_t u); floor and rounding of the foot point take up to
 # three more
 CONE_REACH = 8
 
-# bytes per step of a run's per-step arrays, at most: EnergyTrace.times, the
-# temporaries of its sample_steps and run_simulation's byte per sampler
+# bytes per step of a run's per-step arrays, at most: the dissipation record,
+# a RayTraceCollector's times and the steps run_simulation stops at, 8 each,
+# and its byte per sampler and step with the byte of their any(), 8 for up to
+# 7 samplers; sample_steps, before the run, holds two 8-byte temporaries
 STEP_BYTES = 4 * 8
 
 # physical memory, the bound of the grid and of the per-step arrays
@@ -202,34 +225,41 @@ class InstabilityError(RuntimeError):
 
 
 class EnergyTrace:
-    """Energy diagnostics of a run of config, a run_simulation sampler of every
-    step: run_simulation(config, nonlinear, samplers=[(trace.times, trace)]).
-    Every round(TRACE_DT / dt) steps and at the last, after which the arrays
-    exist: t, the squared energy norms E1sq/E2sq, (1/2) int |du_j|^2 dx, the
-    dissipation D, int (d_t u1)^2 (d_t u2)^2 dx, and cum_D, its step-resolution
-    trapezoid from 0.  A skipped step, another h or dt and a light-cone window
+    """Energy diagnostics of a run of config, a run_simulation sampler of its
+    rows: run_simulation(config, nonlinear, samplers=[(trace.times, trace)]).
+    Its rows are every round(TRACE_DT / dt) steps and the last, at the times
+    trace.times, after which the arrays exist: t, the squared energy norms
+    E1sq/E2sq, (1/2) int |du_j|^2 dx, the dissipation D, int (d_t u1)^2
+    (d_t u2)^2 dx, and cum_D, its step-resolution trapezoid from 0.  At its
+    row at step 0 the trace starts the state's dissipation record, which the
+    kernel fills with every step's D, and at each later row it adds the
+    trapezoids of the steps since the last, in step order.  A step that is
+    not the next row, another h or dt, a second run and a light-cone window
     raise ValueError.
     """
 
     def __init__(self, config: ScenarioConfig):
         self._last = run_size(config)[1]
         self._h, self._dt = config.h, config.dt
-        self.times = np.arange(self._last + 1) * self._dt
         self._stride = max(1, round(TRACE_DT / self._dt))
-        self._next, self._D, self._cum_D, self._rows = 0, None, 0.0, []
+        self.times = np.append(np.arange(0, self._last, self._stride), self._last) * self._dt
+        self._next, self._D, self._done, self._cum_D, self._rows = 0, None, 0, 0.0, []
 
     def __call__(self, state: WaveState) -> None:
         n = state.n
         if (state.h, state.dt) != (self._h, self._dt) or n != self._next:
             raise ValueError(f"an energy trace of h={self._h:g}, dt={self._dt:g} expects step "
                              f"{self._next}, not step {n} of h={state.h:g}, dt={state.dt:g}")
-        D = state.dissipation()
-        if n:
-            self._cum_D += 0.5 * state.dt * (self._D + D)
-        self._D, self._next = D, n + 1
-        if n % self._stride == 0 or n == self._last:
-            self._rows.append((state.t, *state.energies(), D, self._cum_D))
+        if n == 0:
+            self._D = state._record_dissipation(self._last)
+        D = self._D[self._done:n + 1].tolist()
+        for D_prev, D_next in zip(D, D[1:]):
+            self._cum_D += 0.5 * state.dt * (D_prev + D_next)
+        self._rows.append((state.t, *state.energies(), D[-1], self._cum_D))
+        self._done = n
+        self._next = min(n + self._stride, self._last) if n < self._last else self._last + 1
         if n == self._last:
+            self._D = None
             self.t, self.E1sq, self.E2sq, self.D, self.cum_D = map(np.array, zip(*self._rows))
 
     @property
@@ -273,7 +303,7 @@ class WaveState:
         self.mode = mode
         self.h = float(h)
         self.dt = float(dt)
-        self.n, self.t = 0, 0.0
+        self.t = 0.0
         self.nonlinear = bool(nonlinear)
         self.cone = None
         xs = np.asarray(xs, dtype=float)
@@ -294,43 +324,53 @@ class WaveState:
         # the level of time index j in slot j % 3: u_prev, u_curr, u_next are
         # slots 2, 0, 1 at n = 0
         self._levels, self._dt_u = (buffers[1], buffers[2], buffers[0]), buffers[3]
-        # the kernel call, bound to the address of the state's constants, an
-        # attribute so that they live as long as the state: its buffers, the
-        # folded update lin = A*top - mid + cp*top[i+1] + cm*top[i-1] (see
-        # the module docstring) and the reciprocals of the time step, the
-        # predictor's c, a corrector's c and the factor of d_t u
+        self._addresses = tuple(a.ctypes.data for a in self._levels)   # by slot
+        self._record = None             # the dissipation record, once started
+        # the state as the kernel sees it, an attribute so that it lives as
+        # long as the state: its buffers, the folded update lin = A*top - mid
+        # + cp*top[i+1] + cm*top[i-1] (see the module docstring) and the
+        # reciprocals of the time step, the predictor's c, a corrector's c
+        # and the factor of d_t u; and n, lo and hi, which only the kernel
+        # and _open_window write.  A whole-disk window never closes
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
-        self._constants = _step.State(dtu=self._dt_u.ctypes.data, cells=self._cells, k=k,
-                                      inv_dt=1.0 / self.dt, inv_8dt=0.125 / self.dt,
-                                      inv_2dt=0.5 / self.dt)
+        self._struct = _step.State(
+            dtu=self._dt_u.ctypes.data, slot0=self._addresses[0], slot1=self._addresses[1],
+            slot2=self._addresses[2], cells=self._cells, radial=mode == "radial",
+            nonlinear=self.nonlinear, n=0, lo=0, hi=self._cells, lo_last=0,
+            last_n=_NEVER, k=k, inv_dt=1.0 / self.dt, inv_8dt=0.125 / self.dt,
+            inv_2dt=0.5 / self.dt)
         lib = _step.library()
+        address = ctypes.addressof(self._struct)
         if self.mode == "radial":
             c = dt2 / (2.0 * self.h * xs)        # dt^2 / (2 h r_i)
             cp, cm = k + c, k - c
             cp[0], cm[0] = 2.0 * k, 0.0           # even ghost across r = 0
             # r_i, the cell measure 2 pi r_i h, and the neighbour coefficients
             self._geometry = np.stack([xs, 2.0 * np.pi * xs * self.h, cp, cm])
-            self._constants.cp = self._geometry[2].ctypes.data
-            self._constants.cm = self._geometry[3].ctypes.data
-            self._constants.A = 2.0 - 2.0 * k
+            self._struct.cp = self._geometry[2].ctypes.data
+            self._struct.cm = self._geometry[3].ctypes.data
+            self._struct.A = 2.0 - 2.0 * k
             kernel, stride, second = lib.radial_step, 1, self._cells
-            self._sample = partial(lib.radial_sample, ctypes.addressof(self._constants))
+            self._sample = partial(lib.radial_sample, address)
         else:
             # h^2, the one measure of every node, with an address for the kernel
             self._geometry = (xs, np.array(self.h * self.h))
-            self._constants.A = 2.0 - 4.0 * k
+            self._struct.A = 2.0 - 4.0 * k
             kernel, stride, second = lib.cartesian_step, 0, self._cells ** 2
-        self._kernel = partial(kernel, ctypes.addressof(self._constants))
+        self._struct.measure = self._geometry[1].ctypes.data
+        self._kernel = partial(kernel, address)
+        self._advance = partial(lib.advance, address)
+        self._place_lo = partial(lib.place_lo, address)
         # the sum of the dissipation integrand over a component's first values
-        self._dissipation = partial(lib.dissipation, ctypes.addressof(self._constants),
-                                    self._geometry[1].ctypes.data, stride, second)
-        self._addresses = tuple(a.ctypes.data for a in self._levels)   # by slot
-        self._lo_last, self._last_n = 0, math.inf   # a whole-disk window never closes
-        self.lo, self.hi = 0, self._cells
+        self._dissipation = partial(lib.dissipation, address, self._struct.measure, stride,
+                                    second)
 
     # -- the held window, sliced on access ------------------------------------
 
+    n = property(lambda self: self._struct.n)
+    lo = property(lambda self: self._struct.lo)
+    hi = property(lambda self: self._struct.hi)
     u_prev = property(lambda self: self._levels[(self.n - 1) % 3][:, self.lo:self.hi])
     u_curr = property(lambda self: self._levels[self.n % 3][:, self.lo:self.hi])
     u_next = property(lambda self: self._levels[(self.n + 1) % 3][:, self.lo:self.hi])
@@ -386,18 +426,17 @@ class WaveState:
         even ghosts across r = 0, 0.0 past the wall); d_r u is differenced on
         them alone.  A point past the last cell centre (n - 1/2) h, outside
         the node square or, with a cone, at |x| < t + cone raises ValueError.
+        No points give an empty (3, 2, 0) or (1, 2, 0) array.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         n, h, level = self._cells, self.h, self._levels[self.n % 3]   # the diagnosed level
-        if self.mode == "radial":
+        radial = self.mode == "radial"
+        if not len(pts):
+            return np.empty((3 if radial else 1, 2, 0))
+        if radial:
             r = np.hypot(pts[:, 0], pts[:, 1])
-            if self.cone is not None and r.min() < self.t + self.cone - 1e-6 * h:
-                raise ValueError(f"point |x|={r.min():.6g} lies inside the light-cone "
-                                 f"window's t + cone = {self.t + self.cone:.6g}")
-            if not r.max() <= (n - 0.5) * h:          # NaN too
-                raise ValueError(f"point |x|={r.max():.6g} lies past the last cell centre")
             out = np.empty((3, 2, len(r)))                  # u, d_t u, d_r u
-            self._sample(self._addresses[self.n % 3], r.ctypes.data, len(r), h,
+            self._sample(self._radial_level(r.min(), r.max()), r.ctypes.data, len(r), h,
                          out.ctypes.data)
             return out
         first, last = self.xs[0], self.xs[-1]
@@ -411,27 +450,44 @@ class WaveState:
         rows = (wx[:, None, None, :] @ u)[..., 0, :]
         return (rows @ wy[:, :, None])[None, ..., 0].transpose(0, 2, 1)
 
+    def _radial_level(self, r_min: float, r_max: float) -> int:
+        """The address of the diagnosed level, for a radial sample of radii
+        in [r_min, r_max] by the kernel library's radial_sample, the one
+        radial sampling path: ValueError for a radius inside a light-cone
+        window's t + cone or past the last cell centre (n - 1/2) h."""
+        if self.cone is not None and r_min < self.t + self.cone - 1e-6 * self.h:
+            raise ValueError(f"point |x|={r_min:.6g} lies inside the light-cone "
+                             f"window's t + cone = {self.t + self.cone:.6g}")
+        if not r_max <= (self._cells - 0.5) * self.h:          # NaN too
+            raise ValueError(f"point |x|={r_max:.6g} lies past the last cell centre")
+        return self._addresses[self.n % 3]
+
     # -- time stepping -------------------------------------------------------
 
-    def step(self) -> "WaveState":
-        """Advance the diagnosed level by one dt (in place)."""
-        if self.n == self._last_n:
-            raise ValueError("a light-cone window ends at the step count it was "
-                             "opened for")
-        # level n + 2 overwrites level n - 1 in its slot: no step reads it
-        status = self._pass(self.nonlinear, self.n + 2)
-        self.n += 1
-        self.t = self.n * self.dt
-        self._move_window(status & _step.GROW)
+    def step(self, count: int = 1) -> "WaveState":
+        """Advance the diagnosed level by count dt (in place), in one kernel
+        call: count steps, each followed by the window rule and, with a
+        dissipation record, its D.  A light-cone window or a record that ends
+        before step n + count raises ValueError before any step; a new value
+        that is not finite raises InstabilityError (see _instability) at the
+        step that wrote it, with n, t, lo and hi as the steps before left
+        them."""
+        s = self._struct
+        if count > s.last_n - s.n:
+            what = "light-cone window" if self.cone is not None else "dissipation record"
+            raise ValueError(f"a {what} ends at the step count it was sized for, "
+                             f"{s.last_n}; step {s.n} cannot take {count} more")
+        status = self._advance(count)
+        self.t = s.n * self.dt
+        if status:
+            raise self._instability(s.n + 2)
         return self
 
-    def _pass(self, nonlinear: bool, j: int) -> int:
-        """One kernel call over the held cells: the level of time index j
-        into slot j % 3 from levels j - 1 (top) and j - 2 (mid), its d_t u
-        into dt_u, and, radial, its values below TINY zeroed.  The status
-        bits; InstabilityError, at the time (n + 1) dt, when a new value is
-        not finite, located at component 1's first one in the held cells,
-        else component 2's."""
+    def _pass(self, nonlinear: bool, j: int) -> None:
+        """One step kernel call over the held cells: the level of time index
+        j into slot j % 3 from levels j - 1 (top) and j - 2 (mid), its d_t u
+        into dt_u, and, radial, its values below TINY zeroed; n, lo and hi
+        stay.  InstabilityError when a new value is not finite."""
         a = self._addresses
         levels = a[j % 3], a[(j - 2) % 3], a[(j - 1) % 3]      # new, mid, top
         if self.mode == "radial":
@@ -439,11 +495,28 @@ class WaveState:
         else:
             status = self._kernel(nonlinear, *levels)
         if status & _step.NONFINITE:
-            failed = ~np.isfinite(self._levels[j % 3][:, self.lo:self.hi].reshape(2, -1))
-            i = int(np.argmax(failed[0] if failed[0].any() else failed[1]))
-            location = (self.lo + i,) if self.mode == "radial" else divmod(i, self._cells)
-            raise InstabilityError((self.n + 1) * self.dt, location)
-        return status
+            raise self._instability(j)
+
+    def _instability(self, j: int) -> InstabilityError:
+        """The InstabilityError of the level of time index j, just written:
+        at the time (n + 1) dt, located at component 1's first non-finite
+        value in the held cells, else component 2's."""
+        failed = ~np.isfinite(self._levels[j % 3][:, self.lo:self.hi].reshape(2, -1))
+        i = int(np.argmax(failed[0] if failed[0].any() else failed[1]))
+        location = (self.lo + i,) if self.mode == "radial" else divmod(i, self._cells)
+        return InstabilityError((self.n + 1) * self.dt, location)
+
+    def _record_dissipation(self, last: int) -> np.ndarray:
+        """Start the dissipation record of a run that ends at step last: an
+        array of last + 1 values whose value n is dissipation() now and into
+        which every later step m writes its D at m; the state then refuses a
+        step past last.  A light-cone window raises ValueError."""
+        self._require_whole_disk("dissipation integrals")
+        self._record = np.zeros(last + 1)
+        self._record[self.n] = self.dissipation()
+        self._struct.record = self._record.ctypes.data
+        self._struct.last_n = last
+        return self._record
 
     # -- radial window -------------------------------------------------------
 
@@ -451,11 +524,12 @@ class WaveState:
         """Hold the cells up to the support's edge (radial).  With a cone, lo
         moves up one cell per step and, n_steps steps from now, stands
         CONE_REACH cells below the stencil of a sample at |x| = t + cone."""
+        s = self._struct
         if cone is not None:
             self.cone = float(cone)
-            self._last_n = self.n + n_steps
-            foot = (self._last_n * self.dt + self.cone) / self.h - 0.5
-            self._lo_last = int(_stencil(foot, self._cells)[0]) - CONE_REACH
+            s.last_n = self.n + n_steps
+            foot = (s.last_n * self.dt + self.cone) / self.h - 0.5
+            s.lo_last = int(_stencil(foot, self._cells)[0]) - CONE_REACH
         held = np.zeros(self._cells, dtype=bool)
         for a in (*self._levels, self._dt_u):
             held |= a.any(axis=0)
@@ -463,17 +537,8 @@ class WaveState:
         last = int(nonzero[-1]) if len(nonzero) else 0
         # the window ends two zero cells past the last nonzero one, or at the
         # domain's edge, so it does not grow before the first step
-        self.lo, self.hi = 0, min(max(last + 3, 4), self._cells)
-        self._move_window(False)
-
-    def _move_window(self, edge_nonzero) -> None:
-        """Grow hi by one cell when either of the last two held cells is
-        nonzero at the top or middle level; move a cone's lo up one cell per
-        step.  Steps write only held cells and hi never falls, so the buffers
-        are 0.0 past hi; lo never falls either, so no cell below it is read."""
-        hi = self.hi + bool(edge_nonzero and self.hi < self._cells)
-        lo = max(self._lo_last - (self._last_n - self.n), 0)
-        self.lo, self.hi = min(lo, hi - 4), hi     # a stencil's worth at least
+        s.hi = min(max(last + 3, 4), self._cells)
+        self._place_lo()
 
 
 def _diff4(a: np.ndarray, h: float) -> np.ndarray:
@@ -605,18 +670,23 @@ def run_simulation(config: ScenarioConfig, nonlinear: bool, *,
     the read-only state once at each step sample_steps takes for its times,
     however many of them round to it, and must copy what it keeps: later
     steps overwrite the state's arrays.  An EnergyTrace is such a sampler.
+    Between the steps a sampler reads, and from the last of them to the
+    run's end, the state advances in one WaveState.step call.
 
     cone, the smallest sigma any sampler reads, makes the radial window a
     light-cone window, whose samples at sigma >= cone are bit-identical.
     """
     state = init_state(config, nonlinear, cone=cone)
+    last = run_size(config)[1]
     # one byte per step and sampler: whether the sampler reads that step
-    due = np.zeros((run_size(config)[1] + 1, len(samplers)), dtype=bool)
+    due = np.zeros((last + 1, len(samplers)), dtype=bool)
     for j, (times, _) in enumerate(samplers):
         due[sample_steps(config, times), j] = True
     callbacks = [callback for _, callback in samplers]
-    for n, now in enumerate(due):
-        if n:
-            state.step()
-        for callback in compress(callbacks, now):
+    for n in np.flatnonzero(due.any(axis=1)):
+        if n > state.n:
+            state.step(int(n) - state.n)
+        for callback in compress(callbacks, due[n]):
             callback(state)
+    if state.n < last:
+        state.step(last - state.n)

@@ -248,6 +248,27 @@ def test_collector_remainder_rows(radial_data):
         assert tr.K1[0] != 0.0
 
 
+def test_collector_of_several_rays_equals_one_collector_per_ray(radial_data):
+    """A level's samples of several rays, packed in one radial_sample call
+    whose ray count grows as their foot points clear the origin, give every
+    ray's trace bit for bit as a collector of that ray alone does; the
+    sigmas are unsorted, and traces() keeps their order."""
+    cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
+                         T=2.0, h=1.0 / 16.0)
+    sigmas = [0.5, -1.0, 0.0, -0.3]
+    together, alone = RayTraceCollector(sigmas), [RayTraceCollector([s]) for s in sigmas]
+    times = np.arange(0.0, cfg.T, cfg.dt)
+    run_simulation(cfg, nonlinear=True,
+                   samplers=[(times, together), *((times, c) for c in alone)])
+    traces = together.traces()
+    assert [tr.sigma for tr in traces] == sigmas
+    assert len({len(tr.t) for tr in traces}) == len(sigmas)
+    for tr, single in zip(traces, alone, strict=True):
+        (want,) = single.traces()
+        for name in ("t", "V1", "V2", "K1", "K2"):
+            assert getattr(tr, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_collector_refuses_a_repeated_sigma():
     """A repeated sigma would store every sample of its ray twice."""
     with pytest.raises(ValueError, match="repeated sigma: 0, 0"):

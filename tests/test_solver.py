@@ -17,7 +17,7 @@ from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, Scena
                      WaveState, _step, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
-from wavelab.solver import TRACE_DT, _stencil, sample_steps
+from wavelab.solver import TRACE_DT, _stencil, run_size, sample_steps
 
 
 def small_config(data, mode="radial", T=2.0, h=1.0 / 32.0, **kw):
@@ -141,6 +141,17 @@ def test_sample_refuses_points_off_the_grid(radial_data, mode):
             st.sample(np.array([on_grid[0], x]))
 
 
+@pytest.mark.parametrize("mode,shape", [("radial", (3, 2, 0)), ("cartesian-2d", (1, 2, 0))])
+def test_sample_of_no_points_is_empty(radial_data, mode, shape):
+    """No points, as an empty list or an empty (0, 2) array, give an empty
+    sample of the mode's fields, also on a light-cone window."""
+    cfg = small_config(radial_data, mode=mode, T=0.5, h=1.0 / 16.0)
+    for cone in (None, 0.0) if mode == "radial" else (None,):
+        st = init_state(cfg, nonlinear=True, cone=cone).step()
+        for points in ([], np.empty((0, 2))):
+            assert st.sample(points).shape == shape
+
+
 def _parent_sample(state, points):
     """What sample returned before it gathered: a fourth-order d_r u over the
     whole held window (even ghosts at the origin, zeros below a light-cone
@@ -260,6 +271,93 @@ def test_dissipation_is_numpy_sum_at_every_step(radial_data, mode, h, T):
     run_simulation(cfg, nonlinear=True, samplers=[(np.arange(0.0, cfg.T, cfg.dt), check)])
     assert steps == list(range(len(steps))) and len(steps) > 30
     assert max(sizes) > 128
+
+
+def _snapshot(state):
+    """Every value step(k) writes: the three level slots and d_t u over the
+    whole domain, n, t, lo and hi."""
+    return ([a.tobytes() for a in (*state._levels, state._dt_u)],
+            (state.n, state.t, state.lo, state.hi))
+
+
+def _step_count_case(radial_data, offset_data, case, nonlinear):
+    """A config and two equal states of it for the step(k) tests."""
+    if case == "cartesian":
+        cfg = small_config(offset_data, mode="cartesian-2d", T=0.5, h=1.0 / 16.0)
+    else:
+        cfg = small_config(radial_data, T=3.0, h=1.0 / 64.0)
+    cone = 0.5 if case == "cone" else None
+    return cfg, init_state(cfg, nonlinear, cone=cone), init_state(cfg, nonlinear, cone=cone)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "free"])
+@pytest.mark.parametrize("case", ["whole-disk", "cone", "cartesian"])
+def test_step_count_equals_single_steps(radial_data, offset_data, case, nonlinear):
+    """step(k) is k single steps, bit for bit: the levels, dt_u, n, t, lo and
+    hi after every call, with calls of up to 37 steps that cross growths of
+    hi and, on a light-cone window, the start of lo.  A whole-disk state's
+    dissipation record, which the kernel loop fills, holds at every step
+    np.sum of the numpy integrand ((d_t u1 d_t u2)^2) measure of the state
+    stepped one step at a time; the radial window grows past 128 and 256
+    cells, where the pairwise sum splits anew."""
+    cfg, looped, single = _step_count_case(radial_data, offset_data, case, nonlinear)
+    last = run_size(cfg)[1]
+    record = None if case == "cone" else looped._record_dissipation(last)
+
+    def D(state):
+        p = state.dt_u[0] * state.dt_u[1]
+        return np.sum(p * p * state.measure)
+
+    want, crossed = [D(single)], set()
+    counts = [1, 5, 37, 2, 11] * last
+    while looped.n < last:
+        k = min(counts.pop(), last - looped.n)
+        lo, hi = looped.lo, looped.hi
+        assert looped.step(k) is looped
+        for _ in range(k):
+            single.step()
+            want.append(D(single))
+        assert _snapshot(looped) == _snapshot(single)
+        if k > 1:
+            crossed |= {"hi"} if looped.hi > hi else set()
+            crossed |= {"lo"} if lo == 0 < looped.lo else set()
+    assert looped.n == last and looped.t == last * cfg.dt
+    if case == "cartesian":
+        assert looped.hi == looped._cells and record.tobytes() == np.array(want).tobytes()
+    elif case == "whole-disk":
+        assert crossed == {"hi"} and record.tobytes() == np.array(want).tobytes()
+        assert looped.hi > 256
+    else:
+        assert crossed == {"hi", "lo"}
+
+
+@pytest.mark.parametrize("case", ["whole-disk", "cartesian"])
+def test_step_count_raises_where_single_steps_do(radial_data, offset_data, case):
+    """A value that turns non-finite partway through step(k) raises
+    InstabilityError at the same t and cell as single steps, and leaves the
+    state as they leave it.  Radial: an inf past hi, which a step reads once
+    hi has grown over it; Cartesian: an inf on the Dirichlet ring of the slot
+    the next step writes, which the step after it reads."""
+    cfg, looped, single = _step_count_case(radial_data, offset_data, case, True)
+    errors = []
+    for state in (looped, single):
+        state.step(3)
+        if case == "cartesian":
+            state._levels[(state.n + 2) % 3][0, 0, 5] = np.inf
+        else:
+            for level in state._levels:
+                level[0, state.hi + 2:] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(InstabilityError) as err:
+            if state is looped:
+                state.step(20)
+            else:
+                for _ in range(20):
+                    state.step()
+        errors.append((err.value.t, err.value.location))
+    assert errors[0] == errors[1]
+    assert _snapshot(looped) == _snapshot(single)
+    assert looped.n > 4 if case == "whole-disk" else looped.n == 4
+    assert errors[0][0] == (looped.n + 1) * cfg.dt
 
 
 @pytest.mark.parametrize("case", ["origin", "cone", "wall", "cartesian"])
@@ -753,29 +851,38 @@ def test_state_time_is_step_count_times_dt(radial_data):
 
 
 def test_energy_trace_times_are_steps_times_dt(radial_data):
-    """An EnergyTrace records its t at every TRACE_DT stride and the last
-    step, each exactly that step times dt."""
+    """An EnergyTrace samples only its rows, every TRACE_DT stride and the
+    last step, and records its t there, each exactly that step times dt."""
     cfg = small_config(radial_data, T=3.0, h=1.0 / 16.0)
-    trace = energy_run(cfg, nonlinear=True)
-    last, stride = len(trace.times) - 1, round(TRACE_DT / cfg.dt)
+    last, stride = run_size(cfg)[1], round(TRACE_DT / cfg.dt)
     steps = np.union1d(np.arange(0, last + 1, stride), [last])
+    assert last % stride and len(steps) > 3
+    trace = energy_run(cfg, nonlinear=True)
+    assert np.array_equal(trace.times, steps * cfg.dt)
     assert np.array_equal(trace.t, steps * cfg.dt)
 
 
 def test_energy_trace_refuses_skipped_steps_and_other_runs(radial_data):
-    """An EnergyTrace reads every step of one run of its config: times that
-    skip a step, a run of another spacing or step and a second run raise."""
+    """An EnergyTrace reads exactly its rows of one run of its config: times
+    that skip a row or read a step between rows, a run of another spacing or
+    step and a second run raise."""
     cfg = small_config(radial_data, T=1.0)
+    stride = round(TRACE_DT / cfg.dt)
     trace = EnergyTrace(cfg)
-    with pytest.raises(ValueError, match="expects step 1, not step 2 of"):
+    with pytest.raises(ValueError, match=f"expects step {stride}, not step {2 * stride} of"):
         run_simulation(cfg, nonlinear=True, samplers=[(trace.times[::2], trace)])
+    every_step = np.arange(run_size(cfg)[1] + 1) * cfg.dt
+    trace = EnergyTrace(cfg)
+    with pytest.raises(ValueError, match=f"expects step {stride}, not step 1 of"):
+        run_simulation(cfg, nonlinear=True, samplers=[(every_step, trace)])
     for other in (replace(cfg, h=2 * cfg.h), replace(cfg, cfl=0.9)):
         trace = EnergyTrace(cfg)
         with pytest.raises(ValueError, match="expects step 0, not step 0 of"):
             run_simulation(other, nonlinear=True, samplers=[(trace.times, trace)])
     trace = EnergyTrace(cfg)
     run_simulation(cfg, nonlinear=True, samplers=[(trace.times, trace)])
-    with pytest.raises(ValueError, match=f"expects step {len(trace.times)}, not step 0"):
+    last = run_size(cfg)[1]
+    with pytest.raises(ValueError, match=f"expects step {last + 1}, not step 0"):
         run_simulation(cfg, nonlinear=True, samplers=[(trace.times, trace)])
 
 

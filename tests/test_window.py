@@ -563,6 +563,29 @@ def test_window_ends_at_its_horizon():
         state.step()
 
 
+def test_step_count_past_the_end_leaves_the_state():
+    """A light-cone window, or a whole-disk state's dissipation record, refuses
+    a step(k) that passes its last step before it steps at all: levels,
+    dt_u, n, t, lo and hi stay; the steps up to the last are taken."""
+    cfg = scaling_rung(1.0)
+    last = run_size(cfg)[1]
+    cone_state = init_state(cfg, nonlinear=True, cone=0.0)
+    recorded = init_state(cfg, nonlinear=True)
+    recorded._record_dissipation(last)
+    for state, what in ((cone_state, "light-cone window"), (recorded, "dissipation record")):
+        state.step(last - 3)
+        before = ([a.copy() for a in (*state._levels, state._dt_u)],
+                  (state.n, state.t, state.lo, state.hi))
+        with pytest.raises(ValueError, match=f"a {what} ends at the step count it was sized "
+                           f"for, {last}; step {last - 3} cannot take 4 more"):
+            state.step(4)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(before[0], (*state._levels, state._dt_u)))
+        assert (state.n, state.t, state.lo, state.hi) == before[1]
+        state.step(3)
+        assert state.n == last
+
+
 def test_instability_location_is_global():
     state = init_state(scaling_rung(1.0), nonlinear=False, cone=0.5)
     while state.lo < 10:
