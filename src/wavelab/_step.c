@@ -1,12 +1,15 @@
 /* The leapfrog steps of the two-component cubic wave system, one pass over
  * the held cells each (see the module docstring of solver.py for the scheme),
  * the time loop that advances a state between the steps its samplers read,
- * and the two diagnostics a run reads at its steps.  radial_step and
- * cartesian_step are the only stencil: the run's start level is one free
- * pass of them, with a zero middle level, and advance calls them once per
- * step.  dissipation sums the integrand (d_t u1 d_t u2)^2 times the cell
- * measure, and radial_sample interpolates a radial level and its d_t u and
- * d_r u at points.
+ * and the two diagnostics a run reads at its steps.  The state, struct state,
+ * is the whole interface: each exported function takes it and only the
+ * buffers its caller owns, and reads every other choice from it.  advance is
+ * the only code that writes a level: it calls radial_step or cartesian_step,
+ * the only stencil, once per step, and the run's start level is one call of
+ * it from n = -1 with nonlinear off, a free pass over a zero middle level.
+ * dissipation sums the integrand (d_t u1 d_t u2)^2 times the cell measure
+ * over the held cells, and radial_sample interpolates the diagnosed radial
+ * level and its d_t u and d_r u at points.
  *
  * Every value is the result of the same IEEE operations, in the same order,
  * as the expression its comment gives, which is how numpy evaluates it; the
@@ -46,24 +49,32 @@
 /* the status bits of a step */
 enum { GROW = 1, NONFINITE = 2 };
 
-/* a state, bound once per state: d_t u, the radial neighbour coefficient rows
-   cp and cm (unused in Cartesian mode), the cell measure, the buffers of
-   slots 0, 1 and 2, which hold the level of time index j in slot j % 3, and
-   the dissipation record, NULL or D[n] of every step n a run takes; the
-   cells of a component (radial) or the nodes per axis (Cartesian), whether
-   the state is radial and its step nonlinear; the steps taken n and the held
-   global cells [lo, hi), which advance moves; the last step last_n a
-   light-cone window or a record allows, INT64_MAX when neither ends the
-   state, and a light-cone window's lo there, lo_last, 0 for the whole disk;
-   the folded update's A, the Cartesian neighbour factor k, and the
-   reciprocals 1/dt, 1/(8 dt) and 1/(2 dt) */
+/* a state, bound once per state and the whole of what the kernel is told
+   about it: d_t u, the radial neighbour coefficient rows cp and cm (unused in
+   Cartesian mode), the cell measure (one value in Cartesian mode), the
+   buffers of slots 0, 1 and 2, which hold the level of time index j in slot
+   j % 3, and the dissipation record, NULL or D[n] of every step n a run
+   takes; the cells of a component (radial) or the nodes per axis
+   (Cartesian), whether the state is radial and its steps nonlinear; the
+   steps taken n, -1 before the start level, and the held global cells
+   [lo, hi), which advance moves; the last step last_n a light-cone window or
+   a record allows, INT64_MAX when neither ends the state, and a light-cone
+   window's lo there, lo_last, 0 for the whole disk; the spacing h, the
+   folded update's A, the Cartesian neighbour factor k, and the reciprocals
+   1/dt, 1/(8 dt) and 1/(2 dt) */
 struct state {
     double *dtu;
     const double *cp, *cm, *measure;
     double *slot0, *slot1, *slot2, *record;
     int64_t cells, radial, nonlinear, n, lo, hi, lo_last, last_n;
-    double A, k, inv_dt, inv_8dt, inv_2dt;
+    double h, A, k, inv_dt, inv_8dt, inv_2dt;
 };
+
+/* the slot of the level of time index j >= 0 */
+static double *slot(const struct state *s, int64_t j)
+{
+    return j % 3 == 0 ? s->slot0 : j % 3 == 1 ? s->slot1 : s->slot2;
+}
 
 /* whether x is neither NaN nor infinite */
 static int finite_value(double x)
@@ -155,15 +166,16 @@ static int radial_run(const struct state *s, double *restrict new, double *restr
     return ok;
 }
 
-/* one radial step of the global cells [lo, hi), hi - lo >= 4, of the state
-   s: the level new from top and mid, the cubic term when nonlinear, the new
-   values below DBL_MIN zeroed, and d_t u.  Returns NONFINITE when a new
+/* one radial step of the held cells [lo, hi), hi - lo >= 4, of the state s:
+   the level new from top and mid, the cubic term when s is nonlinear, the
+   new values below DBL_MIN zeroed, and d_t u.  Returns NONFINITE when a new
    value is not finite, and GROW when a value of new or top is nonzero in the
    window's last two cells. */
-int radial_step(const struct state *s, int nonlinear, double *new, const double *mid,
-                const double *top, int64_t lo, int64_t hi)
+static int radial_step(const struct state *s, double *new, const double *mid,
+                       const double *top)
 {
-    int64_t m = hi - lo, second = s->cells;
+    int64_t lo = s->lo, m = s->hi - lo, second = s->cells;
+    int nonlinear = (int)s->nonlinear;
     double *dtu = s->dtu + lo;
     const double *cp = s->cp + lo, *cm = s->cm + lo;
     new += lo, mid += lo, top += lo;
@@ -218,16 +230,16 @@ static int cartesian_run(const struct state *s, double *restrict new, double *re
 }
 
 /* one Cartesian step of the state s: the level new from top and mid at the
-   interior nodes, row by row, the cubic term when nonlinear, and their
+   interior nodes, row by row, the cubic term when s is nonlinear, and their
    d_t u; the Dirichlet ring of new and of d_t u is never written.
    Returns NONFINITE when a new value is not finite. */
-int cartesian_step(const struct state *s, int nonlinear, double *new, const double *mid,
-                   const double *top)
+static int cartesian_step(const struct state *s, double *new, const double *mid,
+                          const double *top)
 {
     int64_t n = s->cells, second = n * n;
     int ok = 1;
     for (int64_t f = n; f < second - n; f += n)
-        ok &= cartesian_run(s, new, s->dtu, mid, top, f + 1, f + n - 1, nonlinear);
+        ok &= cartesian_run(s, new, s->dtu, mid, top, f + 1, f + n - 1, (int)s->nonlinear);
     return ok ? 0 : NONFINITE;
 }
 
@@ -273,14 +285,15 @@ static double pairwise(const double *d0, const double *d1, const double *m, int6
         + pairwise(d0 + n2, d1 + n2, m + n2 * stride, stride, n - n2);
 }
 
-/* int (d_t u1)^2 (d_t u2)^2 dx over the first n values of each component of
-   d_t u, component 2 `second` values after component 1, with the measure
-   measure[i * stride]: numpy's np.sum of the integrand, 0.0 plus its
-   pairwise sum, bit for bit */
-double dissipation(const struct state *s, const double *measure, int64_t stride,
-                   int64_t second, int64_t n)
+/* int (d_t u1)^2 (d_t u2)^2 dx over the held cells of the state s: radial,
+   the cells [0, hi) with the measure of each; Cartesian, every node with the
+   one measure h^2.  numpy's np.sum of the integrand, 0.0 plus its pairwise
+   sum, bit for bit */
+double dissipation(const struct state *s)
 {
-    return 0.0 + pairwise(s->dtu, s->dtu + second, measure, stride, n);
+    int64_t second = s->radial ? s->cells : s->cells * s->cells;
+    return 0.0 + pairwise(s->dtu, s->dtu + second, s->measure, s->radial,
+                          s->radial ? s->hi : second);
 }
 
 /* place lo at the state's step n: lo_last - (last_n - n), up one cell per
@@ -293,33 +306,27 @@ void place_lo(struct state *s)
     s->lo = lo < s->hi - 4 ? lo : s->hi - 4;
 }
 
-/* count steps of the state s, count <= last_n - n: each writes the level of
-   time index n + 2 into its slot from levels n + 1 (top) and n (mid) by
-   radial_step over [lo, hi) or cartesian_step, counts n, grows hi by one
-   cell on GROW up to the cells of the domain (steps write only held cells
-   and hi never falls, so the buffers are 0.0 past hi), places lo and, with a
-   record, writes D[n], dissipation over the held cells [0, hi) or every
-   node.  Returns NONFINITE at the first step with a new value that is not
-   finite, whose n, lo and hi it leaves as they were, else 0 */
+/* count steps of the state s from n >= -1, count <= last_n - n: each writes
+   the level of time index n + 2 into its slot from levels n + 1 (top) and n
+   (mid), slots (n + 4) % 3 and (n + 3) % 3, by radial_step over [lo, hi) or
+   cartesian_step, counts n, grows hi by one cell on GROW up to the cells of
+   the domain (steps write only held cells and hi never falls, so the
+   buffers are 0.0 past hi), places lo and, with a record, writes D[n], the
+   dissipation.  Returns NONFINITE at the first step with a new value that
+   is not finite, whose n, lo and hi it leaves as they were, else 0 */
 int advance(struct state *s, int64_t count)
 {
-    double *slots[3] = {s->slot0, s->slot1, s->slot2};
+    int (*one_step)(const struct state *, double *, const double *, const double *) =
+        s->radial ? radial_step : cartesian_step;
     for (int64_t step = 0; step < count; step++) {
-        int64_t j = s->n + 2;
-        double *new = slots[j % 3];
-        const double *mid = slots[(j - 2) % 3], *top = slots[(j - 1) % 3];
-        int status = s->radial
-            ? radial_step(s, (int)s->nonlinear, new, mid, top, s->lo, s->hi)
-            : cartesian_step(s, (int)s->nonlinear, new, mid, top);
+        int status = one_step(s, slot(s, s->n + 2), slot(s, s->n + 3), slot(s, s->n + 4));
         if (status & NONFINITE)
             return NONFINITE;
         s->n++;
         s->hi += (status & GROW) && s->hi < s->cells;
         place_lo(s);
         if (s->record)
-            s->record[s->n] = s->radial
-                ? dissipation(s, s->measure, 1, s->cells, s->hi)
-                : dissipation(s, s->measure, 0, s->cells * s->cells, s->cells * s->cells);
+            s->record[s->n] = dissipation(s);
     }
     return 0;
 }
@@ -344,18 +351,17 @@ static double dot4(const double *a, const double w[4])
     return (a[0] * w[0] + a[2] * w[2]) + (a[1] * w[1] + a[3] * w[3]);
 }
 
-/* the radial level `level` and its d_t u and d_r u at the m radii r, each
-   (n - 1/2) h at most, into out, (3, 2, m): u, d_t u and the fourth-order
-   d_r u of both components.  Per radius: the stencil k0 =
-   min(max(floor(r/h - 1/2) - 1, 0), n - 4) and its weights; the cells
-   k0 - 2 to k0 + 5 of the level, even ghosts across r = 0 and 0.0 past the
-   n cells; d_r u = (((a0 - 8 a1) + 8 a3) - a4) / (12 h) on those cells
-   alone; each field's stencil values times the weights by dot4 */
-void radial_sample(const struct state *s, const double *level, const double *r, int64_t m,
-                   double h, double *out)
+/* the diagnosed level of the radial state s, slot n % 3, and its d_t u and
+   d_r u at the m radii r, each (cells - 1/2) h at most, into out, (3, 2, m):
+   u, d_t u and the fourth-order d_r u of both components.  Per radius: the
+   stencil k0 = min(max(floor(r/h - 1/2) - 1, 0), cells - 4) and its weights;
+   the cells k0 - 2 to k0 + 5 of the level, even ghosts across r = 0 and 0.0
+   past the cells; d_r u = (((a0 - 8 a1) + 8 a3) - a4) / (12 h) on those
+   cells alone; each field's stencil values times the weights by dot4 */
+void radial_sample(const struct state *s, const double *r, int64_t m, double *out)
 {
     const int64_t n = s->cells;
-    const double den = 12.0 * h;
+    const double h = s->h, den = 12.0 * h, *level = slot(s, s->n);
     for (int64_t p = 0; p < m; p++) {
         double x = r[p] / h - 0.5, w[4];
         int64_t k0 = (int64_t)floor(x) - 1;

@@ -1,19 +1,20 @@
 """The compiled leapfrog step, time loop and per-step diagnostics: builds and
 loads _step.c.
 
-Its functions radial_step and cartesian_step are the solver's only stencil,
-and advance its only time loop: WaveState.step(count) is one call of
-advance, which runs count steps of radial_step or cartesian_step, applies
-the radial window rule after each (hi grows on GROW, place_lo places lo)
-and, when the state keeps a dissipation record, writes each step's
-dissipation into it.  The first level of a run is one radial_step or
-cartesian_step call (a free pass with a zero middle level; see
-solver.init_state), and a window's first lo one place_lo call.  A radial
+Its state, a State laid out as _step.c's struct state, is its whole
+interface: each of its four functions takes a pointer to the state and only
+the buffers its caller owns, and reads every other choice from the state.
+advance is the solver's only time loop and the only code that writes a
+level: WaveState.step(count) is one call of it, which runs count steps of
+the stencil, applies the radial window rule after each (hi grows on GROW,
+place_lo places lo) and, when the state keeps a dissipation record, writes
+each step's dissipation into it.  The first level of a run is one more call
+of it, from n = -1 with nonlinear off (a free pass over a zero middle level;
+see solver.init_state), and a window's first lo one place_lo call.  A radial
 step writes 0.0 for every new value below the smallest normal float; a
-Cartesian step flushes nothing.  dissipation is WaveState.dissipation's
-sum, in numpy's pairwise order, and radial_sample the radial
-WaveState.sample's interpolation.  Each takes a pointer to the state, a
-State, then the per-call choices.
+Cartesian step flushes nothing.  dissipation is WaveState.dissipation's sum
+over the held cells, in numpy's pairwise order, and radial_sample the radial
+WaveState.sample's interpolation of the diagnosed level.
 
 The library is compiled once per machine, on the first use in a process
 that does not find it (never at import), with the C compiler CC and the
@@ -53,20 +54,15 @@ CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("_step.c")
 CACHE = SOURCE.with_name("__pycache__")
 
-# the status bit of a step, or of advance, with a new value that is not
-# finite, numbered as in _step.c
-NONFINITE = 2
-
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # each function's return type (None for void) and argument types, pointers
-# passed as addresses; a step and advance return status bits
+# passed as addresses; advance returns 0, or nonzero at a step with a new
+# value that is not finite
 _SIGNATURES = {
-    "radial_step": (ctypes.c_int, (_P, ctypes.c_int, _P, _P, _P, _I, _I)),
-    "cartesian_step": (ctypes.c_int, (_P, ctypes.c_int, _P, _P, _P)),
     "place_lo": (None, (_P,)),
     "advance": (ctypes.c_int, (_P, _I)),
-    "dissipation": (_F, (_P, _P, _I, _I, _I)),
-    "radial_sample": (None, (_P, _P, _P, _I, _F, _P)),
+    "dissipation": (_F, (_P,)),
+    "radial_sample": (None, (_P, _P, _I, _P)),
 }
 
 _LIB = None
@@ -79,13 +75,14 @@ class State(ctypes.Structure):
     (None for none); the cells of a component (radial) or nodes per axis
     (Cartesian), whether it is radial and nonlinear, the steps taken n, the
     held cells [lo, hi), a light-cone window's lo at its last step last_n;
-    and A, k, 1/dt, 1/(8 dt) and 1/(2 dt)."""
+    and h, A, k, 1/dt, 1/(8 dt) and 1/(2 dt)."""
 
     _fields_ = [("dtu", _P), ("cp", _P), ("cm", _P), ("measure", _P),
                 ("slot0", _P), ("slot1", _P), ("slot2", _P), ("record", _P),
                 ("cells", _I), ("radial", _I), ("nonlinear", _I), ("n", _I), ("lo", _I),
                 ("hi", _I), ("lo_last", _I), ("last_n", _I),
-                ("A", _F), ("k", _F), ("inv_dt", _F), ("inv_8dt", _F), ("inv_2dt", _F)]
+                ("h", _F), ("A", _F), ("k", _F), ("inv_dt", _F), ("inv_8dt", _F),
+                ("inv_2dt", _F)]
 
 
 class CompilerError(OSError):

@@ -161,12 +161,11 @@ class RayTraceCollector:
             m += 1
         if not m:
             return
-        level = state._radial_level(radii[m - 1], radii[0])
+        state._check_radii(radii[m - 1], radii[0])
         values = self._values
         values.frombytes(self._zeros[:6 * 8 * m])
         address, length = values.buffer_info()
-        state._sample(level, self._radii_address, m, state.h,
-                      address + 8 * (length - 6 * m))
+        state._sample(self._radii_address, m, address + 8 * (length - 6 * m))
         self._times.append(t)
 
     def traces(self) -> list[ProfileTrace]:

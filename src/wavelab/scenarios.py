@@ -199,6 +199,9 @@ def _scenario_free_validation(config, runtimes):
     # halves exactly across refinements; min() keeps a quotient that rounds
     # up past config.cfl (cadence / (cfl h) a whole number) inside its bound
     cadence = 0.25 * T
+    if not cadence:
+        raise UsageError(f"free-validation: T={T:g} is too short for its four check times: "
+                         "T/4 is 0")
     n0 = math.ceil(cadence / config.dt)
     cfl = min(cadence / (n0 * levels[0]), config.cfl)
     runs = [replace(config, h=h, cfl=cfl) for h in levels]

@@ -30,9 +30,10 @@ product as (p0 w0 + p2 w2) + (p1 w1 + p3 w3), the order numpy's matmul took
 for it; a Cartesian level by one gather and two matmuls in numpy.  It
 refuses a point past the last radial cell centre or the node square, and
 inside a light-cone window's cone, in Python, once per call.  The radial
-refusals and the level are _radial_level's, the one radial sampling path,
-which RayTraceCollector takes too, to write a level's ray samples into its
-own storage.  No points give an empty sample.
+refusals are _check_radii's; it and radial_sample, which reads the
+diagnosed level from the state, are the one radial sampling path, which
+RayTraceCollector takes too, to write a level's ray samples into its own
+storage.  No points give an empty sample.
 
 The linear part of a step is one folded update per mode,
 
@@ -45,8 +46,9 @@ origin's even ghost is cm[0] = 0 with cp[0] = 2 dt^2/h^2.  Cartesian: k =
 dt^2/h^2 times the 4-neighbour sum, and A = 2 - 4k.  A neighbour outside the
 held cells (a light-cone window's left one, the outer 0.0 or the wall) is
 skipped, not read.  The step is the only code that applies this update:
-init_state takes lin(u0, 0) for the first levels from one free step over
-the whole domain, flushed like every other radial step.
+init_state takes lin(u0, 0) for the first levels from one free step of the
+kernel loop, from n = -1 over the whole domain, flushed like every other
+radial step.
 
 The components couple only through the product d_t u1 d_t u2, and a step
 builds the cubic term from it.  Each pass takes the increment w = top - mid
@@ -59,28 +61,28 @@ with c = 1/dt or 1/(8 dt), since dt^2 (d_t u_k)^2 d_t u_j = c (w_0 w_1) w_k;
 the reciprocals are precomputed: a step divides nothing.  The final d_t u
 is (new - mid) * (1/(2 dt)).
 
-The time loop is the kernel library's (_step.c, built once per machine;
-see wavelab._step): WaveState.step(count) is one call of its advance, which
+The time loop is the kernel library's (_step.c, built once per machine; see
+wavelab._step): WaveState.step(count) is one call of its advance, which
 takes count steps, so a run makes one call per stretch of steps between the
-steps its samplers read.  A step is one call of a C function per mode,
-which walks the held cells once and does, per cell and component, the
-linear update, the three cubic passes, the radial subnormal flush below and
-d_t u, and returns whether every new value is finite.  The loop stops at
-the first step where one is not, before it counts that step; only then
-does the state look, in numpy, for the first NaN or inf of each component
-in the level just written, and raise InstabilityError there, at the time
-and cell single steps would name.  That per-cell work is written once per
-mode: the same code does a radial window's first and last cell, without
-the neighbour outside it, and the cells between.  Each value is the result
-of the same IEEE operations in the same order as the numpy expressions
-above, and the library is built with -ffp-contract=off, so that results
-are bit-identical to them, to stepping the components one by one and to
-stepping one step per call.  It allocates nothing: the state holds the
+steps its samplers read.  The state it is given, a _step.State, holds every
+choice it reads: the buffers, the grid factors, n, lo, hi and whether the
+step is nonlinear.  A step walks the held cells once and does, per cell and
+component, the linear update, the three cubic passes, the radial subnormal
+flush below and d_t u, and returns whether every new value is finite.  The
+loop stops at the first step where one is not, before it counts that step;
+only then does the state look, in numpy, for the first NaN or inf of each
+component in the level just written, and raise InstabilityError there, at
+the time and cell single steps would name.  That per-cell work is written
+once per mode: the same code does a radial window's first and last cell,
+without the neighbour outside it, and the cells between.  Each value is the
+result of the same IEEE operations in the same order as the numpy
+expressions above, and the library is built with -ffp-contract=off, so that
+results are bit-identical to them, to stepping the components one by one and
+to stepping one step per call.  It allocates nothing: the state holds the
 three levels and dt_u as C-contiguous float64 (2, ...) buffers (it copies
-arrays of another layout and refuses another shape) and the radial
-geometry rows; the oldest level's buffer receives the new level.  The
-arrays a sampler sees are views of these buffers: it must copy what it
-keeps.
+arrays of another layout and refuses another shape) and the radial geometry
+rows; the oldest level's buffer receives the new level.  The arrays a
+sampler sees are views of these buffers: it must copy what it keeps.
 
 The numerical precursor ahead of a radial front decays through the
 subnormal range, where arithmetic is slow, before it underflows.  So the
@@ -324,22 +326,21 @@ class WaveState:
         # the level of time index j in slot j % 3: u_prev, u_curr, u_next are
         # slots 2, 0, 1 at n = 0
         self._levels, self._dt_u = (buffers[1], buffers[2], buffers[0]), buffers[3]
-        self._addresses = tuple(a.ctypes.data for a in self._levels)   # by slot
         self._record = None             # the dissipation record, once started
         # the state as the kernel sees it, an attribute so that it lives as
         # long as the state: its buffers, the folded update lin = A*top - mid
         # + cp*top[i+1] + cm*top[i-1] (see the module docstring) and the
         # reciprocals of the time step, the predictor's c, a corrector's c
-        # and the factor of d_t u; and n, lo and hi, which only the kernel
-        # and _open_window write.  A whole-disk window never closes
+        # and the factor of d_t u; and n, lo and hi, which only the kernel,
+        # init_state and _open_window write.  A whole-disk window never closes
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
+        slots = [a.ctypes.data for a in self._levels]
         self._struct = _step.State(
-            dtu=self._dt_u.ctypes.data, slot0=self._addresses[0], slot1=self._addresses[1],
-            slot2=self._addresses[2], cells=self._cells, radial=mode == "radial",
-            nonlinear=self.nonlinear, n=0, lo=0, hi=self._cells, lo_last=0,
-            last_n=_NEVER, k=k, inv_dt=1.0 / self.dt, inv_8dt=0.125 / self.dt,
-            inv_2dt=0.5 / self.dt)
+            dtu=self._dt_u.ctypes.data, slot0=slots[0], slot1=slots[1], slot2=slots[2],
+            cells=self._cells, radial=mode == "radial", nonlinear=self.nonlinear, n=0,
+            lo=0, hi=self._cells, lo_last=0, last_n=_NEVER, h=self.h, k=k,
+            inv_dt=1.0 / self.dt, inv_8dt=0.125 / self.dt, inv_2dt=0.5 / self.dt)
         lib = _step.library()
         address = ctypes.addressof(self._struct)
         if self.mode == "radial":
@@ -351,20 +352,15 @@ class WaveState:
             self._struct.cp = self._geometry[2].ctypes.data
             self._struct.cm = self._geometry[3].ctypes.data
             self._struct.A = 2.0 - 2.0 * k
-            kernel, stride, second = lib.radial_step, 1, self._cells
             self._sample = partial(lib.radial_sample, address)
         else:
             # h^2, the one measure of every node, with an address for the kernel
             self._geometry = (xs, np.array(self.h * self.h))
             self._struct.A = 2.0 - 4.0 * k
-            kernel, stride, second = lib.cartesian_step, 0, self._cells ** 2
         self._struct.measure = self._geometry[1].ctypes.data
-        self._kernel = partial(kernel, address)
         self._advance = partial(lib.advance, address)
         self._place_lo = partial(lib.place_lo, address)
-        # the sum of the dissipation integrand over a component's first values
-        self._dissipation = partial(lib.dissipation, address, self._struct.measure, stride,
-                                    second)
+        self._dissipation = partial(lib.dissipation, address)
 
     # -- the held window, sliced on access ------------------------------------
 
@@ -412,7 +408,7 @@ class WaveState:
         sum of ((d_t u1 d_t u2)^2) measure in numpy's pairwise order, np.sum of
         that integrand bit for bit."""
         self._require_whole_disk("dissipation integrals")
-        return self._dissipation(self.hi if self.mode == "radial" else self._cells ** 2)
+        return self._dissipation()
 
     # -- point sampling --------------------------------------------------------
 
@@ -429,16 +425,16 @@ class WaveState:
         No points give an empty (3, 2, 0) or (1, 2, 0) array.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        n, h, level = self._cells, self.h, self._levels[self.n % 3]   # the diagnosed level
         radial = self.mode == "radial"
         if not len(pts):
             return np.empty((3 if radial else 1, 2, 0))
         if radial:
             r = np.hypot(pts[:, 0], pts[:, 1])
             out = np.empty((3, 2, len(r)))                  # u, d_t u, d_r u
-            self._sample(self._radial_level(r.min(), r.max()), r.ctypes.data, len(r), h,
-                         out.ctypes.data)
+            self._check_radii(r.min(), r.max())
+            self._sample(r.ctypes.data, len(r), out.ctypes.data)
             return out
+        n, h, level = self._cells, self.h, self._levels[self.n % 3]   # the diagnosed level
         first, last = self.xs[0], self.xs[-1]
         if not first <= pts.min() <= pts.max() <= last:
             bad = pts[~((first <= pts) & (pts <= last)).all(axis=1)][0]
@@ -450,17 +446,16 @@ class WaveState:
         rows = (wx[:, None, None, :] @ u)[..., 0, :]
         return (rows @ wy[:, :, None])[None, ..., 0].transpose(0, 2, 1)
 
-    def _radial_level(self, r_min: float, r_max: float) -> int:
-        """The address of the diagnosed level, for a radial sample of radii
-        in [r_min, r_max] by the kernel library's radial_sample, the one
-        radial sampling path: ValueError for a radius inside a light-cone
-        window's t + cone or past the last cell centre (n - 1/2) h."""
+    def _check_radii(self, r_min: float, r_max: float) -> None:
+        """The refusals of a radial sample of radii in [r_min, r_max] by the
+        kernel library's radial_sample, the one radial sampling path:
+        ValueError for a radius inside a light-cone window's t + cone or past
+        the last cell centre (n - 1/2) h."""
         if self.cone is not None and r_min < self.t + self.cone - 1e-6 * self.h:
             raise ValueError(f"point |x|={r_min:.6g} lies inside the light-cone "
                              f"window's t + cone = {self.t + self.cone:.6g}")
         if not r_max <= (self._cells - 0.5) * self.h:          # NaN too
             raise ValueError(f"point |x|={r_max:.6g} lies past the last cell centre")
-        return self._addresses[self.n % 3]
 
     # -- time stepping -------------------------------------------------------
 
@@ -480,31 +475,18 @@ class WaveState:
         status = self._advance(count)
         self.t = s.n * self.dt
         if status:
-            raise self._instability(s.n + 2)
+            raise self._instability((s.n + 1) * self.dt)
         return self
 
-    def _pass(self, nonlinear: bool, j: int) -> None:
-        """One step kernel call over the held cells: the level of time index
-        j into slot j % 3 from levels j - 1 (top) and j - 2 (mid), its d_t u
-        into dt_u, and, radial, its values below TINY zeroed; n, lo and hi
-        stay.  InstabilityError when a new value is not finite."""
-        a = self._addresses
-        levels = a[j % 3], a[(j - 2) % 3], a[(j - 1) % 3]      # new, mid, top
-        if self.mode == "radial":
-            status = self._kernel(nonlinear, *levels, self.lo, self.hi)
-        else:
-            status = self._kernel(nonlinear, *levels)
-        if status & _step.NONFINITE:
-            raise self._instability(j)
-
-    def _instability(self, j: int) -> InstabilityError:
-        """The InstabilityError of the level of time index j, just written:
-        at the time (n + 1) dt, located at component 1's first non-finite
-        value in the held cells, else component 2's."""
-        failed = ~np.isfinite(self._levels[j % 3][:, self.lo:self.hi].reshape(2, -1))
+    def _instability(self, t: float) -> InstabilityError:
+        """The InstabilityError at time t of the level the kernel loop's
+        failed step wrote, time index n + 2: located at component 1's first
+        non-finite value in the held cells, else component 2's."""
+        failed = ~np.isfinite(self._levels[(self.n + 2) % 3][:, self.lo:self.hi]
+                              .reshape(2, -1))
         i = int(np.argmax(failed[0] if failed[0].any() else failed[1]))
         location = (self.lo + i,) if self.mode == "radial" else divmod(i, self._cells)
-        return InstabilityError((self.n + 1) * self.dt, location)
+        return InstabilityError(t, location)
 
     def _record_dissipation(self, last: int) -> np.ndarray:
         """Start the dissipation record of a run that ends at step last: an
@@ -607,11 +589,16 @@ def init_state(config: ScenarioConfig, nonlinear: bool, *,
     state = WaveState(config.mode, h, dt, xs,
                       u_prev=np.zeros_like(u0), u_curr=u0, u_next=np.zeros_like(u0),
                       dt_u=np.zeros_like(u0), nonlinear=nonlinear)
-    # 2 u0 + dt^2 Laplace(u0) into u_next: one free pass of the step over the
-    # whole domain, with u_prev, still 0.0, as the middle level, flushed like
-    # every radial step; g0 then replaces the d_t u it wrote and is held only
-    # by the state
-    state._pass(False, 1)
+    # 2 u0 + dt^2 Laplace(u0) into u_next: one free step of the kernel loop
+    # from n = -1 over the whole domain, with u_prev, still 0.0, as the middle
+    # level, flushed like every radial step; g0 then replaces the d_t u it
+    # wrote and is held only by the state.  A value it makes non-finite is
+    # reported at t = dt, the time of u_next
+    s = state._struct
+    s.n, s.nonlinear = -1, False
+    if state._advance(1):
+        raise state._instability(dt)
+    s.nonlinear = nonlinear
     np.copyto(state.dt_u, g0)
     g0 = state.dt_u
     base = 0.5 * state.u_next

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wavelab
 
@@ -144,6 +145,19 @@ def test_overflowing_radiation_table_exits_two(tmp_path, name):
     assert proc.returncode == 2
     assert proc.stderr == "wavelab: non-finite value in radiation table quadrature\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,where", [("conservation", "t=0.00351563, grid index (0,)"),
+                                        ("free-validation", "t=0.0277778, grid index (27, 43)")])
+def test_start_level_that_overflows_exits_two_at_dt(tmp_path, capsys, name, where):
+    """eps = 1.7e308 overflows 2 u0 in the start level, which a radial
+    (conservation) and a Cartesian (free-validation) run write before their
+    first step: the run exits 2 at t = dt, the time of the level it writes,
+    naming component 1's first non-finite cell."""
+    out = tmp_path / "o"
+    assert main(["scenario", name, "--eps", "1.7e308", "--T", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"wavelab: non-finite field value at {where}\n"
+    assert not out.exists()
 
 
 def _unstable_config():
@@ -782,6 +796,9 @@ _REFUSALS = [
      "need 192 radiation quadrature nodes"),
     ("memory 1000000: free-validation --h 0.5", "radius: the smallest bump radius 1.5 and "
      "R0=1.8 need 1.15e+04 free-field oracle nodes"),
+    # free-validation's check cadence T/4, which its steps divide, is 0.0
+    ("free-validation --T 5e-324", "free-validation: T=4.94066e-324 is too short for its "
+     "four check times: T/4 is 0"),
 ]
 _REFUSAL_FILES = {
     "conservation": _IDENTICAL,
@@ -822,6 +839,96 @@ def test_refusals_come_before_any_run_or_table(tmp_path, capsys, monkeypatch, ar
     err = capsys.readouterr().err
     assert err.startswith(f"wavelab: {message}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+class _Reached(Exception):
+    """Raised by the stand-ins of the runs and tables a scenario starts."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+# number texts a reader meets at the edges: zero, the smallest subnormal,
+# huge, non-finite and malformed ones, and the default epsilon and cfl
+_EDGE_NUMBERS = ["0", "1", "2", "-1", "0.3", "0.45", "5e-324", "1e-300", "1e300", "1.7e308",
+                 "inf", "-inf", "nan", "abc", ""]
+_NUMBER = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats().map(repr),
+                    st.floats(0.05, 8.0).map("{:.3g}".format))
+# the words of a text key; a key not named here reads "x"
+_WORDS = {"name": [*sorted(SCENARIOS), "nowhere"], "mode": ["radial", "cartesian-2d", "polar"],
+          "kind": ["f", "g", "x"]}
+
+
+def _text(section, key):
+    """The texts drawn for the config key section.key, by its reader."""
+    reader = _KEYS[section][key][0]
+    if reader is float:
+        return _NUMBER
+    if reader is str:
+        return st.sampled_from(_WORDS.get(key, ["x"]))
+    return st.lists(_NUMBER, max_size=4).map(", ".join)        # a number list
+
+
+def _table(section):
+    """A table of some of the section's keys, each with a drawn text."""
+    return st.fixed_dictionaries({}, optional={key: _text(section, key)
+                                               for key in _KEYS[section]})
+
+
+@st.composite
+def _invocation(draw):
+    """("scenario", [NAME, --option=TEXT, ...]) of some of the options
+    wavelab.cli reads, or ("run", DOCUMENT) of some keys of every section
+    and up to three [bump] tables."""
+    if draw(st.booleans()):
+        args = [draw(st.sampled_from(_WORDS["name"]))]
+        for option, name in wavelab.cli._OPTION_KEYS.items():
+            if draw(st.booleans()):
+                args.append(f"--{option}={draw(_text(*name.split('.')))}")
+        return "scenario", args
+    lines = []
+    for section in _KEYS:
+        tables = draw(st.lists(_table(section), min_size=1, max_size=3)
+                      if section == "bump" else _table(section).map(lambda t: [t]))
+        for table in tables:
+            lines += [f"[{section}]", *(f"{key} = {text}" for key, text in table.items())]
+    return "run", "\n".join(lines) + "\n"
+
+
+def test_every_invocation_runs_or_exits_two_on_one_line(tmp_path, capsys, monkeypatch):
+    """Whatever options, or config document, from the keys of config._KEYS a
+    user gives, the CLI either starts a solver run, a radiation table, the
+    free-field oracle or the reduced ODE, or exits 2 with one line, its
+    message, and makes no output directory.  Physical memory is taken as
+    16 MiB, so that every accepted size is small."""
+    for name in ("run_simulation", "radiation_table", "free_field", "solve_reduced_ode"):
+        monkeypatch.setattr(wavelab.scenarios, name, _reached)
+    monkeypatch.setattr(wavelab.solver, "_MEMORY", 2 ** 24)
+    outcomes, cfg_path = [], tmp_path / "drawn.cfg"
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_invocation())
+    @example(("scenario", ["free-validation", "--T=5e-324"]))
+    def check(invocation):
+        command, given = invocation
+        if command == "run":
+            cfg_path.write_text(given)
+            given = ["--config", str(cfg_path)]
+        out = tmp_path / f"o{len(outcomes)}"
+        try:
+            code = main([command, *given, "--out", str(out)])
+        except _Reached:
+            outcomes.append("reached")
+            return
+        finally:
+            err = capsys.readouterr().err
+        assert code == 2 and err.startswith("wavelab: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        outcomes.append("refused")
+
+    check()
+    assert {"reached", "refused"} <= set(outcomes)
 
 
 # 0.5 runs; at 0.55 to 0.7 the ray at sigma = -1 is sampled once up to T = 2

@@ -209,11 +209,13 @@ def _reference_radial_sample(state, points):
 
 def _kernel_dissipation(dt_u, measure, stride):
     """The kernel library's dissipation over every value of the C-contiguous
-    (2, ...) array dt_u, with the measure measure[i * stride]."""
-    constants = _step.State(dtu=dt_u.ctypes.data)
-    n = dt_u[0].size
-    return _step.library().dissipation(ctypes.addressof(constants), measure.ctypes.data,
-                                       stride, n, n)
+    (2, ...) array dt_u, with the measure measure[i * stride]: a radial state
+    of dt_u[0].size cells, all held, for stride 1, a Cartesian one of
+    dt_u.shape[1] nodes per axis for stride 0."""
+    cells = dt_u[0].size if stride else dt_u.shape[1]
+    state = _step.State(dtu=dt_u.ctypes.data, measure=measure.ctypes.data, cells=cells,
+                        hi=cells, radial=stride)
+    return _step.library().dissipation(ctypes.addressof(state))
 
 
 def _signed(n, rng, scale=20.0):
