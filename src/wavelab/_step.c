@@ -9,7 +9,9 @@
  * it from n = -1 with nonlinear off, a free pass over a zero middle level.
  * dissipation sums the integrand (d_t u1 d_t u2)^2 times the cell measure
  * over the held cells, and radial_sample interpolates the diagnosed radial
- * level and its d_t u and d_r u at points.
+ * level and its d_t u and d_r u at points.  A dissipating state keeps the
+ * dissipation D of its diagnosed level and cum_D, its step-resolution
+ * trapezoid in time, which advance carries forward at every step.
  *
  * Every value is the result of the same IEEE operations, in the same order,
  * as the expression its comment gives, which is how numpy evaluates it; the
@@ -51,23 +53,23 @@ enum { GROW = 1, NONFINITE = 2 };
 
 /* a state, bound once per state and the whole of what the kernel is told
    about it: d_t u, the radial neighbour coefficient rows cp and cm (unused in
-   Cartesian mode), the cell measure (one value in Cartesian mode), the
+   Cartesian mode), the cell measure (one value in Cartesian mode), and the
    buffers of slots 0, 1 and 2, which hold the level of time index j in slot
-   j % 3, and the dissipation record, NULL or D[n] of every step n a run
-   takes; the cells of a component (radial) or the nodes per axis
-   (Cartesian), whether the state is radial and its steps nonlinear; the
-   steps taken n, -1 before the start level, and the held global cells
-   [lo, hi), which advance moves; the last step last_n a light-cone window or
-   a record allows, INT64_MAX when neither ends the state, and a light-cone
-   window's lo there, lo_last, 0 for the whole disk; the spacing h, the
-   folded update's A, the Cartesian neighbour factor k, and the reciprocals
-   1/dt, 1/(8 dt) and 1/(2 dt) */
+   j % 3; the cells of a component (radial) or the nodes per axis
+   (Cartesian), whether the state is radial, its steps nonlinear and it
+   dissipating; the steps taken n, -1 before the start level, and the held
+   global cells [lo, hi), which advance moves; the last step last_n a
+   light-cone window allows, INT64_MAX for the whole disk, and the window's
+   lo there, lo_last, 0 for the whole disk; the spacing h, the folded
+   update's A, the Cartesian neighbour factor k, the reciprocals 1/dt,
+   1/(8 dt) and 1/(2 dt), and dt/2; and, while dissipating, the dissipation
+   D of the diagnosed level and its trapezoid cum_D since the start */
 struct state {
     double *dtu;
     const double *cp, *cm, *measure;
-    double *slot0, *slot1, *slot2, *record;
-    int64_t cells, radial, nonlinear, n, lo, hi, lo_last, last_n;
-    double h, A, k, inv_dt, inv_8dt, inv_2dt;
+    double *slot0, *slot1, *slot2;
+    int64_t cells, radial, nonlinear, dissipating, n, lo, hi, lo_last, last_n;
+    double h, A, k, inv_dt, inv_8dt, inv_2dt, half_dt, D, cum_D;
 };
 
 /* the slot of the level of time index j >= 0 */
@@ -311,9 +313,11 @@ void place_lo(struct state *s)
    (mid), slots (n + 4) % 3 and (n + 3) % 3, by radial_step over [lo, hi) or
    cartesian_step, counts n, grows hi by one cell on GROW up to the cells of
    the domain (steps write only held cells and hi never falls, so the
-   buffers are 0.0 past hi), places lo and, with a record, writes D[n], the
-   dissipation.  Returns NONFINITE at the first step with a new value that
-   is not finite, whose n, lo and hi it leaves as they were, else 0 */
+   buffers are 0.0 past hi), places lo and, dissipating, adds the step's
+   trapezoid to cum_D as (dt/2) (D + D_new), numpy's 0.5 * dt * (D + D_new),
+   and keeps D_new, the new level's dissipation, as D.  Returns NONFINITE at
+   the first step with a new value that is not finite, whose n, lo, hi, D
+   and cum_D it leaves as they were, else 0 */
 int advance(struct state *s, int64_t count)
 {
     int (*one_step)(const struct state *, double *, const double *, const double *) =
@@ -325,8 +329,11 @@ int advance(struct state *s, int64_t count)
         s->n++;
         s->hi += (status & GROW) && s->hi < s->cells;
         place_lo(s);
-        if (s->record)
-            s->record[s->n] = dissipation(s);
+        if (s->dissipating) {
+            double D = dissipation(s);
+            s->cum_D += s->half_dt * (s->D + D);
+            s->D = D;
+        }
     }
     return 0;
 }

@@ -7,10 +7,11 @@ the buffers its caller owns, and reads every other choice from the state.
 advance is the solver's only time loop and the only code that writes a
 level: WaveState.step(count) is one call of it, which runs count steps of
 the stencil, applies the radial window rule after each (hi grows on GROW,
-place_lo places lo) and, when the state keeps a dissipation record, writes
-each step's dissipation into it.  The first level of a run is one more call
-of it, from n = -1 with nonlinear off (a free pass over a zero middle level;
-see solver.init_state), and a window's first lo one place_lo call.  A radial
+place_lo places lo) and, when the state is dissipating, carries its
+dissipation D and the trapezoid cum_D of D forward.  The first level of a
+run is one more call of it, from n = -1 with nonlinear off (a free pass
+over a zero middle level; see solver.init_state), and a window's first lo
+one place_lo call.  A radial
 step writes 0.0 for every new value below the smallest normal float; a
 Cartesian step flushes nothing.  dissipation is WaveState.dissipation's sum
 over the held cells, in numpy's pairwise order, and radial_sample the radial
@@ -71,18 +72,19 @@ _LIB = None
 class State(ctypes.Structure):
     """A state as the kernel sees it, laid out as struct state of _step.c:
     the addresses of d_t u, of the radial neighbour rows cp and cm, of the
-    cell measure, of the level slots 0 to 2 and of the dissipation record
-    (None for none); the cells of a component (radial) or nodes per axis
-    (Cartesian), whether it is radial and nonlinear, the steps taken n, the
-    held cells [lo, hi), a light-cone window's lo at its last step last_n;
-    and h, A, k, 1/dt, 1/(8 dt) and 1/(2 dt)."""
+    cell measure and of the level slots 0 to 2; the cells of a component
+    (radial) or nodes per axis (Cartesian), whether it is radial, nonlinear
+    and dissipating, the steps taken n, the held cells [lo, hi), a
+    light-cone window's lo at its last step last_n; h, A, k, 1/dt, 1/(8 dt),
+    1/(2 dt) and dt/2; and, while dissipating, the diagnosed level's
+    dissipation D and its trapezoid cum_D since the start."""
 
     _fields_ = [("dtu", _P), ("cp", _P), ("cm", _P), ("measure", _P),
-                ("slot0", _P), ("slot1", _P), ("slot2", _P), ("record", _P),
-                ("cells", _I), ("radial", _I), ("nonlinear", _I), ("n", _I), ("lo", _I),
-                ("hi", _I), ("lo_last", _I), ("last_n", _I),
+                ("slot0", _P), ("slot1", _P), ("slot2", _P),
+                ("cells", _I), ("radial", _I), ("nonlinear", _I), ("dissipating", _I),
+                ("n", _I), ("lo", _I), ("hi", _I), ("lo_last", _I), ("last_n", _I),
                 ("h", _F), ("A", _F), ("k", _F), ("inv_dt", _F), ("inv_8dt", _F),
-                ("inv_2dt", _F)]
+                ("inv_2dt", _F), ("half_dt", _F), ("D", _F), ("cum_D", _F)]
 
 
 class CompilerError(OSError):

@@ -29,11 +29,11 @@ each sample time one call of the kernel library's radial_sample, the path
 WaveState.sample takes, reads u, d_t u and the fourth-order d_r u at every
 foot point |x| = t + sigma, by one 4-point Lagrange (cubic) stencil per
 point, with d_r u differenced on the stencil's cells alone, and writes them
-straight into the collector's packed storage.  A sample stores these raw
-values; the collector's traces() evaluates U_j and H_j over a whole trace
-at once.  Every field holds both components on axis 0, as the solver's
-levels do, so each formula above runs once for both, with the other
-component read through [::-1].  A foot point past the grid or inside a
+straight into the collector's storage, one fixed block per level.  A sample
+stores these raw values; the collector's traces() evaluates U_j and H_j
+over a whole trace at once.  Every field holds both components on axis 0,
+as the solver's levels do, so each formula above runs once for both, with
+the other component read through [::-1].  A foot point past the grid or inside a
 light-cone window raises ValueError, with WaveState.sample's messages.
 Traces interpolate linearly in time between stored samples.  Any other
 point read of a state, in either mode, calls WaveState.sample itself.
@@ -119,29 +119,32 @@ class RayTraceCollector:
     The one foot-point rule: a (t, sigma) sample is taken when t > 0 and
     t + sigma >= h, so sampling starts once the foot point clears the origin
     and skips nothing afterwards, at the state's t = n dt, where the refusals
-    in scenarios predict the samples.  Since t + sigma grows with sigma, the
-    rays a level samples are the first m of the sigmas from the largest
-    down.  A level is one call of the kernel library's radial_sample, after
-    the state's refusals, at their foot points, which writes u, d_t u and
-    d_r u of both components at each straight into the collector's packed
-    storage; the level's t is stored once.  traces() evaluates U and K over
-    all of a sigma's samples at once.  A repeated sigma raises ValueError.
+    in scenarios predict the samples.  A level is sampled once the largest
+    sigma's foot point clears the origin, which is when any does: one call
+    of the kernel library's radial_sample, after the state's refusals, at
+    the foot points of every sigma in the given order, which writes u, d_t u
+    and d_r u of both components at each straight into the collector's
+    storage, one (3, 2, sigmas) block per level; the level's t is stored
+    once.  traces() masks out, by the same rule, the samples of a ray whose
+    foot point had not cleared the origin, and evaluates U and K over all
+    of a sigma's samples at once.  A repeated sigma raises ValueError.
     """
 
     def __init__(self, sigmas):
         self.sigmas = [float(s) for s in sigmas]
         if len(set(self.sigmas)) < len(self.sigmas):
             raise ValueError("repeated sigma: " + ", ".join(f"{s:g}" for s in self.sigmas))
-        self._descending = sorted(self.sigmas, reverse=True)
-        # the foot points of a level, read by the kernel at their address
-        self._radii = np.empty(len(self.sigmas))
+        # the foot points t + sigma of a level, read by the kernel at their
+        # address, and the smallest and largest sigma, which bound them
+        self._sigmas, self._radii = np.array(self.sigmas, dtype=float), np.empty(len(self.sigmas))
         self._radii_address = self._radii.ctypes.data
-        # per level its t, and u, d_t u and d_r u of both components at its m
-        # foot points, 6 m packed floats as radial_sample writes them: a
-        # (3, 2, m) array, the rays in descending sigma; a level's floats are
+        self._lowest = min(self.sigmas, default=math.inf)
+        self._highest = max(self.sigmas, default=-math.inf)
+        # per level its t, and u, d_t u and d_r u of both components at every
+        # foot point, a (3, 2, sigmas) block as radial_sample writes it,
         # appended as zero bytes, 6 * 8 per ray, which the kernel overwrites
         self._times, self._values = array("d"), array("d")
-        self._zeros = memoryview(bytes(6 * 8 * len(self.sigmas)))
+        self._zeros = bytes(6 * 8 * len(self.sigmas))
         self._dt, self._h = None, math.inf      # no level sampled yet
 
     @staticmethod
@@ -153,36 +156,28 @@ class RayTraceCollector:
         if state.mode != "radial":
             raise ValueError(f"ray profiles are sampled in radial mode, not {state.mode}")
         self._dt, self._h, t = state.dt, state.h, state.t
-        radii, m = self._radii, 0
-        for s in self._descending:
-            if not self.samples_at(t, s, state.h):
-                break
-            radii[m] = t + s
-            m += 1
-        if not m:
+        if not self.samples_at(t, self._highest, state.h):
             return
-        state._check_radii(radii[m - 1], radii[0])
-        values = self._values
-        values.frombytes(self._zeros[:6 * 8 * m])
+        state._check_radii(t + self._lowest, t + self._highest)
+        np.add(t, self._sigmas, out=self._radii)
+        values, m = self._values, len(self._radii)
+        values.frombytes(self._zeros)
         address, length = values.buffer_info()
         state._sample(self._radii_address, m, address + 8 * (length - 6 * m))
         self._times.append(t)
 
     def traces(self) -> list[ProfileTrace]:
-        times, values = np.frombuffer(self._times), np.frombuffer(self._values)
-        # per level the rays it sampled, and where its values start
-        live = [self.samples_at(times, s, self._h) for s in self._descending]
-        m = np.sum(live, axis=0, dtype=int)
-        start = np.cumsum(6 * m) - 6 * m
+        times = np.frombuffer(self._times)
+        # per level, u, d_t u and d_r u of both components at every foot point
+        values = np.frombuffer(self._values).reshape(len(times), 3, 2, len(self.sigmas))
         out = []
-        for s in self.sigmas:
-            rank = self._descending.index(s)
-            rows = live[rank]
+        for j, s in enumerate(self.sigmas):
+            rows = self.samples_at(times, s, self._h)
             if not rows.any():
                 raise ValueError(f"no samples collected for sigma={s}")
-            t, first, stride = times[rows], start[rows] + rank, m[rows]
+            t = times[rows]
             # (2, samples) each: u, d_t u, d_r u; the other component through [::-1]
-            u, ut, ur = np.stack([values[first + k * stride] for k in range(6)]).reshape(3, 2, -1)
+            u, ut, ur = values[..., j].transpose(1, 2, 0)[..., rows]
             r = t + s
             sq = np.sqrt(r)
             U = 0.5 * (sq * ur + 0.5 * u / sq - sq * ut)

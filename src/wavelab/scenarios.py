@@ -197,11 +197,14 @@ def _scenario_free_validation(config, runtimes):
     run_size(replace(config, h=levels[-1]))     # the finest level's refusals, before n0
     # dt = cfl * h divides the check cadence T/4 and, for a power-of-two h,
     # halves exactly across refinements; min() keeps a quotient that rounds
-    # up past config.cfl (cadence / (cfl h) a whole number) inside its bound
+    # up past config.cfl (cadence / (cfl h) a whole number) inside its bound.
+    # A cadence below half a configured step would run the solver at under
+    # half its cfl, where the errors measure the interpolation of the data,
+    # not the solver, and pass the convergence gate
     cadence = 0.25 * T
-    if not cadence:
+    if not cadence >= 0.5 * config.dt:
         raise UsageError(f"free-validation: T={T:g} is too short for its four check times: "
-                         "T/4 is 0")
+                         f"T/4 is {cadence:g}, below half a step, dt/2 = {0.5 * config.dt:g}")
     n0 = math.ceil(cadence / config.dt)
     cfl = min(cadence / (n0 * levels[0]), config.cfl)
     runs = [replace(config, h=h, cfl=cfl) for h in levels]

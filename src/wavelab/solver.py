@@ -97,8 +97,8 @@ Radial windows.  Every radial state keeps its levels in buffers allocated
 once for the whole domain and advances only the global cells [lo, hi).  The
 level of time index j (t = j dt) sits in slot j % 3, which never rotates: a
 step writes level n + 2 over level n - 1 and then only updates n, lo and
-hi, which the state keeps in the struct it shares with the kernel, and
-step() sets t after the loop.  The window rule below is the kernel's, written
+hi, which the state keeps in the struct it shares with the kernel; t is
+n dt, read from n.  The window rule below is the kernel's, written
 once: advance applies it after every step, and a window's opening places
 its first lo with the same place_lo.  u_prev, u_curr, u_next, dt_u, xs and
 measure are read-only properties that slice slots (n - 1) % 3, n % 3,
@@ -127,14 +127,13 @@ and a light-cone window refuses, before it steps at all, a step(count) past
 the step count it was sized for.  Energies and dissipation sum the held
 cells [0, hi), the whole support; over a light-cone window they mean
 nothing, so such a state raises on them, and so does an EnergyTrace of it.
-A state keeps no integral over time.  It keeps, once an EnergyTrace starts
-it at step 0, a dissipation record: an array sized for the run's steps by
-run_size, into which the kernel loop writes each step's dissipation after
-its window rule, the same sum over the same cells as dissipation().  The
-EnergyTrace, a run_simulation sampler of its rows only, adds at each row
-the trapezoids of the record's steps since its last row, in step order, and
-a record, like a light-cone window, refuses a step past its end.  A state
-no EnergyTrace reads computes no dissipation.
+The one integral over time is the dissipation's, which the state's struct
+holds: once an EnergyTrace starts it at step 0, the kernel loop computes,
+after each step's window rule, the new level's dissipation D_new, the same
+sum over the same cells as dissipation(), adds the step's trapezoid
+0.5 dt (D + D_new) to cum_D and keeps D_new as D.  The EnergyTrace, a
+run_simulation sampler of its rows only, reads D and cum_D at each row.  A
+state no EnergyTrace reads computes no dissipation.
 
 A ScenarioConfig is the whole description of a run: init_state and
 run_simulation take the data, spacing, CFL number and horizon T from it and
@@ -145,10 +144,10 @@ would not fit in memory; a scenario sizes every run with it before any run
 or table.  sample_steps is the one rule for the steps a run samples, also
 for a caller that checks them before the run: the nearest step to each
 requested time, clipped to the last.  The step count n is the one clock: a
-step counts n and assigns t = n dt, which a sum of dt misses in its last
-digits, so every time a run records or decides on is exactly the n dt that
-sample_steps predicts.  Boundaries are homogeneous Dirichlet on a domain
-sized for that T: the physical support never reaches them, but the
+step counts n, and a state's t is n dt, which a sum of dt misses in its
+last digits, so every time a run records or decides on is exactly the n dt
+that sample_steps predicts.  Boundaries are homogeneous Dirichlet on a
+domain sized for that T: the physical support never reaches them, but the
 scheme's numerical precursor, which runs ahead of the front, does (see
 README).  Every integral is a pairwise sum in fixed index order, so results
 are reproducible run to run: the energies numpy's np.sum, the dissipation
@@ -184,8 +183,7 @@ __all__ = [
 # an EnergyTrace records a row every max(1, round(TRACE_DT / dt)) steps
 TRACE_DT = 0.25
 
-# the last step of a state whose light-cone window or dissipation record does
-# not end it: it never closes
+# the last step of a state that no light-cone window ends: it never closes
 _NEVER = 2 ** 63 - 1
 
 # cells a light-cone window keeps below the last sample's stencil at the
@@ -194,11 +192,12 @@ _NEVER = 2 ** 63 - 1
 # three more
 CONE_REACH = 8
 
-# bytes per step of a run's per-step arrays, at most: the dissipation record,
-# a RayTraceCollector's times and the steps run_simulation stops at, 8 each,
-# and its byte per sampler and step with the byte of their any(), 8 for up to
-# 7 samplers; sample_steps, before the run, holds two 8-byte temporaries
-STEP_BYTES = 4 * 8
+# bytes per step of a run's per-step arrays, at most: a RayTraceCollector's
+# times and the steps run_simulation stops at, 8 each, and its byte per
+# sampler and step with the byte of their any(), 8 for up to 7 samplers;
+# sample_steps, before the run, holds two 8-byte temporaries.  A collector's
+# values, 48 bytes per ray and sampled level, are not counted
+STEP_BYTES = 3 * 8
 
 # physical memory, the bound of the grid and of the per-step arrays
 _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -233,11 +232,10 @@ class EnergyTrace:
     trace.times, after which the arrays exist: t, the squared energy norms
     E1sq/E2sq, (1/2) int |du_j|^2 dx, the dissipation D, int (d_t u1)^2
     (d_t u2)^2 dx, and cum_D, its step-resolution trapezoid from 0.  At its
-    row at step 0 the trace starts the state's dissipation record, which the
-    kernel fills with every step's D, and at each later row it adds the
-    trapezoids of the steps since the last, in step order.  A step that is
-    not the next row, another h or dt, a second run and a light-cone window
-    raise ValueError.
+    row at step 0 the trace starts the state's dissipation integral, which
+    the kernel loop carries forward at every step, and at each row it reads
+    D and cum_D from the state.  A step that is not the next row, another h
+    or dt, a second run and a light-cone window raise ValueError.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -245,7 +243,7 @@ class EnergyTrace:
         self._h, self._dt = config.h, config.dt
         self._stride = max(1, round(TRACE_DT / self._dt))
         self.times = np.append(np.arange(0, self._last, self._stride), self._last) * self._dt
-        self._next, self._D, self._done, self._cum_D, self._rows = 0, None, 0, 0.0, []
+        self._next, self._rows = 0, []
 
     def __call__(self, state: WaveState) -> None:
         n = state.n
@@ -253,15 +251,11 @@ class EnergyTrace:
             raise ValueError(f"an energy trace of h={self._h:g}, dt={self._dt:g} expects step "
                              f"{self._next}, not step {n} of h={state.h:g}, dt={state.dt:g}")
         if n == 0:
-            self._D = state._record_dissipation(self._last)
-        D = self._D[self._done:n + 1].tolist()
-        for D_prev, D_next in zip(D, D[1:]):
-            self._cum_D += 0.5 * state.dt * (D_prev + D_next)
-        self._rows.append((state.t, *state.energies(), D[-1], self._cum_D))
-        self._done = n
+            state._start_dissipation()
+        s = state._struct
+        self._rows.append((state.t, *state.energies(), s.D, s.cum_D))
         self._next = min(n + self._stride, self._last) if n < self._last else self._last + 1
         if n == self._last:
-            self._D = None
             self.t, self.E1sq, self.E2sq, self.D, self.cum_D = map(np.array, zip(*self._rows))
 
     @property
@@ -294,18 +288,17 @@ class WaveState:
                   every cell)
 
     The state is its buffers, sized for the whole domain, plus n, lo and hi:
-    the level of time index j is slot j % 3 of _levels, and the six arrays
-    above are read-only properties, views of the held cells sliced on each
-    access.  step() overwrites the levels and dt_u in place (see the module
-    docstring), so a caller that keeps any of them across a step must copy
-    it.
+    the level of time index j is slot j % 3 of _levels, and t, n * dt, and
+    the six arrays above are read-only properties, the arrays views of the
+    held cells sliced on each access.  step() overwrites the levels and
+    dt_u in place (see the module docstring), so a caller that keeps any of
+    them across a step must copy it.
     """
 
     def __init__(self, mode, h, dt, xs, u_prev, u_curr, u_next, dt_u, nonlinear):
         self.mode = mode
         self.h = float(h)
         self.dt = float(dt)
-        self.t = 0.0
         self.nonlinear = bool(nonlinear)
         self.cone = None
         xs = np.asarray(xs, dtype=float)
@@ -326,13 +319,13 @@ class WaveState:
         # the level of time index j in slot j % 3: u_prev, u_curr, u_next are
         # slots 2, 0, 1 at n = 0
         self._levels, self._dt_u = (buffers[1], buffers[2], buffers[0]), buffers[3]
-        self._record = None             # the dissipation record, once started
         # the state as the kernel sees it, an attribute so that it lives as
         # long as the state: its buffers, the folded update lin = A*top - mid
-        # + cp*top[i+1] + cm*top[i-1] (see the module docstring) and the
+        # + cp*top[i+1] + cm*top[i-1] (see the module docstring), the
         # reciprocals of the time step, the predictor's c, a corrector's c
-        # and the factor of d_t u; and n, lo and hi, which only the kernel,
-        # init_state and _open_window write.  A whole-disk window never closes
+        # and the factor of d_t u, and the trapezoid's dt/2; and n, lo and
+        # hi, which only the kernel, init_state and _open_window write.  A
+        # whole-disk window never closes
         dt2 = self.dt * self.dt
         k = dt2 / (self.h * self.h)
         slots = [a.ctypes.data for a in self._levels]
@@ -340,7 +333,8 @@ class WaveState:
             dtu=self._dt_u.ctypes.data, slot0=slots[0], slot1=slots[1], slot2=slots[2],
             cells=self._cells, radial=mode == "radial", nonlinear=self.nonlinear, n=0,
             lo=0, hi=self._cells, lo_last=0, last_n=_NEVER, h=self.h, k=k,
-            inv_dt=1.0 / self.dt, inv_8dt=0.125 / self.dt, inv_2dt=0.5 / self.dt)
+            inv_dt=1.0 / self.dt, inv_8dt=0.125 / self.dt, inv_2dt=0.5 / self.dt,
+            half_dt=0.5 * self.dt)
         lib = _step.library()
         address = ctypes.addressof(self._struct)
         if self.mode == "radial":
@@ -365,6 +359,7 @@ class WaveState:
     # -- the held window, sliced on access ------------------------------------
 
     n = property(lambda self: self._struct.n)
+    t = property(lambda self: self.n * self.dt)
     lo = property(lambda self: self._struct.lo)
     hi = property(lambda self: self._struct.hi)
     u_prev = property(lambda self: self._levels[(self.n - 1) % 3][:, self.lo:self.hi])
@@ -461,19 +456,16 @@ class WaveState:
 
     def step(self, count: int = 1) -> "WaveState":
         """Advance the diagnosed level by count dt (in place), in one kernel
-        call: count steps, each followed by the window rule and, with a
-        dissipation record, its D.  A light-cone window or a record that ends
-        before step n + count raises ValueError before any step; a new value
-        that is not finite raises InstabilityError (see _instability) at the
-        step that wrote it, with n, t, lo and hi as the steps before left
-        them."""
+        call: count steps, each followed by the window rule and, once started,
+        the dissipation's trapezoid.  A light-cone window that ends before
+        step n + count raises ValueError before any step; a new value that is
+        not finite raises InstabilityError (see _instability) at the step
+        that wrote it, with n, t, lo and hi as the steps before left them."""
         s = self._struct
         if count > s.last_n - s.n:
-            what = "light-cone window" if self.cone is not None else "dissipation record"
-            raise ValueError(f"a {what} ends at the step count it was sized for, "
+            raise ValueError(f"a light-cone window ends at the step count it was sized for, "
                              f"{s.last_n}; step {s.n} cannot take {count} more")
         status = self._advance(count)
-        self.t = s.n * self.dt
         if status:
             raise self._instability((s.n + 1) * self.dt)
         return self
@@ -488,17 +480,13 @@ class WaveState:
         location = (self.lo + i,) if self.mode == "radial" else divmod(i, self._cells)
         return InstabilityError(t, location)
 
-    def _record_dissipation(self, last: int) -> np.ndarray:
-        """Start the dissipation record of a run that ends at step last: an
-        array of last + 1 values whose value n is dissipation() now and into
-        which every later step m writes its D at m; the state then refuses a
-        step past last.  A light-cone window raises ValueError."""
-        self._require_whole_disk("dissipation integrals")
-        self._record = np.zeros(last + 1)
-        self._record[self.n] = self.dissipation()
-        self._struct.record = self._record.ctypes.data
-        self._struct.last_n = last
-        return self._record
+    def _start_dissipation(self) -> None:
+        """Start the dissipation integral at the diagnosed level: the
+        struct's D is dissipation() now and cum_D 0.0, and every later step
+        of the kernel loop adds its trapezoid to cum_D and keeps its D.  A
+        light-cone window raises ValueError."""
+        s = self._struct
+        s.D, s.cum_D, s.dissipating = self.dissipation(), 0.0, True
 
     # -- radial window -------------------------------------------------------
 

@@ -17,15 +17,19 @@ from wavelab.solver import WaveState, init_state
 
 
 def synthetic_radial_state(u, dt_u, h, t):
-    """Radial WaveState with prescribed field and time derivative."""
+    """Radial WaveState with prescribed field and time derivative at time t:
+    its step count is the power of two n that makes dt = t / n at most
+    0.45 h, so that its t, n dt, is t exactly."""
     zeros = np.zeros_like(u)
     n = len(u)
     rs = (np.arange(n) + 0.5) * h
-    st = WaveState("radial", h, 0.45 * h, rs,
+    steps = 2 ** math.ceil(math.log2(t / (0.45 * h)))
+    st = WaveState("radial", h, t / steps, rs,
                    u_prev=np.stack([u, zeros]), u_curr=np.stack([u, zeros]),
                    u_next=np.stack([u, zeros]), dt_u=np.stack([dt_u, zeros]),
                    nonlinear=False)
-    st.t = t
+    st._struct.n = steps
+    assert st.t == t
     return st
 
 
@@ -86,12 +90,11 @@ def test_amplitude_origin_rejected():
 def test_sample_profile_domain(radial_data):
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=1.0, h=1.0 / 32.0)
-    st = init_state(cfg, nonlinear=False)
-    st.t = 1.0
+    st = init_state(cfg, nonlinear=False).step(round(1.0 / cfg.dt))
     with pytest.raises(ValueError, match="no samples collected"):
-        ray_sample(st, -1.0 + 0.1 * st.h)
+        ray_sample(st, -st.t + 0.1 * st.h)
     # boundary of validity: finite values, no blow-up
-    v1, v2, _, _ = ray_sample(st, -1.0 + 1.5 * st.h)
+    v1, v2, _, _ = ray_sample(st, -st.t + 1.5 * st.h)
     assert math.isfinite(v1) and math.isfinite(v2)
 
 

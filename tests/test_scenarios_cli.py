@@ -796,9 +796,13 @@ _REFUSALS = [
      "need 192 radiation quadrature nodes"),
     ("memory 1000000: free-validation --h 0.5", "radius: the smallest bump radius 1.5 and "
      "R0=1.8 need 1.15e+04 free-field oracle nodes"),
-    # free-validation's check cadence T/4, which its steps divide, is 0.0
+    # free-validation's check cadence T/4, which its steps divide, is 0.0, or
+    # below half a step (dt = 0.028125 at h = 1/16), where its errors measure
+    # the interpolation of the data and pass the convergence gate
     ("free-validation --T 5e-324", "free-validation: T=4.94066e-324 is too short for its "
      "four check times: T/4 is 0"),
+    ("free-validation --T 0.04", "free-validation: T=0.04 is too short for its four check "
+     "times: T/4 is 0.01, below half a step, dt/2 = 0.0140625"),
 ]
 _REFUSAL_FILES = {
     "conservation": _IDENTICAL,
