@@ -5,13 +5,15 @@
  * is the whole interface: each exported function takes it and only the
  * buffers its caller owns, and reads every other choice from it.  advance is
  * the only code that writes a level: it calls radial_step or cartesian_step,
- * the only stencil, once per step, and the run's start level is one call of
+ * the only update, once per step, and the run's start level is one call of
  * it from n = -1 with nonlinear off, a free pass over a zero middle level.
  * dissipation sums the integrand (d_t u1 d_t u2)^2 times the cell measure
- * over the held cells, and radial_sample interpolates the diagnosed radial
- * level and its d_t u and d_r u at points.  A dissipating state keeps the
- * dissipation D of its diagnosed level and cum_D, its step-resolution
- * trapezoid in time, which advance carries forward at every step.
+ * over the held cells, and sample, the only point sampler of either grid,
+ * interpolates the diagnosed level at points by 4-node Lagrange stencils: u,
+ * d_t u and d_r u of a radial level, u of a Cartesian one.  A dissipating
+ * state keeps the dissipation D of its diagnosed level and cum_D, its
+ * step-resolution trapezoid in time, which advance carries forward at every
+ * step.
  *
  * Every value is the result of the same IEEE operations, in the same order,
  * as the expression its comment gives, which is how numpy evaluates it; the
@@ -339,8 +341,8 @@ int advance(struct state *s, int64_t count)
 }
 
 /* the weights of a 4-node Lagrange stencil at x = p - k0: node i's weight
-   the product of (x - j) / (i - j) over j != i, multiplied left to right in
-   the order of solver._stencil's factors */
+   the product of (x - j) / (i - j) over j != i, its three factors
+   multiplied left to right.  The only code that computes the weights */
 static void lagrange(double x, double w[4])
 {
     static const double J[3][4] = {{1, 0, 0, 0}, {2, 2, 1, 1}, {3, 3, 3, 2}};
@@ -349,34 +351,57 @@ static void lagrange(double x, double w[4])
         w[i] = (((x - J[0][i]) / D[0][i]) * ((x - J[1][i]) / D[1][i])) * ((x - J[2][i]) / D[2][i]);
 }
 
-/* a 4-point stencil's values a[0..3] times its weights, in the order numpy's
-   batched matmul takes with OpenBLAS for a (2, 4) block on x86-64: the even
-   products, the odd, then both; written out, so the sample does not depend
-   on a BLAS */
-static double dot4(const double *a, const double w[4])
+/* the 4-node stencil of the fractional node index x on n nodes: its weights
+   into w, and its first node k0 = min(max(floor(x) - 1, 0), n - 4), which
+   it returns */
+static int64_t stencil(double x, int64_t n, double w[4])
 {
-    return (a[0] * w[0] + a[2] * w[2]) + (a[1] * w[1] + a[3] * w[3]);
+    int64_t k0 = (int64_t)fmin(fmax(floor(x) - 1.0, 0.0), (double)(n - 4));
+    lagrange(x - (double)k0, w);
+    return k0;
 }
 
-/* the diagnosed level of the radial state s, slot n % 3, and its d_t u and
-   d_r u at the m radii r, each (cells - 1/2) h at most, into out, (3, 2, m):
-   u, d_t u and the fourth-order d_r u of both components.  Per radius: the
-   stencil k0 = min(max(floor(r/h - 1/2) - 1, 0), cells - 4) and its weights;
-   the cells k0 - 2 to k0 + 5 of the level, even ghosts across r = 0 and 0.0
-   past the cells; d_r u = (((a0 - 8 a1) + 8 a3) - a4) / (12 h) on those
-   cells alone; each field's stencil values times the weights by dot4 */
-void radial_sample(const struct state *s, const double *r, int64_t m, double *out)
+/* the 4 stencil values a[0], a[d], a[2d], a[3d] times their weights, in one
+   fixed order, so that a sample depends on no BLAS: the even products, the
+   odd, then both, the order numpy's batched matmul took with OpenBLAS for
+   the radial sample's (2, 4) blocks on x86-64, whose values it keeps */
+static double dot4(const double *a, int64_t d, const double w[4])
+{
+    return (a[0] * w[0] + a[2 * d] * w[2]) + (a[d] * w[1] + a[3 * d] * w[3]);
+}
+
+/* the diagnosed level of the state s, slot n % 3, at m points, into out.
+   Radial, the points are m radii r, each (cells - 1/2) h at most, and out,
+   (3, 2, m), holds u, d_t u and the fourth-order d_r u of both components:
+   per radius the stencil at r/h - 1/2; the cells k0 - 2 to k0 + 5 of the
+   level, even ghosts across r = 0 and 0.0 past the cells; d_r u =
+   (((a0 - 8 a1) + 8 a3) - a4) / (12 h) on those cells alone; each field's
+   stencil values times the weights by dot4.  Cartesian, x holds the m
+   first-axis fractional node indices, each in [0, n - 1], then the m
+   second-axis ones, and out, (2, m), holds u of both components: per point
+   and component, dot4 of the first-axis values at each of the four
+   second-axis nodes, then dot4 of those four with the second-axis weights */
+void sample(const struct state *s, const double *x, int64_t m, double *out)
 {
     const int64_t n = s->cells;
     const double h = s->h, den = 12.0 * h, *level = slot(s, s->n);
+    if (!s->radial) {
+        for (int64_t p = 0; p < m; p++) {
+            double wx[4], wy[4], rows[4];
+            int64_t i0 = stencil(x[p], n, wx), j0 = stencil(x[m + p], n, wy);
+            for (int c = 0; c < 2; c++) {
+                for (int j = 0; j < 4; j++)
+                    rows[j] = dot4(level + (c * n + i0) * n + j0 + j, n, wx);
+                out[c * m + p] = dot4(rows, 1, wy);
+            }
+        }
+        return;
+    }
     for (int64_t p = 0; p < m; p++) {
-        double x = r[p] / h - 0.5, w[4];
-        int64_t k0 = (int64_t)floor(x) - 1;
-        k0 = k0 < 0 ? 0 : k0 > n - 4 ? n - 4 : k0;
-        lagrange(x - (double)k0, w);
+        double w[4], a[8], grad[4];
+        int64_t k0 = stencil(x[p] / h - 0.5, n, w);
         for (int c = 0; c < 2; c++) {
             const double *u = level + c * n, *dtu = s->dtu + c * n;
-            double a[8], grad[4];
             for (int k = 0; k < 8; k++) {
                 int64_t cell = k0 - 2 + k;
                 cell = cell < 0 ? -1 - cell : cell;
@@ -384,9 +409,9 @@ void radial_sample(const struct state *s, const double *r, int64_t m, double *ou
             }
             for (int k = 0; k < 4; k++)
                 grad[k] = (((a[k] - 8.0 * a[k + 1]) + 8.0 * a[k + 3]) - a[k + 4]) / den;
-            out[(0 + c) * m + p] = dot4(a + 2, w);
-            out[(2 + c) * m + p] = dot4(dtu + k0, w);
-            out[(4 + c) * m + p] = dot4(grad, w);
+            out[(0 + c) * m + p] = dot4(a + 2, 1, w);
+            out[(2 + c) * m + p] = dot4(dtu + k0, 1, w);
+            out[(4 + c) * m + p] = dot4(grad, 1, w);
         }
     }
 }

@@ -14,8 +14,8 @@ over a zero middle level; see solver.init_state), and a window's first lo
 one place_lo call.  A radial
 step writes 0.0 for every new value below the smallest normal float; a
 Cartesian step flushes nothing.  dissipation is WaveState.dissipation's sum
-over the held cells, in numpy's pairwise order, and radial_sample the radial
-WaveState.sample's interpolation of the diagnosed level.
+over the held cells, in numpy's pairwise order, and sample is
+WaveState.sample's interpolation of the diagnosed level in either mode.
 
 The library is compiled once per machine, on the first use in a process
 that does not find it (never at import), with the C compiler CC and the
@@ -63,7 +63,7 @@ _SIGNATURES = {
     "place_lo": (None, (_P,)),
     "advance": (ctypes.c_int, (_P, _I)),
     "dissipation": (_F, (_P,)),
-    "radial_sample": (None, (_P, _P, _I, _P)),
+    "sample": (None, (_P, _P, _I, _P)),
 }
 
 _LIB = None

@@ -24,19 +24,13 @@ rho = V_1 K_1 - V_2 K_2, which is the basis of the corrected invariant
 estimate.
 
 V_j and H_j are measured in one place: RayTraceCollector, a run_simulation
-sampler of radial states, where every angle gives the same profile.  At
-each sample time one call of the kernel library's radial_sample, the path
-WaveState.sample takes, reads u, d_t u and the fourth-order d_r u at every
-foot point |x| = t + sigma, by one 4-point Lagrange (cubic) stencil per
-point, with d_r u differenced on the stencil's cells alone, and writes them
-straight into the collector's storage, one fixed block per level.  A sample
-stores these raw values; the collector's traces() evaluates U_j and H_j
-over a whole trace at once.  Every field holds both components on axis 0,
-as the solver's levels do, so each formula above runs once for both, with
-the other component read through [::-1].  A foot point past the grid or inside a
-light-cone window raises ValueError, with WaveState.sample's messages.
-Traces interpolate linearly in time between stored samples.  Any other
-point read of a state, in either mode, calls WaveState.sample itself.
+sampler of radial states, where every angle gives the same profile.  It
+stores u, d_t u and d_r u at every foot point |x| = t + sigma, read by the
+path WaveState.sample takes, and its traces() evaluates U_j and H_j over a
+whole trace at once, both components on axis 0, as the solver's levels
+hold them, with the other component read through [::-1].  Traces
+interpolate linearly in time between stored samples.  Any other point read
+of a state, in either mode, calls WaveState.sample itself.
 """
 
 from __future__ import annotations
@@ -67,6 +61,9 @@ class IntegrationError(RuntimeError):
 
 
 # -- traces along rays ---------------------------------------------------------
+
+RAY_BYTES = 6 * 8   # a collector's u, d_t u and d_r u of both components per ray and level
+
 
 @dataclass
 class ProfileTrace:
@@ -121,7 +118,7 @@ class RayTraceCollector:
     and skips nothing afterwards, at the state's t = n dt, where the refusals
     in scenarios predict the samples.  A level is sampled once the largest
     sigma's foot point clears the origin, which is when any does: one call
-    of the kernel library's radial_sample, after the state's refusals, at
+    of the kernel library's sample, after the state's refusals, at
     the foot points of every sigma in the given order, which writes u, d_t u
     and d_r u of both components at each straight into the collector's
     storage, one (3, 2, sigmas) block per level; the level's t is stored
@@ -141,10 +138,10 @@ class RayTraceCollector:
         self._lowest = min(self.sigmas, default=math.inf)
         self._highest = max(self.sigmas, default=-math.inf)
         # per level its t, and u, d_t u and d_r u of both components at every
-        # foot point, a (3, 2, sigmas) block as radial_sample writes it,
-        # appended as zero bytes, 6 * 8 per ray, which the kernel overwrites
+        # foot point, a (3, 2, sigmas) block as the kernel's sample writes it,
+        # appended as zero bytes, RAY_BYTES per ray, which the kernel overwrites
         self._times, self._values = array("d"), array("d")
-        self._zeros = bytes(6 * 8 * len(self.sigmas))
+        self._zeros = bytes(RAY_BYTES * len(self.sigmas))
         self._dt, self._h = None, math.inf      # no level sampled yet
 
     @staticmethod
@@ -163,7 +160,7 @@ class RayTraceCollector:
         values, m = self._values, len(self._radii)
         values.frombytes(self._zeros)
         address, length = values.buffer_info()
-        state._sample(self._radii_address, m, address + 8 * (length - 6 * m))
+        state._sample(self._radii_address, m, address + 8 * length - RAY_BYTES * m)
         self._times.append(t)
 
     def traces(self) -> list[ProfileTrace]:

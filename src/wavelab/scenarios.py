@@ -45,7 +45,7 @@ from .bumps import BumpSpec, InitialData
 from .config import ScenarioConfig
 from .fitting import fit_power_law
 from .free_wave import NODE_BYTES, free_field, oracle_nodes
-from .profile import (ProfileTrace, RayTraceCollector, closed_form_profile,
+from .profile import (RAY_BYTES, ProfileTrace, RayTraceCollector, closed_form_profile,
                       corrected_invariant, leading_invariant,
                       profile_invariant, solve_reduced_ode, MEstimate)
 from .radiation import (TAU_NODE_BYTES, fit_sigma_decay, radiation_pair, radiation_table,
@@ -390,6 +390,16 @@ def _check_rays(config, sigmas, times) -> None:
                              f"sample, at t={first:.4g}, up to its horizon; it needs two")
 
 
+def _fit_rays(config, sigmas, times) -> None:
+    """Refuse, before any run, a collector of sigmas at times whose samples on
+    config's run, a scenario's run of the most levels, exceed physical memory."""
+    # the distinct sample steps' times (np.unique would import numpy.ma, 1.7 MB)
+    t = np.flatnonzero(np.bincount(sample_steps(config, times))) * config.dt
+    levels = np.count_nonzero(RayTraceCollector.samples_at(t, max(sigmas), config.h))
+    fit_memory(levels * len(sigmas) * RAY_BYTES, "sigma_samples", f"{len(sigmas)} rays at the "
+               f"{levels} sampled levels of h={config.h:g} and T={config.T:g}, whose samples")
+
+
 def _rung(config, eps, h=None):
     """The config of the epsilon-scaling run at eps, to its horizon T = 4/eps."""
     return replace(config, data=config.data.with_epsilon(eps), eps_list=(eps,),
@@ -423,6 +433,7 @@ def _scenario_epsilon_scaling(config, runtimes):
                              f"sigma={s:g} exceeds the shortest rung's horizon "
                              f"4/eps = {shortest.T:g}")
     _check_rays(shortest, sigmas, _trace_times(shortest))
+    _fit_rays(floor_rung, sigmas, _trace_times(floor_rung))
 
     r0 = config.data.support_radius
     lo = math.floor((min(sigmas) - 0.6) / 0.02) * 0.02
@@ -536,6 +547,7 @@ def _scenario_symmetric_decay(config, runtimes):
                          f"lands at t={t_last:.7g}")
     times = np.append(np.arange(0.0, config.T, 0.25), config.T)
     _check_rays(config, [sigma], times)
+    _fit_rays(config, [sigma], times)
     collector = RayTraceCollector([sigma])
     sym_gap = [0.0]
 

@@ -20,20 +20,15 @@ previous-level start at t = 0 is the exact second-order Taylor expansion
 from the data, which makes the cached derivative equal eps*g exactly.
 
 Point values come from WaveState.sample(points), the only code that knows
-where the grid nodes sit: one call per level gives every point its 4-node
-Lagrange stencil and reads its cells alone, with the radial d_r u
-differenced on those cells, so a sampled level costs O(points), not
-O(window).  A radial level is sampled by one call of the kernel library's
-radial_sample, which does per point the IEEE operations of the numpy form
-(_stencil, an 8-cell gather, _diff4) in its order, and sums each 4-point
-product as (p0 w0 + p2 w2) + (p1 w1 + p3 w3), the order numpy's matmul took
-for it; a Cartesian level by one gather and two matmuls in numpy.  It
-refuses a point past the last radial cell centre or the node square, and
-inside a light-cone window's cone, in Python, once per call.  The radial
-refusals are _check_radii's; it and radial_sample, which reads the
-diagnosed level from the state, are the one radial sampling path, which
-RayTraceCollector takes too, to write a level's ray samples into its own
-storage.  No points give an empty sample.
+where the grid nodes sit: in either mode one call per level of the kernel
+library's sample, which gives every point its 4-node Lagrange stencil and
+reads its cells alone, with the radial d_r u differenced on those cells, so
+a sampled level costs O(points), not O(window), and goes through no BLAS.
+It refuses a point past the last radial cell centre or the node square, and
+inside a light-cone window's cone, in Python, once per call: radially by
+_check_radii, which RayTraceCollector passes too before its one call of the
+kernel's sample writes a level's ray samples into its own storage.  No
+points give an empty sample.
 
 The linear part of a step is one folded update per mode,
 
@@ -196,7 +191,7 @@ CONE_REACH = 8
 # times and the steps run_simulation stops at, 8 each, and its byte per
 # sampler and step with the byte of their any(), 8 for up to 7 samplers;
 # sample_steps, before the run, holds two 8-byte temporaries.  A collector's
-# values, 48 bytes per ray and sampled level, are not counted
+# samples are counted apart, by the scenarios' ray checks
 STEP_BYTES = 3 * 8
 
 # physical memory, the bound of the grid and of the per-step arrays
@@ -346,12 +341,12 @@ class WaveState:
             self._struct.cp = self._geometry[2].ctypes.data
             self._struct.cm = self._geometry[3].ctypes.data
             self._struct.A = 2.0 - 2.0 * k
-            self._sample = partial(lib.radial_sample, address)
         else:
             # h^2, the one measure of every node, with an address for the kernel
             self._geometry = (xs, np.array(self.h * self.h))
             self._struct.A = 2.0 - 4.0 * k
         self._struct.measure = self._geometry[1].ctypes.data
+        self._sample = partial(lib.sample, address)
         self._advance = partial(lib.advance, address)
         self._place_lo = partial(lib.place_lo, address)
         self._dissipation = partial(lib.dissipation, address)
@@ -409,41 +404,36 @@ class WaveState:
 
     def sample(self, points) -> np.ndarray:
         """Fields of the diagnosed level at the points, an (m, 2) array, by
-        cubic interpolation: (3, 2, m), u, d_t u and the fourth-order d_r u of
-        both components, in |x| over the cell centres (radial), one call of
-        the kernel library's radial_sample; (1, 2, m), u, in x1 and x2 over
-        the nodes xs (Cartesian), one gather and two matmuls in numpy.  Each
-        stencil's cells are read from the whole-domain buffers (0.0 past hi,
-        even ghosts across r = 0, 0.0 past the wall); d_r u is differenced on
-        them alone.  A point past the last cell centre (n - 1/2) h, outside
-        the node square or, with a cone, at |x| < t + cone raises ValueError.
-        No points give an empty (3, 2, 0) or (1, 2, 0) array.
+        cubic interpolation, one call of the kernel library's sample:
+        (3, 2, m), u, d_t u and the fourth-order d_r u of both components, in
+        |x| over the cell centres (radial); (1, 2, m), u, in x1 and x2 over
+        the nodes xs (Cartesian).  Each stencil's cells are read from the
+        whole-domain buffers (0.0 past hi, even ghosts across r = 0, 0.0 past
+        the wall); d_r u is differenced on them alone.  A point past the last
+        cell centre (n - 1/2) h, outside the node square or, with a cone, at
+        |x| < t + cone raises ValueError.  No points give an empty (3, 2, 0)
+        or (1, 2, 0) array.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         radial = self.mode == "radial"
         if not len(pts):
             return np.empty((3 if radial else 1, 2, 0))
-        if radial:
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            out = np.empty((3, 2, len(r)))                  # u, d_t u, d_r u
-            self._check_radii(r.min(), r.max())
-            self._sample(r.ctypes.data, len(r), out.ctypes.data)
-            return out
-        n, h, level = self._cells, self.h, self._levels[self.n % 3]   # the diagnosed level
         first, last = self.xs[0], self.xs[-1]
-        if not first <= pts.min() <= pts.max() <= last:
+        if radial:
+            x = np.hypot(pts[:, 0], pts[:, 1])              # the radii
+            self._check_radii(x.min(), x.max())
+        elif not first <= pts.min() <= pts.max() <= last:
             bad = pts[~((first <= pts) & (pts <= last)).all(axis=1)][0]
             raise ValueError(f"point ({bad[0]:.6g}, {bad[1]:.6g}) lies outside the node square")
-        (i0, j0), (wx, wy) = _stencil((pts.T - first) / h, n)
-        four = np.arange(4)
-        u = level[np.arange(2)[:, None, None], (i0[:, None] + four)[:, None, :, None],
-                  (j0[:, None] + four)[:, None, None, :]]   # C-ordered (m, 2, 4, 4)
-        rows = (wx[:, None, None, :] @ u)[..., 0, :]
-        return (rows @ wy[:, :, None])[None, ..., 0].transpose(0, 2, 1)
+        else:       # the m first-axis, then the m second-axis fractional node indices
+            x = np.ascontiguousarray((pts.T - first) / self.h)
+        out = np.empty((3 if radial else 1, 2, len(pts)))  # u (, d_t u, d_r u)
+        self._sample(x.ctypes.data, len(pts), out.ctypes.data)
+        return out
 
     def _check_radii(self, r_min: float, r_max: float) -> None:
         """The refusals of a radial sample of radii in [r_min, r_max] by the
-        kernel library's radial_sample, the one radial sampling path:
+        kernel library's sample, the one radial sampling path:
         ValueError for a radius inside a light-cone window's t + cone or past
         the last cell centre (n - 1/2) h."""
         if self.cone is not None and r_min < self.t + self.cone - 1e-6 * self.h:
@@ -499,7 +489,8 @@ class WaveState:
             self.cone = float(cone)
             s.last_n = self.n + n_steps
             foot = (s.last_n * self.dt + self.cone) / self.h - 0.5
-            s.lo_last = int(_stencil(foot, self._cells)[0]) - CONE_REACH
+            # the first node of the foot point's stencil, by the kernel's rule
+            s.lo_last = min(max(math.floor(foot) - 1, 0), self._cells - 4) - CONE_REACH
         held = np.zeros(self._cells, dtype=bool)
         for a in (*self._levels, self._dt_u):
             held |= a.any(axis=0)
@@ -515,22 +506,6 @@ def _diff4(a: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centred first difference along the last axis of a, at
     a[..., 2:-2]: four values fewer."""
     return (a[..., :-4] - 8.0 * a[..., 1:-3] + 8.0 * a[..., 3:-1] - a[..., 4:]) / (12.0 * h)
-
-
-# node i's Lagrange weight prod_{j != i} (x - j) / (i - j) as three factors
-# (x - j) / (i - j): the j of each factor and node, and its i - j
-_FACTOR_J = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])
-_FACTOR_DEN = np.array([[-1, 1, 2, 3], [-2, -1, 1, 2], [-3, -2, -1, 1]], dtype=float)
-
-
-def _stencil(p, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """4-node Lagrange stencils for the fractional indices p (an array or a
-    scalar) on a grid of size n: the first nodes k0, shaped like p, and the
-    weights on a new last axis of 4, each the product of its three factors
-    multiplied left to right."""
-    k0 = np.minimum(np.maximum(np.floor(p).astype(int) - 1, 0), n - 4)
-    f = ((p - k0)[..., None, None] - _FACTOR_J) / _FACTOR_DEN
-    return k0, f[..., 0, :] * f[..., 1, :] * f[..., 2, :]
 
 
 def init_state(config: ScenarioConfig, nonlinear: bool, *,

@@ -252,9 +252,9 @@ def test_collector_remainder_rows(radial_data):
 
 
 def test_collector_of_several_rays_equals_one_collector_per_ray(radial_data):
-    """A level's samples of several rays, packed in one radial_sample call
-    whose ray count grows as their foot points clear the origin, give every
-    ray's trace bit for bit as a collector of that ray alone does; the
+    """A level's samples of several rays, packed in one call of the kernel's
+    sample whose ray count grows as their foot points clear the origin, give
+    every ray's trace bit for bit as a collector of that ray alone does; the
     sigmas are unsorted, and traces() keeps their order."""
     cfg = ScenarioConfig(name="conservation", data=radial_data, mode="radial",
                          T=2.0, h=1.0 / 16.0)

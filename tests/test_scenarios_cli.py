@@ -796,6 +796,13 @@ _REFUSALS = [
      "need 192 radiation quadrature nodes"),
     ("memory 1000000: free-validation --h 0.5", "radius: the smallest bump radius 1.5 and "
      "R0=1.8 need 1.15e+04 free-field oracle nodes"),
+    # a collector's samples, 48 bytes per ray and level, on the run of the
+    # most levels, epsilon-scaling's h/2 floor rung: its grid (0.56 MB), steps
+    # (0.27 MB) and radiation table (0.44 MB) fit in 1 MB, its 8 rays at
+    # 2,845 levels (1.09 MB) do not
+    ("memory 1000000: run epsilon-scaling: sigma_samples = -2, -1.5, -1, -0.5, -0.25, 0, 0.25, "
+     "0.5", "sigma_samples: 8 rays at the 2845 sampled levels of h=0.00390625 and T=20, whose "
+     "samples exceed the"),
     # free-validation's check cadence T/4, which its steps divide, is 0.0, or
     # below half a step (dt = 0.028125 at h = 1/16), where its errors measure
     # the interpolation of the data and pass the convergence gate
@@ -827,7 +834,7 @@ def test_refusals_come_before_any_run_or_table(tmp_path, capsys, monkeypatch, ar
     monkeypatch.setattr(wavelab.scenarios, "run_simulation", unreached)
     monkeypatch.setattr(wavelab.scenarios, "radiation_table", unreached)
     if args.startswith("memory "):
-        memory, args = args[len("memory "):].split(": ")
+        memory, args = args[len("memory "):].split(": ", 1)
         monkeypatch.setattr(wavelab.solver, "_MEMORY", int(memory))
     cfg_path = tmp_path / "refused.cfg"
     if args.startswith("run "):

@@ -17,7 +17,7 @@ from wavelab import (BumpSpec, EnergyTrace, InitialData, InstabilityError, Scena
                      WaveState, _step, free_field, init_state, run_simulation)
 from wavelab.config import CFL_LIMITS, ConfigValidationError
 from wavelab.scenarios import default_config
-from wavelab.solver import TRACE_DT, _stencil, run_size, sample_steps
+from wavelab.solver import TRACE_DT, run_size, sample_steps
 
 
 def small_config(data, mode="radial", T=2.0, h=1.0 / 32.0, **kw):
@@ -73,12 +73,23 @@ def _reference_stencil(p, n):
 
 
 def test_stencil_matches_reference_loop(rng):
-    """Bit for bit, for an array of fractional indices and for a scalar one."""
-    ps = np.concatenate([rng.uniform(-1.0, 60.0, 500), [0.0, 0.5, 57.0]])
-    for p, k0, w in zip(ps, *_stencil(ps, 60)):
-        k_ref, w_ref = _reference_stencil(p, 60)
-        assert k0 == k_ref and w.tobytes() == w_ref.tobytes()
-        assert _stencil(p, 60)[1].tobytes() == w_ref.tobytes()
+    """The kernel's stencil, its first node and Lagrange weights, is the
+    reference loop's, bit for bit, read through indicator levels: a radial
+    sample of a level that is 1.0 at one cell of a stencil and 0.0 elsewhere
+    returns that cell's weight exactly.  u and d_t u of both components hold
+    the indicators of the stencil's four cells, so one sample reads all four
+    weights; the radii span every cell, the clamped stencils at both ends
+    included."""
+    n, h = 60, 1.0 / 16.0
+    zeros = np.zeros((2, n))
+    st = _held_state("radial", h, zeros, zeros)
+    level, dt_u = st._levels[st.n % 3], st._dt_u
+    for r in np.concatenate([rng.uniform(0.0, (n - 0.5) * h, 500), [0.0, 0.75 * h, 59 * h]]):
+        k0, w_ref = _reference_stencil(r / h - 0.5, n)
+        level[:], dt_u[:] = 0.0, 0.0
+        level[0, k0], level[1, k0 + 1], dt_u[0, k0 + 2], dt_u[1, k0 + 3] = 1.0, 1.0, 1.0, 1.0
+        got = st.sample([(r, 0.0)])[:2, :, 0].ravel()
+        assert got.tobytes() == w_ref.tobytes(), r
 
 
 def _held_state(mode, h, u, dt_u):
@@ -156,7 +167,8 @@ def _parent_sample(state, points):
     """What sample returned before it gathered: a fourth-order d_r u over the
     whole held window (even ghosts at the origin, zeros below a light-cone
     window's lo and past hi), then one stencil per point and field on window
-    slices, zeros past the window's outer edge.  Cartesian: u alone."""
+    slices, zeros past the window's outer edge.  Cartesian: u alone, by two
+    matmuls, whose order of summation is the host BLAS's."""
     if state.mode != "radial":
         out = []
         for x in points:
@@ -185,14 +197,25 @@ def _dot4(a, w):
     return (a[..., 0] * w[0] + a[..., 2] * w[2]) + (a[..., 1] * w[1] + a[..., 3] * w[3])
 
 
-def _reference_radial_sample(state, points):
-    """WaveState.sample of a radial state written out per point, with no
-    matmul: the reference stencil at |x| / h - 1/2; the cells k0 - 2 to
-    k0 + 5 of the whole-domain buffers, even ghosts across r = 0 and 0.0 past
-    the n cells; d_r u as ((a0 - 8 a1) + 8 a3) - a4 over 12 h on those
-    cells; each field's 4 stencil values times the weights by _dot4."""
+def _reference_sample(state, points):
+    """WaveState.sample written out per point, with no matmul.  Radial: the
+    reference stencil at |x| / h - 1/2; the cells k0 - 2 to k0 + 5 of the
+    whole-domain buffers, even ghosts across r = 0 and 0.0 past the n cells;
+    d_r u as ((a0 - 8 a1) + 8 a3) - a4 over 12 h on those cells; each
+    field's 4 stencil values times the weights by _dot4.  Cartesian: the
+    reference stencils of both axes; _dot4 of the first-axis values with
+    their weights at each of the four second-axis nodes, then _dot4 of those
+    four with the second-axis weights."""
     n, h = state._cells, state.h
     level, dt_u = state._levels[state.n % 3], state._dt_u
+    if state.mode != "radial":
+        out = np.empty((1, 2, len(points)))
+        for i, x in enumerate(points):
+            i0, wx = _reference_stencil((x[0] - state.xs[0]) / h, n)
+            j0, wy = _reference_stencil((x[1] - state.xs[0]) / h, n)
+            rows = _dot4(level[:, i0:i0 + 4, j0:j0 + 4].swapaxes(1, 2), wx)   # (2, 4)
+            out[0, :, i] = _dot4(rows, wy)
+        return out
     out = np.empty((3, 2, len(points)))
     for i, r in enumerate(np.hypot(points[:, 0], points[:, 1])):
         k0, w = _reference_stencil(r / h - 0.5, n)
@@ -375,9 +398,10 @@ def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
     where the even ghosts are read, r = 0 and 1e-3 included; on a light-cone
     window with lo > 0; on a state whose hi is the wall n; and on a
     Cartesian state.  Radial points reach past hi and up to the last cell
-    centre, whose stencil reaches past n.  The kernel library's radial sample
-    also equals the per-point reference written out with no matmul, so
-    neither the reports nor this test depend on the host's BLAS."""
+    centre, whose stencil reaches past n.  The kernel library's sample equals
+    the per-point reference written out with no matmul, bit for bit, so
+    neither a sample nor this test depends on the host's BLAS; the Cartesian
+    parent form, two matmuls in the BLAS's order, agrees to rounding."""
     if case == "wall":
         rs = (np.arange(300) + 0.5) / 64.0
         st = _held_state("radial", 1.0 / 64.0, np.stack([np.sin(3.0 * rs), np.cos(2.0 * rs)]),
@@ -389,8 +413,11 @@ def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
                         nonlinear=True)
         for _ in range(5):
             st.step()
-        x = rng.uniform(st.xs[0], st.xs[-1], (200, 2))
-        assert st.sample(x).tobytes() == _parent_sample(st, x).tobytes()
+        x = np.concatenate([rng.uniform(st.xs[0], st.xs[-1], (200, 2)),
+                            [(st.xs[0], st.xs[-1]), (st.xs[-1], st.xs[0])]])
+        got = st.sample(x)
+        assert got.tobytes() == _reference_sample(st, x).tobytes()
+        np.testing.assert_allclose(got, _parent_sample(st, x), rtol=1e-12, atol=1e-15)
         return
     else:
         cfg = small_config(radial_data, T=3.0)
@@ -413,7 +440,7 @@ def test_sample_matches_window_gradient(radial_data, offset_data, rng, case):
     assert got.shape == (3, 2, len(x))
     np.testing.assert_array_equal(got, want)
     assert got.tobytes() == want.tobytes()          # signed zeros too
-    assert got.tobytes() == _reference_radial_sample(st, x).tobytes()
+    assert got.tobytes() == _reference_sample(st, x).tobytes()
 
 
 def test_symmetric_data_identical_components(unit_bump):
